@@ -23,7 +23,7 @@ def _read(path: str) -> str:
 
 
 def _caps(args) -> fincat.SizeCaps:
-    if getattr(args, "cap_objects", None):
+    if getattr(args, "cap_objects", None) is not None:
         return fincat.SizeCaps(objects=args.cap_objects)
     return fincat.DEFAULT_CAPS
 

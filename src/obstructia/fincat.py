@@ -6,14 +6,16 @@ composable pairs.  ``comp[(f, g)]`` is the diagrammatic composite "f then g",
 so it requires ``cod f == dom g`` and has domain ``dom f`` and codomain
 ``cod g``.  Everything is immutable after validation and safe to share.
 
-Derived constructions (opposite, slice, parallel arrows, arrow category) name
-their objects and morphisms canonically so outputs are reproducible byte for
-byte.
+Derived constructions name their objects and morphisms canonically so outputs
+are reproducible byte for byte.  Besides the opposite, they are categories of
+elements of hom(-, x)^k, built by one size-guarded builder: the slice over x
+at k = 1 and the parallel arrows over x at k = 2.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import product
 from typing import Iterable, Mapping, NamedTuple
 
 from .errors import (
@@ -319,15 +321,13 @@ def _fresh_name(base: str, used: set) -> str:
     return name
 
 
-class SliceCategory(NamedTuple):
+class ElementsCategory(NamedTuple):
+    """A category of elements of hom(-, x)^k with its projection to c.
+    ``elements`` maps each object name to its k-tuple of morphisms into x."""
+
     cat: FinCat
     projection: FunctorData
-
-
-class ParallelArrowCategory(NamedTuple):
-    cat: FinCat
-    projection: FunctorData
-    pairs: dict[str, tuple[str, str]]
+    elements: dict[str, tuple[str, ...]]
 
 
 def _check_caps(what: str, n_obj: int, n_mor: int, n_comp: int, caps: SizeCaps):
@@ -339,176 +339,85 @@ def _check_caps(what: str, n_obj: int, n_mor: int, n_comp: int, caps: SizeCaps):
         raise SizeCapExceeded(f"{what} composition entries", n_comp, caps.comp_entries)
 
 
-def slice_category(c: FinCat, x: str, caps: SizeCaps = DEFAULT_CAPS) -> SliceCategory:
-    """The slice over x: objects are morphisms with codomain x (named by
-    their morphism id), a morphism f -> g is an h with h;g = f, and the
-    projection sends f to dom f and each slice morphism to its witness h."""
-    if not c.has_object(x):
-        raise UnknownObject(x)
-
-    slice_objs = [m.name for m in c.morphisms if m.cod == x]
-
-    # Predicted sizes from hom-set cardinalities only.
-    n_obj = len(slice_objs)
-    into = {z: sum(len(c.hom(y, z)) for y in c.objects) for z in c.objects}
-    weight = {z: len(c.hom(z, x)) for z in c.objects}
-    n_mor = sum(len(c.hom(y, z)) * weight[z] for y in c.objects for z in c.objects)
-    outp = {z: sum(len(c.hom(z, w)) * weight[w] for w in c.objects) for z in c.objects}
-    n_comp = sum(into[z] * outp[z] for z in c.objects)
-    _check_caps(f"slice over {x!r}", n_obj, n_mor, n_comp, caps)
-
-    used: set = set()
-    mors = []
-    witness: dict[str, tuple[str, str, str]] = {}
-    by_key: dict[tuple[str, str, str], str] = {}
-    # One slice morphism per (h, target object g): source is h;g.
-    for g in slice_objs:
-        for h in c.morphism_names():
-            if c.cod(h) != c.dom(g):
-                continue
-            f = c.comp[(h, g)]
-            name = _fresh_name(f"{h}[{f}=>{g}]", used)
-            mors.append((name, f, g))
-            witness[name] = (f, h, g)
-            by_key[(f, h, g)] = name
-
-    ident = {}
-    for f in slice_objs:
-        ident[f] = by_key[(f, c.id_of(c.dom(f)), f)]
-
-    comp = {}
-    incoming: dict[str, list[str]] = {g: [] for g in slice_objs}
-    outgoing: dict[str, list[str]] = {g: [] for g in slice_objs}
-    for name, (f, h, g) in witness.items():
-        incoming[g].append(name)
-        outgoing[f].append(name)
-    for mid in slice_objs:
-        for m1 in incoming[mid]:
-            f, h1, _ = witness[m1]
-            for m2 in outgoing[mid]:
-                _, h2, l = witness[m2]
-                comp[(m1, m2)] = by_key[(f, c.comp[(h1, h2)], l)]
-
-    cat = _build(slice_objs, mors, ident, comp)
-    projection = FunctorData(
-        cat, c, {f: c.dom(f) for f in slice_objs}, {name: w[1] for name, w in witness.items()}
-    )
-    return SliceCategory(cat, projection)
-
-
 def pair_name(f0: str, f1: str) -> str:
     return f"({f0},{f1})"
 
 
-def parallel_arrows(c: FinCat, x: str, caps: SizeCaps = DEFAULT_CAPS) -> ParallelArrowCategory:
-    """Category of parallel pairs into x.  Objects are ordered pairs
-    (f0, f1): y -> x; a morphism to (g0, g1) is an h with h;g_i = f_i."""
+def _elements_category(c: FinCat, x: str, k: int, caps: SizeCaps) -> ElementsCategory:
+    """Category of elements of hom(-, x)^k for k = 1 (the slice) or k = 2
+    (parallel arrows).  Objects are k-tuples (f_1, .., f_k): y -> x; a
+    morphism to (g_1, .., g_k) is an h with h;g_i = f_i for every i, and the
+    projection sends a tuple to y and each morphism to its witness h.
+
+    A slice object is named by its morphism id, a pair by ``pair_name``;
+    ``_fresh_name`` keeps distinct pairs apart when two render alike."""
     if not c.has_object(x):
         raise UnknownObject(x)
 
-    weight = {y: len(c.hom(y, x)) ** 2 for y in c.objects}
+    # Predicted sizes from hom-set cardinalities only: an object z carries
+    # |hom(z, x)|^k tuples, and every morphism into z acts on each of them.
+    weight = {z: len(c.hom(z, x)) ** k for z in c.objects}
+    into: dict[str, list[str]] = {z: [] for z in c.objects}
+    outp = dict.fromkeys(c.objects, 0)
+    for m in c.morphisms:
+        into[m.cod].append(m.name)
+        outp[m.dom] += weight[m.cod]
     n_obj = sum(weight.values())
-    n_mor = sum(len(c.hom(y, z)) * weight[z] for y in c.objects for z in c.objects)
-    into = {z: sum(len(c.hom(y, z)) for y in c.objects) for z in c.objects}
-    outp = {z: sum(len(c.hom(z, w)) * weight[w] for w in c.objects) for z in c.objects}
-    n_comp = sum(into[z] * outp[z] for z in c.objects)
-    _check_caps(f"parallel arrows over {x!r}", n_obj, n_mor, n_comp, caps)
-
-    objs = []
-    pairs: dict[str, tuple[str, str]] = {}
-    obj_of_pair: dict[tuple[str, str], str] = {}
-    for y in c.objects:
-        for f0 in c.hom(y, x):
-            for f1 in c.hom(y, x):
-                name = pair_name(f0, f1)
-                objs.append(name)
-                pairs[name] = (f0, f1)
-                obj_of_pair[(f0, f1)] = name
+    n_mor = sum(len(into[z]) * weight[z] for z in c.objects)
+    n_comp = sum(len(into[z]) * outp[z] for z in c.objects)
+    _check_caps(f"{('slice', 'parallel arrows')[k - 1]} over {x!r}", n_obj, n_mor, n_comp, caps)
 
     used: set = set()
+    elements: dict[str, tuple[str, ...]] = {}
+    name_of: dict[tuple[str, ...], str] = {}
+    for y in c.objects:
+        for t in product(c.hom(y, x), repeat=k):
+            name = _fresh_name(t[0] if k == 1 else pair_name(*t), used)
+            elements[name] = t
+            name_of[t] = name
+
+    used = set()
     mors = []
     witness: dict[str, tuple[str, str, str]] = {}
     by_key: dict[tuple[str, str, str], str] = {}
-    for tgt in objs:
-        g0, g1 = pairs[tgt]
-        z = c.dom(g0)
-        for h in c.morphism_names():
-            if c.cod(h) != z:
-                continue
-            src = obj_of_pair[(c.comp[(h, g0)], c.comp[(h, g1)])]
+    incoming: dict[str, list[str]] = {p: [] for p in elements}
+    outgoing: dict[str, list[str]] = {p: [] for p in elements}
+    # One morphism per (h, target tuple): its source is the tuple h;g_i.
+    for tgt, t in elements.items():
+        for h in into[c.dom(t[0])]:
+            src = name_of[tuple(c.comp[(h, g)] for g in t)]
             name = _fresh_name(f"{h}[{src}=>{tgt}]", used)
             mors.append((name, src, tgt))
             witness[name] = (src, h, tgt)
             by_key[(src, h, tgt)] = name
+            incoming[tgt].append(name)
+            outgoing[src].append(name)
 
-    ident = {}
-    for p in objs:
-        f0, _ = pairs[p]
-        ident[p] = by_key[(p, c.id_of(c.dom(f0)), p)]
+    ident = {p: by_key[(p, c.id_of(c.dom(t[0])), p)] for p, t in elements.items()}
 
-    incoming: dict[str, list[str]] = {p: [] for p in objs}
-    outgoing: dict[str, list[str]] = {p: [] for p in objs}
-    for name, (src, h, tgt) in witness.items():
-        incoming[tgt].append(name)
-        outgoing[src].append(name)
     comp = {}
-    for mid in objs:
+    for mid in elements:
         for m1 in incoming[mid]:
             src, h1, _ = witness[m1]
             for m2 in outgoing[mid]:
                 _, h2, tgt = witness[m2]
                 comp[(m1, m2)] = by_key[(src, c.comp[(h1, h2)], tgt)]
 
-    cat = _build(objs, mors, ident, comp)
+    cat = _build(elements, mors, ident, comp)
     projection = FunctorData(
-        cat, c, {p: c.dom(pairs[p][0]) for p in objs}, {name: w[1] for name, w in witness.items()}
+        cat, c, {p: c.dom(t[0]) for p, t in elements.items()}, {name: w[1] for name, w in witness.items()}
     )
-    return ParallelArrowCategory(cat, projection, pairs)
+    return ElementsCategory(cat, projection, elements)
 
 
-def arrow_category(c: FinCat, caps: SizeCaps = DEFAULT_CAPS) -> FinCat:
-    """Objects are morphisms of c; morphisms are commuting squares
-    (h0, h1): f -> g with f;h1 = h0;g."""
-    objs = [m.name for m in c.morphisms]
-    if len(objs) > caps.objects:
-        raise SizeCapExceeded("arrow category objects", len(objs), caps.objects)
+def slice_category(c: FinCat, x: str, caps: SizeCaps = DEFAULT_CAPS) -> ElementsCategory:
+    """The slice over x: objects are the morphisms into x (k = 1)."""
+    return _elements_category(c, x, 1, caps)
 
-    used: set = set()
-    mors = []
-    square: dict[str, tuple[str, str, str, str]] = {}
-    by_key: dict[tuple[str, str, str, str], str] = {}
-    names = c.morphism_names()
-    for f in objs:
-        for g in objs:
-            for h0 in c.hom(c.dom(f), c.dom(g)):
-                for h1 in c.hom(c.cod(f), c.cod(g)):
-                    if c.comp[(f, h1)] != c.comp[(h0, g)]:
-                        continue
-                    name = _fresh_name(f"({h0},{h1})[{f}=>{g}]", used)
-                    mors.append((name, f, g))
-                    square[name] = (f, h0, h1, g)
-                    by_key[(f, h0, h1, g)] = name
-                    if len(mors) > caps.morphisms:
-                        raise SizeCapExceeded("arrow category morphisms", len(mors), caps.morphisms)
 
-    ident = {f: by_key[(f, c.id_of(c.dom(f)), c.id_of(c.cod(f)), f)] for f in objs}
-
-    incoming: dict[str, list[str]] = {f: [] for f in objs}
-    outgoing: dict[str, list[str]] = {f: [] for f in objs}
-    for name, (f, _, _, g) in square.items():
-        incoming[g].append(name)
-        outgoing[f].append(name)
-    comp = {}
-    for mid in objs:
-        for m1 in incoming[mid]:
-            f, h0, h1, _ = square[m1]
-            for m2 in outgoing[mid]:
-                _, k0, k1, g = square[m2]
-                comp[(m1, m2)] = by_key[(f, c.comp[(h0, k0)], c.comp[(h1, k1)], g)]
-                if len(comp) > caps.comp_entries:
-                    raise SizeCapExceeded("arrow category composition entries", len(comp), caps.comp_entries)
-
-    return _build(objs, mors, ident, comp)
+def parallel_arrows(c: FinCat, x: str, caps: SizeCaps = DEFAULT_CAPS) -> ElementsCategory:
+    """Category of ordered parallel pairs (f0, f1): y -> x (k = 2)."""
+    return _elements_category(c, x, 2, caps)
 
 
 def is_groupoid(c: FinCat) -> bool:

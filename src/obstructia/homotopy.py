@@ -2,13 +2,15 @@
 
 pi0 is computed by the pipeline "reflect, then collapse the lower set of the
 chosen object's class"; pi1 is pi0 of the category of parallel arrows over
-the object, pointed at the pair of identities.  Non-basepoint elements rank
-the obstructions: to weak terminality for pi0, to subterminality for pi1.
+the object (fincat's category of elements of hom(-, x)^2), pointed at the
+pair of identities.  Non-basepoint elements rank the obstructions: to weak
+terminality for pi0, to subterminality for pi1.
 
 The induced maps (along a morphism, along a functor, and along a natural
-transformation over a morphism of the domain) are computed on class
-representatives and then *checked* to be monotone and basepoint-preserving,
-so a broken table shows up as an error instead of a silently wrong poset.
+transformation over a morphism of the domain) share one helper: it maps
+class representatives, sends collapsed images to the basepoint, and then
+*checks* the result to be monotone and basepoint-preserving, so a broken
+table shows up as an error instead of a silently wrong poset.
 """
 
 from __future__ import annotations
@@ -64,11 +66,14 @@ def pi0(c: fincat.FinCat, x: str) -> ObstructionReport:
 
 
 def _pi1_data(c: fincat.FinCat, x: str, caps: fincat.SizeCaps):
+    """pi1 at x, the parallel arrows it is computed from, and the class of
+    each parallel pair (keyed by the pair itself, not by its rendered name)."""
     par = fincat.parallel_arrows(c, x, caps)
     p, class_of = order.poset_reflection(par.cat)
-    base = fincat.pair_name(c.id_of(x), c.id_of(x))
-    report = _collapse_at(p, class_of, base, f"[{x}]", f"pi1 at object {x!r}")
-    return report, par, p, class_of
+    class_of_pair = {pair: class_of[name] for name, pair in par.elements.items()}
+    base = (c.id_of(x), c.id_of(x))
+    report = _collapse_at(p, class_of_pair, base, f"[{x}]", f"pi1 at object {x!r}")
+    return report, par, class_of_pair
 
 
 def pi1(c: fincat.FinCat, x: str, caps: fincat.SizeCaps = fincat.DEFAULT_CAPS) -> ObstructionReport:
@@ -102,7 +107,17 @@ def is_terminal(c: fincat.FinCat, x: str) -> bool:
 # -- induced maps -------------------------------------------------------------
 
 
-def _checked_map(src: ObstructionReport, dst: ObstructionReport, mapping: dict) -> order.PointedMap:
+def _induced_map(src: ObstructionReport, dst: ObstructionReport, image_class) -> order.PointedMap:
+    """Send each non-basepoint element e of src to the class image_class(e)
+    of dst, or to dst's basepoint when that class was collapsed, and check
+    that the result is monotone and basepoint-preserving."""
+    targets = set(dst.invariant.poset.elements)
+    mapping = {src.invariant.basepoint: dst.invariant.basepoint}
+    for e in src.invariant.poset.elements:
+        if e == src.invariant.basepoint:
+            continue
+        cls = image_class(e)
+        mapping[e] = cls if cls in targets else dst.invariant.basepoint
     return order.make_pointed(src.invariant, dst.invariant, mapping)
 
 
@@ -119,27 +134,12 @@ def pi_object_action(c: fincat.FinCat, f: str, i: int, caps: fincat.SizeCaps = f
         raise ValueError("i must be 0 or 1")
     x, y = c.dom(f), c.cod(f)
     if i == 0:
-        src, dst = pi0(c, x), pi0(c, y)
-        targets = set(dst.invariant.poset.elements)
-        mapping = {src.invariant.basepoint: dst.invariant.basepoint}
-        for e in src.invariant.poset.elements:
-            if e == src.invariant.basepoint:
-                continue
-            mapping[e] = e if e in targets else dst.invariant.basepoint
-        return _checked_map(src, dst, mapping)
+        return _induced_map(pi0(c, x), pi0(c, y), lambda e: e)
 
-    src, par_x, _, _ = _pi1_data(c, x, caps)
-    dst, par_y, _, class_of_y = _pi1_data(c, y, caps)
-    targets = set(dst.invariant.poset.elements)
-    mapping = {src.invariant.basepoint: dst.invariant.basepoint}
-    for e in src.invariant.poset.elements:
-        if e == src.invariant.basepoint:
-            continue
-        g, h = par_x.pairs[e]  # class names are least member objects
-        image = fincat.pair_name(c.comp[(g, f)], c.comp[(h, f)])
-        cls = class_of_y[image]
-        mapping[e] = cls if cls in targets else dst.invariant.basepoint
-    return _checked_map(src, dst, mapping)
+    src, par_x, _ = _pi1_data(c, x, caps)
+    dst, _, class_of_y = _pi1_data(c, y, caps)
+    # class names are least member objects, so each names a pair of par_x
+    return _induced_map(src, dst, lambda e: class_of_y[tuple(c.comp[(g, f)] for g in par_x.elements[e])])
 
 
 def pi_functor_map(functor: fincat.FunctorData, x: str, i: int, caps: fincat.SizeCaps = fincat.DEFAULT_CAPS) -> order.PointedMap:
@@ -151,29 +151,12 @@ def pi_functor_map(functor: fincat.FunctorData, x: str, i: int, caps: fincat.Siz
         raise ValueError("i must be 0 or 1")
     fx = functor.obj_map[x]
     if i == 0:
-        src, dst = pi0(c, x), pi0(d, fx)
         _, class_of_d = order.poset_reflection(d)
-        targets = set(dst.invariant.poset.elements)
-        mapping = {src.invariant.basepoint: dst.invariant.basepoint}
-        for e in src.invariant.poset.elements:
-            if e == src.invariant.basepoint:
-                continue
-            cls = class_of_d[functor.obj_map[e]]
-            mapping[e] = cls if cls in targets else dst.invariant.basepoint
-        return _checked_map(src, dst, mapping)
+        return _induced_map(pi0(c, x), pi0(d, fx), lambda e: class_of_d[functor.obj_map[e]])
 
-    src, par_c, _, _ = _pi1_data(c, x, caps)
-    dst, par_d, _, class_of_d = _pi1_data(d, fx, caps)
-    targets = set(dst.invariant.poset.elements)
-    mapping = {src.invariant.basepoint: dst.invariant.basepoint}
-    for e in src.invariant.poset.elements:
-        if e == src.invariant.basepoint:
-            continue
-        g, h = par_c.pairs[e]
-        image = fincat.pair_name(functor.mor_map[g], functor.mor_map[h])
-        cls = class_of_d[image]
-        mapping[e] = cls if cls in targets else dst.invariant.basepoint
-    return _checked_map(src, dst, mapping)
+    src, par_c, _ = _pi1_data(c, x, caps)
+    dst, _, class_of_d = _pi1_data(d, fx, caps)
+    return _induced_map(src, dst, lambda e: class_of_d[tuple(functor.mor_map[g] for g in par_c.elements[e])])
 
 
 def covariance_map(alpha: fincat.NatTransData, f: str, i: int, caps: fincat.SizeCaps = fincat.DEFAULT_CAPS) -> order.PointedMap:
@@ -199,39 +182,23 @@ def covariance_map(alpha: fincat.NatTransData, f: str, i: int, caps: fincat.Size
     sy = fincat.slice_category(d, gy, caps)
 
     if i == 0:
-        src = pi0(sx.cat, ax)
-        dst = pi0(sy.cat, ay)
         _, class_of_sy = order.poset_reflection(sy.cat)
-        targets = set(dst.invariant.poset.elements)
-        mapping = {src.invariant.basepoint: dst.invariant.basepoint}
-        for e in src.invariant.poset.elements:
-            if e == src.invariant.basepoint:
-                continue
-            image = d.comp[(e, gf)]  # slice objects are morphism ids into gx
-            cls = class_of_sy[image]
-            mapping[e] = cls if cls in targets else dst.invariant.basepoint
-        return _checked_map(src, dst, mapping)
+        # slice objects are morphism ids into gx
+        return _induced_map(pi0(sx.cat, ax), pi0(sy.cat, ay), lambda e: class_of_sy[d.comp[(e, gf)]])
 
-    src, par_x, _, _ = _pi1_data(sx.cat, ax, caps)
-    dst, par_y, _, class_of_y = _pi1_data(sy.cat, ay, caps)
+    src, par_x, _ = _pi1_data(sx.cat, ax, caps)
+    dst, _, class_of_y = _pi1_data(sy.cat, ay, caps)
     sy_by_key = {
         (m.dom, sy.projection.mor_map[m.name], m.cod): m.name for m in sy.cat.morphisms
     }
-    targets = set(dst.invariant.poset.elements)
-    mapping = {src.invariant.basepoint: dst.invariant.basepoint}
-    for e in src.invariant.poset.elements:
-        if e == src.invariant.basepoint:
-            continue
-        p0, p1 = par_x.pairs[e]  # parallel slice morphisms into alpha_x
-        images = []
-        for p in (p0, p1):
-            h = sx.cat.dom(p)  # slice object: a morphism of D into gx
-            k = sx.projection.mor_map[p]  # witness k: dom h -> Fx with k;ax = h
-            images.append(sy_by_key[(d.comp[(h, gf)], d.comp[(k, ff)], ay)])
-        image = fincat.pair_name(images[0], images[1])
-        cls = class_of_y[image]
-        mapping[e] = cls if cls in targets else dst.invariant.basepoint
-    return _checked_map(src, dst, mapping)
+
+    def image(p: str) -> str:
+        h = sx.cat.dom(p)  # slice object: a morphism of D into gx
+        k = sx.projection.mor_map[p]  # witness k: dom h -> Fx with k;ax = h
+        return sy_by_key[(d.comp[(h, gf)], d.comp[(k, ff)], ay)]
+
+    # each class names a pair of parallel slice morphisms into alpha_x
+    return _induced_map(src, dst, lambda e: class_of_y[tuple(image(p) for p in par_x.elements[e])])
 
 
 # -- morphism classification ---------------------------------------------------

@@ -208,17 +208,25 @@ def _rel_pair_labels(pairs) -> list[str]:
     return [setlabel for setlabel in sorted(f"({x},{y})" for (x, y) in pairs)]
 
 
-def laxator_obstructions(g: OpenGraph, h: OpenGraph, cap: int = DEFAULT_PAIR_CAP) -> homotopy.ObstructionReport:
-    """pi0 of the slice of inclusion-ordered relations over reach(g . h),
-    pointed at the composite-of-parts relation.  Non-basepoint elements are
-    the sub-relations of the composite's reachability that are not accounted
-    for by composing the parts."""
+def _laxator_relations(g: OpenGraph, h: OpenGraph, cap: int) -> tuple[Relation, Relation]:
+    """The composite of the parts' reachabilities and the reachability of the
+    composite, after checking that the first lies inside the second and that
+    the second has at most cap pairs."""
     composed = compose_rel(reach(g), reach(h))
     whole = reach(compose(g, h))
     if not composed.pairs <= whole.pairs:
         raise LaxityViolation("composite of parts exceeds reachability of the composite")
     if len(whole.pairs) > cap:
         raise CapExceeded(f"composite reachability has {len(whole.pairs)} pairs, cap {cap}")
+    return composed, whole
+
+
+def laxator_obstructions(g: OpenGraph, h: OpenGraph, cap: int = DEFAULT_PAIR_CAP) -> homotopy.ObstructionReport:
+    """pi0 of the slice of inclusion-ordered relations over reach(g . h),
+    pointed at the composite-of-parts relation.  Non-basepoint elements are
+    the sub-relations of the composite's reachability that are not accounted
+    for by composing the parts."""
+    composed, whole = _laxator_relations(g, h, cap)
     universe = _rel_pair_labels(whole.pairs)
     collapsed = _rel_pair_labels(composed.pairs)
     basepoint = "[" + homotopy.subset_name(collapsed) + "]"
@@ -235,29 +243,12 @@ def pi1_laxator(g: OpenGraph, h: OpenGraph, cap: int = DEFAULT_PI1_PAIR_CAP) -> 
     sub-relations.  Hom-categories of relations are posets, so this is
     always trivial; the computation serves as the check.  The cap is tighter
     than for pi0 because the thin category carries 3^n morphisms."""
-    composed = compose_rel(reach(g), reach(h))
-    whole = reach(compose(g, h))
-    if not composed.pairs <= whole.pairs:
-        raise LaxityViolation("composite of parts exceeds reachability of the composite")
-    if len(whole.pairs) > cap:
-        raise CapExceeded(f"composite reachability has {len(whole.pairs)} pairs, cap {cap}")
-    labels = _rel_pair_labels(whole.pairs)
-    n = len(labels)
-    full = (1 << n) - 1
-    names = {
-        m: homotopy.subset_name(l for i, l in enumerate(labels) if m >> i & 1)
-        for m in range(full + 1)
-    }
-    leq = set()
-    for m, nm in names.items():
-        rest = full & ~m
-        s = rest
-        leq.add((nm, nm))
-        while s:
-            leq.add((nm, names[m | s]))
-            s = (s - 1) & rest
-    downset = order.make_poset(names.values(), leq)
-    thin = order.thin_category(downset)
+    composed, whole = _laxator_relations(g, h, cap)
+    # With nothing collapsed, the powerset walk orders every subset, with
+    # the empty one as its basepoint at the bottom.
+    empty = homotopy.subset_name(())
+    subsets = homotopy.powerset_report(_rel_pair_labels(whole.pairs), (), empty, "sub-relations")
+    thin = order.thin_category(subsets.invariant.poset)
     point = homotopy.subset_name(_rel_pair_labels(composed.pairs))
     report = homotopy.pi1(thin, point)
     if not report.trivial:

@@ -57,6 +57,16 @@ class TestCat:
         assert code == 1
         assert "UnknownObject" in capsys.readouterr().err
 
+    def test_pi1_pairs_that_render_alike_stay_distinct(self):
+        code, text = run("cat", "pi1", fx("pair_collision.cat"), "--object", "x")
+        assert code == 0
+        assert "elements (13)" in text
+
+    def test_cap_objects_zero_is_a_cap(self, capsys):
+        code, _ = run("cat", "pi1", fx("z2.cat"), "--object", "*", "--cap-objects", "0")
+        assert code == 1
+        assert "SizeCapExceeded" in capsys.readouterr().err
+
     def test_interchange_is_json(self):
         code, text = run(
             "cat", "pi0", fx("walking_arrow.cat"), "--object", "0", "--format", "interchange"

@@ -1,3 +1,4 @@
+import os
 import random
 
 import pytest
@@ -42,6 +43,9 @@ comp e ; s = s
 comp s ; e = s
 comp s ; s = e
 """
+
+
+PAIR_COLLISION = os.path.join(os.path.dirname(__file__), "..", "fixtures", "pair_collision.cat")
 
 
 @pytest.fixture
@@ -264,43 +268,16 @@ class TestParallelArrows:
         with pytest.raises(SizeCapExceeded):
             fincat.parallel_arrows(z2, "*", fincat.SizeCaps(objects=3))
 
-
-class TestArrowCategory:
-    def test_terminal(self):
-        ac = fincat.arrow_category(terminal_cat())
-        assert len(ac.objects) == 1 and len(ac.morphisms) == 1
-
-    def test_walking_arrow_three_objects(self, wa):
-        ac = fincat.arrow_category(wa)
-        assert len(ac.objects) == 3
-
-    def test_square_count_against_brute_force(self, seed):
-        rng = random.Random(seed + 4)
-        c = gen.random_category(rng, max_objects=3, max_morphisms=12)
-        ac = fincat.arrow_category(c)
-        names = c.morphism_names()
-        brute = 0
-        for f in names:
-            for g in names:
-                for h0 in names:
-                    for h1 in names:
-                        if (
-                            c.dom(h0) == c.dom(f)
-                            and c.cod(h0) == c.dom(g)
-                            and c.dom(h1) == c.cod(f)
-                            and c.cod(h1) == c.cod(g)
-                            and c.comp[(f, h1)] == c.comp[(h0, g)]
-                        ):
-                            brute += 1
-        assert len(ac.morphisms) == brute
-
-    def test_tables_revalidate(self, wa):
-        ac = fincat.arrow_category(wa)
-        fincat.validate_category(
-            ac.objects,
-            [(m.name, m.dom, m.cod) for m in ac.morphisms],
-            ac.identity,
-            ac.comp,
+    def test_pairs_that_render_alike_stay_distinct(self):
+        # (p,q ; r) and (p ; q,r) both render as (p,q,r)
+        with open(PAIR_COLLISION, encoding="utf-8") as fh:
+            c = fincat.parse_category(fh.read())
+        pa = fincat.parallel_arrows(c, "x")
+        over_y = [p for p in pa.cat.objects if pa.projection.obj_map[p] == "y"]
+        assert len(set(over_y)) == len(over_y) == 16
+        assert len(set(pa.cat.objects)) == 17
+        assert sorted(pa.elements.values()) == sorted(
+            (f0, f1) for y in c.objects for f0 in c.hom(y, "x") for f1 in c.hom(y, "x")
         )
 
 

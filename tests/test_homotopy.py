@@ -1,3 +1,4 @@
+import os
 import random
 
 import pytest
@@ -76,6 +77,17 @@ class TestPi1:
         assert "(f,g)" in r.invariant.poset.elements
         # no h equalises (f, g), so the basepoint is not below it
         assert not r.invariant.poset.le("[x]", "(f,g)")
+
+    def test_pairs_that_render_alike_stay_distinct(self):
+        # arrows p,q  r  p  q,r : y -> x; the pairs (p,q ; r) and (p ; q,r)
+        # render alike but are two of the 12 off-diagonal obstructions
+        path = os.path.join(os.path.dirname(__file__), "..", "fixtures", "pair_collision.cat")
+        with open(path, encoding="utf-8") as fh:
+            c = fincat.parse_category(fh.read())
+        r = homotopy.pi1(c, "x")
+        assert len(r.invariant.poset.elements) == 13
+        m = homotopy.pi_object_action(c, "idx", 1)
+        assert all(m.mapping[e] == e for e in r.invariant.poset.elements)
 
 
 class TestExplicitDescriptions:
