@@ -8,8 +8,10 @@ so it requires ``cod f == dom g`` and has domain ``dom f`` and codomain
 
 Derived constructions name their objects and morphisms canonically so outputs
 are reproducible byte for byte.  Besides the opposite, they are categories of
-elements of hom(-, x)^k, built by one size-guarded builder: the slice over x
-at k = 1 and the parallel arrows over x at k = 2.
+elements of hom(-, x)^k (the slice over x at k = 1, parallel arrows at k = 2):
+one size-guarded enumeration of the objects and one walk over the arrows,
+kept either as the reachability preorder, which is all pi1 reads, or as a
+materialised category with its composition table.
 """
 
 from __future__ import annotations
@@ -45,10 +47,11 @@ class MorDecl:
 class SizeCaps:
     """Guards for derived-category construction.
 
-    ``objects`` bounds the object count, ``morphisms`` the morphism count and
-    ``comp_entries`` the number of composable pairs (the composition table
-    size).  All three are predicted from hom-set cardinalities before any
-    table is materialised, so hitting a cap is cheap.
+    ``objects`` bounds the object count, ``morphisms`` the morphism count
+    (the arrows walked) and ``comp_entries`` the composition table size, so
+    it guards only materialised tables: pi1 reads reachability alone and is
+    not bound by it.  All three are predicted from hom-set cardinalities
+    before anything is built, so hitting a cap is cheap.
     """
 
     objects: int = 20_000
@@ -177,9 +180,14 @@ def validate_category(
             raise BadCompositionTyping(
                 f"composite of ({f!r}, {g!r}) must go {dom[f]!r} -> {cod[g]!r}, got {h!r}"
             )
+    # Totality through adjacency: out_of keeps declaration order, so the first
+    # missing pair is the one an all-pairs scan would find.
+    out_of: dict[str, list[str]] = {x: [] for x in objs}
+    for m in dom:
+        out_of[dom[m]].append(m)
     for f in dom:
-        for g in dom:
-            if cod[f] == dom[g] and (f, g) not in table:
+        for g in out_of[cod[f]]:
+            if (f, g) not in table:
                 raise BadCompositionTyping(f"missing composite for composable pair ({f!r}, {g!r})")
 
     for m in dom:
@@ -190,11 +198,7 @@ def validate_category(
         if right != m:
             raise MissingIdentity(m, f"comp({m!r}, id) = {right!r}")
 
-    # Associativity over composable triples, walked through adjacency so the
-    # cost is proportional to the number of actual triples.
-    out_of: dict[str, list[str]] = {x: [] for x in objs}
-    for m in dom:
-        out_of[dom[m]].append(m)
+    # Associativity over composable triples, through the same adjacency.
     for f in dom:
         for g in out_of[cod[f]]:
             fg = table[(f, g)]
@@ -330,27 +334,17 @@ class ElementsCategory(NamedTuple):
     elements: dict[str, tuple[str, ...]]
 
 
-def _check_caps(what: str, n_obj: int, n_mor: int, n_comp: int, caps: SizeCaps):
-    if n_obj > caps.objects:
-        raise SizeCapExceeded(f"{what} objects", n_obj, caps.objects)
-    if n_mor > caps.morphisms:
-        raise SizeCapExceeded(f"{what} morphisms", n_mor, caps.morphisms)
-    if n_comp > caps.comp_entries:
-        raise SizeCapExceeded(f"{what} composition entries", n_comp, caps.comp_entries)
-
-
 def pair_name(f0: str, f1: str) -> str:
     return f"({f0},{f1})"
 
 
-def _elements_category(c: FinCat, x: str, k: int, caps: SizeCaps) -> ElementsCategory:
-    """Category of elements of hom(-, x)^k for k = 1 (the slice) or k = 2
-    (parallel arrows).  Objects are k-tuples (f_1, .., f_k): y -> x; a
-    morphism to (g_1, .., g_k) is an h with h;g_i = f_i for every i, and the
-    projection sends a tuple to y and each morphism to its witness h.
-
-    A slice object is named by its morphism id, a pair by ``pair_name``;
-    ``_fresh_name`` keeps distinct pairs apart when two render alike."""
+def _enumerate(c: FinCat, x: str, k: int, caps: SizeCaps, table: bool):
+    """Objects of the category of elements of hom(-, x)^k, k = 1 (the slice)
+    or k = 2 (parallel arrows), and the walk over its arrows: ``elements``
+    maps each name to its k-tuple (f_1, .., f_k): y -> x.  A slice object is
+    named by its morphism id, a pair by ``pair_name``; ``_fresh_name`` keeps
+    distinct pairs apart when two render alike.  The sizes are checked
+    first, the composition entries only when a ``table`` will be built."""
     if not c.has_object(x):
         raise UnknownObject(x)
 
@@ -362,10 +356,13 @@ def _elements_category(c: FinCat, x: str, k: int, caps: SizeCaps) -> ElementsCat
     for m in c.morphisms:
         into[m.cod].append(m.name)
         outp[m.dom] += weight[m.cod]
-    n_obj = sum(weight.values())
-    n_mor = sum(len(into[z]) * weight[z] for z in c.objects)
-    n_comp = sum(len(into[z]) * outp[z] for z in c.objects)
-    _check_caps(f"{('slice', 'parallel arrows')[k - 1]} over {x!r}", n_obj, n_mor, n_comp, caps)
+    checks = [("objects", sum(weight.values()), caps.objects),
+              ("morphisms", sum(len(into[z]) * weight[z] for z in c.objects), caps.morphisms)]
+    if table:
+        checks.append(("composition entries", sum(len(into[z]) * outp[z] for z in c.objects), caps.comp_entries))
+    for part, n, cap in checks:
+        if n > cap:
+            raise SizeCapExceeded(f"{('slice', 'parallel arrows')[k - 1]} over {x!r} {part}", n, cap)
 
     used: set = set()
     elements: dict[str, tuple[str, ...]] = {}
@@ -375,23 +372,48 @@ def _elements_category(c: FinCat, x: str, k: int, caps: SizeCaps) -> ElementsCat
             name = _fresh_name(t[0] if k == 1 else pair_name(*t), used)
             elements[name] = t
             name_of[t] = name
+    return elements, _arrows(c, elements, name_of, into)
 
-    used = set()
+
+def _arrows(c: FinCat, elements, name_of, into):
+    """Walk the morphisms of the category of elements: one (src, h, tgt) per
+    target tuple t and h into its domain, where src is the tuple h;t_i."""
+    comp = c.comp
+    for tgt, t in elements.items():
+        for h in into[c.dom(t[0])]:
+            yield name_of[tuple([comp[h, g] for g in t])], h, tgt
+
+
+def _elements_preorder(c: FinCat, x: str, k: int, caps: SizeCaps):
+    """The reachability preorder of the category of elements of hom(-, x)^k,
+    without its composition table: ``elements`` and, for each object, its
+    down-set (the names with a morphism to it).  Identities and composites
+    make it reflexive and transitive as it stands: no closure is needed."""
+    elements, arrows = _enumerate(c, x, k, caps, table=False)
+    down: dict[str, set] = {p: set() for p in elements}
+    for src, _, tgt in arrows:
+        down[tgt].add(src)
+    return elements, down
+
+
+def _elements_category(c: FinCat, x: str, k: int, caps: SizeCaps) -> ElementsCategory:
+    """Materialised category of elements of hom(-, x)^k: a morphism to the
+    tuple (g_1, .., g_k) is an h with h;g_i = f_i for every i, and the
+    projection sends a tuple to its domain and each morphism to its witness h."""
+    elements, arrows = _enumerate(c, x, k, caps, table=True)
+    used: set = set()
     mors = []
     witness: dict[str, tuple[str, str, str]] = {}
     by_key: dict[tuple[str, str, str], str] = {}
     incoming: dict[str, list[str]] = {p: [] for p in elements}
     outgoing: dict[str, list[str]] = {p: [] for p in elements}
-    # One morphism per (h, target tuple): its source is the tuple h;g_i.
-    for tgt, t in elements.items():
-        for h in into[c.dom(t[0])]:
-            src = name_of[tuple(c.comp[(h, g)] for g in t)]
-            name = _fresh_name(f"{h}[{src}=>{tgt}]", used)
-            mors.append((name, src, tgt))
-            witness[name] = (src, h, tgt)
-            by_key[(src, h, tgt)] = name
-            incoming[tgt].append(name)
-            outgoing[src].append(name)
+    for src, h, tgt in arrows:
+        name = _fresh_name(f"{h}[{src}=>{tgt}]", used)
+        mors.append((name, src, tgt))
+        witness[name] = (src, h, tgt)
+        by_key[(src, h, tgt)] = name
+        incoming[tgt].append(name)
+        outgoing[src].append(name)
 
     ident = {p: by_key[(p, c.id_of(c.dom(t[0])), p)] for p, t in elements.items()}
 

@@ -2,15 +2,17 @@
 
 pi0 is computed by the pipeline "reflect, then collapse the lower set of the
 chosen object's class"; pi1 is pi0 of the category of parallel arrows over
-the object (fincat's category of elements of hom(-, x)^2), pointed at the
-pair of identities.  Non-basepoint elements rank the obstructions: to weak
-terminality for pi0, to subterminality for pi1.
+the object, pointed at the pair of identities; as pi0 reads reachability
+only, pi1 reflects the reachability preorder of the parallel pairs and never
+builds their composition table.  Non-basepoint elements rank the
+obstructions: to weak terminality for pi0, to subterminality for pi1.
 
 The induced maps (along a morphism, along a functor, and along a natural
-transformation over a morphism of the domain) share one helper: it maps
-class representatives, sends collapsed images to the basepoint, and then
-*checks* the result to be monotone and basepoint-preserving, so a broken
-table shows up as an error instead of a silently wrong poset.
+transformation over a morphism of the domain) reflect each distinct
+category once and share one helper: it maps class representatives, sends
+collapsed images to the basepoint, and then *checks* the result to be
+monotone and basepoint-preserving, so a broken table shows up as an error
+instead of a silently wrong poset.
 """
 
 from __future__ import annotations
@@ -57,29 +59,31 @@ def _collapse_at(p: order.Poset, class_of: dict, target: str, label: str, contex
     return report_from_pointed(pp, context)
 
 
+def _pi0_at(reflection: tuple[order.Poset, dict], x: str) -> ObstructionReport:
+    return _collapse_at(*reflection, x, f"[{x}]", f"pi0 at object {x!r}")
+
+
 def pi0(c: fincat.FinCat, x: str) -> ObstructionReport:
     """Pointed poset of obstructions to weak terminality of x."""
     if not c.has_object(x):
         raise UnknownObject(x)
-    p, class_of = order.poset_reflection(c)
-    return _collapse_at(p, class_of, x, f"[{x}]", f"pi0 at object {x!r}")
+    return _pi0_at(order.poset_reflection(c), x)
 
 
 def _pi1_data(c: fincat.FinCat, x: str, caps: fincat.SizeCaps):
-    """pi1 at x, the parallel arrows it is computed from, and the class of
-    each parallel pair (keyed by the pair itself, not by its rendered name)."""
-    par = fincat.parallel_arrows(c, x, caps)
-    p, class_of = order.poset_reflection(par.cat)
-    class_of_pair = {pair: class_of[name] for name, pair in par.elements.items()}
+    """pi1 at x, the parallel pairs it is computed from (name -> pair) and
+    the class of each pair (keyed by the pair itself, not by its name).
+    Only the reachability preorder of the parallel arrows is built."""
+    elements, down = fincat._elements_preorder(c, x, 2, caps)
+    p, class_of = order._reflect(down)
+    class_of_pair = {pair: class_of[name] for name, pair in elements.items()}
     base = (c.id_of(x), c.id_of(x))
     report = _collapse_at(p, class_of_pair, base, f"[{x}]", f"pi1 at object {x!r}")
-    return report, par, class_of_pair
+    return report, elements, class_of_pair
 
 
 def pi1(c: fincat.FinCat, x: str, caps: fincat.SizeCaps = fincat.DEFAULT_CAPS) -> ObstructionReport:
     """Pointed poset of obstructions to subterminality of x."""
-    if not c.has_object(x):
-        raise UnknownObject(x)
     return _pi1_data(c, x, caps)[0]
 
 
@@ -134,12 +138,13 @@ def pi_object_action(c: fincat.FinCat, f: str, i: int, caps: fincat.SizeCaps = f
         raise ValueError("i must be 0 or 1")
     x, y = c.dom(f), c.cod(f)
     if i == 0:
-        return _induced_map(pi0(c, x), pi0(c, y), lambda e: e)
+        reflection = order.poset_reflection(c)
+        return _induced_map(_pi0_at(reflection, x), _pi0_at(reflection, y), lambda e: e)
 
-    src, par_x, _ = _pi1_data(c, x, caps)
-    dst, _, class_of_y = _pi1_data(c, y, caps)
-    # class names are least member objects, so each names a pair of par_x
-    return _induced_map(src, dst, lambda e: class_of_y[tuple(c.comp[(g, f)] for g in par_x.elements[e])])
+    src, elements, _ = data = _pi1_data(c, x, caps)
+    dst, _, class_of_y = data if y == x else _pi1_data(c, y, caps)
+    # class names are least member objects, so each names a pair over x
+    return _induced_map(src, dst, lambda e: class_of_y[tuple(c.comp[(g, f)] for g in elements[e])])
 
 
 def pi_functor_map(functor: fincat.FunctorData, x: str, i: int, caps: fincat.SizeCaps = fincat.DEFAULT_CAPS) -> order.PointedMap:
@@ -151,12 +156,13 @@ def pi_functor_map(functor: fincat.FunctorData, x: str, i: int, caps: fincat.Siz
         raise ValueError("i must be 0 or 1")
     fx = functor.obj_map[x]
     if i == 0:
-        _, class_of_d = order.poset_reflection(d)
-        return _induced_map(pi0(c, x), pi0(d, fx), lambda e: class_of_d[functor.obj_map[e]])
+        refl_c = order.poset_reflection(c)
+        refl_d = refl_c if d == c else order.poset_reflection(d)
+        return _induced_map(_pi0_at(refl_c, x), _pi0_at(refl_d, fx), lambda e: refl_d[1][functor.obj_map[e]])
 
-    src, par_c, _ = _pi1_data(c, x, caps)
-    dst, _, class_of_d = _pi1_data(d, fx, caps)
-    return _induced_map(src, dst, lambda e: class_of_d[tuple(functor.mor_map[g] for g in par_c.elements[e])])
+    src, elements, _ = data = _pi1_data(c, x, caps)
+    dst, _, class_of_d = data if (d == c and fx == x) else _pi1_data(d, fx, caps)
+    return _induced_map(src, dst, lambda e: class_of_d[tuple(functor.mor_map[g] for g in elements[e])])
 
 
 def covariance_map(alpha: fincat.NatTransData, f: str, i: int, caps: fincat.SizeCaps = fincat.DEFAULT_CAPS) -> order.PointedMap:
@@ -179,15 +185,16 @@ def covariance_map(alpha: fincat.NatTransData, f: str, i: int, caps: fincat.Size
     ax, ay = alpha.components[x], alpha.components[y]
     gf, ff = G.mor_map[f], F.mor_map[f]
     sx = fincat.slice_category(d, gx, caps)
-    sy = fincat.slice_category(d, gy, caps)
+    sy = sx if gy == gx else fincat.slice_category(d, gy, caps)
 
     if i == 0:
-        _, class_of_sy = order.poset_reflection(sy.cat)
+        refl_x = order.poset_reflection(sx.cat)
+        refl_y = refl_x if sy is sx else order.poset_reflection(sy.cat)
         # slice objects are morphism ids into gx
-        return _induced_map(pi0(sx.cat, ax), pi0(sy.cat, ay), lambda e: class_of_sy[d.comp[(e, gf)]])
+        return _induced_map(_pi0_at(refl_x, ax), _pi0_at(refl_y, ay), lambda e: refl_y[1][d.comp[(e, gf)]])
 
-    src, par_x, _ = _pi1_data(sx.cat, ax, caps)
-    dst, _, class_of_y = _pi1_data(sy.cat, ay, caps)
+    src, elements, _ = data = _pi1_data(sx.cat, ax, caps)
+    dst, _, class_of_y = data if (sy is sx and ay == ax) else _pi1_data(sy.cat, ay, caps)
     sy_by_key = {
         (m.dom, sy.projection.mor_map[m.name], m.cod): m.name for m in sy.cat.morphisms
     }
@@ -198,7 +205,7 @@ def covariance_map(alpha: fincat.NatTransData, f: str, i: int, caps: fincat.Size
         return sy_by_key[(d.comp[(h, gf)], d.comp[(k, ff)], ay)]
 
     # each class names a pair of parallel slice morphisms into alpha_x
-    return _induced_map(src, dst, lambda e: class_of_y[tuple(image(p) for p in par_x.elements[e])])
+    return _induced_map(src, dst, lambda e: class_of_y[tuple(image(p) for p in elements[e])])
 
 
 # -- morphism classification ---------------------------------------------------

@@ -318,10 +318,11 @@ def parse_open_graph(text: str) -> OpenGraph:
             vertices.extend(parts[1:])
         elif parts[0] == "edge" and len(parts) == 4 and parts[2] == "->":
             edges.add((parts[1], parts[3]))
-        elif parts[0] == "in" and len(parts) == 4 and parts[2] == "=":
-            in_leg[parts[1]] = parts[3]
-        elif parts[0] == "out" and len(parts) == 4 and parts[2] == "=":
-            out_leg[parts[1]] = parts[3]
+        elif parts[0] in ("in", "out") and len(parts) == 4 and parts[2] == "=":
+            legs = in_leg if parts[0] == "in" else out_leg
+            if parts[1] in legs:
+                raise ParseError(f"line {lineno}: duplicate {parts[0]} leg {parts[1]!r}")
+            legs[parts[1]] = parts[3]
         else:
             raise ParseError(f"line {lineno}: cannot parse {raw.strip()!r}")
     if not saw_inputs or not saw_outputs:

@@ -2,7 +2,9 @@
 
 The two workhorses are ``poset_reflection`` (collapse a finite category to
 its universal thin skeletal quotient) and ``collapse_lower`` (identify a
-down-closed set to a single basepoint).  Chaining them is how the homotopy
+down-closed set to a single basepoint).  The reflection reads reachability
+only: one routine reflects a preorder given by down-sets, which come from a
+category's morphisms or straight from the parallel arrows behind pi1.  Chaining them is how the homotopy
 invariants are computed; everything else here is supporting machinery:
 lower sets, transitive reduction, pointed-isomorphism search and a DOT
 emitter for Hasse diagrams.
@@ -118,23 +120,30 @@ def compose_pointed(first: PointedMap, second: PointedMap) -> PointedMap:
 # -- poset reflection ------------------------------------------------------
 
 
+def _reflect(down: Mapping[str, set]) -> tuple[Poset, dict[str, str]]:
+    """Reflect a preorder given by the down-set of each element (reflexive
+    and transitive as given).  The class of x is down(x) & up(x), named by
+    its least member, so the output is reproducible; classes are ordered as
+    their members are.  Returns the poset and the element -> class map."""
+    class_of: dict[str, str] = {}
+    for x, below in down.items():
+        class_of[x] = min(a for a in below if x in down[a])
+    leq = {(class_of[a], class_of[b]) for b, below in down.items() for a in below}
+    return make_poset(class_of.values(), leq), class_of
+
+
 def poset_reflection(c: fincat.FinCat) -> tuple[Poset, dict[str, str]]:
     """Quotient a finite category to a poset.
 
     Objects x, y are identified when hom(x, y) and hom(y, x) are both
     non-empty; classes are ordered by existence of a connecting morphism.
-    Class ids are the lexicographically least member, so the output is
-    reproducible.  Returns the poset and the object -> class map.
+    Only the morphisms are read (dom below cod), never the composition
+    table.  Returns the poset and the object -> class map.
     """
-    objs = c.objects
-    reaches = {(x, y) for x in objs for y in objs if c.hom(x, y)}
-    class_of: dict[str, str] = {}
-    for x in objs:
-        members = [y for y in objs if (x, y) in reaches and (y, x) in reaches]
-        class_of[x] = min(members)
-    elems = sorted(set(class_of.values()))
-    leq = {(a, b) for a in elems for b in elems if (a, b) in reaches}
-    return make_poset(elems, leq), class_of
+    down: dict[str, set] = {x: set() for x in c.objects}
+    for m in c.morphisms:
+        down[m.cod].add(m.dom)
+    return _reflect(down)
 
 
 def lower_closure(p: Poset, s: Iterable[str]) -> frozenset:

@@ -48,6 +48,14 @@ def _classes(items, related):
     return out
 
 
+def reflection(c):
+    """Poset reflection by a scan over every hom-set: the class map (least
+    member names a class) and the order on classes."""
+    cls = _classes(c.objects, lambda a, b: bool(c.hom(a, b)))
+    leq = {(cls[a], cls[b]) for a in c.objects for b in c.objects if c.hom(a, b)}
+    return cls, frozenset(leq)
+
+
 def pi0_explicit(c, x):
     """The case-by-case description of pi0: elements are the basepoint plus
     classes of objects with no morphism into x; the basepoint sits below a

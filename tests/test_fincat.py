@@ -101,13 +101,14 @@ class TestValidation:
         assert exc.value.witness == "a"
 
     def test_missing_composite_entry(self):
-        with pytest.raises(BadCompositionTyping):
+        with pytest.raises(BadCompositionTyping) as exc:
             fincat.validate_category(
                 ["0"],
                 [("id0", "0", "0"), ("m", "0", "0")],
                 {"0": "id0"},
                 {("id0", "id0"): "id0", ("id0", "m"): "m", ("m", "id0"): "m"},
             )
+        assert "('m', 'm')" in str(exc.value)
 
     def test_non_composable_entry_rejected(self):
         with pytest.raises(BadCompositionTyping):

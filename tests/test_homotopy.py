@@ -6,7 +6,9 @@ import pytest
 import gen
 import oracles
 from obstructia import fincat, homotopy, order
-from obstructia.errors import UnknownMorphism, UnknownObject
+from obstructia.errors import SizeCapExceeded, UnknownMorphism, UnknownObject
+
+PAIR_COLLISION = os.path.join(os.path.dirname(__file__), "..", "fixtures", "pair_collision.cat")
 
 
 def walking_arrow():
@@ -81,13 +83,88 @@ class TestPi1:
     def test_pairs_that_render_alike_stay_distinct(self):
         # arrows p,q  r  p  q,r : y -> x; the pairs (p,q ; r) and (p ; q,r)
         # render alike but are two of the 12 off-diagonal obstructions
-        path = os.path.join(os.path.dirname(__file__), "..", "fixtures", "pair_collision.cat")
-        with open(path, encoding="utf-8") as fh:
+        with open(PAIR_COLLISION, encoding="utf-8") as fh:
             c = fincat.parse_category(fh.read())
         r = homotopy.pi1(c, "x")
         assert len(r.invariant.poset.elements) == 13
         m = homotopy.pi_object_action(c, "idx", 1)
         assert all(m.mapping[e] == e for e in r.invariant.poset.elements)
+
+
+def materialised_pi1(c, x):
+    """pi1 through the full parallel-arrow category: reflect it, then collapse
+    the lower set of the pair of identities."""
+    pa = fincat.parallel_arrows(c, x)
+    p, class_of = order.poset_reflection(pa.cat)
+    base = next(name for name, pair in pa.elements.items() if pair == (c.id_of(x), c.id_of(x)))
+    return order.collapse_lower(p, order.lower_closure(p, {class_of[base]}), f"[{x}]")
+
+
+class TestPreorderRoute:
+    def test_matches_materialised_parallel_arrows(self, seed):
+        rng = random.Random(seed + 13)
+        cats = [gen.random_category(rng) for _ in range(30)]
+        with open(PAIR_COLLISION, encoding="utf-8") as fh:
+            cats.append(fincat.parse_category(fh.read()))
+        for c in cats:
+            for x in c.objects:
+                assert homotopy.pi1(c, x).invariant == materialised_pi1(c, x)
+
+    def test_morphisms_cap_still_refuses(self):
+        # parallel arrows over Z/2 have 4 objects and 8 morphisms
+        z2 = gen.cyclic_group_category(2)
+        assert len(homotopy.pi1(z2, "*", fincat.SizeCaps(morphisms=8)).invariant.poset.elements) == 2
+        with pytest.raises(SizeCapExceeded):
+            homotopy.pi1(z2, "*", fincat.SizeCaps(morphisms=7))
+        with pytest.raises(SizeCapExceeded):
+            homotopy.pi1(z2, "*", fincat.SizeCaps(objects=3))
+
+    def test_comp_entries_cap_guards_only_tables(self):
+        z2 = gen.cyclic_group_category(2)
+        caps = fincat.SizeCaps(comp_entries=0)
+        with pytest.raises(SizeCapExceeded):
+            fincat.slice_category(z2, "*", caps)
+        with pytest.raises(SizeCapExceeded):
+            fincat.parallel_arrows(z2, "*", caps)
+        assert len(homotopy.pi1(z2, "*", caps).invariant.poset.elements) == 2
+
+
+class TestOneReflectionPerCategory:
+    @pytest.fixture
+    def count(self, monkeypatch):
+        calls = []
+        reflect = order._reflect
+
+        def counted(down):
+            calls.append(1)
+            return reflect(down)
+
+        monkeypatch.setattr(order, "_reflect", counted)
+
+        def run(fn, *args):
+            calls.clear()
+            fn(*args)
+            return len(calls)
+
+        return run
+
+    def test_object_action_at_an_endomorphism(self, count):
+        z4 = gen.cyclic_group_category(4)
+        assert count(homotopy.pi_object_action, z4, "g1", 0) == 1
+        assert count(homotopy.pi_object_action, z4, "g1", 1) == 1
+
+    def test_identity_functor(self, count):
+        ident = fincat.identity_functor(gen.cyclic_group_category(4))
+        assert count(homotopy.pi_functor_map, ident, "*", 0) == 1
+        assert count(homotopy.pi_functor_map, ident, "*", 1) == 1
+
+    def test_covariance_reflects_each_slice_once(self, count):
+        wa = walking_arrow()
+        ident = fincat.identity_functor(wa)
+        alpha = fincat.validate_nat_trans(ident, ident, {"0": "id0", "1": "id1"})
+        assert count(homotopy.covariance_map, alpha, "a", 0) == 2
+        assert count(homotopy.covariance_map, alpha, "id0", 0) == 1
+        assert count(homotopy.covariance_map, alpha, "id0", 1) == 1
 
 
 class TestExplicitDescriptions:

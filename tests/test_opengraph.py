@@ -77,6 +77,13 @@ class TestParsing:
         with pytest.raises(ParseError):
             og.parse_open_graph("inputs a\noutputs b\nvortex v")
 
+    def test_duplicate_legs_rejected_with_line(self):
+        head = "inputs a\noutputs b\nvertex v w\n"
+        with pytest.raises(ParseError, match=r"line 5: duplicate in leg 'a'"):
+            og.parse_open_graph(head + "in a = v\nin a = w\nout b = v")
+        with pytest.raises(ParseError, match=r"line 6: duplicate out leg 'b'"):
+            og.parse_open_graph(head + "in a = v\nout b = v\nout b = v")
+
     def test_dangling_leg(self):
         with pytest.raises(DanglingReference):
             og.parse_open_graph("inputs a\noutputs\nvertex v\nin a = w")

@@ -112,6 +112,14 @@ class TestReflection:
             p, cls = order.poset_reflection(c)
             assert set(cls.values()) == set(p.elements)
 
+    def test_matches_hom_scan(self, seed):
+        rng = random.Random(seed + 11)
+        for _ in range(25):
+            c = gen.random_category(rng)
+            p, cls = order.poset_reflection(c)
+            assert (cls, p.leq) == oracles.reflection(c)
+            assert p.elements == tuple(sorted(set(cls.values())))
+
     def test_thin_skeletal_fixed_point(self):
         # the reflection of a poset-as-category is the poset itself
         p = chain(4)

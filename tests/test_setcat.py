@@ -219,15 +219,14 @@ class TestAmbientAnalyze:
             try:
                 an = homotopy.analyze_morphism(amb, mor)
             except SizeCapExceeded:
-                # pi1 of the slice explodes for non-injective 3-element
-                # domains; the guard refusing is the documented behaviour
-                assert len(f.dom_set) == 3 and not f.is_injective()
+                # pi1 of the slice reads only the reachability preorder of its
+                # parallel arrows, which fits the guards for every function here
                 capped += 1
                 continue
             assert an.split_epi == f.is_surjective()
             assert an.mono == f.is_injective()
             checked += 1
-        assert checked == 53 and capped == 6
+        assert checked == 59 and capped == 0
 
     def test_missed_elements_pattern(self):
         # the ambient-category route shows the same minimal-obstruction shape
