@@ -1,11 +1,13 @@
 """Open graphs: directed graphs with input and output boundary legs.
 
 Composition glues the outputs of the left graph onto the inputs of the right
-one (a pushout over the shared boundary).  Reachability sends an open graph
-to the relation pairing boundary labels connected by a directed path; it is
-lax with respect to gluing, and the gap between "compose the relations" and
-"relation of the composite" is measured by the same powerset-collapse
-obstruction posets used for functions.
+one (a pushout over the shared boundary); a composite vertex is named by
+the side-qualified vertices it merges, primed if that name is taken.
+Reachability sends an open graph to the relation pairing boundary labels
+connected by a directed path; it is lax with respect to gluing, and the gap
+between "compose the relations" and "relation of the composite" is measured
+by the same powerset-collapse obstruction posets.  Its pi1 is trivial by
+theorem (hom-categories of relations are posets), so it is read off.
 """
 
 from __future__ import annotations
@@ -183,9 +185,18 @@ def compose(g: OpenGraph, h: OpenGraph) -> OpenGraph:
         union(q("L", g.out_leg[y]), q("R", h.in_leg[y]))
 
     members: dict[str, list[str]] = {}
-    for a in parent:
+    for a in sorted(parent):
         members.setdefault(find(a), []).append(a)
-    cls_name = {root: "+".join(sorted(ms)) for root, ms in members.items()}
+    # A left vertex named "a+R.c" renders like the class of L.a and R.c:
+    # name classes in sorted-member order and prime a repeated rendering.
+    cls_name: dict[str, str] = {}
+    used: set = set()
+    for root, ms in sorted(members.items(), key=lambda item: item[1]):
+        name = "+".join(ms)
+        while name in used:
+            name += "'"
+        used.add(name)
+        cls_name[root] = name
 
     def cl(side: str, v: str) -> str:
         return cls_name[find(q(side, v))]
@@ -235,25 +246,16 @@ def laxator_obstructions(g: OpenGraph, h: OpenGraph, cap: int = DEFAULT_PAIR_CAP
     )
 
 
-DEFAULT_PI1_PAIR_CAP = 8
-
-
-def pi1_laxator(g: OpenGraph, h: OpenGraph, cap: int = DEFAULT_PI1_PAIR_CAP) -> homotopy.ObstructionReport:
-    """pi1 at the same point, computed honestly through the thin category of
-    sub-relations.  Hom-categories of relations are posets, so this is
-    always trivial; the computation serves as the check.  The cap is tighter
-    than for pi0 because the thin category carries 3^n morphisms."""
-    composed, whole = _laxator_relations(g, h, cap)
-    # With nothing collapsed, the powerset walk orders every subset, with
-    # the empty one as its basepoint at the bottom.
-    empty = homotopy.subset_name(())
-    subsets = homotopy.powerset_report(_rel_pair_labels(whole.pairs), (), empty, "sub-relations")
-    thin = order.thin_category(subsets.invariant.poset)
+def pi1_laxator(g: OpenGraph, h: OpenGraph, cap: int = DEFAULT_PAIR_CAP) -> homotopy.ObstructionReport:
+    """pi1 at the same point.  Hom-categories of relations are posets, so
+    every parallel pair of sub-relations is an identity pair and pi1 is the
+    one-point poset that homotopy.pi1 gives on the thin category of
+    sub-relations (the tests keep that as the oracle)."""
+    composed, _ = _laxator_relations(g, h, cap)
     point = homotopy.subset_name(_rel_pair_labels(composed.pairs))
-    report = homotopy.pi1(thin, point)
-    if not report.trivial:
-        raise OracleMismatch("pi1 of a posetal laxator component must be trivial")
-    return report
+    bp = f"[{point}]"
+    pp = order.PointedPoset(order.make_poset([bp], [(bp, bp)]), bp)
+    return homotopy.report_from_pointed(pp, f"pi1 at object {point!r}")
 
 
 def act(hom: GraphHom, h: OpenGraph, cap: int = DEFAULT_PAIR_CAP) -> tuple[OpenGraph, order.PointedMap]:
@@ -269,21 +271,11 @@ def act(hom: GraphHom, h: OpenGraph, cap: int = DEFAULT_PAIR_CAP) -> tuple[OpenG
 
     src = laxator_obstructions(g, h, cap)
     dst = laxator_obstructions(g2, h, cap)
-
-    whole_src = reach(compose(g, h))
-    composed_dst = compose_rel(reach(g2), reach(h))
-    subsets = homotopy.powerset_elements(
-        _rel_pair_labels(whole_src.pairs), _rel_pair_labels(composed_dst.pairs)
-    )
-    # The composite reachability only grows, so every source subset is still
-    # a subset on the target side; it collapses exactly when the grown
-    # composite-of-parts covers it.
-    mapping = {src.invariant.basepoint: dst.invariant.basepoint}
-    for e in src.invariant.poset.elements:
-        if e == src.invariant.basepoint:
-            continue
-        mapping[e] = e if e in subsets else dst.invariant.basepoint
-    return g2, order.make_pointed(src.invariant, dst.invariant, mapping)
+    # Paths survive the homomorphism, so reach(g . h) lies inside
+    # reach(g2 . h) and every source subset is still a subset on the target
+    # side; it keeps its name exactly when the grown composite-of-parts does
+    # not cover it, that is when it is an element of dst.
+    return g2, homotopy._induced_map(src, dst, lambda e: e)
 
 
 # -- text formats -------------------------------------------------------------------

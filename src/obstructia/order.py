@@ -272,21 +272,7 @@ def iso_pointed(pp1: PointedPoset, pp2: PointedPoset) -> Optional[PointedMap]:
     return make_pointed(pp1, pp2, assignment)
 
 
-# -- thin categories and DOT output -----------------------------------------
-
-
-def thin_category(p: Poset) -> fincat.FinCat:
-    """The poset viewed as a category with one morphism per related pair."""
-    objects = list(p.elements)
-    name = {(a, b): f"[{a}<={b}]" for (a, b) in p.leq}
-    morphisms = [(name[(a, b)], a, b) for (a, b) in sorted(p.leq)]
-    identity = {a: name[(a, a)] for a in objects}
-    comp = {}
-    for a, b in p.leq:
-        for c in p.elements:
-            if (b, c) in p.leq:
-                comp[(name[(a, b)], name[(b, c)])] = name[(a, c)]
-    return fincat.validate_category(objects, morphisms, identity, comp)
+# -- DOT output ------------------------------------------------------------
 
 
 def _quote(s: str) -> str:

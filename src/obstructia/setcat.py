@@ -10,6 +10,7 @@ kernel pair meeting its off-diagonal part.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from itertools import product
 
@@ -91,9 +92,6 @@ def pair_label(x0: str, x1: str) -> str:
 
 # -- the ambient skeleton ----------------------------------------------------
 
-_AMBIENT_CACHE: dict[int, fincat.FinCat] = {}
-
-
 def ambient_object(n: int) -> str:
     return str(n)
 
@@ -109,9 +107,11 @@ def finset_ambient(k: int, max_k: int = 4) -> fincat.FinCat:
     (the k = 4 table has ~37 million composable triples)."""
     if k < 0 or k > max_k:
         raise CapExceeded(f"ambient cardinality bound {k} outside 0..{max_k}")
-    if k in _AMBIENT_CACHE:
-        return _AMBIENT_CACHE[k]
+    return _finset_ambient(k)
 
+
+@functools.cache
+def _finset_ambient(k: int) -> fincat.FinCat:
     objects = [ambient_object(n) for n in range(k + 1)]
     morphisms = []
     fn_of: dict[str, tuple[int, int, tuple[int, ...]]] = {}
@@ -129,11 +129,8 @@ def finset_ambient(k: int, max_k: int = 4) -> fincat.FinCat:
                 comp[(f, g)] = ambient_fn_name(m, p, tuple(gi[i] for i in fi))
 
     if k <= 3:
-        cat = fincat.validate_category(objects, morphisms, identity, comp)
-    else:
-        cat = fincat._build(objects, morphisms, identity, comp)
-    _AMBIENT_CACHE[k] = cat
-    return cat
+        return fincat.validate_category(objects, morphisms, identity, comp)
+    return fincat._build(objects, morphisms, identity, comp)
 
 
 def embed_function(f: FiniteFunction) -> tuple[str, str]:

@@ -11,12 +11,14 @@ colliding input pairs.
 Posets are materialised in full while the tensor state space stays small;
 past the powerset cap the reports keep the exact basepoint-plus-minimal
 sub-poset (which carries the whole separability story), with the elision
-recorded in the report context.
+noted in the report context; code tells the routes apart by size alone.
+The laxator and its reports are cached per (context, objects).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import functools
+from dataclasses import dataclass, replace
 from itertools import product
 
 from . import homotopy, order, setcat
@@ -103,24 +105,18 @@ def _gf2_payload(dim: int) -> dict[str, tuple[int, ...]]:
 
 
 def _key(ctx: StateContext, obj):
-    return (ctx.kind, tuple(obj) if ctx.kind == "cartesian" else int(obj))
-
-
-_LAXATOR_CACHE: dict = {}
-_OBSTRUCTION_CACHE: dict = {}
+    """The hashable form of an object: a label tuple or a dimension."""
+    return tuple(obj) if ctx.kind == "cartesian" else int(obj)
 
 
 def laxator(ctx: StateContext, a, b) -> setcat.FiniteFunction:
     """The structural map from pairs of states to states of the tensor:
     pairing for cartesian sets, outer product for GF(2).  Results are cached
     per (context, objects); everything involved is immutable."""
-    key = (_key(ctx, a), _key(ctx, b), ctx.dim_cap)
-    if key in _LAXATOR_CACHE:
-        return _LAXATOR_CACHE[key]
-    _LAXATOR_CACHE[key] = _laxator(ctx, a, b)
-    return _LAXATOR_CACHE[key]
+    return _laxator(ctx, _key(ctx, a), _key(ctx, b))
 
 
+@functools.cache
 def _laxator(ctx: StateContext, a, b) -> setcat.FiniteFunction:
     sa, sb = states_of(ctx, a), states_of(ctx, b)
     dom = tuple(_pair(x, y) for x in sa.states for y in sb.states)
@@ -174,26 +170,21 @@ def obstructions(ctx: StateContext, a, b) -> tuple[homotopy.ObstructionReport, h
     """(pi0, pi1) of the laxator at (a, b).  Minimal pi0 obstructions are the
     non-separable states; minimal pi1 obstructions are the distinct input
     pairs with equal tensor.  Cached like the laxator."""
-    key = (_key(ctx, a), _key(ctx, b), ctx.dim_cap)
-    if key in _OBSTRUCTION_CACHE:
-        return _OBSTRUCTION_CACHE[key]
-    _OBSTRUCTION_CACHE[key] = _obstructions(ctx, a, b)
-    return _OBSTRUCTION_CACHE[key]
+    return _obstructions(ctx, _key(ctx, a), _key(ctx, b))
 
 
+@functools.cache
 def _obstructions(ctx: StateContext, a, b) -> tuple[homotopy.ObstructionReport, homotopy.ObstructionReport]:
     lax = laxator(ctx, a, b)
     ctx0 = f"pi0 of state laxator at {lax_context(ctx, a, b)}"
     ctx1 = f"pi1 of state laxator at {lax_context(ctx, a, b)}"
     if len(lax.cod_set) <= setcat.DEFAULT_POWERSET_CAP:
-        pi0 = setcat.pi0_function(lax)
-        pi0 = homotopy.ObstructionReport(pi0.invariant, pi0.minimal, pi0.trivial, ctx0)
+        pi0 = replace(setcat.pi0_function(lax), context=ctx0)
     else:
         pi0 = _summary_report(set(lax.cod_set) - lax.image(), ctx0)
     kp = setcat.kernel_pair(lax)
     if len(kp.pairs) <= setcat.DEFAULT_POWERSET_CAP:
-        pi1 = setcat.pi1_function(lax)
-        pi1 = homotopy.ObstructionReport(pi1.invariant, pi1.minimal, pi1.trivial, ctx1)
+        pi1 = replace(setcat.pi1_function(lax), context=ctx1)
     else:
         off = sorted(setcat.pair_label(*p) for p in kp.off_diagonal())
         pi1 = _summary_report(off, ctx1)
@@ -209,10 +200,12 @@ def lax_context(ctx: StateContext, a, b) -> str:
 # -- covariance under local actions ------------------------------------------------
 
 
-def _pi0_element_subsets(ctx: StateContext, a, b, report: homotopy.ObstructionReport) -> dict:
+def _pi0_element_subsets(ctx: StateContext, a, b) -> dict:
+    """The states behind each non-basepoint pi0 element; past the powerset
+    cap (the summary route) only the non-separable singletons."""
     lax = laxator(ctx, a, b)
-    if ELIDED_MARK in report.context:
-        return {e: frozenset([e[1:-1]]) for e in report.invariant.poset.elements if e != report.invariant.basepoint}
+    if len(lax.cod_set) > setcat.DEFAULT_POWERSET_CAP:
+        return {homotopy.subset_name([y]): frozenset([y]) for y in set(lax.cod_set) - lax.image()}
     return homotopy.powerset_elements(lax.cod_set, lax.image())
 
 
@@ -266,7 +259,7 @@ def local_action(ctx: StateContext, f, g) -> order.PointedMap:
 
     src0, _ = obstructions(ctx, a, b)
     dst0, _ = obstructions(ctx, a2, b2)
-    subsets = _pi0_element_subsets(ctx, a, b, src0)
+    subsets = _pi0_element_subsets(ctx, a, b)
     dst_separable = separable_states(ctx, a2, b2)
     dst_elements = set(dst0.invariant.poset.elements)
 

@@ -9,7 +9,7 @@ exhaustive validators, so a generator bug cannot silently leak.
 
 from dataclasses import dataclass
 
-from obstructia import fincat, opengraph
+from obstructia import fincat, opengraph, order
 
 # -- building blocks -------------------------------------------------------
 
@@ -160,6 +160,20 @@ def product_category(c1: fincat.FinCat, c2: fincat.FinCat) -> fincat.FinCat:
 
 def two_component_groupoid() -> fincat.FinCat:
     return disjoint_union(cyclic_group_category(2), cyclic_group_category(3))
+
+
+def thin_category(p: order.Poset) -> fincat.FinCat:
+    """The poset viewed as a category with one morphism per related pair."""
+    objects = list(p.elements)
+    name = {(a, b): f"[{a}<={b}]" for (a, b) in p.leq}
+    morphisms = [(name[(a, b)], a, b) for (a, b) in sorted(p.leq)]
+    identity = {a: name[(a, a)] for a in objects}
+    comp = {}
+    for a, b in p.leq:
+        for c in p.elements:
+            if (b, c) in p.leq:
+                comp[(name[(a, b)], name[(b, c)])] = name[(a, c)]
+    return fincat.validate_category(objects, morphisms, identity, comp)
 
 
 # -- random categories ------------------------------------------------------

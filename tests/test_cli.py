@@ -129,6 +129,18 @@ class TestOpenGraph:
         assert code == 1
         assert "BoundaryMismatch" in capsys.readouterr().err
 
+    def test_obstruct_nine_pair_composite(self, tmp_path):
+        # Three inputs and three outputs through one hub: all 9 pairs reach.
+        left = tmp_path / "left.og"
+        left.write_text("inputs a,b,c\noutputs m\nvertex h\nin a = h\nin b = h\nin c = h\nout m = h\n")
+        right = tmp_path / "right.og"
+        right.write_text("inputs m\noutputs x,y,z\nvertex k\nin m = k\nout x = k\nout y = k\nout z = k\n")
+        code, text = run("opengraph", "obstruct", str(left), str(right))
+        assert code == 0
+        pairs = ",".join(f"({x},{z})" for x in "abc" for z in "xyz")
+        assert f"reach of composite: {{{pairs}}}\n" in text
+        assert text.endswith("pi1 trivial: yes\n")
+
 
 class TestStates:
     def test_obstruct_gf2(self):
@@ -178,6 +190,14 @@ class TestUsage:
     def test_missing_file_is_domain_error(self, capsys):
         code, _ = run("cat", "validate", fx("nope.cat"))
         assert code == 1
+
+    def test_usage_error_then_valid_command(self, capsys):
+        code, _ = run("cat", "pi0", fx("walking_arrow.cat"))
+        assert code == 2
+        assert "--object" in capsys.readouterr().err
+        code, text = run("cat", "pi0", fx("walking_arrow.cat"), "--object", "0")
+        assert code == 0
+        assert "minimal obstructions (1): 1" in text
 
 
 class TestDeterminismQuick:

@@ -185,7 +185,7 @@ class TestExplicitDescriptions:
 
 class TestTerminalityOracles:
     def test_terminal_category(self):
-        t = order.thin_category(order.make_poset(["*"], [("*", "*")]))
+        t = gen.thin_category(order.make_poset(["*"], [("*", "*")]))
         assert homotopy.is_weak_terminal(t, "*")
         assert homotopy.is_subterminal(t, "*")
         assert homotopy.is_terminal(t, "*")

@@ -4,6 +4,7 @@ import pytest
 
 import gen
 import oracles
+from obstructia import homotopy
 from obstructia import opengraph as og
 from obstructia.errors import (
     BoundaryMismatch,
@@ -147,6 +148,18 @@ class TestCompose:
             rhs = og.compose(a, og.compose(b, c))
             assert oracles.open_graph_iso(lhs, rhs)
 
+    def test_vertex_named_like_a_glued_class_stays_distinct(self):
+        # Left vertex "a+R.c" renders like the class gluing L.a to R.c.
+        g = og.parse_open_graph(
+            "inputs i\noutputs o\nvertex x a+R.c a\nedge x -> a+R.c\nin i = x\nout o = a\n"
+        )
+        h = og.parse_open_graph("inputs o\noutputs z\nvertex c\nin o = c\nout z = c\n")
+        gh = og.compose(g, h)
+        assert len(gh.vertices) == 3
+        assert og.reach(gh).pairs == frozenset()
+        assert og.laxator_obstructions(g, h).trivial
+        assert og.parse_open_graph(og.serialize_open_graph(gh)) == gh
+
 
 class TestRelations:
     def test_parts_compose_to_nothing(self, G, H):
@@ -251,6 +264,28 @@ class TestPi1Laxator:
             assert og.pi1_laxator(g, h).trivial
             done += 1
 
+    def test_matches_thin_category_oracle(self, G, H, seed):
+        """pi1 computed through the thin category of all sub-relations of the
+        composite reachability, pointed at the composite of the parts."""
+
+        def oracle(g, h):
+            composed = og.compose_rel(og.reach(g), og.reach(h))
+            whole = og.reach(og.compose(g, h))
+            labels = og._rel_pair_labels(whole.pairs)
+            subsets = homotopy.powerset_report(labels, (), homotopy.subset_name(()), "sub-relations")
+            thin = gen.thin_category(subsets.invariant.poset)
+            return homotopy.pi1(thin, homotopy.subset_name(og._rel_pair_labels(composed.pairs)))
+
+        assert og.pi1_laxator(G, H) == oracle(G, H)
+        rng = random.Random(seed + 9)
+        done = 0
+        while done < 20:
+            g, h = gen.random_composable_graphs(rng)
+            if len(og.reach(og.compose(g, h)).pairs) > 6:
+                continue
+            assert og.pi1_laxator(g, h) == oracle(g, h)
+            done += 1
+
 
 class TestGraphHom:
     def test_identified_hom_valid(self, G):
@@ -300,6 +335,13 @@ class TestAct:
             hom = gen.random_vertex_merge_hom(rng, g)
             _, pmap = og.act(hom, h)  # construction validates the pointed map
             assert pmap.mapping[pmap.source.basepoint] == pmap.target.basepoint
+            # A subset keeps its name iff some pair lies outside the target's
+            # composite of the parts; otherwise it collapses.
+            covered = set(og._rel_pair_labels(og.compose_rel(og.reach(hom.target), og.reach(h)).pairs))
+            members = homotopy.powerset_elements(og._rel_pair_labels(og.reach(og.compose(g, h)).pairs), ())
+            for e, image in pmap.mapping.items():
+                if e != pmap.source.basepoint:
+                    assert image == (e if not members[e] <= covered else pmap.target.basepoint)
             done += 1
 
 

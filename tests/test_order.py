@@ -89,7 +89,7 @@ class TestPosetValidation:
 
 class TestReflection:
     def test_walking_arrow_chain(self):
-        wa = order.thin_category(chain(2))
+        wa = gen.thin_category(chain(2))
         p, cls = order.poset_reflection(wa)
         assert p.elements == ("0", "1")
         assert p.le("0", "1") and not p.le("1", "0")
@@ -123,7 +123,7 @@ class TestReflection:
     def test_thin_skeletal_fixed_point(self):
         # the reflection of a poset-as-category is the poset itself
         p = chain(4)
-        thin = order.thin_category(p)
+        thin = gen.thin_category(p)
         p2, cls = order.poset_reflection(thin)
         assert p2 == p
         assert cls == {e: e for e in p.elements}
@@ -282,7 +282,7 @@ class TestMaps:
 class TestThinCategory:
     def test_round_trip_through_reflection(self):
         p = chain(3)
-        c = order.thin_category(p)
+        c = gen.thin_category(p)
         assert len(c.morphisms) == len(p.leq)
         p2, _ = order.poset_reflection(c)
         assert p2 == p
