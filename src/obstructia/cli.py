@@ -46,6 +46,16 @@ def _emit_report(report: homotopy.ObstructionReport, fmt: str, out) -> None:
     out.write(f"covers ({len(covers)}): " + "; ".join(f"{a} < {b}" for a, b in covers) + "\n")
 
 
+def _emit_flow(pmap: order.PointedMap, out) -> None:
+    """Where each obstruction of the source goes, and how many reach the basepoint."""
+    moved = sorted(e for e in pmap.mapping if e != pmap.source.basepoint)
+    out.write(f"obstruction flow ({len(moved)}):\n")
+    for e in moved:
+        out.write(f"  {e} -> {pmap.mapping[e]}\n")
+    trivialised = sum(1 for e in moved if pmap.mapping[e] == pmap.target.basepoint)
+    out.write(f"trivialised: {trivialised} of {len(moved)}\n")
+
+
 # -- cat ---------------------------------------------------------------------
 
 
@@ -128,14 +138,15 @@ def _cmd_og_obstruct(args, out):
         raise CapExceeded(
             f"boundary carrier has {carrier} pairs, cap {opengraph.DEFAULT_PAIR_CAP}"
         )
-    out.write("reach left: " + opengraph.relation_text(opengraph.reach(g)) + "\n")
-    out.write("reach right: " + opengraph.relation_text(opengraph.reach(h)) + "\n")
-    composed = opengraph.compose_rel(opengraph.reach(g), opengraph.reach(h))
+    rg, rh = opengraph.reach(g), opengraph.reach(h)
+    out.write("reach left: " + opengraph.relation_text(rg) + "\n")
+    out.write("reach right: " + opengraph.relation_text(rh) + "\n")
+    composed = opengraph.compose_rel(rg, rh)
     out.write("composite of parts: " + opengraph.relation_text(composed) + "\n")
     whole = opengraph.reach(opengraph.compose(g, h))
     out.write("reach of composite: " + opengraph.relation_text(whole) + "\n")
-    _emit_report(opengraph.laxator_obstructions(g, h), args.format, out)
-    pi1 = opengraph.pi1_laxator(g, h)
+    _emit_report(opengraph.laxator_obstructions(composed, whole), args.format, out)
+    pi1 = opengraph.pi1_laxator(composed, whole)
     out.write(f"pi1 trivial: {'yes' if pi1.trivial else 'no'}\n")
     return 0
 
@@ -147,13 +158,7 @@ def _cmd_og_act(args, out):
     h = opengraph.parse_open_graph(_read(args.right))
     acted, pmap = opengraph.act(hom, h)
     out.write("reach of acted graph: " + opengraph.relation_text(opengraph.reach(acted)) + "\n")
-    bp = pmap.target.basepoint
-    moved = sorted(e for e in pmap.mapping if e != pmap.source.basepoint)
-    out.write(f"obstruction flow ({len(moved)}):\n")
-    for e in moved:
-        out.write(f"  {e} -> {pmap.mapping[e]}\n")
-    trivialised = sum(1 for e in moved if pmap.mapping[e] == bp)
-    out.write(f"trivialised: {trivialised} of {len(moved)}\n")
+    _emit_flow(pmap, out)
     return 0
 
 
@@ -233,14 +238,7 @@ def _cmd_states_local_act(args, out):
             raise ParseError("gf2 local action needs --fmat and --gmat")
         f = _parse_matrix(args.fmat)
         g = _parse_matrix(args.gmat)
-    pmap = states.local_action(ctx, f, g)
-    bp = pmap.target.basepoint
-    moved = sorted(e for e in pmap.mapping if e != pmap.source.basepoint)
-    out.write(f"obstruction flow ({len(moved)}):\n")
-    for e in moved:
-        out.write(f"  {e} -> {pmap.mapping[e]}\n")
-    trivialised = sum(1 for e in moved if pmap.mapping[e] == bp)
-    out.write(f"trivialised: {trivialised} of {len(moved)}\n")
+    _emit_flow(states.local_action(ctx, f, g), out)
     out.write("basepoint preserved: yes\n")
     return 0
 

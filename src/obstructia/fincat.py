@@ -10,8 +10,8 @@ Derived constructions name their objects and morphisms canonically so outputs
 are reproducible byte for byte.  Besides the opposite, they are categories of
 elements of hom(-, x)^k (the slice over x at k = 1, parallel arrows at k = 2):
 one size-guarded enumeration of the objects and one walk over the arrows,
-kept either as the reachability preorder, which is all pi1 reads, or as a
-materialised category with its composition table.
+kept either as the reachability preorder, which is all the invariants read,
+or as a materialised category with its composition table.
 """
 
 from __future__ import annotations
@@ -49,9 +49,9 @@ class SizeCaps:
 
     ``objects`` bounds the object count, ``morphisms`` the morphism count
     (the arrows walked) and ``comp_entries`` the composition table size, so
-    it guards only materialised tables: pi1 reads reachability alone and is
-    not bound by it.  All three are predicted from hom-set cardinalities
-    before anything is built, so hitting a cap is cheap.
+    it guards only materialised tables: the invariants read reachability
+    alone and are not bound by it.  All three are predicted from hom-set
+    cardinalities before anything is built, so hitting a cap is cheap.
     """
 
     objects: int = 20_000
@@ -338,19 +338,26 @@ def pair_name(f0: str, f1: str) -> str:
     return f"({f0},{f1})"
 
 
-def _enumerate(c: FinCat, x: str, k: int, caps: SizeCaps, table: bool):
+def _enumerate(c: FinCat, x: str, k: int, caps: SizeCaps, table: bool, over: str | None = None):
     """Objects of the category of elements of hom(-, x)^k, k = 1 (the slice)
     or k = 2 (parallel arrows), and the walk over its arrows: ``elements``
-    maps each name to its k-tuple (f_1, .., f_k): y -> x.  A slice object is
-    named by its morphism id, a pair by ``pair_name``; ``_fresh_name`` keeps
-    distinct pairs apart when two render alike.  The sizes are checked
-    first, the composition entries only when a ``table`` will be built."""
+    maps each name to its k-tuple (f_1, .., f_k): y -> x.  Given ``over``,
+    only tuples with one g = f_i;over are kept, named as slice morphisms
+    f_i[g=>over].  A slice object is named by its morphism id, a pair by
+    ``pair_name``; ``_fresh_name`` keeps distinct pairs apart when two
+    render alike.  The sizes are checked first, the composition entries
+    only when a ``table`` will be built."""
     if not c.has_object(x):
         raise UnknownObject(x)
 
     # Predicted sizes from hom-set cardinalities only: an object z carries
-    # |hom(z, x)|^k tuples, and every morphism into z acts on each of them.
-    weight = {z: len(c.hom(z, x)) ** k for z in c.objects}
+    # |F|^k tuples for each fibre F of hom(z, x) (all of it, or one fibre per
+    # value of f;over), and every morphism into z acts on each of them.
+    fibres: dict[str, dict] = {z: {} for z in c.objects}
+    for z in c.objects:
+        for f in c.hom(z, x):
+            fibres[z].setdefault(None if over is None else c.comp[f, over], []).append(f)
+    weight = {z: sum(len(fb) ** k for fb in fibres[z].values()) for z in c.objects}
     into: dict[str, list[str]] = {z: [] for z in c.objects}
     outp = dict.fromkeys(c.objects, 0)
     for m in c.morphisms:
@@ -360,18 +367,21 @@ def _enumerate(c: FinCat, x: str, k: int, caps: SizeCaps, table: bool):
               ("morphisms", sum(len(into[z]) * weight[z] for z in c.objects), caps.morphisms)]
     if table:
         checks.append(("composition entries", sum(len(into[z]) * outp[z] for z in c.objects), caps.comp_entries))
+    point = x if over is None else over
     for part, n, cap in checks:
         if n > cap:
-            raise SizeCapExceeded(f"{('slice', 'parallel arrows')[k - 1]} over {x!r} {part}", n, cap)
+            raise SizeCapExceeded(f"{('slice', 'parallel arrows')[k - 1]} over {point!r} {part}", n, cap)
 
     used: set = set()
     elements: dict[str, tuple[str, ...]] = {}
     name_of: dict[tuple[str, ...], str] = {}
     for y in c.objects:
-        for t in product(c.hom(y, x), repeat=k):
-            name = _fresh_name(t[0] if k == 1 else pair_name(*t), used)
-            elements[name] = t
-            name_of[t] = name
+        for g, fibre in fibres[y].items():
+            for t in product(fibre, repeat=k):
+                parts = t if over is None else [f"{f}[{g}=>{over}]" for f in t]
+                name = _fresh_name(parts[0] if k == 1 else pair_name(*parts), used)
+                elements[name] = t
+                name_of[t] = name
     return elements, _arrows(c, elements, name_of, into)
 
 
@@ -384,12 +394,12 @@ def _arrows(c: FinCat, elements, name_of, into):
             yield name_of[tuple([comp[h, g] for g in t])], h, tgt
 
 
-def _elements_preorder(c: FinCat, x: str, k: int, caps: SizeCaps):
+def _elements_preorder(c: FinCat, x: str, k: int, caps: SizeCaps, over: str | None = None):
     """The reachability preorder of the category of elements of hom(-, x)^k,
     without its composition table: ``elements`` and, for each object, its
     down-set (the names with a morphism to it).  Identities and composites
     make it reflexive and transitive as it stands: no closure is needed."""
-    elements, arrows = _enumerate(c, x, k, caps, table=False)
+    elements, arrows = _enumerate(c, x, k, caps, table=False, over=over)
     down: dict[str, set] = {p: set() for p in elements}
     for src, _, tgt in arrows:
         down[tgt].add(src)

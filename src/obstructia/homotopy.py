@@ -2,10 +2,12 @@
 
 pi0 is computed by the pipeline "reflect, then collapse the lower set of the
 chosen object's class"; pi1 is pi0 of the category of parallel arrows over
-the object, pointed at the pair of identities; as pi0 reads reachability
-only, pi1 reflects the reachability preorder of the parallel pairs and never
-builds their composition table.  Non-basepoint elements rank the
-obstructions: to weak terminality for pi0, to subterminality for pi1.
+the object, pointed at the pair of identities.  As pi0 reads reachability
+only, every other invariant reflects the reachability preorder of a category
+of elements of c and none is materialised: the slice C/y at f: x -> y is
+read off the morphisms into y (pi0) and the pairs into x that f equalises
+(pi1).  Non-basepoint elements rank the obstructions: to weak terminality
+for pi0, to subterminality for pi1.
 
 The induced maps (along a morphism, along a functor, and along a natural
 transformation over a morphism of the domain) reflect each distinct
@@ -53,38 +55,33 @@ def report_from_pointed(pp: order.PointedPoset, context: str) -> ObstructionRepo
 # -- the two invariants ------------------------------------------------------
 
 
-def _collapse_at(p: order.Poset, class_of: dict, target: str, label: str, context: str) -> ObstructionReport:
-    lower = order.lower_closure(p, {class_of[target]})
-    pp = order.collapse_lower(p, lower, label)
-    return report_from_pointed(pp, context)
-
-
-def _pi0_at(reflection: tuple[order.Poset, dict], x: str) -> ObstructionReport:
-    return _collapse_at(*reflection, x, f"[{x}]", f"pi0 at object {x!r}")
+def _pi_at(reflection: tuple[order.Poset, dict], base, point: str, i: int) -> ObstructionReport:
+    """pi_i pointed at ``point``: collapse the lower set of the class of base."""
+    p, class_of = reflection
+    pp = order.collapse_lower(p, order.lower_closure(p, {class_of[base]}), f"[{point}]")
+    return report_from_pointed(pp, f"pi{i} at object {point!r}")
 
 
 def pi0(c: fincat.FinCat, x: str) -> ObstructionReport:
     """Pointed poset of obstructions to weak terminality of x."""
     if not c.has_object(x):
         raise UnknownObject(x)
-    return _pi0_at(order.poset_reflection(c), x)
+    return _pi_at(order.poset_reflection(c), x, x, 0)
 
 
-def _pi1_data(c: fincat.FinCat, x: str, caps: fincat.SizeCaps):
-    """pi1 at x, the parallel pairs it is computed from (name -> pair) and
-    the class of each pair (keyed by the pair itself, not by its name).
-    Only the reachability preorder of the parallel arrows is built."""
-    elements, down = fincat._elements_preorder(c, x, 2, caps)
+def _pi_data(c: fincat.FinCat, x: str, k: int, caps: fincat.SizeCaps, over: str | None = None):
+    """The reflection of the reachability preorder of the category of
+    elements of hom(-, x)^k (only the tuples that ``over`` equalises, if
+    given), with classes keyed by tuple, and the tuple behind each name.
+    Class names are least member names, so each names a tuple."""
+    elements, down = fincat._elements_preorder(c, x, k, caps, over)
     p, class_of = order._reflect(down)
-    class_of_pair = {pair: class_of[name] for name, pair in elements.items()}
-    base = (c.id_of(x), c.id_of(x))
-    report = _collapse_at(p, class_of_pair, base, f"[{x}]", f"pi1 at object {x!r}")
-    return report, elements, class_of_pair
+    return (p, {t: class_of[name] for name, t in elements.items()}), elements
 
 
 def pi1(c: fincat.FinCat, x: str, caps: fincat.SizeCaps = fincat.DEFAULT_CAPS) -> ObstructionReport:
     """Pointed poset of obstructions to subterminality of x."""
-    return _pi1_data(c, x, caps)[0]
+    return _pi_at(_pi_data(c, x, 2, caps)[0], (c.id_of(x),) * 2, x, 1)
 
 
 # -- terminality oracles (independent of the poset machinery) ----------------
@@ -139,12 +136,12 @@ def pi_object_action(c: fincat.FinCat, f: str, i: int, caps: fincat.SizeCaps = f
     x, y = c.dom(f), c.cod(f)
     if i == 0:
         reflection = order.poset_reflection(c)
-        return _induced_map(_pi0_at(reflection, x), _pi0_at(reflection, y), lambda e: e)
+        return _induced_map(_pi_at(reflection, x, x, 0), _pi_at(reflection, y, y, 0), lambda e: e)
 
-    src, elements, _ = data = _pi1_data(c, x, caps)
-    dst, _, class_of_y = data if y == x else _pi1_data(c, y, caps)
-    # class names are least member objects, so each names a pair over x
-    return _induced_map(src, dst, lambda e: class_of_y[tuple(c.comp[(g, f)] for g in elements[e])])
+    refl_x, elements = _pi_data(c, x, 2, caps)
+    refl_y = refl_x if y == x else _pi_data(c, y, 2, caps)[0]
+    src, dst = _pi_at(refl_x, (c.id_of(x),) * 2, x, 1), _pi_at(refl_y, (c.id_of(y),) * 2, y, 1)
+    return _induced_map(src, dst, lambda e: refl_y[1][tuple(c.comp[(g, f)] for g in elements[e])])
 
 
 def pi_functor_map(functor: fincat.FunctorData, x: str, i: int, caps: fincat.SizeCaps = fincat.DEFAULT_CAPS) -> order.PointedMap:
@@ -158,21 +155,22 @@ def pi_functor_map(functor: fincat.FunctorData, x: str, i: int, caps: fincat.Siz
     if i == 0:
         refl_c = order.poset_reflection(c)
         refl_d = refl_c if d == c else order.poset_reflection(d)
-        return _induced_map(_pi0_at(refl_c, x), _pi0_at(refl_d, fx), lambda e: refl_d[1][functor.obj_map[e]])
+        return _induced_map(_pi_at(refl_c, x, x, 0), _pi_at(refl_d, fx, fx, 0), lambda e: refl_d[1][functor.obj_map[e]])
 
-    src, elements, _ = data = _pi1_data(c, x, caps)
-    dst, _, class_of_d = data if (d == c and fx == x) else _pi1_data(d, fx, caps)
-    return _induced_map(src, dst, lambda e: class_of_d[tuple(functor.mor_map[g] for g in elements[e])])
+    refl_c, elements = _pi_data(c, x, 2, caps)
+    refl_d = refl_c if (d == c and fx == x) else _pi_data(d, fx, 2, caps)[0]
+    src, dst = _pi_at(refl_c, (c.id_of(x),) * 2, x, 1), _pi_at(refl_d, (d.id_of(fx),) * 2, fx, 1)
+    return _induced_map(src, dst, lambda e: refl_d[1][tuple(functor.mor_map[g] for g in elements[e])])
 
 
 def covariance_map(alpha: fincat.NatTransData, f: str, i: int, caps: fincat.SizeCaps = fincat.DEFAULT_CAPS) -> order.PointedMap:
     """Flow of obstructions of a natural transformation along f: x -> y.
 
-    Maps pi_i(D/Gx, alpha_x) to pi_i(D/Gy, alpha_y) by postcomposition with
-    Gf on slice objects (componentwise with Ff on parallel pairs of slice
-    morphisms when i = 1).  Naturality of alpha is what makes the basepoint
-    land on the basepoint; the construction re-checks that instead of
-    assuming it.
+    Maps pi_i(D/Gx, alpha_x) to pi_i(D/Gy, alpha_y), read off D as in
+    ``analyze_morphism``, by postcomposition with Gf on morphisms into Gx
+    (componentwise with Ff on the pairs into Fx when i = 1).  Naturality of
+    alpha is what makes the basepoint land on the basepoint; the
+    construction re-checks that instead of assuming it.
     """
     F, G = alpha.source, alpha.target
     c, d = F.source, F.target
@@ -181,31 +179,21 @@ def covariance_map(alpha: fincat.NatTransData, f: str, i: int, caps: fincat.Size
     if i not in (0, 1):
         raise ValueError("i must be 0 or 1")
     x, y = c.dom(f), c.cod(f)
-    gx, gy = G.obj_map[x], G.obj_map[y]
     ax, ay = alpha.components[x], alpha.components[y]
-    gf, ff = G.mor_map[f], F.mor_map[f]
-    sx = fincat.slice_category(d, gx, caps)
-    sy = sx if gy == gx else fincat.slice_category(d, gy, caps)
-
     if i == 0:
-        refl_x = order.poset_reflection(sx.cat)
-        refl_y = refl_x if sy is sx else order.poset_reflection(sy.cat)
-        # slice objects are morphism ids into gx
-        return _induced_map(_pi0_at(refl_x, ax), _pi0_at(refl_y, ay), lambda e: refl_y[1][d.comp[(e, gf)]])
-
-    src, elements, _ = data = _pi1_data(sx.cat, ax, caps)
-    dst, _, class_of_y = data if (sy is sx and ay == ax) else _pi1_data(sy.cat, ay, caps)
-    sy_by_key = {
-        (m.dom, sy.projection.mor_map[m.name], m.cod): m.name for m in sy.cat.morphisms
-    }
-
-    def image(p: str) -> str:
-        h = sx.cat.dom(p)  # slice object: a morphism of D into gx
-        k = sx.projection.mor_map[p]  # witness k: dom h -> Fx with k;ax = h
-        return sy_by_key[(d.comp[(h, gf)], d.comp[(k, ff)], ay)]
-
-    # each class names a pair of parallel slice morphisms into alpha_x
-    return _induced_map(src, dst, lambda e: class_of_y[tuple(image(p) for p in elements[e])])
+        # the slice preorder over Gx does not depend on where it is pointed
+        gx, gy = G.obj_map[x], G.obj_map[y]
+        refl_x, elements = _pi_data(d, gx, 1, caps)
+        refl_y = refl_x if gy == gx else _pi_data(d, gy, 1, caps)[0]
+        src, dst = _pi_at(refl_x, (ax,), ax, 0), _pi_at(refl_y, (ay,), ay, 0)
+        post = G.mor_map[f]
+    else:
+        fx, fy = F.obj_map[x], F.obj_map[y]
+        refl_x, elements = _pi_data(d, fx, 2, caps, ax)
+        refl_y = refl_x if ay == ax else _pi_data(d, fy, 2, caps, ay)[0]
+        src, dst = _pi_at(refl_x, (d.id_of(fx),) * 2, ax, 1), _pi_at(refl_y, (d.id_of(fy),) * 2, ay, 1)
+        post = F.mor_map[f]
+    return _induced_map(src, dst, lambda e: refl_y[1][tuple(d.comp[(h, post)] for h in elements[e])])
 
 
 # -- morphism classification ---------------------------------------------------
@@ -227,14 +215,14 @@ def brute_mono(c: fincat.FinCat, f: str) -> bool:
 
 
 def analyze_morphism(c: fincat.FinCat, f: str, caps: fincat.SizeCaps = fincat.DEFAULT_CAPS) -> MorphismAnalysis:
-    """Classify f through the homotopy posets of its slice over cod f, and
-    cross-check the verdicts against direct split-epi / mono searches.
-    A disagreement raises OracleMismatch: it can only mean a bug."""
+    """Classify f through the homotopy posets of its slice over cod f, read
+    off c, and cross-check the verdicts against direct split-epi / mono
+    searches.  A disagreement raises OracleMismatch: it can only mean a bug."""
     if not c.has_morphism(f):
         raise UnknownMorphism(f)
-    sl = fincat.slice_category(c, c.cod(f), caps)
-    r0 = pi0(sl.cat, f)
-    r1 = pi1(sl.cat, f, caps)
+    x, y = c.dom(f), c.cod(f)
+    r0 = _pi_at(_pi_data(c, y, 1, caps)[0], (f,), f, 0)
+    r1 = _pi_at(_pi_data(c, x, 2, caps, f)[0], (c.id_of(x),) * 2, f, 1)
     split_epi = r0.trivial
     mono = r1.trivial
     if split_epi != brute_split_epi(c, f):

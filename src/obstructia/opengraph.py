@@ -6,7 +6,8 @@ the side-qualified vertices it merges, primed if that name is taken.
 Reachability sends an open graph to the relation pairing boundary labels
 connected by a directed path; it is lax with respect to gluing, and the gap
 between "compose the relations" and "relation of the composite" is measured
-by the same powerset-collapse obstruction posets.  Its pi1 is trivial by
+by the same powerset-collapse obstruction posets, read off those two
+relations so that each is computed once.  Its pi1 is trivial by
 theorem (hom-categories of relations are posets), so it is read off.
 """
 
@@ -106,12 +107,9 @@ class GraphHom:
 # -- reachability and relation composition ------------------------------------
 
 
-def _reachable_from(g: OpenGraph, start: str) -> set:
+def _reachable_from(succ: dict[str, list[str]], start: str) -> set:
     seen = {start}
     stack = [start]
-    succ: dict[str, list[str]] = {}
-    for u, v in g.edges:
-        succ.setdefault(u, []).append(v)
     while stack:
         u = stack.pop()
         for v in succ.get(u, ()):
@@ -124,9 +122,12 @@ def _reachable_from(g: OpenGraph, start: str) -> set:
 def reach(g: OpenGraph) -> Relation:
     """(x, y) related iff a directed path (length >= 0) runs from the vertex
     under input x to the vertex under output y."""
+    succ: dict[str, list[str]] = {}
+    for u, v in g.edges:
+        succ.setdefault(u, []).append(v)
     pairs = set()
     for x in g.inputs:
-        seen = _reachable_from(g, g.in_leg[x])
+        seen = _reachable_from(succ, g.in_leg[x])
         for y in g.outputs:
             if g.out_leg[y] in seen:
                 pairs.add((x, y))
@@ -216,28 +217,24 @@ def compose(g: OpenGraph, h: OpenGraph) -> OpenGraph:
 
 
 def _rel_pair_labels(pairs) -> list[str]:
-    return [setlabel for setlabel in sorted(f"({x},{y})" for (x, y) in pairs)]
+    return sorted(f"({x},{y})" for (x, y) in pairs)
 
 
-def _laxator_relations(g: OpenGraph, h: OpenGraph, cap: int) -> tuple[Relation, Relation]:
-    """The composite of the parts' reachabilities and the reachability of the
-    composite, after checking that the first lies inside the second and that
-    the second has at most cap pairs."""
-    composed = compose_rel(reach(g), reach(h))
-    whole = reach(compose(g, h))
+def _check_laxator(composed: Relation, whole: Relation, cap: int) -> None:
+    """Check that the composite of the parts' reachabilities lies inside the
+    reachability of the composite, and that the latter has at most cap pairs."""
     if not composed.pairs <= whole.pairs:
         raise LaxityViolation("composite of parts exceeds reachability of the composite")
     if len(whole.pairs) > cap:
         raise CapExceeded(f"composite reachability has {len(whole.pairs)} pairs, cap {cap}")
-    return composed, whole
 
 
-def laxator_obstructions(g: OpenGraph, h: OpenGraph, cap: int = DEFAULT_PAIR_CAP) -> homotopy.ObstructionReport:
-    """pi0 of the slice of inclusion-ordered relations over reach(g . h),
-    pointed at the composite-of-parts relation.  Non-basepoint elements are
-    the sub-relations of the composite's reachability that are not accounted
-    for by composing the parts."""
-    composed, whole = _laxator_relations(g, h, cap)
+def laxator_obstructions(composed: Relation, whole: Relation, cap: int = DEFAULT_PAIR_CAP) -> homotopy.ObstructionReport:
+    """pi0 of the slice of inclusion-ordered relations over whole =
+    reach(g . h), pointed at composed = compose_rel(reach g, reach h).
+    Non-basepoint elements are the sub-relations of the composite's
+    reachability that are not accounted for by composing the parts."""
+    _check_laxator(composed, whole, cap)
     universe = _rel_pair_labels(whole.pairs)
     collapsed = _rel_pair_labels(composed.pairs)
     basepoint = "[" + homotopy.subset_name(collapsed) + "]"
@@ -246,12 +243,12 @@ def laxator_obstructions(g: OpenGraph, h: OpenGraph, cap: int = DEFAULT_PAIR_CAP
     )
 
 
-def pi1_laxator(g: OpenGraph, h: OpenGraph, cap: int = DEFAULT_PAIR_CAP) -> homotopy.ObstructionReport:
+def pi1_laxator(composed: Relation, whole: Relation, cap: int = DEFAULT_PAIR_CAP) -> homotopy.ObstructionReport:
     """pi1 at the same point.  Hom-categories of relations are posets, so
     every parallel pair of sub-relations is an identity pair and pi1 is the
     one-point poset that homotopy.pi1 gives on the thin category of
     sub-relations (the tests keep that as the oracle)."""
-    composed, _ = _laxator_relations(g, h, cap)
+    _check_laxator(composed, whole, cap)
     point = homotopy.subset_name(_rel_pair_labels(composed.pairs))
     bp = f"[{point}]"
     pp = order.PointedPoset(order.make_poset([bp], [(bp, bp)]), bp)
@@ -266,11 +263,13 @@ def act(hom: GraphHom, h: OpenGraph, cap: int = DEFAULT_PAIR_CAP) -> tuple[OpenG
     g, g2 = hom.source, hom.target
     if set(g.outputs) != set(h.inputs):
         raise BoundaryMismatch("homomorphism target not composable with the right part")
-    if not reach(g).pairs <= reach(g2).pairs:
+    rg, rg2 = reach(g), reach(g2)
+    if not rg.pairs <= rg2.pairs:
         raise OracleMismatch("reachability must grow along a graph homomorphism")
 
-    src = laxator_obstructions(g, h, cap)
-    dst = laxator_obstructions(g2, h, cap)
+    rh = reach(h)
+    src = laxator_obstructions(compose_rel(rg, rh), reach(compose(g, h)), cap)
+    dst = laxator_obstructions(compose_rel(rg2, rh), reach(compose(g2, h)), cap)
     # Paths survive the homomorphism, so reach(g . h) lies inside
     # reach(g2 . h) and every source subset is still a subset on the target
     # side; it keeps its name exactly when the grown composite-of-parts does

@@ -216,6 +216,16 @@ def random_category(rng, max_objects=5, max_morphisms=25) -> fincat.FinCat:
             return c
 
 
+def renamed(c: fincat.FinCat, new) -> fincat.FinCat:
+    """c with every object and morphism id replaced through the map new."""
+    return fincat.validate_category(
+        [new[x] for x in c.objects],
+        [(new[m.name], new[m.dom], new[m.cod]) for m in c.morphisms],
+        {new[x]: new[i] for x, i in c.identity.items()},
+        {(new[f], new[g]): new[h] for (f, g), h in c.comp.items()},
+    )
+
+
 # -- random functors and natural transformations ---------------------------------
 
 

@@ -3,12 +3,14 @@
 Everything here recomputes results from first principles (hom-set scans,
 span searches, exhaustive enumeration) without touching the reflect-then-
 collapse pipeline, so agreement with the library is a real check and not a
-tautology.
+tautology.  The one exception is ``covariance_map``: it builds the flow
+through the materialised slices and their projections, the construction
+that the library now reads off the category directly.
 """
 
 from itertools import combinations
 
-from obstructia import fincat
+from obstructia import fincat, homotopy, order
 
 BP = object()  # marker for the basepoint in oracle outputs
 
@@ -125,6 +127,51 @@ def report_shape(report):
     with the explicit descriptions."""
     pp = report.invariant
     return frozenset(pp.poset.elements), frozenset(pp.poset.leq), pp.basepoint
+
+
+def covariance_map(alpha, f, i):
+    """The flow of obstructions of alpha along f: x -> y through the
+    materialised slices D/Gx and D/Gy and their projections to D: slice
+    objects are postcomposed with Gf (i = 0); a pair of parallel slice
+    morphisms into alpha_x maps componentwise to the slice morphisms over
+    Gy whose witnesses are postcomposed with Ff (i = 1)."""
+    F, G = alpha.source, alpha.target
+    d = F.target
+    x, y = F.source.dom(f), F.source.cod(f)
+    ax, ay = alpha.components[x], alpha.components[y]
+    gf, ff = G.mor_map[f], F.mor_map[f]
+    sx = fincat.slice_category(d, G.obj_map[x])
+    sy = fincat.slice_category(d, G.obj_map[y])
+    if i == 0:
+        src, dst = homotopy.pi0(sx.cat, ax), homotopy.pi0(sy.cat, ay)
+        class_of = order.poset_reflection(sy.cat)[1]
+
+        def image(e):
+            return class_of[d.comp[(e, gf)]]
+
+    else:
+        src, dst = homotopy.pi1(sx.cat, ax), homotopy.pi1(sy.cat, ay)
+        pairs_x = fincat.parallel_arrows(sx.cat, ax).elements
+        pa_y = fincat.parallel_arrows(sy.cat, ay)
+        class_of = order.poset_reflection(pa_y.cat)[1]
+        name_of = {pair: name for name, pair in pa_y.elements.items()}
+        sy_by_key = {(m.dom, sy.projection.mor_map[m.name], m.cod): m.name for m in sy.cat.morphisms}
+
+        def slice_image(p):
+            h = sx.cat.dom(p)  # a morphism of D into Gx
+            k = sx.projection.mor_map[p]  # its witness k: dom h -> Fx, k;alpha_x = h
+            return sy_by_key[(d.comp[(h, gf)], d.comp[(k, ff)], ay)]
+
+        def image(e):
+            return class_of[name_of[tuple(slice_image(p) for p in pairs_x[e])]]
+
+    bp = dst.invariant.basepoint
+    targets = set(dst.invariant.poset.elements)
+    mapping = {src.invariant.basepoint: bp}
+    for e in src.invariant.poset.elements:
+        if e != src.invariant.basepoint:
+            mapping[e] = image(e) if image(e) in targets else bp
+    return order.make_pointed(src.invariant, dst.invariant, mapping)
 
 
 def compose_relation_pairs(r_pairs, s_pairs):

@@ -273,14 +273,15 @@ def test_criterion_08_open_graphs():
         g2 = opengraph.parse_open_graph(open(fx("G_identified.og")).read())
         assert opengraph.reach(g).pairs == {("1", "1")}
         assert opengraph.reach(h).pairs == {("3", "1")}
-        assert opengraph.compose_rel(opengraph.reach(g), opengraph.reach(h)).pairs == frozenset()
+        composed = opengraph.compose_rel(opengraph.reach(g), opengraph.reach(h))
+        assert composed.pairs == frozenset()
         whole = opengraph.reach(opengraph.compose(g, h))
         assert whole.pairs == {("1", "1")}  # total on {1} x {1}
 
-        r = opengraph.laxator_obstructions(g, h)
+        r = opengraph.laxator_obstructions(composed, whole)
         assert len(r.invariant.poset.elements) == 2
         assert r.minimal == {"{(1,1)}"}
-        assert opengraph.pi1_laxator(g, h).trivial
+        assert opengraph.pi1_laxator(composed, whole).trivial
 
         hom = opengraph.parse_graph_hom(open(fx("identify_outputs.gh")).read(), g, g2)
         acted, pmap = opengraph.act(hom, h)

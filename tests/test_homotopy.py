@@ -1,14 +1,18 @@
+import glob
 import os
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import gen
 import oracles
 from obstructia import fincat, homotopy, order
 from obstructia.errors import SizeCapExceeded, UnknownMorphism, UnknownObject
 
-PAIR_COLLISION = os.path.join(os.path.dirname(__file__), "..", "fixtures", "pair_collision.cat")
+FIXTURES = os.path.join(os.path.dirname(__file__), "..", "fixtures")
+PAIR_COLLISION = os.path.join(FIXTURES, "pair_collision.cat")
 
 
 def walking_arrow():
@@ -127,6 +131,7 @@ class TestPreorderRoute:
         with pytest.raises(SizeCapExceeded):
             fincat.parallel_arrows(z2, "*", caps)
         assert len(homotopy.pi1(z2, "*", caps).invariant.poset.elements) == 2
+        assert homotopy.analyze_morphism(z2, "g1", caps).iso
 
 
 class TestOneReflectionPerCategory:
@@ -165,6 +170,13 @@ class TestOneReflectionPerCategory:
         assert count(homotopy.covariance_map, alpha, "a", 0) == 2
         assert count(homotopy.covariance_map, alpha, "id0", 0) == 1
         assert count(homotopy.covariance_map, alpha, "id0", 1) == 1
+
+    def test_covariance_reflects_a_slice_once_whatever_its_point(self, count):
+        # G constant at 1: both sides are the slice over 1, pointed at a and id1
+        wa = walking_arrow()
+        const = gen.constant_functor(wa, wa, "1")
+        alpha = fincat.validate_nat_trans(fincat.identity_functor(wa), const, {"0": "a", "1": "id1"})
+        assert count(homotopy.covariance_map, alpha, "a", 0) == 1
 
 
 class TestExplicitDescriptions:
@@ -365,6 +377,14 @@ class TestCovariance:
                 assert lhs == rhs
             done += 1
 
+    def test_matches_materialised_slices(self, seed):
+        rng = random.Random(seed + 14)
+        for _ in range(25):
+            alpha = gen.random_nat_trans(rng)
+            for f in alpha.source.source.morphism_names():
+                for i in (0, 1):
+                    assert homotopy.covariance_map(alpha, f, i) == oracles.covariance_map(alpha, f, i)
+
 
 class TestAnalyze:
     def test_identity_is_iso(self):
@@ -390,6 +410,66 @@ class TestAnalyze:
                 assert an.split_epi == oracles.split_epi(c, m)
                 assert an.mono == oracles.mono(c, m)
                 assert an.iso == (an.split_epi and an.mono)
+
+    def test_matches_materialised_slice(self, seed):
+        rng = random.Random(seed + 15)
+        cats = [gen.random_category(rng) for _ in range(30)]
+        for path in sorted(glob.glob(os.path.join(FIXTURES, "*.cat"))):
+            with open(path, encoding="utf-8") as fh:
+                cats.append(fincat.parse_category(fh.read()))
+        for c in cats:
+            for f in c.morphism_names():
+                an = homotopy.analyze_morphism(c, f)
+                sl = fincat.slice_category(c, c.cod(f)).cat
+                assert an.pi0 == homotopy.pi0(sl, f)
+                assert an.pi1 == homotopy.pi1(sl, f)
+
+    def test_refusal_names_the_morphism(self):
+        # {e, p} with p;p = p: the slice over * has 2 objects, the pairs over p 4
+        c = gen.idempotent_monoid_category()
+        with pytest.raises(SizeCapExceeded) as exc:
+            homotopy.analyze_morphism(c, "p", fincat.SizeCaps(objects=3))
+        assert str(exc.value) == "parallel arrows over 'p' objects: projected 4 exceeds cap 3"
+
+    def test_slice_pairs_that_render_alike_stay_distinct(self):
+        # four arrows z -> x with h;f = g; the slice pairs (p, q[g=>f],r) and
+        # (p[g=>f],q, r) both render as (p[g=>f],q[g=>f],r[g=>f])
+        hs = ["p", "r", "p[g=>f],q", "q[g=>f],r"]
+        c = fincat.validate_category(
+            ["x", "y", "z"],
+            [("idx", "x", "x"), ("idy", "y", "y"), ("idz", "z", "z"), ("f", "x", "y"), ("g", "z", "y")]
+            + [(h, "z", "x") for h in hs],
+            {"x": "idx", "y": "idy", "z": "idz"},
+            {("idx", "idx"): "idx", ("idy", "idy"): "idy", ("idz", "idz"): "idz",
+             ("idx", "f"): "f", ("f", "idy"): "f", ("idz", "g"): "g", ("g", "idy"): "g",
+             **{(h, "f"): "g" for h in hs}, **{("idz", h): h for h in hs}, **{(h, "idx"): h for h in hs}},
+        )
+        an = homotopy.analyze_morphism(c, "f")
+        assert not an.mono
+        # the 12 off-diagonal pairs at z survive; the diagonal joins [f]
+        assert len(an.pi1.invariant.poset.elements) == 13
+        sl = fincat.slice_category(c, "y").cat
+        assert len(homotopy.pi1(sl, "f").invariant.poset.elements) == 13
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(min_value=0, max_value=10_000), st.data())
+    def test_adversarial_names(self, seed, data):
+        # ids built from the characters that derived names are pasted from
+        c = gen.random_category(random.Random(seed), max_objects=4, max_morphisms=14)
+        ids = list(c.objects) + list(c.morphism_names())
+        names = data.draw(st.lists(st.text("[]=>(),", min_size=1, max_size=3),
+                                   min_size=len(ids), max_size=len(ids), unique=True))
+        c = gen.renamed(c, dict(zip(ids, names)))
+        for f in c.morphism_names():
+            x = c.dom(f)
+            an = homotopy.analyze_morphism(c, f)
+            sl = fincat.slice_category(c, c.cod(f)).cat
+            assert len(an.pi0.invariant.poset.elements) == len(homotopy.pi0(sl, f).invariant.poset.elements)
+            assert len(an.pi1.invariant.poset.elements) == len(homotopy.pi1(sl, f).invariant.poset.elements)
+            pairs, _ = fincat._elements_preorder(c, x, 2, fincat.DEFAULT_CAPS, f)
+            equalised = [(h0, h1) for z in c.objects for h0 in c.hom(z, x) for h1 in c.hom(z, x)
+                         if c.comp[h0, f] == c.comp[h1, f]]
+            assert sorted(pairs.values()) == sorted(equalised)
 
 
 class TestGroupoidDegeneration:

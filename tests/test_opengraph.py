@@ -1,10 +1,12 @@
+import io
+import os
 import random
 
 import pytest
 
 import gen
 import oracles
-from obstructia import homotopy
+from obstructia import cli, homotopy
 from obstructia import opengraph as og
 from obstructia.errors import (
     BoundaryMismatch,
@@ -67,6 +69,16 @@ def identified(G):
         {"1": "w1", "2": "w2", "3": "w1"},
     )
     return og.GraphHom(G, target, {"a1": "a1", "w1": "w1", "w2": "w2", "w3": "w1"})
+
+
+def fixture(name):
+    return os.path.join(os.path.dirname(__file__), "..", "fixtures", name)
+
+
+def laxator(g, h):
+    """The composite of the parts' reachabilities and the reachability of
+    the composite: what the laxator's obstruction posets are read from."""
+    return og.compose_rel(og.reach(g), og.reach(h)), og.reach(og.compose(g, h))
 
 
 class TestParsing:
@@ -157,7 +169,7 @@ class TestCompose:
         gh = og.compose(g, h)
         assert len(gh.vertices) == 3
         assert og.reach(gh).pairs == frozenset()
-        assert og.laxator_obstructions(g, h).trivial
+        assert og.laxator_obstructions(*laxator(g, h)).trivial
         assert og.parse_open_graph(og.serialize_open_graph(gh)) == gh
 
 
@@ -188,14 +200,14 @@ class TestRelations:
 
 class TestLaxatorObstructions:
     def test_two_chain_gap(self, G, H):
-        r = og.laxator_obstructions(G, H)
+        r = og.laxator_obstructions(*laxator(G, H))
         assert len(r.invariant.poset.elements) == 2
         assert r.minimal == {"{(1,1)}"}
         assert not r.trivial
 
     def test_trivial_when_parts_account_for_whole(self):
         ident = og.identity_graph(("1", "2"))
-        assert og.laxator_obstructions(ident, ident).trivial
+        assert og.laxator_obstructions(*laxator(ident, ident)).trivial
 
     def test_gap_of_two(self):
         # the composite path zig-zags between the parts, so both z's are
@@ -220,7 +232,7 @@ class TestLaxatorObstructions:
         assert og.reach(h).pairs == {("y2", "z0"), ("y2", "z1")}
         assert og.compose_rel(og.reach(g), og.reach(h)).pairs == frozenset()
         assert og.reach(og.compose(g, h)).pairs == {("x", "z0"), ("x", "z1")}
-        r = og.laxator_obstructions(g, h)
+        r = og.laxator_obstructions(*laxator(g, h))
         assert r.minimal == {"{(x,z0)}", "{(x,z1)}"}
 
     def test_laxity_holds_on_random_pairs(self, seed):
@@ -243,16 +255,16 @@ class TestLaxatorObstructions:
                          {"m": "c"}, {z: f"o_{z}" for z in zs})
         assert len(og.reach(og.compose(g, h)).pairs) == 16
         with pytest.raises(CapExceeded):
-            og.laxator_obstructions(g, h)
+            og.laxator_obstructions(*laxator(g, h))
 
 
 class TestPi1Laxator:
     def test_fixture_pair_trivial(self, G, H):
-        assert og.pi1_laxator(G, H).trivial
+        assert og.pi1_laxator(*laxator(G, H)).trivial
 
     def test_identity_composite_trivial(self):
         ident = og.identity_graph(("1",))
-        assert og.pi1_laxator(ident, ident).trivial
+        assert og.pi1_laxator(*laxator(ident, ident)).trivial
 
     def test_random_pairs_all_trivial(self, seed):
         rng = random.Random(seed + 6)
@@ -261,7 +273,7 @@ class TestPi1Laxator:
             g, h = gen.random_composable_graphs(rng)
             if len(og.reach(og.compose(g, h)).pairs) > 5:
                 continue
-            assert og.pi1_laxator(g, h).trivial
+            assert og.pi1_laxator(*laxator(g, h)).trivial
             done += 1
 
     def test_matches_thin_category_oracle(self, G, H, seed):
@@ -269,21 +281,20 @@ class TestPi1Laxator:
         composite reachability, pointed at the composite of the parts."""
 
         def oracle(g, h):
-            composed = og.compose_rel(og.reach(g), og.reach(h))
-            whole = og.reach(og.compose(g, h))
+            composed, whole = laxator(g, h)
             labels = og._rel_pair_labels(whole.pairs)
             subsets = homotopy.powerset_report(labels, (), homotopy.subset_name(()), "sub-relations")
             thin = gen.thin_category(subsets.invariant.poset)
             return homotopy.pi1(thin, homotopy.subset_name(og._rel_pair_labels(composed.pairs)))
 
-        assert og.pi1_laxator(G, H) == oracle(G, H)
+        assert og.pi1_laxator(*laxator(G, H)) == oracle(G, H)
         rng = random.Random(seed + 9)
         done = 0
         while done < 20:
             g, h = gen.random_composable_graphs(rng)
             if len(og.reach(og.compose(g, h)).pairs) > 6:
                 continue
-            assert og.pi1_laxator(g, h) == oracle(g, h)
+            assert og.pi1_laxator(*laxator(g, h)) == oracle(g, h)
             done += 1
 
 
@@ -343,6 +354,32 @@ class TestAct:
                 if e != pmap.source.basepoint:
                     assert image == (e if not members[e] <= covered else pmap.target.basepoint)
             done += 1
+
+
+class TestOneComputationPerRelation:
+    @pytest.fixture
+    def count(self, monkeypatch):
+        calls = {}
+        for name in ("reach", "compose", "compose_rel"):
+            def counted(*args, _name=name, _fn=getattr(og, name)):
+                calls[_name] = calls.get(_name, 0) + 1
+                return _fn(*args)
+
+            monkeypatch.setattr(og, name, counted)
+
+        def run(*argv):
+            calls.clear()
+            assert cli.run(list(argv), out=io.StringIO()) == 0
+            return calls.get("reach", 0), calls.get("compose", 0), calls.get("compose_rel", 0)
+
+        return run
+
+    def test_obstruct(self, count):
+        assert count("opengraph", "obstruct", fixture("G.og"), fixture("H.og")) == (3, 1, 1)
+
+    def test_act(self, count):
+        argv = [fixture(n) for n in ("G.og", "G_identified.og", "identify_outputs.gh", "H.og")]
+        assert count("opengraph", "act", *argv) == (6, 2, 2)
 
 
 class TestDot:
