@@ -156,8 +156,8 @@ def _cmd_og_act(args, out):
     g2 = opengraph.parse_open_graph(_read(args.target))
     hom = opengraph.parse_graph_hom(_read(args.hom), g, g2)
     h = opengraph.parse_open_graph(_read(args.right))
-    acted, pmap = opengraph.act(hom, h)
-    out.write("reach of acted graph: " + opengraph.relation_text(opengraph.reach(acted)) + "\n")
+    reached, pmap = opengraph.act(hom, h)
+    out.write("reach of acted graph: " + opengraph.relation_text(reached) + "\n")
     _emit_flow(pmap, out)
     return 0
 

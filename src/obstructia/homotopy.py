@@ -45,10 +45,11 @@ class MorphismAnalysis:
 
 
 def report_from_pointed(pp: order.PointedPoset, context: str) -> ObstructionReport:
-    bp = pp.basepoint
-    for e in pp.poset.elements:
-        if e != bp and pp.poset.le(e, bp):
-            raise OracleMismatch(f"basepoint fails minimality below {e!r}")
+    p = pp.poset
+    b = p.index[pp.basepoint]
+    below = p.down_masks[b] & ~(1 << b)
+    if below:
+        raise OracleMismatch(f"basepoint fails minimality below {p.elements[order._low(below)]!r}")
     return ObstructionReport(pp, order.minimal_obstructions(pp), order.is_trivial(pp), context)
 
 
@@ -257,8 +258,10 @@ def powerset_report(universe: Iterable[str], collapsed: Iterable[str], basepoint
     """Inclusion-ordered report: basepoint below everything, survivors are
     the subsets with something outside the collapsed set.
 
-    Bitmask representation keeps the order construction at 3^n steps (one
-    per subset-superset pair) instead of comparing all subset pairs.
+    Subsets are bitmasks over the sorted universe.  The up-mask of a subset
+    (over the sorted element names) is its own bit ORed with the up-masks of
+    its one-element extensions, so taking subsets from the largest down
+    fills every up-mask in n * 2^(n-1) ORs and no name pair is built.
     """
     uni = sorted(set(universe))
     n = len(uni)
@@ -274,30 +277,37 @@ def powerset_report(universe: Iterable[str], collapsed: Iterable[str], basepoint
         if mask & free:
             name_of[mask] = subset_name(uni[i] for i in range(n) if mask >> i & 1)
 
-    elems = [basepoint] + list(name_of.values())
-    leq = {(basepoint, e) for e in elems}
-    for mask, nm in name_of.items():
-        leq.add((nm, nm))
+    elems = tuple(sorted({basepoint, *name_of.values()}))
+    pos = {e: i for i, e in enumerate(elems)}
+    up = [0] * len(elems)
+    up[pos[basepoint]] = (1 << len(elems)) - 1
+    up_of: dict[int, int] = {}
+    for mask in reversed(name_of):
+        acc = 1 << pos[name_of[mask]]
         rest = full & ~mask
-        s = rest
-        while s:
-            leq.add((nm, name_of[mask | s]))
-            s = (s - 1) & rest
-    pp = order.PointedPoset(order.make_poset(elems, leq), basepoint)
+        while rest:
+            low = rest & -rest
+            acc |= up_of[mask | low]
+            rest ^= low
+        up_of[mask] = acc
+        up[pos[name_of[mask]]] |= acc
+    pp = order.PointedPoset(order._from_masks(elems, up), basepoint)
     return report_from_pointed(pp, context)
 
 
 def report_to_dict(r: ObstructionReport) -> dict:
+    """The interchange form; pairs come out sorted because elements are."""
     p = r.invariant.poset
+    e = p.elements
     return {
         "version": 1,
         "kind": "obstruction-report",
         "context": r.context,
         "basepoint": r.invariant.basepoint,
-        "elements": sorted(p.elements),
+        "elements": list(p.elements),
         "element_count": len(p.elements),
-        "leq": sorted([a, b] for (a, b) in p.leq),
-        "covers": sorted([a, b] for (a, b) in order.hasse(p)),
+        "leq": [[e[i], e[j]] for i, u in enumerate(p.up) for j in order._bits(u)],
+        "covers": [list(pair) for pair in order.hasse(p)],
         "minimal": sorted(r.minimal),
         "trivial": r.trivial,
     }

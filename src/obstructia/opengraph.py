@@ -255,11 +255,12 @@ def pi1_laxator(composed: Relation, whole: Relation, cap: int = DEFAULT_PAIR_CAP
     return homotopy.report_from_pointed(pp, f"pi1 at object {point!r}")
 
 
-def act(hom: GraphHom, h: OpenGraph, cap: int = DEFAULT_PAIR_CAP) -> tuple[OpenGraph, order.PointedMap]:
+def act(hom: GraphHom, h: OpenGraph, cap: int = DEFAULT_PAIR_CAP) -> tuple[Relation, order.PointedMap]:
     """Flow of laxator obstructions induced by acting on the left part with
-    a 2-morphism.  Returns the acted-on graph and the pointed map from the
-    obstruction poset of (source, h) to that of (target, h); obstructions
-    may trivialise, the basepoint never moves."""
+    a 2-morphism.  Returns the reachability of the acted-on graph (the
+    target of hom) and the pointed map from the obstruction poset of
+    (source, h) to that of (target, h); obstructions may trivialise, the
+    basepoint never moves."""
     g, g2 = hom.source, hom.target
     if set(g.outputs) != set(h.inputs):
         raise BoundaryMismatch("homomorphism target not composable with the right part")
@@ -274,7 +275,7 @@ def act(hom: GraphHom, h: OpenGraph, cap: int = DEFAULT_PAIR_CAP) -> tuple[OpenG
     # reach(g2 . h) and every source subset is still a subset on the target
     # side; it keeps its name exactly when the grown composite-of-parts does
     # not cover it, that is when it is an element of dst.
-    return g2, homotopy._induced_map(src, dst, lambda e: e)
+    return rg2, homotopy._induced_map(src, dst, lambda e: e)
 
 
 # -- text formats -------------------------------------------------------------------
@@ -352,10 +353,7 @@ def relation_text(r: Relation) -> str:
 
 def open_graph_dot(g: OpenGraph) -> str:
     """DOT drawing with boundary legs as labelled half-edges."""
-
-    def quote(s: str) -> str:
-        return '"' + s.replace('"', '\\"') + '"'
-
+    quote = order._quote
     lines = ["digraph opengraph {", "  rankdir=LR;"]
     for x in g.inputs:
         lines.append(f"  {quote('in:' + x)} [shape=none];")

@@ -1,66 +1,141 @@
 """Finite posets, pointed posets, and the order-theoretic half of the engine.
 
+A poset is stored as its sorted element names plus one bitmask per element:
+bit j of ``up[i]`` is set when elements[i] <= elements[j].  Masks are plain
+Python ints, so every order operation below is a handful of word-parallel
+ORs, ANDs and popcounts per element instead of lookups in a set of name
+pairs; the pairs themselves (``Poset.leq``) are derived only for
+interchange output.
+
 The two workhorses are ``poset_reflection`` (collapse a finite category to
 its universal thin skeletal quotient) and ``collapse_lower`` (identify a
 down-closed set to a single basepoint).  The reflection reads reachability
 only: one routine reflects a preorder given by down-sets, which come from a
-category's morphisms or straight from the parallel arrows behind pi1.  Chaining them is how the homotopy
-invariants are computed; everything else here is supporting machinery:
-lower sets, transitive reduction, pointed-isomorphism search and a DOT
-emitter for Hasse diagrams.
+category's morphisms or straight from the parallel arrows behind pi1.
+Chaining them is how the homotopy invariants are computed; everything else
+here is supporting machinery: lower sets, transitive reduction,
+pointed-isomorphism search and a DOT emitter for Hasse diagrams.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import re
+from bisect import bisect_left
+from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterable, Mapping, Optional
 
 from . import fincat
 from .errors import EmptyCollapseSet, InvalidMap, InvalidPoset, NotDownClosed, UnknownObject
 
+_ONE = re.compile("1")
+
+
+def _bits(m: int) -> list[int]:
+    """Indices of the set bits of m, ascending."""
+    if m.bit_count() > 16:  # dense: let the regex engine scan the digits
+        return [x.start() for x in _ONE.finditer(bin(m)[:1:-1])]
+    out = []
+    while m:
+        low = m & -m
+        out.append(low.bit_length() - 1)
+        m ^= low
+    return out
+
+
+def _low(m: int) -> int:
+    """Index of the lowest set bit of a non-zero m."""
+    return (m & -m).bit_length() - 1
+
+
+def _union(masks, m: int) -> int:
+    """OR of masks[i] over the set bits i of m."""
+    out = 0
+    for i in _bits(m):
+        out |= masks[i]
+    return out
+
 
 @dataclass(frozen=True)
 class Poset:
+    """A finite poset: ``elements`` sorted, ``up[i]`` the bitmask of the
+    indices j with elements[i] <= elements[j], ``down_masks`` its transpose.
+    Equality and hashing read (elements, up) only.  Build one with
+    ``make_poset``, which validates."""
+
     elements: tuple[str, ...]
-    leq: frozenset[tuple[str, str]]
+    up: tuple[int, ...]
+    down_masks: tuple[int, ...] = field(compare=False, repr=False)
+
+    @cached_property
+    def index(self) -> dict[str, int]:
+        return {e: i for i, e in enumerate(self.elements)}
+
+    @property
+    def leq(self) -> frozenset[tuple[str, str]]:
+        """The order as name pairs, built afresh on each read."""
+        e = self.elements
+        return frozenset((e[i], e[j]) for i, ui in enumerate(self.up) for j in _bits(ui))
 
     def le(self, a: str, b: str) -> bool:
-        return (a, b) in self.leq
+        i, j = self.index.get(a), self.index.get(b)
+        return i is not None and j is not None and bool(self.up[i] >> j & 1)
 
     def lt(self, a: str, b: str) -> bool:
-        return a != b and (a, b) in self.leq
+        return a != b and self.le(a, b)
 
     def down(self, e: str) -> frozenset:
-        return frozenset(a for a in self.elements if self.le(a, e))
+        i = self.index.get(e)
+        return frozenset() if i is None else self._names(self.down_masks[i])
 
-    def up(self, e: str) -> frozenset:
-        return frozenset(b for b in self.elements if self.le(e, b))
+    def _names(self, m: int) -> frozenset:
+        return frozenset(self.elements[i] for i in _bits(m))
+
+
+def _from_masks(elements: tuple[str, ...], up: list[int]) -> Poset:
+    """The one poset validator: reflexivity, then antisymmetry, then
+    transitivity (for each j in up[i], up[j] inside up[i]), each failure
+    reported at its least witness in sort order.  The down-masks it computes
+    on the way go into the result."""
+    for i, e in enumerate(elements):
+        if not up[i] >> i & 1:
+            raise InvalidPoset(f"not reflexive at {e!r}")
+    down = [0] * len(elements)
+    broken = None  # least (i, j) with up[j] not inside up[i]
+    for i, ui in enumerate(up):
+        bit = 1 << i
+        for j in _bits(ui):
+            down[j] |= bit
+            if broken is None and up[j] | ui != ui:
+                broken = (i, j)
+    for i, e in enumerate(elements):
+        both = up[i] & down[i] & ~(1 << i)
+        if both:
+            raise InvalidPoset(f"antisymmetry fails on {e!r}, {elements[_low(both)]!r}")
+    if broken is not None:
+        i, j = broken
+        c = elements[_low(up[j] & ~up[i])]
+        raise InvalidPoset(f"transitivity fails on {elements[i]!r} <= {elements[j]!r} <= {c!r}")
+    return Poset(elements, tuple(up), tuple(down))
 
 
 def make_poset(elements: Iterable[str], leq: Iterable[tuple[str, str]]) -> Poset:
-    """Validate and build; elements are stored sorted so equal posets built
-    in different orders compare equal."""
+    """Validate and build from name pairs; elements are stored sorted so
+    equal posets built in different orders compare equal."""
     elems = tuple(sorted(set(elements)))
-    elem_set = set(elems)
-    rel = frozenset(leq)
-    up: dict[str, set] = {e: set() for e in elems}
-    for a, b in rel:
-        if a not in elem_set or b not in elem_set:
-            raise InvalidPoset(f"relation mentions unknown element ({a!r}, {b!r})")
-        up[a].add(b)
-    for a in elems:
-        if a not in up[a]:
-            raise InvalidPoset(f"not reflexive at {a!r}")
-    for a, b in rel:
-        if a != b and (b, a) in rel:
-            raise InvalidPoset(f"antisymmetry fails on {a!r}, {b!r}")
-    for a in elems:
-        ua = up[a]
-        for b in ua:
-            if not up[b] <= ua:
-                c = next(iter(up[b] - ua))
-                raise InvalidPoset(f"transitivity fails on {a!r} <= {b!r} <= {c!r}")
-    return Poset(elems, rel)
+    index = {e: i for i, e in enumerate(elems)}
+    up = [0] * len(elems)
+    unknown = []
+    for a, b in leq:
+        i, j = index.get(a), index.get(b)
+        if i is None or j is None:
+            unknown.append((a, b))
+        else:
+            up[i] |= 1 << j
+    if unknown:
+        a, b = min(unknown)
+        raise InvalidPoset(f"relation mentions unknown element ({a!r}, {b!r})")
+    return _from_masks(elems, up)
 
 
 @dataclass(frozen=True)
@@ -69,7 +144,7 @@ class PointedPoset:
     basepoint: str
 
     def __post_init__(self):
-        if self.basepoint not in self.poset.elements:
+        if self.basepoint not in self.poset.index:
             raise InvalidPoset(f"basepoint {self.basepoint!r} is not an element")
 
 
@@ -82,14 +157,25 @@ class MonotoneMap:
 
 def make_monotone(source: Poset, target: Poset, mapping: Mapping[str, str]) -> MonotoneMap:
     m = dict(mapping)
+    tindex = target.index
+    image = []
     for e in source.elements:
         if e not in m:
             raise InvalidMap(f"element {e!r} not mapped")
-        if m[e] not in target.elements:
+        if m[e] not in tindex:
             raise InvalidMap(f"image {m[e]!r} of {e!r} not in target")
-    for a, b in source.leq:
-        if not target.le(m[a], m[b]):
-            raise InvalidMap(f"order not preserved on {a!r} <= {b!r}")
+        image.append(tindex[m[e]])
+    fibre: dict[int, int] = {}  # target index -> mask of the source elements sent there
+    for i, t in enumerate(image):
+        fibre[t] = fibre.get(t, 0) | 1 << i
+    hit = sum(1 << t for t in fibre)
+    allowed: dict[int, int] = {}  # target index t -> sources sent into up(t)
+    for i, t in enumerate(image):
+        if t not in allowed:
+            allowed[t] = sum(fibre[u] for u in _bits(target.up[t] & hit))
+        bad = source.up[i] & ~allowed[t]
+        if bad:
+            raise InvalidMap(f"order not preserved on {source.elements[i]!r} <= {source.elements[_low(bad)]!r}")
     return MonotoneMap(source, target, m)
 
 
@@ -128,8 +214,14 @@ def _reflect(down: Mapping[str, set]) -> tuple[Poset, dict[str, str]]:
     class_of: dict[str, str] = {}
     for x, below in down.items():
         class_of[x] = min(a for a in below if x in down[a])
-    leq = {(class_of[a], class_of[b]) for b, below in down.items() for a in below}
-    return make_poset(class_of.values(), leq), class_of
+    elems = tuple(sorted(set(class_of.values())))
+    index = {e: i for i, e in enumerate(elems)}
+    up = [0] * len(elems)
+    for b, below in down.items():
+        bit = 1 << index[class_of[b]]
+        for a in below:
+            up[index[class_of[a]]] |= bit
+    return _from_masks(elems, up), class_of
 
 
 def poset_reflection(c: fincat.FinCat) -> tuple[Poset, dict[str, str]]:
@@ -146,13 +238,19 @@ def poset_reflection(c: fincat.FinCat) -> tuple[Poset, dict[str, str]]:
     return _reflect(down)
 
 
+def _mask(p: Poset, names: Iterable[str]) -> int:
+    """The bitmask of a set of element names; the least unknown name raises."""
+    index = p.index
+    names = set(names)
+    unknown = [e for e in names if e not in index]
+    if unknown:
+        raise UnknownObject(min(unknown))
+    return sum(1 << index[e] for e in names)
+
+
 def lower_closure(p: Poset, s: Iterable[str]) -> frozenset:
     """Least down-closed superset of s."""
-    wanted = set(s)
-    for e in wanted:
-        if e not in p.elements:
-            raise UnknownObject(e)
-    return frozenset(a for a in p.elements if any(p.le(a, t) for t in wanted))
+    return p._names(_union(p.down_masks, _mask(p, s)))
 
 
 def collapse_lower(p: Poset, lower: Iterable[str], basepoint_name: str) -> PointedPoset:
@@ -165,26 +263,26 @@ def collapse_lower(p: Poset, lower: Iterable[str], basepoint_name: str) -> Point
     l = frozenset(lower)
     if not l:
         raise EmptyCollapseSet("cannot collapse an empty set")
-    for e in l:
-        if e not in p.elements:
-            raise UnknownObject(e)
-    if l != lower_closure(p, l):
+    lm = _mask(p, l)
+    if _union(p.down_masks, lm) != lm:
         raise NotDownClosed(f"{sorted(l)} is not down-closed")
 
-    survivors = [e for e in p.elements if e not in l]
+    keep = ((1 << len(p.elements)) - 1) & ~lm
+    old = _bits(keep)
+    survivors = [p.elements[i] for i in old]
     bp = basepoint_name
-    while bp in survivors:
+    while bp in p.index and keep >> p.index[bp] & 1:
         bp = bp + "'"
-    elems = [bp] + survivors
-    leq = {(bp, bp)}
-    for e in survivors:
-        leq.add((e, e))
-        if any(p.le(x, e) for x in l):
-            leq.add((bp, e))
-        for e2 in survivors:
-            if p.le(e, e2):
-                leq.add((e, e2))
-    return PointedPoset(make_poset(elems, leq), bp)
+    at = bisect_left(survivors, bp)
+    elems = tuple(survivors[:at] + [bp] + survivors[at:])
+    new_bit = {i: 1 << (k + (k >= at)) for k, i in enumerate(old)}
+
+    def moved(m: int) -> int:
+        return sum(new_bit[i] for i in _bits(m & keep))
+
+    up = [moved(p.up[i]) for i in old]
+    up.insert(at, 1 << at | moved(_union(p.up, lm)))
+    return PointedPoset(_from_masks(elems, up), bp)
 
 
 def is_trivial(pp: PointedPoset) -> bool:
@@ -192,91 +290,100 @@ def is_trivial(pp: PointedPoset) -> bool:
 
 
 def minimal_obstructions(pp: PointedPoset) -> frozenset:
-    """Minimal elements of the complement of the basepoint."""
-    rest = [e for e in pp.poset.elements if e != pp.basepoint]
-    return frozenset(e for e in rest if not any(pp.poset.lt(o, e) for o in rest))
+    """Minimal elements of the complement of the basepoint: those whose
+    strict down-set is empty or just the basepoint."""
+    p = pp.poset
+    bi = p.index[pp.basepoint]
+    b = 1 << bi
+    return frozenset(
+        e for i, (e, d) in enumerate(zip(p.elements, p.down_masks)) if i != bi and (d & ~(1 << i)) in (0, b)
+    )
 
 
 def hasse(p: Poset) -> tuple[tuple[str, str], ...]:
-    """Transitive reduction: the cover pairs, sorted."""
-    strict_up = {a: frozenset(b for b in p.elements if p.lt(a, b)) for a in p.elements}
+    """Transitive reduction: the cover pairs, sorted.  The covers of a are
+    its strict up-set minus every element strictly above one of them."""
+    strict_up = [u & ~(1 << i) for i, u in enumerate(p.up)]
+    e = p.elements
     covers = []
-    for a in p.elements:
-        ups = strict_up[a]
-        for b in ups:
-            if not any(b in strict_up[c] for c in ups):
-                covers.append((a, b))
-    return tuple(sorted(covers))
+    for i, su in enumerate(strict_up):
+        covers.extend((e[i], e[j]) for j in _bits(su & ~_union(strict_up, su)))
+    return tuple(covers)
 
 
 # -- pointed order isomorphism search ---------------------------------------
 
 
-def _signature(p: Poset, e: str) -> tuple[int, int]:
-    return (len(p.down(e)), len(p.up(e)))
+def _signatures(p: Poset) -> list[tuple[int, int]]:
+    return [(d.bit_count(), u.bit_count()) for d, u in zip(p.down_masks, p.up)]
 
 
 def iso_pointed(pp1: PointedPoset, pp2: PointedPoset) -> Optional[PointedMap]:
     """Search for a basepoint-preserving order isomorphism.
 
     Backtracking over elements grouped by (down-set size, up-set size)
-    signatures; fine at desk scale (acceptance posets stay well under 50
-    elements).  Returns None when no isomorphism exists.
+    signatures.  Signatures and the size test are popcounts of the masks, so
+    grouping costs a few word operations per element; the search branches
+    only among elements that share a signature.  Returns None when no
+    isomorphism exists.
     """
     p1, p2 = pp1.poset, pp2.poset
-    if len(p1.elements) != len(p2.elements) or len(p1.leq) != len(p2.leq):
+    if len(p1.elements) != len(p2.elements):
         return None
-    if _signature(p1, pp1.basepoint) != _signature(p2, pp2.basepoint):
+    if sum(u.bit_count() for u in p1.up) != sum(u.bit_count() for u in p2.up):
+        return None
+    b1, b2 = p1.index[pp1.basepoint], p2.index[pp2.basepoint]
+    sig1, sig2 = _signatures(p1), _signatures(p2)
+    if sig1[b1] != sig2[b2]:
         return None
 
-    sig2: dict[tuple[int, int], list[str]] = {}
-    for e in p2.elements:
-        sig2.setdefault(_signature(p2, e), []).append(e)
-    candidates: dict[str, list[str]] = {}
-    for e in p1.elements:
-        if e == pp1.basepoint:
-            candidates[e] = [pp2.basepoint]
-            continue
-        cs = [f for f in sig2.get(_signature(p1, e), []) if f != pp2.basepoint]
+    by_sig: dict[tuple[int, int], list[int]] = {}
+    for j, s in enumerate(sig2):
+        by_sig.setdefault(s, []).append(j)
+    candidates: list[list[int]] = []
+    for i, s in enumerate(sig1):
+        cs = [b2] if i == b1 else [j for j in by_sig.get(s, []) if j != b2]
         if not cs:
             return None
-        candidates[e] = cs
+        candidates.append(cs)
 
-    order = sorted(p1.elements, key=lambda e: (len(candidates[e]), e))
-    assignment: dict[str, str] = {}
+    order = sorted(range(len(sig1)), key=lambda i: (len(candidates[i]), i))
+    assignment: dict[int, int] = {}
     used: set = set()
 
-    def consistent(e: str, f: str) -> bool:
-        for e2, f2 in assignment.items():
-            if p1.le(e, e2) != p2.le(f, f2) or p1.le(e2, e) != p2.le(f2, f):
+    def consistent(i: int, j: int) -> bool:
+        u1, u2 = p1.up, p2.up
+        for i2, j2 in assignment.items():
+            if u1[i] >> i2 & 1 != u2[j] >> j2 & 1 or u1[i2] >> i & 1 != u2[j2] >> j & 1:
                 return False
         return True
 
-    def backtrack(i: int) -> bool:
-        if i == len(order):
+    def backtrack(k: int) -> bool:
+        if k == len(order):
             return True
-        e = order[i]
-        for f in candidates[e]:
-            if f in used or not consistent(e, f):
+        i = order[k]
+        for j in candidates[i]:
+            if j in used or not consistent(i, j):
                 continue
-            assignment[e] = f
-            used.add(f)
-            if backtrack(i + 1):
+            assignment[i] = j
+            used.add(j)
+            if backtrack(k + 1):
                 return True
-            del assignment[e]
-            used.remove(f)
+            del assignment[i]
+            used.remove(j)
         return False
 
     if not backtrack(0):
         return None
-    return make_pointed(pp1, pp2, assignment)
+    return make_pointed(pp1, pp2, {p1.elements[i]: p2.elements[j] for i, j in assignment.items()})
 
 
 # -- DOT output ------------------------------------------------------------
 
 
 def _quote(s: str) -> str:
-    return '"' + s.replace('"', '\\"') + '"'
+    """A DOT string literal: backslashes and double quotes escaped."""
+    return '"' + s.replace("\\", "\\\\").replace('"', '\\"') + '"'
 
 
 def hasse_dot(p, basepoint: Optional[str] = None) -> str:
@@ -289,7 +396,7 @@ def hasse_dot(p, basepoint: Optional[str] = None) -> str:
         basepoint = p.basepoint
         p = p.poset
     lines = ["digraph hasse {", "  rankdir=BT;"]
-    for e in sorted(p.elements):
+    for e in p.elements:
         shape = "doublecircle" if e == basepoint else "ellipse"
         lines.append(f"  {_quote(e)} [shape={shape}];")
     for a, b in hasse(p):

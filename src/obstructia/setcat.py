@@ -54,36 +54,36 @@ class FiniteFunction:
 @dataclass(frozen=True)
 class KernelPair:
     """The pullback of a function along itself: all pairs with equal image.
-    Always an equivalence relation, which __post_init__ re-checks."""
+    Always an equivalence relation, which __post_init__ re-checks on the
+    rows R(x) = {y : (x, y)}: x in R(x), x in R(y) for each (x, y), and
+    R(y) inside R(x) for each (x, y)."""
 
     pairs: frozenset
 
     def __post_init__(self):
-        elems = {x for p in self.pairs for x in p}
-        for x in elems:
-            if (x, x) not in self.pairs:
-                raise OracleMismatch(f"kernel pair misses diagonal at {x!r}")
+        rows: dict[str, set] = {}
         for x, y in self.pairs:
-            if (y, x) not in self.pairs:
+            rows.setdefault(x, set()).add(y)
+            rows.setdefault(y, set())
+        for x, row in sorted(rows.items()):
+            if x not in row:
+                raise OracleMismatch(f"kernel pair misses diagonal at {x!r}")
+        for x, y in sorted(self.pairs):
+            if x not in rows[y]:
                 raise OracleMismatch(f"kernel pair not symmetric at ({x!r}, {y!r})")
         for x, y in self.pairs:
-            for y2, z in self.pairs:
-                if y2 == y and (x, z) not in self.pairs:
-                    raise OracleMismatch("kernel pair not transitive")
+            if not rows[y] <= rows[x]:
+                raise OracleMismatch("kernel pair not transitive")
 
     def off_diagonal(self) -> frozenset:
         return frozenset((x, y) for (x, y) in self.pairs if x != y)
 
 
 def kernel_pair(f: FiniteFunction) -> KernelPair:
-    return KernelPair(
-        frozenset(
-            (x0, x1)
-            for x0 in f.dom_set
-            for x1 in f.dom_set
-            if f.mapping[x0] == f.mapping[x1]
-        )
-    )
+    fibres: dict[str, list[str]] = {}
+    for x in f.dom_set:
+        fibres.setdefault(f.mapping[x], []).append(x)
+    return KernelPair(frozenset((x0, x1) for fibre in fibres.values() for x0 in fibre for x1 in fibre))
 
 
 def pair_label(x0: str, x1: str) -> str:

@@ -6,11 +6,16 @@ collapse pipeline, so agreement with the library is a real check and not a
 tautology.  The one exception is ``covariance_map``: it builds the flow
 through the materialised slices and their projections, the construction
 that the library now reads off the category directly.
+
+The order section keeps the string-pair implementations that the bitmask
+core in ``order`` replaced: a poset there is a sorted element tuple and a
+frozenset of name pairs, and every check is a set lookup.
 """
 
 from itertools import combinations
 
 from obstructia import fincat, homotopy, order
+from obstructia.errors import EmptyCollapseSet, InvalidPoset, NotDownClosed, UnknownObject
 
 BP = object()  # marker for the basepoint in oracle outputs
 
@@ -275,3 +280,104 @@ def separable_vectors(m, n):
     vecs_a = [tuple(reversed(v)) for v in product((0, 1), repeat=m)] if m else [()]
     vecs_b = [tuple(reversed(v)) for v in product((0, 1), repeat=n)] if n else [()]
     return frozenset(gf2_tensor(a, b) for a in vecs_a for b in vecs_b)
+
+
+# -- posets as sets of name pairs ----------------------------------------------
+
+
+def make_poset(elements, leq):
+    """Validate (elements, leq) as a poset by set lookups on name pairs;
+    returns the sorted elements and the relation."""
+    elems = tuple(sorted(set(elements)))
+    elem_set = set(elems)
+    rel = frozenset(leq)
+    up = {e: set() for e in elems}
+    for a, b in rel:
+        if a not in elem_set or b not in elem_set:
+            raise InvalidPoset(f"relation mentions unknown element ({a!r}, {b!r})")
+        up[a].add(b)
+    for a in elems:
+        if a not in up[a]:
+            raise InvalidPoset(f"not reflexive at {a!r}")
+    for a, b in rel:
+        if a != b and (b, a) in rel:
+            raise InvalidPoset(f"antisymmetry fails on {a!r}, {b!r}")
+    for a in elems:
+        ua = up[a]
+        for b in ua:
+            if not up[b] <= ua:
+                c = next(iter(up[b] - ua))
+                raise InvalidPoset(f"transitivity fails on {a!r} <= {b!r} <= {c!r}")
+    return elems, rel
+
+
+def lower_closure(elements, leq, s):
+    wanted = set(s)
+    for e in wanted:
+        if e not in elements:
+            raise UnknownObject(e)
+    return frozenset(a for a in elements if any((a, t) in leq for t in wanted))
+
+
+def collapse_lower(elements, leq, lower, basepoint_name):
+    """Collapse a down-closed set to a basepoint; returns (elements, leq,
+    basepoint) of the pointed result."""
+    l = frozenset(lower)
+    if not l:
+        raise EmptyCollapseSet("cannot collapse an empty set")
+    for e in l:
+        if e not in elements:
+            raise UnknownObject(e)
+    if l != lower_closure(elements, leq, l):
+        raise NotDownClosed(f"{sorted(l)} is not down-closed")
+    survivors = [e for e in elements if e not in l]
+    bp = basepoint_name
+    while bp in survivors:
+        bp = bp + "'"
+    out = {(bp, bp)}
+    for e in survivors:
+        out.add((e, e))
+        if any((x, e) in leq for x in l):
+            out.add((bp, e))
+        for e2 in survivors:
+            if (e, e2) in leq:
+                out.add((e, e2))
+    elems, rel = make_poset([bp] + survivors, out)
+    return elems, rel, bp
+
+
+def minimal_obstructions(elements, leq, basepoint):
+    rest = [e for e in elements if e != basepoint]
+    return frozenset(e for e in rest if not any(o != e and (o, e) in leq for o in rest))
+
+
+def hasse(elements, leq):
+    """Covers by the textbook definition: a < b with nothing in between."""
+    strict_up = {a: frozenset(b for b in elements if a != b and (a, b) in leq) for a in elements}
+    covers = []
+    for a in elements:
+        ups = strict_up[a]
+        for b in ups:
+            if not any(b in strict_up[c] for c in ups):
+                covers.append((a, b))
+    return tuple(sorted(covers))
+
+
+def powerset_report(universe, collapsed, basepoint):
+    """(elements, leq, basepoint) of the inclusion-ordered powerset report,
+    from every subset-superset pair as name pairs."""
+    uni = sorted(set(universe))
+    n = len(uni)
+    coll = set(collapsed)
+    name_of = {}
+    for mask in range(1, 1 << n):
+        items = [uni[i] for i in range(n) if mask >> i & 1]
+        if not set(items) <= coll:
+            name_of[mask] = homotopy.subset_name(items)
+    leq = {(basepoint, basepoint)} | {(basepoint, nm) for nm in name_of.values()}
+    for a, na in name_of.items():
+        for b, nb in name_of.items():
+            if a & b == a:
+                leq.add((na, nb))
+    elems, rel = make_poset([basepoint, *name_of.values()], leq)
+    return elems, rel, basepoint

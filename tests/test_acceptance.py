@@ -284,8 +284,9 @@ def test_criterion_08_open_graphs():
         assert opengraph.pi1_laxator(composed, whole).trivial
 
         hom = opengraph.parse_graph_hom(open(fx("identify_outputs.gh")).read(), g, g2)
-        acted, pmap = opengraph.act(hom, h)
-        assert opengraph.reach(acted).pairs == {("1", "1"), ("1", "3")}
+        reached, pmap = opengraph.act(hom, h)
+        assert reached == opengraph.reach(g2)
+        assert reached.pairs == {("1", "1"), ("1", "3")}
         assert pmap.mapping["{(1,1)}"] == pmap.target.basepoint
 
     _report(8, "open-graph case study: reaches, two-chain, flow trivialises", body)

@@ -1,3 +1,5 @@
+import glob
+import os
 import random
 
 import pytest
@@ -6,7 +8,7 @@ from hypothesis import strategies as st
 
 import gen
 import oracles
-from obstructia import order
+from obstructia import fincat, homotopy, opengraph, order, setcat, states
 from obstructia.errors import (
     EmptyCollapseSet,
     InvalidMap,
@@ -296,3 +298,123 @@ class TestDot:
         assert d1 == d2
         assert "doublecircle" in d1
         assert d1.startswith("digraph")
+
+    def test_backslash_and_quote_escaped(self):
+        p = order.make_poset(["a\\", 'b"'], [("a\\", "a\\"), ('b"', 'b"'), ("a\\", 'b"')])
+        lines = order.hasse_dot(p).splitlines()
+        assert '  "a\\\\" [shape=ellipse];' in lines
+        assert '  "a\\\\" -> "b\\"";' in lines
+
+
+FIXTURES = os.path.join(os.path.dirname(__file__), "..", "fixtures")
+
+
+def _read(name):
+    with open(os.path.join(FIXTURES, name), encoding="utf-8") as fh:
+        return fh.read()
+
+
+def fixture_reports():
+    """Every report the fixtures produce."""
+    for path in sorted(glob.glob(os.path.join(FIXTURES, "*.cat"))):
+        c = fincat.parse_category(_read(path))
+        for x in c.objects:
+            yield homotopy.pi0(c, x)
+            yield homotopy.pi1(c, x)
+        for m in c.morphisms:
+            an = homotopy.analyze_morphism(c, m.name)
+            yield an.pi0
+            yield an.pi1
+    for path in sorted(glob.glob(os.path.join(FIXTURES, "*.fn"))):
+        _, f = setcat.parse_function(_read(path))
+        yield setcat.pi0_function(f)
+        yield setcat.pi1_function(f)
+    g, h, g2 = (opengraph.parse_open_graph(_read(n)) for n in ("G.og", "H.og", "G_identified.og"))
+    for left in (g, g2):
+        composed = opengraph.compose_rel(opengraph.reach(left), opengraph.reach(h))
+        whole = opengraph.reach(opengraph.compose(left, h))
+        yield opengraph.laxator_obstructions(composed, whole)
+        yield opengraph.pi1_laxator(composed, whole)
+    for dims in ((1, 3), (2, 2)):
+        yield from states.obstructions(states.StateContext("gf2"), *dims)
+
+
+def kind(message):
+    """The law an InvalidPoset message names, without its witness."""
+    return message.split("'")[0].split("(")[0]
+
+
+class TestMaskCoreAgainstPairs:
+    """The bitmask core against the string-pair oracles in oracles.py."""
+
+    def check(self, p):
+        elems, leq = p.elements, p.leq
+        assert oracles.make_poset(elems, leq) == (elems, leq)
+        assert order.make_poset(reversed(elems), sorted(leq, reverse=True)) == p
+        assert order.hasse(p) == oracles.hasse(elems, leq)
+        for a in elems:
+            assert p.down(a) == {b for b in elems if (b, a) in leq}
+            for b in elems:
+                assert p.le(a, b) == ((a, b) in leq)
+                assert p.lt(a, b) == (a != b and (a, b) in leq)
+
+    def check_pointed(self, pp, minimal):
+        p = pp.poset
+        self.check(p)
+        assert minimal == oracles.minimal_obstructions(p.elements, p.leq, pp.basepoint)
+        assert pp == order.PointedPoset(order.make_poset(*oracles.make_poset(p.elements, p.leq)), pp.basepoint)
+
+    @settings(max_examples=80, deadline=None)
+    @given(posets(), st.data())
+    def test_random_posets(self, p, data):
+        self.check(p)
+        elems, leq = p.elements, p.leq
+        s = data.draw(st.sets(st.sampled_from(elems)))
+        assert order.lower_closure(p, s) == oracles.lower_closure(elems, leq, s)
+        lower = order.lower_closure(p, s) or oracles.lower_closure(elems, leq, elems[:1])
+        bp = data.draw(st.sampled_from(["[*]", *elems]))
+        pp = order.collapse_lower(p, lower, bp)
+        o_elems, o_leq, o_bp = oracles.collapse_lower(elems, leq, lower, bp)
+        assert pp == order.PointedPoset(order.make_poset(o_elems, o_leq), o_bp)
+        self.check_pointed(pp, order.minimal_obstructions(pp))
+
+    @settings(max_examples=120, deadline=None)
+    @given(posets(), st.data())
+    def test_one_corrupted_pair(self, p, data):
+        leq = set(p.leq)
+        names = [*p.elements, "zz"]
+        pair = data.draw(st.tuples(st.sampled_from(names), st.sampled_from(names)))
+        leq ^= {pair}  # drop the pair if related, add it if not
+        try:
+            expected = oracles.make_poset(p.elements, leq)
+        except InvalidPoset as exc:
+            with pytest.raises(InvalidPoset) as got:
+                order.make_poset(p.elements, leq)
+            assert kind(str(got.value)) == kind(str(exc))
+        else:
+            q = order.make_poset(p.elements, leq)
+            assert (q.elements, q.leq) == expected
+
+    def test_fixture_reports(self):
+        count = 0
+        for r in fixture_reports():
+            self.check_pointed(r.invariant, r.minimal)
+            count += 1
+        assert count > 40
+
+    def test_powerset_reports(self, seed):
+        rng = random.Random(seed + 13)
+        odd = ["~", "a", "{", "(p,q)", "Z", "b,c", "}", "0"]
+        for n in range(9):
+            for universe in ([f"u{i}" for i in range(n)], odd[:n]):
+                for collapsed in (universe[: rng.randint(0, n)], rng.sample(universe, rng.randint(0, n))):
+                    r = homotopy.powerset_report(universe, collapsed, "{}", "ctx")
+                    o_elems, o_leq, o_bp = oracles.powerset_report(universe, collapsed, "{}")
+                    assert r.invariant == order.PointedPoset(order.make_poset(o_elems, o_leq), o_bp)
+                    assert r.invariant.poset.elements == o_elems
+                    assert r.invariant.poset.leq == o_leq
+                    if n <= 6:
+                        self.check_pointed(r.invariant, r.minimal)
+                    else:
+                        assert order.hasse(r.invariant.poset) == oracles.hasse(o_elems, o_leq)
+                        assert r.minimal == oracles.minimal_obstructions(o_elems, o_leq, o_bp)

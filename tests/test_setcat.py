@@ -4,7 +4,7 @@ from itertools import product
 import pytest
 
 from obstructia import fincat, homotopy, order, setcat
-from obstructia.errors import CapExceeded, ParseError
+from obstructia.errors import CapExceeded, OracleMismatch, ParseError
 
 FN_MISSING_TWO = "fn missing_two : {0,1} -> {0,1,2,3} ; 0=>0, 1=>1"
 FN_FOLD_PAIR = "fn fold_pair : {0,1} -> {*} ; 0=>*, 1=>*"
@@ -80,6 +80,19 @@ class TestKernelPair:
         kp = setcat.kernel_pair(f)
         assert len(kp.pairs) == 5
         assert kp.off_diagonal() == {("0", "1"), ("1", "0")}
+
+    def test_missing_diagonal_refused(self):
+        with pytest.raises(OracleMismatch, match=r"^kernel pair misses diagonal at 'a'$"):
+            setcat.KernelPair(frozenset({("a", "b"), ("b", "a"), ("b", "b")}))
+
+    def test_asymmetric_pairs_refused(self):
+        with pytest.raises(OracleMismatch, match=r"^kernel pair not symmetric at \('a', 'b'\)$"):
+            setcat.KernelPair(frozenset({("a", "a"), ("b", "b"), ("a", "b")}))
+
+    def test_intransitive_pairs_refused(self):
+        pairs = {("a", "a"), ("b", "b"), ("c", "c"), ("a", "b"), ("b", "a"), ("b", "c"), ("c", "b")}
+        with pytest.raises(OracleMismatch, match=r"^kernel pair not transitive$"):
+            setcat.KernelPair(frozenset(pairs))
 
 
 class TestPi0Function:
