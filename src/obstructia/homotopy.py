@@ -46,10 +46,9 @@ class MorphismAnalysis:
 
 def report_from_pointed(pp: order.PointedPoset, context: str) -> ObstructionReport:
     p = pp.poset
-    b = p.index[pp.basepoint]
-    below = p.down_masks[b] & ~(1 << b)
+    below = p.down(pp.basepoint) - {pp.basepoint}
     if below:
-        raise OracleMismatch(f"basepoint fails minimality below {p.elements[order._low(below)]!r}")
+        raise OracleMismatch(f"basepoint fails minimality below {min(below)!r}")
     return ObstructionReport(pp, order.minimal_obstructions(pp), order.is_trivial(pp), context)
 
 
@@ -291,14 +290,13 @@ def powerset_report(universe: Iterable[str], collapsed: Iterable[str], basepoint
             rest ^= low
         up_of[mask] = acc
         up[pos[name_of[mask]]] |= acc
-    pp = order.PointedPoset(order._from_masks(elems, up), basepoint)
+    pp = order.PointedPoset(order.from_masks(elems, up), basepoint)
     return report_from_pointed(pp, context)
 
 
 def report_to_dict(r: ObstructionReport) -> dict:
     """The interchange form; pairs come out sorted because elements are."""
     p = r.invariant.poset
-    e = p.elements
     return {
         "version": 1,
         "kind": "obstruction-report",
@@ -306,7 +304,7 @@ def report_to_dict(r: ObstructionReport) -> dict:
         "basepoint": r.invariant.basepoint,
         "elements": list(p.elements),
         "element_count": len(p.elements),
-        "leq": [[e[i], e[j]] for i, u in enumerate(p.up) for j in order._bits(u)],
+        "leq": [list(pair) for pair in p.pairs()],
         "covers": [list(pair) for pair in order.hasse(p)],
         "minimal": sorted(r.minimal),
         "trivial": r.trivial,

@@ -353,7 +353,7 @@ def relation_text(r: Relation) -> str:
 
 def open_graph_dot(g: OpenGraph) -> str:
     """DOT drawing with boundary legs as labelled half-edges."""
-    quote = order._quote
+    quote = order.quote
     lines = ["digraph opengraph {", "  rankdir=LR;"]
     for x in g.inputs:
         lines.append(f"  {quote('in:' + x)} [shape=none];")

@@ -19,7 +19,6 @@ pointed-isomorphism search and a DOT emitter for Hasse diagrams.
 
 from __future__ import annotations
 
-import re
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -28,13 +27,9 @@ from typing import Iterable, Mapping, Optional
 from . import fincat
 from .errors import EmptyCollapseSet, InvalidMap, InvalidPoset, NotDownClosed, UnknownObject
 
-_ONE = re.compile("1")
-
 
 def _bits(m: int) -> list[int]:
     """Indices of the set bits of m, ascending."""
-    if m.bit_count() > 16:  # dense: let the regex engine scan the digits
-        return [x.start() for x in _ONE.finditer(bin(m)[:1:-1])]
     out = []
     while m:
         low = m & -m
@@ -61,7 +56,8 @@ class Poset:
     """A finite poset: ``elements`` sorted, ``up[i]`` the bitmask of the
     indices j with elements[i] <= elements[j], ``down_masks`` its transpose.
     Equality and hashing read (elements, up) only.  Build one with
-    ``make_poset``, which validates."""
+    ``make_poset`` from name pairs or ``from_masks`` from up-masks; both
+    validate."""
 
     elements: tuple[str, ...]
     up: tuple[int, ...]
@@ -71,11 +67,15 @@ class Poset:
     def index(self) -> dict[str, int]:
         return {e: i for i, e in enumerate(self.elements)}
 
-    @property
+    @cached_property
     def leq(self) -> frozenset[tuple[str, str]]:
-        """The order as name pairs, built afresh on each read."""
+        """The order as a set of name pairs."""
+        return frozenset(self.pairs())
+
+    def pairs(self) -> list[tuple[str, str]]:
+        """The order as name pairs (a, b) with a <= b, sorted."""
         e = self.elements
-        return frozenset((e[i], e[j]) for i, ui in enumerate(self.up) for j in _bits(ui))
+        return [(e[i], e[j]) for i, ui in enumerate(self.up) for j in _bits(ui)]
 
     def le(self, a: str, b: str) -> bool:
         i, j = self.index.get(a), self.index.get(b)
@@ -92,7 +92,7 @@ class Poset:
         return frozenset(self.elements[i] for i in _bits(m))
 
 
-def _from_masks(elements: tuple[str, ...], up: list[int]) -> Poset:
+def from_masks(elements: tuple[str, ...], up: list[int]) -> Poset:
     """The one poset validator: reflexivity, then antisymmetry, then
     transitivity (for each j in up[i], up[j] inside up[i]), each failure
     reported at its least witness in sort order.  The down-masks it computes
@@ -135,7 +135,7 @@ def make_poset(elements: Iterable[str], leq: Iterable[tuple[str, str]]) -> Poset
     if unknown:
         a, b = min(unknown)
         raise InvalidPoset(f"relation mentions unknown element ({a!r}, {b!r})")
-    return _from_masks(elems, up)
+    return from_masks(elems, up)
 
 
 @dataclass(frozen=True)
@@ -165,17 +165,10 @@ def make_monotone(source: Poset, target: Poset, mapping: Mapping[str, str]) -> M
         if m[e] not in tindex:
             raise InvalidMap(f"image {m[e]!r} of {e!r} not in target")
         image.append(tindex[m[e]])
-    fibre: dict[int, int] = {}  # target index -> mask of the source elements sent there
     for i, t in enumerate(image):
-        fibre[t] = fibre.get(t, 0) | 1 << i
-    hit = sum(1 << t for t in fibre)
-    allowed: dict[int, int] = {}  # target index t -> sources sent into up(t)
-    for i, t in enumerate(image):
-        if t not in allowed:
-            allowed[t] = sum(fibre[u] for u in _bits(target.up[t] & hit))
-        bad = source.up[i] & ~allowed[t]
+        bad = [k for k in _bits(source.up[i]) if not target.up[t] >> image[k] & 1]
         if bad:
-            raise InvalidMap(f"order not preserved on {source.elements[i]!r} <= {source.elements[_low(bad)]!r}")
+            raise InvalidMap(f"order not preserved on {source.elements[i]!r} <= {source.elements[bad[0]]!r}")
     return MonotoneMap(source, target, m)
 
 
@@ -221,7 +214,7 @@ def _reflect(down: Mapping[str, set]) -> tuple[Poset, dict[str, str]]:
         bit = 1 << index[class_of[b]]
         for a in below:
             up[index[class_of[a]]] |= bit
-    return _from_masks(elems, up), class_of
+    return from_masks(elems, up), class_of
 
 
 def poset_reflection(c: fincat.FinCat) -> tuple[Poset, dict[str, str]]:
@@ -282,7 +275,7 @@ def collapse_lower(p: Poset, lower: Iterable[str], basepoint_name: str) -> Point
 
     up = [moved(p.up[i]) for i in old]
     up.insert(at, 1 << at | moved(_union(p.up, lm)))
-    return PointedPoset(_from_masks(elems, up), bp)
+    return PointedPoset(from_masks(elems, up), bp)
 
 
 def is_trivial(pp: PointedPoset) -> bool:
@@ -381,7 +374,7 @@ def iso_pointed(pp1: PointedPoset, pp2: PointedPoset) -> Optional[PointedMap]:
 # -- DOT output ------------------------------------------------------------
 
 
-def _quote(s: str) -> str:
+def quote(s: str) -> str:
     """A DOT string literal: backslashes and double quotes escaped."""
     return '"' + s.replace("\\", "\\\\").replace('"', '\\"') + '"'
 
@@ -398,8 +391,8 @@ def hasse_dot(p, basepoint: Optional[str] = None) -> str:
     lines = ["digraph hasse {", "  rankdir=BT;"]
     for e in p.elements:
         shape = "doublecircle" if e == basepoint else "ellipse"
-        lines.append(f"  {_quote(e)} [shape={shape}];")
+        lines.append(f"  {quote(e)} [shape={shape}];")
     for a, b in hasse(p):
-        lines.append(f"  {_quote(a)} -> {_quote(b)};")
+        lines.append(f"  {quote(a)} -> {quote(b)};")
     lines.append("}")
     return "\n".join(lines) + "\n"

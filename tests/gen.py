@@ -165,14 +165,13 @@ def two_component_groupoid() -> fincat.FinCat:
 def thin_category(p: order.Poset) -> fincat.FinCat:
     """The poset viewed as a category with one morphism per related pair."""
     objects = list(p.elements)
-    leq = p.leq  # built afresh on every read of the property
-    name = {(a, b): f"[{a}<={b}]" for (a, b) in leq}
-    morphisms = [(name[(a, b)], a, b) for (a, b) in sorted(leq)]
+    name = {(a, b): f"[{a}<={b}]" for (a, b) in p.leq}
+    morphisms = [(name[(a, b)], a, b) for (a, b) in sorted(p.leq)]
     identity = {a: name[(a, a)] for a in objects}
     comp = {}
-    for a, b in leq:
+    for a, b in p.leq:
         for c in p.elements:
-            if (b, c) in leq:
+            if (b, c) in p.leq:
                 comp[(name[(a, b)], name[(b, c)])] = name[(a, c)]
     return fincat.validate_category(objects, morphisms, identity, comp)
 

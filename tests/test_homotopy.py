@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 import gen
 import oracles
 from obstructia import fincat, homotopy, order
-from obstructia.errors import SizeCapExceeded, UnknownMorphism, UnknownObject
+from obstructia.errors import OracleMismatch, SizeCapExceeded, UnknownMorphism, UnknownObject
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "..", "fixtures")
 PAIR_COLLISION = os.path.join(FIXTURES, "pair_collision.cat")
@@ -231,6 +231,11 @@ class TestBasepointMinimality:
                     for e in r.invariant.poset.elements:
                         if e != bp:
                             assert not r.invariant.poset.le(e, bp)
+
+    def test_basepoint_above_an_element_refused(self):
+        p = order.make_poset("012", {(a, b) for a in "012" for b in "012" if a <= b})
+        with pytest.raises(OracleMismatch, match=r"^basepoint fails minimality below '0'$"):
+            homotopy.report_from_pointed(order.PointedPoset(p, "2"), "test")
 
 
 class TestSubterminalTransfer:

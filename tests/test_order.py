@@ -270,6 +270,10 @@ class TestMaps:
         with pytest.raises(InvalidMap):
             order.make_monotone(chain(2), antichain(["a", "b"]), {"0": "a", "1": "b"})
 
+    def test_monotone_names_least_broken_pair(self):
+        with pytest.raises(InvalidMap, match=r"^order not preserved on '0' <= '1'$"):
+            order.make_monotone(chain(3), antichain(["a", "b", "c"]), {"0": "a", "1": "b", "2": "c"})
+
     def test_pointed_rejects_basepoint_move(self):
         a = order.PointedPoset(chain(2), "0")
         with pytest.raises(InvalidMap):
@@ -350,6 +354,7 @@ class TestMaskCoreAgainstPairs:
     def check(self, p):
         elems, leq = p.elements, p.leq
         assert oracles.make_poset(elems, leq) == (elems, leq)
+        assert p.pairs() == sorted(leq)
         assert order.make_poset(reversed(elems), sorted(leq, reverse=True)) == p
         assert order.hasse(p) == oracles.hasse(elems, leq)
         for a in elems:
