@@ -15,7 +15,7 @@ import json
 import sys
 
 from . import fincat, homotopy, opengraph, order, setcat, states
-from .errors import CapExceeded, EngineError, ParseError
+from .errors import EngineError, ParseError
 
 
 def _read(path: str) -> str:
@@ -100,8 +100,7 @@ def _cmd_cat_check_terminal(args, out):
 
 def _cmd_set_pi(args, out, i: int):
     name, f = setcat.parse_function(_read(args.fn))
-    cap = 10  # explicit-materialisation bound for the CLI
-    report = setcat.pi0_function(f, cap) if i == 0 else setcat.pi1_function(f, cap)
+    report = setcat.pi0_function(f) if i == 0 else setcat.pi1_function(f)
     out.write(f"function: {name}\n")
     _emit_report(report, args.format, out)
     return 0
@@ -133,20 +132,17 @@ def _cmd_og_reach(args, out):
 def _cmd_og_obstruct(args, out):
     g = opengraph.parse_open_graph(_read(args.left))
     h = opengraph.parse_open_graph(_read(args.right))
-    carrier = len(g.inputs) * len(h.outputs)
-    if carrier > opengraph.DEFAULT_PAIR_CAP:
-        raise CapExceeded(
-            f"boundary carrier has {carrier} pairs, cap {opengraph.DEFAULT_PAIR_CAP}"
-        )
     rg, rh = opengraph.reach(g), opengraph.reach(h)
+    composed = opengraph.compose_rel(rg, rh)
+    whole = opengraph.reach(opengraph.compose(g, h))
+    # both reports before any output, so a refusal leaves stdout empty
+    pi0 = opengraph.laxator_obstructions(composed, whole)
+    pi1 = opengraph.pi1_laxator(composed, whole)
     out.write("reach left: " + opengraph.relation_text(rg) + "\n")
     out.write("reach right: " + opengraph.relation_text(rh) + "\n")
-    composed = opengraph.compose_rel(rg, rh)
     out.write("composite of parts: " + opengraph.relation_text(composed) + "\n")
-    whole = opengraph.reach(opengraph.compose(g, h))
     out.write("reach of composite: " + opengraph.relation_text(whole) + "\n")
-    _emit_report(opengraph.laxator_obstructions(composed, whole), args.format, out)
-    pi1 = opengraph.pi1_laxator(composed, whole)
+    _emit_report(pi0, args.format, out)
     out.write(f"pi1 trivial: {'yes' if pi1.trivial else 'no'}\n")
     return 0
 

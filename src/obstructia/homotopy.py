@@ -24,7 +24,10 @@ from itertools import combinations
 from typing import Iterable
 
 from . import fincat, order
-from .errors import OracleMismatch, UnknownMorphism, UnknownObject
+from .errors import CapExceeded, OracleMismatch, UnknownMorphism, UnknownObject
+
+# Generators past which no powerset poset is built (it has up to 2^n elements).
+POWERSET_CAP = 12
 
 
 @dataclass(frozen=True)
@@ -255,7 +258,8 @@ def powerset_elements(universe: Iterable[str], collapsed: Iterable[str]) -> dict
 
 def powerset_report(universe: Iterable[str], collapsed: Iterable[str], basepoint: str, context: str) -> ObstructionReport:
     """Inclusion-ordered report: basepoint below everything, survivors are
-    the subsets with something outside the collapsed set.
+    the subsets with something outside the collapsed set.  Refuses with
+    CapExceeded past POWERSET_CAP generators, before any subset is built.
 
     Subsets are bitmasks over the sorted universe.  The up-mask of a subset
     (over the sorted element names) is its own bit ORed with the up-masks of
@@ -264,6 +268,8 @@ def powerset_report(universe: Iterable[str], collapsed: Iterable[str], basepoint
     """
     uni = sorted(set(universe))
     n = len(uni)
+    if n > POWERSET_CAP:
+        raise CapExceeded(f"powerset of {n} generators exceeds cap {POWERSET_CAP}")
     index = {u: i for i, u in enumerate(uni)}
     coll_mask = 0
     for c in set(collapsed):

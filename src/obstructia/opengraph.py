@@ -6,9 +6,10 @@ the side-qualified vertices it merges, primed if that name is taken.
 Reachability sends an open graph to the relation pairing boundary labels
 connected by a directed path; it is lax with respect to gluing, and the gap
 between "compose the relations" and "relation of the composite" is measured
-by the same powerset-collapse obstruction posets, read off those two
-relations so that each is computed once.  Its pi1 is trivial by
-theorem (hom-categories of relations are posets), so it is read off.
+by the same powerset-collapse obstruction posets (at most
+``homotopy.POWERSET_CAP`` pairs), read off those two relations so that each
+is computed once.  Its pi1 is trivial by theorem (hom-categories of
+relations are posets), so it is read off and builds no powerset.
 """
 
 from __future__ import annotations
@@ -18,7 +19,6 @@ from dataclasses import dataclass
 from . import homotopy, order
 from .errors import (
     BoundaryMismatch,
-    CapExceeded,
     DanglingReference,
     LaxityViolation,
     NotAGraphHom,
@@ -26,9 +26,6 @@ from .errors import (
     ParseError,
     TypeMismatch,
 )
-
-# Guard for the obstruction posets: subsets of the composite reachability.
-DEFAULT_PAIR_CAP = 12
 
 
 @dataclass(frozen=True)
@@ -220,21 +217,18 @@ def _rel_pair_labels(pairs) -> list[str]:
     return sorted(f"({x},{y})" for (x, y) in pairs)
 
 
-def _check_laxator(composed: Relation, whole: Relation, cap: int) -> None:
-    """Check that the composite of the parts' reachabilities lies inside the
-    reachability of the composite, and that the latter has at most cap pairs."""
+def _check_laxator(composed: Relation, whole: Relation) -> None:
+    """The composite of the parts' reachabilities must lie inside reach(g . h)."""
     if not composed.pairs <= whole.pairs:
         raise LaxityViolation("composite of parts exceeds reachability of the composite")
-    if len(whole.pairs) > cap:
-        raise CapExceeded(f"composite reachability has {len(whole.pairs)} pairs, cap {cap}")
 
 
-def laxator_obstructions(composed: Relation, whole: Relation, cap: int = DEFAULT_PAIR_CAP) -> homotopy.ObstructionReport:
+def laxator_obstructions(composed: Relation, whole: Relation) -> homotopy.ObstructionReport:
     """pi0 of the slice of inclusion-ordered relations over whole =
     reach(g . h), pointed at composed = compose_rel(reach g, reach h).
     Non-basepoint elements are the sub-relations of the composite's
     reachability that are not accounted for by composing the parts."""
-    _check_laxator(composed, whole, cap)
+    _check_laxator(composed, whole)
     universe = _rel_pair_labels(whole.pairs)
     collapsed = _rel_pair_labels(composed.pairs)
     basepoint = "[" + homotopy.subset_name(collapsed) + "]"
@@ -243,19 +237,19 @@ def laxator_obstructions(composed: Relation, whole: Relation, cap: int = DEFAULT
     )
 
 
-def pi1_laxator(composed: Relation, whole: Relation, cap: int = DEFAULT_PAIR_CAP) -> homotopy.ObstructionReport:
+def pi1_laxator(composed: Relation, whole: Relation) -> homotopy.ObstructionReport:
     """pi1 at the same point.  Hom-categories of relations are posets, so
     every parallel pair of sub-relations is an identity pair and pi1 is the
     one-point poset that homotopy.pi1 gives on the thin category of
     sub-relations (the tests keep that as the oracle)."""
-    _check_laxator(composed, whole, cap)
+    _check_laxator(composed, whole)
     point = homotopy.subset_name(_rel_pair_labels(composed.pairs))
     bp = f"[{point}]"
     pp = order.PointedPoset(order.make_poset([bp], [(bp, bp)]), bp)
     return homotopy.report_from_pointed(pp, f"pi1 at object {point!r}")
 
 
-def act(hom: GraphHom, h: OpenGraph, cap: int = DEFAULT_PAIR_CAP) -> tuple[Relation, order.PointedMap]:
+def act(hom: GraphHom, h: OpenGraph) -> tuple[Relation, order.PointedMap]:
     """Flow of laxator obstructions induced by acting on the left part with
     a 2-morphism.  Returns the reachability of the acted-on graph (the
     target of hom) and the pointed map from the obstruction poset of
@@ -269,8 +263,8 @@ def act(hom: GraphHom, h: OpenGraph, cap: int = DEFAULT_PAIR_CAP) -> tuple[Relat
         raise OracleMismatch("reachability must grow along a graph homomorphism")
 
     rh = reach(h)
-    src = laxator_obstructions(compose_rel(rg, rh), reach(compose(g, h)), cap)
-    dst = laxator_obstructions(compose_rel(rg2, rh), reach(compose(g2, h)), cap)
+    src = laxator_obstructions(compose_rel(rg, rh), reach(compose(g, h)))
+    dst = laxator_obstructions(compose_rel(rg2, rh), reach(compose(g2, h)))
     # Paths survive the homomorphism, so reach(g . h) lies inside
     # reach(g2 . h) and every source subset is still a subset on the target
     # side; it keeps its name exactly when the grown composite-of-parts does
@@ -286,26 +280,24 @@ def act(hom: GraphHom, h: OpenGraph, cap: int = DEFAULT_PAIR_CAP) -> tuple[Relat
 
 
 def parse_open_graph(text: str) -> OpenGraph:
-    inputs: list[str] = []
-    outputs: list[str] = []
+    boundary: dict[str, dict[str, None]] = {}  # labels in order of appearance
     vertices: list[str] = []
     edges = set()
     in_leg: dict[str, str] = {}
     out_leg: dict[str, str] = {}
-    saw_inputs = saw_outputs = False
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
         parts = line.split()
-        if parts[0] == "inputs":
-            saw_inputs = True
-            if len(parts) > 1:
-                inputs.extend(x.strip() for x in " ".join(parts[1:]).split(",") if x.strip())
-        elif parts[0] == "outputs":
-            saw_outputs = True
-            if len(parts) > 1:
-                outputs.extend(x.strip() for x in " ".join(parts[1:]).split(",") if x.strip())
+        if parts[0] in ("inputs", "outputs"):
+            labels = boundary.setdefault(parts[0], {})
+            for x in " ".join(parts[1:]).split(","):
+                x = x.strip()
+                if x in labels:
+                    raise ParseError(f"line {lineno}: duplicate {parts[0][:-1]} {x!r}")
+                if x:
+                    labels[x] = None
         elif parts[0] == "vertex" and len(parts) >= 2:
             vertices.extend(parts[1:])
         elif parts[0] == "edge" and len(parts) == 4 and parts[2] == "->":
@@ -317,9 +309,9 @@ def parse_open_graph(text: str) -> OpenGraph:
             legs[parts[1]] = parts[3]
         else:
             raise ParseError(f"line {lineno}: cannot parse {raw.strip()!r}")
-    if not saw_inputs or not saw_outputs:
+    if len(boundary) < 2:
         raise ParseError("open graph needs 'inputs' and 'outputs' lines")
-    return OpenGraph(tuple(inputs), tuple(outputs), tuple(vertices), frozenset(edges), in_leg, out_leg)
+    return OpenGraph(tuple(boundary["inputs"]), tuple(boundary["outputs"]), tuple(vertices), frozenset(edges), in_leg, out_leg)
 
 
 def serialize_open_graph(g: OpenGraph) -> str:

@@ -5,7 +5,8 @@ per cardinality, all functions) so the generic engine has an ambient to run
 in, and the powerset fast paths that read off the homotopy posets of a
 function directly: obstructions to surjectivity are subsets meeting the
 complement of the image, obstructions to injectivity are subsets of the
-kernel pair meeting its off-diagonal part.
+kernel pair meeting its off-diagonal part.  Both are powerset reports,
+bounded by ``homotopy.POWERSET_CAP`` generators.
 """
 
 from __future__ import annotations
@@ -17,8 +18,8 @@ from itertools import product
 from . import fincat, homotopy
 from .errors import CapExceeded, OracleMismatch, ParseError
 
-# Past this size the powerset poset is not materialised (2^n elements).
-DEFAULT_POWERSET_CAP = 12
+# Largest cardinality the ambient skeleton is built for.
+AMBIENT_MAX_K = 4
 
 
 @dataclass(frozen=True)
@@ -100,13 +101,13 @@ def ambient_fn_name(m: int, n: int, images: tuple[int, ...]) -> str:
     return f"{m}>{n}:" + "".join(str(i) for i in images)
 
 
-def finset_ambient(k: int, max_k: int = 4) -> fincat.FinCat:
+def finset_ambient(k: int) -> fincat.FinCat:
     """Skeleton with one set per cardinality 0..k and every function between
     them.  Function composition is associative by construction; the table is
     fully law-checked for k <= 3 and identity/typing-checked above that
     (the k = 4 table has ~37 million composable triples)."""
-    if k < 0 or k > max_k:
-        raise CapExceeded(f"ambient cardinality bound {k} outside 0..{max_k}")
+    if k < 0 or k > AMBIENT_MAX_K:
+        raise CapExceeded(f"ambient cardinality bound {k} outside 0..{AMBIENT_MAX_K}")
     return _finset_ambient(k)
 
 
@@ -146,13 +147,11 @@ def embed_function(f: FiniteFunction) -> tuple[str, str]:
 # -- powerset fast paths -------------------------------------------------------
 
 
-def pi0_function(f: FiniteFunction, cap: int = DEFAULT_POWERSET_CAP) -> homotopy.ObstructionReport:
+def pi0_function(f: FiniteFunction) -> homotopy.ObstructionReport:
     """Obstructions to surjectivity: the basepoint (everything at or below
     the image) plus all subsets of the codomain that stick out of the image,
     ordered by inclusion.  Minimal obstructions are the singletons over
     missed elements."""
-    if len(f.cod_set) > cap:
-        raise CapExceeded(f"codomain of size {len(f.cod_set)} exceeds powerset cap {cap}")
     return homotopy.powerset_report(
         f.cod_set,
         f.image(),
@@ -161,13 +160,10 @@ def pi0_function(f: FiniteFunction, cap: int = DEFAULT_POWERSET_CAP) -> homotopy
     )
 
 
-def pi1_function(f: FiniteFunction, cap: int = DEFAULT_POWERSET_CAP) -> homotopy.ObstructionReport:
+def pi1_function(f: FiniteFunction) -> homotopy.ObstructionReport:
     """Obstructions to injectivity: subsets of the kernel pair containing an
     off-diagonal pair, ordered by inclusion over a basepoint."""
-    kp = kernel_pair(f)
-    if len(kp.pairs) > cap:
-        raise CapExceeded(f"kernel pair of size {len(kp.pairs)} exceeds powerset cap {cap}")
-    universe = [pair_label(*p) for p in kp.pairs]
+    universe = [pair_label(*p) for p in kernel_pair(f).pairs]
     diagonal = [pair_label(x, x) for x in f.dom_set]
     return homotopy.powerset_report(
         universe,
@@ -189,7 +185,15 @@ def _parse_set(text: str) -> tuple[str, ...]:
     inner = text[1:-1].strip()
     if not inner:
         return ()
-    return tuple(part.strip() for part in inner.split(","))
+    items = tuple(part.strip() for part in inner.split(","))
+    seen = set()
+    for x in items:
+        if not x:
+            raise ParseError(f"empty element in set {text!r}")
+        if x in seen:
+            raise ParseError(f"element {x!r} repeated in set {text!r}")
+        seen.add(x)
+    return items
 
 
 def parse_function(text: str) -> tuple[str, FiniteFunction]:

@@ -8,10 +8,10 @@ injective (anything tensored with zero is zero), and the minimal
 obstructions are exactly the non-separable states respectively the
 colliding input pairs.
 
-Posets are materialised in full while the tensor state space stays small;
-past the powerset cap the reports keep the exact basepoint-plus-minimal
-sub-poset (which carries the whole separability story), with the elision
-noted in the report context; code tells the routes apart by size alone.
+Posets are materialised in full up to ``homotopy.POWERSET_CAP`` generators;
+past it the reports keep the exact basepoint-plus-minimal sub-poset (which
+carries the whole separability story), with the elision noted in the report
+context; code tells the routes apart by size alone.
 The laxator and its reports are cached per (context, objects).
 """
 
@@ -25,12 +25,12 @@ from . import homotopy, order, setcat
 from .errors import DimensionCap, ParseError, WrongContext
 
 Matrix = tuple  # rows of 0/1 ints; rows = target dim, columns = source dim
+DIM_CAP = 6  # largest GF(2) dimension, of a factor or a tensor, enumerated
 
 
 @dataclass(frozen=True)
 class StateContext:
     kind: str  # "cartesian" | "gf2"
-    dim_cap: int = 6
 
     def __post_init__(self):
         if self.kind not in ("cartesian", "gf2"):
@@ -77,11 +77,11 @@ def apply_matrix(m: Matrix, v: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(sum(r * x for r, x in zip(row, v)) % 2 for row in m)
 
 
-def _check_dim(ctx: StateContext, dim: int):
+def _check_dim(dim: int):
     if dim < 0:
         raise DimensionCap(f"negative dimension {dim}")
-    if dim > ctx.dim_cap:
-        raise DimensionCap(f"dimension {dim} exceeds cap {ctx.dim_cap}")
+    if dim > DIM_CAP:
+        raise DimensionCap(f"dimension {dim} exceeds cap {DIM_CAP}")
 
 
 # -- state enumeration ---------------------------------------------------------
@@ -96,7 +96,7 @@ def states_of(ctx: StateContext, obj) -> StateSet:
             raise ParseError(f"duplicate element labels in {labels!r}")
         return StateSet(labels, labels)
     dim = int(obj)
-    _check_dim(ctx, dim)
+    _check_dim(dim)
     return StateSet(dim, tuple(vec_name(v) for v in all_vectors(dim)))
 
 
@@ -125,7 +125,7 @@ def _laxator(ctx: StateContext, a, b) -> setcat.FiniteFunction:
         mapping = {p: p for p in dom}
         return setcat.FiniteFunction(dom, cod, mapping)
     m, n = int(a), int(b)
-    _check_dim(ctx, m * n)
+    _check_dim(m * n)
     va, vb = _gf2_payload(m), _gf2_payload(n)
     cod = tuple(vec_name(v) for v in all_vectors(m * n))
     mapping = {
@@ -178,12 +178,12 @@ def _obstructions(ctx: StateContext, a, b) -> tuple[homotopy.ObstructionReport, 
     lax = laxator(ctx, a, b)
     ctx0 = f"pi0 of state laxator at {lax_context(ctx, a, b)}"
     ctx1 = f"pi1 of state laxator at {lax_context(ctx, a, b)}"
-    if len(lax.cod_set) <= setcat.DEFAULT_POWERSET_CAP:
+    if len(lax.cod_set) <= homotopy.POWERSET_CAP:
         pi0 = replace(setcat.pi0_function(lax), context=ctx0)
     else:
         pi0 = _summary_report(set(lax.cod_set) - lax.image(), ctx0)
     kp = setcat.kernel_pair(lax)
-    if len(kp.pairs) <= setcat.DEFAULT_POWERSET_CAP:
+    if len(kp.pairs) <= homotopy.POWERSET_CAP:
         pi1 = replace(setcat.pi1_function(lax), context=ctx1)
     else:
         off = sorted(setcat.pair_label(*p) for p in kp.off_diagonal())
@@ -204,7 +204,7 @@ def _pi0_element_subsets(ctx: StateContext, a, b) -> dict:
     """The states behind each non-basepoint pi0 element; past the powerset
     cap (the summary route) only the non-separable singletons."""
     lax = laxator(ctx, a, b)
-    if len(lax.cod_set) > setcat.DEFAULT_POWERSET_CAP:
+    if len(lax.cod_set) > homotopy.POWERSET_CAP:
         return {homotopy.subset_name([y]): frozenset([y]) for y in set(lax.cod_set) - lax.image()}
     return homotopy.powerset_elements(lax.cod_set, lax.image())
 
@@ -241,8 +241,8 @@ def local_action(ctx: StateContext, f, g) -> order.PointedMap:
         a2, b2 = len(fm), len(gm)
         check_matrix(fm, a2, a)
         check_matrix(gm, b2, b)
-        _check_dim(ctx, a * b)
-        _check_dim(ctx, a2 * b2)
+        _check_dim(a * b)
+        _check_dim(a2 * b2)
         n, n2 = b, b2
 
         def image_of(name: str, payload=None) -> str:

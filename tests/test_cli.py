@@ -4,6 +4,8 @@ import os
 import subprocess
 import sys
 
+import pytest
+
 from obstructia import cli
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "..", "fixtures")
@@ -93,6 +95,60 @@ class TestSet:
         assert code == 0
         assert "elements (13)" in text
         assert "{(0,1)}" in text and "{(1,0)}" in text
+
+
+class TestPowersetCap:
+    """homotopy.POWERSET_CAP alone bounds the powerset reports the CLI prints."""
+
+    @staticmethod
+    def fn_file(tmp_path, mapping, cod):
+        body = ", ".join(f"{x}=>{y}" for x, y in mapping.items())
+        path = tmp_path / "f.fn"
+        path.write_text(f"fn f : {{{','.join(mapping)}}} -> {{{','.join(cod)}}} ; {body}\n")
+        return str(path)
+
+    @pytest.mark.parametrize("u", [11, 12])
+    def test_pi0_up_to_cap(self, tmp_path, u):
+        cod = [f"y{j}" for j in range(u)]
+        c = u - 2
+        code, text = run("set", "pi0", "--fn", self.fn_file(tmp_path, {y: y for y in cod[:c]}, cod))
+        assert code == 0
+        assert f"elements ({1 + 2**u - 2**c}): " in text
+
+    def test_pi1_twelve_pair_kernel(self, tmp_path):
+        # one fibre of two and eight singletons: 4 + 8 = 12 pairs, 10 on the diagonal
+        mapping = {"a": "y", "b": "y"} | {f"x{i}": f"y{i}" for i in range(8)}
+        code, text = run("set", "pi1", "--fn", self.fn_file(tmp_path, mapping, sorted(set(mapping.values()))))
+        assert code == 0
+        assert f"elements ({1 + 2**12 - 2**10}): " in text
+
+    def test_past_cap_refused_before_output(self, tmp_path, capsys):
+        code, text = run("set", "pi0", "--fn", self.fn_file(tmp_path, {}, [f"y{j}" for j in range(13)]))
+        assert (code, text) == (1, "")
+        assert capsys.readouterr().err.startswith("error CapExceeded")
+
+    @pytest.mark.parametrize("hub", [False, True])
+    def test_obstruct_four_by_four_boundary(self, tmp_path, capsys, hub):
+        # Diagonal: input i reaches output i only (4 pairs of 16), served.
+        # Hub: every input reaches every output (16 pairs), refused.
+        vertex = ["h"] * 4 if hub else ["v0", "v1", "v2", "v3"]
+
+        def graph(name, ins, outs):
+            lines = [f"inputs {','.join(ins)}", f"outputs {','.join(outs)}", "vertex " + " ".join(sorted(set(vertex)))]
+            lines += [f"in {x} = {v}" for x, v in zip(ins, vertex)]
+            lines += [f"out {y} = {v}" for y, v in zip(outs, vertex)]
+            path = tmp_path / name
+            path.write_text("\n".join(lines) + "\n")
+            return str(path)
+
+        code, text = run("opengraph", "obstruct", graph("left.og", "abcd", "mnpq"), graph("right.og", "mnpq", "wxyz"))
+        if hub:
+            assert (code, text) == (1, "")
+            assert capsys.readouterr().err.startswith("error CapExceeded")
+        else:
+            assert code == 0
+            assert "reach of composite: {(a,w),(b,x),(c,y),(d,z)}\n" in text
+            assert "elements (1): " in text
 
 
 class TestOpenGraph:

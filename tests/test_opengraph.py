@@ -97,6 +97,12 @@ class TestParsing:
         with pytest.raises(ParseError, match=r"line 6: duplicate out leg 'b'"):
             og.parse_open_graph(head + "in a = v\nout b = v\nout b = v")
 
+    def test_duplicate_boundary_labels_rejected_with_line(self):
+        with pytest.raises(ParseError, match=r"line 1: duplicate input '1'"):
+            og.parse_open_graph("inputs 1,1\noutputs 2")
+        with pytest.raises(ParseError, match=r"line 3: duplicate output 'b'"):
+            og.parse_open_graph("inputs a\noutputs b\noutputs c,b")
+
     def test_dangling_leg(self):
         with pytest.raises(DanglingReference):
             og.parse_open_graph("inputs a\noutputs\nvertex v\nin a = w")
@@ -256,6 +262,8 @@ class TestLaxatorObstructions:
         assert len(og.reach(og.compose(g, h)).pairs) == 16
         with pytest.raises(CapExceeded):
             og.laxator_obstructions(*laxator(g, h))
+        # pi1 is read off by theorem and builds no powerset, so it has no cap
+        assert og.pi1_laxator(*laxator(g, h)).trivial
 
 
 class TestPi1Laxator:

@@ -57,6 +57,13 @@ class TestFiniteFunction:
         with pytest.raises(ParseError):
             setcat.parse_function("fn bad : {0,1} -> {a} ; 0=>a")
 
+    def test_empty_or_repeated_element_rejected(self):
+        # an element "" would render its singleton as "{}", the basepoint's name
+        with pytest.raises(ParseError, match="empty element in set '{a,,b}'"):
+            setcat.parse_function("fn f : {a} -> {a,,b} ; a=>a")
+        with pytest.raises(ParseError, match="element 'x' repeated in set '{x,x}'"):
+            setcat.parse_function("fn f : {x,x} -> {y} ; x=>y")
+
     def test_value_outside_codomain(self):
         with pytest.raises(ParseError):
             setcat.parse_function("fn bad : {0} -> {a} ; 0=>b")
@@ -163,12 +170,12 @@ class TestPi1Function:
 class TestMinimalCounts:
     def test_counts_match_fibre_arithmetic(self):
         for f in all_functions(3):
-            if len(f.cod_set) <= setcat.DEFAULT_POWERSET_CAP:
+            if len(f.cod_set) <= homotopy.POWERSET_CAP:
                 r0 = setcat.pi0_function(f)
                 assert len(r0.minimal) == len(set(f.cod_set) - f.image())
                 assert r0.trivial == f.is_surjective()
             kp = setcat.kernel_pair(f)
-            if len(kp.pairs) <= setcat.DEFAULT_POWERSET_CAP:
+            if len(kp.pairs) <= homotopy.POWERSET_CAP:
                 r1 = setcat.pi1_function(f)
                 assert len(r1.minimal) == len(kp.pairs) - len(f.dom_set)
                 assert r1.trivial == f.is_injective()
