@@ -7,7 +7,9 @@ with concrete engines for finite sets, open-graph reachability and
 state-functor laxators.
 """
 
-from . import cli, errors, fincat, homotopy, opengraph, order, setcat, states
+import importlib
+
+from . import errors, fincat, homotopy, opengraph, order, setcat, states
 
 __all__ = [
     "cli",
@@ -21,3 +23,10 @@ __all__ = [
 ]
 
 __version__ = "0.1.0"
+
+
+def __getattr__(name):
+    # cli loads on first use, so ``python -m obstructia.cli`` runs it fresh
+    if name == "cli":
+        return importlib.import_module(".cli", __name__)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -166,8 +166,9 @@ def _parse_sets(text: str) -> tuple[tuple[str, ...], tuple[str, ...]]:
         left, right = text.split("|", 1)
     except ValueError:
         raise ParseError("--sets wants 'a,b|c,d'")
-    a = tuple(x.strip() for x in left.split(",") if x.strip())
-    b = tuple(x.strip() for x in right.split(",") if x.strip())
+    a, b = (tuple(x.strip() for x in side.split(",")) if side.strip() else () for side in (left, right))
+    if "" in a + b:
+        raise ParseError(f"--sets has an empty item in {text!r}")
     return a, b
 
 

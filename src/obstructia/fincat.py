@@ -17,7 +17,9 @@ or as a materialised category with its composition table.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import product
+from types import MappingProxyType
 from typing import Iterable, Mapping, NamedTuple
 
 from .errors import (
@@ -65,12 +67,13 @@ DEFAULT_CAPS = SizeCaps()
 @dataclass(frozen=True)
 class FinCat:
     """Storage is canonical (objects and morphisms sorted by id), so two
-    categories with the same tables compare equal however they were built."""
+    categories with the same tables compare equal however they were built.
+    The tables are read-only views, so nothing derived from them goes stale."""
 
     objects: tuple[str, ...]
     morphisms: tuple[MorDecl, ...]
-    identity: dict[str, str]
-    comp: dict[tuple[str, str], str]
+    identity: Mapping[str, str]
+    comp: Mapping[tuple[str, str], str]
     _dom: dict[str, str] = field(init=False, repr=False, compare=False)
     _cod: dict[str, str] = field(init=False, repr=False, compare=False)
     _hom: dict[tuple[str, str], tuple[str, ...]] = field(init=False, repr=False, compare=False)
@@ -84,6 +87,22 @@ class FinCat:
         object.__setattr__(self, "_dom", dom)
         object.__setattr__(self, "_cod", cod)
         object.__setattr__(self, "_hom", {k: tuple(v) for k, v in hom.items()})
+        object.__setattr__(self, "identity", MappingProxyType(self.identity))
+        object.__setattr__(self, "comp", MappingProxyType(self.comp))
+
+    @cached_property
+    def interned(self) -> tuple[dict[str, int], list[dict[int, int]], dict[str, list[int]]]:
+        """The morphisms as ints, their positions in ``morphisms``: the index,
+        one row per morphism g mapping each h into dom g to h;g, and the
+        morphisms into each object in that order."""
+        index = {m.name: i for i, m in enumerate(self.morphisms)}
+        rows: list[dict[int, int]] = [{} for _ in self.morphisms]
+        for (h, g), hg in self.comp.items():
+            rows[index[g]][index[h]] = index[hg]
+        into: dict[str, list[int]] = {x: [] for x in self.objects}
+        for i, m in enumerate(self.morphisms):
+            into[m.cod].append(i)
+        return index, rows, into
 
     # -- lookups ---------------------------------------------------------
 
@@ -105,10 +124,6 @@ class FinCat:
 
     def hom(self, x: str, y: str) -> tuple[str, ...]:
         return self._hom.get((x, y), ())
-
-    def compose(self, f: str, g: str) -> str:
-        """Diagrammatic composite f;g."""
-        return self.comp[(f, g)]
 
     def id_of(self, x: str) -> str:
         if x not in self.identity:
@@ -167,6 +182,7 @@ def validate_category(
             raise MissingIdentity(x, f"identity {i!r} is not an endomorphism of {x!r}")
 
     table = dict(comp)
+    row: dict[str, dict[str, str]] = {m: {} for m in dom}  # row[f][g] = f;g
     for (f, g), h in table.items():
         if f not in dom:
             raise DanglingReference(f"composition entry uses unknown morphism {f!r}")
@@ -180,6 +196,7 @@ def validate_category(
             raise BadCompositionTyping(
                 f"composite of ({f!r}, {g!r}) must go {dom[f]!r} -> {cod[g]!r}, got {h!r}"
             )
+        row[f][g] = h
     # Totality through adjacency: out_of keeps declaration order, so the first
     # missing pair is the one an all-pairs scan would find.
     out_of: dict[str, list[str]] = {x: [] for x in objs}
@@ -187,26 +204,66 @@ def validate_category(
         out_of[dom[m]].append(m)
     for f in dom:
         for g in out_of[cod[f]]:
-            if (f, g) not in table:
+            if g not in row[f]:
                 raise BadCompositionTyping(f"missing composite for composable pair ({f!r}, {g!r})")
 
     for m in dom:
-        left = table[(ident[dom[m]], m)]
+        left = row[ident[dom[m]]][m]
         if left != m:
             raise MissingIdentity(m, f"comp(id, {m!r}) = {left!r}")
-        right = table[(m, ident[cod[m]])]
+        right = row[m][ident[cod[m]]]
         if right != m:
             raise MissingIdentity(m, f"comp({m!r}, id) = {right!r}")
 
-    # Associativity over composable triples, through the same adjacency.
-    for f in dom:
-        for g in out_of[cod[f]]:
-            fg = table[(f, g)]
-            for h in out_of[cod[g]]:
-                if table[(fg, h)] != table[(f, table[(g, h)])]:
-                    raise NonAssociative(f, g, h)
+    # Associativity by F. W. Light's test (Clifford & Preston, The Algebraic
+    # Theory of Semigroups I, 1.2).  With the identity laws in hand, the
+    # middles t with (f;t);h = f;(t;h) for all f, h contain the identities and
+    # are closed under composition, so generator middles suffice.  A failure
+    # reruns the scan over every middle for its first failing triple.
+    if next(_non_associative(_triples(_generators(dom, cod, ident, row), dom, cod, out_of), row), None):
+        raise NonAssociative(*next(_non_associative(_triples(dom, dom, cod, out_of), row)))
 
     return FinCat(tuple(sorted(objs)), tuple(sorted(mors, key=lambda m: m.name)), ident, table)
+
+
+def _generators(dom, cod, ident, row) -> set:
+    """A generating set, by a greedy semi-naive closure: walk the morphisms
+    in declaration order, the identities reached from the start, and make
+    each one not yet reached a generator.  A morphism entering the closure
+    is composed on both sides with those that entered before it (and with
+    itself), so each composable pair of the closure is composed once."""
+    reached, gens = set(ident.values()), set()
+    ends, starts = {}, {}  # object -> closure morphisms into it, out of it
+    for m in dom:
+        queue = [] if m in reached else [m]
+        gens.update(queue)
+        reached.update(queue)
+        while queue:
+            a = queue.pop()
+            ends.setdefault(cod[a], []).append(a)
+            starts.setdefault(dom[a], []).append(a)
+            new = {row[b][a] for b in ends.get(dom[a], ())} | {row[a][b] for b in starts.get(cod[a], ())}
+            queue += new - reached
+            reached |= new
+    return gens
+
+
+def _triples(middles, dom, cod, out_of):
+    """The composable triples (f, g, h) with g in middles, as (f, g, hs) with
+    hs every h: f, g and h each run in declaration order."""
+    for f in dom:
+        for g in out_of[cod[f]]:
+            if g in middles:
+                yield f, g, out_of[cod[g]]
+
+
+def _non_associative(triples, row):
+    """The triples on which (f;g);h and f;(g;h) differ, in order."""
+    for f, g, hs in triples:
+        rf, rg, rfg = row[f], row[g], row[row[f][g]]
+        for h in hs:
+            if rfg[h] != rf[rg[h]]:
+                yield f, g, h
 
 
 def _build(objects, morphisms, identity, comp) -> FinCat:
@@ -225,12 +282,6 @@ class FunctorData:
     target: FinCat
     obj_map: dict[str, str]
     mor_map: dict[str, str]
-
-    def apply_obj(self, x: str) -> str:
-        return self.obj_map[x]
-
-    def apply_mor(self, m: str) -> str:
-        return self.mor_map[m]
 
 
 def validate_functor(source: FinCat, target: FinCat, obj_map: Mapping[str, str], mor_map: Mapping[str, str]) -> FunctorData:
@@ -349,6 +400,7 @@ def _enumerate(c: FinCat, x: str, k: int, caps: SizeCaps, table: bool, over: str
     only when a ``table`` will be built."""
     if not c.has_object(x):
         raise UnknownObject(x)
+    index, _, into = c.interned
 
     # Predicted sizes from hom-set cardinalities only: an object z carries
     # |F|^k tuples for each fibre F of hom(z, x) (all of it, or one fibre per
@@ -358,10 +410,8 @@ def _enumerate(c: FinCat, x: str, k: int, caps: SizeCaps, table: bool, over: str
         for f in c.hom(z, x):
             fibres[z].setdefault(None if over is None else c.comp[f, over], []).append(f)
     weight = {z: sum(len(fb) ** k for fb in fibres[z].values()) for z in c.objects}
-    into: dict[str, list[str]] = {z: [] for z in c.objects}
     outp = dict.fromkeys(c.objects, 0)
     for m in c.morphisms:
-        into[m.cod].append(m.name)
         outp[m.dom] += weight[m.cod]
     checks = [("objects", sum(weight.values()), caps.objects),
               ("morphisms", sum(len(into[z]) * weight[z] for z in c.objects), caps.morphisms)]
@@ -374,35 +424,46 @@ def _enumerate(c: FinCat, x: str, k: int, caps: SizeCaps, table: bool, over: str
 
     used: set = set()
     elements: dict[str, tuple[str, ...]] = {}
-    name_of: dict[tuple[str, ...], str] = {}
+    tuples: list[tuple[str, tuple[int, ...]]] = []  # (domain, interned tuple) per element
     for y in c.objects:
         for g, fibre in fibres[y].items():
-            for t in product(fibre, repeat=k):
+            ids = [index[f] for f in fibre]
+            for t, it in zip(product(fibre, repeat=k), product(ids, repeat=k)):
                 parts = t if over is None else [f"{f}[{g}=>{over}]" for f in t]
-                name = _fresh_name(parts[0] if k == 1 else pair_name(*parts), used)
-                elements[name] = t
-                name_of[t] = name
-    return elements, _arrows(c, elements, name_of, into)
+                elements[_fresh_name(parts[0] if k == 1 else pair_name(*parts), used)] = t
+                tuples.append((y, it))
+    return elements, _arrows(c, tuples)
 
 
-def _arrows(c: FinCat, elements, name_of, into):
-    """Walk the morphisms of the category of elements: one (src, h, tgt) per
-    target tuple t and h into its domain, where src is the tuple h;t_i."""
-    comp = c.comp
-    for tgt, t in elements.items():
-        for h in into[c.dom(t[0])]:
-            yield name_of[tuple([comp[h, g] for g in t])], h, tgt
+def _arrows(c: FinCat, tuples):
+    """Walk the morphisms of the category of elements over the interned
+    tables.  For each target tuple t, in order, yield the morphisms h into
+    its domain and, for each, the position of its source h;t: a k-tuple of
+    ints g is looked up by its code g_1*M + g_2 (g_1 when k = 1), M the
+    number of morphisms."""
+    _, rows, into = c.interned
+    size = len(rows)
+    at = {t[0] if len(t) == 1 else t[0] * size + t[1]: j for j, (_, t) in enumerate(tuples)}
+    for y, t in tuples:
+        hs, r0, r1 = into[y], rows[t[0]], rows[t[-1]]
+        if len(t) == 1:
+            yield hs, [at[r0[h]] for h in hs]
+        else:
+            yield hs, [at[r0[h] * size + r1[h]] for h in hs]
 
 
 def _elements_preorder(c: FinCat, x: str, k: int, caps: SizeCaps, over: str | None = None):
     """The reachability preorder of the category of elements of hom(-, x)^k,
-    without its composition table: ``elements`` and, for each object, its
-    down-set (the names with a morphism to it).  Identities and composites
-    make it reflexive and transitive as it stands: no closure is needed."""
+    without its composition table: ``elements`` and, in that order, their
+    down-masks (bit j set when element j has a morphism to it).  Identities
+    and composites make it reflexive and transitive: no closure is needed."""
     elements, arrows = _enumerate(c, x, k, caps, table=False, over=over)
-    down: dict[str, set] = {p: set() for p in elements}
-    for src, _, tgt in arrows:
-        down[tgt].add(src)
+    down = []
+    for _, sources in arrows:
+        mask = 0
+        for j in sources:
+            mask |= 1 << j
+        down.append(mask)
     return elements, down
 
 
@@ -411,19 +472,22 @@ def _elements_category(c: FinCat, x: str, k: int, caps: SizeCaps) -> ElementsCat
     tuple (g_1, .., g_k) is an h with h;g_i = f_i for every i, and the
     projection sends a tuple to its domain and each morphism to its witness h."""
     elements, arrows = _enumerate(c, x, k, caps, table=True)
+    names = list(elements)
     used: set = set()
     mors = []
     witness: dict[str, tuple[str, str, str]] = {}
     by_key: dict[tuple[str, str, str], str] = {}
     incoming: dict[str, list[str]] = {p: [] for p in elements}
     outgoing: dict[str, list[str]] = {p: [] for p in elements}
-    for src, h, tgt in arrows:
-        name = _fresh_name(f"{h}[{src}=>{tgt}]", used)
-        mors.append((name, src, tgt))
-        witness[name] = (src, h, tgt)
-        by_key[(src, h, tgt)] = name
-        incoming[tgt].append(name)
-        outgoing[src].append(name)
+    for tgt, (hs, sources) in zip(names, arrows):
+        for i, j in zip(hs, sources):
+            src, h = names[j], c.morphisms[i].name
+            name = _fresh_name(f"{h}[{src}=>{tgt}]", used)
+            mors.append((name, src, tgt))
+            witness[name] = (src, h, tgt)
+            by_key[(src, h, tgt)] = name
+            incoming[tgt].append(name)
+            outgoing[src].append(name)
 
     ident = {p: by_key[(p, c.id_of(c.dom(t[0])), p)] for p, t in elements.items()}
 

@@ -24,7 +24,7 @@ from itertools import combinations
 from typing import Iterable
 
 from . import fincat, order
-from .errors import CapExceeded, OracleMismatch, UnknownMorphism, UnknownObject
+from .errors import CapExceeded, InvalidPoset, OracleMismatch, UnknownMorphism, UnknownObject
 
 # Generators past which no powerset poset is built (it has up to 2^n elements).
 POWERSET_CAP = 12
@@ -78,7 +78,7 @@ def _pi_data(c: fincat.FinCat, x: str, k: int, caps: fincat.SizeCaps, over: str 
     given), with classes keyed by tuple, and the tuple behind each name.
     Class names are least member names, so each names a tuple."""
     elements, down = fincat._elements_preorder(c, x, k, caps, over)
-    p, class_of = order._reflect(down)
+    p, class_of = order._reflect(list(elements), down)
     return (p, {t: class_of[name] for name, t in elements.items()}), elements
 
 
@@ -259,7 +259,8 @@ def powerset_elements(universe: Iterable[str], collapsed: Iterable[str]) -> dict
 def powerset_report(universe: Iterable[str], collapsed: Iterable[str], basepoint: str, context: str) -> ObstructionReport:
     """Inclusion-ordered report: basepoint below everything, survivors are
     the subsets with something outside the collapsed set.  Refuses with
-    CapExceeded past POWERSET_CAP generators, before any subset is built.
+    CapExceeded past POWERSET_CAP generators, before any subset is built,
+    and with InvalidPoset when two elements would render alike.
 
     Subsets are bitmasks over the sorted universe.  The up-mask of a subset
     (over the sorted element names) is its own bit ORed with the up-masks of
@@ -283,6 +284,9 @@ def powerset_report(universe: Iterable[str], collapsed: Iterable[str], basepoint
             name_of[mask] = subset_name(uni[i] for i in range(n) if mask >> i & 1)
 
     elems = tuple(sorted({basepoint, *name_of.values()}))
+    if len(elems) != len(name_of) + 1:
+        names = sorted([basepoint, *name_of.values()])
+        raise InvalidPoset(f"two elements render as {next(a for a, b in zip(names, names[1:]) if a == b)!r}")
     pos = {e: i for i, e in enumerate(elems)}
     up = [0] * len(elems)
     up[pos[basepoint]] = (1 << len(elems)) - 1

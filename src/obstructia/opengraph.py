@@ -292,12 +292,13 @@ def parse_open_graph(text: str) -> OpenGraph:
         parts = line.split()
         if parts[0] in ("inputs", "outputs"):
             labels = boundary.setdefault(parts[0], {})
-            for x in " ".join(parts[1:]).split(","):
+            for x in " ".join(parts[1:]).split(",") if len(parts) > 1 else ():
                 x = x.strip()
+                if not x:
+                    raise ParseError(f"line {lineno}: empty {parts[0][:-1]} label")
                 if x in labels:
                     raise ParseError(f"line {lineno}: duplicate {parts[0][:-1]} {x!r}")
-                if x:
-                    labels[x] = None
+                labels[x] = None
         elif parts[0] == "vertex" and len(parts) >= 2:
             vertices.extend(parts[1:])
         elif parts[0] == "edge" and len(parts) == 4 and parts[2] == "->":

@@ -199,22 +199,28 @@ def compose_pointed(first: PointedMap, second: PointedMap) -> PointedMap:
 # -- poset reflection ------------------------------------------------------
 
 
-def _reflect(down: Mapping[str, set]) -> tuple[Poset, dict[str, str]]:
-    """Reflect a preorder given by the down-set of each element (reflexive
-    and transitive as given).  The class of x is down(x) & up(x), named by
-    its least member, so the output is reproducible; classes are ordered as
-    their members are.  Returns the poset and the element -> class map."""
-    class_of: dict[str, str] = {}
-    for x, below in down.items():
-        class_of[x] = min(a for a in below if x in down[a])
-    elems = tuple(sorted(set(class_of.values())))
+def _reflect(names, down: list[int]) -> tuple[Poset, dict[str, str]]:
+    """Reflect a preorder on ``names`` given by down-masks (bit j of down[i]
+    set when names[j] <= names[i]), reflexive and transitive as given.  The
+    class of i is down[i] & up[i], which in a preorder is the set of
+    elements with the same down-mask; it is named by its least member, so
+    the output is reproducible, and classes are ordered as their members
+    are: the classes below one are read off its down-mask, one least member
+    at a time.  Returns the poset and the name -> class map."""
+    members: dict[int, int] = {}  # down-mask -> the class having it
+    for i, d in enumerate(down):
+        members[d] = members.get(d, 0) | 1 << i
+    cls = {d: min(names[j] for j in _bits(m)) for d, m in members.items()}
+    elems = tuple(sorted(cls.values()))
     index = {e: i for i, e in enumerate(elems)}
     up = [0] * len(elems)
-    for b, below in down.items():
-        bit = 1 << index[class_of[b]]
-        for a in below:
-            up[index[class_of[a]]] |= bit
-    return from_masks(elems, up), class_of
+    for d in members:
+        bit, rest = 1 << index[cls[d]], d
+        while rest:
+            below = down[_low(rest)]
+            up[index[cls[below]]] |= bit
+            rest &= ~members[below]
+    return from_masks(elems, up), {e: cls[d] for e, d in zip(names, down)}
 
 
 def poset_reflection(c: fincat.FinCat) -> tuple[Poset, dict[str, str]]:
@@ -225,10 +231,11 @@ def poset_reflection(c: fincat.FinCat) -> tuple[Poset, dict[str, str]]:
     Only the morphisms are read (dom below cod), never the composition
     table.  Returns the poset and the object -> class map.
     """
-    down: dict[str, set] = {x: set() for x in c.objects}
+    index = {x: i for i, x in enumerate(c.objects)}
+    down = [0] * len(index)
     for m in c.morphisms:
-        down[m.cod].add(m.dom)
-    return _reflect(down)
+        down[index[m.cod]] |= 1 << index[m.dom]
+    return _reflect(c.objects, down)
 
 
 def _mask(p: Poset, names: Iterable[str]) -> int:

@@ -103,9 +103,8 @@ def ambient_fn_name(m: int, n: int, images: tuple[int, ...]) -> str:
 
 def finset_ambient(k: int) -> fincat.FinCat:
     """Skeleton with one set per cardinality 0..k and every function between
-    them.  Function composition is associative by construction; the table is
-    fully law-checked for k <= 3 and identity/typing-checked above that
-    (the k = 4 table has ~37 million composable triples)."""
+    them, law-checked like any other category (at k = 4, 499 morphisms
+    and 133,799 composition entries)."""
     if k < 0 or k > AMBIENT_MAX_K:
         raise CapExceeded(f"ambient cardinality bound {k} outside 0..{AMBIENT_MAX_K}")
     return _finset_ambient(k)
@@ -128,10 +127,7 @@ def _finset_ambient(k: int) -> fincat.FinCat:
         for g, (n2, p, gi) in fn_of.items():
             if n == n2:
                 comp[(f, g)] = ambient_fn_name(m, p, tuple(gi[i] for i in fi))
-
-    if k <= 3:
-        return fincat.validate_category(objects, morphisms, identity, comp)
-    return fincat._build(objects, morphisms, identity, comp)
+    return fincat.validate_category(objects, morphisms, identity, comp)
 
 
 def embed_function(f: FiniteFunction) -> tuple[str, str]:

@@ -15,7 +15,14 @@ frozenset of name pairs, and every check is a set lookup.
 from itertools import combinations
 
 from obstructia import fincat, homotopy, order
-from obstructia.errors import EmptyCollapseSet, InvalidPoset, NotDownClosed, UnknownObject
+from obstructia.errors import (
+    EmptyCollapseSet,
+    InvalidPoset,
+    MissingIdentity,
+    NonAssociative,
+    NotDownClosed,
+    UnknownObject,
+)
 
 BP = object()  # marker for the basepoint in oracle outputs
 
@@ -44,6 +51,30 @@ def mono(c, f):
             if c.comp[(g, f)] == c.comp[(h, f)]:
                 return False
     return True
+
+
+def law_failure(morphisms, identity, comp):
+    """The first categorical law broken by a well-typed composition table
+    that is total on composable pairs, as the exception validation raises,
+    or None.  The identity laws come first, by declared morphism, left
+    before right.  Associativity is checked on every triple by a plain loop
+    over the entries of comp, and the witness is the failing triple least
+    in declaration order."""
+    for m, d, c in morphisms:
+        left, right = comp[(identity[d], m)], comp[(m, identity[c])]
+        if left != m:
+            return MissingIdentity(m, f"comp(id, {m!r}) = {left!r}")
+        if right != m:
+            return MissingIdentity(m, f"comp({m!r}, id) = {right!r}")
+    after = {}
+    for (f, g), fg in comp.items():
+        after.setdefault(f, {})[g] = fg
+    failing = [(f, g, h) for (f, g), fg in comp.items() for h, gh in after[g].items()
+               if comp[(fg, h)] != comp[(f, gh)]]
+    if not failing:
+        return None
+    pos = {m: i for i, (m, _, _) in enumerate(morphisms)}
+    return NonAssociative(*min(failing, key=lambda t: [pos[m] for m in t]))
 
 
 def _classes(items, related):

@@ -228,6 +228,14 @@ class TestStates:
         assert code == 0
         assert "trivialised: 0 of 0" in text
 
+    def test_empty_set_item_refused(self, capsys):
+        code, text = run("states", "obstruct", "--context", "cartesian", "--sets", "a,,b|c")
+        assert (code, text) == (1, "")
+        assert "error ParseError: --sets has an empty item in 'a,,b|c'" in capsys.readouterr().err
+        code, text = run("states", "obstruct", "--context", "cartesian", "--sets", "a|")
+        assert code == 0
+        assert "states of tensor: 0" in text
+
     def test_missing_args(self, capsys):
         code, _ = run("states", "obstruct", "--context", "gf2")
         assert code == 1
@@ -297,3 +305,4 @@ def test_console_entry_point():
     )
     assert proc.returncode == 0
     assert "2 morphisms" in proc.stdout
+    assert proc.stderr == ""

@@ -2,10 +2,11 @@ import os
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import gen
+import oracles
 from obstructia import fincat
 from obstructia.errors import (
     BadCompositionTyping,
@@ -142,6 +143,62 @@ class TestValidation:
     def test_missing_identity_declaration(self):
         with pytest.raises(MissingIdentity):
             fincat.validate_category(["0"], [("f", "0", "0")], {}, {("f", "f"): "f"})
+
+    def test_tables_are_read_only(self, z2):
+        with pytest.raises(TypeError):
+            z2.comp[("s", "s")] = "s"
+        with pytest.raises(TypeError):
+            z2.identity["*"] = "s"
+
+
+class TestLightsTest:
+    def test_cyclic_group_needs_one_generator(self, monkeypatch):
+        gens, triples = [], []
+        generators, triples_of = fincat._generators, fincat._triples
+
+        def counted(*args):
+            for f, g, hs in triples_of(*args):
+                triples.append(len(hs))
+                yield f, g, hs
+
+        monkeypatch.setattr(fincat, "_generators", lambda *args: gens.append(generators(*args)) or gens[-1])
+        monkeypatch.setattr(fincat, "_triples", counted)
+        gen.cyclic_group_category(20)
+        assert gens == [{"g1"}]
+        assert sum(triples) == 20 * 20  # the scan over every middle takes 20^3
+
+    def test_witness_is_the_first_of_the_full_scan(self):
+        # Z/4 with g3;g1 = g1: the first failing triple with the generator g1
+        # in the middle is (g2, g1, g1), the scan over every middle meets
+        # (g1, g2, g1) first
+        c = gen.cyclic_group_category(4)
+        comp = dict(c.comp)
+        comp[("g3", "g1")] = "g1"
+        with pytest.raises(NonAssociative, match=r"\('g1', 'g2', 'g1'\)"):
+            fincat.validate_category(c.objects, [(m.name, m.dom, m.cod) for m in c.morphisms], c.identity, comp)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(min_value=0, max_value=10_000), st.data())
+    def test_corrupted_entry_fails_as_the_oracle_says(self, seed, data):
+        # one entry points at another morphism of the same hom-set; entries
+        # with no identity in them break associativity rather than an
+        # identity law, so half the draws take only those
+        c = gen.random_category(random.Random(seed))
+        entries = [(key, h) for key, h in sorted(c.comp.items()) if len(c.hom(c.dom(h), c.cod(h))) > 1]
+        if data.draw(st.booleans()):
+            entries = [(key, h) for key, h in entries if not set(key) & set(c.identity.values())]
+        assume(entries)
+        key, h = data.draw(st.sampled_from(entries))
+        comp = dict(c.comp)
+        comp[key] = data.draw(st.sampled_from([m for m in c.hom(c.dom(h), c.cod(h)) if m != h]))
+        decls = data.draw(st.permutations([(m.name, m.dom, m.cod) for m in c.morphisms]))
+        expected = oracles.law_failure(decls, c.identity, comp)
+        if expected is None:
+            fincat.validate_category(c.objects, decls, c.identity, comp)
+        else:
+            with pytest.raises(type(expected)) as exc:
+                fincat.validate_category(c.objects, decls, c.identity, comp)
+            assert str(exc.value) == str(expected)
 
 
 class TestTextFormat:

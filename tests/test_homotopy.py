@@ -140,9 +140,9 @@ class TestOneReflectionPerCategory:
         calls = []
         reflect = order._reflect
 
-        def counted(down):
+        def counted(names, down):
             calls.append(1)
-            return reflect(down)
+            return reflect(names, down)
 
         monkeypatch.setattr(order, "_reflect", counted)
 

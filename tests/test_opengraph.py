@@ -103,6 +103,13 @@ class TestParsing:
         with pytest.raises(ParseError, match=r"line 3: duplicate output 'b'"):
             og.parse_open_graph("inputs a\noutputs b\noutputs c,b")
 
+    def test_empty_boundary_label_rejected_with_line(self):
+        with pytest.raises(ParseError, match=r"line 1: empty input label"):
+            og.parse_open_graph("inputs 1,,2\noutputs 3")
+        with pytest.raises(ParseError, match=r"line 2: empty output label"):
+            og.parse_open_graph("inputs 1\noutputs 3,")
+        assert og.parse_open_graph("inputs\noutputs").inputs == ()
+
     def test_dangling_leg(self):
         with pytest.raises(DanglingReference):
             og.parse_open_graph("inputs a\noutputs\nvertex v\nin a = w")

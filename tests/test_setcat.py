@@ -4,7 +4,7 @@ from itertools import product
 import pytest
 
 from obstructia import fincat, homotopy, order, setcat
-from obstructia.errors import CapExceeded, OracleMismatch, ParseError
+from obstructia.errors import CapExceeded, InvalidPoset, OracleMismatch, ParseError
 
 FN_MISSING_TWO = "fn missing_two : {0,1} -> {0,1,2,3} ; 0=>0, 1=>1"
 FN_FOLD_PAIR = "fn fold_pair : {0,1} -> {*} ; 0=>*, 1=>*"
@@ -124,6 +124,15 @@ class TestPi0Function:
     def test_cap(self):
         f = setcat.FiniteFunction((), tuple(str(i) for i in range(13)), {})
         with pytest.raises(CapExceeded):
+            setcat.pi0_function(f)
+
+    def test_labels_that_render_alike_are_refused(self):
+        # {""} renders as the basepoint's name, {"a,b"} as the subset {a,b}
+        f = setcat.FiniteFunction(("a",), ("", "a", "b"), {"a": "a"})
+        with pytest.raises(InvalidPoset, match=r"two elements render as '\{\}'"):
+            setcat.pi0_function(f)
+        f = setcat.FiniteFunction((), ("a", "a,b", "b"), {})
+        with pytest.raises(InvalidPoset, match=r"two elements render as '\{a,b\}'"):
             setcat.pi0_function(f)
 
     def test_second_route_through_collapse(self, seed):
