@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import sys
 
 from . import fincat, homotopy, opengraph, order, setcat, states
@@ -31,7 +30,7 @@ def _caps(args) -> fincat.SizeCaps:
 
 def _emit_report(report: homotopy.ObstructionReport, fmt: str, out) -> None:
     if fmt == "interchange":
-        out.write(json.dumps(homotopy.report_to_dict(report), sort_keys=True, indent=2) + "\n")
+        homotopy.write_interchange(report, out)
         return
     if fmt == "dot":
         out.write(order.hasse_dot(report.invariant))
@@ -41,7 +40,7 @@ def _emit_report(report: homotopy.ObstructionReport, fmt: str, out) -> None:
     out.write(f"context: {report.context}\n")
     out.write(f"trivial: {'yes' if report.trivial else 'no'}\n")
     out.write(f"basepoint: {report.invariant.basepoint}\n")
-    out.write(f"elements ({len(p.elements)}): " + ", ".join(sorted(p.elements)) + "\n")
+    out.write(f"elements ({len(p.elements)}): " + ", ".join(p.elements) + "\n")
     out.write(f"minimal obstructions ({len(report.minimal)}): " + ", ".join(sorted(report.minimal)) + "\n")
     out.write(f"covers ({len(covers)}): " + "; ".join(f"{a} < {b}" for a, b in covers) + "\n")
 

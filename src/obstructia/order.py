@@ -4,8 +4,8 @@ A poset is stored as its sorted element names plus one bitmask per element:
 bit j of ``up[i]`` is set when elements[i] <= elements[j].  Masks are plain
 Python ints, so every order operation below is a handful of word-parallel
 ORs, ANDs and popcounts per element instead of lookups in a set of name
-pairs; the pairs themselves (``Poset.leq``) are derived only for
-interchange output.
+pairs; the pairs themselves (``Poset.leq``) are derived on first read, and
+no operation here or output format reads them.
 
 The two workhorses are ``poset_reflection`` (collapse a finite category to
 its universal thin skeletal quotient) and ``collapse_lower`` (identify a
@@ -69,13 +69,9 @@ class Poset:
 
     @cached_property
     def leq(self) -> frozenset[tuple[str, str]]:
-        """The order as a set of name pairs."""
-        return frozenset(self.pairs())
-
-    def pairs(self) -> list[tuple[str, str]]:
-        """The order as name pairs (a, b) with a <= b, sorted."""
+        """The order as a set of name pairs (a, b) with a <= b."""
         e = self.elements
-        return [(e[i], e[j]) for i, ui in enumerate(self.up) for j in _bits(ui)]
+        return frozenset((e[i], e[j]) for i, ui in enumerate(self.up) for j in _bits(ui))
 
     def le(self, a: str, b: str) -> bool:
         i, j = self.index.get(a), self.index.get(b)
@@ -395,11 +391,13 @@ def hasse_dot(p, basepoint: Optional[str] = None) -> str:
     if isinstance(p, PointedPoset):
         basepoint = p.basepoint
         p = p.poset
+    quoted = [quote(e) for e in p.elements]
+    at = p.index
     lines = ["digraph hasse {", "  rankdir=BT;"]
-    for e in p.elements:
+    for e, q in zip(p.elements, quoted):
         shape = "doublecircle" if e == basepoint else "ellipse"
-        lines.append(f"  {quote(e)} [shape={shape}];")
+        lines.append(f"  {q} [shape={shape}];")
     for a, b in hasse(p):
-        lines.append(f"  {quote(a)} -> {quote(b)};")
+        lines.append(f"  {quoted[at[a]]} -> {quoted[at[b]]};")
     lines.append("}")
     return "\n".join(lines) + "\n"

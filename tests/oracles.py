@@ -12,6 +12,7 @@ core in ``order`` replaced: a poset there is a sorted element tuple and a
 frozenset of name pairs, and every check is a set lookup.
 """
 
+import json
 from itertools import combinations
 
 from obstructia import fincat, homotopy, order
@@ -412,3 +413,30 @@ def powerset_report(universe, collapsed, basepoint):
                 leq.add((na, nb))
     elems, rel = make_poset([basepoint, *name_of.values()], leq)
     return elems, rel, basepoint
+
+
+# -- the interchange document --------------------------------------------------
+
+
+def report_to_dict(r):
+    """The interchange form of a report; pairs come out sorted because
+    elements are."""
+    p = r.invariant.poset
+    return {
+        "version": 1,
+        "kind": "obstruction-report",
+        "context": r.context,
+        "basepoint": r.invariant.basepoint,
+        "elements": list(p.elements),
+        "element_count": len(p.elements),
+        "leq": [list(pair) for pair in sorted(p.leq)],
+        "covers": [list(pair) for pair in order.hasse(p)],
+        "minimal": sorted(r.minimal),
+        "trivial": r.trivial,
+    }
+
+
+def interchange(r):
+    """The interchange document of a report, by the standard library's
+    encoder: what ``homotopy.write_interchange`` must write byte for byte."""
+    return json.dumps(report_to_dict(r), sort_keys=True, indent=2) + "\n"

@@ -1,4 +1,6 @@
 import glob
+import io
+import json
 import os
 import random
 
@@ -493,11 +495,61 @@ class TestGroupoidDegeneration:
             assert all(a == b for a, b in r1.invariant.poset.leq)
 
 
+# Characters that JSON escapes or that derived names are built from: a quote,
+# a backslash, non-ASCII, an astral character (a surrogate pair when
+# escaped), a control character, and the separators of subset and pair names.
+ODD = ['"', "\\", "é", "😀", "\x07", "{", "}", "(", ")", ",", "a"]
+
+
+def odd_names(**kw):
+    return st.text(st.sampled_from(ODD), **kw)
+
+
+@st.composite
+def odd_reports(draw):
+    """A report on a random pointed poset whose names, basepoint and context
+    are drawn over ODD: the reachability order of a random DAG, with a
+    random non-empty lower set collapsed."""
+    names = draw(st.lists(odd_names(min_size=1, max_size=4), min_size=1, max_size=7, unique=True))
+    n = len(names)
+    edges = draw(st.sets(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).filter(lambda t: t[0] < t[1]), max_size=10))
+    up = [1 << i for i in range(n)]
+    for a, b in sorted(edges, reverse=True):
+        up[a] |= up[b]
+    p = order.make_poset(names, {(names[i], names[j]) for i in range(n) for j in range(n) if up[i] >> j & 1})
+    lower = order.lower_closure(p, draw(st.sets(st.sampled_from(names), min_size=1)))
+    pp = order.collapse_lower(p, lower, draw(odd_names(min_size=1, max_size=4)))
+    return homotopy.report_from_pointed(pp, draw(odd_names(max_size=6)))
+
+
+def written(r):
+    out = io.StringIO()
+    homotopy.write_interchange(r, out)
+    return out.getvalue()
+
+
 class TestReportSerialization:
+    """``write_interchange`` against the standard library's encoding of
+    ``oracles.report_to_dict``."""
+
     def test_dict_shape(self):
         r = homotopy.pi0(walking_arrow(), "0")
-        d = homotopy.report_to_dict(r)
+        d = json.loads(written(r))
+        assert d == oracles.report_to_dict(r)
         assert d["version"] == 1
         assert d["element_count"] == 2
         assert d["minimal"] == ["1"]
         assert d["trivial"] is False
+
+    @settings(max_examples=100, deadline=None)
+    @given(odd_reports())
+    def test_odd_names_byte_identical(self, r):
+        assert written(r) == oracles.interchange(r)
+
+    def test_one_element_report(self):
+        for r in (homotopy.pi0(walking_arrow(), "1"), homotopy.powerset_report([], [], "{}", "empty")):
+            assert r.invariant.poset.elements == (r.invariant.basepoint,)
+            assert order.hasse(r.invariant.poset) == () and r.minimal == frozenset()
+            text = written(r)
+            assert text == oracles.interchange(r)
+            assert '"covers": [],' in text and '"minimal": [],' in text

@@ -1,8 +1,10 @@
+import io
 import random
 from itertools import product
 
 import pytest
 
+import oracles
 from obstructia import fincat, homotopy, order, setcat
 from obstructia.errors import CapExceeded, InvalidPoset, OracleMismatch, ParseError
 
@@ -188,6 +190,26 @@ class TestMinimalCounts:
                 r1 = setcat.pi1_function(f)
                 assert len(r1.minimal) == len(kp.pairs) - len(f.dom_set)
                 assert r1.trivial == f.is_injective()
+
+
+class TestInterchange:
+    def test_function_reports_byte_identical(self, seed):
+        """pi0 over codomains and pi1 over kernel pairs of 0 to 10 generators."""
+        rng = random.Random(seed + 29)
+        for n in range(11):
+            cod = tuple(f"y{j}" for j in range(n))
+            dom = tuple(f"x{i}" for i in range(rng.randint(0, n)))
+            reports = [setcat.pi0_function(setcat.FiniteFunction(dom, cod, {x: rng.choice(cod) for x in dom}))]
+            # k fibres of two elements (4 pairs each) and singletons for the rest: n pairs
+            k = rng.randint(0, n // 4)
+            dom = tuple(f"x{i}" for i in range(n - 2 * k))
+            f = setcat.FiniteFunction(dom, dom, {x: dom[i - i % 2 if i < 2 * k else i] for i, x in enumerate(dom)})
+            assert len(setcat.kernel_pair(f).pairs) == n
+            reports.append(setcat.pi1_function(f))
+            for r in reports:
+                out = io.StringIO()
+                homotopy.write_interchange(r, out)
+                assert out.getvalue() == oracles.interchange(r)
 
 
 class TestAmbient:
