@@ -10,7 +10,6 @@ usage errors.
 from __future__ import annotations
 
 import argparse
-import functools
 import sys
 
 from . import fincat, homotopy, opengraph, order, setcat, states
@@ -20,12 +19,6 @@ from .errors import EngineError, ParseError
 def _read(path: str) -> str:
     with open(path, "r", encoding="utf-8") as fh:
         return fh.read()
-
-
-def _caps(args) -> fincat.SizeCaps:
-    if getattr(args, "cap_objects", None) is not None:
-        return fincat.SizeCaps(objects=args.cap_objects)
-    return fincat.DEFAULT_CAPS
 
 
 def _emit_report(report: homotopy.ObstructionReport, fmt: str, out) -> None:
@@ -69,14 +62,14 @@ def _cmd_cat_pi(args, out, i: int):
     if i == 0:
         report = homotopy.pi0(c, args.object)
     else:
-        report = homotopy.pi1(c, args.object, _caps(args))
+        report = homotopy.pi1(c, args.object, args.cap_objects)
     _emit_report(report, args.format, out)
     return 0
 
 
 def _cmd_cat_analyze(args, out):
     c = fincat.parse_category(_read(args.file))
-    analysis = homotopy.analyze_morphism(c, args.morphism, _caps(args))
+    analysis = homotopy.analyze_morphism(c, args.morphism, args.cap_objects)
     out.write(f"morphism: {args.morphism}\n")
     out.write(f"split-epi: {'yes' if analysis.split_epi else 'no'}\n")
     out.write(f"mono: {'yes' if analysis.mono else 'no'}\n")
@@ -189,16 +182,6 @@ def _parse_matrix(text: str) -> tuple:
     return tuple(rows)
 
 
-def _parse_map(text: str, dom, cod) -> setcat.FiniteFunction:
-    mapping = {}
-    for part in text.split(","):
-        if "=>" not in part:
-            raise ParseError(f"bad assignment {part!r}")
-        x, y = part.split("=>", 1)
-        mapping[x.strip()] = y.strip()
-    return setcat.FiniteFunction(dom, cod, mapping)
-
-
 def _states_objects(args):
     if args.context == "cartesian":
         if not args.sets:
@@ -227,13 +210,16 @@ def _cmd_states_local_act(args, out):
         if not (args.target_sets and args.fmap and args.gmap):
             raise ParseError("cartesian local action needs --target-sets, --fmap, --gmap")
         a2, b2 = _parse_sets(args.target_sets)
-        f = _parse_map(args.fmap, a, a2)
-        g = _parse_map(args.gmap, b, b2)
+        f = setcat.FiniteFunction(a, a2, setcat.parse_assignments(args.fmap))
+        g = setcat.FiniteFunction(b, b2, setcat.parse_assignments(args.gmap))
     else:
         if not (args.fmat and args.gmat):
             raise ParseError("gf2 local action needs --fmat and --gmat")
         f = _parse_matrix(args.fmat)
         g = _parse_matrix(args.gmat)
+        for flag, m, dim in (("--fmat", f, a), ("--gmat", g, b)):
+            if len(m[0]) != dim:
+                raise ParseError(f"{flag} has {len(m[0])} columns, --dims wants {dim}")
     _emit_flow(states.local_action(ctx, f, g), out)
     out.write("basepoint preserved: yes\n")
     return 0
@@ -244,6 +230,16 @@ def _cmd_states_local_act(args, out):
 
 def _add_format(p, choices=("text", "dot", "interchange")):
     p.add_argument("--format", choices=choices, default="text")
+
+
+def _count(text: str) -> int:
+    try:
+        n = int(text)
+    except ValueError:
+        n = -1
+    if n < 0:
+        raise argparse.ArgumentTypeError(f"{text!r} is not a non-negative int")
+    return n
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -261,14 +257,15 @@ def build_parser() -> argparse.ArgumentParser:
         p = cat_sub.add_parser(name)
         p.add_argument("file")
         p.add_argument("--object", required=True)
-        p.add_argument("--cap-objects", type=int)
+        if i:
+            p.add_argument("--cap-objects", type=_count, default=fincat.OBJECTS_CAP, metavar="N")
         _add_format(p)
         p.set_defaults(func=lambda a, o, i=i: _cmd_cat_pi(a, o, i))
 
     p = cat_sub.add_parser("analyze")
     p.add_argument("file")
     p.add_argument("--morphism", required=True)
-    p.add_argument("--cap-objects", type=int)
+    p.add_argument("--cap-objects", type=_count, default=fincat.OBJECTS_CAP, metavar="N")
     _add_format(p)
     p.set_defaults(func=_cmd_cat_analyze)
 
@@ -336,16 +333,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-@functools.cache
-def _parser() -> argparse.ArgumentParser:
-    """The parser, built on the first run and reused by every later call."""
-    return build_parser()
+# Built once, at import, so no run pays for argparse's set-up (gettext's
+# locale lookups on disk included) and the first run costs what later ones do.
+_PARSER = build_parser()
 
 
 def run(argv, out=None) -> int:
     out = out if out is not None else sys.stdout
     try:
-        args = _parser().parse_args(argv)
+        args = _PARSER.parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     try:

@@ -65,7 +65,7 @@ class NotNatural(EngineError):
 
 
 class SizeCapExceeded(EngineError):
-    """A derived-category construction would exceed the configured size guard."""
+    """A derived-category construction would exceed one of its size guards."""
 
     def __init__(self, what, projected, cap):
         self.what = what

@@ -9,9 +9,9 @@ so it requires ``cod f == dom g`` and has domain ``dom f`` and codomain
 Derived constructions name their objects and morphisms canonically so outputs
 are reproducible byte for byte.  Besides the opposite, they are categories of
 elements of hom(-, x)^k (the slice over x at k = 1, parallel arrows at k = 2):
-one size-guarded enumeration of the objects and one walk over the arrows,
-kept either as the reachability preorder, which is all the invariants read,
-or as a materialised category with its composition table.
+one enumeration of the objects behind the size caps below and one walk over
+the arrows, kept either as the reachability preorder, which is all the
+invariants read, or as a materialised category with its composition table.
 """
 
 from __future__ import annotations
@@ -45,23 +45,15 @@ class MorDecl:
     cod: str
 
 
-@dataclass(frozen=True)
-class SizeCaps:
-    """Guards for derived-category construction.
-
-    ``objects`` bounds the object count, ``morphisms`` the morphism count
-    (the arrows walked) and ``comp_entries`` the composition table size, so
-    it guards only materialised tables: the invariants read reachability
-    alone and are not bound by it.  All three are predicted from hom-set
-    cardinalities before anything is built, so hitting a cap is cheap.
-    """
-
-    objects: int = 20_000
-    morphisms: int = 50_000
-    comp_entries: int = 600_000
-
-
-DEFAULT_CAPS = SizeCaps()
+# Guards on a derived category, predicted from hom-set cardinalities before
+# anything is built, so hitting one is cheap: its objects, its morphisms (the
+# arrows walked) and its composition entries.  The last guards materialised
+# tables only; the invariants read reachability alone and are not bound by
+# it.  ``homotopy.pi1`` and ``homotopy.analyze_morphism`` take the object
+# cap as a parameter.
+OBJECTS_CAP = 20_000
+MORPHISMS_CAP = 50_000
+COMP_ENTRIES_CAP = 600_000
 
 
 @dataclass(frozen=True)
@@ -386,18 +378,20 @@ class ElementsCategory(NamedTuple):
 
 
 def pair_name(f0: str, f1: str) -> str:
+    """The one rendering of a pair of names, for every module."""
     return f"({f0},{f1})"
 
 
-def _enumerate(c: FinCat, x: str, k: int, caps: SizeCaps, table: bool, over: str | None = None):
+def _enumerate(c: FinCat, x: str, k: int, table: bool, over: str | None = None, cap_objects: int = OBJECTS_CAP):
     """Objects of the category of elements of hom(-, x)^k, k = 1 (the slice)
     or k = 2 (parallel arrows), and the walk over its arrows: ``elements``
     maps each name to its k-tuple (f_1, .., f_k): y -> x.  Given ``over``,
     only tuples with one g = f_i;over are kept, named as slice morphisms
     f_i[g=>over].  A slice object is named by its morphism id, a pair by
     ``pair_name``; ``_fresh_name`` keeps distinct pairs apart when two
-    render alike.  The sizes are checked first, the composition entries
-    only when a ``table`` will be built."""
+    render alike.  The sizes are checked first, the objects against
+    ``cap_objects``, the composition entries only when a ``table`` will be
+    built."""
     if not c.has_object(x):
         raise UnknownObject(x)
     index, _, into = c.interned
@@ -413,10 +407,10 @@ def _enumerate(c: FinCat, x: str, k: int, caps: SizeCaps, table: bool, over: str
     outp = dict.fromkeys(c.objects, 0)
     for m in c.morphisms:
         outp[m.dom] += weight[m.cod]
-    checks = [("objects", sum(weight.values()), caps.objects),
-              ("morphisms", sum(len(into[z]) * weight[z] for z in c.objects), caps.morphisms)]
+    checks = [("objects", sum(weight.values()), cap_objects),
+              ("morphisms", sum(len(into[z]) * weight[z] for z in c.objects), MORPHISMS_CAP)]
     if table:
-        checks.append(("composition entries", sum(len(into[z]) * outp[z] for z in c.objects), caps.comp_entries))
+        checks.append(("composition entries", sum(len(into[z]) * outp[z] for z in c.objects), COMP_ENTRIES_CAP))
     point = x if over is None else over
     for part, n, cap in checks:
         if n > cap:
@@ -452,12 +446,12 @@ def _arrows(c: FinCat, tuples):
             yield hs, [at[r0[h] * size + r1[h]] for h in hs]
 
 
-def _elements_preorder(c: FinCat, x: str, k: int, caps: SizeCaps, over: str | None = None):
+def _elements_preorder(c: FinCat, x: str, k: int, over: str | None = None, cap_objects: int = OBJECTS_CAP):
     """The reachability preorder of the category of elements of hom(-, x)^k,
     without its composition table: ``elements`` and, in that order, their
     down-masks (bit j set when element j has a morphism to it).  Identities
     and composites make it reflexive and transitive: no closure is needed."""
-    elements, arrows = _enumerate(c, x, k, caps, table=False, over=over)
+    elements, arrows = _enumerate(c, x, k, False, over, cap_objects)
     down = []
     for _, sources in arrows:
         mask = 0
@@ -467,11 +461,11 @@ def _elements_preorder(c: FinCat, x: str, k: int, caps: SizeCaps, over: str | No
     return elements, down
 
 
-def _elements_category(c: FinCat, x: str, k: int, caps: SizeCaps) -> ElementsCategory:
+def _elements_category(c: FinCat, x: str, k: int) -> ElementsCategory:
     """Materialised category of elements of hom(-, x)^k: a morphism to the
     tuple (g_1, .., g_k) is an h with h;g_i = f_i for every i, and the
     projection sends a tuple to its domain and each morphism to its witness h."""
-    elements, arrows = _enumerate(c, x, k, caps, table=True)
+    elements, arrows = _enumerate(c, x, k, True)
     names = list(elements)
     used: set = set()
     mors = []
@@ -506,14 +500,14 @@ def _elements_category(c: FinCat, x: str, k: int, caps: SizeCaps) -> ElementsCat
     return ElementsCategory(cat, projection, elements)
 
 
-def slice_category(c: FinCat, x: str, caps: SizeCaps = DEFAULT_CAPS) -> ElementsCategory:
+def slice_category(c: FinCat, x: str) -> ElementsCategory:
     """The slice over x: objects are the morphisms into x (k = 1)."""
-    return _elements_category(c, x, 1, caps)
+    return _elements_category(c, x, 1)
 
 
-def parallel_arrows(c: FinCat, x: str, caps: SizeCaps = DEFAULT_CAPS) -> ElementsCategory:
+def parallel_arrows(c: FinCat, x: str) -> ElementsCategory:
     """Category of ordered parallel pairs (f0, f1): y -> x (k = 2)."""
-    return _elements_category(c, x, 2, caps)
+    return _elements_category(c, x, 2)
 
 
 def is_groupoid(c: FinCat) -> bool:

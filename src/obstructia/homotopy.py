@@ -73,19 +73,20 @@ def pi0(c: fincat.FinCat, x: str) -> ObstructionReport:
     return _pi_at(order.poset_reflection(c), x, x, 0)
 
 
-def _pi_data(c: fincat.FinCat, x: str, k: int, caps: fincat.SizeCaps, over: str | None = None):
+def _pi_data(c: fincat.FinCat, x: str, k: int, over: str | None = None, cap_objects: int = fincat.OBJECTS_CAP):
     """The reflection of the reachability preorder of the category of
     elements of hom(-, x)^k (only the tuples that ``over`` equalises, if
     given), with classes keyed by tuple, and the tuple behind each name.
     Class names are least member names, so each names a tuple."""
-    elements, down = fincat._elements_preorder(c, x, k, caps, over)
+    elements, down = fincat._elements_preorder(c, x, k, over, cap_objects)
     p, class_of = order._reflect(list(elements), down)
     return (p, {t: class_of[name] for name, t in elements.items()}), elements
 
 
-def pi1(c: fincat.FinCat, x: str, caps: fincat.SizeCaps = fincat.DEFAULT_CAPS) -> ObstructionReport:
-    """Pointed poset of obstructions to subterminality of x."""
-    return _pi_at(_pi_data(c, x, 2, caps)[0], (c.id_of(x),) * 2, x, 1)
+def pi1(c: fincat.FinCat, x: str, cap_objects: int = fincat.OBJECTS_CAP) -> ObstructionReport:
+    """Pointed poset of obstructions to subterminality of x.  Refuses with
+    SizeCapExceeded past ``cap_objects`` parallel pairs over x."""
+    return _pi_at(_pi_data(c, x, 2, cap_objects=cap_objects)[0], (c.id_of(x),) * 2, x, 1)
 
 
 # -- terminality oracles (independent of the poset machinery) ----------------
@@ -126,7 +127,7 @@ def _induced_map(src: ObstructionReport, dst: ObstructionReport, image_class) ->
     return order.make_pointed(src.invariant, dst.invariant, mapping)
 
 
-def pi_object_action(c: fincat.FinCat, f: str, i: int, caps: fincat.SizeCaps = fincat.DEFAULT_CAPS) -> order.PointedMap:
+def pi_object_action(c: fincat.FinCat, f: str, i: int) -> order.PointedMap:
     """Covariant action of a morphism f: x -> y on pi_i(-, x) -> pi_i(-, y).
 
     For i = 0 a surviving class keeps its name unless it acquires a morphism
@@ -142,13 +143,13 @@ def pi_object_action(c: fincat.FinCat, f: str, i: int, caps: fincat.SizeCaps = f
         reflection = order.poset_reflection(c)
         return _induced_map(_pi_at(reflection, x, x, 0), _pi_at(reflection, y, y, 0), lambda e: e)
 
-    refl_x, elements = _pi_data(c, x, 2, caps)
-    refl_y = refl_x if y == x else _pi_data(c, y, 2, caps)[0]
+    refl_x, elements = _pi_data(c, x, 2)
+    refl_y = refl_x if y == x else _pi_data(c, y, 2)[0]
     src, dst = _pi_at(refl_x, (c.id_of(x),) * 2, x, 1), _pi_at(refl_y, (c.id_of(y),) * 2, y, 1)
     return _induced_map(src, dst, lambda e: refl_y[1][tuple(c.comp[(g, f)] for g in elements[e])])
 
 
-def pi_functor_map(functor: fincat.FunctorData, x: str, i: int, caps: fincat.SizeCaps = fincat.DEFAULT_CAPS) -> order.PointedMap:
+def pi_functor_map(functor: fincat.FunctorData, x: str, i: int) -> order.PointedMap:
     """Component at x of the transformation pi_i(C, -) => pi_i(D, F-)."""
     c, d = functor.source, functor.target
     if not c.has_object(x):
@@ -161,13 +162,13 @@ def pi_functor_map(functor: fincat.FunctorData, x: str, i: int, caps: fincat.Siz
         refl_d = refl_c if d == c else order.poset_reflection(d)
         return _induced_map(_pi_at(refl_c, x, x, 0), _pi_at(refl_d, fx, fx, 0), lambda e: refl_d[1][functor.obj_map[e]])
 
-    refl_c, elements = _pi_data(c, x, 2, caps)
-    refl_d = refl_c if (d == c and fx == x) else _pi_data(d, fx, 2, caps)[0]
+    refl_c, elements = _pi_data(c, x, 2)
+    refl_d = refl_c if (d == c and fx == x) else _pi_data(d, fx, 2)[0]
     src, dst = _pi_at(refl_c, (c.id_of(x),) * 2, x, 1), _pi_at(refl_d, (d.id_of(fx),) * 2, fx, 1)
     return _induced_map(src, dst, lambda e: refl_d[1][tuple(functor.mor_map[g] for g in elements[e])])
 
 
-def covariance_map(alpha: fincat.NatTransData, f: str, i: int, caps: fincat.SizeCaps = fincat.DEFAULT_CAPS) -> order.PointedMap:
+def covariance_map(alpha: fincat.NatTransData, f: str, i: int) -> order.PointedMap:
     """Flow of obstructions of a natural transformation along f: x -> y.
 
     Maps pi_i(D/Gx, alpha_x) to pi_i(D/Gy, alpha_y), read off D as in
@@ -187,14 +188,14 @@ def covariance_map(alpha: fincat.NatTransData, f: str, i: int, caps: fincat.Size
     if i == 0:
         # the slice preorder over Gx does not depend on where it is pointed
         gx, gy = G.obj_map[x], G.obj_map[y]
-        refl_x, elements = _pi_data(d, gx, 1, caps)
-        refl_y = refl_x if gy == gx else _pi_data(d, gy, 1, caps)[0]
+        refl_x, elements = _pi_data(d, gx, 1)
+        refl_y = refl_x if gy == gx else _pi_data(d, gy, 1)[0]
         src, dst = _pi_at(refl_x, (ax,), ax, 0), _pi_at(refl_y, (ay,), ay, 0)
         post = G.mor_map[f]
     else:
         fx, fy = F.obj_map[x], F.obj_map[y]
-        refl_x, elements = _pi_data(d, fx, 2, caps, ax)
-        refl_y = refl_x if ay == ax else _pi_data(d, fy, 2, caps, ay)[0]
+        refl_x, elements = _pi_data(d, fx, 2, ax)
+        refl_y = refl_x if ay == ax else _pi_data(d, fy, 2, ay)[0]
         src, dst = _pi_at(refl_x, (d.id_of(fx),) * 2, ax, 1), _pi_at(refl_y, (d.id_of(fy),) * 2, ay, 1)
         post = F.mor_map[f]
     return _induced_map(src, dst, lambda e: refl_y[1][tuple(d.comp[(h, post)] for h in elements[e])])
@@ -218,15 +219,16 @@ def brute_mono(c: fincat.FinCat, f: str) -> bool:
     return True
 
 
-def analyze_morphism(c: fincat.FinCat, f: str, caps: fincat.SizeCaps = fincat.DEFAULT_CAPS) -> MorphismAnalysis:
+def analyze_morphism(c: fincat.FinCat, f: str, cap_objects: int = fincat.OBJECTS_CAP) -> MorphismAnalysis:
     """Classify f through the homotopy posets of its slice over cod f, read
     off c, and cross-check the verdicts against direct split-epi / mono
-    searches.  A disagreement raises OracleMismatch: it can only mean a bug."""
+    searches.  A disagreement raises OracleMismatch: it can only mean a bug.
+    The slice and the pairs f equalises are guarded as in ``pi1``."""
     if not c.has_morphism(f):
         raise UnknownMorphism(f)
     x, y = c.dom(f), c.cod(f)
-    r0 = _pi_at(_pi_data(c, y, 1, caps)[0], (f,), f, 0)
-    r1 = _pi_at(_pi_data(c, x, 2, caps, f)[0], (c.id_of(x),) * 2, f, 1)
+    r0 = _pi_at(_pi_data(c, y, 1, None, cap_objects)[0], (f,), f, 0)
+    r1 = _pi_at(_pi_data(c, x, 2, f, cap_objects)[0], (c.id_of(x),) * 2, f, 1)
     split_epi = r0.trivial
     mono = r1.trivial
     if split_epi != brute_split_epi(c, f):

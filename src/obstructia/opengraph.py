@@ -17,6 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import homotopy, order
+from .fincat import pair_name
 from .errors import (
     BoundaryMismatch,
     DanglingReference,
@@ -214,7 +215,7 @@ def compose(g: OpenGraph, h: OpenGraph) -> OpenGraph:
 
 
 def _rel_pair_labels(pairs) -> list[str]:
-    return sorted(f"({x},{y})" for (x, y) in pairs)
+    return sorted(pair_name(x, y) for (x, y) in pairs)
 
 
 def _check_laxator(composed: Relation, whole: Relation) -> None:
@@ -341,7 +342,7 @@ def parse_graph_hom(text: str, source: OpenGraph, target: OpenGraph) -> GraphHom
 
 
 def relation_text(r: Relation) -> str:
-    return homotopy.subset_name(f"({x},{y})" for (x, y) in r.pairs)
+    return homotopy.subset_name(_rel_pair_labels(r.pairs))
 
 
 def open_graph_dot(g: OpenGraph) -> str:

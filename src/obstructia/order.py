@@ -382,15 +382,15 @@ def quote(s: str) -> str:
     return '"' + s.replace("\\", "\\\\").replace('"', '\\"') + '"'
 
 
-def hasse_dot(p, basepoint: Optional[str] = None) -> str:
+def hasse_dot(p) -> str:
     """Render a (pointed) poset as a DOT digraph of its cover relation.
 
     Accepts a Poset or a PointedPoset; the basepoint is drawn double-circled.
     Output ordering is lexicographic everywhere, so it is byte-stable.
     """
+    basepoint = None
     if isinstance(p, PointedPoset):
-        basepoint = p.basepoint
-        p = p.poset
+        p, basepoint = p.poset, p.basepoint
     quoted = [quote(e) for e in p.elements]
     at = p.index
     lines = ["digraph hasse {", "  rankdir=BT;"]

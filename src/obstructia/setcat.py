@@ -87,10 +87,6 @@ def kernel_pair(f: FiniteFunction) -> KernelPair:
     return KernelPair(frozenset((x0, x1) for fibre in fibres.values() for x0 in fibre for x1 in fibre))
 
 
-def pair_label(x0: str, x1: str) -> str:
-    return f"({x0},{x1})"
-
-
 # -- the ambient skeleton ----------------------------------------------------
 
 def ambient_object(n: int) -> str:
@@ -159,8 +155,8 @@ def pi0_function(f: FiniteFunction) -> homotopy.ObstructionReport:
 def pi1_function(f: FiniteFunction) -> homotopy.ObstructionReport:
     """Obstructions to injectivity: subsets of the kernel pair containing an
     off-diagonal pair, ordered by inclusion over a basepoint."""
-    universe = [pair_label(*p) for p in kernel_pair(f).pairs]
-    diagonal = [pair_label(x, x) for x in f.dom_set]
+    universe = [fincat.pair_name(*p) for p in kernel_pair(f).pairs]
+    diagonal = [fincat.pair_name(x, x) for x in f.dom_set]
     return homotopy.powerset_report(
         universe,
         diagonal,
@@ -215,21 +211,22 @@ def parse_function(text: str) -> tuple[str, FiniteFunction]:
         dom_text, cod_text = arrow_part.split("->", 1)
     except ValueError:
         raise ParseError(f"cannot parse function line {line!r}")
-    name = name_part.strip()
-    dom = _parse_set(dom_text)
-    cod = _parse_set(cod_text)
+    dom, cod = _parse_set(dom_text), _parse_set(cod_text)
+    return name_part.strip(), FiniteFunction(dom, cod, parse_assignments(assignments))
+
+
+def parse_assignments(text: str) -> dict[str, str]:
+    """Parse 'a=>c, b=>c' (empty for blank text); an element assigned
+    twice is a ParseError."""
     mapping = {}
-    assignments = assignments.strip()
-    if assignments:
-        for part in assignments.split(","):
-            if "=>" not in part:
-                raise ParseError(f"bad assignment {part!r}")
-            x, y = part.split("=>", 1)
-            x, y = x.strip(), y.strip()
-            if x in mapping:
-                raise ParseError(f"element {x!r} assigned twice")
-            mapping[x] = y
-    return name, FiniteFunction(dom, cod, mapping)
+    for part in text.split(",") if text.strip() else ():
+        if "=>" not in part:
+            raise ParseError(f"bad assignment {part!r}")
+        x, y = (side.strip() for side in part.split("=>", 1))
+        if x in mapping:
+            raise ParseError(f"element {x!r} assigned twice")
+        mapping[x] = y
+    return mapping
 
 
 def serialize_function(name: str, f: FiniteFunction) -> str:

@@ -22,6 +22,7 @@ from dataclasses import dataclass, replace
 from itertools import product
 
 from . import homotopy, order, setcat
+from .fincat import pair_name
 from .errors import DimensionCap, ParseError, WrongContext
 
 Matrix = tuple  # rows of 0/1 ints; rows = target dim, columns = source dim
@@ -41,10 +42,6 @@ class StateContext:
 class StateSet:
     obj: object
     states: tuple[str, ...]
-
-
-def _pair(a: str, b: str) -> str:
-    return f"({a},{b})"
 
 
 # -- GF(2) vectors -----------------------------------------------------------
@@ -119,7 +116,7 @@ def laxator(ctx: StateContext, a, b) -> setcat.FiniteFunction:
 @functools.cache
 def _laxator(ctx: StateContext, a, b) -> setcat.FiniteFunction:
     sa, sb = states_of(ctx, a), states_of(ctx, b)
-    dom = tuple(_pair(x, y) for x in sa.states for y in sb.states)
+    dom = tuple(pair_name(x, y) for x in sa.states for y in sb.states)
     if ctx.kind == "cartesian":
         cod = dom  # product set states are exactly the pairs
         mapping = {p: p for p in dom}
@@ -129,7 +126,7 @@ def _laxator(ctx: StateContext, a, b) -> setcat.FiniteFunction:
     va, vb = _gf2_payload(m), _gf2_payload(n)
     cod = tuple(vec_name(v) for v in all_vectors(m * n))
     mapping = {
-        _pair(x, y): vec_name(tensor_bits(va[x], vb[y]))
+        pair_name(x, y): vec_name(tensor_bits(va[x], vb[y]))
         for x in sa.states
         for y in sb.states
     }
@@ -186,7 +183,7 @@ def _obstructions(ctx: StateContext, a, b) -> tuple[homotopy.ObstructionReport, 
     if len(kp.pairs) <= homotopy.POWERSET_CAP:
         pi1 = replace(setcat.pi1_function(lax), context=ctx1)
     else:
-        off = sorted(setcat.pair_label(*p) for p in kp.off_diagonal())
+        off = sorted(pair_name(*p) for p in kp.off_diagonal())
         pi1 = _summary_report(off, ctx1)
     return pi0, pi1
 
@@ -228,10 +225,10 @@ def local_action(ctx: StateContext, f, g) -> order.PointedMap:
 
         def image_of(name: str, payload=None) -> str:
             x, y = payload
-            return _pair(f.mapping[x], g.mapping[y])
+            return pair_name(f.mapping[x], g.mapping[y])
 
         payloads = {
-            _pair(x, y): (x, y) for x in a for y in b
+            pair_name(x, y): (x, y) for x in a for y in b
         }
     else:
         fm, gm = tuple(tuple(r) for r in f), tuple(tuple(r) for r in g)

@@ -12,6 +12,7 @@ import subprocess
 import sys
 import time
 from itertools import product
+from pathlib import Path
 
 import gen
 import oracles
@@ -77,7 +78,7 @@ EXPECTED_PI1_ELEMENTS = {
 def test_criterion_01_pi0_diagram():
     def body():
         start = time.perf_counter()
-        _, f = setcat.parse_function(open(fx("missing_two.fn")).read())
+        _, f = setcat.parse_function(Path(fx("missing_two.fn")).read_text(encoding="utf-8"))
         r = setcat.pi0_function(f)
         assert set(r.invariant.poset.elements) == EXPECTED_PI0_ELEMENTS
         assert set(order.hasse(r.invariant.poset)) == EXPECTED_PI0_COVERS
@@ -93,7 +94,7 @@ def test_criterion_01_pi0_diagram():
 
 def test_criterion_02_pi1_diagram():
     def body():
-        _, f = setcat.parse_function(open(fx("fold_pair.fn")).read())
+        _, f = setcat.parse_function(Path(fx("fold_pair.fn")).read_text(encoding="utf-8"))
         r = setcat.pi1_function(f)
         assert set(r.invariant.poset.elements) == EXPECTED_PI1_ELEMENTS
         assert r.minimal == {"{(0,1)}", "{(1,0)}"}
@@ -268,9 +269,9 @@ def test_criterion_07_covariance():
 
 def test_criterion_08_open_graphs():
     def body():
-        g = opengraph.parse_open_graph(open(fx("G.og")).read())
-        h = opengraph.parse_open_graph(open(fx("H.og")).read())
-        g2 = opengraph.parse_open_graph(open(fx("G_identified.og")).read())
+        g = opengraph.parse_open_graph(Path(fx("G.og")).read_text(encoding="utf-8"))
+        h = opengraph.parse_open_graph(Path(fx("H.og")).read_text(encoding="utf-8"))
+        g2 = opengraph.parse_open_graph(Path(fx("G_identified.og")).read_text(encoding="utf-8"))
         assert opengraph.reach(g).pairs == {("1", "1")}
         assert opengraph.reach(h).pairs == {("3", "1")}
         composed = opengraph.compose_rel(opengraph.reach(g), opengraph.reach(h))
@@ -283,7 +284,7 @@ def test_criterion_08_open_graphs():
         assert r.minimal == {"{(1,1)}"}
         assert opengraph.pi1_laxator(composed, whole).trivial
 
-        hom = opengraph.parse_graph_hom(open(fx("identify_outputs.gh")).read(), g, g2)
+        hom = opengraph.parse_graph_hom(Path(fx("identify_outputs.gh")).read_text(encoding="utf-8"), g, g2)
         reached, pmap = opengraph.act(hom, h)
         assert reached == opengraph.reach(g2)
         assert reached.pairs == {("1", "1"), ("1", "3")}

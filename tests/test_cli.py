@@ -69,6 +69,17 @@ class TestCat:
         assert code == 1
         assert "SizeCapExceeded" in capsys.readouterr().err
 
+    def test_cap_objects_only_where_a_derived_category_is_built(self, capsys):
+        code, _ = run("cat", "pi0", fx("z2.cat"), "--object", "*", "--cap-objects", "0")
+        assert code == 2
+        assert "unrecognized arguments: --cap-objects 0" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [("pi1", "--object", "*"), ("analyze", "--morphism", "s")])
+    def test_negative_cap_objects_is_usage_error(self, capsys, argv):
+        code, text = run("cat", argv[0], fx("z2.cat"), *argv[1:], "--cap-objects", "-5")
+        assert (code, text) == (2, "")
+        assert "--cap-objects: '-5' is not a non-negative int" in capsys.readouterr().err
+
     def test_interchange_is_json(self):
         code, text = run(
             "cat", "pi0", fx("walking_arrow.cat"), "--object", "0", "--format", "interchange"
@@ -228,6 +239,22 @@ class TestStates:
         assert code == 0
         assert "trivialised: 0 of 0" in text
 
+    def test_local_act_repeated_source_refused(self, capsys):
+        code, text = run(
+            "states", "local-act", "--context", "cartesian", "--sets", "a,b|c",
+            "--target-sets", "x,y|c", "--fmap", "a=>x,b=>y,a=>y", "--gmap", "c=>c",
+        )
+        assert (code, text) == (1, "")
+        assert "error ParseError: element 'a' assigned twice" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag, fmat, gmat", [("--fmat", "10,01", "1"), ("--gmat", "1", "10,01")])
+    def test_local_act_matrix_columns_match_dims(self, capsys, flag, fmat, gmat):
+        code, text = run(
+            "states", "local-act", "--context", "gf2", "--dims", "1,1", "--fmat", fmat, "--gmat", gmat,
+        )
+        assert (code, text) == (1, "")
+        assert f"error ParseError: {flag} has 2 columns, --dims wants 1" in capsys.readouterr().err
+
     def test_empty_set_item_refused(self, capsys):
         code, text = run("states", "obstruct", "--context", "cartesian", "--sets", "a,,b|c")
         assert (code, text) == (1, "")
@@ -283,7 +310,8 @@ class TestFixtureRoundTrips:
 
         for name in sorted(os.listdir(FIXTURES)):
             path = os.path.join(FIXTURES, name)
-            text = open(path).read()
+            with open(path, encoding="utf-8") as fh:
+                text = fh.read()
             if name.endswith(".cat"):
                 value = fincat.parse_category(text)
                 assert fincat.parse_category(fincat.serialize_category(value)) == value

@@ -322,9 +322,10 @@ class TestParallelArrows:
             pa.cat.comp,
         )
 
-    def test_size_cap(self, z2):
-        with pytest.raises(SizeCapExceeded):
-            fincat.parallel_arrows(z2, "*", fincat.SizeCaps(objects=3))
+    def test_size_cap(self):
+        with pytest.raises(SizeCapExceeded) as exc:
+            fincat.parallel_arrows(gen.cyclic_group_category(142), "*")
+        assert str(exc.value) == "parallel arrows over '*' objects: projected 20164 exceeds cap 20000"
 
     def test_pairs_that_render_alike_stay_distinct(self):
         # (p,q ; r) and (p ; q,r) both render as (p,q,r)

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 import gen
 import oracles
-from obstructia import fincat, homotopy, order
+from obstructia import fincat, homotopy, order, setcat
 from obstructia.errors import OracleMismatch, SizeCapExceeded, UnknownMorphism, UnknownObject
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "..", "fixtures")
@@ -117,23 +117,28 @@ class TestPreorderRoute:
                 assert homotopy.pi1(c, x).invariant == materialised_pi1(c, x)
 
     def test_morphisms_cap_still_refuses(self):
-        # parallel arrows over Z/2 have 4 objects and 8 morphisms
-        z2 = gen.cyclic_group_category(2)
-        assert len(homotopy.pi1(z2, "*", fincat.SizeCaps(morphisms=8)).invariant.poset.elements) == 2
+        # parallel arrows over Z/n have n^2 objects and n^3 morphisms
+        assert len(homotopy.pi1(gen.cyclic_group_category(36), "*").invariant.poset.elements) == 36
+        with pytest.raises(SizeCapExceeded) as exc:
+            homotopy.pi1(gen.cyclic_group_category(37), "*")
+        assert str(exc.value) == "parallel arrows over '*' morphisms: projected 50653 exceeds cap 50000"
+        with pytest.raises(SizeCapExceeded) as exc:
+            homotopy.pi1(gen.cyclic_group_category(142), "*")
+        assert str(exc.value) == "parallel arrows over '*' objects: projected 20164 exceeds cap 20000"
         with pytest.raises(SizeCapExceeded):
-            homotopy.pi1(z2, "*", fincat.SizeCaps(morphisms=7))
-        with pytest.raises(SizeCapExceeded):
-            homotopy.pi1(z2, "*", fincat.SizeCaps(objects=3))
+            homotopy.pi1(gen.cyclic_group_category(2), "*", 3)
 
     def test_comp_entries_cap_guards_only_tables(self):
-        z2 = gen.cyclic_group_category(2)
-        caps = fincat.SizeCaps(comp_entries=0)
-        with pytest.raises(SizeCapExceeded):
-            fincat.slice_category(z2, "*", caps)
-        with pytest.raises(SizeCapExceeded):
-            fincat.parallel_arrows(z2, "*", caps)
-        assert len(homotopy.pi1(z2, "*", caps).invariant.poset.elements) == 2
-        assert homotopy.analyze_morphism(z2, "g1", caps).iso
+        # Z/36: pi1 is served above, its table of n^4 entries is not
+        with pytest.raises(SizeCapExceeded) as exc:
+            fincat.parallel_arrows(gen.cyclic_group_category(36), "*")
+        assert str(exc.value) == "parallel arrows over '*' composition entries: projected 1679616 exceeds cap 600000"
+        amb = setcat.finset_ambient(4)
+        with pytest.raises(SizeCapExceeded) as exc:
+            fincat.slice_category(amb, "2")
+        assert str(exc.value) == "slice over '2' composition entries: projected 1805611 exceeds cap 600000"
+        an = homotopy.analyze_morphism(amb, "1>2:0")
+        assert an.mono and not an.split_epi
 
 
 class TestOneReflectionPerCategory:
@@ -435,7 +440,7 @@ class TestAnalyze:
         # {e, p} with p;p = p: the slice over * has 2 objects, the pairs over p 4
         c = gen.idempotent_monoid_category()
         with pytest.raises(SizeCapExceeded) as exc:
-            homotopy.analyze_morphism(c, "p", fincat.SizeCaps(objects=3))
+            homotopy.analyze_morphism(c, "p", 3)
         assert str(exc.value) == "parallel arrows over 'p' objects: projected 4 exceeds cap 3"
 
     def test_slice_pairs_that_render_alike_stay_distinct(self):
@@ -473,7 +478,7 @@ class TestAnalyze:
             sl = fincat.slice_category(c, c.cod(f)).cat
             assert len(an.pi0.invariant.poset.elements) == len(homotopy.pi0(sl, f).invariant.poset.elements)
             assert len(an.pi1.invariant.poset.elements) == len(homotopy.pi1(sl, f).invariant.poset.elements)
-            pairs, _ = fincat._elements_preorder(c, x, 2, fincat.DEFAULT_CAPS, f)
+            pairs, _ = fincat._elements_preorder(c, x, 2, f)
             equalised = [(h0, h1) for z in c.objects for h0 in c.hom(z, x) for h1 in c.hom(z, x)
                          if c.comp[h0, f] == c.comp[h1, f]]
             assert sorted(pairs.values()) == sorted(equalised)
