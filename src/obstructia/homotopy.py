@@ -261,25 +261,36 @@ def powerset_elements(universe: Iterable[str], collapsed: Iterable[str]) -> dict
 
 def powerset_report(universe: Iterable[str], collapsed: Iterable[str], basepoint: str, context: str) -> ObstructionReport:
     """Inclusion-ordered report: basepoint below everything, survivors are
-    the subsets with something outside the collapsed set.  Refuses with
-    CapExceeded past POWERSET_CAP generators, before any subset is built,
-    and with InvalidPoset when two elements would render alike.
+    the subsets that meet the free part F, the universe minus the collapsed
+    set.  Refuses with InvalidPoset when a generator is named twice or two
+    elements would render alike, with UnknownObject when a collapsed name is
+    not a generator, and with CapExceeded past POWERSET_CAP generators,
+    before any subset is built.
 
-    Subsets are bitmasks over the sorted universe.  The up-mask of a subset
-    (over the sorted element names) is its own bit ORed with the up-masks of
-    its one-element extensions, so taking subsets from the largest down
-    fills every up-mask in n * 2^(n-1) ORs and no name pair is built.
+    Subsets are bitmasks over the sorted universe, and the poset is an
+    order by construction, so it is built directly, not through
+    ``order.from_masks``.  Taking subsets from the largest down, the up-mask
+    of S is its own bit ORed with the up-masks of the S | x, x not in S,
+    which are also the covers of S.  Taking them from the smallest up, the
+    down-mask of S is its own bit ORed with the down-masks of the S minus
+    x, where a subset that misses F stands for the basepoint.  The
+    basepoint is covered by the singletons of F.  Each walk is n * 2^(n-1)
+    ORs and builds no name pair.
     """
-    uni = sorted(set(universe))
+    uni = sorted(universe)
+    twice = next((a for a, b in zip(uni, uni[1:]) if a == b), None)
+    if twice is not None:
+        raise InvalidPoset(f"two generators render as {twice!r}")
     n = len(uni)
     if n > POWERSET_CAP:
         raise CapExceeded(f"powerset of {n} generators exceeds cap {POWERSET_CAP}")
     index = {u: i for i, u in enumerate(uni)}
-    coll_mask = 0
-    for c in set(collapsed):
-        coll_mask |= 1 << index[c]
+    coll = set(collapsed)
+    unknown = sorted(coll - index.keys())
+    if unknown:
+        raise UnknownObject(unknown[0])
     full = (1 << n) - 1
-    free = full & ~coll_mask
+    free = full & ~sum(1 << index[c] for c in coll)
 
     name_of: dict[int, str] = {}
     for mask in range(1, full + 1):
@@ -291,20 +302,31 @@ def powerset_report(universe: Iterable[str], collapsed: Iterable[str], basepoint
         names = sorted([basepoint, *name_of.values()])
         raise InvalidPoset(f"two elements render as {next(a for a, b in zip(names, names[1:]) if a == b)!r}")
     pos = {e: i for i, e in enumerate(elems)}
-    up = [0] * len(elems)
-    up[pos[basepoint]] = (1 << len(elems)) - 1
-    up_of: dict[int, int] = {}
+    b = pos[basepoint]
+    at = [b] * (full + 1)  # a subset that misses F stands for the basepoint
+    for mask, name in name_of.items():
+        at[mask] = pos[name]
+    up, down, cover = [0] * len(elems), [1 << b] * len(elems), [0] * len(elems)
     for mask in reversed(name_of):
-        acc = 1 << pos[name_of[mask]]
+        acc = cov = 0
         rest = full & ~mask
         while rest:
             low = rest & -rest
-            acc |= up_of[mask | low]
+            acc |= up[at[mask | low]]
+            cov |= 1 << at[mask | low]
             rest ^= low
-        up_of[mask] = acc
-        up[pos[name_of[mask]]] |= acc
-    pp = order.PointedPoset(order.from_masks(elems, up), basepoint)
-    return report_from_pointed(pp, context)
+        up[at[mask]], cover[at[mask]] = acc | 1 << at[mask], cov
+    for mask in name_of:
+        acc, rest = 1 << at[mask], mask
+        while rest:
+            low = rest & -rest
+            acc |= down[at[mask ^ low]]
+            rest ^= low
+        down[at[mask]] = acc
+    up[b] = (1 << len(elems)) - 1
+    cover[b] = sum(1 << at[1 << i] for i in range(n) if free >> i & 1)
+    p = order.Poset(elems, tuple(up), tuple(down), tuple(cover))
+    return report_from_pointed(order.PointedPoset(p, basepoint), context)
 
 
 def _write_pairs(out, enc: list[str], rows) -> None:
@@ -335,15 +357,11 @@ def write_interchange(r: ObstructionReport, out) -> None:
     their count, the order ``leq`` and the ``covers`` as sorted name pairs,
     the sorted minimal obstructions and the trivial flag.  Each name is
     JSON-encoded once; ``leq`` is read off the up-masks and ``covers`` off
-    ``order.hasse``, one element's row of pairs at a time."""
+    ``order.covers``, one element's row of pairs at a time."""
     p = r.invariant.poset
-    at = p.index
-    covers: dict[int, list[int]] = {}  # sorted, as hasse's pairs are
-    for a, b in order.hasse(p):
-        covers.setdefault(at[a], []).append(at[b])
     enc = [json.dumps(e) for e in p.elements]
     out.write(f'{{\n  "basepoint": {json.dumps(r.invariant.basepoint)},\n  "context": {json.dumps(r.context)},\n  "covers": ')
-    _write_pairs(out, enc, covers.items())
+    _write_pairs(out, enc, ((i, order._bits(m)) for i, m in enumerate(order.covers(p)) if m))
     out.write(f',\n  "element_count": {len(enc)},\n  "elements": ')
     _write_names(out, enc)
     out.write(',\n  "kind": "obstruction-report",\n  "leq": ')

@@ -15,6 +15,11 @@ category's morphisms or straight from the parallel arrows behind pi1.
 Chaining them is how the homotopy invariants are computed; everything else
 here is supporting machinery: lower sets, transitive reduction,
 pointed-isomorphism search and a DOT emitter for Hasse diagrams.
+
+``make_poset`` and ``from_masks`` validate what they are given.  The one
+trusted constructor is ``homotopy.powerset_report``: its posets are orders by
+construction, so it builds ``Poset`` directly, cover masks included, and the
+tests check it against ``from_masks`` and the general reduction.
 """
 
 from __future__ import annotations
@@ -54,14 +59,17 @@ def _union(masks, m: int) -> int:
 @dataclass(frozen=True)
 class Poset:
     """A finite poset: ``elements`` sorted, ``up[i]`` the bitmask of the
-    indices j with elements[i] <= elements[j], ``down_masks`` its transpose.
-    Equality and hashing read (elements, up) only.  Build one with
-    ``make_poset`` from name pairs or ``from_masks`` from up-masks; both
-    validate."""
+    indices j with elements[i] <= elements[j], ``down_masks`` its transpose,
+    and ``cover_masks``, when known, the covers of each element (read them
+    through ``covers``).  Equality and hashing read (elements, up) only.
+    Build one with ``make_poset`` from name pairs or ``from_masks`` from
+    up-masks; both validate.  ``homotopy.powerset_report`` builds its
+    posets directly, unvalidated, and its check lives in the tests."""
 
     elements: tuple[str, ...]
     up: tuple[int, ...]
     down_masks: tuple[int, ...] = field(compare=False, repr=False)
+    cover_masks: Optional[tuple[int, ...]] = field(default=None, compare=False, repr=False)
 
     @cached_property
     def index(self) -> dict[str, int]:
@@ -296,15 +304,21 @@ def minimal_obstructions(pp: PointedPoset) -> frozenset:
     )
 
 
-def hasse(p: Poset) -> tuple[tuple[str, str], ...]:
-    """Transitive reduction: the cover pairs, sorted.  The covers of a are
-    its strict up-set minus every element strictly above one of them."""
+def covers(p: Poset) -> tuple[int, ...]:
+    """Bit j of covers(p)[i] set when elements[j] covers elements[i]: the
+    stored cover masks, or else the transitive reduction (Aho, Garey and
+    Ullman): the covers of a are its strict up-set minus every element
+    strictly above one of them."""
+    if p.cover_masks is not None:
+        return p.cover_masks
     strict_up = [u & ~(1 << i) for i, u in enumerate(p.up)]
+    return tuple(su & ~_union(strict_up, su) for su in strict_up)
+
+
+def hasse(p: Poset) -> tuple[tuple[str, str], ...]:
+    """The cover pairs, sorted."""
     e = p.elements
-    covers = []
-    for i, su in enumerate(strict_up):
-        covers.extend((e[i], e[j]) for j in _bits(su & ~_union(strict_up, su)))
-    return tuple(covers)
+    return tuple((e[i], e[j]) for i, m in enumerate(covers(p)) for j in _bits(m))
 
 
 # -- pointed order isomorphism search ---------------------------------------
@@ -392,12 +406,11 @@ def hasse_dot(p) -> str:
     if isinstance(p, PointedPoset):
         p, basepoint = p.poset, p.basepoint
     quoted = [quote(e) for e in p.elements]
-    at = p.index
     lines = ["digraph hasse {", "  rankdir=BT;"]
     for e, q in zip(p.elements, quoted):
         shape = "doublecircle" if e == basepoint else "ellipse"
         lines.append(f"  {q} [shape={shape}];")
-    for a, b in hasse(p):
-        lines.append(f"  {quoted[at[a]]} -> {quoted[at[b]]};")
+    for i, m in enumerate(covers(p)):
+        lines.extend(f"  {quoted[i]} -> {quoted[j]};" for j in _bits(m))
     lines.append("}")
     return "\n".join(lines) + "\n"

@@ -551,6 +551,10 @@ class TestReportSerialization:
     def test_odd_names_byte_identical(self, r):
         assert written(r) == oracles.interchange(r)
 
+    def test_collapsed_name_outside_universe_is_refused(self):
+        with pytest.raises(UnknownObject, match=r"^no such object: 'z'$"):
+            homotopy.powerset_report(["a", "b"], ["z", "a"], "{}", "ctx")
+
     def test_one_element_report(self):
         for r in (homotopy.pi0(walking_arrow(), "1"), homotopy.powerset_report([], [], "{}", "empty")):
             assert r.invariant.poset.elements == (r.invariant.basepoint,)

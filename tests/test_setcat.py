@@ -177,6 +177,13 @@ class TestPi1Function:
         r = setcat.pi1_function(f)
         assert r.minimal == {"{(a,b)}", "{(b,a)}"}
 
+    def test_repeated_generator_is_refused(self):
+        # (a, b,c) and (a,b, c) both render as (a,b,c): merging them would
+        # give 113 elements where the exact pi1 has 2^8 - 2^4 + 1 = 241
+        f = setcat.FiniteFunction(("a", "a,b", "b,c", "c"), ("y1", "y2"), {"a": "y1", "b,c": "y1", "a,b": "y2", "c": "y2"})
+        with pytest.raises(InvalidPoset, match=r"^two generators render as '\(a,b,c\)'$"):
+            setcat.pi1_function(f)
+
 
 class TestMinimalCounts:
     def test_counts_match_fibre_arithmetic(self):
