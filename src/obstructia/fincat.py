@@ -6,12 +6,15 @@ composable pairs.  ``comp[(f, g)]`` is the diagrammatic composite "f then g",
 so it requires ``cod f == dom g`` and has domain ``dom f`` and codomain
 ``cod g``.  Everything is immutable after validation and safe to share.
 
-Derived constructions name their objects and morphisms canonically so outputs
-are reproducible byte for byte.  Besides the opposite, they are categories of
-elements of hom(-, x)^k (the slice over x at k = 1, parallel arrows at k = 2):
-one enumeration of the objects behind the size caps below and one walk over
-the arrows, kept either as the reachability preorder, which is all the
-invariants read, or as a materialised category with its composition table.
+Validation interns the morphisms as ints, runs every law check on int rows
+and keeps those rows as ``FinCat.interned``; the name-keyed tables stay
+public.  Derived constructions name their objects and morphisms canonically
+so outputs are reproducible byte for byte.  Besides the opposite, they are
+categories of elements of hom(-, x)^k (the slice over x at k = 1, parallel
+arrows at k = 2): one enumeration of the objects behind the size caps below
+and one walk over the interned rows, kept as the reachability preorder,
+which is all the invariants read.  Nothing here materialises their
+composition tables; the tests keep that construction as an oracle.
 """
 
 from __future__ import annotations
@@ -19,8 +22,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import product
+from operator import itemgetter
 from types import MappingProxyType
-from typing import Iterable, Mapping, NamedTuple
+from typing import Iterable, Mapping
 
 from .errors import (
     BadCompositionTyping,
@@ -46,14 +50,11 @@ class MorDecl:
 
 
 # Guards on a derived category, predicted from hom-set cardinalities before
-# anything is built, so hitting one is cheap: its objects, its morphisms (the
-# arrows walked) and its composition entries.  The last guards materialised
-# tables only; the invariants read reachability alone and are not bound by
-# it.  ``homotopy.pi1`` and ``homotopy.analyze_morphism`` take the object
-# cap as a parameter.
+# anything is built, so hitting one is cheap: its objects and its morphisms
+# (the arrows walked).  ``homotopy.pi1`` and ``homotopy.analyze_morphism``
+# take the object cap as a parameter.
 OBJECTS_CAP = 20_000
 MORPHISMS_CAP = 50_000
-COMP_ENTRIES_CAP = 600_000
 
 
 @dataclass(frozen=True)
@@ -86,7 +87,9 @@ class FinCat:
     def interned(self) -> tuple[dict[str, int], list[dict[int, int]], dict[str, list[int]]]:
         """The morphisms as ints, their positions in ``morphisms``: the index,
         one row per morphism g mapping each h into dom g to h;g, and the
-        morphisms into each object in that order."""
+        morphisms into each object in that order.  ``validate_category``
+        stores the rows its law checks ran on; a category built without it
+        (``opposite``) builds them here from ``comp`` on first use."""
         index = {m.name: i for i, m in enumerate(self.morphisms)}
         rows: list[dict[int, int]] = [{} for _ in self.morphisms]
         for (h, g), hg in self.comp.items():
@@ -137,96 +140,111 @@ def validate_category(
     Raises the first failed law with a witness: DanglingReference for unknown
     ids, BadCompositionTyping when comp is partial / overfull / mistyped,
     MissingIdentity for identity failures, NonAssociative with the witness
-    triple.
+    triple.  The laws are checked on ints, each morphism its position in the
+    sorted ``morphisms``, and the rows built for them become ``interned``.
     """
     objs = tuple(objects)
-    seen = set()
+    oid: dict[str, int] = {}
     for x in objs:
-        if x in seen:
+        if x in oid:
             raise DanglingReference(f"duplicate object id {x!r}")
-        seen.add(x)
-    obj_set = set(objs)
+        oid[x] = len(oid)
 
-    mors = tuple(MorDecl(*m) for m in morphisms)
-    dom = {}
-    cod = {}
-    for m in mors:
-        if m.name in dom:
+    decls = tuple(MorDecl(*m) for m in morphisms)
+    declared: set[str] = set()
+    for m in decls:
+        if m.name in declared:
             raise DanglingReference(f"duplicate morphism id {m.name!r}")
-        if m.dom not in obj_set:
+        if m.dom not in oid:
             raise DanglingReference(f"morphism {m.name!r} has unknown domain {m.dom!r}")
-        if m.cod not in obj_set:
+        if m.cod not in oid:
             raise DanglingReference(f"morphism {m.name!r} has unknown codomain {m.cod!r}")
-        dom[m.name] = m.dom
-        cod[m.name] = m.cod
+        declared.add(m.name)
+    mors = tuple(sorted(decls, key=lambda m: m.name))
+    index = {m.name: i for i, m in enumerate(mors)}
+    names = [m.name for m in mors]
+    dom = [oid[m.dom] for m in mors]
+    cod = [oid[m.cod] for m in mors]
+    decl = [index[m.name] for m in decls]  # ids in declaration order
 
     ident = dict(identity)
     for x, i in ident.items():
-        if x not in obj_set:
+        if x not in oid:
             raise DanglingReference(f"identity declared for unknown object {x!r}")
-        if i not in dom:
+        if i not in index:
             raise DanglingReference(f"identity of {x!r} is unknown morphism {i!r}")
     for x in objs:
         if x not in ident:
             raise MissingIdentity(x, "no identity declared")
         i = ident[x]
-        if dom[i] != x or cod[i] != x:
+        if dom[index[i]] != oid[x] or cod[index[i]] != oid[x]:
             raise MissingIdentity(x, f"identity {i!r} is not an endomorphism of {x!r}")
 
     table = dict(comp)
-    row: dict[str, dict[str, str]] = {m: {} for m in dom}  # row[f][g] = f;g
+    rows: list[dict[int, int]] = [{} for _ in mors]  # rows[g][f] = f;g
     for (f, g), h in table.items():
-        if f not in dom:
-            raise DanglingReference(f"composition entry uses unknown morphism {f!r}")
-        if g not in dom:
-            raise DanglingReference(f"composition entry uses unknown morphism {g!r}")
-        if h not in dom:
-            raise DanglingReference(f"composite {h!r} is not a declared morphism")
-        if cod[f] != dom[g]:
+        try:
+            fi, gi, hi = index[f], index[g], index[h]
+        except KeyError:
+            for m in (f, g):
+                if m not in index:
+                    raise DanglingReference(f"composition entry uses unknown morphism {m!r}") from None
+            raise DanglingReference(f"composite {h!r} is not a declared morphism") from None
+        if cod[fi] != dom[gi]:
             raise BadCompositionTyping(f"entry ({f!r}, {g!r}) is not a composable pair")
-        if dom[h] != dom[f] or cod[h] != cod[g]:
+        if dom[hi] != dom[fi] or cod[hi] != cod[gi]:
             raise BadCompositionTyping(
-                f"composite of ({f!r}, {g!r}) must go {dom[f]!r} -> {cod[g]!r}, got {h!r}"
+                f"composite of ({f!r}, {g!r}) must go {mors[fi].dom!r} -> {mors[gi].cod!r}, got {h!r}"
             )
-        row[f][g] = h
-    # Totality through adjacency: out_of keeps declaration order, so the first
-    # missing pair is the one an all-pairs scan would find.
-    out_of: dict[str, list[str]] = {x: [] for x in objs}
-    for m in dom:
+        rows[gi][fi] = hi
+    # The entries are distinct and composable, so the table is total iff it
+    # has one entry per composable pair.  Only a short one is scanned for its
+    # witness: out_of keeps declaration order, so the first missing pair is
+    # the one an all-pairs scan would find.
+    into: list[list[int]] = [[] for _ in objs]
+    out_of: list[list[int]] = [[] for _ in objs]
+    for m in range(len(mors)):
+        into[cod[m]].append(m)
+    for m in decl:
         out_of[dom[m]].append(m)
-    for f in dom:
-        for g in out_of[cod[f]]:
-            if g not in row[f]:
-                raise BadCompositionTyping(f"missing composite for composable pair ({f!r}, {g!r})")
+    if len(table) != sum(len(a) * len(b) for a, b in zip(into, out_of)):
+        for f in decl:
+            for g in out_of[cod[f]]:
+                if f not in rows[g]:
+                    raise BadCompositionTyping(f"missing composite for composable pair ({names[f]!r}, {names[g]!r})")
 
-    for m in dom:
-        left = row[ident[dom[m]]][m]
+    ids = [index[ident[x]] for x in objs]
+    for m in decl:
+        left = rows[m][ids[dom[m]]]
         if left != m:
-            raise MissingIdentity(m, f"comp(id, {m!r}) = {left!r}")
-        right = row[m][ident[cod[m]]]
+            raise MissingIdentity(names[m], f"comp(id, {names[m]!r}) = {names[left]!r}")
+        right = rows[ids[cod[m]]][m]
         if right != m:
-            raise MissingIdentity(m, f"comp({m!r}, id) = {right!r}")
+            raise MissingIdentity(names[m], f"comp({names[m]!r}, id) = {names[right]!r}")
 
     # Associativity by F. W. Light's test (Clifford & Preston, The Algebraic
     # Theory of Semigroups I, 1.2).  With the identity laws in hand, the
     # middles t with (f;t);h = f;(t;h) for all f, h contain the identities and
     # are closed under composition, so generator middles suffice.  A failure
     # reruns the scan over every middle for its first failing triple.
-    if next(_non_associative(_triples(_generators(dom, cod, ident, row), dom, cod, out_of), row), None):
-        raise NonAssociative(*next(_non_associative(_triples(dom, dom, cod, out_of), row)))
+    squares = _squares(_generators(decl, dom, cod, ids, rows), rows, cod, out_of)
+    if any(a != b for a, b in squares):
+        raise NonAssociative(*(names[m] for m in _first_non_associative(decl, rows, cod, out_of)))
 
-    return FinCat(tuple(sorted(objs)), tuple(sorted(mors, key=lambda m: m.name)), ident, table)
+    c = FinCat(tuple(sorted(objs)), mors, ident, table)
+    object.__setattr__(c, "interned", (index, rows, {x: into[oid[x]] for x in c.objects}))
+    return c
 
 
-def _generators(dom, cod, ident, row) -> set:
+def _generators(decl, dom, cod, ids, rows) -> set:
     """A generating set, by a greedy semi-naive closure: walk the morphisms
     in declaration order, the identities reached from the start, and make
     each one not yet reached a generator.  A morphism entering the closure
     is composed on both sides with those that entered before it (and with
     itself), so each composable pair of the closure is composed once."""
-    reached, gens = set(ident.values()), set()
+    reached, gens = set(ids), set()
     ends, starts = {}, {}  # object -> closure morphisms into it, out of it
-    for m in dom:
+    for m in decl:
         queue = [] if m in reached else [m]
         gens.update(queue)
         reached.update(queue)
@@ -234,33 +252,41 @@ def _generators(dom, cod, ident, row) -> set:
             a = queue.pop()
             ends.setdefault(cod[a], []).append(a)
             starts.setdefault(dom[a], []).append(a)
-            new = {row[b][a] for b in ends.get(dom[a], ())} | {row[a][b] for b in starts.get(cod[a], ())}
+            ra = rows[a]
+            new = {ra[b] for b in ends.get(dom[a], ())} | {rows[b][a] for b in starts.get(cod[a], ())}
             queue += new - reached
             reached |= new
     return gens
 
 
-def _triples(middles, dom, cod, out_of):
-    """The composable triples (f, g, h) with g in middles, as (f, g, hs) with
-    hs every h: f, g and h each run in declaration order."""
-    for f in dom:
+def _squares(middles, rows, cod, out_of):
+    """For each composable (g, h) with g in middles, (f;g);h and f;(g;h) for
+    every f into dom g, in one order (bare ids when f can only be the
+    identity)."""
+    for g in middles:
+        rg = rows[g]
+        fg_then, f_then = itemgetter(*rg.values()), itemgetter(*rg)
+        for h in out_of[cod[g]]:
+            rh = rows[h]
+            yield fg_then(rh), f_then(rows[rh[g]])
+
+
+def _first_non_associative(decl, rows, cod, out_of):
+    """The first triple on which (f;g);h and f;(g;h) differ, with f, g and h
+    each running in declaration order."""
+    for f in decl:
         for g in out_of[cod[f]]:
-            if g in middles:
-                yield f, g, out_of[cod[g]]
-
-
-def _non_associative(triples, row):
-    """The triples on which (f;g);h and f;(g;h) differ, in order."""
-    for f, g, hs in triples:
-        rf, rg, rfg = row[f], row[g], row[row[f][g]]
-        for h in hs:
-            if rfg[h] != rf[rg[h]]:
-                yield f, g, h
+            fg = rows[g][f]
+            for h in out_of[cod[g]]:
+                rh = rows[h]
+                if rh[fg] != rows[rh[g]][f]:
+                    return f, g, h
 
 
 def _build(objects, morphisms, identity, comp) -> FinCat:
     """Construct without re-running the validator (derived categories are
-    correct by construction; tests re-validate small instances)."""
+    correct by construction; tests re-validate small instances).  Its
+    ``interned`` rows are built on first use."""
     mors = tuple(sorted((MorDecl(*m) for m in morphisms), key=lambda m: m.name))
     return FinCat(tuple(sorted(objects)), mors, dict(identity), dict(comp))
 
@@ -368,21 +394,12 @@ def _fresh_name(base: str, used: set) -> str:
     return name
 
 
-class ElementsCategory(NamedTuple):
-    """A category of elements of hom(-, x)^k with its projection to c.
-    ``elements`` maps each object name to its k-tuple of morphisms into x."""
-
-    cat: FinCat
-    projection: FunctorData
-    elements: dict[str, tuple[str, ...]]
-
-
 def pair_name(f0: str, f1: str) -> str:
     """The one rendering of a pair of names, for every module."""
     return f"({f0},{f1})"
 
 
-def _enumerate(c: FinCat, x: str, k: int, table: bool, over: str | None = None, cap_objects: int = OBJECTS_CAP):
+def _enumerate(c: FinCat, x: str, k: int, over: str | None = None, cap_objects: int = OBJECTS_CAP):
     """Objects of the category of elements of hom(-, x)^k, k = 1 (the slice)
     or k = 2 (parallel arrows), and the walk over its arrows: ``elements``
     maps each name to its k-tuple (f_1, .., f_k): y -> x.  Given ``over``,
@@ -390,8 +407,7 @@ def _enumerate(c: FinCat, x: str, k: int, table: bool, over: str | None = None, 
     f_i[g=>over].  A slice object is named by its morphism id, a pair by
     ``pair_name``; ``_fresh_name`` keeps distinct pairs apart when two
     render alike.  The sizes are checked first, the objects against
-    ``cap_objects``, the composition entries only when a ``table`` will be
-    built."""
+    ``cap_objects``."""
     if not c.has_object(x):
         raise UnknownObject(x)
     index, _, into = c.interned
@@ -404,13 +420,8 @@ def _enumerate(c: FinCat, x: str, k: int, table: bool, over: str | None = None, 
         for f in c.hom(z, x):
             fibres[z].setdefault(None if over is None else c.comp[f, over], []).append(f)
     weight = {z: sum(len(fb) ** k for fb in fibres[z].values()) for z in c.objects}
-    outp = dict.fromkeys(c.objects, 0)
-    for m in c.morphisms:
-        outp[m.dom] += weight[m.cod]
     checks = [("objects", sum(weight.values()), cap_objects),
               ("morphisms", sum(len(into[z]) * weight[z] for z in c.objects), MORPHISMS_CAP)]
-    if table:
-        checks.append(("composition entries", sum(len(into[z]) * outp[z] for z in c.objects), COMP_ENTRIES_CAP))
     point = x if over is None else over
     for part, n, cap in checks:
         if n > cap:
@@ -451,7 +462,7 @@ def _elements_preorder(c: FinCat, x: str, k: int, over: str | None = None, cap_o
     without its composition table: ``elements`` and, in that order, their
     down-masks (bit j set when element j has a morphism to it).  Identities
     and composites make it reflexive and transitive: no closure is needed."""
-    elements, arrows = _enumerate(c, x, k, False, over, cap_objects)
+    elements, arrows = _enumerate(c, x, k, over, cap_objects)
     down = []
     for _, sources in arrows:
         mask = 0
@@ -459,55 +470,6 @@ def _elements_preorder(c: FinCat, x: str, k: int, over: str | None = None, cap_o
             mask |= 1 << j
         down.append(mask)
     return elements, down
-
-
-def _elements_category(c: FinCat, x: str, k: int) -> ElementsCategory:
-    """Materialised category of elements of hom(-, x)^k: a morphism to the
-    tuple (g_1, .., g_k) is an h with h;g_i = f_i for every i, and the
-    projection sends a tuple to its domain and each morphism to its witness h."""
-    elements, arrows = _enumerate(c, x, k, True)
-    names = list(elements)
-    used: set = set()
-    mors = []
-    witness: dict[str, tuple[str, str, str]] = {}
-    by_key: dict[tuple[str, str, str], str] = {}
-    incoming: dict[str, list[str]] = {p: [] for p in elements}
-    outgoing: dict[str, list[str]] = {p: [] for p in elements}
-    for tgt, (hs, sources) in zip(names, arrows):
-        for i, j in zip(hs, sources):
-            src, h = names[j], c.morphisms[i].name
-            name = _fresh_name(f"{h}[{src}=>{tgt}]", used)
-            mors.append((name, src, tgt))
-            witness[name] = (src, h, tgt)
-            by_key[(src, h, tgt)] = name
-            incoming[tgt].append(name)
-            outgoing[src].append(name)
-
-    ident = {p: by_key[(p, c.id_of(c.dom(t[0])), p)] for p, t in elements.items()}
-
-    comp = {}
-    for mid in elements:
-        for m1 in incoming[mid]:
-            src, h1, _ = witness[m1]
-            for m2 in outgoing[mid]:
-                _, h2, tgt = witness[m2]
-                comp[(m1, m2)] = by_key[(src, c.comp[(h1, h2)], tgt)]
-
-    cat = _build(elements, mors, ident, comp)
-    projection = FunctorData(
-        cat, c, {p: c.dom(t[0]) for p, t in elements.items()}, {name: w[1] for name, w in witness.items()}
-    )
-    return ElementsCategory(cat, projection, elements)
-
-
-def slice_category(c: FinCat, x: str) -> ElementsCategory:
-    """The slice over x: objects are the morphisms into x (k = 1)."""
-    return _elements_category(c, x, 1)
-
-
-def parallel_arrows(c: FinCat, x: str) -> ElementsCategory:
-    """Category of ordered parallel pairs (f0, f1): y -> x (k = 2)."""
-    return _elements_category(c, x, 2)
 
 
 def is_groupoid(c: FinCat) -> bool:
@@ -532,33 +494,35 @@ def is_groupoid(c: FinCat) -> bool:
 
 
 def parse_category(text: str) -> FinCat:
+    """Read the text format above and validate it.  Lines are split one at a
+    time, and comp and mor lines, the bulk of a file, are tried first."""
     objects: list[str] = []
     morphisms: list[tuple[str, str, str]] = []
     identity: dict[str, str] = {}
     comp: dict[tuple[str, str], str] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
+        parts = raw.partition("#")[0].split()
+        if len(parts) == 6:
+            tag, a, sep, b, eq, c = parts
+            if tag == "comp" and sep == ";" and eq == "=":
+                if (a, b) in comp:
+                    raise ParseError(f"line {lineno}: duplicate composition entry {(a, b)!r}")
+                comp[a, b] = c
+                continue
+            if tag == "mor" and sep == ":" and eq == "->":
+                morphisms.append((a, b, c))
+                continue
+        elif not parts:
             continue
-        parts = line.split()
-        try:
-            if parts[0] == "obj" and len(parts) == 2:
-                objects.append(parts[1])
-            elif parts[0] == "mor" and len(parts) == 6 and parts[2] == ":" and parts[4] == "->":
-                morphisms.append((parts[1], parts[3], parts[5]))
-            elif parts[0] == "id" and len(parts) == 4 and parts[2] == "=":
-                if parts[1] in identity:
-                    raise ParseError(f"line {lineno}: duplicate identity for {parts[1]!r}")
-                identity[parts[1]] = parts[3]
-            elif parts[0] == "comp" and len(parts) == 6 and parts[2] == ";" and parts[4] == "=":
-                key = (parts[1], parts[3])
-                if key in comp:
-                    raise ParseError(f"line {lineno}: duplicate composition entry {key!r}")
-                comp[key] = parts[5]
-            else:
-                raise ParseError(f"line {lineno}: cannot parse {raw.strip()!r}")
-        except IndexError:
-            raise ParseError(f"line {lineno}: cannot parse {raw.strip()!r}")
+        elif parts[0] == "obj" and len(parts) == 2:
+            objects.append(parts[1])
+            continue
+        elif parts[0] == "id" and len(parts) == 4 and parts[2] == "=":
+            if parts[1] in identity:
+                raise ParseError(f"line {lineno}: duplicate identity for {parts[1]!r}")
+            identity[parts[1]] = parts[3]
+            continue
+        raise ParseError(f"line {lineno}: cannot parse {raw.strip()!r}")
     return validate_category(objects, morphisms, identity, comp)
 
 

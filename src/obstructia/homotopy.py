@@ -245,12 +245,31 @@ def subset_name(items: Iterable[str]) -> str:
     return "{" + ",".join(sorted(items)) + "}"
 
 
+def _checked_universe(universe: Iterable[str], collapsed: Iterable[str]) -> tuple[list[str], dict[str, int], set]:
+    """The sorted universe, each generator's position in it and the
+    collapsed names.  Refuses with InvalidPoset when a generator is named
+    twice, with CapExceeded past POWERSET_CAP generators and with
+    UnknownObject when a collapsed name is not a generator."""
+    uni = sorted(universe)
+    twice = next((a for a, b in zip(uni, uni[1:]) if a == b), None)
+    if twice is not None:
+        raise InvalidPoset(f"two generators render as {twice!r}")
+    if len(uni) > POWERSET_CAP:
+        raise CapExceeded(f"powerset of {len(uni)} generators exceeds cap {POWERSET_CAP}")
+    index = {u: i for i, u in enumerate(uni)}
+    coll = set(collapsed)
+    unknown = sorted(coll - index.keys())
+    if unknown:
+        raise UnknownObject(unknown[0])
+    return uni, index, coll
+
+
 def powerset_elements(universe: Iterable[str], collapsed: Iterable[str]) -> dict:
     """Subsets of the universe that are not contained in the collapsed part,
     keyed by canonical name.  These are exactly the non-basepoint elements of
-    a powerset poset after collapsing the lower set of the collapsed subset."""
-    uni = sorted(set(universe))
-    coll = set(collapsed)
+    a powerset poset after collapsing the lower set of the collapsed subset.
+    Refuses what ``powerset_report`` refuses, with the same errors."""
+    uni, _, coll = _checked_universe(universe, collapsed)
     out: dict[str, frozenset] = {}
     for r in range(1, len(uni) + 1):
         for items in combinations(uni, r):
@@ -277,18 +296,8 @@ def powerset_report(universe: Iterable[str], collapsed: Iterable[str], basepoint
     basepoint is covered by the singletons of F.  Each walk is n * 2^(n-1)
     ORs and builds no name pair.
     """
-    uni = sorted(universe)
-    twice = next((a for a, b in zip(uni, uni[1:]) if a == b), None)
-    if twice is not None:
-        raise InvalidPoset(f"two generators render as {twice!r}")
+    uni, index, coll = _checked_universe(universe, collapsed)
     n = len(uni)
-    if n > POWERSET_CAP:
-        raise CapExceeded(f"powerset of {n} generators exceeds cap {POWERSET_CAP}")
-    index = {u: i for i, u in enumerate(uni)}
-    coll = set(collapsed)
-    unknown = sorted(coll - index.keys())
-    if unknown:
-        raise UnknownObject(unknown[0])
     full = (1 << n) - 1
     free = full & ~sum(1 << index[c] for c in coll)
 

@@ -9,6 +9,7 @@ exhaustive validators, so a generator bug cannot silently leak.
 
 from dataclasses import dataclass
 
+import oracles
 from obstructia import fincat, opengraph, order
 
 # -- building blocks -------------------------------------------------------
@@ -281,7 +282,7 @@ def random_functor(rng) -> fincat.FunctorData:
         if kind == "slice":
             c = random_category(rng, max_objects=3, max_morphisms=10)
             x = rng.choice(c.objects)
-            sl = fincat.slice_category(c, x)
+            sl = oracles.slice_category(c, x)
             if len(sl.cat.objects) == 0:
                 continue
             return sl.projection

@@ -7,6 +7,11 @@ tautology.  The one exception is ``covariance_map``: it builds the flow
 through the materialised slices and their projections, the construction
 that the library now reads off the category directly.
 
+The category section keeps what ``fincat`` replaced: the name-keyed
+validator, which scans every composable triple, and the materialised
+categories of elements (slices and parallel arrows) with their composition
+tables, still guarded at 600,000 entries.
+
 The order section keeps the string-pair implementations that the bitmask
 core in ``order`` replaced: a poset there is a sorted element tuple and a
 frozenset of name pairs, and every check is a set lookup.
@@ -14,14 +19,18 @@ frozenset of name pairs, and every check is a set lookup.
 
 import json
 from itertools import combinations
+from typing import NamedTuple
 
 from obstructia import fincat, homotopy, order
 from obstructia.errors import (
+    BadCompositionTyping,
+    DanglingReference,
     EmptyCollapseSet,
     InvalidPoset,
     MissingIdentity,
     NonAssociative,
     NotDownClosed,
+    SizeCapExceeded,
     UnknownObject,
 )
 
@@ -76,6 +85,149 @@ def law_failure(morphisms, identity, comp):
         return None
     pos = {m: i for i, (m, _, _) in enumerate(morphisms)}
     return NonAssociative(*min(failing, key=lambda t: [pos[m] for m in t]))
+
+
+# -- categories by name -------------------------------------------------------
+
+
+def validate_category(objects, morphisms, identity, comp):
+    """Every categorical law checked on string rows, in the order
+    ``fincat.validate_category`` keeps, with the same exceptions and
+    messages.  Associativity is a scan over every composable triple, f, g
+    and h each in declaration order; its first failure is the witness."""
+    objs = tuple(objects)
+    seen = set()
+    for x in objs:
+        if x in seen:
+            raise DanglingReference(f"duplicate object id {x!r}")
+        seen.add(x)
+    mors = tuple(fincat.MorDecl(*m) for m in morphisms)
+    dom, cod = {}, {}
+    for m in mors:
+        if m.name in dom:
+            raise DanglingReference(f"duplicate morphism id {m.name!r}")
+        if m.dom not in seen:
+            raise DanglingReference(f"morphism {m.name!r} has unknown domain {m.dom!r}")
+        if m.cod not in seen:
+            raise DanglingReference(f"morphism {m.name!r} has unknown codomain {m.cod!r}")
+        dom[m.name], cod[m.name] = m.dom, m.cod
+
+    ident = dict(identity)
+    for x, i in ident.items():
+        if x not in seen:
+            raise DanglingReference(f"identity declared for unknown object {x!r}")
+        if i not in dom:
+            raise DanglingReference(f"identity of {x!r} is unknown morphism {i!r}")
+    for x in objs:
+        if x not in ident:
+            raise MissingIdentity(x, "no identity declared")
+        if dom[ident[x]] != x or cod[ident[x]] != x:
+            raise MissingIdentity(x, f"identity {ident[x]!r} is not an endomorphism of {x!r}")
+
+    table = dict(comp)
+    row = {m: {} for m in dom}  # row[f][g] = f;g
+    for (f, g), h in table.items():
+        for m in (f, g):
+            if m not in dom:
+                raise DanglingReference(f"composition entry uses unknown morphism {m!r}")
+        if h not in dom:
+            raise DanglingReference(f"composite {h!r} is not a declared morphism")
+        if cod[f] != dom[g]:
+            raise BadCompositionTyping(f"entry ({f!r}, {g!r}) is not a composable pair")
+        if dom[h] != dom[f] or cod[h] != cod[g]:
+            raise BadCompositionTyping(f"composite of ({f!r}, {g!r}) must go {dom[f]!r} -> {cod[g]!r}, got {h!r}")
+        row[f][g] = h
+    out_of = {x: [m for m in dom if dom[m] == x] for x in objs}
+    for f in dom:
+        for g in out_of[cod[f]]:
+            if g not in row[f]:
+                raise BadCompositionTyping(f"missing composite for composable pair ({f!r}, {g!r})")
+
+    for m in dom:
+        left, right = row[ident[dom[m]]][m], row[m][ident[cod[m]]]
+        if left != m:
+            raise MissingIdentity(m, f"comp(id, {m!r}) = {left!r}")
+        if right != m:
+            raise MissingIdentity(m, f"comp({m!r}, id) = {right!r}")
+    for f in dom:
+        for g in out_of[cod[f]]:
+            for h in out_of[cod[g]]:
+                if row[row[f][g]][h] != row[f][row[g][h]]:
+                    raise NonAssociative(f, g, h)
+    return fincat._build(objs, [(m.name, m.dom, m.cod) for m in mors], ident, table)
+
+
+COMP_ENTRIES_CAP = 600_000
+
+
+class ElementsCategory(NamedTuple):
+    """A category of elements of hom(-, x)^k with its projection to c.
+    ``elements`` maps each object name to its k-tuple of morphisms into x."""
+
+    cat: fincat.FinCat
+    projection: fincat.FunctorData
+    elements: dict
+
+
+def _elements_category(c, x, k):
+    """Materialised category of elements of hom(-, x)^k over the library's
+    enumeration and walk: a morphism to the tuple (g_1, .., g_k) is an h
+    with h;g_i = f_i for every i, and the projection sends a tuple to its
+    domain and each morphism to its witness h.  Past the library's object
+    and morphism guards, its composition entries are guarded too: one per
+    morphism h into dom m and tuple over cod m, for every morphism m."""
+    elements, arrows = fincat._enumerate(c, x, k)
+    into = {z: 0 for z in c.objects}
+    for m in c.morphisms:
+        into[m.cod] += 1
+    entries = sum(into[m.dom] * len(c.hom(m.cod, x)) ** k for m in c.morphisms)
+    if entries > COMP_ENTRIES_CAP:
+        raise SizeCapExceeded(f"{('slice', 'parallel arrows')[k - 1]} over {x!r} composition entries", entries, COMP_ENTRIES_CAP)
+    names = list(elements)
+    used = set()
+    mors = []
+    witness = {}
+    by_key = {}
+    incoming = {p: [] for p in elements}
+    outgoing = {p: [] for p in elements}
+    for tgt, (hs, sources) in zip(names, arrows):
+        for i, j in zip(hs, sources):
+            src, h = names[j], c.morphisms[i].name
+            name = fincat._fresh_name(f"{h}[{src}=>{tgt}]", used)
+            mors.append((name, src, tgt))
+            witness[name] = (src, h, tgt)
+            by_key[(src, h, tgt)] = name
+            incoming[tgt].append(name)
+            outgoing[src].append(name)
+
+    ident = {p: by_key[(p, c.id_of(c.dom(t[0])), p)] for p, t in elements.items()}
+
+    comp = {}
+    for mid in elements:
+        for m1 in incoming[mid]:
+            src, h1, _ = witness[m1]
+            for m2 in outgoing[mid]:
+                _, h2, tgt = witness[m2]
+                comp[(m1, m2)] = by_key[(src, c.comp[(h1, h2)], tgt)]
+
+    cat = fincat._build(elements, mors, ident, comp)
+    projection = fincat.FunctorData(
+        cat, c, {p: c.dom(t[0]) for p, t in elements.items()}, {name: w[1] for name, w in witness.items()}
+    )
+    return ElementsCategory(cat, projection, elements)
+
+
+def slice_category(c, x):
+    """The slice over x: objects are the morphisms into x (k = 1)."""
+    return _elements_category(c, x, 1)
+
+
+def parallel_arrows(c, x):
+    """Category of ordered parallel pairs (f0, f1): y -> x (k = 2)."""
+    return _elements_category(c, x, 2)
+
+
+# -- homotopy by hom-set scans -------------------------------------------------
 
 
 def _classes(items, related):
@@ -177,8 +329,8 @@ def covariance_map(alpha, f, i):
     x, y = F.source.dom(f), F.source.cod(f)
     ax, ay = alpha.components[x], alpha.components[y]
     gf, ff = G.mor_map[f], F.mor_map[f]
-    sx = fincat.slice_category(d, G.obj_map[x])
-    sy = fincat.slice_category(d, G.obj_map[y])
+    sx = slice_category(d, G.obj_map[x])
+    sy = slice_category(d, G.obj_map[y])
     if i == 0:
         src, dst = homotopy.pi0(sx.cat, ax), homotopy.pi0(sy.cat, ay)
         class_of = order.poset_reflection(sy.cat)[1]
@@ -188,8 +340,8 @@ def covariance_map(alpha, f, i):
 
     else:
         src, dst = homotopy.pi1(sx.cat, ax), homotopy.pi1(sy.cat, ay)
-        pairs_x = fincat.parallel_arrows(sx.cat, ax).elements
-        pa_y = fincat.parallel_arrows(sy.cat, ay)
+        pairs_x = parallel_arrows(sx.cat, ax).elements
+        pa_y = parallel_arrows(sy.cat, ay)
         class_of = order.poset_reflection(pa_y.cat)[1]
         name_of = {pair: name for name, pair in pa_y.elements.items()}
         sy_by_key = {(m.dom, sy.projection.mor_map[m.name], m.cod): m.name for m in sy.cat.morphisms}

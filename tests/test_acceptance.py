@@ -122,7 +122,7 @@ def test_criterion_03_oracle_equivalence():
                     mor, yobj = setcat.embed_function(f)
 
                     amb = setcat.finset_ambient(max(m, n))
-                    sl = fincat.slice_category(amb, yobj)
+                    sl = oracles.slice_category(amb, yobj)
                     generic0 = homotopy.pi0(sl.cat, mor)
                     fast0 = setcat.pi0_function(f)
                     assert order.iso_pointed(generic0.invariant, fast0.invariant) is not None
@@ -131,7 +131,7 @@ def test_criterion_03_oracle_equivalence():
                     k1 = max(m, n, len(setcat.kernel_pair(f).pairs))
                     try:
                         amb1 = setcat.finset_ambient(k1)
-                        sl1 = fincat.slice_category(amb1, yobj)
+                        sl1 = oracles.slice_category(amb1, yobj)
                         generic1 = homotopy.pi1(sl1.cat, mor)
                         fast1 = setcat.pi1_function(f)
                         assert order.iso_pointed(generic1.invariant, fast1.invariant) is not None

@@ -11,6 +11,7 @@ from obstructia import fincat
 from obstructia.errors import (
     BadCompositionTyping,
     DanglingReference,
+    EngineError,
     MissingIdentity,
     NonAssociative,
     NotAFunctor,
@@ -154,17 +155,17 @@ class TestValidation:
 class TestLightsTest:
     def test_cyclic_group_needs_one_generator(self, monkeypatch):
         gens, triples = [], []
-        generators, triples_of = fincat._generators, fincat._triples
+        generators, squares = fincat._generators, fincat._squares
 
         def counted(*args):
-            for f, g, hs in triples_of(*args):
-                triples.append(len(hs))
-                yield f, g, hs
+            for left, right in squares(*args):
+                triples.append(len(left))
+                yield left, right
 
         monkeypatch.setattr(fincat, "_generators", lambda *args: gens.append(generators(*args)) or gens[-1])
-        monkeypatch.setattr(fincat, "_triples", counted)
-        gen.cyclic_group_category(20)
-        assert gens == [{"g1"}]
+        monkeypatch.setattr(fincat, "_squares", counted)
+        c = gen.cyclic_group_category(20)
+        assert [{c.morphisms[g].name for g in found} for found in gens] == [{"g1"}]
         assert sum(triples) == 20 * 20  # the scan over every middle takes 20^3
 
     def test_witness_is_the_first_of_the_full_scan(self):
@@ -201,10 +202,122 @@ class TestLightsTest:
             assert str(exc.value) == str(expected)
 
 
+# One corruption of a generated category per kind of law failure, and none.
+CORRUPTIONS = (
+    "none", "duplicate object", "duplicate morphism", "unknown domain", "unknown codomain",
+    "identity of unknown object", "identity is unknown morphism", "no identity", "identity elsewhere",
+    "entry uses unknown morphism", "unknown composite", "not composable", "mistyped composite",
+    "missing composite", "identity law", "associativity",
+)
+
+
+def corrupt(c, kind, data):
+    """Tables of c with its declarations permuted and one corruption of the
+    given kind, as (objects, morphisms, identity, comp)."""
+    draw = data.draw
+
+    def pick(items):
+        assume(items)
+        return draw(st.sampled_from(items))
+
+    objects = list(draw(st.permutations(c.objects)))
+    decls = list(draw(st.permutations([(m.name, m.dom, m.cod) for m in c.morphisms])))
+    identity = dict(draw(st.permutations(sorted(c.identity.items()))))
+    comp = dict(draw(st.permutations(sorted(c.comp.items()))))
+    names = [m.name for m in c.morphisms]
+    entries = sorted(c.comp.items())
+    if kind == "duplicate object":
+        objects.insert(draw(st.integers(0, len(objects))), pick(c.objects))
+    elif kind == "duplicate morphism":
+        decls.insert(draw(st.integers(0, len(decls))), pick(decls))
+    elif kind in ("unknown domain", "unknown codomain"):
+        i = draw(st.integers(0, len(decls) - 1))
+        name, d, e = decls[i]
+        decls[i] = (name, "?", e) if kind == "unknown domain" else (name, d, "?")
+    elif kind == "identity of unknown object":
+        identity["?"] = pick(names)
+    elif kind == "identity is unknown morphism":
+        identity[pick(c.objects)] = "?"
+    elif kind == "no identity":
+        del identity[pick(c.objects)]
+    elif kind == "identity elsewhere":
+        x = pick(c.objects)
+        identity[x] = pick([m for m in names if m != c.identity[x]])
+    elif kind == "entry uses unknown morphism":
+        (f, g), h = pick(entries)
+        comp[pick([("?", g), (f, "?")])] = h
+    elif kind == "unknown composite":
+        comp[pick(sorted(c.comp))] = "?"
+    elif kind == "not composable":
+        comp[pick([(f, g) for f in names for g in names if c.cod(f) != c.dom(g)])] = names[0]
+    elif kind == "mistyped composite":
+        (f, g), h = pick(entries)
+        comp[f, g] = pick([m for m in names if m not in c.hom(c.dom(h), c.cod(h))])
+    elif kind == "missing composite":
+        del comp[pick(sorted(c.comp))]
+    elif kind in ("identity law", "associativity"):
+        # another morphism of the composite's hom-set; an entry with an
+        # identity in it breaks an identity law, one without associativity
+        ids = set(c.identity.values())
+        (f, g), h = pick([(key, h) for key, h in entries if len(c.hom(c.dom(h), c.cod(h))) > 1
+                          and bool(set(key) & ids) == (kind == "identity law")])
+        comp[f, g] = pick([m for m in c.hom(c.dom(h), c.cod(h)) if m != h])
+    return objects, decls, identity, comp
+
+
+class TestIntValidator:
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(min_value=0, max_value=10_000), st.sampled_from(CORRUPTIONS), st.data())
+    def test_agrees_with_the_name_keyed_oracle(self, seed, kind, data):
+        c = gen.random_category(random.Random(seed), max_objects=4, max_morphisms=15)
+        tables = corrupt(c, kind, data)
+        try:
+            expected = oracles.validate_category(*tables)
+        except EngineError as exc:
+            with pytest.raises(EngineError) as got:
+                fincat.validate_category(*tables)
+            assert (type(got.value), str(got.value)) == (type(exc), str(exc))
+        else:
+            got = fincat.validate_category(*tables)
+            assert got == expected
+            assert got.interned == expected.interned  # the oracle's are built from comp
+
+    def test_parsed_rows_are_the_rows_built_from_comp(self, wa, z2, seed):
+        rng = random.Random(seed + 5)
+        cats = [wa, z2, terminal_cat(), discrete2(), gen.cyclic_group_category(6)]
+        cats += [gen.random_category(rng) for _ in range(20)]
+        for c in cats:
+            parsed = fincat.parse_category(fincat.serialize_category(c))
+            assert parsed.interned == fincat.opposite(fincat.opposite(c)).interned
+
+
 class TestTextFormat:
     def test_round_trip(self, wa, z2):
         for c in (wa, z2, terminal_cat(), discrete2()):
             assert fincat.parse_category(fincat.serialize_category(c)) == c
+
+    @pytest.mark.parametrize("text", [
+        Z2.replace("\n", "\r\n"),
+        Z2.replace(" ", "\t"),
+        Z2.replace("comp s ; s = e", "comp s ; s = e  # s is an involution"),
+    ], ids=["crlf", "tabs", "trailing comment"])
+    def test_line_endings_whitespace_and_comments(self, text, z2):
+        assert fincat.parse_category(text) == z2
+
+    def test_comment_only_file_is_the_empty_category(self):
+        c = fincat.parse_category("# nothing here\n   # indented\n\n")
+        assert (c.objects, c.morphisms, dict(c.comp)) == ((), (), {})
+
+    @pytest.mark.parametrize("text, message", [
+        # str.splitlines ends a line at \x0b and \x0c too
+        (Z2.replace("comp s ; s = e", "comp s ;\x0bs = e"), "line 9: cannot parse 'comp s ;'"),
+        (Z2.replace("mor s : * -> *", "mor s : *\x0c-> *"), "line 4: cannot parse 'mor s : *'"),
+        (Z2.replace("comp s ; s = e", "comp s ; s = e e"), "line 9: cannot parse 'comp s ; s = e e'"),
+    ], ids=["vertical tab", "form feed", "seven tokens"])
+    def test_refused_lines(self, text, message):
+        with pytest.raises(ParseError) as exc:
+            fincat.parse_category(text)
+        assert str(exc.value) == message
 
     def test_bad_line(self):
         with pytest.raises(ParseError):
@@ -238,19 +351,19 @@ class TestOpposite:
 
 class TestSlice:
     def test_walking_arrow_over_1(self, wa):
-        sl = fincat.slice_category(wa, "1")
+        sl = oracles.slice_category(wa, "1")
         assert set(sl.cat.objects) == {"a", "id1"}
         non_id = [m for m in sl.cat.morphisms if m.name not in sl.cat.identity.values()]
         assert len(non_id) == 1
         assert non_id[0].dom == "a" and non_id[0].cod == "id1"
 
     def test_no_incoming_gives_one_object(self, wa):
-        sl = fincat.slice_category(wa, "0")
+        sl = oracles.slice_category(wa, "0")
         assert sl.cat.objects == ("id0",)
 
     def test_z2_slice_full_enumeration(self, z2):
         # oracle: count factorizations h with h;g = f over all pairs
-        sl = fincat.slice_category(z2, "*")
+        sl = oracles.slice_category(z2, "*")
         assert set(sl.cat.objects) == {"e", "s"}
         for f in ("e", "s"):
             for g in ("e", "s"):
@@ -260,14 +373,14 @@ class TestSlice:
 
     def test_unknown_object(self, wa):
         with pytest.raises(UnknownObject):
-            fincat.slice_category(wa, "missing")
+            oracles.slice_category(wa, "missing")
 
     def test_projection_is_valid_functor_and_fibers_partition(self, seed):
         rng = random.Random(seed + 1)
         for _ in range(10):
             c = gen.random_category(rng, max_objects=4, max_morphisms=15)
             x = rng.choice(c.objects)
-            sl = fincat.slice_category(c, x)
+            sl = oracles.slice_category(c, x)
             # re-validate the projection from its raw tables
             fincat.validate_functor(
                 sl.cat, c, sl.projection.obj_map, sl.projection.mor_map
@@ -282,7 +395,7 @@ class TestSlice:
         for _ in range(6):
             c = gen.random_category(rng, max_objects=3, max_morphisms=10)
             x = rng.choice(c.objects)
-            sl = fincat.slice_category(c, x)
+            sl = oracles.slice_category(c, x)
             fincat.validate_category(
                 sl.cat.objects,
                 [(m.name, m.dom, m.cod) for m in sl.cat.morphisms],
@@ -293,12 +406,12 @@ class TestSlice:
 
 class TestParallelArrows:
     def test_terminal(self):
-        pa = fincat.parallel_arrows(terminal_cat(), "*")
+        pa = oracles.parallel_arrows(terminal_cat(), "*")
         assert pa.cat.objects == ("(id,id)",)
         assert len(pa.cat.morphisms) == 1
 
     def test_walking_arrow(self, wa):
-        pa = fincat.parallel_arrows(wa, "1")
+        pa = oracles.parallel_arrows(wa, "1")
         assert set(pa.cat.objects) == {"(a,a)", "(id1,id1)"}
         # exactly one morphism (a,a) -> (id1,id1): the one witnessed by a
         assert len(pa.cat.hom("(a,a)", "(id1,id1)")) == 1
@@ -308,12 +421,12 @@ class TestParallelArrows:
         for _ in range(10):
             c = gen.random_category(rng, max_objects=4, max_morphisms=15)
             x = rng.choice(c.objects)
-            pa = fincat.parallel_arrows(c, x)
+            pa = oracles.parallel_arrows(c, x)
             expected = sum(len(c.hom(y, x)) ** 2 for y in c.objects)
             assert len(pa.cat.objects) == expected
 
     def test_projection_valid_and_tables_revalidate(self, z2):
-        pa = fincat.parallel_arrows(z2, "*")
+        pa = oracles.parallel_arrows(z2, "*")
         fincat.validate_functor(pa.cat, z2, pa.projection.obj_map, pa.projection.mor_map)
         fincat.validate_category(
             pa.cat.objects,
@@ -324,14 +437,14 @@ class TestParallelArrows:
 
     def test_size_cap(self):
         with pytest.raises(SizeCapExceeded) as exc:
-            fincat.parallel_arrows(gen.cyclic_group_category(142), "*")
+            oracles.parallel_arrows(gen.cyclic_group_category(142), "*")
         assert str(exc.value) == "parallel arrows over '*' objects: projected 20164 exceeds cap 20000"
 
     def test_pairs_that_render_alike_stay_distinct(self):
         # (p,q ; r) and (p ; q,r) both render as (p,q,r)
         with open(PAIR_COLLISION, encoding="utf-8") as fh:
             c = fincat.parse_category(fh.read())
-        pa = fincat.parallel_arrows(c, "x")
+        pa = oracles.parallel_arrows(c, "x")
         over_y = [p for p in pa.cat.objects if pa.projection.obj_map[p] == "y"]
         assert len(set(over_y)) == len(over_y) == 16
         assert len(set(pa.cat.objects)) == 17

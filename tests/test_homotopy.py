@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 import gen
 import oracles
 from obstructia import fincat, homotopy, order, setcat
-from obstructia.errors import OracleMismatch, SizeCapExceeded, UnknownMorphism, UnknownObject
+from obstructia.errors import InvalidPoset, OracleMismatch, SizeCapExceeded, UnknownMorphism, UnknownObject
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "..", "fixtures")
 PAIR_COLLISION = os.path.join(FIXTURES, "pair_collision.cat")
@@ -100,7 +100,7 @@ class TestPi1:
 def materialised_pi1(c, x):
     """pi1 through the full parallel-arrow category: reflect it, then collapse
     the lower set of the pair of identities."""
-    pa = fincat.parallel_arrows(c, x)
+    pa = oracles.parallel_arrows(c, x)
     p, class_of = order.poset_reflection(pa.cat)
     base = next(name for name, pair in pa.elements.items() if pair == (c.id_of(x), c.id_of(x)))
     return order.collapse_lower(p, order.lower_closure(p, {class_of[base]}), f"[{x}]")
@@ -131,11 +131,11 @@ class TestPreorderRoute:
     def test_comp_entries_cap_guards_only_tables(self):
         # Z/36: pi1 is served above, its table of n^4 entries is not
         with pytest.raises(SizeCapExceeded) as exc:
-            fincat.parallel_arrows(gen.cyclic_group_category(36), "*")
+            oracles.parallel_arrows(gen.cyclic_group_category(36), "*")
         assert str(exc.value) == "parallel arrows over '*' composition entries: projected 1679616 exceeds cap 600000"
         amb = setcat.finset_ambient(4)
         with pytest.raises(SizeCapExceeded) as exc:
-            fincat.slice_category(amb, "2")
+            oracles.slice_category(amb, "2")
         assert str(exc.value) == "slice over '2' composition entries: projected 1805611 exceeds cap 600000"
         an = homotopy.analyze_morphism(amb, "1>2:0")
         assert an.mono and not an.split_epi
@@ -251,7 +251,7 @@ class TestSubterminalTransfer:
         for _ in range(20):
             c = gen.random_category(rng, max_objects=4, max_morphisms=16)
             for x in c.objects:
-                pa = fincat.parallel_arrows(c, x)
+                pa = oracles.parallel_arrows(c, x)
                 base = fincat.pair_name(c.id_of(x), c.id_of(x))
                 assert homotopy.is_subterminal(c, x) == oracles.weak_terminal(pa.cat, base)
 
@@ -432,7 +432,7 @@ class TestAnalyze:
         for c in cats:
             for f in c.morphism_names():
                 an = homotopy.analyze_morphism(c, f)
-                sl = fincat.slice_category(c, c.cod(f)).cat
+                sl = oracles.slice_category(c, c.cod(f)).cat
                 assert an.pi0 == homotopy.pi0(sl, f)
                 assert an.pi1 == homotopy.pi1(sl, f)
 
@@ -460,7 +460,7 @@ class TestAnalyze:
         assert not an.mono
         # the 12 off-diagonal pairs at z survive; the diagonal joins [f]
         assert len(an.pi1.invariant.poset.elements) == 13
-        sl = fincat.slice_category(c, "y").cat
+        sl = oracles.slice_category(c, "y").cat
         assert len(homotopy.pi1(sl, "f").invariant.poset.elements) == 13
 
     @settings(max_examples=40, deadline=None)
@@ -475,7 +475,7 @@ class TestAnalyze:
         for f in c.morphism_names():
             x = c.dom(f)
             an = homotopy.analyze_morphism(c, f)
-            sl = fincat.slice_category(c, c.cod(f)).cat
+            sl = oracles.slice_category(c, c.cod(f)).cat
             assert len(an.pi0.invariant.poset.elements) == len(homotopy.pi0(sl, f).invariant.poset.elements)
             assert len(an.pi1.invariant.poset.elements) == len(homotopy.pi1(sl, f).invariant.poset.elements)
             pairs, _ = fincat._elements_preorder(c, x, 2, f)
@@ -554,6 +554,18 @@ class TestReportSerialization:
     def test_collapsed_name_outside_universe_is_refused(self):
         with pytest.raises(UnknownObject, match=r"^no such object: 'z'$"):
             homotopy.powerset_report(["a", "b"], ["z", "a"], "{}", "ctx")
+
+    def test_powerset_elements_refuses_what_the_report_refuses(self):
+        # a repeated generator used to merge, an unknown collapsed name to be ignored
+        for universe, collapsed, error, message in (
+            (["a", "a", "b"], [], InvalidPoset, "two generators render as 'a'"),
+            (["a", "b"], ["z"], UnknownObject, "no such object: 'z'"),
+        ):
+            for build in (homotopy.powerset_elements, lambda u, c: homotopy.powerset_report(u, c, "{}", "ctx")):
+                with pytest.raises(error) as exc:
+                    build(universe, collapsed)
+                assert str(exc.value) == message
+        assert homotopy.powerset_elements(["b", "a"], ["a"]) == {"{a,b}": {"a", "b"}, "{b}": {"b"}}
 
     def test_one_element_report(self):
         for r in (homotopy.pi0(walking_arrow(), "1"), homotopy.powerset_report([], [], "{}", "empty")):

@@ -292,7 +292,7 @@ class TestAmbientAnalyze:
         amb = setcat.finset_ambient(3)
         f = setcat.FiniteFunction(("0",), ("0", "1", "2"), {"0": "0"})
         mor, yobj = setcat.embed_function(f)
-        sl = fincat.slice_category(amb, yobj)
+        sl = oracles.slice_category(amb, yobj)
         generic = homotopy.pi0(sl.cat, mor)
         fast = setcat.pi0_function(f)
         assert order.iso_pointed(generic.invariant, fast.invariant) is not None
