@@ -29,13 +29,20 @@ def _emit_report(report: homotopy.ObstructionReport, fmt: str, out) -> None:
         out.write(order.hasse_dot(report.invariant))
         return
     p = report.invariant.poset
-    covers = order.hasse(p)
+    e = p.elements
+    masks = order.covers(p)
+    # one "a < b; a < c" string per element's row of covers
+    rows = []
+    for i, m in enumerate(masks):
+        if m:
+            head = e[i] + " < "
+            rows.append(head + ("; " + head).join(map(e.__getitem__, order._bits(m))))
     out.write(f"context: {report.context}\n")
     out.write(f"trivial: {'yes' if report.trivial else 'no'}\n")
     out.write(f"basepoint: {report.invariant.basepoint}\n")
     out.write(f"elements ({len(p.elements)}): " + ", ".join(p.elements) + "\n")
     out.write(f"minimal obstructions ({len(report.minimal)}): " + ", ".join(sorted(report.minimal)) + "\n")
-    out.write(f"covers ({len(covers)}): " + "; ".join(f"{a} < {b}" for a, b in covers) + "\n")
+    out.write(f"covers ({sum(m.bit_count() for m in masks)}): " + "; ".join(rows) + "\n")
 
 
 def _emit_flow(pmap: order.PointedMap, out) -> None:

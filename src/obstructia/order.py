@@ -27,6 +27,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import compress
 from typing import Iterable, Mapping, Optional
 
 from . import fincat
@@ -41,6 +42,18 @@ def _bits(m: int) -> list[int]:
         out.append(low.bit_length() - 1)
         m ^= low
     return out
+
+
+# The ASCII digits 0 and 1 as the bytes 0 and 1: a selector for compress.
+_DIGIT_BYTES = bytes.maketrans(b"01", b"\0\1")
+
+
+def _pick(seq, m: int):
+    """The items of seq at the set bits of m, ascending, as an iterator.
+    One C-level pass over the binary digits of m, whatever their number:
+    the choice for rows with many bits set, such as up-masks.  On a row
+    with few, ``_bits`` is cheaper, at one step per set bit."""
+    return compress(seq, bin(m)[:1:-1].encode("ascii").translate(_DIGIT_BYTES))
 
 
 def _low(m: int) -> int:
@@ -411,6 +424,8 @@ def hasse_dot(p) -> str:
         shape = "doublecircle" if e == basepoint else "ellipse"
         lines.append(f"  {q} [shape={shape}];")
     for i, m in enumerate(covers(p)):
-        lines.extend(f"  {quoted[i]} -> {quoted[j]};" for j in _bits(m))
+        if m:  # one line per cover, one join per element's row
+            head = "  " + quoted[i] + " -> "
+            lines.append(head + (";\n" + head).join(map(quoted.__getitem__, _bits(m))) + ";")
     lines.append("}")
     return "\n".join(lines) + "\n"

@@ -14,7 +14,10 @@ tables, still guarded at 600,000 entries.
 
 The order section keeps the string-pair implementations that the bitmask
 core in ``order`` replaced: a poset there is a sorted element tuple and a
-frozenset of name pairs, and every check is a set lookup.
+frozenset of name pairs, and every check is a set lookup.  The renderings
+at the end write the interchange document through the standard library's
+encoder, and DOT and text one f-string per cover pair, as the code that the
+row joins in ``order``, ``homotopy`` and ``cli`` replaced did.
 """
 
 import json
@@ -592,3 +595,39 @@ def interchange(r):
     """The interchange document of a report, by the standard library's
     encoder: what ``homotopy.write_interchange`` must write byte for byte."""
     return json.dumps(report_to_dict(r), sort_keys=True, indent=2) + "\n"
+
+
+# -- the text and DOT renderings ------------------------------------------------
+
+
+def _quote(s):
+    return '"' + s.replace("\\", "\\\\").replace('"', '\\"') + '"'
+
+
+def hasse_dot(pp):
+    """The DOT digraph of a pointed poset, one f-string per element and per
+    textbook cover pair: what ``order.hasse_dot`` must write byte for byte."""
+    p = pp.poset
+    lines = ["digraph hasse {", "  rankdir=BT;"]
+    for e in p.elements:
+        shape = "doublecircle" if e == pp.basepoint else "ellipse"
+        lines.append(f"  {_quote(e)} [shape={shape}];")
+    lines.extend(f"  {_quote(a)} -> {_quote(b)};" for a, b in hasse(p.elements, p.leq))
+    lines.append("}")
+    return "\n".join(lines) + "\n"
+
+
+def text_report(r):
+    """The text rendering of a report, one f-string per textbook cover pair:
+    what the CLI's text format must write byte for byte."""
+    p = r.invariant.poset
+    covers = hasse(p.elements, p.leq)
+    lines = [
+        f"context: {r.context}",
+        f"trivial: {'yes' if r.trivial else 'no'}",
+        f"basepoint: {r.invariant.basepoint}",
+        f"elements ({len(p.elements)}): " + ", ".join(p.elements),
+        f"minimal obstructions ({len(r.minimal)}): " + ", ".join(sorted(r.minimal)),
+        f"covers ({len(covers)}): " + "; ".join(f"{a} < {b}" for a, b in covers),
+    ]
+    return "\n".join(lines) + "\n"

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 import gen
 import oracles
-from obstructia import fincat, homotopy, order, setcat
+from obstructia import cli, fincat, homotopy, order, setcat
 from obstructia.errors import InvalidPoset, OracleMismatch, SizeCapExceeded, UnknownMorphism, UnknownObject
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "..", "fixtures")
@@ -535,7 +535,8 @@ def written(r):
 
 class TestReportSerialization:
     """``write_interchange`` against the standard library's encoding of
-    ``oracles.report_to_dict``."""
+    ``oracles.report_to_dict``, and DOT and text against their per-pair
+    oracles."""
 
     def test_dict_shape(self):
         r = homotopy.pi0(walking_arrow(), "0")
@@ -550,6 +551,10 @@ class TestReportSerialization:
     @given(odd_reports())
     def test_odd_names_byte_identical(self, r):
         assert written(r) == oracles.interchange(r)
+        assert order.hasse_dot(r.invariant) == oracles.hasse_dot(r.invariant)
+        text = io.StringIO()
+        cli._emit_report(r, "text", text)
+        assert text.getvalue() == oracles.text_report(r)
 
     def test_collapsed_name_outside_universe_is_refused(self):
         with pytest.raises(UnknownObject, match=r"^no such object: 'z'$"):

@@ -6,12 +6,12 @@ from dataclasses import replace
 from itertools import combinations
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import gen
 import oracles
-from obstructia import fincat, homotopy, opengraph, order, setcat, states
+from obstructia import cli, fincat, homotopy, opengraph, order, setcat, states
 from obstructia.errors import (
     EmptyCollapseSet,
     InvalidMap,
@@ -242,6 +242,27 @@ class TestHasse:
         assert frozenset(closure) == p.leq
 
 
+class TestPick:
+    """``order._pick`` selects what ``order._bits`` indexes, on masks up to
+    4096 bits, dense and sparse."""
+
+    SEQ = [f"e{i}" for i in range(4096)]
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.one_of(
+        st.integers(0, 2**4096 - 1),
+        st.sets(st.integers(0, 4095), max_size=8).map(lambda bits: sum(1 << b for b in bits)),
+    ))
+    @example(0)
+    @example(1)
+    @example(2**4096 - 1)
+    @example(1 << 4095)
+    @example(int("01" * 2048, 2))
+    @example(int("10" * 2048, 2))
+    def test_equals_bits(self, m):
+        assert list(order._pick(self.SEQ, m)) == [self.SEQ[i] for i in order._bits(m)]
+
+
 class TestIso:
     def test_two_chain_vs_two_chain(self):
         a = order.PointedPoset(chain(2), "0")
@@ -346,6 +367,18 @@ def fixture_reports():
         yield from states.obstructions(states.StateContext("gf2"), *dims)
 
 
+def rendered(r):
+    """The DOT, text and interchange bytes of r, as the CLI writes them."""
+    text, doc = io.StringIO(), io.StringIO()
+    cli._emit_report(r, "text", text)
+    homotopy.write_interchange(r, doc)
+    return order.hasse_dot(r.invariant), text.getvalue(), doc.getvalue()
+
+
+def oracle_rendered(r):
+    return oracles.hasse_dot(r.invariant), oracles.text_report(r), oracles.interchange(r)
+
+
 def kind(message):
     """The law an InvalidPoset message names, without its witness."""
     return message.split("'")[0].split("(")[0]
@@ -411,11 +444,20 @@ class TestMaskCoreAgainstPairs:
                 assert trusted_differs(r.invariant.poset) == []
                 continue
             self.check_pointed(r.invariant, r.minimal)
-            out = io.StringIO()
-            homotopy.write_interchange(r, out)
-            assert out.getvalue() == oracles.interchange(r)
+            assert rendered(r) == oracle_rendered(r)
             count += 1
         assert count > 40
+
+    def test_renderings(self):
+        # powerset reports, whose cover rows are sparse and up-rows dense, and
+        # pi1 of Z/n, an antichain: one bit in each up-row
+        reports = []
+        for n in range(11):
+            universe = [f"u{i}" for i in range(n)]
+            reports.append(homotopy.powerset_report(universe, universe[: n // 3], "{}", "ctx"))
+        reports += [homotopy.pi1(gen.cyclic_group_category(n), "*") for n in (8, 20)]
+        for r in reports:
+            assert rendered(r) == oracle_rendered(r)
 
     def test_powerset_reports(self, seed):
         rng = random.Random(seed + 13)
@@ -476,17 +518,25 @@ class TestTrustedPowerset:
                 self.check(homotopy.powerset_report(universe, collapsed, "{}", "ctx"), universe, collapsed)
 
     @settings(max_examples=150, deadline=None)
-    @given(st.lists(ODD, max_size=6, unique=True), st.data())
-    def test_odd_names(self, universe, data):
-        collapsed = data.draw(st.lists(st.sampled_from(universe), unique=True) if universe else st.just([]))
-        bp = data.draw(st.sampled_from(["{}", "[{}]", "~", "{a}"]))
+    @given(
+        st.lists(ODD, max_size=6, unique=True),
+        st.lists(st.booleans(), min_size=6, max_size=6),
+        st.sampled_from(["{}", "[{}]", "~", "{a}"]),
+    )
+    # the empty generator: {''} renders as {} and {'', '\\'} as {,\\}
+    @example(universe=["", "\\"], collapse=[False] * 6, bp="~")
+    @example(universe=["", "\\"], collapse=[False] * 6, bp="{}")
+    def test_odd_names(self, universe, collapse, bp):
+        collapsed = [u for u, c in zip(universe, collapse) if c]
         subsets = (s for k in range(len(universe) + 1) for s in combinations(universe, k))
         names = [bp] + [homotopy.subset_name(s) for s in subsets if not set(s) <= set(collapsed)]
         if len(set(names)) < len(names):
             with pytest.raises(InvalidPoset, match="two elements render as"):
                 homotopy.powerset_report(universe, collapsed, bp, "ctx")
         else:
-            self.check(homotopy.powerset_report(universe, collapsed, bp, "ctx"), universe, collapsed)
+            r = homotopy.powerset_report(universe, collapsed, bp, "ctx")
+            assert r.invariant.poset.elements == tuple(sorted(names))
+            self.check(r, universe, collapsed)
 
     def test_one_flipped_cover_bit_is_seen(self):
         p = homotopy.powerset_report(["a", "b", "c"], ["c"], "{}", "ctx").invariant.poset
