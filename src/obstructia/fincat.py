@@ -11,10 +11,10 @@ and keeps those rows as ``FinCat.interned``; the name-keyed tables stay
 public.  Derived constructions name their objects and morphisms canonically
 so outputs are reproducible byte for byte.  Besides the opposite, they are
 categories of elements of hom(-, x)^k (the slice over x at k = 1, parallel
-arrows at k = 2): one enumeration of the objects behind the size caps below
-and one walk over the interned rows, kept as the reachability preorder,
-which is all the invariants read.  Nothing here materialises their
-composition tables; the tests keep that construction as an oracle.
+arrows at k = 2): one enumeration behind the size caps below and one walk
+over the interned rows, one element per orbit of ``FinCat.isos``, kept as
+the reachability preorder that the invariants read.  The tests keep the
+walk over every arrow and the composition tables as oracles.
 """
 
 from __future__ import annotations
@@ -127,6 +127,16 @@ class FinCat:
 
     def morphism_names(self) -> tuple[str, ...]:
         return tuple(m.name for m in self.morphisms)
+
+    @cached_property
+    def isos(self) -> frozenset[int]:
+        """The invertible morphisms, as ids in ``interned``: g: w -> y is one
+        iff id_y = h;g for some h in g's row and g;h = id_w.  The first such h
+        decides, as an inverse is unique (h = h;g;k = k for an inverse k)."""
+        index, rows, _ = self.interned
+        ids = {x: index[i] for x, i in self.identity.items()}
+        return frozenset(g for g, (m, row) in enumerate(zip(self.morphisms, rows)) if ids[m.cod] in row.values()
+                         and rows[list(row)[list(row.values()).index(ids[m.cod])]][g] == ids[m.dom])
 
 
 def validate_category(
@@ -401,13 +411,13 @@ def pair_name(f0: str, f1: str) -> str:
 
 def _enumerate(c: FinCat, x: str, k: int, over: str | None = None, cap_objects: int = OBJECTS_CAP):
     """Objects of the category of elements of hom(-, x)^k, k = 1 (the slice)
-    or k = 2 (parallel arrows), and the walk over its arrows: ``elements``
-    maps each name to its k-tuple (f_1, .., f_k): y -> x.  Given ``over``,
-    only tuples with one g = f_i;over are kept, named as slice morphisms
-    f_i[g=>over].  A slice object is named by its morphism id, a pair by
-    ``pair_name``; ``_fresh_name`` keeps distinct pairs apart when two
-    render alike.  The sizes are checked first, the objects against
-    ``cap_objects``."""
+    or k = 2 (parallel arrows): ``elements`` maps each name to its k-tuple
+    (f_1, .., f_k): y -> x, and ``tuples`` lists, in that order, each y with
+    the tuple as ints.  Given ``over``, only tuples with one g = f_i;over are
+    kept, named as slice morphisms f_i[g=>over].  A slice object is named by
+    its morphism id, a pair by ``pair_name``; ``_fresh_name`` keeps distinct
+    pairs apart when two render alike.  The sizes are checked first, the
+    objects against ``cap_objects``."""
     if not c.has_object(x):
         raise UnknownObject(x)
     index, _, into = c.interned
@@ -433,54 +443,43 @@ def _enumerate(c: FinCat, x: str, k: int, over: str | None = None, cap_objects: 
     for y in c.objects:
         for g, fibre in fibres[y].items():
             ids = [index[f] for f in fibre]
-            for t, it in zip(product(fibre, repeat=k), product(ids, repeat=k)):
-                parts = t if over is None else [f"{f}[{g}=>{over}]" for f in t]
+            labels = fibre if over is None else [f"{f}[{g}=>{over}]" for f in fibre]
+            for parts, t, it in zip(product(labels, repeat=k), product(fibre, repeat=k), product(ids, repeat=k)):
                 elements[_fresh_name(parts[0] if k == 1 else pair_name(*parts), used)] = t
                 tuples.append((y, it))
-    return elements, _arrows(c, tuples)
-
-
-def _arrows(c: FinCat, tuples):
-    """Walk the morphisms of the category of elements over the interned
-    tables.  For each target tuple t, in order, yield the morphisms h into
-    its domain and, for each, the position of its source h;t: a k-tuple of
-    ints g is looked up by its code g_1*M + g_2 (g_1 when k = 1), M the
-    number of morphisms."""
-    _, rows, into = c.interned
-    size = len(rows)
-    at = {t[0] if len(t) == 1 else t[0] * size + t[1]: j for j, (_, t) in enumerate(tuples)}
-    for y, t in tuples:
-        hs, r0, r1 = into[y], rows[t[0]], rows[t[-1]]
-        if len(t) == 1:
-            yield hs, [at[r0[h]] for h in hs]
-        else:
-            yield hs, [at[r0[h] * size + r1[h]] for h in hs]
+    return elements, tuples
 
 
 def _elements_preorder(c: FinCat, x: str, k: int, over: str | None = None, cap_objects: int = OBJECTS_CAP):
     """The reachability preorder of the category of elements of hom(-, x)^k,
     without its composition table: ``elements`` and, in that order, their
-    down-masks (bit j set when element j has a morphism to it).  Identities
-    and composites make it reflexive and transitive: no closure is needed."""
-    elements, arrows = _enumerate(c, x, k, over, cap_objects)
-    down = []
-    for _, sources in arrows:
+    down-masks, a tuple t's mask the OR of bit j for each source h;t at j (h
+    into dom t).  Identities and composites make it reflexive and transitive.
+    A tuple of ints is keyed g_1*M + g_2 (g_1 if k = 1), M morphisms.  For an
+    iso h, h;t and t reach each other and share one down-set, so one element
+    per iso orbit is walked, its mask handed to its sources along isos."""
+    elements, tuples = _enumerate(c, x, k, over, cap_objects)
+    _, rows, into = c.interned
+    size = len(rows)
+    at = {t[0] if k == 1 else t[0] * size + t[1]: j for j, (_, t) in enumerate(tuples)}
+    iso_at = {y: [i for i, h in enumerate(hs) if h in c.isos] for y, hs in into.items()}
+    down = [0] * len(tuples)
+    for e, (y, t) in enumerate(tuples):
+        if down[e]:
+            continue
+        hs, r0, r1 = into[y], rows[t[0]], rows[t[-1]]
+        sources = [at[r0[h]] for h in hs] if k == 1 else [at[r0[h] * size + r1[h]] for h in hs]
         mask = 0
         for j in sources:
             mask |= 1 << j
-        down.append(mask)
+        for i in iso_at[y]:
+            down[sources[i]] = mask
     return elements, down
 
 
 def is_groupoid(c: FinCat) -> bool:
     """True iff every morphism has a two-sided inverse in the table."""
-    for m in c.morphisms:
-        if not any(
-            c.comp[(m.name, g)] == c.id_of(m.dom) and c.comp[(g, m.name)] == c.id_of(m.cod)
-            for g in c.hom(m.cod, m.dom)
-        ):
-            return False
-    return True
+    return len(c.isos) == len(c.morphisms)
 
 
 # -- text format -----------------------------------------------------------

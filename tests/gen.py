@@ -159,6 +159,25 @@ def product_category(c1: fincat.FinCat, c2: fincat.FinCat) -> fincat.FinCat:
     return fincat.validate_category(objects, morphisms, identity, comp)
 
 
+def walking_isomorphism() -> fincat.FinCat:
+    """Two distinct objects a and b with inverse isomorphisms f: a -> b and
+    g: b -> a."""
+    comp = {("ida", "ida"): "ida", ("idb", "idb"): "idb", ("ida", "f"): "f", ("f", "idb"): "f",
+            ("idb", "g"): "g", ("g", "ida"): "g", ("f", "g"): "ida", ("g", "f"): "idb"}
+    mors = [("ida", "a", "a"), ("idb", "b", "b"), ("f", "a", "b"), ("g", "b", "a")]
+    return fincat.validate_category(["a", "b"], mors, {"a": "ida", "b": "idb"}, comp)
+
+
+def retraction_category() -> fincat.FinCat:
+    """A retract a of b: s: a -> b and r: b -> a with s;r = id_a, while
+    r;s = e is an idempotent other than id_b."""
+    mors = [("ida", "a", "a"), ("idb", "b", "b"), ("s", "a", "b"), ("r", "b", "a"), ("e", "b", "b")]
+    comp = {("ida", "ida"): "ida", ("idb", "idb"): "idb", ("ida", "s"): "s", ("s", "idb"): "s",
+            ("idb", "r"): "r", ("r", "ida"): "r", ("idb", "e"): "e", ("e", "idb"): "e",
+            ("s", "r"): "ida", ("r", "s"): "e", ("s", "e"): "s", ("e", "r"): "r", ("e", "e"): "e"}
+    return fincat.validate_category(["a", "b"], mors, {"a": "ida", "b": "idb"}, comp)
+
+
 def two_component_groupoid() -> fincat.FinCat:
     return disjoint_union(cyclic_group_category(2), cyclic_group_category(3))
 

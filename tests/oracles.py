@@ -8,9 +8,10 @@ through the materialised slices and their projections, the construction
 that the library now reads off the category directly.
 
 The category section keeps what ``fincat`` replaced: the name-keyed
-validator, which scans every composable triple, and the materialised
-categories of elements (slices and parallel arrows) with their composition
-tables, still guarded at 600,000 entries.
+validator, which scans every composable triple, the walk over every arrow
+of a category of elements, which the library walks one iso orbit at a time,
+and the materialised categories of elements (slices and parallel arrows)
+with their composition tables, still guarded at 600,000 entries.
 
 The order section keeps the string-pair implementations that the bitmask
 core in ``order`` replaced: a poset there is a sorted element tuple and a
@@ -160,6 +161,16 @@ def validate_category(objects, morphisms, identity, comp):
     return fincat._build(objs, [(m.name, m.dom, m.cod) for m in mors], ident, table)
 
 
+def isos(c):
+    """The names of the morphisms with a two-sided inverse, by a search over
+    every morphism back."""
+    return frozenset(
+        m.name for m in c.morphisms
+        if any(c.comp[m.name, g] == c.id_of(m.dom) and c.comp[g, m.name] == c.id_of(m.cod)
+               for g in c.hom(m.cod, m.dom))
+    )
+
+
 COMP_ENTRIES_CAP = 600_000
 
 
@@ -172,14 +183,45 @@ class ElementsCategory(NamedTuple):
     elements: dict
 
 
+def _arrows(c, tuples):
+    """Walk the morphisms of the category of elements, one step per arrow.
+    For each target tuple t, in order, yield the morphisms h into its domain
+    and, for each, the position of its source h;t: a k-tuple of ints g is
+    looked up by its code g_1*M + g_2 (g_1 when k = 1), M the number of
+    morphisms."""
+    _, rows, into = c.interned
+    size = len(rows)
+    at = {t[0] if len(t) == 1 else t[0] * size + t[1]: j for j, (_, t) in enumerate(tuples)}
+    for y, t in tuples:
+        hs, r0, r1 = into[y], rows[t[0]], rows[t[-1]]
+        if len(t) == 1:
+            yield hs, [at[r0[h]] for h in hs]
+        else:
+            yield hs, [at[r0[h] * size + r1[h]] for h in hs]
+
+
+def elements_down_masks(c, x, k, over=None):
+    """The down-masks of ``fincat._elements_preorder`` by the full walk: each
+    element ORs the position of the source of every arrow into it."""
+    elements, tuples = fincat._enumerate(c, x, k, over)
+    down = []
+    for _, sources in _arrows(c, tuples):
+        mask = 0
+        for j in sources:
+            mask |= 1 << j
+        down.append(mask)
+    return elements, down
+
+
 def _elements_category(c, x, k):
     """Materialised category of elements of hom(-, x)^k over the library's
-    enumeration and walk: a morphism to the tuple (g_1, .., g_k) is an h
-    with h;g_i = f_i for every i, and the projection sends a tuple to its
-    domain and each morphism to its witness h.  Past the library's object
+    enumeration and the walk over every arrow: a morphism to the tuple
+    (g_1, .., g_k) is an h with h;g_i = f_i for every i, and the projection
+    sends a tuple to its domain and each morphism to its witness h.  Past the library's object
     and morphism guards, its composition entries are guarded too: one per
     morphism h into dom m and tuple over cod m, for every morphism m."""
-    elements, arrows = fincat._enumerate(c, x, k)
+    elements, tuples = fincat._enumerate(c, x, k)
+    arrows = _arrows(c, tuples)
     into = {z: 0 for z in c.objects}
     for m in c.morphisms:
         into[m.cod] += 1

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 import gen
 import oracles
-from obstructia import fincat
+from obstructia import fincat, setcat
 from obstructia.errors import (
     BadCompositionTyping,
     DanglingReference,
@@ -488,6 +488,89 @@ class TestGroupoid:
         assert not fincat.is_groupoid(wa)
         assert fincat.is_groupoid(z2)
         assert fincat.is_groupoid(discrete2())
+
+
+def iso_rich_categories():
+    """Groups, groupoids, finite sets and distinct isomorphic objects, next
+    to monoids and a retract whose one-sided inverses are not isos."""
+    return {
+        "Z/5": gen.cyclic_group_category(5),
+        "V4": gen.klein_four_category(),
+        "Z/2+Z/3": gen.two_component_groupoid(),
+        "Z/2xZ/3": gen.product_category(gen.cyclic_group_category(2), gen.cyclic_group_category(3, "o")),
+        "FinSet3": setcat.finset_ambient(3),
+        "iso": gen.walking_isomorphism(),
+        "FinSet2xiso": gen.product_category(setcat.finset_ambient(2), gen.walking_isomorphism()),
+        "idempotent": gen.idempotent_monoid_category(),
+        "flipflop": gen.flipflop_monoid_category(),
+        "retract": gen.retraction_category(),
+    }
+
+
+def iso_names(c):
+    return {c.morphisms[i].name for i in c.isos}
+
+
+class TestIsos:
+    def test_equal_brute_force(self):
+        for c in iso_rich_categories().values():
+            assert iso_names(c) == oracles.isos(c)
+
+    def test_known_sets(self):
+        cats = iso_rich_categories()
+        for name in ("Z/5", "V4", "Z/2+Z/3", "Z/2xZ/3", "iso"):
+            assert iso_names(cats[name]) == set(cats[name].morphism_names())
+            assert fincat.is_groupoid(cats[name])
+        # bijections of 0..3 elements: 0! + 1! + 2! + 3!
+        assert len(cats["FinSet3"].isos) == 10
+        assert iso_names(cats["FinSet2xiso"]) == {
+            f"{p}*{q}" for p in ("0>0:", "1>1:0", "2>2:01", "2>2:10") for q in ("ida", "idb", "f", "g")}
+
+    def test_one_sided_inverses_rejected(self):
+        cats = iso_rich_categories()
+        # p;p = p and p;q = q: no element but e has an inverse on either side
+        assert iso_names(cats["idempotent"]) == iso_names(cats["flipflop"]) == {"e"}
+        # s;r = id_a but r;s = e is not id_b
+        retract = cats["retract"]
+        assert retract.comp["s", "r"] == "ida" and retract.comp["r", "s"] == "e"
+        assert iso_names(retract) == {"ida", "idb"}
+        assert not fincat.is_groupoid(retract)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(min_value=0, max_value=10_000))
+    def test_random_equal_brute_force(self, seed):
+        c = gen.random_category(random.Random(seed))
+        assert iso_names(c) == oracles.isos(c)
+        assert fincat.is_groupoid(c) == (len(oracles.isos(c)) == len(c.morphisms))
+
+
+def assert_orbit_walk_is_full_walk(c, x):
+    """The down-masks of the orbit walk equal those of the walk over every
+    arrow, element for element: k = 1, k = 2, and k = 2 over every morphism
+    out of x."""
+    cases = [(1, None), (2, None)] + [(2, m.name) for m in c.morphisms if m.dom == x]
+    for k, over in cases:
+        assert fincat._elements_preorder(c, x, k, over) == oracles.elements_down_masks(c, x, k, over)
+
+
+class TestOrbitWalk:
+    def test_iso_rich_categories(self):
+        for c in iso_rich_categories().values():
+            for x in c.objects:
+                assert_orbit_walk_is_full_walk(c, x)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(min_value=0, max_value=10_000), st.sampled_from(["plain", "iso", "Z/2"]))
+    def test_random_categories(self, seed, twist):
+        rng = random.Random(seed)
+        if twist == "plain":
+            c = gen.random_category(rng)
+        else:
+            # give every object a distinct isomorphic twin, or an automorphism
+            other = gen.walking_isomorphism() if twist == "iso" else gen.cyclic_group_category(2, "o")
+            c = gen.product_category(gen.random_category(rng, max_objects=3, max_morphisms=10), other)
+        for x in c.objects:
+            assert_orbit_walk_is_full_walk(c, x)
 
 
 @settings(max_examples=30, deadline=None)
