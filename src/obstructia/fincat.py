@@ -12,9 +12,9 @@ public.  Derived constructions name their objects and morphisms canonically
 so outputs are reproducible byte for byte.  Besides the opposite, they are
 categories of elements of hom(-, x)^k (the slice over x at k = 1, parallel
 arrows at k = 2): one enumeration behind the size caps below and one walk
-over the interned rows, one element per orbit of ``FinCat.isos``, kept as
-the reachability preorder that the invariants read.  The tests keep the
-walk over every arrow and the composition tables as oracles.
+over the interned rows that hands each down-set along ``FinCat.split_epis``,
+kept as the reachability preorder that the invariants read.  The tests keep
+the walk over every arrow and the composition tables as oracles.
 """
 
 from __future__ import annotations
@@ -137,6 +137,13 @@ class FinCat:
         ids = {x: index[i] for x, i in self.identity.items()}
         return frozenset(g for g, (m, row) in enumerate(zip(self.morphisms, rows)) if ids[m.cod] in row.values()
                          and rows[list(row)[list(row.values()).index(ids[m.cod])]][g] == ids[m.dom])
+
+    @cached_property
+    def split_epis(self) -> frozenset[int]:
+        """The split epimorphisms, as ids in ``interned``: h: z -> y is one
+        iff id_y = s;h for some s in h's row, a section of h."""
+        index, rows, _ = self.interned
+        return frozenset(h for h, (m, row) in enumerate(zip(self.morphisms, rows)) if index[self.identity[m.cod]] in row.values())
 
 
 def validate_category(
@@ -455,24 +462,26 @@ def _elements_preorder(c: FinCat, x: str, k: int, over: str | None = None, cap_o
     without its composition table: ``elements`` and, in that order, their
     down-masks, a tuple t's mask the OR of bit j for each source h;t at j (h
     into dom t).  Identities and composites make it reflexive and transitive.
-    A tuple of ints is keyed g_1*M + g_2 (g_1 if k = 1), M morphisms.  For an
-    iso h, h;t and t reach each other and share one down-set, so one element
-    per iso orbit is walked, its mask handed to its sources along isos."""
+    A tuple of ints is keyed g_1*M + g_2 (g_1 if k = 1), M morphisms.  For a
+    split epi h with section s, h;t and t reach each other along h and s, so
+    t's mask is handed to its sources along split epis, which are not walked.
+    Objects go in ascending count of morphisms into them: a retract first."""
     elements, tuples = _enumerate(c, x, k, over, cap_objects)
     _, rows, into = c.interned
     size = len(rows)
     at = {t[0] if k == 1 else t[0] * size + t[1]: j for j, (_, t) in enumerate(tuples)}
-    iso_at = {y: [i for i, h in enumerate(hs) if h in c.isos] for y, hs in into.items()}
+    split_at = {y: [i for i, h in enumerate(hs) if h in c.split_epis] for y, hs in into.items()}
     down = [0] * len(tuples)
-    for e, (y, t) in enumerate(tuples):
+    for e in sorted(range(len(tuples)), key=lambda e: len(into[tuples[e][0]])):
         if down[e]:
             continue
+        y, t = tuples[e]
         hs, r0, r1 = into[y], rows[t[0]], rows[t[-1]]
         sources = [at[r0[h]] for h in hs] if k == 1 else [at[r0[h] * size + r1[h]] for h in hs]
         mask = 0
         for j in sources:
             mask |= 1 << j
-        for i in iso_at[y]:
+        for i in split_at[y]:
             down[sources[i]] = mask
     return elements, down
 

@@ -21,7 +21,8 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import chain, combinations, compress, islice, repeat
+from operator import and_, eq, rshift
 from typing import Iterable
 
 from . import fincat, order
@@ -29,6 +30,10 @@ from .errors import CapExceeded, InvalidPoset, OracleMismatch, UnknownMorphism, 
 
 # Generators past which no powerset poset is built (it has up to 2^n elements).
 POWERSET_CAP = 12
+# Translations of a byte to the digit 1 or 0: _BIT[i] reads its bit i,
+# _ONLY[k] whether it is k.
+_BIT = [bytes(48 + (j >> i & 1) for j in range(256)) for i in range(8)]
+_ONLY = [bytes(48 + (j == k) for j in range(256)) for k in range(POWERSET_CAP + 2)]
 
 
 @dataclass(frozen=True)
@@ -50,9 +55,10 @@ class MorphismAnalysis:
 
 def report_from_pointed(pp: order.PointedPoset, context: str) -> ObstructionReport:
     p = pp.poset
-    below = p.down(pp.basepoint) - {pp.basepoint}
-    if below:
-        raise OracleMismatch(f"basepoint fails minimality below {min(below)!r}")
+    b = p.index[pp.basepoint]
+    below = p.down_masks[b] & ~(1 << b)
+    if below:  # the elements are sorted: the lowest bit names the least
+        raise OracleMismatch(f"basepoint fails minimality below {p.elements[order._low(below)]!r}")
     return ObstructionReport(pp, order.minimal_obstructions(pp), order.is_trivial(pp), context)
 
 
@@ -251,16 +257,15 @@ def _checked_universe(universe: Iterable[str], collapsed: Iterable[str]) -> tupl
     twice, with CapExceeded past POWERSET_CAP generators and with
     UnknownObject when a collapsed name is not a generator."""
     uni = sorted(universe)
-    twice = next((a for a, b in zip(uni, uni[1:]) if a == b), None)
-    if twice is not None:
-        raise InvalidPoset(f"two generators render as {twice!r}")
+    if any(map(eq, uni, islice(uni, 1, None))):
+        raise InvalidPoset(f"two generators render as {next(a for a, b in zip(uni, uni[1:]) if a == b)!r}")
     if len(uni) > POWERSET_CAP:
         raise CapExceeded(f"powerset of {len(uni)} generators exceeds cap {POWERSET_CAP}")
-    index = {u: i for i, u in enumerate(uni)}
+    index = dict(zip(uni, range(len(uni))))
     coll = set(collapsed)
-    unknown = sorted(coll - index.keys())
+    unknown = coll - index.keys()
     if unknown:
-        raise UnknownObject(unknown[0])
+        raise UnknownObject(min(unknown))
     return uni, index, coll
 
 
@@ -286,62 +291,55 @@ def powerset_report(universe: Iterable[str], collapsed: Iterable[str], basepoint
     not a generator, and with CapExceeded past POWERSET_CAP generators,
     before any subset is built.
 
-    Subsets are bitmasks over the sorted universe, and the poset is an
-    order by construction, so it is built directly, not through
-    ``order.from_masks``.  Taking subsets from the largest down, the up-mask
-    of S is its own bit ORed with the up-masks of the S | x, x not in S,
-    which are also the covers of S.  Taking them from the smallest up, the
-    down-mask of S is its own bit ORed with the down-masks of the S minus
-    x, where a subset that misses F stands for the basepoint.  The
-    basepoint is covered by the singletons of F.  Each walk is n * 2^(n-1)
-    ORs and builds no name pair.
+    Subsets are bitmasks over the sorted universe, the basepoint standing
+    in for the empty one, and the poset is an order by construction, so it
+    is built directly, not through ``order.from_masks``.  In a Boolean
+    lattice up(S) is the intersection of the up({i}), i in S, and down(S)
+    that of the down(U - {i}), i not in S (Davey and Priestley).  So once
+    the elements are sorted, per-generator masks over their positions are
+    read off at C speed, one byte translation each: has[i], the elements
+    that contain generator i, and lacks[i], the others.  Then
+    up(S) = up(S - top) & has[top] and down(S) = down(S + low) & lacks[low],
+    and the covers of S are up(S) & next_size[|S|], the elements of one
+    generator more: one AND each per subset, built a list at a time.
     """
     uni, index, coll = _checked_universe(universe, collapsed)
     n = len(uni)
     full = (1 << n) - 1
     free = full & ~sum(1 << index[c] for c in coll)
 
-    # inner[S] is the generators of S in index order, each after a comma,
-    # built from S without its top generator.  uni is sorted, so index order
-    # is name order.  The comma leads instead of separating, so an empty
-    # generator still adds one: {'', 'a'} is {,a}, not {a}.
-    inner = [""] * (full + 1)
-    name_of: dict[int, str] = {}
-    for mask in range(1, full + 1):
-        top = mask.bit_length() - 1
-        inner[mask] = inner[mask ^ 1 << top] + "," + uni[top]
-        if mask & free:
-            name_of[mask] = "{" + inner[mask][1:] + "}"
+    # names[S] lists the generators of S in index order, grown from the name
+    # of S without its top generator.  uni is sorted, so index order is name
+    # order, and an empty generator still takes its comma: {'', 'a'} is {,a}.
+    # Sorted by name, the subsets that meet F and the empty one, which names
+    # the basepoint, give the subset at each position.
+    names = [basepoint]
+    for u in uni:
+        last = "," + u + "}"
+        names += ["{" + u + "}", *[q[:-1] + last for q in names[1:]]]
+    masks = sorted(compress(range(full + 1), chain((1,), map(free.__and__, range(1, full + 1)))), key=names.__getitem__)
+    elems = tuple(map(names.__getitem__, masks))
+    if any(map(eq, elems, islice(elems, 1, None))):
+        raise InvalidPoset(f"two elements render as {next(a for a, b in zip(elems, elems[1:]) if a == b)!r}")
 
-    elems = tuple(sorted({basepoint, *name_of.values()}))
-    if len(elems) != len(name_of) + 1:
-        names = sorted([basepoint, *name_of.values()])
-        raise InvalidPoset(f"two elements render as {next(a for a, b in zip(names, names[1:]) if a == b)!r}")
-    pos = {e: i for i, e in enumerate(elems)}
-    b = pos[basepoint]
-    at = [b] * (full + 1)  # a subset that misses F stands for the basepoint
-    for mask, name in name_of.items():
-        at[mask] = pos[name]
-    up, down, cover = [0] * len(elems), [1 << b] * len(elems), [0] * len(elems)
-    for mask in reversed(name_of):
-        acc = cov = 0
-        rest = full & ~mask
-        while rest:
-            low = rest & -rest
-            acc |= up[at[mask | low]]
-            cov |= 1 << at[mask | low]
-            rest ^= low
-        up[at[mask]], cover[at[mask]] = acc | 1 << at[mask], cov
-    for mask in name_of:
-        acc, rest = 1 << at[mask], mask
-        while rest:
-            low = rest & -rest
-            acc |= down[at[mask ^ low]]
-            rest ^= low
-        down[at[mask]] = acc
-    up[b] = (1 << len(elems)) - 1
-    cover[b] = sum(1 << at[1 << i] for i in range(n) if free >> i & 1)
-    p = order.Poset(elems, tuple(up), tuple(down), tuple(cover))
+    # One byte per position, last position first, translated to the binary
+    # digits of a mask: the subsets' low and high bytes give has[i], their
+    # bit counts next_size[k], the elements of k + 1 generators.
+    rev = masks[::-1]
+    octets = [bytes(rev)] if n <= 8 else [bytes(map(and_, rev, repeat(255))), bytes(map(rshift, rev, repeat(8)))]
+    counts = bytes(map(int.bit_count, rev))
+    next_size = [int(counts.translate(t), 2) for t in _ONLY[1 : n + 2]]
+    every = (1 << len(elems)) - 1
+    up, down = [every], [every]  # by subset; down by complement until reversed
+    for i in range(n):
+        has = int(octets[i >> 3].translate(_BIT[i & 7]), 2)
+        lacks = every ^ has
+        up += [m & has for m in up]
+        down += [m & lacks for m in down]
+    down.reverse()
+    ups = tuple(map(up.__getitem__, masks))
+    covers = map(and_, ups, map(next_size.__getitem__, reversed(counts)))
+    p = order.Poset(elems, ups, tuple(map(down.__getitem__, masks)), tuple(covers))
     return report_from_pointed(order.PointedPoset(p, basepoint), context)
 
 

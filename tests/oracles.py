@@ -9,9 +9,9 @@ that the library now reads off the category directly.
 
 The category section keeps what ``fincat`` replaced: the name-keyed
 validator, which scans every composable triple, the walk over every arrow
-of a category of elements, which the library walks one iso orbit at a time,
-and the materialised categories of elements (slices and parallel arrows)
-with their composition tables, still guarded at 600,000 entries.
+of a category of elements, where the library hands down-sets along split
+epis, and the materialised categories of elements (slices and parallel
+arrows) with their composition tables, still guarded at 600,000 entries.
 
 The order section keeps the string-pair implementations that the bitmask
 core in ``order`` replaced: a poset there is a sorted element tuple and a

@@ -544,6 +544,38 @@ class TestIsos:
         assert fincat.is_groupoid(c) == (len(oracles.isos(c)) == len(c.morphisms))
 
 
+def reversed_finset(k):
+    """finset_ambient(k) with its objects renamed so that their name order
+    is the reverse of their size order: the largest set sorts first."""
+    c = setcat.finset_ambient(k)
+    new = {m.name: m.name for m in c.morphisms} | {x: chr(ord("z") - int(x)) for x in c.objects}
+    return gen.renamed(c, new)
+
+
+class TestSplitEpis:
+    def test_equal_brute_force(self):
+        for c in [*iso_rich_categories().values(), reversed_finset(3)]:
+            assert {c.morphisms[i].name for i in c.split_epis} == {
+                m.name for m in c.morphisms if oracles.split_epi(c, m.name)}
+            assert c.isos <= c.split_epis
+
+    def test_known_sets(self):
+        retract = gen.retraction_category()
+        assert {retract.morphisms[i].name for i in retract.split_epis} == {"ida", "idb", "r"}
+        # among finite sets the split epis are the surjections
+        finset = setcat.finset_ambient(3)
+        surjective = {m.name for m in finset.morphisms
+                      if set(m.name.split(":")[1]) == {str(i) for i in range(int(m.cod))}}
+        assert {finset.morphisms[i].name for i in finset.split_epis} == surjective
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(min_value=0, max_value=10_000))
+    def test_random_equal_brute_force(self, seed):
+        c = gen.random_category(random.Random(seed))
+        assert {c.morphisms[i].name for i in c.split_epis} == {
+            m.name for m in c.morphisms if oracles.split_epi(c, m.name)}
+
+
 def assert_orbit_walk_is_full_walk(c, x):
     """The down-masks of the orbit walk equal those of the walk over every
     arrow, element for element: k = 1, k = 2, and k = 2 over every morphism
@@ -556,6 +588,14 @@ def assert_orbit_walk_is_full_walk(c, x):
 class TestOrbitWalk:
     def test_iso_rich_categories(self):
         for c in iso_rich_categories().values():
+            for x in c.objects:
+                assert_orbit_walk_is_full_walk(c, x)
+
+    def test_retracts_in_either_name_order(self):
+        # masks are handed along split epis whichever of a retract and the
+        # object it is a retract of sorts first by name
+        for c in (gen.retraction_category(), reversed_finset(3),
+                  gen.product_category(reversed_finset(2), gen.walking_isomorphism())):
             for x in c.objects:
                 assert_orbit_walk_is_full_walk(c, x)
 

@@ -3,10 +3,12 @@ import random
 from itertools import product
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import oracles
 from obstructia import fincat, homotopy, order, setcat
-from obstructia.errors import CapExceeded, InvalidPoset, OracleMismatch, ParseError
+from obstructia.errors import CapExceeded, EngineError, InvalidPoset, OracleMismatch, ParseError
 
 FN_MISSING_TWO = "fn missing_two : {0,1} -> {0,1,2,3} ; 0=>0, 1=>1"
 FN_FOLD_PAIR = "fn fold_pair : {0,1} -> {*} ; 0=>*, 1=>*"
@@ -69,6 +71,38 @@ class TestFiniteFunction:
     def test_value_outside_codomain(self):
         with pytest.raises(ParseError):
             setcat.parse_function("fn bad : {0} -> {a} ; 0=>b")
+
+    def test_unreadable_label_refused(self):
+        # written as "{ a,b}", it would read back as a function on ('a', 'b')
+        f = setcat.FiniteFunction((" a", "b"), ("y",), {" a": "y", "b": "y"})
+        with pytest.raises(ParseError, match="label ' a' would not read back"):
+            setcat.serialize_function("f", f)
+        with pytest.raises(ParseError, match="function name 'f:g' would not read back"):
+            setcat.serialize_function("f:g", setcat.FiniteFunction(("a",), ("y",), {"a": "y"}))
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.lists(st.text(alphabet="{}(),[]=>+'\\# ", max_size=3), max_size=4),
+        st.lists(st.text(alphabet="{}(),[]=>+'\\# ", max_size=3), max_size=4),
+        st.text(alphabet="fn:->;# \n", max_size=4),
+        st.data(),
+    )
+    @example(dom=[" a", "b"], cod=["y"], name="f", data=None)
+    @example(dom=[], cod=[""], name="f", data=None)
+    @example(dom=["+=>"], cod=["y"], name="f", data=None)
+    @example(dom=[], cod=["#"], name="f", data=None)
+    @example(dom=[], cod=["a,b"], name="f", data=None)
+    @example(dom=[], cod=["y"], name="f;g", data=None)
+    @example(dom=["="], cod=[">"], name="f", data=None)  # reads back: "==>>" splits as "=" and ">"
+    def test_round_trip_or_refusal(self, dom, cod, name, data):
+        """Labels and names drawn over the characters the format gives a
+        meaning to: either refused, or read back as they were written."""
+        mapping = {x: (data.draw(st.sampled_from(cod)) if data else cod[0]) for x in dom} if cod else {}
+        try:
+            text = setcat.serialize_function(name, setcat.FiniteFunction(tuple(dom), tuple(cod), mapping))
+        except EngineError:
+            return
+        assert setcat.parse_function(text) == (name, setcat.FiniteFunction(tuple(dom), tuple(cod), mapping))
 
 
 class TestKernelPair:
