@@ -534,7 +534,22 @@ def parse_category(text: str) -> FinCat:
     return validate_category(objects, morphisms, identity, comp)
 
 
+def check_label(text: str, what: str, fmt: str, breaks: tuple[str, ...]) -> None:
+    """Refuse, with a ParseError naming it, a label that a ``fmt`` line would
+    not read back verbatim: anything but one non-empty line without
+    surrounding whitespace and without any of ``breaks``.  A space among the
+    breaks bars all whitespace, for a format that splits lines into words."""
+    whole = text.split() == [text] if " " in breaks else text == text.strip() and text.splitlines() == [text]
+    if not whole or any(b in text for b in breaks):
+        raise ParseError(f"{what} {text!r} would not read back from a {fmt} line")
+
+
 def serialize_category(c: FinCat) -> str:
+    """The text of c.  A ParseError names the first object, or else the
+    first morphism, whose id would not read back (``check_label``)."""
+    for what, ids in (("object", c.objects), ("morphism", [m.name for m in c.morphisms])):
+        for x in ids:
+            check_label(x, what, ".cat", (" ", "#"))
     lines = [f"obj {x}" for x in sorted(c.objects)]
     lines += [f"mor {m.name} : {m.dom} -> {m.cod}" for m in sorted(c.morphisms, key=lambda m: m.name)]
     lines += [f"id {x} = {c.identity[x]}" for x in sorted(c.identity)]

@@ -251,38 +251,6 @@ def subset_name(items: Iterable[str]) -> str:
     return "{" + ",".join(sorted(items)) + "}"
 
 
-def _checked_universe(universe: Iterable[str], collapsed: Iterable[str]) -> tuple[list[str], dict[str, int], set]:
-    """The sorted universe, each generator's position in it and the
-    collapsed names.  Refuses with InvalidPoset when a generator is named
-    twice, with CapExceeded past POWERSET_CAP generators and with
-    UnknownObject when a collapsed name is not a generator."""
-    uni = sorted(universe)
-    if any(map(eq, uni, islice(uni, 1, None))):
-        raise InvalidPoset(f"two generators render as {next(a for a, b in zip(uni, uni[1:]) if a == b)!r}")
-    if len(uni) > POWERSET_CAP:
-        raise CapExceeded(f"powerset of {len(uni)} generators exceeds cap {POWERSET_CAP}")
-    index = dict(zip(uni, range(len(uni))))
-    coll = set(collapsed)
-    unknown = coll - index.keys()
-    if unknown:
-        raise UnknownObject(min(unknown))
-    return uni, index, coll
-
-
-def powerset_elements(universe: Iterable[str], collapsed: Iterable[str]) -> dict:
-    """Subsets of the universe that are not contained in the collapsed part,
-    keyed by canonical name.  These are exactly the non-basepoint elements of
-    a powerset poset after collapsing the lower set of the collapsed subset.
-    Refuses what ``powerset_report`` refuses, with the same errors."""
-    uni, _, coll = _checked_universe(universe, collapsed)
-    out: dict[str, frozenset] = {}
-    for r in range(1, len(uni) + 1):
-        for items in combinations(uni, r):
-            if not set(items) <= coll:
-                out[subset_name(items)] = frozenset(items)
-    return out
-
-
 def powerset_report(universe: Iterable[str], collapsed: Iterable[str], basepoint: str, context: str) -> ObstructionReport:
     """Inclusion-ordered report: basepoint below everything, survivors are
     the subsets that meet the free part F, the universe minus the collapsed
@@ -303,8 +271,17 @@ def powerset_report(universe: Iterable[str], collapsed: Iterable[str], basepoint
     and the covers of S are up(S) & next_size[|S|], the elements of one
     generator more: one AND each per subset, built a list at a time.
     """
-    uni, index, coll = _checked_universe(universe, collapsed)
+    uni = sorted(universe)
+    if any(map(eq, uni, islice(uni, 1, None))):
+        raise InvalidPoset(f"two generators render as {next(a for a, b in zip(uni, uni[1:]) if a == b)!r}")
     n = len(uni)
+    if n > POWERSET_CAP:
+        raise CapExceeded(f"powerset of {n} generators exceeds cap {POWERSET_CAP}")
+    index = dict(zip(uni, range(n)))
+    coll = set(collapsed)
+    unknown = coll - index.keys()
+    if unknown:
+        raise UnknownObject(min(unknown))
     full = (1 << n) - 1
     free = full & ~sum(1 << index[c] for c in coll)
 

@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import homotopy, order
-from .fincat import pair_name
+from .fincat import check_label, pair_name
 from .errors import (
     BoundaryMismatch,
     DanglingReference,
@@ -317,6 +317,12 @@ def parse_open_graph(text: str) -> OpenGraph:
 
 
 def serialize_open_graph(g: OpenGraph) -> str:
+    """The text of g.  A ParseError names the first boundary label, or else
+    the first vertex, that would not read back (``fincat.check_label``)."""
+    for x in (*g.inputs, *g.outputs):
+        check_label(x, "boundary label", ".og", (" ", "#", ","))
+    for v in g.vertices:
+        check_label(v, "vertex", ".og", (" ", "#"))
     lines = ["inputs " + ",".join(g.inputs), "outputs " + ",".join(g.outputs)]
     lines += [f"vertex {v}" for v in g.vertices]
     lines += [f"edge {u} -> {v}" for u, v in sorted(g.edges)]

@@ -231,12 +231,11 @@ def parse_assignments(text: str) -> dict[str, str]:
 
 def serialize_function(name: str, f: FiniteFunction) -> str:
     """The one-line form of f.  A ParseError names the first label, or the
-    name, that ``parse_function`` would not read back verbatim: anything but
-    one non-empty line without surrounding whitespace and the separators."""
-    labels = [(x, "label", (",", "{", "}", ";", "#", "=>", "->")) for x in (*f.dom_set, *f.cod_set)]
-    for text, what, breaks in [*labels, (name, "function name", (":", "->", ";", "#"))]:
-        if text != text.strip() or text.splitlines() != [text] or any(b in text for b in breaks):
-            raise ParseError(f"{what} {text!r} would not read back from a .fn line")
+    name, that ``parse_function`` would not read back verbatim
+    (``fincat.check_label``)."""
+    for x in (*f.dom_set, *f.cod_set):
+        fincat.check_label(x, "label", ".fn", (",", "{", "}", ";", "#", "=>", "->"))
+    fincat.check_label(name, "function name", ".fn", (":", "->", ";", "#"))
     dom = "{" + ",".join(f.dom_set) + "}"
     cod = "{" + ",".join(f.cod_set) + "}"
     body = ", ".join(f"{x}=>{f.mapping[x]}" for x in f.dom_set)

@@ -22,7 +22,7 @@ row joins in ``order``, ``homotopy`` and ``cli`` replaced did.
 """
 
 import json
-from itertools import combinations
+from itertools import combinations, product, repeat
 from typing import NamedTuple
 
 from obstructia import fincat, homotopy, order
@@ -504,8 +504,6 @@ def gf2_tensor(a, b):
 
 def separable_vectors(m, n):
     """Brute force over all input pairs; the independent separability oracle."""
-    from itertools import product
-
     vecs_a = [tuple(reversed(v)) for v in product((0, 1), repeat=m)] if m else [()]
     vecs_b = [tuple(reversed(v)) for v in product((0, 1), repeat=n)] if n else [()]
     return frozenset(gf2_tensor(a, b) for a in vecs_a for b in vecs_b)
@@ -592,24 +590,66 @@ def hasse(elements, leq):
     return tuple(sorted(covers))
 
 
+def powerset_members(universe, collapsed=()):
+    """The subsets of the universe that are not inside the collapsed part,
+    keyed by name: the non-basepoint elements of a powerset report."""
+    uni = sorted(set(universe))
+    coll = set(collapsed)
+    subsets = (items for r in range(1, len(uni) + 1) for items in combinations(uni, r))
+    return {homotopy.subset_name(items): frozenset(items) for items in subsets if not set(items) <= coll}
+
+
 def powerset_report(universe, collapsed, basepoint):
     """(elements, leq, basepoint) of the inclusion-ordered powerset report,
-    from every subset-superset pair as name pairs."""
+    as name pairs: the basepoint below everything, and each subset below
+    each of its supersets.  The supersets of a subset a are a with each
+    subset of its complement added, listed by doubling, one generator at a
+    time, so the pairs take 3^n steps, not the 4^n of testing every pair of
+    subsets.  A superset of a subset that sticks out of the collapsed part
+    sticks out too, so each pair is of elements.  The pairs are not
+    re-validated: inclusion is an order, and the callers pass universes
+    whose subsets render apart."""
     uni = sorted(set(universe))
     n = len(uni)
+    full = (1 << n) - 1
     coll = set(collapsed)
     name_of = {}
-    for mask in range(1, 1 << n):
+    for mask in range(1, full + 1):
         items = [uni[i] for i in range(n) if mask >> i & 1]
         if not set(items) <= coll:
             name_of[mask] = homotopy.subset_name(items)
     leq = {(basepoint, basepoint)} | {(basepoint, nm) for nm in name_of.values()}
     for a, na in name_of.items():
-        for b, nb in name_of.items():
-            if a & b == a:
-                leq.add((na, nb))
-    elems, rel = make_poset([basepoint, *name_of.values()], leq)
-    return elems, rel, basepoint
+        supersets = [a]
+        for i in range(n):
+            if not a >> i & 1:
+                supersets += [b | 1 << i for b in supersets]
+        leq.update(zip(repeat(na), map(name_of.__getitem__, supersets)))
+    return tuple(sorted({basepoint, *name_of.values()})), frozenset(leq), basepoint
+
+
+def gf2_local_flow(fm, gm):
+    """The flow of ``states.local_action`` over GF(2) by brute force: each
+    non-separable state of the source tensor, its bits the row-major matrix
+    V, goes to f V g^T, entry (k, l) the sum over i, j of f[k][i] V[i][j]
+    g[l][j], or to the basepoint {} when that is separable.  States are
+    named by their bits, minimal obstructions {bits}."""
+    m, n, m2, n2 = len(fm[0]), len(gm[0]), len(fm), len(gm)
+    sep, sep2 = separable_vectors(m, n), separable_vectors(m2, n2)
+
+    def name(bits):
+        return "{" + "".join(map(str, bits)) + "}"
+
+    flow = {"{}": "{}"}
+    for v in product((0, 1), repeat=m * n):
+        if v not in sep:
+            w = tuple(
+                sum(fm[k][i] * v[i * n + j] * gm[l][j] for i in range(m) for j in range(n)) % 2
+                for k in range(m2)
+                for l in range(n2)
+            )
+            flow[name(v)] = "{}" if w in sep2 else name(w)
+    return flow
 
 
 # -- the interchange document --------------------------------------------------

@@ -2,7 +2,7 @@ import os
 import random
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import gen
@@ -20,6 +20,8 @@ from obstructia.errors import (
     SizeCapExceeded,
     UnknownObject,
 )
+
+LABELS = st.text(alphabet="{}(),[]=>+'\\# ", max_size=3)
 
 WALKING_ARROW = """
 obj 0
@@ -295,6 +297,38 @@ class TestTextFormat:
     def test_round_trip(self, wa, z2):
         for c in (wa, z2, terminal_cat(), discrete2()):
             assert fincat.parse_category(fincat.serialize_category(c)) == c
+
+    def test_unreadable_id_refused(self):
+        # written as "obj  x", it would read back as a category on ('x',)
+        c = fincat.validate_category([" x"], [("i", " x", " x")], {" x": "i"}, {("i", "i"): "i"})
+        with pytest.raises(ParseError, match="^object ' x' would not read back from a .cat line$"):
+            fincat.serialize_category(c)
+        c = fincat.validate_category(["x"], [("i#", "x", "x")], {"x": "i#"}, {("i#", "i#"): "i#"})
+        with pytest.raises(ParseError, match="^morphism 'i#' would not read back"):
+            fincat.serialize_category(c)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.lists(LABELS, min_size=2, max_size=2, unique=True),
+        st.lists(LABELS, min_size=3, max_size=3, unique=True),
+    )
+    @example(objects=[" x", "y"], morphisms=["i", "j", "f"])
+    @example(objects=["x", "a\tb"], morphisms=["i", "j", "f"])
+    @example(objects=["x", "y"], morphisms=["i", "", "f"])
+    @example(objects=["x", "y"], morphisms=["i", "j", "f#"])
+    def test_round_trip_or_refusal(self, objects, morphisms):
+        """A walking arrow with ids drawn over the characters the format and
+        its neighbours give a meaning to: either refused, naming the id, or
+        read back as it was written."""
+        (x, y), (i, j, f) = objects, morphisms
+        comp = {(i, i): i, (j, j): j, (i, f): f, (f, j): f}
+        c = fincat.validate_category([x, y], [(i, x, x), (j, y, y), (f, x, y)], {x: i, y: j}, comp)
+        try:
+            text = fincat.serialize_category(c)
+        except ParseError as exc:
+            assert any(repr(t) in str(exc) for t in (*objects, *morphisms))
+            return
+        assert fincat.parse_category(text) == c
 
     @pytest.mark.parametrize("text", [
         Z2.replace("\n", "\r\n"),

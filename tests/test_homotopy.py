@@ -561,16 +561,16 @@ class TestReportSerialization:
             homotopy.powerset_report(["a", "b"], ["z", "a"], "{}", "ctx")
 
     def test_powerset_elements_refuses_what_the_report_refuses(self):
-        # a repeated generator used to merge, an unknown collapsed name to be ignored
+        # a repeated generator would merge, an unknown collapsed name be ignored
         for universe, collapsed, error, message in (
             (["a", "a", "b"], [], InvalidPoset, "two generators render as 'a'"),
             (["a", "b"], ["z"], UnknownObject, "no such object: 'z'"),
         ):
-            for build in (homotopy.powerset_elements, lambda u, c: homotopy.powerset_report(u, c, "{}", "ctx")):
-                with pytest.raises(error) as exc:
-                    build(universe, collapsed)
-                assert str(exc.value) == message
-        assert homotopy.powerset_elements(["b", "a"], ["a"]) == {"{a,b}": {"a", "b"}, "{b}": {"b"}}
+            with pytest.raises(error) as exc:
+                homotopy.powerset_report(universe, collapsed, "{}", "ctx")
+            assert str(exc.value) == message
+        r = homotopy.powerset_report(["b", "a"], ["a"], "{}", "ctx")
+        assert r.invariant.poset.elements == ("{a,b}", "{b}", "{}")
 
     def test_one_element_report(self):
         for r in (homotopy.pi0(walking_arrow(), "1"), homotopy.powerset_report([], [], "{}", "empty")):

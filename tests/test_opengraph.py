@@ -3,6 +3,8 @@ import os
 import random
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import gen
 import oracles
@@ -16,6 +18,8 @@ from obstructia.errors import (
     ParseError,
     TypeMismatch,
 )
+
+LABELS = st.text(alphabet="{}(),[]=>+'\\# ", max_size=3)
 
 G_TEXT = """
 inputs 1
@@ -85,6 +89,42 @@ class TestParsing:
     def test_round_trip(self, G, H):
         for g in (G, H):
             assert og.parse_open_graph(og.serialize_open_graph(g)) == g
+
+    def test_unreadable_label_refused(self):
+        # written as "vertex  v", it would read back with the vertex 'v'
+        g = og.OpenGraph(("a",), ("b",), (" v",), frozenset(), {"a": " v"}, {"b": " v"})
+        with pytest.raises(ParseError, match="^vertex ' v' would not read back from a .og line$"):
+            og.serialize_open_graph(g)
+        g = og.OpenGraph(("a,c",), ("b",), ("v",), frozenset(), {"a,c": "v"}, {"b": "v"})
+        with pytest.raises(ParseError, match="^boundary label 'a,c' would not read back"):
+            og.serialize_open_graph(g)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.lists(LABELS, max_size=2, unique=True),
+        st.lists(LABELS, max_size=2, unique=True),
+        st.lists(LABELS, min_size=1, max_size=3, unique=True),
+    )
+    @example(inputs=["a"], outputs=["b"], vertices=[" v"])
+    @example(inputs=["a b"], outputs=[], vertices=["v"])
+    @example(inputs=[], outputs=[], vertices=["v\tw"])
+    @example(inputs=["a,b"], outputs=[], vertices=["v"])
+    @example(inputs=[], outputs=[], vertices=["v", "w#"])
+    @example(inputs=[""], outputs=[], vertices=["v"])
+    def test_round_trip_or_refusal(self, inputs, outputs, vertices):
+        """Labels drawn over the characters the format and its neighbours give
+        a meaning to: either refused, naming the label, or read back as they
+        were written."""
+        g = og.OpenGraph(
+            tuple(inputs), tuple(outputs), tuple(vertices), frozenset({(vertices[0], vertices[-1])}),
+            {x: vertices[0] for x in inputs}, {y: vertices[-1] for y in outputs},
+        )
+        try:
+            text = og.serialize_open_graph(g)
+        except ParseError as exc:
+            assert any(repr(t) in str(exc) for t in (*inputs, *outputs, *vertices))
+            return
+        assert og.parse_open_graph(text) == g
 
     def test_bad_line(self):
         with pytest.raises(ParseError):
@@ -365,7 +405,7 @@ class TestAct:
             # A subset keeps its name iff some pair lies outside the target's
             # composite of the parts; otherwise it collapses.
             covered = set(og._rel_pair_labels(og.compose_rel(og.reach(hom.target), og.reach(h)).pairs))
-            members = homotopy.powerset_elements(og._rel_pair_labels(og.reach(og.compose(g, h)).pairs), ())
+            members = oracles.powerset_members(og._rel_pair_labels(og.reach(og.compose(g, h)).pairs))
             for e, image in pmap.mapping.items():
                 if e != pmap.source.basepoint:
                     assert image == (e if not members[e] <= covered else pmap.target.basepoint)

@@ -518,9 +518,13 @@ class TestTrustedPowerset:
     field against the validating route."""
 
     def check(self, r, universe, collapsed):
+        assert trusted_differs(r.invariant.poset) == []
+        self.check_layers(r, universe, collapsed)
+
+    def check_layers(self, r, universe, collapsed):
+        """The minimal layer, the covers of the basepoint and the count."""
         p, bp = r.invariant.poset, r.invariant.basepoint
         assert p.cover_masks is not None
-        assert trusted_differs(p) == []
         free = sorted(set(universe) - set(collapsed))
         singletons = {homotopy.subset_name([x]) for x in free}
         assert r.minimal == singletons
@@ -566,8 +570,15 @@ class TestTrustedPowerset:
         assert [u in diagonal for u in sorted(universe)] == [1, 0, 0, 1, 0, 1, 0, 1, 0, 0, 1, 1]
         r = setcat.pi1_function(f)
         o_elems, o_leq, o_bp = oracles.powerset_report(universe, diagonal, "{}")
-        assert (r.invariant.poset.elements, r.invariant.poset.leq, r.invariant.basepoint) == (o_elems, o_leq, o_bp)
-        self.check(r, universe, diagonal)
+        p = r.invariant.poset
+        assert (p.elements, r.invariant.basepoint) == (o_elems, o_bp)
+        # leq == o_leq, read off the up-masks without naming 531,441 pairs:
+        # as many pairs, and each of the oracle's is one of the library's
+        up, at = p.up, p.index
+        assert sum(map(int.bit_count, up)) == len(o_leq)
+        assert all(up[at[a]] >> at[b] & 1 for a, b in o_leq)
+        # trusted_differs runs on this report in TestMaskCoreAgainstPairs::test_fixture_reports
+        self.check_layers(r, universe, diagonal)
 
     def test_one_flipped_cover_bit_is_seen(self):
         p = homotopy.powerset_report(["a", "b", "c"], ["c"], "{}", "ctx").invariant.poset

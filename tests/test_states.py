@@ -4,7 +4,7 @@ from itertools import product
 import pytest
 
 import oracles
-from obstructia import setcat, states
+from obstructia import homotopy, setcat, states
 from obstructia.errors import DimensionCap, ParseError, WrongContext
 
 GF2 = states.StateContext("gf2")
@@ -71,14 +71,34 @@ class TestObstructions:
         assert "{((00,01),(00,10))}" in p1.minimal
 
     def test_cartesian_everything_trivial(self):
-        for a, b in ((("a",), ("b",)), (("a", "b"), ("c", "d")), (("a", "b", "c"), ("d",))):
-            p0, p1 = states.obstructions(CART, a, b)
+        # every pair of factor sizes up to 3, the empty set included
+        for k, l in product(range(4), repeat=2):
+            p0, p1 = states.obstructions(CART, tuple("abc"[:k]), tuple("def"[:l]))
             assert p0.trivial and p1.trivial
 
     def test_separable_count_identity(self):
         for m, n in ((1, 1), (1, 2), (2, 2), (2, 3), (3, 2)):
             sep = states.separable_states(GF2, m, n)
             assert len(sep) == 1 + (2**m - 1) * (2**n - 1)
+
+
+class TestMinimalLayer:
+    """local_action maps the minimal layer alone: up to the powerset cap
+    the pi0 report of a GF(2) state laxator is one point (for the cartesian
+    one see test_cartesian_everything_trivial)."""
+
+    def test_at_most_cap_states_means_rank_one(self):
+        # 2^(m n) states fit under the cap only when m n <= 3, so one factor
+        # has dimension <= 1 and every state matrix has rank <= 1
+        for m, n in product(range(7), repeat=2):
+            if m * n <= states.DIM_CAP and 2 ** (m * n) <= homotopy.POWERSET_CAP:
+                assert m * n <= 3
+
+    def test_one_point_up_to_the_cap(self):
+        for m, n in product(range(7), repeat=2):
+            if m * n <= 3:
+                p0, _ = states.obstructions(GF2, m, n)
+                assert p0.invariant.poset.elements == ("{}",)
 
 
 class TestOplaxator:
@@ -139,6 +159,17 @@ class TestLocalAction:
         g = setcat.FiniteFunction(("c", "d"), ("c", "d"), {"c": "c", "d": "d"})
         m = states.local_action(CART, f, g)
         assert m.mapping == {m.source.basepoint: m.target.basepoint}
+
+    def test_brute_force_flow(self, seed):
+        # every pair of source and target dimensions with tensors of at most
+        # 64 states, on both sides of the powerset cap
+        rng = random.Random(seed + 16)
+        dims = [(m, n) for m in range(1, 7) for n in range(1, 7) if m * n <= 6]
+        for (a, b), (a2, b2) in product(dims, dims):
+            for _ in range(2):
+                fm = tuple(tuple(rng.randint(0, 1) for _ in range(a)) for _ in range(a2))
+                gm = tuple(tuple(rng.randint(0, 1) for _ in range(b)) for _ in range(b2))
+                assert states.local_action(GF2, fm, gm).mapping == oracles.gf2_local_flow(fm, gm)
 
     def test_matrix_validation(self):
         with pytest.raises(ParseError):
