@@ -133,7 +133,7 @@ def _cmd_og_obstruct(args, out):
     h = opengraph.parse_open_graph(_read(args.right))
     rg, rh = opengraph.reach(g), opengraph.reach(h)
     composed = opengraph.compose_rel(rg, rh)
-    whole = opengraph.reach(opengraph.compose(g, h))
+    whole = opengraph.glued_reach(g, h)
     # both reports before any output, so a refusal leaves stdout empty
     pi0 = opengraph.laxator_obstructions(composed, whole)
     pi1 = opengraph.pi1_laxator(composed, whole)

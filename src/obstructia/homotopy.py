@@ -13,8 +13,8 @@ The induced maps (along a morphism, along a functor, and along a natural
 transformation over a morphism of the domain) reflect each distinct
 category once and share one helper: it maps class representatives, sends
 collapsed images to the basepoint, and then *checks* the result to be
-monotone and basepoint-preserving, so a broken table shows up as an error
-instead of a silently wrong poset.
+monotone, along the covers of the source poset, and basepoint-preserving,
+so a broken table shows up as an error instead of a silently wrong poset.
 """
 
 from __future__ import annotations

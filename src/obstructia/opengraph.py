@@ -8,8 +8,13 @@ connected by a directed path; it is lax with respect to gluing, and the gap
 between "compose the relations" and "relation of the composite" is measured
 by the same powerset-collapse obstruction posets (at most
 ``homotopy.POWERSET_CAP`` pairs), read off those two relations so that each
-is computed once.  Its pi1 is trivial by theorem (hom-categories of
-relations are posets), so it is read off and builds no powerset.
+is computed once.  The relation of the composite is read off the gluing
+itself, one union-find over int vertex ids that ``compose`` also names its
+classes from, so obstruct and act never name or build a composite graph;
+the flow of obstructions under a 2-morphism is checked along covers
+(``order.make_monotone``).  The laxator's pi1 is trivial by theorem
+(hom-categories of relations are posets), so it is read off and builds no
+powerset.
 """
 
 from __future__ import annotations
@@ -42,6 +47,10 @@ class OpenGraph:
         object.__setattr__(self, "inputs", tuple(self.inputs))
         object.__setattr__(self, "outputs", tuple(self.outputs))
         object.__setattr__(self, "vertices", tuple(sorted(set(self.vertices))))
+        for side, labels in (("input", self.inputs), ("output", self.outputs)):
+            twice = [x for i, x in enumerate(labels) if labels.index(x) != i]
+            if twice:
+                raise BoundaryMismatch(f"{side} label {twice[0]!r} is repeated")
         vs = set(self.vertices)
         for u, v in self.edges:
             if u not in vs or v not in vs:
@@ -105,16 +114,20 @@ class GraphHom:
 # -- reachability and relation composition ------------------------------------
 
 
-def _reachable_from(succ: dict[str, list[str]], start: str) -> set:
-    seen = {start}
-    stack = [start]
-    while stack:
-        u = stack.pop()
-        for v in succ.get(u, ()):
-            if v not in seen:
-                seen.add(v)
-                stack.append(v)
-    return seen
+def _paths(succ: dict, starts, ends) -> frozenset:
+    """The (x, y) for (x, s) in starts and (y, t) in ends with a directed
+    path (length >= 0) from s to t along succ: one search per start."""
+    pairs = set()
+    for x, start in starts:
+        seen = {start}
+        stack = [start]
+        while stack:
+            for v in succ.get(stack.pop(), ()):
+                if v not in seen:
+                    seen.add(v)
+                    stack.append(v)
+        pairs.update((x, y) for y, t in ends if t in seen)
+    return frozenset(pairs)
 
 
 def reach(g: OpenGraph) -> Relation:
@@ -123,13 +136,9 @@ def reach(g: OpenGraph) -> Relation:
     succ: dict[str, list[str]] = {}
     for u, v in g.edges:
         succ.setdefault(u, []).append(v)
-    pairs = set()
-    for x in g.inputs:
-        seen = _reachable_from(succ, g.in_leg[x])
-        for y in g.outputs:
-            if g.out_leg[y] in seen:
-                pairs.add((x, y))
-    return Relation(g.inputs, g.outputs, frozenset(pairs))
+    ends = [(y, g.out_leg[y]) for y in g.outputs]
+    pairs = _paths(succ, ((x, g.in_leg[x]) for x in g.inputs), ends)
+    return Relation(g.inputs, g.outputs, pairs)
 
 
 def compose_rel(r: Relation, s: Relation) -> Relation:
@@ -149,66 +158,72 @@ def identity_graph(boundary: tuple[str, ...]) -> OpenGraph:
 # -- gluing composition ----------------------------------------------------------
 
 
-def compose(g: OpenGraph, h: OpenGraph) -> OpenGraph:
-    """Glue outputs of g to the equally-named inputs of h.
-
-    Vertices of the composite are classes of the equivalence generated by
-    out_leg_g(y) ~ in_leg_h(y); a class is named by the sorted, side-qualified
-    names it merges, so composites are reproducible."""
+def _glue(g: OpenGraph, h: OpenGraph) -> tuple[dict[str, int], dict[str, int]]:
+    """The one gluing of g's outputs to the equally-named inputs of h: a
+    union-find over int ids, g's vertices in sorted order and then h's,
+    merging out_leg_g(y) with in_leg_h(y) for each label y.  Returns the
+    class of each vertex of g and of h, as the id of its root."""
     if set(g.outputs) != set(h.inputs):
         raise BoundaryMismatch(
             f"outputs {sorted(g.outputs)} do not match inputs {sorted(h.inputs)}"
         )
+    n = len(g.vertices)
+    parent = list(range(n + len(h.vertices)))
+    left, right = dict(zip(g.vertices, parent)), dict(zip(h.vertices, parent[n:]))
 
-    def q(side: str, v: str) -> str:
-        return f"{side}.{v}"
-
-    parent: dict[str, str] = {}
-
-    def find(a: str) -> str:
+    def find(a: int) -> int:
         while parent[a] != a:
             parent[a] = parent[parent[a]]
             a = parent[a]
         return a
 
-    def union(a: str, b: str):
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            parent[rb] = ra
-
-    for v in g.vertices:
-        parent[q("L", v)] = q("L", v)
-    for v in h.vertices:
-        parent[q("R", v)] = q("R", v)
     for y in g.outputs:
-        union(q("L", g.out_leg[y]), q("R", h.in_leg[y]))
+        a, b = find(left[g.out_leg[y]]), find(right[h.in_leg[y]])
+        if a != b:
+            parent[b] = a
+    return {v: find(a) for v, a in left.items()}, {v: find(a) for v, a in right.items()}
 
-    members: dict[str, list[str]] = {}
-    for a in sorted(parent):
-        members.setdefault(find(a), []).append(a)
+
+def compose(g: OpenGraph, h: OpenGraph) -> OpenGraph:
+    """Glue outputs of g to the equally-named inputs of h.
+
+    Vertices of the composite are the classes of ``_glue``; a class is named
+    by the sorted, side-qualified names it merges, so composites are
+    reproducible."""
+    left, right = _glue(g, h)
+    # Vertices come in qualified-name order, L.v before R.v: each class lists
+    # its members sorted, and classes come in the order of their member lists.
+    members: dict[int, list[str]] = {}
+    for side, classes in (("L.", left), ("R.", right)):
+        for v, r in classes.items():
+            members.setdefault(r, []).append(side + v)
     # A left vertex named "a+R.c" renders like the class of L.a and R.c:
     # name classes in sorted-member order and prime a repeated rendering.
-    cls_name: dict[str, str] = {}
+    cl: dict[int, str] = {}
     used: set = set()
-    for root, ms in sorted(members.items(), key=lambda item: item[1]):
+    for r, ms in members.items():
         name = "+".join(ms)
         while name in used:
             name += "'"
         used.add(name)
-        cls_name[root] = name
+        cl[r] = name
+    edges = {(cl[left[u]], cl[left[v]]) for u, v in g.edges}
+    edges.update((cl[right[u]], cl[right[v]]) for u, v in h.edges)
+    in_leg = {x: cl[left[g.in_leg[x]]] for x in g.inputs}
+    out_leg = {z: cl[right[h.out_leg[z]]] for z in h.outputs}
+    return OpenGraph(g.inputs, h.outputs, tuple(cl.values()), frozenset(edges), in_leg, out_leg)
 
-    def cl(side: str, v: str) -> str:
-        return cls_name[find(q(side, v))]
 
-    vertices = sorted(set(cls_name.values()))
-    edges = set()
-    for u, v in g.edges:
-        edges.add((cl("L", u), cl("L", v)))
-    for u, v in h.edges:
-        edges.add((cl("R", u), cl("R", v)))
-    in_leg = {x: cl("L", g.in_leg[x]) for x in g.inputs}
-    out_leg = {z: cl("R", h.out_leg[z]) for z in h.outputs}
-    return OpenGraph(g.inputs, h.outputs, tuple(vertices), frozenset(edges), in_leg, out_leg)
+def glued_reach(g: OpenGraph, h: OpenGraph) -> Relation:
+    """reach(compose(g, h)), read off the classes of ``_glue`` unnamed."""
+    left, right = _glue(g, h)
+    succ: dict[int, list[int]] = {}
+    for classes, graph in ((left, g), (right, h)):
+        for u, v in graph.edges:
+            succ.setdefault(classes[u], []).append(classes[v])
+    starts = ((x, left[g.in_leg[x]]) for x in g.inputs)
+    ends = [(z, right[h.out_leg[z]]) for z in h.outputs]
+    return Relation(g.inputs, h.outputs, _paths(succ, starts, ends))
 
 
 # -- obstruction posets of the reachability laxator -------------------------------
@@ -264,8 +279,8 @@ def act(hom: GraphHom, h: OpenGraph) -> tuple[Relation, order.PointedMap]:
         raise OracleMismatch("reachability must grow along a graph homomorphism")
 
     rh = reach(h)
-    src = laxator_obstructions(compose_rel(rg, rh), reach(compose(g, h)))
-    dst = laxator_obstructions(compose_rel(rg2, rh), reach(compose(g2, h)))
+    src = laxator_obstructions(compose_rel(rg, rh), glued_reach(g, h))
+    dst = laxator_obstructions(compose_rel(rg2, rh), glued_reach(g2, h))
     # Paths survive the homomorphism, so reach(g . h) lies inside
     # reach(g2 . h) and every source subset is still a subset on the target
     # side; it keeps its name exactly when the grown composite-of-parts does
@@ -333,14 +348,21 @@ def serialize_open_graph(g: OpenGraph) -> str:
 
 def parse_graph_hom(text: str, source: OpenGraph, target: OpenGraph) -> GraphHom:
     """Vertex-map format: 'map <source vertex> = <target vertex>' lines.
-    Unmentioned vertices map to their own name."""
+    Unmentioned vertices map to their own name; a vertex the source lacks,
+    or one mapped twice, is a ParseError naming the line."""
     vmap = {v: v for v in source.vertices}
+    mapped = set()
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
         parts = line.split()
         if parts[0] == "map" and len(parts) == 4 and parts[2] == "=":
+            if parts[1] not in vmap:
+                raise ParseError(f"line {lineno}: {parts[1]!r} is not a source vertex")
+            if parts[1] in mapped:
+                raise ParseError(f"line {lineno}: duplicate map of {parts[1]!r}")
+            mapped.add(parts[1])
             vmap[parts[1]] = parts[3]
         else:
             raise ParseError(f"line {lineno}: cannot parse {raw.strip()!r}")

@@ -172,7 +172,22 @@ class MonotoneMap:
     mapping: dict[str, str]
 
 
+def _preserves(rows, image: list[int], up: tuple[int, ...]) -> bool:
+    """Whether up[image[i]] has bit image[k] for every bit k of each rows[i]."""
+    for row, t in zip(rows, image):
+        ut = up[t]
+        for k in _bits(row):
+            if not ut >> image[k] & 1:
+                return False
+    return True
+
+
 def make_monotone(source: Poset, target: Poset, mapping: Mapping[str, str]) -> MonotoneMap:
+    """Check that mapping is total and monotone.  A map of finite posets is
+    monotone iff it preserves covers (<= is the reflexive-transitive closure
+    of covering, and the target order is transitive), so the check runs
+    along the source's stored cover masks, or else its up-masks.  Only a
+    failure scans every pair, to name the least broken one in sort order."""
     m = dict(mapping)
     tindex = target.index
     image = []
@@ -182,10 +197,12 @@ def make_monotone(source: Poset, target: Poset, mapping: Mapping[str, str]) -> M
         if m[e] not in tindex:
             raise InvalidMap(f"image {m[e]!r} of {e!r} not in target")
         image.append(tindex[m[e]])
-    for i, t in enumerate(image):
-        bad = [k for k in _bits(source.up[i]) if not target.up[t] >> image[k] & 1]
-        if bad:
-            raise InvalidMap(f"order not preserved on {source.elements[i]!r} <= {source.elements[bad[0]]!r}")
+    rows = source.up if source.cover_masks is None else source.cover_masks
+    if not _preserves(rows, image, target.up):
+        for i, t in enumerate(image):
+            bad = [k for k in _bits(source.up[i]) if not target.up[t] >> image[k] & 1]
+            if bad:
+                raise InvalidMap(f"order not preserved on {source.elements[i]!r} <= {source.elements[bad[0]]!r}")
     return MonotoneMap(source, target, m)
 
 

@@ -433,6 +433,19 @@ def random_composable_graphs(rng):
     return random_open_graph(rng, xs, ys), random_open_graph(rng, ys, zs)
 
 
+def renamed_open_graph(g: opengraph.OpenGraph, names) -> opengraph.OpenGraph:
+    """g with its sorted vertices renamed to names, in order."""
+    new = dict(zip(g.vertices, names))
+    return opengraph.OpenGraph(
+        g.inputs,
+        g.outputs,
+        tuple(new.values()),
+        frozenset((new[u], new[v]) for u, v in g.edges),
+        {x: new[v] for x, v in g.in_leg.items()},
+        {y: new[v] for y, v in g.out_leg.items()},
+    )
+
+
 def random_vertex_merge_hom(rng, g: opengraph.OpenGraph) -> opengraph.GraphHom:
     """Quotient a graph by a random vertex identification; the image graph is
     the target, so the hom is valid by construction."""

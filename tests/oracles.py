@@ -15,10 +15,12 @@ arrows) with their composition tables, still guarded at 600,000 entries.
 
 The order section keeps the string-pair implementations that the bitmask
 core in ``order`` replaced: a poset there is a sorted element tuple and a
-frozenset of name pairs, and every check is a set lookup.  The renderings
-at the end write the interchange document through the standard library's
-encoder, and DOT and text one f-string per cover pair, as the code that the
-row joins in ``order``, ``homotopy`` and ``cli`` replaced did.
+frozenset of name pairs, and every check is a set lookup.  Its monotonicity
+check scans every pair of the source's up-masks, where the library runs
+along covers.  The renderings at the end write the interchange document
+through the standard library's encoder, and DOT and text one f-string per
+cover pair, as the code that the row joins in ``order``, ``homotopy`` and
+``cli`` replaced did.
 """
 
 import json
@@ -30,6 +32,7 @@ from obstructia.errors import (
     BadCompositionTyping,
     DanglingReference,
     EmptyCollapseSet,
+    InvalidMap,
     InvalidPoset,
     MissingIdentity,
     NonAssociative,
@@ -536,6 +539,26 @@ def make_poset(elements, leq):
                 c = next(iter(up[b] - ua))
                 raise InvalidPoset(f"transitivity fails on {a!r} <= {b!r} <= {c!r}")
     return elems, rel
+
+
+def make_monotone(source, target, mapping):
+    """The check that ``order.make_monotone`` runs along covers, as a scan of
+    every pair of the source order: each pair's images looked up in the
+    target's up-masks, the least broken pair in sort order named."""
+    m = dict(mapping)
+    tindex = target.index
+    image = []
+    for e in source.elements:
+        if e not in m:
+            raise InvalidMap(f"element {e!r} not mapped")
+        if m[e] not in tindex:
+            raise InvalidMap(f"image {m[e]!r} of {e!r} not in target")
+        image.append(tindex[m[e]])
+    for i, t in enumerate(image):
+        bad = [k for k in order._bits(source.up[i]) if not target.up[t] >> image[k] & 1]
+        if bad:
+            raise InvalidMap(f"order not preserved on {source.elements[i]!r} <= {source.elements[bad[0]]!r}")
+    return m
 
 
 def lower_closure(elements, leq, s):

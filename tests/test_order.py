@@ -323,6 +323,70 @@ class TestMaps:
         assert order.compose_pointed(i, i) == i
 
 
+def monotone_verdict(check, source, target, mapping):
+    """None when check accepts the map, else its InvalidMap message."""
+    try:
+        check(source, target, mapping)
+    except InvalidMap as exc:
+        return str(exc)
+    return None
+
+
+@st.composite
+def powerset_maps(draw):
+    """Two powerset reports of at most 8 generators and a map between their
+    posets: the direct image of a drawn map of generators, which is
+    monotone, with up to three elements then sent anywhere."""
+    reports = []
+    for low in (0, 1):
+        universe = [f"u{i}" for i in range(draw(st.integers(low, 8)))]
+        collapsed = [u for u in universe if draw(st.booleans())]
+        reports.append((homotopy.powerset_report(universe, collapsed, "{}", "ctx").invariant, universe))
+    (src, uni), (dst, uni2) = reports
+    phi = dict(zip(uni, draw(st.lists(st.sampled_from(uni2), min_size=len(uni), max_size=len(uni)))))
+    members = oracles.powerset_members(uni)
+    mapping = {src.basepoint: dst.basepoint}
+    for e, items in members.items():
+        if e in src.poset.index:
+            image = homotopy.subset_name({phi[u] for u in items})
+            mapping[e] = image if image in dst.poset.index else dst.basepoint
+    for e in draw(st.lists(st.sampled_from(src.poset.elements), max_size=3)):
+        mapping[e] = draw(st.sampled_from(dst.poset.elements))
+    return src.poset, dst.poset, mapping
+
+
+class TestMonotoneAlongCovers:
+    """make_monotone checks covers only; the pair scan it replaced gives the
+    same verdict and names the same pair."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(powerset_maps())
+    def test_powerset_reports(self, drawn):
+        source, target, mapping = drawn
+        assert source.cover_masks is not None
+        want = monotone_verdict(oracles.make_monotone, source, target, mapping)
+        assert monotone_verdict(order.make_monotone, source, target, mapping) == want
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(0, 2**32), st.booleans(), st.booleans())
+    def test_reflected_posets(self, seed, to_itself, with_covers):
+        """Reflections carry no cover masks, so the check runs along the
+        up-masks; with their transitive reduction attached it runs along
+        covers on posets of any shape."""
+        rng = random.Random(seed)
+        source, _ = order.poset_reflection(gen.random_category(rng))
+        target = source if to_itself else order.poset_reflection(gen.random_category(rng))[0]
+        if to_itself:
+            mapping = {e: e for e in source.elements}
+            mapping[rng.choice(source.elements)] = rng.choice(target.elements)
+        else:
+            mapping = {e: rng.choice(target.elements) for e in source.elements}
+        if with_covers:
+            source = replace(source, cover_masks=order.covers(source))
+        want = monotone_verdict(oracles.make_monotone, source, target, mapping)
+        assert monotone_verdict(order.make_monotone, source, target, mapping) == want
+
+
 class TestThinCategory:
     def test_round_trip_through_reflection(self):
         p = chain(3)
