@@ -129,16 +129,6 @@ class FinCat:
         return tuple(m.name for m in self.morphisms)
 
     @cached_property
-    def isos(self) -> frozenset[int]:
-        """The invertible morphisms, as ids in ``interned``: g: w -> y is one
-        iff id_y = h;g for some h in g's row and g;h = id_w.  The first such h
-        decides, as an inverse is unique (h = h;g;k = k for an inverse k)."""
-        index, rows, _ = self.interned
-        ids = {x: index[i] for x, i in self.identity.items()}
-        return frozenset(g for g, (m, row) in enumerate(zip(self.morphisms, rows)) if ids[m.cod] in row.values()
-                         and rows[list(row)[list(row.values()).index(ids[m.cod])]][g] == ids[m.dom])
-
-    @cached_property
     def split_epis(self) -> frozenset[int]:
         """The split epimorphisms, as ids in ``interned``: h: z -> y is one
         iff id_y = s;h for some s in h's row, a section of h."""
@@ -487,8 +477,9 @@ def _elements_preorder(c: FinCat, x: str, k: int, over: str | None = None, cap_o
 
 
 def is_groupoid(c: FinCat) -> bool:
-    """True iff every morphism has a two-sided inverse in the table."""
-    return len(c.isos) == len(c.morphisms)
+    """True iff every morphism has a two-sided inverse, that is iff every
+    one is split epi: a section s of f has a section t, and f = t;s;f = t."""
+    return len(c.split_epis) == len(c.morphisms)
 
 
 # -- text format -----------------------------------------------------------

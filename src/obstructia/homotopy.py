@@ -11,10 +11,11 @@ for pi0, to subterminality for pi1.
 
 The induced maps (along a morphism, along a functor, and along a natural
 transformation over a morphism of the domain) reflect each distinct
-category once and share one helper: it maps class representatives, sends
-collapsed images to the basepoint, and then *checks* the result to be
-monotone, along the covers of the source poset, and basepoint-preserving,
-so a broken table shows up as an error instead of a silently wrong poset.
+category once and, like every flow, are built by ``induced_map``: it maps
+class representatives, sends collapsed images to the basepoint, and then
+*checks* the result to be monotone, along the covers of the source poset,
+and basepoint-preserving, so a broken table shows up as an error instead
+of a silently wrong poset.
 """
 
 from __future__ import annotations
@@ -119,7 +120,7 @@ def is_terminal(c: fincat.FinCat, x: str) -> bool:
 # -- induced maps -------------------------------------------------------------
 
 
-def _induced_map(src: ObstructionReport, dst: ObstructionReport, image_class) -> order.PointedMap:
+def induced_map(src: ObstructionReport, dst: ObstructionReport, image_class) -> order.PointedMap:
     """Send each non-basepoint element e of src to the class image_class(e)
     of dst, or to dst's basepoint when that class was collapsed, and check
     that the result is monotone and basepoint-preserving."""
@@ -133,6 +134,23 @@ def _induced_map(src: ObstructionReport, dst: ObstructionReport, image_class) ->
     return order.make_pointed(src.invariant, dst.invariant, mapping)
 
 
+def _flow(c: fincat.FinCat, x: str, d: fincat.FinCat, y: str, i: int, move) -> order.PointedMap:
+    """pi_i(c, x) -> pi_i(d, y): the class of an object (i = 0) or of a pair
+    (i = 1, componentwise) goes to that of its move.  Coinciding ends are
+    reflected once."""
+    if i not in (0, 1):
+        raise ValueError("i must be 0 or 1")
+    if i == 0:
+        refl_c = order.poset_reflection(c)
+        refl_d = refl_c if d == c else order.poset_reflection(d)
+        src, dst = _pi_at(refl_c, x, x, 0), _pi_at(refl_d, y, y, 0)
+        return induced_map(src, dst, lambda e: refl_d[1][move(e)])
+    refl_c, elements = _pi_data(c, x, 2)
+    refl_d = refl_c if (d == c and y == x) else _pi_data(d, y, 2)[0]
+    src, dst = _pi_at(refl_c, (c.id_of(x),) * 2, x, 1), _pi_at(refl_d, (d.id_of(y),) * 2, y, 1)
+    return induced_map(src, dst, lambda e: refl_d[1][tuple(map(move, elements[e]))])
+
+
 def pi_object_action(c: fincat.FinCat, f: str, i: int) -> order.PointedMap:
     """Covariant action of a morphism f: x -> y on pi_i(-, x) -> pi_i(-, y).
 
@@ -142,36 +160,15 @@ def pi_object_action(c: fincat.FinCat, f: str, i: int) -> order.PointedMap:
     """
     if not c.has_morphism(f):
         raise UnknownMorphism(f)
-    if i not in (0, 1):
-        raise ValueError("i must be 0 or 1")
-    x, y = c.dom(f), c.cod(f)
-    if i == 0:
-        reflection = order.poset_reflection(c)
-        return _induced_map(_pi_at(reflection, x, x, 0), _pi_at(reflection, y, y, 0), lambda e: e)
-
-    refl_x, elements = _pi_data(c, x, 2)
-    refl_y = refl_x if y == x else _pi_data(c, y, 2)[0]
-    src, dst = _pi_at(refl_x, (c.id_of(x),) * 2, x, 1), _pi_at(refl_y, (c.id_of(y),) * 2, y, 1)
-    return _induced_map(src, dst, lambda e: refl_y[1][tuple(c.comp[(g, f)] for g in elements[e])])
+    return _flow(c, c.dom(f), c, c.cod(f), i, (lambda x: x) if i == 0 else (lambda g: c.comp[(g, f)]))
 
 
 def pi_functor_map(functor: fincat.FunctorData, x: str, i: int) -> order.PointedMap:
     """Component at x of the transformation pi_i(C, -) => pi_i(D, F-)."""
-    c, d = functor.source, functor.target
-    if not c.has_object(x):
+    if not functor.source.has_object(x):
         raise UnknownObject(x)
-    if i not in (0, 1):
-        raise ValueError("i must be 0 or 1")
-    fx = functor.obj_map[x]
-    if i == 0:
-        refl_c = order.poset_reflection(c)
-        refl_d = refl_c if d == c else order.poset_reflection(d)
-        return _induced_map(_pi_at(refl_c, x, x, 0), _pi_at(refl_d, fx, fx, 0), lambda e: refl_d[1][functor.obj_map[e]])
-
-    refl_c, elements = _pi_data(c, x, 2)
-    refl_d = refl_c if (d == c and fx == x) else _pi_data(d, fx, 2)[0]
-    src, dst = _pi_at(refl_c, (c.id_of(x),) * 2, x, 1), _pi_at(refl_d, (d.id_of(fx),) * 2, fx, 1)
-    return _induced_map(src, dst, lambda e: refl_d[1][tuple(functor.mor_map[g] for g in elements[e])])
+    move = functor.obj_map if i == 0 else functor.mor_map
+    return _flow(functor.source, x, functor.target, functor.obj_map[x], i, move.__getitem__)
 
 
 def covariance_map(alpha: fincat.NatTransData, f: str, i: int) -> order.PointedMap:
@@ -204,7 +201,7 @@ def covariance_map(alpha: fincat.NatTransData, f: str, i: int) -> order.PointedM
         refl_y = refl_x if ay == ax else _pi_data(d, fy, 2, ay)[0]
         src, dst = _pi_at(refl_x, (d.id_of(fx),) * 2, ax, 1), _pi_at(refl_y, (d.id_of(fy),) * 2, ay, 1)
         post = F.mor_map[f]
-    return _induced_map(src, dst, lambda e: refl_y[1][tuple(d.comp[(h, post)] for h in elements[e])])
+    return induced_map(src, dst, lambda e: refl_y[1][tuple(d.comp[(h, post)] for h in elements[e])])
 
 
 # -- morphism classification ---------------------------------------------------

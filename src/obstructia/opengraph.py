@@ -12,9 +12,9 @@ is computed once.  The relation of the composite is read off the gluing
 itself, one union-find over int vertex ids that ``compose`` also names its
 classes from, so obstruct and act never name or build a composite graph;
 the flow of obstructions under a 2-morphism is checked along covers
-(``order.make_monotone``).  The laxator's pi1 is trivial by theorem
-(hom-categories of relations are posets), so it is read off and builds no
-powerset.
+(``order.make_monotone``), and built by ``homotopy.induced_map``.  The
+laxator's pi1 is trivial by theorem (hom-categories of relations are
+posets), so it is the powerset report of an empty universe: one point.
 """
 
 from __future__ import annotations
@@ -55,16 +55,15 @@ class OpenGraph:
         for u, v in self.edges:
             if u not in vs or v not in vs:
                 raise DanglingReference(f"edge ({u!r}, {v!r}) uses unknown vertex")
-        for x in self.inputs:
-            if x not in self.in_leg:
-                raise DanglingReference(f"input {x!r} has no leg")
-            if self.in_leg[x] not in vs:
-                raise DanglingReference(f"input leg of {x!r} lands outside the graph")
-        for y in self.outputs:
-            if y not in self.out_leg:
-                raise DanglingReference(f"output {y!r} has no leg")
-            if self.out_leg[y] not in vs:
-                raise DanglingReference(f"output leg of {y!r} lands outside the graph")
+        for side, labels, legs in (("input", self.inputs, self.in_leg), ("output", self.outputs, self.out_leg)):
+            for x in labels:
+                if x not in legs:
+                    raise DanglingReference(f"{side} {x!r} has no leg")
+                if legs[x] not in vs:
+                    raise DanglingReference(f"{side} leg of {x!r} lands outside the graph")
+            extra = sorted(set(legs) - set(labels))
+            if extra:
+                raise DanglingReference(f"{side} leg {extra[0]!r} has no {side} label")
 
 
 @dataclass(frozen=True)
@@ -254,15 +253,13 @@ def laxator_obstructions(composed: Relation, whole: Relation) -> homotopy.Obstru
 
 
 def pi1_laxator(composed: Relation, whole: Relation) -> homotopy.ObstructionReport:
-    """pi1 at the same point.  Hom-categories of relations are posets, so
-    every parallel pair of sub-relations is an identity pair and pi1 is the
-    one-point poset that homotopy.pi1 gives on the thin category of
-    sub-relations (the tests keep that as the oracle)."""
+    """pi1 at the same point: hom-categories of relations are posets, so
+    pi1 is the one-point poset that homotopy.pi1 gives on the thin category
+    of sub-relations (the tests keep that as the oracle), the powerset
+    report of an empty universe."""
     _check_laxator(composed, whole)
     point = homotopy.subset_name(_rel_pair_labels(composed.pairs))
-    bp = f"[{point}]"
-    pp = order.PointedPoset(order.make_poset([bp], [(bp, bp)]), bp)
-    return homotopy.report_from_pointed(pp, f"pi1 at object {point!r}")
+    return homotopy.powerset_report((), (), f"[{point}]", f"pi1 at object {point!r}")
 
 
 def act(hom: GraphHom, h: OpenGraph) -> tuple[Relation, order.PointedMap]:
@@ -285,7 +282,7 @@ def act(hom: GraphHom, h: OpenGraph) -> tuple[Relation, order.PointedMap]:
     # reach(g2 . h) and every source subset is still a subset on the target
     # side; it keeps its name exactly when the grown composite-of-parts does
     # not cover it, that is when it is an element of dst.
-    return rg2, homotopy._induced_map(src, dst, lambda e: e)
+    return rg2, homotopy.induced_map(src, dst, lambda e: e)
 
 
 # -- text formats -------------------------------------------------------------------
@@ -349,8 +346,10 @@ def serialize_open_graph(g: OpenGraph) -> str:
 def parse_graph_hom(text: str, source: OpenGraph, target: OpenGraph) -> GraphHom:
     """Vertex-map format: 'map <source vertex> = <target vertex>' lines.
     Unmentioned vertices map to their own name; a vertex the source lacks,
-    or one mapped twice, is a ParseError naming the line."""
+    one mapped twice, or an image the target lacks is a ParseError naming
+    the line."""
     vmap = {v: v for v in source.vertices}
+    targets = set(target.vertices)
     mapped = set()
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -362,6 +361,8 @@ def parse_graph_hom(text: str, source: OpenGraph, target: OpenGraph) -> GraphHom
                 raise ParseError(f"line {lineno}: {parts[1]!r} is not a source vertex")
             if parts[1] in mapped:
                 raise ParseError(f"line {lineno}: duplicate map of {parts[1]!r}")
+            if parts[3] not in targets:
+                raise ParseError(f"line {lineno}: {parts[3]!r} is not a target vertex")
             mapped.add(parts[1])
             vmap[parts[1]] = parts[3]
         else:

@@ -16,8 +16,8 @@ Chaining them is how the homotopy invariants are computed; everything else
 here is supporting machinery: lower sets, transitive reduction,
 pointed-isomorphism search and a DOT emitter for Hasse diagrams.
 
-``make_poset`` and ``from_masks`` validate what they are given.  The one
-trusted constructor is ``homotopy.powerset_report``: its posets are orders by
+``from_masks`` validates every poset built here.  The one trusted
+constructor is ``homotopy.powerset_report``: its posets are orders by
 construction, so it builds ``Poset`` directly, cover masks included, and the
 tests check it against ``from_masks`` and the general reduction.
 """
@@ -75,9 +75,9 @@ class Poset:
     indices j with elements[i] <= elements[j], ``down_masks`` its transpose,
     and ``cover_masks``, when known, the covers of each element (read them
     through ``covers``).  Equality and hashing read (elements, up) only.
-    Build one with ``make_poset`` from name pairs or ``from_masks`` from
-    up-masks; both validate.  ``homotopy.powerset_report`` builds its
-    posets directly, unvalidated, and its check lives in the tests."""
+    Build one with ``from_masks`` from up-masks, which validates.
+    ``homotopy.powerset_report`` builds its posets directly, unvalidated,
+    and its check lives in the tests."""
 
     elements: tuple[str, ...]
     up: tuple[int, ...]
@@ -134,25 +134,6 @@ def from_masks(elements: tuple[str, ...], up: list[int]) -> Poset:
         c = elements[_low(up[j] & ~up[i])]
         raise InvalidPoset(f"transitivity fails on {elements[i]!r} <= {elements[j]!r} <= {c!r}")
     return Poset(elements, tuple(up), tuple(down))
-
-
-def make_poset(elements: Iterable[str], leq: Iterable[tuple[str, str]]) -> Poset:
-    """Validate and build from name pairs; elements are stored sorted so
-    equal posets built in different orders compare equal."""
-    elems = tuple(sorted(set(elements)))
-    index = {e: i for i, e in enumerate(elems)}
-    up = [0] * len(elems)
-    unknown = []
-    for a, b in leq:
-        i, j = index.get(a), index.get(b)
-        if i is None or j is None:
-            unknown.append((a, b))
-        else:
-            up[i] |= 1 << j
-    if unknown:
-        a, b = min(unknown)
-        raise InvalidPoset(f"relation mentions unknown element ({a!r}, {b!r})")
-    return from_masks(elems, up)
 
 
 @dataclass(frozen=True)

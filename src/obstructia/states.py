@@ -10,12 +10,13 @@ colliding input pairs.
 
 Posets are materialised in full up to ``homotopy.POWERSET_CAP`` generators;
 past it the reports keep the exact basepoint-plus-minimal sub-poset (which
-carries the whole separability story), with the elision noted in the report
-context; code tells the routes apart by size alone.  Local actions move
-that minimal layer alone, each non-separable state to its image or, if that
-is separable, to the basepoint: up to the cap every state is separable (at
-most 12 states means a factor of dimension <= 1), and so is every
-cartesian one.
+carries the whole separability story), a star checked by
+``order.from_masks``, with the elision noted in the report context; code
+tells the routes apart by size alone.  A local action is a
+``homotopy.induced_map`` that moves the minimal layer alone, each
+non-separable state to its image, which lands on the basepoint when it is
+separable: up to the cap every state is separable (at most 12 states means
+a factor of dimension <= 1), and so is every cartesian one.
 The laxator and its reports are cached per (context, objects).
 """
 
@@ -40,12 +41,6 @@ class StateContext:
     def __post_init__(self):
         if self.kind not in ("cartesian", "gf2"):
             raise WrongContext(f"unknown context kind {self.kind!r}")
-
-
-@dataclass(frozen=True)
-class StateSet:
-    obj: object
-    states: tuple[str, ...]
 
 
 # -- GF(2) vectors -----------------------------------------------------------
@@ -88,17 +83,17 @@ def _check_dim(dim: int):
 # -- state enumeration ---------------------------------------------------------
 
 
-def states_of(ctx: StateContext, obj) -> StateSet:
-    """All morphisms from the unit into the object, enumerated explicitly:
-    elements for a finite set, vectors for a GF(2) space."""
+def states_of(ctx: StateContext, obj) -> tuple[str, ...]:
+    """The names of all morphisms from the unit into the object, enumerated
+    explicitly: elements for a finite set, vectors for a GF(2) space."""
     if ctx.kind == "cartesian":
         labels = tuple(obj)
         if len(set(labels)) != len(labels):
             raise ParseError(f"duplicate element labels in {labels!r}")
-        return StateSet(labels, labels)
+        return labels
     dim = int(obj)
     _check_dim(dim)
-    return StateSet(dim, tuple(vec_name(v) for v in all_vectors(dim)))
+    return tuple(vec_name(v) for v in all_vectors(dim))
 
 
 def _gf2_payload(dim: int) -> dict[str, tuple[int, ...]]:
@@ -120,20 +115,14 @@ def laxator(ctx: StateContext, a, b) -> setcat.FiniteFunction:
 @functools.cache
 def _laxator(ctx: StateContext, a, b) -> setcat.FiniteFunction:
     sa, sb = states_of(ctx, a), states_of(ctx, b)
-    dom = tuple(pair_name(x, y) for x in sa.states for y in sb.states)
-    if ctx.kind == "cartesian":
-        cod = dom  # product set states are exactly the pairs
-        mapping = {p: p for p in dom}
-        return setcat.FiniteFunction(dom, cod, mapping)
+    dom = tuple(pair_name(x, y) for x in sa for y in sb)
+    if ctx.kind == "cartesian":  # product set states are exactly the pairs
+        return setcat.FiniteFunction(dom, dom, {p: p for p in dom})
     m, n = int(a), int(b)
     _check_dim(m * n)
     va, vb = _gf2_payload(m), _gf2_payload(n)
     cod = tuple(vec_name(v) for v in all_vectors(m * n))
-    mapping = {
-        pair_name(x, y): vec_name(tensor_bits(va[x], vb[y]))
-        for x in sa.states
-        for y in sb.states
-    }
+    mapping = {pair_name(x, y): vec_name(tensor_bits(va[x], vb[y])) for x in sa for y in sb}
     return setcat.FiniteFunction(dom, cod, mapping)
 
 
@@ -153,18 +142,16 @@ def oplaxator_cartesian(ctx: StateContext, a, b) -> setcat.FiniteFunction:
 # -- obstruction reports ---------------------------------------------------------
 
 
-ELIDED_MARK = "full powerset elided"
-
-
 def _summary_report(missing, context: str) -> homotopy.ObstructionReport:
     """Exact basepoint + minimal-obstruction sub-poset, for state spaces too
-    large to materialise the full powerset poset."""
+    large to materialise the full powerset poset: the basepoint below each
+    {y}, y in missing, and nothing else related."""
     bp = "{}"
-    names = sorted(homotopy.subset_name([y]) for y in missing)
-    elements = [bp] + names
-    leq = {(bp, e) for e in elements} | {(e, e) for e in elements}
-    pp = order.PointedPoset(order.make_poset(elements, leq), bp)
-    return homotopy.report_from_pointed(pp, context + f" (minimal sub-poset; {ELIDED_MARK})")
+    elements = tuple(sorted([bp, *(homotopy.subset_name([y]) for y in missing)]))
+    up = [1 << i for i in range(len(elements))]
+    up[elements.index(bp)] = (1 << len(elements)) - 1  # "{}" sorts after "{0..." and "{(..."
+    pp = order.PointedPoset(order.from_masks(elements, up), bp)
+    return homotopy.report_from_pointed(pp, context + " (minimal sub-poset; full powerset elided)")
 
 
 def obstructions(ctx: StateContext, a, b) -> tuple[homotopy.ObstructionReport, homotopy.ObstructionReport]:
@@ -187,8 +174,7 @@ def _obstructions(ctx: StateContext, a, b) -> tuple[homotopy.ObstructionReport, 
     if len(kp.pairs) <= homotopy.POWERSET_CAP:
         pi1 = replace(setcat.pi1_function(lax), context=ctx1)
     else:
-        off = sorted(pair_name(*p) for p in kp.off_diagonal())
-        pi1 = _summary_report(off, ctx1)
+        pi1 = _summary_report([pair_name(*p) for p in kp.off_diagonal()], ctx1)
     return pi0, pi1
 
 
@@ -206,18 +192,19 @@ def local_action(ctx: StateContext, f, g) -> order.PointedMap:
     factors separately: f and g are FiniteFunctions in the cartesian
     context, bit matrices (rows = target dimension) over GF(2).
 
-    Only the minimal layer moves: a non-separable state y goes to
-    phi(y) = f V g^T, V the bit matrix of y, or to the basepoint when phi(y)
-    is separable, as the image of each separable state is; then
-    ``order.make_pointed`` checks the map.  There is nothing else to map:
-    up to ``homotopy.POWERSET_CAP`` states m*n <= 3, so every state has rank
-    <= 1 and the report is one point; past it the report is the basepoint
-    and the minimal layer; and the cartesian laxator is a bijection.
+    Only the minimal layer moves: ``homotopy.induced_map`` sends {y}, y a
+    non-separable state, to {f V g^T}, V the bit matrix of y, which is no
+    element of the target report when f V g^T is separable and then goes
+    to the basepoint.  Nothing else moves: up to ``homotopy.POWERSET_CAP``
+    states m*n <= 3, so every state has rank <= 1 and the report is one
+    point; past it the report is the basepoint and the minimal layer; and
+    both reports of the bijective cartesian laxator are one point.
     """
     if ctx.kind == "cartesian":
         if not isinstance(f, setcat.FiniteFunction) or not isinstance(g, setcat.FiniteFunction):
             raise WrongContext("cartesian local actions are finite functions")
         a, b, a2, b2 = f.dom_set, g.dom_set, f.cod_set, g.cod_set
+        image = None
     else:
         fm, gm = tuple(tuple(r) for r in f), tuple(tuple(r) for r in g)
         if not fm or not gm:
@@ -227,16 +214,12 @@ def local_action(ctx: StateContext, f, g) -> order.PointedMap:
         check_matrix(gm, b2, b)
         _check_dim(a * b)
         _check_dim(a2 * b2)
+        bits = _gf2_payload(a * b)
 
-    src0, dst0 = obstructions(ctx, a, b)[0].invariant, obstructions(ctx, a2, b2)[0].invariant
-    mapping = {src0.basepoint: dst0.basepoint}
-    if ctx.kind == "gf2":
-        lax = laxator(ctx, a, b)
-        bits, separable = _gf2_payload(a * b), separable_states(ctx, a2, b2)
-        for y in sorted(set(lax.cod_set) - lax.image()):
-            v = bits[y]  # row-major: a rows of b bits
+        def image(e: str) -> str:
+            v = bits[e[1:-1]]  # e = {y}; row-major: a rows of b bits
             vg = [apply_matrix(gm, v[i : i + b]) for i in range(0, a * b, b)]
             fvg = zip(*(apply_matrix(fm, c) for c in zip(*vg)))  # by rows
-            z = vec_name(tuple(chain.from_iterable(fvg)))
-            mapping[homotopy.subset_name([y])] = dst0.basepoint if z in separable else homotopy.subset_name([z])
-    return order.make_pointed(src0, dst0, mapping)
+            return homotopy.subset_name([vec_name(tuple(chain.from_iterable(fvg)))])
+
+    return homotopy.induced_map(obstructions(ctx, a, b)[0], obstructions(ctx, a2, b2)[0], image)

@@ -15,12 +15,13 @@ arrows) with their composition tables, still guarded at 600,000 entries.
 
 The order section keeps the string-pair implementations that the bitmask
 core in ``order`` replaced: a poset there is a sorted element tuple and a
-frozenset of name pairs, and every check is a set lookup.  Its monotonicity
-check scans every pair of the source's up-masks, where the library runs
-along covers.  The renderings at the end write the interchange document
-through the standard library's encoder, and DOT and text one f-string per
-cover pair, as the code that the row joins in ``order``, ``homotopy`` and
-``cli`` replaced did.
+frozenset of name pairs, and every check is a set lookup;
+``poset_from_pairs`` writes such a poset down as the library's ``Poset``.
+Its monotonicity check scans every pair of the source's up-masks, where the
+library runs along covers.  The renderings at the end write the interchange
+document through the standard library's encoder, and DOT and text one
+f-string per cover pair, as the code that the row joins in ``order``,
+``homotopy`` and ``cli`` replaced did.
 """
 
 import json
@@ -539,6 +540,26 @@ def make_poset(elements, leq):
                 c = next(iter(up[b] - ua))
                 raise InvalidPoset(f"transitivity fails on {a!r} <= {b!r} <= {c!r}")
     return elems, rel
+
+
+def poset_from_pairs(elements, leq):
+    """The library's ``Poset`` from name pairs, validated by
+    ``order.from_masks``; elements are stored sorted so equal posets built
+    in different orders compare equal."""
+    elems = tuple(sorted(set(elements)))
+    index = {e: i for i, e in enumerate(elems)}
+    up = [0] * len(elems)
+    unknown = []
+    for a, b in leq:
+        i, j = index.get(a), index.get(b)
+        if i is None or j is None:
+            unknown.append((a, b))
+        else:
+            up[i] |= 1 << j
+    if unknown:
+        a, b = min(unknown)
+        raise InvalidPoset(f"relation mentions unknown element ({a!r}, {b!r})")
+    return order.from_masks(elems, up)
 
 
 def make_monotone(source, target, mapping):

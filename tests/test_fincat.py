@@ -541,41 +541,56 @@ def iso_rich_categories():
     }
 
 
-def iso_names(c):
-    return {c.morphisms[i].name for i in c.isos}
+def groupoid_by_search(c):
+    return oracles.isos(c) == set(c.morphism_names())
 
 
 class TestIsos:
+    """``is_groupoid`` reads split epis alone, since every morphism is iso
+    iff every morphism is split epi; these check it against the search for
+    two-sided inverses in ``oracles.isos``."""
+
     def test_equal_brute_force(self):
         for c in iso_rich_categories().values():
-            assert iso_names(c) == oracles.isos(c)
+            assert fincat.is_groupoid(c) == groupoid_by_search(c)
+            # a free terminal object adds arrows with no way back
+            assert not fincat.is_groupoid(gen.add_free_terminal(c))
 
     def test_known_sets(self):
         cats = iso_rich_categories()
         for name in ("Z/5", "V4", "Z/2+Z/3", "Z/2xZ/3", "iso"):
-            assert iso_names(cats[name]) == set(cats[name].morphism_names())
+            assert oracles.isos(cats[name]) == set(cats[name].morphism_names())
             assert fincat.is_groupoid(cats[name])
         # bijections of 0..3 elements: 0! + 1! + 2! + 3!
-        assert len(cats["FinSet3"].isos) == 10
-        assert iso_names(cats["FinSet2xiso"]) == {
+        assert len(oracles.isos(cats["FinSet3"])) == 10
+        assert not fincat.is_groupoid(cats["FinSet3"])
+        assert oracles.isos(cats["FinSet2xiso"]) == {
             f"{p}*{q}" for p in ("0>0:", "1>1:0", "2>2:01", "2>2:10") for q in ("ida", "idb", "f", "g")}
+        assert not fincat.is_groupoid(cats["FinSet2xiso"])
 
     def test_one_sided_inverses_rejected(self):
         cats = iso_rich_categories()
         # p;p = p and p;q = q: no element but e has an inverse on either side
-        assert iso_names(cats["idempotent"]) == iso_names(cats["flipflop"]) == {"e"}
-        # s;r = id_a but r;s = e is not id_b
+        assert oracles.isos(cats["idempotent"]) == oracles.isos(cats["flipflop"]) == {"e"}
+        assert not fincat.is_groupoid(cats["idempotent"]) and not fincat.is_groupoid(cats["flipflop"])
+        # s;r = id_a but r;s = e is not id_b: r is split epi, s is not
         retract = cats["retract"]
         assert retract.comp["s", "r"] == "ida" and retract.comp["r", "s"] == "e"
-        assert iso_names(retract) == {"ida", "idb"}
+        assert oracles.isos(retract) == {"ida", "idb"}
         assert not fincat.is_groupoid(retract)
 
     @settings(max_examples=100, deadline=None)
     @given(st.integers(min_value=0, max_value=10_000))
     def test_random_equal_brute_force(self, seed):
-        c = gen.random_category(random.Random(seed))
-        assert iso_names(c) == oracles.isos(c)
-        assert fincat.is_groupoid(c) == (len(oracles.isos(c)) == len(c.morphisms))
+        rng = random.Random(seed)
+        # random groupoids: a group beside a group times the walking iso
+        groupoid = gen.disjoint_union(
+            gen.cyclic_group_category(rng.randint(1, 4)),
+            gen.product_category(gen.cyclic_group_category(rng.randint(1, 3)), gen.walking_isomorphism()),
+        )
+        for c in (gen.random_category(rng), groupoid, gen.add_free_initial(groupoid)):
+            assert fincat.is_groupoid(c) == groupoid_by_search(c)
+        assert fincat.is_groupoid(groupoid)
 
 
 def reversed_finset(k):
@@ -591,7 +606,6 @@ class TestSplitEpis:
         for c in [*iso_rich_categories().values(), reversed_finset(3)]:
             assert {c.morphisms[i].name for i in c.split_epis} == {
                 m.name for m in c.morphisms if oracles.split_epi(c, m.name)}
-            assert c.isos <= c.split_epis
 
     def test_known_sets(self):
         retract = gen.retraction_category()

@@ -204,7 +204,7 @@ class TestExplicitDescriptions:
 
 class TestTerminalityOracles:
     def test_terminal_category(self):
-        t = gen.thin_category(order.make_poset(["*"], [("*", "*")]))
+        t = gen.thin_category(oracles.poset_from_pairs(["*"], [("*", "*")]))
         assert homotopy.is_weak_terminal(t, "*")
         assert homotopy.is_subterminal(t, "*")
         assert homotopy.is_terminal(t, "*")
@@ -240,7 +240,7 @@ class TestBasepointMinimality:
                             assert not r.invariant.poset.le(e, bp)
 
     def test_basepoint_above_an_element_refused(self):
-        p = order.make_poset("012", {(a, b) for a in "012" for b in "012" if a <= b})
+        p = oracles.poset_from_pairs("012", {(a, b) for a in "012" for b in "012" if a <= b})
         with pytest.raises(OracleMismatch, match=r"^basepoint fails minimality below '0'$"):
             homotopy.report_from_pointed(order.PointedPoset(p, "2"), "test")
 
@@ -521,7 +521,7 @@ def odd_reports(draw):
     up = [1 << i for i in range(n)]
     for a, b in sorted(edges, reverse=True):
         up[a] |= up[b]
-    p = order.make_poset(names, {(names[i], names[j]) for i in range(n) for j in range(n) if up[i] >> j & 1})
+    p = oracles.poset_from_pairs(names, {(names[i], names[j]) for i in range(n) for j in range(n) if up[i] >> j & 1})
     lower = order.lower_closure(p, draw(st.sets(st.sampled_from(names), min_size=1)))
     pp = order.collapse_lower(p, lower, draw(odd_names(min_size=1, max_size=4)))
     return homotopy.report_from_pointed(pp, draw(odd_names(max_size=6)))

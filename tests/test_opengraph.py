@@ -14,6 +14,7 @@ from obstructia.errors import (
     BoundaryMismatch,
     CapExceeded,
     DanglingReference,
+    LaxityViolation,
     NotAGraphHom,
     ParseError,
     TypeMismatch,
@@ -161,6 +162,19 @@ class TestParsing:
         with pytest.raises(BoundaryMismatch, match=r"^output label 'c' is repeated$"):
             og.OpenGraph(("a",), ("b", "c", "c"), ("v",), frozenset(), {"a": "v"}, {"b": "v", "c": "v"})
 
+    def test_leg_outside_boundary_refused(self):
+        # serialize_open_graph writes the legs of boundary labels only, so a
+        # graph with another leg would not read back as itself
+        with pytest.raises(DanglingReference, match=r"^input leg 'zz' has no input label$"):
+            og.parse_open_graph("inputs a\noutputs\nvertex v\nin a = v\nin zz = v\n")
+        with pytest.raises(DanglingReference, match=r"^output leg 'c' has no output label$"):
+            og.OpenGraph((), ("b",), ("v",), frozenset(), {}, {"b": "v", "c": "v"})
+
+    def test_hom_map_to_unknown_target_refused_with_line(self, G):
+        target = identified(G).target
+        with pytest.raises(ParseError, match=r"^line 2: 'nosuch' is not a target vertex$"):
+            og.parse_graph_hom("map w3 = w1\nmap w2 = nosuch\n", G, target)
+
     def test_hom_map_lines_refused_with_line(self, G):
         target = identified(G).target
         with pytest.raises(ParseError, match=r"^line 2: duplicate map of 'w3'$"):
@@ -296,6 +310,16 @@ class TestLaxatorObstructions:
     def test_trivial_when_parts_account_for_whole(self):
         ident = og.identity_graph(("1", "2"))
         assert og.laxator_obstructions(*laxator(ident, ident)).trivial
+
+    def test_composed_outside_whole_refused(self, G, H):
+        # the parts of (G, H) compose to a strict sub-relation of the
+        # composite's reachability; swapped, the parts would reach more
+        composed, whole = laxator(G, H)
+        assert composed.pairs < whole.pairs
+        for obstructions in (og.laxator_obstructions, og.pi1_laxator):
+            obstructions(composed, whole)
+            with pytest.raises(LaxityViolation, match=r"^composite of parts exceeds reachability of the composite$"):
+                obstructions(whole, composed)
 
     def test_gap_of_two(self):
         # the composite path zig-zags between the parts, so both z's are

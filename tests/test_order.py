@@ -22,11 +22,11 @@ from obstructia.errors import (
 
 def chain(n):
     elems = [str(i) for i in range(n)]
-    return order.make_poset(elems, {(a, b) for a in elems for b in elems if int(a) <= int(b)})
+    return oracles.poset_from_pairs(elems, {(a, b) for a in elems for b in elems if int(a) <= int(b)})
 
 
 def antichain(labels):
-    return order.make_poset(labels, {(a, a) for a in labels})
+    return oracles.poset_from_pairs(labels, {(a, a) for a in labels})
 
 
 def powerset_poset(base):
@@ -35,7 +35,7 @@ def powerset_poset(base):
         subsets.append(frozenset(b for i, b in enumerate(base) if mask >> i & 1))
     name = {s: "{" + ",".join(sorted(s)) + "}" for s in subsets}
     leq = {(name[s], name[t]) for s in subsets for t in subsets if s <= t}
-    return order.make_poset(name.values(), leq), name
+    return oracles.poset_from_pairs(name.values(), leq), name
 
 
 @st.composite
@@ -64,28 +64,28 @@ def posets(draw):
             seen.add(v)
             leq.add((e, v))
             stack.extend(adj[v])
-    return order.make_poset(elems, leq)
+    return oracles.poset_from_pairs(elems, leq)
 
 
 class TestPosetValidation:
     def test_not_reflexive(self):
         with pytest.raises(InvalidPoset):
-            order.make_poset(["a"], [])
+            oracles.poset_from_pairs(["a"], [])
 
     def test_not_antisymmetric(self):
         with pytest.raises(InvalidPoset):
-            order.make_poset(["a", "b"], [("a", "a"), ("b", "b"), ("a", "b"), ("b", "a")])
+            oracles.poset_from_pairs(["a", "b"], [("a", "a"), ("b", "b"), ("a", "b"), ("b", "a")])
 
     def test_not_transitive(self):
         with pytest.raises(InvalidPoset):
-            order.make_poset(
+            oracles.poset_from_pairs(
                 ["a", "b", "c"],
                 [("a", "a"), ("b", "b"), ("c", "c"), ("a", "b"), ("b", "c")],
             )
 
     def test_unknown_element(self):
         with pytest.raises(InvalidPoset):
-            order.make_poset(["a"], [("a", "a"), ("a", "zz")])
+            oracles.poset_from_pairs(["a"], [("a", "a"), ("a", "zz")])
 
     def test_bad_basepoint(self):
         with pytest.raises(InvalidPoset):
@@ -281,7 +281,7 @@ class TestIso:
     def test_two_chain_vs_two_chain(self):
         a = order.PointedPoset(chain(2), "0")
         b = order.PointedPoset(
-            order.make_poset(["x", "y"], [("x", "x"), ("y", "y"), ("x", "y")]), "x"
+            oracles.poset_from_pairs(["x", "y"], [("x", "x"), ("y", "y"), ("x", "y")]), "x"
         )
         m = order.iso_pointed(a, b)
         assert m is not None and m.mapping == {"0": "x", "1": "y"}
@@ -406,7 +406,7 @@ class TestDot:
         assert d1.startswith("digraph")
 
     def test_backslash_and_quote_escaped(self):
-        p = order.make_poset(["a\\", 'b"'], [("a\\", "a\\"), ('b"', 'b"'), ("a\\", 'b"')])
+        p = oracles.poset_from_pairs(["a\\", 'b"'], [("a\\", "a\\"), ('b"', 'b"'), ("a\\", 'b"')])
         lines = order.hasse_dot(p).splitlines()
         assert '  "a\\\\" [shape=ellipse];' in lines
         assert '  "a\\\\" -> "b\\"";' in lines
@@ -468,7 +468,7 @@ class TestMaskCoreAgainstPairs:
     def check(self, p):
         elems, leq = p.elements, p.leq
         assert oracles.make_poset(elems, leq) == (elems, leq)
-        assert order.make_poset(reversed(elems), sorted(leq, reverse=True)) == p
+        assert oracles.poset_from_pairs(reversed(elems), sorted(leq, reverse=True)) == p
         assert order.hasse(p) == oracles.hasse(elems, leq)
         for a in elems:
             assert p.down(a) == {b for b in elems if (b, a) in leq}
@@ -480,7 +480,7 @@ class TestMaskCoreAgainstPairs:
         p = pp.poset
         self.check(p)
         assert minimal == oracles.minimal_obstructions(p.elements, p.leq, pp.basepoint)
-        assert pp == order.PointedPoset(order.make_poset(*oracles.make_poset(p.elements, p.leq)), pp.basepoint)
+        assert pp == order.PointedPoset(oracles.poset_from_pairs(*oracles.make_poset(p.elements, p.leq)), pp.basepoint)
 
     @settings(max_examples=80, deadline=None)
     @given(posets(), st.data())
@@ -493,7 +493,7 @@ class TestMaskCoreAgainstPairs:
         bp = data.draw(st.sampled_from(["[*]", *elems]))
         pp = order.collapse_lower(p, lower, bp)
         o_elems, o_leq, o_bp = oracles.collapse_lower(elems, leq, lower, bp)
-        assert pp == order.PointedPoset(order.make_poset(o_elems, o_leq), o_bp)
+        assert pp == order.PointedPoset(oracles.poset_from_pairs(o_elems, o_leq), o_bp)
         self.check_pointed(pp, order.minimal_obstructions(pp))
 
     @settings(max_examples=120, deadline=None)
@@ -507,10 +507,10 @@ class TestMaskCoreAgainstPairs:
             expected = oracles.make_poset(p.elements, leq)
         except InvalidPoset as exc:
             with pytest.raises(InvalidPoset) as got:
-                order.make_poset(p.elements, leq)
+                oracles.poset_from_pairs(p.elements, leq)
             assert kind(str(got.value)) == kind(str(exc))
         else:
-            q = order.make_poset(p.elements, leq)
+            q = oracles.poset_from_pairs(p.elements, leq)
             assert (q.elements, q.leq) == expected
 
     def test_fixture_reports(self):
@@ -548,7 +548,7 @@ class TestMaskCoreAgainstPairs:
                 for collapsed in (universe[: rng.randint(0, n)], rng.sample(universe, rng.randint(0, n))):
                     r = homotopy.powerset_report(universe, collapsed, "{}", "ctx")
                     o_elems, o_leq, o_bp = oracles.powerset_report(universe, collapsed, "{}")
-                    assert r.invariant == order.PointedPoset(order.make_poset(o_elems, o_leq), o_bp)
+                    assert r.invariant == order.PointedPoset(oracles.poset_from_pairs(o_elems, o_leq), o_bp)
                     assert r.invariant.poset.elements == o_elems
                     assert r.invariant.poset.leq == o_leq
                     if n <= 6:

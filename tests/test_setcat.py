@@ -184,7 +184,7 @@ class TestPi0Function:
                 )
             name = {s: homotopy.subset_name(s) for s in subsets}
             leq = {(name[s], name[t]) for s in subsets for t in subsets if s <= t}
-            p = order.make_poset(name.values(), leq)
+            p = oracles.poset_from_pairs(name.values(), leq)
             lower = {name[s] for s in subsets if s <= f.image()}
             pp = order.collapse_lower(p, lower, "{}")
             fast = setcat.pi0_function(f).invariant

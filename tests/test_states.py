@@ -4,7 +4,7 @@ from itertools import product
 import pytest
 
 import oracles
-from obstructia import homotopy, setcat, states
+from obstructia import homotopy, order, setcat, states
 from obstructia.errors import DimensionCap, ParseError, WrongContext
 
 GF2 = states.StateContext("gf2")
@@ -13,13 +13,13 @@ CART = states.StateContext("cartesian")
 
 class TestStateSets:
     def test_cartesian_two_elements(self):
-        assert states.states_of(CART, ("a", "b")).states == ("a", "b")
+        assert states.states_of(CART, ("a", "b")) == ("a", "b")
 
     def test_gf2_dim_two(self):
-        assert len(states.states_of(GF2, 2).states) == 4
+        assert len(states.states_of(GF2, 2)) == 4
 
     def test_gf2_dim_zero_single_state(self):
-        assert states.states_of(GF2, 0).states == ("_",)
+        assert states.states_of(GF2, 0) == ("_",)
 
     def test_dimension_cap(self):
         with pytest.raises(DimensionCap):
@@ -39,7 +39,7 @@ class TestLaxator:
 
     def test_gf2_zero_absorbs(self):
         lax = states.laxator(GF2, 2, 2)
-        for b in states.states_of(GF2, 2).states:
+        for b in states.states_of(GF2, 2):
             assert lax.mapping[f"(00,{b})"] == "0000"
 
     def test_tensor_dimension_cap(self):
@@ -80,6 +80,57 @@ class TestObstructions:
         for m, n in ((1, 1), (1, 2), (2, 2), (2, 3), (3, 2)):
             sep = states.separable_states(GF2, m, n)
             assert len(sep) == 1 + (2**m - 1) * (2**n - 1)
+
+
+def star_oracle(left, right, tensor, targets):
+    """The pair-built summary past the cap, from brute-force tensoring of
+    every input pair: pi0 is the basepoint {} below each state that no pair
+    reaches, pi1 below each ordered pair of distinct input pairs with equal
+    tensor."""
+    inputs = [(x, y) for x in left for y in right]
+    reached = {tensor(x, y) for x, y in inputs}
+    collide = [(p, q) for p in inputs for q in inputs if p != q and tensor(*p) == tensor(*q)]
+    stars = []
+    for missing in ([t for t in targets if t not in reached],
+                    [f"(({p[0]},{p[1]}),({q[0]},{q[1]}))" for p, q in collide]):
+        elems = ["{}"] + ["{" + y + "}" for y in missing]
+        leq = {("{}", e) for e in elems} | {(e, e) for e in elems}
+        stars.append(order.PointedPoset(oracles.poset_from_pairs(elems, leq), "{}"))
+    return stars
+
+
+class TestSummaryPastTheCap:
+    """Past the powerset cap a state report is a star built by
+    ``order.from_masks``; check it against the star built from name pairs."""
+
+    def check(self, ctx, a, b, star):
+        for r, want in zip(states.obstructions(ctx, a, b), star):
+            assert r.invariant == want
+            assert r.invariant.poset.elements == want.poset.elements
+            assert r.minimal == set(want.poset.elements) - {"{}"}
+            assert r.trivial == (len(want.poset.elements) == 1)
+            assert r.context.endswith(" (minimal sub-poset; full powerset elided)")
+
+    def test_gf2(self):
+        def bits(v):
+            return "".join(map(str, v))
+
+        def tensor(x, y):
+            return bits(oracles.gf2_tensor(tuple(map(int, x)), tuple(map(int, y))))
+
+        for m, n in ((2, 2), (2, 3), (3, 2)):
+            assert 2 ** (m * n) > homotopy.POWERSET_CAP
+            left = [bits(v) for v in product((0, 1), repeat=m)]
+            right = [bits(v) for v in product((0, 1), repeat=n)]
+            targets = [bits(v) for v in product((0, 1), repeat=m * n)]
+            self.check(GF2, m, n, star_oracle(left, right, tensor, targets))
+
+    def test_cartesian(self):
+        left, right = tuple("abcd"), tuple("efgh")
+        targets = [f"({x},{y})" for x in left for y in right]
+        star = star_oracle(left, right, lambda x, y: f"({x},{y})", targets)
+        assert all(len(s.poset.elements) == 1 for s in star)
+        self.check(CART, left, right, star)
 
 
 class TestMinimalLayer:
