@@ -2,9 +2,10 @@
 
 Subcommands mirror the library: ``cat`` for finite categories, ``set`` for
 functions, ``opengraph`` for open graphs, ``states`` for the state-functor
-contexts.  Output is deterministic (everything sorted), exit code 0 on
-success, 1 on a domain error (the structured error name is printed), 2 on
-usage errors.
+contexts.  Reports go out through ``homotopy.write_report`` in the format
+``--format`` names.  Output is deterministic (everything sorted), exit code 0
+on success, 1 on a domain error (the structured error name is printed; a
+file that is not UTF-8 is a ParseError), 2 on usage errors.
 """
 
 from __future__ import annotations
@@ -17,32 +18,12 @@ from .errors import EngineError, ParseError
 
 
 def _read(path: str) -> str:
-    with open(path, "r", encoding="utf-8") as fh:
-        return fh.read()
-
-
-def _emit_report(report: homotopy.ObstructionReport, fmt: str, out) -> None:
-    if fmt == "interchange":
-        homotopy.write_interchange(report, out)
-        return
-    if fmt == "dot":
-        out.write(order.hasse_dot(report.invariant))
-        return
-    p = report.invariant.poset
-    e = p.elements
-    masks = order.covers(p)
-    # one "a < b; a < c" string per element's row of covers
-    rows = []
-    for i, m in enumerate(masks):
-        if m:
-            head = e[i] + " < "
-            rows.append(head + ("; " + head).join(map(e.__getitem__, order._bits(m))))
-    out.write(f"context: {report.context}\n")
-    out.write(f"trivial: {'yes' if report.trivial else 'no'}\n")
-    out.write(f"basepoint: {report.invariant.basepoint}\n")
-    out.write(f"elements ({len(p.elements)}): " + ", ".join(p.elements) + "\n")
-    out.write(f"minimal obstructions ({len(report.minimal)}): " + ", ".join(sorted(report.minimal)) + "\n")
-    out.write(f"covers ({sum(m.bit_count() for m in masks)}): " + "; ".join(rows) + "\n")
+    """The text of a UTF-8 file; any other bytes are a ParseError."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return fh.read()
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: byte {exc.start} is not UTF-8") from None
 
 
 def _emit_flow(pmap: order.PointedMap, out) -> None:
@@ -70,7 +51,7 @@ def _cmd_cat_pi(args, out, i: int):
         report = homotopy.pi0(c, args.object)
     else:
         report = homotopy.pi1(c, args.object, args.cap_objects)
-    _emit_report(report, args.format, out)
+    homotopy.write_report(report, args.format, out)
     return 0
 
 
@@ -81,8 +62,8 @@ def _cmd_cat_analyze(args, out):
     out.write(f"split-epi: {'yes' if analysis.split_epi else 'no'}\n")
     out.write(f"mono: {'yes' if analysis.mono else 'no'}\n")
     out.write(f"iso: {'yes' if analysis.iso else 'no'}\n")
-    _emit_report(analysis.pi0, args.format, out)
-    _emit_report(analysis.pi1, args.format, out)
+    homotopy.write_report(analysis.pi0, args.format, out)
+    homotopy.write_report(analysis.pi1, args.format, out)
     return 0
 
 
@@ -101,7 +82,7 @@ def _cmd_set_pi(args, out, i: int):
     name, f = setcat.parse_function(_read(args.fn))
     report = setcat.pi0_function(f) if i == 0 else setcat.pi1_function(f)
     out.write(f"function: {name}\n")
-    _emit_report(report, args.format, out)
+    homotopy.write_report(report, args.format, out)
     return 0
 
 
@@ -141,7 +122,7 @@ def _cmd_og_obstruct(args, out):
     out.write("reach right: " + opengraph.relation_text(rh) + "\n")
     out.write("composite of parts: " + opengraph.relation_text(composed) + "\n")
     out.write("reach of composite: " + opengraph.relation_text(whole) + "\n")
-    _emit_report(pi0, args.format, out)
+    homotopy.write_report(pi0, args.format, out)
     out.write(f"pi1 trivial: {'yes' if pi1.trivial else 'no'}\n")
     return 0
 
@@ -206,8 +187,8 @@ def _cmd_states_obstruct(args, out):
     total = len(states.laxator(ctx, a, b).cod_set)
     out.write(f"states of tensor: {total}\n")
     out.write(f"separable: {len(sep)}\n")
-    _emit_report(p0, args.format, out)
-    _emit_report(p1, args.format, out)
+    homotopy.write_report(p0, args.format, out)
+    homotopy.write_report(p1, args.format, out)
     return 0
 
 

@@ -16,6 +16,11 @@ class representatives, sends collapsed images to the basepoint, and then
 *checks* the result to be monotone, along the covers of the source poset,
 and basepoint-preserving, so a broken table shows up as an error instead
 of a silently wrong poset.
+
+``write_report`` is the one writer of a report, as text, as a DOT Hasse
+diagram or as an interchange document.  Every list of name pairs in them
+(text and DOT covers, interchange ``covers`` and ``leq``) comes from one
+row generator, one ``str.join`` per element's row.
 """
 
 from __future__ import annotations
@@ -241,7 +246,7 @@ def analyze_morphism(c: fincat.FinCat, f: str, cap_objects: int = fincat.OBJECTS
     return MorphismAnalysis(r0, r1, split_epi, mono, split_epi and mono)
 
 
-# -- powerset-shaped reports and interchange -----------------------------------
+# -- powerset-shaped reports --------------------------------------------------
 
 
 def subset_name(items: Iterable[str]) -> str:
@@ -317,45 +322,66 @@ def powerset_report(universe: Iterable[str], collapsed: Iterable[str], basepoint
     return report_from_pointed(order.PointedPoset(p, basepoint), context)
 
 
-def _write_pairs(out, enc: list[str], rows) -> None:
-    """A list of two-name lists at depth 1 of the document: each row (i, js),
-    js a non-empty iterable of encoded names, gives the pairs [enc[i], j]
-    for j in js, in order.  Each row is one C-level ``str.join``, not one
-    Python string per pair: a ``powerset`` report of 10 generators has
-    52,266 ``leq`` pairs in about 1,000 rows.  The row strings cost heap:
-    the peak memory of a ``powerset`` benchmark pass rose from 86.3 to
-    91.5 MB (medians of 10 runs)."""
-    sep = "["
-    for i, js in rows:
-        head = "\n    [\n      " + enc[i] + ",\n      "
-        out.write(sep + head + ("\n    ]," + head).join(js) + "\n    ]")
-        sep = ","
-    out.write("[]" if sep == "[" else "\n  ]")
+# -- rendering ----------------------------------------------------------------
 
 
-def _write_names(out, names: list[str]) -> None:
-    """A list of encoded names at depth 1 of the document."""
-    out.write("[\n    " + ",\n    ".join(names) + "\n  ]" if names else "[]")
+def _rows(names, masks, pre: str, mid: str, glue: str, end: str, sep: str = "", pick=None):
+    """For each non-empty masks[i], one string of its pairs: head +
+    (glue + head).join(picked) + end, with head = pre + names[i] + mid and
+    picked the names at the set bits of masks[i]; every row but the first is
+    led by sep.  Each row is one C-level ``str.join``, not one Python string
+    per pair: a ``powerset`` report of 10 generators has 52,266 ``leq`` pairs
+    in about 1,000 rows.  Cover rows hold a few bits of many, so they are
+    walked by ``order._bits``; up-mask rows are dense, and pick=``order._pick``
+    reads them in one pass over the mask's binary digits."""
+    lead = ""
+    for i, m in enumerate(masks):
+        if m:
+            head = pre + names[i] + mid
+            yield lead + head + (glue + head).join(pick(names, m) if pick else map(names.__getitem__, order._bits(m))) + end
+            lead = sep
 
 
-def write_interchange(r: ObstructionReport, out) -> None:
-    """Write the interchange document of r to out, piece by piece: the
-    bytes of ``json.dumps(doc, sort_keys=True, indent=2)`` and a newline,
-    where doc holds version, kind, context, basepoint, the elements and
-    their count, the order ``leq`` and the ``covers`` as sorted name pairs,
-    the sorted minimal obstructions and the trivial flag.  Each name is
-    JSON-encoded once and each element's row of pairs is written as one
-    string.  The ``leq`` rows are dense, so their names are picked off the
-    up-masks by ``order._pick``; the cover rows, from ``order.covers``, hold
-    a few bits of many, so they are walked by ``order._bits``."""
-    p = r.invariant.poset
-    enc = [json.dumps(e) for e in p.elements]
-    out.write(f'{{\n  "basepoint": {json.dumps(r.invariant.basepoint)},\n  "context": {json.dumps(r.context)},\n  "covers": ')
-    _write_pairs(out, enc, ((i, map(enc.__getitem__, order._bits(m))) for i, m in enumerate(order.covers(p)) if m))
-    out.write(f',\n  "element_count": {len(enc)},\n  "elements": ')
-    _write_names(out, enc)
-    out.write(',\n  "kind": "obstruction-report",\n  "leq": ')
-    _write_pairs(out, enc, ((i, order._pick(enc, u)) for i, u in enumerate(p.up)))
-    out.write(',\n  "minimal": ')
-    _write_names(out, [json.dumps(e) for e in sorted(r.minimal)])
-    out.write(f',\n  "trivial": {"true" if r.trivial else "false"},\n  "version": 1\n}}\n')
+def write_report(r: ObstructionReport, fmt: str, out) -> None:
+    """Write r to out as ``text`` (one "key: value" line each for context,
+    trivial flag, basepoint, elements, minimal obstructions and covers),
+    ``dot`` (the Hasse diagram, the basepoint double-circled) or
+    ``interchange``: the bytes of ``json.dumps(doc, sort_keys=True,
+    indent=2)`` and a newline, where doc holds version, kind, context,
+    basepoint, the elements and their count, the order ``leq`` and the
+    ``covers`` as sorted name pairs, the sorted minimal obstructions and the
+    trivial flag.  Each name is DOT-quoted or JSON-encoded once, and each
+    element's row of pairs goes to out in one write."""
+    pp = r.invariant
+    p = pp.poset
+    cov = order.covers(p)
+    if fmt == "text":
+        head = (
+            f"context: {r.context}\ntrivial: {'yes' if r.trivial else 'no'}\nbasepoint: {pp.basepoint}\n"
+            f"elements ({len(p.elements)}): " + ", ".join(p.elements) + "\n"
+            f"minimal obstructions ({len(r.minimal)}): " + ", ".join(sorted(r.minimal)) + "\n"
+            f"covers ({sum(map(int.bit_count, cov))}): "
+        )
+        parts = ((head,), _rows(p.elements, cov, "", " < ", "; ", "", "; "), ("\n",))
+    elif fmt == "dot":
+        q = [order.quote(e) for e in p.elements]
+        b = p.index[pp.basepoint]
+        nodes = "".join(f"  {e} [shape={'doublecircle' if i == b else 'ellipse'}];\n" for i, e in enumerate(q))
+        parts = (("digraph hasse {\n  rankdir=BT;\n" + nodes,), _rows(q, cov, "  ", " -> ", ";\n", ";\n"), ("}\n",))
+    elif fmt == "interchange":
+        enc = [json.dumps(e) for e in p.elements]
+        low = [json.dumps(e) for e in sorted(r.minimal)]
+        pair = ("\n    [\n      ", ",\n      ", "\n    ],", "\n    ]", ",")  # a list of [name, name] at depth 1
+        parts = (
+            (f'{{\n  "basepoint": {json.dumps(pp.basepoint)},\n  "context": {json.dumps(r.context)},\n  "covers": [',),
+            _rows(enc, cov, *pair),
+            ("\n  ]" if any(cov) else "]", f',\n  "element_count": {len(enc)},\n  "elements": [\n    ', ",\n    ".join(enc)),
+            ('\n  ],\n  "kind": "obstruction-report",\n  "leq": [',),
+            _rows(enc, p.up, *pair, order._pick),
+            ('\n  ],\n  "minimal": ', "[\n    " + ",\n    ".join(low) + "\n  ]" if low else "[]"),
+            (f',\n  "trivial": {"true" if r.trivial else "false"},\n  "version": 1\n}}\n',),
+        )
+    else:
+        raise ValueError(f"unknown report format {fmt!r}")
+    for piece in chain.from_iterable(parts):
+        out.write(piece)

@@ -13,8 +13,9 @@ down-closed set to a single basepoint).  The reflection reads reachability
 only: one routine reflects a preorder given by down-sets, which come from a
 category's morphisms or straight from the parallel arrows behind pi1.
 Chaining them is how the homotopy invariants are computed; everything else
-here is supporting machinery: lower sets, transitive reduction,
-pointed-isomorphism search and a DOT emitter for Hasse diagrams.
+here is supporting machinery: lower sets, transitive reduction (``covers``),
+pointed-isomorphism search and DOT string quoting.  Reports, Hasse diagrams
+included, are written by ``homotopy.write_report``.
 
 ``from_masks`` validates every poset built here.  The one trusted
 constructor is ``homotopy.powerset_report``: its posets are orders by
@@ -399,31 +400,9 @@ def iso_pointed(pp1: PointedPoset, pp2: PointedPoset) -> Optional[PointedMap]:
     return make_pointed(pp1, pp2, {p1.elements[i]: p2.elements[j] for i, j in assignment.items()})
 
 
-# -- DOT output ------------------------------------------------------------
+# -- DOT string literals ---------------------------------------------------
 
 
 def quote(s: str) -> str:
     """A DOT string literal: backslashes and double quotes escaped."""
     return '"' + s.replace("\\", "\\\\").replace('"', '\\"') + '"'
-
-
-def hasse_dot(p) -> str:
-    """Render a (pointed) poset as a DOT digraph of its cover relation.
-
-    Accepts a Poset or a PointedPoset; the basepoint is drawn double-circled.
-    Output ordering is lexicographic everywhere, so it is byte-stable.
-    """
-    basepoint = None
-    if isinstance(p, PointedPoset):
-        p, basepoint = p.poset, p.basepoint
-    quoted = [quote(e) for e in p.elements]
-    lines = ["digraph hasse {", "  rankdir=BT;"]
-    for e, q in zip(p.elements, quoted):
-        shape = "doublecircle" if e == basepoint else "ellipse"
-        lines.append(f"  {q} [shape={shape}];")
-    for i, m in enumerate(covers(p)):
-        if m:  # one line per cover, one join per element's row
-            head = "  " + quoted[i] + " -> "
-            lines.append(head + (";\n" + head).join(map(quoted.__getitem__, _bits(m))) + ";")
-    lines.append("}")
-    return "\n".join(lines) + "\n"

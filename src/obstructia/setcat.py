@@ -211,8 +211,11 @@ def parse_function(text: str) -> tuple[str, FiniteFunction]:
         dom_text, cod_text = arrow_part.split("->", 1)
     except ValueError:
         raise ParseError(f"cannot parse function line {line!r}")
+    name = name_part.strip()
+    if not name:
+        raise ParseError(f"empty function name in {line!r}")
     dom, cod = _parse_set(dom_text), _parse_set(cod_text)
-    return name_part.strip(), FiniteFunction(dom, cod, parse_assignments(assignments))
+    return name, FiniteFunction(dom, cod, parse_assignments(assignments))
 
 
 def parse_assignments(text: str) -> dict[str, str]:

@@ -719,7 +719,7 @@ def report_to_dict(r):
 
 def interchange(r):
     """The interchange document of a report, by the standard library's
-    encoder: what ``homotopy.write_interchange`` must write byte for byte."""
+    encoder: what ``homotopy.write_report`` must write byte for byte."""
     return json.dumps(report_to_dict(r), sort_keys=True, indent=2) + "\n"
 
 
@@ -732,7 +732,8 @@ def _quote(s):
 
 def hasse_dot(pp):
     """The DOT digraph of a pointed poset, one f-string per element and per
-    textbook cover pair: what ``order.hasse_dot`` must write byte for byte."""
+    textbook cover pair: what ``homotopy.write_report`` must write byte for
+    byte."""
     p = pp.poset
     lines = ["digraph hasse {", "  rankdir=BT;"]
     for e in p.elements:

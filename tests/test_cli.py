@@ -5,8 +5,11 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from obstructia import cli
+from obstructia import cli, states
+from obstructia.errors import ParseError
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "..", "fixtures")
 
@@ -267,6 +270,52 @@ class TestStates:
         code, _ = run("states", "obstruct", "--context", "gf2")
         assert code == 1
         assert "ParseError" in capsys.readouterr().err
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.text(alphabet=",|() \ta", max_size=10))
+    @example("a,,b|c")
+    @example(" a , ( |a|b) ")
+    @example("|")
+    def test_sets_refused_or_read_back(self, text):
+        """--sets over its separators, brackets, blanks and empty items:
+        either refused, or stripped non-empty labels that read back from
+        the context line of their reports."""
+        try:
+            a, b = cli._parse_sets(text)
+        except ParseError:
+            return
+        assert all(x and x == x.strip() for x in a + b)
+        line = states.lax_context(states.StateContext("cartesian"), a, b)
+        assert line.startswith("sets (") and line.endswith(")")
+        assert cli._parse_sets(line[len("sets (") : -1]) == (a, b)
+
+
+# Every file-reading command, with the file that gets a stray byte.
+FILE_COMMANDS = [
+    (("cat", "validate", "BAD"), "walking_arrow.cat"),
+    (("cat", "pi0", "BAD", "--object", "0"), "walking_arrow.cat"),
+    (("cat", "pi1", "BAD", "--object", "*"), "z2.cat"),
+    (("cat", "analyze", "BAD", "--morphism", "a"), "walking_arrow.cat"),
+    (("cat", "check-terminal", "BAD", "--object", "1"), "walking_arrow.cat"),
+    (("set", "pi0", "--fn", "BAD"), "missing_two.fn"),
+    (("set", "pi1", "--fn", "BAD"), "fold_pair.fn"),
+    (("opengraph", "reach", "BAD"), "G.og"),
+    (("opengraph", "compose", fx("G.og"), "BAD"), "H.og"),
+    (("opengraph", "obstruct", "BAD", fx("H.og")), "G.og"),
+    (("opengraph", "act", fx("G.og"), fx("G_identified.og"), "BAD", fx("H.og")), "identify_outputs.gh"),
+]
+
+
+@pytest.mark.parametrize("argv, fixture", FILE_COMMANDS, ids=[" ".join(argv[:2]) for argv, _ in FILE_COMMANDS])
+def test_non_utf8_file_is_parse_error(tmp_path, capsys, argv, fixture):
+    with open(fx(fixture), "rb") as fh:
+        data = fh.read()
+    at = data.index(b"\n") + 1
+    bad = tmp_path / fixture
+    bad.write_bytes(data[:at] + b"\xff" + data[at:])
+    code, text = run(*(str(bad) if a == "BAD" else a for a in argv))
+    assert (code, text) == (1, "")
+    assert capsys.readouterr().err == f"error ParseError: {bad}: byte {at} is not UTF-8\n"
 
 
 class TestUsage:

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 import gen
 import oracles
-from obstructia import cli, fincat, homotopy, order, setcat
+from obstructia import fincat, homotopy, order, setcat
 from obstructia.errors import InvalidPoset, OracleMismatch, SizeCapExceeded, UnknownMorphism, UnknownObject
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "..", "fixtures")
@@ -527,15 +527,15 @@ def odd_reports(draw):
     return homotopy.report_from_pointed(pp, draw(odd_names(max_size=6)))
 
 
-def written(r):
+def written(r, fmt="interchange"):
     out = io.StringIO()
-    homotopy.write_interchange(r, out)
+    homotopy.write_report(r, fmt, out)
     return out.getvalue()
 
 
 class TestReportSerialization:
-    """``write_interchange`` against the standard library's encoding of
-    ``oracles.report_to_dict``, and DOT and text against their per-pair
+    """``write_report``: interchange against the standard library's encoding
+    of ``oracles.report_to_dict``, and DOT and text against their per-pair
     oracles."""
 
     def test_dict_shape(self):
@@ -551,10 +551,12 @@ class TestReportSerialization:
     @given(odd_reports())
     def test_odd_names_byte_identical(self, r):
         assert written(r) == oracles.interchange(r)
-        assert order.hasse_dot(r.invariant) == oracles.hasse_dot(r.invariant)
-        text = io.StringIO()
-        cli._emit_report(r, "text", text)
-        assert text.getvalue() == oracles.text_report(r)
+        assert written(r, "dot") == oracles.hasse_dot(r.invariant)
+        assert written(r, "text") == oracles.text_report(r)
+
+    def test_unknown_format_refused(self):
+        with pytest.raises(ValueError, match=r"^unknown report format 'json'$"):
+            written(homotopy.pi0(walking_arrow(), "0"), "json")
 
     def test_collapsed_name_outside_universe_is_refused(self):
         with pytest.raises(UnknownObject, match=r"^no such object: 'z'$"):

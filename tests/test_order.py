@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 import gen
 import oracles
-from obstructia import cli, fincat, homotopy, opengraph, order, setcat, states
+from obstructia import fincat, homotopy, opengraph, order, setcat, states
 from obstructia.errors import (
     EmptyCollapseSet,
     InvalidMap,
@@ -398,16 +398,18 @@ class TestThinCategory:
 
 class TestDot:
     def test_hasse_dot_deterministic_and_marked(self):
-        pp = order.collapse_lower(chain(3), {"0"}, "[*]")
-        d1 = order.hasse_dot(pp)
-        d2 = order.hasse_dot(pp)
+        r = homotopy.report_from_pointed(order.collapse_lower(chain(3), {"0"}, "[*]"), "ctx")
+        d1 = written(r, "dot")
+        d2 = written(r, "dot")
         assert d1 == d2
         assert "doublecircle" in d1
         assert d1.startswith("digraph")
 
     def test_backslash_and_quote_escaped(self):
-        p = oracles.poset_from_pairs(["a\\", 'b"'], [("a\\", "a\\"), ('b"', 'b"'), ("a\\", 'b"')])
-        lines = order.hasse_dot(p).splitlines()
+        names = ["*", "a\\", 'b"']
+        p = oracles.poset_from_pairs(names, {(a, b) for i, a in enumerate(names) for b in names[i:]})
+        lines = written(homotopy.report_from_pointed(order.PointedPoset(p, "*"), "ctx"), "dot").splitlines()
+        assert '  "*" [shape=doublecircle];' in lines
         assert '  "a\\\\" [shape=ellipse];' in lines
         assert '  "a\\\\" -> "b\\"";' in lines
 
@@ -445,12 +447,15 @@ def fixture_reports():
         yield from states.obstructions(states.StateContext("gf2"), *dims)
 
 
+def written(r, fmt):
+    out = io.StringIO()
+    homotopy.write_report(r, fmt, out)
+    return out.getvalue()
+
+
 def rendered(r):
     """The DOT, text and interchange bytes of r, as the CLI writes them."""
-    text, doc = io.StringIO(), io.StringIO()
-    cli._emit_report(r, "text", text)
-    homotopy.write_interchange(r, doc)
-    return order.hasse_dot(r.invariant), text.getvalue(), doc.getvalue()
+    return tuple(written(r, fmt) for fmt in ("dot", "text", "interchange"))
 
 
 def oracle_rendered(r):

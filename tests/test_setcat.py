@@ -68,6 +68,11 @@ class TestFiniteFunction:
         with pytest.raises(ParseError, match="element 'x' repeated in set '{x,x}'"):
             setcat.parse_function("fn f : {x,x} -> {y} ; x=>y")
 
+    def test_empty_function_name_rejected(self):
+        # serialize_function refuses the name "", so it must not read in either
+        with pytest.raises(ParseError, match=r"^empty function name in 'fn : \{a\} -> \{b\} ; a=>b'$"):
+            setcat.parse_function("fn : {a} -> {b} ; a=>b")
+
     def test_value_outside_codomain(self):
         with pytest.raises(ParseError):
             setcat.parse_function("fn bad : {0} -> {a} ; 0=>b")
@@ -249,7 +254,7 @@ class TestInterchange:
             reports.append(setcat.pi1_function(f))
             for r in reports:
                 out = io.StringIO()
-                homotopy.write_interchange(r, out)
+                homotopy.write_report(r, "interchange", out)
                 assert out.getvalue() == oracles.interchange(r)
 
 
