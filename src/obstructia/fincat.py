@@ -2,19 +2,26 @@
 
 A category is given extensionally: object ids, morphism ids with domain and
 codomain, an identity table, and a composition table that is total exactly on
-composable pairs.  ``comp[(f, g)]`` is the diagrammatic composite "f then g",
-so it requires ``cod f == dom g`` and has domain ``dom f`` and codomain
-``cod g``.  Everything is immutable after validation and safe to share.
+composable pairs.  The composite f;g is diagrammatic, "f then g", so it
+requires ``cod f == dom g`` and has domain ``dom f`` and codomain ``cod g``.
+Everything is immutable after validation and safe to share: the rows are a
+tuple, and no code writes to their dicts once a category is built (they are
+left as plain dicts because every invariant reads them in its inner loop).
 
-Validation interns the morphisms as ints, runs every law check on int rows
-and keeps those rows as ``FinCat.interned``; the name-keyed tables stay
-public.  Derived constructions name their objects and morphisms canonically
-so outputs are reproducible byte for byte.  Besides the opposite, they are
-categories of elements of hom(-, x)^k (the slice over x at k = 1, parallel
-arrows at k = 2): one enumeration behind the size caps below and one walk
-over the interned rows that hands each down-set along ``FinCat.split_epis``,
-kept as the reachability preorder that the invariants read.  The tests keep
-the walk over every arrow and the composition tables as oracles.
+Categories are ints first.  Each morphism is its position in the sorted
+``morphisms``, and the composition table is ``FinCat.rows``: one row per
+morphism g mapping each h into dom g to h;g.  Every law is checked on those
+rows.  ``parse_category`` interns a ``.cat`` file as it reads it, one comp
+line into one row entry, and ``validate_category`` interns name-keyed
+tables; ``FinCat.comp``, the table keyed by names, is a read-only view built
+from the rows on first read.  Derived constructions name their objects and
+morphisms canonically so outputs are reproducible byte for byte.  Besides
+the opposite, they are categories of elements of hom(-, x)^k (the slice
+over x at k = 1, parallel arrows at k = 2): one enumeration behind the size
+caps below and one walk over the rows that hands each down-set along
+``FinCat.split_epis``, kept as the reachability preorder that the
+invariants read.  The tests keep the walk over every arrow and the
+composition tables as oracles.
 """
 
 from __future__ import annotations
@@ -24,7 +31,7 @@ from functools import cached_property
 from itertools import product
 from operator import itemgetter
 from types import MappingProxyType
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, NamedTuple
 
 from .errors import (
     BadCompositionTyping,
@@ -59,14 +66,18 @@ MORPHISMS_CAP = 50_000
 
 @dataclass(frozen=True)
 class FinCat:
-    """Storage is canonical (objects and morphisms sorted by id), so two
-    categories with the same tables compare equal however they were built.
-    The tables are read-only views, so nothing derived from them goes stale."""
+    """Storage is canonical: objects and morphisms sorted by id, and the one
+    composition table ``rows``, where ``rows[g][h]`` is h;g for the
+    positions g and h in ``morphisms``.  So two categories with the same
+    tables compare equal however they were built.  ``identity`` and
+    ``comp``, the table keyed by names, are read-only views.  The rows are
+    a tuple of plain dicts, which must not be written to: ``comp``, once
+    built, would go stale."""
 
     objects: tuple[str, ...]
     morphisms: tuple[MorDecl, ...]
     identity: Mapping[str, str]
-    comp: Mapping[tuple[str, str], str]
+    rows: tuple[dict[int, int], ...]
     _dom: dict[str, str] = field(init=False, repr=False, compare=False)
     _cod: dict[str, str] = field(init=False, repr=False, compare=False)
     _hom: dict[tuple[str, str], tuple[str, ...]] = field(init=False, repr=False, compare=False)
@@ -81,23 +92,25 @@ class FinCat:
         object.__setattr__(self, "_cod", cod)
         object.__setattr__(self, "_hom", {k: tuple(v) for k, v in hom.items()})
         object.__setattr__(self, "identity", MappingProxyType(self.identity))
-        object.__setattr__(self, "comp", MappingProxyType(self.comp))
 
     @cached_property
-    def interned(self) -> tuple[dict[str, int], list[dict[int, int]], dict[str, list[int]]]:
+    def interned(self) -> tuple[dict[str, int], tuple[dict[int, int], ...], dict[str, list[int]]]:
         """The morphisms as ints, their positions in ``morphisms``: the index,
-        one row per morphism g mapping each h into dom g to h;g, and the
-        morphisms into each object in that order.  ``validate_category``
-        stores the rows its law checks ran on; a category built without it
-        (``opposite``) builds them here from ``comp`` on first use."""
+        the rows, and the morphisms into each object in that order.  The
+        validators store the index they checked with; a category built
+        without them (``opposite``) builds it here on first use."""
         index = {m.name: i for i, m in enumerate(self.morphisms)}
-        rows: list[dict[int, int]] = [{} for _ in self.morphisms]
-        for (h, g), hg in self.comp.items():
-            rows[index[g]][index[h]] = index[hg]
         into: dict[str, list[int]] = {x: [] for x in self.objects}
         for i, m in enumerate(self.morphisms):
             into[m.cod].append(i)
-        return index, rows, into
+        return index, self.rows, into
+
+    @cached_property
+    def comp(self) -> Mapping[tuple[str, str], str]:
+        """``comp[(f, g)]`` is f;g by name: a read-only view of the rows,
+        built on first read."""
+        names = [m.name for m in self.morphisms]
+        return MappingProxyType({(names[h], names[g]): names[hg] for g, row in enumerate(self.rows) for h, hg in row.items()})
 
     # -- lookups ---------------------------------------------------------
 
@@ -147,9 +160,45 @@ def validate_category(
     Raises the first failed law with a witness: DanglingReference for unknown
     ids, BadCompositionTyping when comp is partial / overfull / mistyped,
     MissingIdentity for identity failures, NonAssociative with the witness
-    triple.  The laws are checked on ints, each morphism its position in the
-    sorted ``morphisms``, and the rows built for them become ``interned``.
+    triple.  Each entry of comp is interned into the rows, and the laws are
+    checked on them (``_laws``).
     """
+    decls = _declarations(objects, morphisms, identity)
+    mors, index, dom, cod = decls.mors, decls.index, decls.dom, decls.cod
+    rows: list[dict[int, int]] = [{} for _ in mors]  # rows[g][f] = f;g
+    for (f, g), h in comp.items():
+        try:
+            fi, gi, hi = index[f], index[g], index[h]
+        except KeyError:
+            for m in (f, g):
+                if m not in index:
+                    raise DanglingReference(f"composition entry uses unknown morphism {m!r}") from None
+            raise DanglingReference(f"composite {h!r} is not a declared morphism") from None
+        if cod[fi] != dom[gi]:
+            raise BadCompositionTyping(f"entry ({f!r}, {g!r}) is not a composable pair")
+        if dom[hi] != dom[fi] or cod[hi] != cod[gi]:
+            raise BadCompositionTyping(
+                f"composite of ({f!r}, {g!r}) must go {mors[fi].dom!r} -> {mors[gi].cod!r}, got {h!r}"
+            )
+        rows[gi][fi] = hi
+    return _laws(decls, rows)
+
+
+class _Declarations(NamedTuple):
+    objs: tuple[str, ...]  # in declaration order
+    oid: dict[str, int]  # object positions in objs
+    mors: tuple[MorDecl, ...]  # sorted by id
+    index: dict[str, int]  # morphism positions in mors
+    dom: list[int]  # object positions, per morphism
+    cod: list[int]
+    decl: list[int]  # morphism positions in declaration order
+    ident: dict[str, str]  # object -> its identity
+
+
+def _declarations(objects, morphisms, identity) -> _Declarations:
+    """The objects, morphisms and identities, checked in that order: for
+    repeats and unknown ends, and for one declared endomorphism as the
+    identity of every object and of nothing else."""
     objs = tuple(objects)
     oid: dict[str, int] = {}
     for x in objs:
@@ -169,10 +218,8 @@ def validate_category(
         declared.add(m.name)
     mors = tuple(sorted(decls, key=lambda m: m.name))
     index = {m.name: i for i, m in enumerate(mors)}
-    names = [m.name for m in mors]
     dom = [oid[m.dom] for m in mors]
     cod = [oid[m.cod] for m in mors]
-    decl = [index[m.name] for m in decls]  # ids in declaration order
 
     ident = dict(identity)
     for x, i in ident.items():
@@ -186,24 +233,16 @@ def validate_category(
         i = ident[x]
         if dom[index[i]] != oid[x] or cod[index[i]] != oid[x]:
             raise MissingIdentity(x, f"identity {i!r} is not an endomorphism of {x!r}")
+    return _Declarations(objs, oid, mors, index, dom, cod, [index[m.name] for m in decls], ident)
 
-    table = dict(comp)
-    rows: list[dict[int, int]] = [{} for _ in mors]  # rows[g][f] = f;g
-    for (f, g), h in table.items():
-        try:
-            fi, gi, hi = index[f], index[g], index[h]
-        except KeyError:
-            for m in (f, g):
-                if m not in index:
-                    raise DanglingReference(f"composition entry uses unknown morphism {m!r}") from None
-            raise DanglingReference(f"composite {h!r} is not a declared morphism") from None
-        if cod[fi] != dom[gi]:
-            raise BadCompositionTyping(f"entry ({f!r}, {g!r}) is not a composable pair")
-        if dom[hi] != dom[fi] or cod[hi] != cod[gi]:
-            raise BadCompositionTyping(
-                f"composite of ({f!r}, {g!r}) must go {mors[fi].dom!r} -> {mors[gi].cod!r}, got {h!r}"
-            )
-        rows[gi][fi] = hi
+
+def _laws(decls: _Declarations, rows: list[dict[int, int]]) -> FinCat:
+    """The FinCat of rows of distinct, well-typed entries, once the laws
+    hold: totality, the identity laws and associativity, checked in the
+    order and with the witnesses a check on names in declaration order
+    gives.  Both routes into the rows end here."""
+    objs, oid, mors, index, dom, cod, decl, ident = decls
+    names = [m.name for m in mors]
     # The entries are distinct and composable, so the table is total iff it
     # has one entry per composable pair.  Only a short one is scanned for its
     # witness: out_of keeps declaration order, so the first missing pair is
@@ -214,7 +253,7 @@ def validate_category(
         into[cod[m]].append(m)
     for m in decl:
         out_of[dom[m]].append(m)
-    if len(table) != sum(len(a) * len(b) for a, b in zip(into, out_of)):
+    if sum(map(len, rows)) != sum(len(a) * len(b) for a, b in zip(into, out_of)):
         for f in decl:
             for g in out_of[cod[f]]:
                 if f not in rows[g]:
@@ -238,8 +277,8 @@ def validate_category(
     if any(a != b for a, b in squares):
         raise NonAssociative(*(names[m] for m in _first_non_associative(decl, rows, cod, out_of)))
 
-    c = FinCat(tuple(sorted(objs)), mors, ident, table)
-    object.__setattr__(c, "interned", (index, rows, {x: into[oid[x]] for x in c.objects}))
+    c = FinCat(tuple(sorted(objs)), mors, ident, tuple(rows))
+    object.__setattr__(c, "interned", (index, c.rows, {x: into[oid[x]] for x in c.objects}))
     return c
 
 
@@ -288,14 +327,6 @@ def _first_non_associative(decl, rows, cod, out_of):
                 rh = rows[h]
                 if rh[fg] != rows[rh[g]][f]:
                     return f, g, h
-
-
-def _build(objects, morphisms, identity, comp) -> FinCat:
-    """Construct without re-running the validator (derived categories are
-    correct by construction; tests re-validate small instances).  Its
-    ``interned`` rows are built on first use."""
-    mors = tuple(sorted((MorDecl(*m) for m in morphisms), key=lambda m: m.name))
-    return FinCat(tuple(sorted(objects)), mors, dict(identity), dict(comp))
 
 
 # -- functors and natural transformations --------------------------------
@@ -385,10 +416,14 @@ def validate_nat_trans(source: FunctorData, target: FunctorData, components: Map
 
 
 def opposite(c: FinCat) -> FinCat:
-    """Reverse every arrow; an involution on the nose."""
-    mors = tuple((m.name, m.cod, m.dom) for m in c.morphisms)
-    comp = {(g, f): h for (f, g), h in c.comp.items()}
-    return _build(c.objects, mors, c.identity, comp)
+    """Reverse every arrow; an involution on the nose.  The morphisms keep
+    their positions, and the rows are transposed: f;g = h in c is g;f = h
+    in the opposite."""
+    rows: list[dict[int, int]] = [{} for _ in c.rows]
+    for g, row in enumerate(c.rows):
+        for f, h in row.items():
+            rows[f][g] = h
+    return FinCat(c.objects, tuple(MorDecl(m.name, m.cod, m.dom) for m in c.morphisms), dict(c.identity), tuple(rows))
 
 
 def _fresh_name(base: str, used: set) -> str:
@@ -417,15 +452,16 @@ def _enumerate(c: FinCat, x: str, k: int, over: str | None = None, cap_objects: 
     objects against ``cap_objects``."""
     if not c.has_object(x):
         raise UnknownObject(x)
-    index, _, into = c.interned
+    index, rows, into = c.interned
 
     # Predicted sizes from hom-set cardinalities only: an object z carries
     # |F|^k tuples for each fibre F of hom(z, x) (all of it, or one fibre per
     # value of f;over), and every morphism into z acts on each of them.
     fibres: dict[str, dict] = {z: {} for z in c.objects}
+    after = None if over is None else rows[index[over]]
     for z in c.objects:
         for f in c.hom(z, x):
-            fibres[z].setdefault(None if over is None else c.comp[f, over], []).append(f)
+            fibres[z].setdefault(None if after is None else after[index[f]], []).append(f)
     weight = {z: sum(len(fb) ** k for fb in fibres[z].values()) for z in c.objects}
     checks = [("objects", sum(weight.values()), cap_objects),
               ("morphisms", sum(len(into[z]) * weight[z] for z in c.objects), MORPHISMS_CAP)]
@@ -440,7 +476,7 @@ def _enumerate(c: FinCat, x: str, k: int, over: str | None = None, cap_objects: 
     for y in c.objects:
         for g, fibre in fibres[y].items():
             ids = [index[f] for f in fibre]
-            labels = fibre if over is None else [f"{f}[{g}=>{over}]" for f in fibre]
+            labels = fibre if over is None else [f"{f}[{c.morphisms[g].name}=>{over}]" for f in fibre]
             for parts, t, it in zip(product(labels, repeat=k), product(fibre, repeat=k), product(ids, repeat=k)):
                 elements[_fresh_name(parts[0] if k == 1 else pair_name(*parts), used)] = t
                 tuples.append((y, it))
@@ -493,36 +529,82 @@ def is_groupoid(c: FinCat) -> bool:
 
 
 def parse_category(text: str) -> FinCat:
-    """Read the text format above and validate it.  Lines are split one at a
-    time, and comp and mor lines, the bulk of a file, are tried first."""
+    """Read the text format above and validate it.  The file is interned as
+    it is read; one that cannot be is read again by name and goes through
+    ``validate_category``, which raises what is wrong with it."""
+    c = _read(text, intern=True)
+    return c if c is not None else _read(text, intern=False)
+
+
+def _read(text: str, intern: bool) -> FinCat | None:
+    """The one line loop: lines are split one at a time, comp and mor lines,
+    the bulk of a file, tried first.  By name, the tables go to
+    ``validate_category``, and a line that does not parse or repeats a comp
+    entry or an identity is a ParseError naming its line.  Interned, the
+    declarations are checked at the first comp line and each entry goes
+    straight into its row; after the loop, the row sizes against the count
+    of comp lines find a repeat, and each row is checked for typing.
+    Whatever would raise before the laws (a ParseError, a bad declaration,
+    an unknown or mistyped entry, a declaration after a comp line) gives
+    None instead, so that the file raises what it raises by name."""
     objects: list[str] = []
     morphisms: list[tuple[str, str, str]] = []
     identity: dict[str, str] = {}
     comp: dict[tuple[str, str], str] = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        parts = raw.partition("#")[0].split()
-        if len(parts) == 6:
-            tag, a, sep, b, eq, c = parts
-            if tag == "comp" and sep == ";" and eq == "=":
-                if (a, b) in comp:
-                    raise ParseError(f"line {lineno}: duplicate composition entry {(a, b)!r}")
-                comp[a, b] = c
+    rows = None
+    lines = text.splitlines()
+    blank = 0
+    try:
+        for lineno, line in enumerate([raw.partition("#")[0] for raw in lines] if "#" in text else lines, start=1):
+            parts = line.split()
+            if len(parts) == 6:
+                tag, a, sep, b, eq, c = parts
+                if tag == "comp" and sep == ";" and eq == "=":
+                    if rows is not None:
+                        rows[index[b]][index[a]] = index[c]
+                    elif intern:
+                        decls = _declarations(objects, morphisms, identity)
+                        index = decls.index
+                        rows = [{} for _ in index]
+                        rows[index[b]][index[a]] = index[c]
+                    elif (a, b) in comp:
+                        raise ParseError(f"line {lineno}: duplicate composition entry {(a, b)!r}")
+                    else:
+                        comp[a, b] = c
+                    continue
+                if tag == "mor" and sep == ":" and eq == "->" and rows is None:
+                    morphisms.append((a, b, c))
+                    continue
+            elif not parts:
+                blank += 1
                 continue
-            if tag == "mor" and sep == ":" and eq == "->":
-                morphisms.append((a, b, c))
+            elif parts[0] == "obj" and len(parts) == 2 and rows is None:
+                objects.append(parts[1])
                 continue
-        elif not parts:
-            continue
-        elif parts[0] == "obj" and len(parts) == 2:
-            objects.append(parts[1])
-            continue
-        elif parts[0] == "id" and len(parts) == 4 and parts[2] == "=":
-            if parts[1] in identity:
-                raise ParseError(f"line {lineno}: duplicate identity for {parts[1]!r}")
-            identity[parts[1]] = parts[3]
-            continue
-        raise ParseError(f"line {lineno}: cannot parse {raw.strip()!r}")
-    return validate_category(objects, morphisms, identity, comp)
+            elif parts[0] == "id" and len(parts) == 4 and parts[2] == "=" and rows is None:
+                if parts[1] in identity:
+                    raise ParseError(f"line {lineno}: duplicate identity for {parts[1]!r}")
+                identity[parts[1]] = parts[3]
+                continue
+            raise ParseError(f"line {lineno}: cannot parse {lines[lineno - 1].strip()!r}")
+    except (KeyError, DanglingReference, MissingIdentity, ParseError):
+        if intern:
+            return None
+        raise
+    if not intern:
+        return validate_category(objects, morphisms, identity, comp)
+    if rows is None or sum(map(len, rows)) != len(lines) - blank - len(objects) - len(morphisms) - len(identity):
+        return None
+    # Each h;g = k in row g needs cod h = dom g, cod k = cod g and dom k = dom h.
+    dom, cod = decls.dom, decls.cod
+    ends: list[set[int]] = [set() for _ in decls.objs]
+    for m, y in enumerate(cod):
+        ends[y].add(m)
+    for g, row in enumerate(rows):
+        if row and not (ends[dom[g]].issuperset(row) and ends[cod[g]].issuperset(row.values())
+                        and itemgetter(*row)(dom) == itemgetter(*row.values())(dom)):
+            return None
+    return _laws(decls, rows)
 
 
 def check_label(text: str, what: str, fmt: str, breaks: tuple[str, ...]) -> None:

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from itertools import chain, combinations, compress, islice, repeat
+from itertools import chain, compress, islice, repeat
 from operator import and_, eq, rshift
 from typing import Iterable
 
@@ -213,17 +213,21 @@ def covariance_map(alpha: fincat.NatTransData, f: str, i: int) -> order.PointedM
 
 
 def brute_split_epi(c: fincat.FinCat, f: str) -> bool:
+    """Some s: y -> x has s;f = id_y, read off f's row."""
+    index, rows, _ = c.interned
     x, y = c.dom(f), c.cod(f)
-    return any(c.comp[(s, f)] == c.id_of(y) for s in c.hom(y, x))
+    row, one = rows[index[f]], index[c.id_of(y)]
+    return any(row[index[s]] == one for s in c.hom(y, x))
 
 
 def brute_mono(c: fincat.FinCat, f: str) -> bool:
-    x = c.dom(f)
+    """g |-> g;f is one-to-one on every hom(w, x), read off f's row."""
+    index, rows, _ = c.interned
+    x, row = c.dom(f), rows[index[f]]
     for w in c.objects:
         hom = c.hom(w, x)
-        for g, h in combinations(hom, 2):
-            if c.comp[(g, f)] == c.comp[(h, f)]:
-                return False
+        if len({row[index[g]] for g in hom}) < len(hom):
+            return False
     return True
 
 

@@ -29,8 +29,11 @@ class FiniteFunction:
     mapping: dict[str, str]
 
     def __post_init__(self):
-        dom = tuple(sorted(set(self.dom_set)))
-        cod = tuple(sorted(set(self.cod_set)))
+        for labels in (self.dom_set, self.cod_set):
+            if len(set(labels)) != len(labels):
+                raise ParseError(f"duplicate element labels in {tuple(labels)!r}")
+        dom = tuple(sorted(self.dom_set))
+        cod = tuple(sorted(self.cod_set))
         object.__setattr__(self, "dom_set", dom)
         object.__setattr__(self, "cod_set", cod)
         for x in dom:

@@ -7,8 +7,10 @@ tautology.  The one exception is ``covariance_map``: it builds the flow
 through the materialised slices and their projections, the construction
 that the library now reads off the category directly.
 
-The category section keeps what ``fincat`` replaced: the name-keyed
-validator, which scans every composable triple, the walk over every arrow
+The category section keeps what ``fincat`` replaced: the line loop that
+reads a ``.cat`` file into name-keyed tables, the name-keyed validator,
+which scans every composable triple, a builder of a category from
+name-keyed tables without checks, the walk over every arrow
 of a category of elements, where the library hands down-sets along split
 epis, and the materialised categories of elements (slices and parallel
 arrows) with their composition tables, still guarded at 600,000 entries.
@@ -38,6 +40,7 @@ from obstructia.errors import (
     MissingIdentity,
     NonAssociative,
     NotDownClosed,
+    ParseError,
     SizeCapExceeded,
     UnknownObject,
 )
@@ -162,7 +165,43 @@ def validate_category(objects, morphisms, identity, comp):
             for h in out_of[cod[g]]:
                 if row[row[f][g]][h] != row[f][row[g][h]]:
                     raise NonAssociative(f, g, h)
-    return fincat._build(objs, [(m.name, m.dom, m.cod) for m in mors], ident, table)
+    return build(objs, [(m.name, m.dom, m.cod) for m in mors], ident, table)
+
+
+def build(objects, morphisms, identity, comp):
+    """The FinCat of name-keyed tables, unchecked: each morphism its
+    position in sorted order, each entry of comp interned one at a time."""
+    mors = tuple(sorted((fincat.MorDecl(*m) for m in morphisms), key=lambda m: m.name))
+    index = {m.name: i for i, m in enumerate(mors)}
+    rows = [{} for _ in mors]
+    for (f, g), h in comp.items():
+        rows[index[g]][index[f]] = index[h]
+    return fincat.FinCat(tuple(sorted(objects)), mors, dict(identity), tuple(rows))
+
+
+def parse_category(text):
+    """The ``.cat`` format read line by line into name-keyed tables, each
+    line split on its own, and handed to ``validate_category``: a line that
+    does not parse, a repeated comp entry and a repeated identity are
+    ParseErrors naming their line."""
+    objects, morphisms, identity, comp = [], [], {}, {}
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        parts = raw.partition("#")[0].split()
+        if len(parts) == 6 and parts[0] == "comp" and parts[2] == ";" and parts[4] == "=":
+            if (parts[1], parts[3]) in comp:
+                raise ParseError(f"line {lineno}: duplicate composition entry {(parts[1], parts[3])!r}")
+            comp[parts[1], parts[3]] = parts[5]
+        elif len(parts) == 6 and parts[0] == "mor" and parts[2] == ":" and parts[4] == "->":
+            morphisms.append((parts[1], parts[3], parts[5]))
+        elif len(parts) == 2 and parts[0] == "obj":
+            objects.append(parts[1])
+        elif len(parts) == 4 and parts[0] == "id" and parts[2] == "=":
+            if parts[1] in identity:
+                raise ParseError(f"line {lineno}: duplicate identity for {parts[1]!r}")
+            identity[parts[1]] = parts[3]
+        elif parts:
+            raise ParseError(f"line {lineno}: cannot parse {raw.strip()!r}")
+    return validate_category(objects, morphisms, identity, comp)
 
 
 def isos(c):
@@ -259,7 +298,7 @@ def _elements_category(c, x, k):
                 _, h2, tgt = witness[m2]
                 comp[(m1, m2)] = by_key[(src, c.comp[(h1, h2)], tgt)]
 
-    cat = fincat._build(elements, mors, ident, comp)
+    cat = build(elements, mors, ident, comp)
     projection = fincat.FunctorData(
         cat, c, {p: c.dom(t[0]) for p, t in elements.items()}, {name: w[1] for name, w in witness.items()}
     )

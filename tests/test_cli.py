@@ -250,6 +250,19 @@ class TestStates:
         assert (code, text) == (1, "")
         assert "error ParseError: element 'a' assigned twice" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("sets, target_sets, labels", [
+        ("a|b", "c,c|d", "('c', 'c')"),
+        ("a,a|b", "c|d", "('a', 'a')"),
+    ], ids=["target", "source"])
+    def test_local_act_repeated_label_refused(self, capsys, sets, target_sets, labels):
+        # states obstruct refuses a repeated label; so must the sets of a flow
+        code, text = run(
+            "states", "local-act", "--context", "cartesian", "--sets", sets,
+            "--target-sets", target_sets, "--fmap", "a=>c", "--gmap", "b=>d",
+        )
+        assert (code, text) == (1, "")
+        assert capsys.readouterr().err == f"error ParseError: duplicate element labels in {labels}\n"
+
     @pytest.mark.parametrize("flag, fmat, gmat", [("--fmat", "10,01", "1"), ("--gmat", "1", "10,01")])
     def test_local_act_matrix_columns_match_dims(self, capsys, flag, fmat, gmat):
         code, text = run(

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 import gen
 import oracles
-from obstructia import fincat, setcat
+from obstructia import fincat, homotopy, setcat
 from obstructia.errors import (
     BadCompositionTyping,
     DanglingReference,
@@ -152,6 +152,8 @@ class TestValidation:
             z2.comp[("s", "s")] = "s"
         with pytest.raises(TypeError):
             z2.identity["*"] = "s"
+        with pytest.raises(TypeError):
+            z2.rows[0] = {}
 
 
 class TestLightsTest:
@@ -208,8 +210,9 @@ class TestLightsTest:
 CORRUPTIONS = (
     "none", "duplicate object", "duplicate morphism", "unknown domain", "unknown codomain",
     "identity of unknown object", "identity is unknown morphism", "no identity", "identity elsewhere",
-    "entry uses unknown morphism", "unknown composite", "not composable", "mistyped composite",
-    "missing composite", "identity law", "associativity",
+    "entry uses unknown morphism", "unknown composite", "not composable",
+    "not composable, well typed", "mistyped composite",
+    "composite mistyped at one end", "missing composite", "identity law", "associativity",
 )
 
 
@@ -252,9 +255,16 @@ def corrupt(c, kind, data):
         comp[pick(sorted(c.comp))] = "?"
     elif kind == "not composable":
         comp[pick([(f, g) for f in names for g in names if c.cod(f) != c.dom(g)])] = names[0]
+    elif kind == "not composable, well typed":
+        # a composite that would be well typed if the pair were composable
+        f, g = pick([(f, g) for f in names for g in names if c.cod(f) != c.dom(g)])
+        comp[f, g] = c.hom(c.dom(f), c.cod(g))[0] if c.hom(c.dom(f), c.cod(g)) else names[0]
     elif kind == "mistyped composite":
         (f, g), h = pick(entries)
         comp[f, g] = pick([m for m in names if m not in c.hom(c.dom(h), c.cod(h))])
+    elif kind == "composite mistyped at one end":
+        (f, g), h = pick(entries)
+        comp[f, g] = pick([m for m in names if (c.dom(m) == c.dom(h)) != (c.cod(m) == c.cod(h))])
     elif kind == "missing composite":
         del comp[pick(sorted(c.comp))]
     elif kind in ("identity law", "associativity"):
@@ -265,6 +275,38 @@ def corrupt(c, kind, data):
                           and bool(set(key) & ids) == (kind == "identity law")])
         comp[f, g] = pick([m for m in c.hom(c.dom(h), c.cod(h)) if m != h])
     return objects, decls, identity, comp
+
+
+def cat_text(objects, morphisms, identity, comp, data):
+    """The tables as ``.cat`` text.  The obj, mor and id lines come first and
+    the comp lines after them in a drawn order, or, one time in four, all
+    lines are shuffled, so that comp lines come before or among the others.
+    Then comments, blank lines, CRLF endings and, one time in four, a
+    line-level fault (a repeated comp entry or identity, or a line that
+    does not parse) are drawn in."""
+    rng = random.Random(data.draw(st.integers(0, 2**32)))
+    lines = [f"obj {x}" for x in objects] + [f"mor {m} : {d} -> {e}" for m, d, e in morphisms]
+    lines += [f"id {x} = {i}" for x, i in identity.items()]
+    tail = [f"comp {f} ; {g} = {h}" for (f, g), h in comp.items()]
+    rng.shuffle(tail)
+    lines += tail
+    if rng.random() < 0.25:
+        rng.shuffle(lines)
+    fault = rng.choice(["comp", "id", "unparsed"]) if rng.random() < 0.25 else None
+    if fault == "comp" and comp:
+        (f, g), h = rng.choice(sorted(comp.items()))
+        lines.insert(rng.randint(0, len(lines)), f"comp {f} ; {g} = {rng.choice([h, *comp.values()])}")
+    elif fault == "id" and identity:
+        x, i = rng.choice(sorted(identity.items()))
+        lines.insert(rng.randint(0, len(lines)), f"id {x} = {i}")
+    elif fault == "unparsed":
+        lines.insert(rng.randint(0, len(lines)), rng.choice(["objekt x", "comp a ; b = c d", "mor a : x y"]))
+    dressed = []
+    for line in lines:
+        if rng.random() < 0.1:
+            dressed.append(rng.choice(["", "   ", "# a comment", "\t# indented"]))
+        dressed.append(line + rng.choice(["", "", "", "  # trailing", "\t"]))
+    return rng.choice(["\n", "\r\n"]).join(dressed) + "\n"
 
 
 class TestIntValidator:
@@ -283,6 +325,25 @@ class TestIntValidator:
             got = fincat.validate_category(*tables)
             assert got == expected
             assert got.interned == expected.interned  # the oracle's are built from comp
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(min_value=0, max_value=10_000), st.sampled_from(CORRUPTIONS), st.data())
+    def test_parse_agrees_with_the_line_loop_oracle(self, seed, kind, data):
+        """The tables written as a file, in a drawn line order and dress: the
+        parser gives what the name-keyed line loop and validator give."""
+        c = gen.random_category(random.Random(seed), max_objects=4, max_morphisms=15)
+        text = cat_text(*corrupt(c, kind, data), data)
+        try:
+            expected = oracles.parse_category(text)
+        except EngineError as exc:
+            with pytest.raises(EngineError) as got:
+                fincat.parse_category(text)
+            assert (type(got.value), str(got.value)) == (type(exc), str(exc))
+        else:
+            got = fincat.parse_category(text)
+            assert got == expected
+            assert got.interned == expected.interned
+            assert dict(got.comp) == dict(expected.comp)
 
     def test_parsed_rows_are_the_rows_built_from_comp(self, wa, z2, seed):
         rng = random.Random(seed + 5)
@@ -363,6 +424,28 @@ class TestTextFormat:
                 "obj 0\nmor id0 : 0 -> 0\nid 0 = id0\ncomp id0 ; id0 = id0\ncomp id0 ; id0 = id0"
             )
 
+    @pytest.mark.parametrize("text", [
+        Z2 + "obj y\nmor i : y -> y\nid y = i\ncomp i ; i = i\n",
+        Z2 + "mor t : * -> *\n",
+        Z2 + "obj y\n",
+        Z2 + "id y = e\n",
+        Z2.replace("id * = e\n", "") + "id * = e\n",
+        "comp e ; e = e\n" + Z2.replace("comp e ; e = e\n", ""),
+        WALKING_ARROW + "comp a ; a = a\n",
+        WALKING_ARROW.replace("comp id1 ; id1 = id1", "comp id1 ; id1 = a"),
+    ], ids=["another object", "a morphism without entries", "an object without identity",
+            "an identity of no object", "identity last", "comp first", "not composable but well typed",
+            "composite from another domain"])
+    def test_read_as_the_line_loop_oracle_reads(self, text):
+        try:
+            expected = oracles.parse_category(text)
+        except EngineError as exc:
+            with pytest.raises(type(exc)) as got:
+                fincat.parse_category(text)
+            assert str(got.value) == str(exc)
+        else:
+            assert fincat.parse_category(text) == expected
+
 
 class TestOpposite:
     def test_walking_arrow_reversed(self, wa):
@@ -381,6 +464,28 @@ class TestOpposite:
         for _ in range(25):
             c = gen.random_category(rng)
             assert fincat.opposite(fincat.opposite(c)) == c
+
+    def test_transposed_rows_are_the_rows_of_the_reversed_table(self, wa, seed):
+        rng = random.Random(seed + 7)
+        for c in [wa, gen.cyclic_group_category(5), *(gen.random_category(rng) for _ in range(20))]:
+            op = fincat.opposite(c)
+            reversed_table = {(g, f): h for (f, g), h in c.comp.items()}
+            built = oracles.build(op.objects, [(m.name, m.dom, m.cod) for m in op.morphisms], op.identity, reversed_table)
+            assert op.rows == built.rows
+            assert dict(op.comp) == reversed_table
+
+
+class TestRowsAreTheTable:
+    def test_classify_path_never_builds_the_name_table(self):
+        c = fincat.parse_category(fincat.serialize_category(setcat.finset_ambient(3)))
+        for m in c.morphisms:
+            homotopy.analyze_morphism(c, m.name)
+        for x in c.objects:
+            homotopy.pi0(c, x)
+            homotopy.pi1(c, x)
+        assert "comp" not in vars(c)
+        assert c.comp[("1>2:0", "2>1:00")] == "1>1:0"
+        assert "comp" in vars(c)
 
 
 class TestSlice:

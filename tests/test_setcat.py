@@ -68,6 +68,16 @@ class TestFiniteFunction:
         with pytest.raises(ParseError, match="element 'x' repeated in set '{x,x}'"):
             setcat.parse_function("fn f : {x,x} -> {y} ; x=>y")
 
+    @pytest.mark.parametrize("dom, cod, labels", [
+        (("a",), ("c", "c"), "('c', 'c')"),
+        (("a", "a"), ("c",), "('a', 'a')"),
+    ], ids=["codomain", "domain"])
+    def test_repeated_label_refused(self, dom, cod, labels):
+        # a set that names an element twice is refused, not read as a smaller set
+        with pytest.raises(ParseError) as exc:
+            setcat.FiniteFunction(dom, cod, {"a": "c"})
+        assert str(exc.value) == f"duplicate element labels in {labels}"
+
     def test_empty_function_name_rejected(self):
         # serialize_function refuses the name "", so it must not read in either
         with pytest.raises(ParseError, match=r"^empty function name in 'fn : \{a\} -> \{b\} ; a=>b'$"):
