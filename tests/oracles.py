@@ -541,6 +541,12 @@ def open_graph_iso(g, h):
     return backtrack(0, start, set(start.values()))
 
 
+def graph_hom_text(hom):
+    """The .gh text of hom, the writer no command needs: one map line per
+    source vertex, identities included."""
+    return "".join(f"map {v} = {hom.vertex_map[v]}\n" for v in hom.source.vertices)
+
+
 def gf2_tensor(a, b):
     return tuple(x & y for x in a for y in b)
 

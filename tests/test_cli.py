@@ -1,14 +1,13 @@
 import io
 import json
 import os
-import subprocess
-import sys
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from obstructia import cli, states
+import oracles
+from obstructia import cli, fincat, opengraph, setcat, states
 from obstructia.errors import ParseError
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "..", "fixtures")
@@ -174,8 +173,6 @@ class TestOpenGraph:
     def test_compose_round_trips(self, tmp_path):
         code, text = run("opengraph", "compose", fx("G.og"), fx("H.og"))
         assert code == 0
-        from obstructia import opengraph
-
         g = opengraph.parse_open_graph(text)
         assert len(g.vertices) == 5
 
@@ -366,10 +363,17 @@ class TestDeterminismQuick:
         assert text.count(" -> ") == 22
 
 
+# the source and target open graphs of each .gh fixture
+GH_GRAPHS = {"identify_outputs.gh": ("G.og", "G_identified.og")}
+
+
+def fixture_graph(name):
+    with open(fx(name), encoding="utf-8") as fh:
+        return opengraph.parse_open_graph(fh.read())
+
+
 class TestFixtureRoundTrips:
     def test_every_fixture_round_trips(self):
-        from obstructia import fincat, opengraph, setcat
-
         for name in sorted(os.listdir(FIXTURES)):
             path = os.path.join(FIXTURES, name)
             with open(path, encoding="utf-8") as fh:
@@ -385,14 +389,6 @@ class TestFixtureRoundTrips:
                 assert opengraph.parse_open_graph(opengraph.serialize_open_graph(value)) == value
             else:
                 assert name.endswith(".gh")
-
-
-def test_console_entry_point():
-    proc = subprocess.run(
-        [sys.executable, "-m", "obstructia.cli", "cat", "validate", fx("z2.cat")],
-        capture_output=True,
-        text=True,
-    )
-    assert proc.returncode == 0
-    assert "2 morphisms" in proc.stdout
-    assert proc.stderr == ""
+                source, target = (fixture_graph(g) for g in GH_GRAPHS[name])
+                value = opengraph.parse_graph_hom(text, source, target)
+                assert opengraph.parse_graph_hom(oracles.graph_hom_text(value), source, target) == value

@@ -22,6 +22,23 @@ from obstructia.errors import (
 
 LABELS = st.text(alphabet="{}(),[]=>+'\\# ", max_size=3)
 
+
+def og_vertex(v):
+    """Whether a .og vertex line reads v back."""
+    try:
+        og.serialize_open_graph(og.OpenGraph((), (), (v,), frozenset(), {}, {}))
+    except ParseError:
+        return False
+    return True
+
+
+# vertex names a .og file reads back, the words of a .gh line among them:
+# the character classes leave out blanks, line breaks and control codes
+OG_VERTICES = (
+    st.sampled_from(["map", "="])
+    | st.text(st.characters(exclude_categories=("Cs", "Cc", "Zs", "Zl", "Zp"), exclude_characters="#"), min_size=1, max_size=4)
+).filter(og_vertex)
+
 G_TEXT = """
 inputs 1
 outputs 1,2,3
@@ -182,6 +199,17 @@ class TestParsing:
         with pytest.raises(ParseError, match=r"^line 3: 'nosuch' is not a source vertex$"):
             og.parse_graph_hom("map w3 = w1\n\nmap nosuch = w1\n", G, target)
         assert og.parse_graph_hom("map w3 = w1\n", G, target) == identified(G)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(OG_VERTICES, min_size=1, max_size=4, unique=True), st.lists(st.integers(0, 3), min_size=4, max_size=4))
+    @example(vertices=["=", "map", "->", "é"], images=[1, 0, 3, 2])
+    def test_hom_text_round_trip(self, vertices, images):
+        """Any vertex map on names a .og file reads back: its .gh text, one
+        'map v = w' line per vertex, reads back as the same GraphHom.  Such a
+        name holds no blank and no '#', so no line has cause to be refused."""
+        g = og.OpenGraph((), (), tuple(vertices), frozenset(), {}, {})
+        hom = og.GraphHom(g, g, {v: vertices[i % len(vertices)] for v, i in zip(vertices, images)})
+        assert og.parse_graph_hom(oracles.graph_hom_text(hom), g, g) == hom
 
 
 class TestReach:

@@ -1,0 +1,133 @@
+"""Byte pins: the sha256 of every pinned CLI output, one row per argv.
+
+A row reads like a line of `sha256sum`: the digest, two spaces, then the
+argv as a shell would split it.  A `fixtures/` path names a checked-in
+fixture; a bare `*.cat` or `*.og` name is an input built below.  A digest
+changes only together with the output change it pins, and CHANGES.md names
+that change.
+"""
+
+import hashlib
+import os
+import random
+import shlex
+import subprocess
+import sys
+from types import SimpleNamespace
+
+import pytest
+
+import gen
+from obstructia import cli, fincat, setcat
+from obstructia import opengraph as og
+
+ROOT = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..")
+
+PINS = """
+# powerset reports at the 12-generator cap, and pi1 over a 12-pair kernel
+# pair whose diagonal pairs sort between the others
+d49293f754689f4ab8e2f9abfb53fd801fb4d5109d1f5ea5834e7ec5c9aa9cdb  set pi0 --fn fixtures/wide12.fn --format text
+b51753cdbb6639792922b88ca52a564ef6a377cf9c29946ba213d90de5dcf928  set pi0 --fn fixtures/wide12.fn --format dot
+f5389ef51f8d6377f0456a669636801ce44fcdcc47c0f7fb35dd86a9446d0701  set pi0 --fn fixtures/wide12.fn --format interchange
+f89ae5f34fb059337217d94952d4ca95eb0327fe576636b3c89ca9263e13196d  set pi1 --fn fixtures/wide12_pi1.fn --format text
+5954b1870965f2618a9b8772e0ec3b103bfec93e980feef345f7c0cf4c3a6deb  set pi1 --fn fixtures/wide12_pi1.fn --format dot
+316ecc61a6a49bb6799980b67fba16085bda21bfec6cf38aee5ecfebda942f4c  set pi1 --fn fixtures/wide12_pi1.fn --format interchange
+# the size-3 finite-set skeleton, canonical and read by name (comp lines
+# first, a comment on every line)
+852201d4148f0f0b0030b455684fd0f3d57902fec5ada2dc6ae579b5dcce16fa  cat analyze ambient.cat --morphism 3>2:010
+852201d4148f0f0b0030b455684fd0f3d57902fec5ada2dc6ae579b5dcce16fa  cat analyze byname.cat --morphism 3>2:010
+11ac0629716ccfcf50451acd992865dbb3a9ec649e6abcadcfb8b5fd28585a0d  cat validate ambient.cat
+11ac0629716ccfcf50451acd992865dbb3a9ec649e6abcadcfb8b5fd28585a0d  cat validate byname.cat
+9dc603b04bbdd3e57e7acd016c9a9f3c2b84c7ad2ca015c3511edf38702469f5  cat analyze ambient.cat --morphism 3>2:010 --format dot
+d34f275d02dd147d8859f7bfeebc1ae8826d807f1c1a3c889766d2e6ac4f17f2  cat analyze ambient.cat --morphism 3>2:010 --format interchange
+289e5dd1f6c8bf873a55a649529a598e92047aebf5a71063bf8ec3a647d2b9ec  cat pi1 ambient.cat --object 3 --format interchange
+83ca319540d9a5580e436faa767e0618bd54649e963dc4c5769c4acd773a4e6b  cat pi1 ambient.cat --object 3 --format dot
+02822457d685ca764d71efbd71c50a0722def95550b2a14d0b548f4529d9571d  cat pi1 ambient.cat --object 3
+# where isos abound: Z/12, and finite sets up to 2 times the walking
+# isomorphism (every object has a distinct isomorphic twin)
+61613ee724b6af8a45114fd6203d0ecdd6c36467c5024bf6e1bccc044273dd2f  cat pi1 z12.cat --object '*'
+b030170243141f41685394f6a948b1e6b92ae99c1bf4749e33ace1bdb0e44aa6  cat analyze twins.cat --morphism 2>1:00*f
+# the fixture categories
+215587b3844c4453155b90f2cfb5e57415e1716d3b27c0220c74d12b4b0326f3  cat validate fixtures/z2.cat
+941f3a4fe14fdd541d8d9d1186af8166b7cca743bc2fc87d0a38fb320ef46874  cat pi0 fixtures/walking_arrow.cat --object 0
+ca02f2c39677970084c2d9719ffa68aefc51e1b36d37885b22838b0d09eddaea  cat pi0 fixtures/walking_arrow.cat --object 0 --format dot
+e22fbb50127100f974b326b0487b47c9a35e9ffbfa8954fd273841f4b639c8da  cat pi0 fixtures/walking_arrow.cat --object 0 --format interchange
+abf581d1378182204835ed8d3af5f073ed64344fa83d5dcb58e650307d27938a  cat check-terminal fixtures/walking_arrow.cat --object 0
+# state laxators: the README flow, a 42-obstruction flow from the 2x3
+# tensor, a cartesian flow; past the powerset cap (the 2x2 star and the
+# trivial 4x4 cartesian one) and a materialised pi1 of 1009 elements
+a09ed5aaa77d800844147063200175ac4ae68026110e3901ebe9231decdae6c4  states local-act --context gf2 --dims 2,2 --fmat 10,00 --gmat 10,01
+f525e98c3f6787ffa320b7050afb1e739bc278851bb9155d157be713c2dd5076  states local-act --context gf2 --dims 2,3 --fmat 11,01 --gmat 101,011
+072a8565e2dcfe406613135d1ffd36798a5e2a840d0bd3c8a693162a5b7293bc  states local-act --context cartesian --sets 'a,b|c,d' --target-sets 'a|c,d' --fmap a=>a,b=>a --gmap c=>c,d=>d
+459d10f02daee43fa420b12b825e58eb016a7f599a96888fb1bea4f121653b94  states obstruct --context gf2 --dims 2,2 --format text
+414c88d0323504b0621c458e291a30f40ce0f80c210c9c2cdd3679a2cd9ac4bb  states obstruct --context gf2 --dims 2,2 --format dot
+eb45f6f70bfb0294362f08d74425087273361fc7b002e556a0112d120cf38742  states obstruct --context gf2 --dims 2,2 --format interchange
+f40b8f2434d35767c333584ef5b3d74385f7a477d21330544f8977f387d34d38  states obstruct --context gf2 --dims 1,1 --format text
+b10a1b1d2e24890d1db0381b911cfa2638708189f26eaae1e61bcec08cc73c0f  states obstruct --context gf2 --dims 1,1 --format dot
+9289e80b6849da05cf26336fd3e29f68c3934b481c2276ce179f374bfa2e856e  states obstruct --context gf2 --dims 1,1 --format interchange
+c4600df0d68bdad03303052d46ecd0ead1105dc3332605619cec7c8ece058416  states obstruct --context cartesian --sets 'a,b,c,d|e,f,g,h' --format text
+fb27f3922e810d64022f67ceb48a83a0c044f4cc1fa32e09a105dad2211392a4  states obstruct --context cartesian --sets 'a,b,c,d|e,f,g,h' --format dot
+9f2ad9de0c2a107613dd5a1871e61adbaa88d41b95eb1853e0bda9e86a91a0e7  states obstruct --context cartesian --sets 'a,b,c,d|e,f,g,h' --format interchange
+# open graphs: the fixture pair, the flow of folding w3 onto w1, and a
+# width-8 pair whose composite relates all 8 boundary pairs while the
+# parts' relations compose to 5 of them
+93f1778053da8f80f9bda26fd90e6cfb0a460395fb7d7349da28d7365da3dd72  opengraph compose fixtures/G.og fixtures/H.og
+f7619dd8aef99437bb0ee3648613f3a6e505419958db5492e992fd11510d5656  opengraph compose fixtures/G.og fixtures/H.og --format dot
+06f66f500ce4177d0b571f6b9b0433381cff449fa177cd4d1d709ab8fc2884c8  opengraph reach fixtures/G.og
+30c90d9fc8af053dff1f8f79cb89d7e57640c494c121d24c8554ad15299e1ea8  opengraph reach fixtures/G.og --format dot
+6c81b0961cfa8a69a2d9e6daa47dfc74c8b9a9b0fd309f3f21377b6143ee5291  opengraph obstruct fixtures/G.og fixtures/H.og --format text
+b1867d4b135b3d96b7fe614f938d6eaa3c8c2748f0e1c023d3d91da75abb567c  opengraph obstruct fixtures/G.og fixtures/H.og --format dot
+8a4105d9dd17222638ce324a2d8950f309e96d22ea546700ee771a282f0e32e8  opengraph obstruct fixtures/G.og fixtures/H.og --format interchange
+58820eeb1c9b1e53853b1c6066510a711ca0fcb700994cded0c098eb256d57b1  opengraph act fixtures/G.og fixtures/G_identified.og fixtures/identify_outputs.gh fixtures/H.og
+d9623dc9814f3c0f0c9a70259f02abee09acf7c1d5ea14ae7db73b8bcbc0f839  opengraph obstruct left8.og right8.og --format text
+d02bc004fdd02bc03d13f06fe22d752a6e137cae6e6d2c0deaa0419aa74a9151  opengraph obstruct left8.og right8.og --format dot
+c3160ed0ad71a2adca0caad2e393d9f0d45ae4903bd332cf4dcfc55f5c5403fa  opengraph obstruct left8.og right8.og --format interchange
+"""
+ROWS = [tuple(reversed(line.split("  ", 1))) for line in PINS.splitlines() if line and not line.startswith("#")]
+
+# run again through `python -m obstructia.cli`, one per command group
+ENTRY_POINTS = (
+    "cat validate fixtures/z2.cat",
+    "set pi0 --fn fixtures/wide12.fn --format text",
+    "opengraph act fixtures/G.og fixtures/G_identified.og fixtures/identify_outputs.gh fixtures/H.og",
+    "states local-act --context gf2 --dims 2,2 --fmat 10,00 --gmat 10,01",
+)
+
+
+@pytest.fixture(scope="module")
+def argv_of(tmp_path_factory):
+    """The argv of a row: the inputs it names are written to a temp dir as
+    built here, and fixtures are resolved against the repo."""
+    tmp = tmp_path_factory.mktemp("pins")
+    ambient = fincat.serialize_category(setcat.finset_ambient(3))
+    comp_first = sorted(ambient.splitlines(), key=lambda line: not line.startswith("comp "))
+    rng, ys = random.Random(76), ("y0", "y1", "y2")
+    texts = {
+        "ambient.cat": ambient,
+        "byname.cat": "".join(f"{line}  # note\n" for line in comp_first),
+        "z12.cat": fincat.serialize_category(gen.cyclic_group_category(12)),
+        "twins.cat": fincat.serialize_category(gen.product_category(setcat.finset_ambient(2), gen.walking_isomorphism())),
+        "left8.og": og.serialize_open_graph(gen.random_open_graph(rng, ("x0", "x1"), ys, edge_prob=0.25)),
+        "right8.og": og.serialize_open_graph(gen.random_open_graph(rng, ys, ("z0", "z1", "z2", "z3"), edge_prob=0.25)),
+    }
+    for name, text in texts.items():
+        (tmp / name).write_text(text, encoding="utf-8")
+    return lambda row: [str(tmp / t) if t in texts else os.path.join(ROOT, t) if t.startswith("fixtures/") else t for t in shlex.split(row)]
+
+
+@pytest.mark.parametrize("row, digest", ROWS, ids=[row for row, _ in ROWS])
+def test_output_bytes(row, digest, argv_of, capsys):
+    # each piece is hashed as it is written: no document is held in memory
+    sha = hashlib.sha256()
+    assert cli.run(argv_of(row), SimpleNamespace(write=lambda piece: sha.update(piece.encode("utf-8")))) == 0
+    assert capsys.readouterr().err == ""
+    assert sha.hexdigest() == digest, f"{row}: output sha256 {sha.hexdigest()}, pinned {digest}"
+
+
+@pytest.mark.parametrize("row", ENTRY_POINTS)
+def test_module_entry_point(row, argv_of):
+    argv = [sys.executable, "-W", "error", "-m", "obstructia.cli", *argv_of(row)]
+    proc = subprocess.run(argv, capture_output=True, env={**os.environ, "PYTHONPATH": os.path.join(ROOT, "src")})
+    assert (proc.returncode, proc.stderr) == (0, b"")
+    got, digest = hashlib.sha256(proc.stdout).hexdigest(), dict(ROWS)[row]
+    assert got == digest, f"{row}: output sha256 {got}, pinned {digest}"
