@@ -11,10 +11,12 @@ left as plain dicts because every invariant reads them in its inner loop).
 Categories are ints first.  Each morphism is its position in the sorted
 ``morphisms``, and the composition table is ``FinCat.rows``: one row per
 morphism g mapping each h into dom g to h;g.  Every law is checked on those
-rows.  ``parse_category`` interns a ``.cat`` file as it reads it, one comp
-line into one row entry, and ``validate_category`` interns name-keyed
-tables; ``FinCat.comp``, the table keyed by names, is a read-only view built
-from the rows on first read.  Derived constructions name their objects and
+rows.  ``parse_category`` reads a ``.cat`` file once, whatever its line
+order, and ``validate_category`` takes name-keyed tables; both go through
+one interning routine, which puts each entry straight into its row, and
+names are read again only to say what is wrong with tables that raise.
+``FinCat.comp``, the table keyed by names, is a read-only view built from
+the rows on first read.  Derived constructions name their objects and
 morphisms canonically so outputs are reproducible byte for byte.  Besides
 the opposite, they are categories of elements of hom(-, x)^k (the slice
 over x at k = 1, parallel arrows at k = 2): one enumeration behind the size
@@ -160,28 +162,62 @@ def validate_category(
     Raises the first failed law with a witness: DanglingReference for unknown
     ids, BadCompositionTyping when comp is partial / overfull / mistyped,
     MissingIdentity for identity failures, NonAssociative with the witness
-    triple.  Each entry of comp is interned into the rows, and the laws are
-    checked on them (``_laws``).
+    triple.  The entries go through ``_intern``, as a parsed file's do; comp
+    is read again by name, in its order, only when the rows fail to type.
     """
-    decls = _declarations(objects, morphisms, identity)
-    mors, index, dom, cod = decls.mors, decls.index, decls.dom, decls.cod
-    rows: list[dict[int, int]] = [{} for _ in mors]  # rows[g][f] = f;g
-    for (f, g), h in comp.items():
-        try:
-            fi, gi, hi = index[f], index[g], index[h]
-        except KeyError:
-            for m in (f, g):
-                if m not in index:
-                    raise DanglingReference(f"composition entry uses unknown morphism {m!r}") from None
-            raise DanglingReference(f"composite {h!r} is not a declared morphism") from None
-        if cod[fi] != dom[gi]:
-            raise BadCompositionTyping(f"entry ({f!r}, {g!r}) is not a composable pair")
-        if dom[hi] != dom[fi] or cod[hi] != cod[gi]:
-            raise BadCompositionTyping(
-                f"composite of ({f!r}, {g!r}) must go {mors[fi].dom!r} -> {mors[gi].cod!r}, got {h!r}"
-            )
-        rows[gi][fi] = hi
+    return _intern(objects, morphisms, identity, comp.items, len(comp), ())
+
+
+def _intern(objects, morphisms, identity, entries, count: int, lines: Iterable[int]) -> FinCat:
+    """The one interning routine: ``entries()`` gives the ``count`` comp
+    entries ((f, g), h) in order, ``lines`` their lines in a file (none for
+    a mapping).  Each goes straight into its row, and each row is checked
+    for typing: h;g = k needs cod h = dom g, cod k = cod g, dom k = dom h."""
+    try:
+        decls = _declarations(objects, morphisms, identity)
+        index, dom, cod, into = decls.index, decls.dom, decls.cod, decls.into
+        rows: list[dict[int, int]] = [{} for _ in index]  # rows[g][f] = f;g
+        for (f, g), h in entries():
+            rows[index[g]][index[f]] = index[h]
+        # a key or a value outside its hom-set is a KeyError here
+        typed = sum(map(len, rows)) == count and all(
+            itemgetter(*row)(into[dom[g]]) == itemgetter(*row.values())(into[cod[g]]) for g, row in enumerate(rows) if row)
+    except (KeyError, DanglingReference, MissingIdentity):
+        typed = False
+    if not typed:
+        _refuse(objects, morphisms, identity, entries, lines)
     return _laws(decls, rows)
+
+
+def _refuse(objects, morphisms, identity, entries, lines) -> None:
+    """Raise what is wrong with tables ``_intern`` could not type, found by
+    name in the order a check on names meets it: a repeated entry, then the
+    declarations, then the first unknown or mistyped entry."""
+    repeat = _first_repeat((pair for pair, _ in entries()), lines)
+    if repeat:
+        raise repeat
+    mors = {m.name: m for m in _declarations(objects, morphisms, identity).mors}
+    for (f, g), h in entries():
+        for m in (f, g):
+            if m not in mors:
+                raise DanglingReference(f"composition entry uses unknown morphism {m!r}")
+        if h not in mors:
+            raise DanglingReference(f"composite {h!r} is not a declared morphism")
+        fm, gm, hm = mors[f], mors[g], mors[h]
+        if fm.cod != gm.dom:
+            raise BadCompositionTyping(f"entry ({f!r}, {g!r}) is not a composable pair")
+        if hm.dom != fm.dom or hm.cod != gm.cod:
+            raise BadCompositionTyping(f"composite of ({f!r}, {g!r}) must go {fm.dom!r} -> {gm.cod!r}, got {h!r}")
+    raise AssertionError("tables that fail to intern pass every check by name")
+
+
+def _first_repeat(pairs, lines) -> ParseError | None:
+    """The ParseError of the first pair that repeats an earlier one, if any."""
+    seen: set[tuple[str, str]] = set()
+    for pair, lineno in zip(pairs, lines):
+        if pair in seen:
+            return ParseError(f"line {lineno}: duplicate composition entry {pair!r}")
+        seen.add(pair)
 
 
 class _Declarations(NamedTuple):
@@ -191,6 +227,7 @@ class _Declarations(NamedTuple):
     index: dict[str, int]  # morphism positions in mors
     dom: list[int]  # object positions, per morphism
     cod: list[int]
+    into: list[dict[int, int]]  # per object, h: dom h for each h into it, ascending
     decl: list[int]  # morphism positions in declaration order
     ident: dict[str, str]  # object -> its identity
 
@@ -220,6 +257,9 @@ def _declarations(objects, morphisms, identity) -> _Declarations:
     index = {m.name: i for i, m in enumerate(mors)}
     dom = [oid[m.dom] for m in mors]
     cod = [oid[m.cod] for m in mors]
+    into: list[dict[int, int]] = [{} for _ in objs]
+    for m, y in enumerate(cod):
+        into[y][m] = dom[m]
 
     ident = dict(identity)
     for x, i in ident.items():
@@ -233,24 +273,21 @@ def _declarations(objects, morphisms, identity) -> _Declarations:
         i = ident[x]
         if dom[index[i]] != oid[x] or cod[index[i]] != oid[x]:
             raise MissingIdentity(x, f"identity {i!r} is not an endomorphism of {x!r}")
-    return _Declarations(objs, oid, mors, index, dom, cod, [index[m.name] for m in decls], ident)
+    return _Declarations(objs, oid, mors, index, dom, cod, into, [index[m.name] for m in decls], ident)
 
 
 def _laws(decls: _Declarations, rows: list[dict[int, int]]) -> FinCat:
     """The FinCat of rows of distinct, well-typed entries, once the laws
     hold: totality, the identity laws and associativity, checked in the
     order and with the witnesses a check on names in declaration order
-    gives.  Both routes into the rows end here."""
-    objs, oid, mors, index, dom, cod, decl, ident = decls
+    gives."""
+    objs, oid, mors, index, dom, cod, into, decl, ident = decls
     names = [m.name for m in mors]
     # The entries are distinct and composable, so the table is total iff it
     # has one entry per composable pair.  Only a short one is scanned for its
     # witness: out_of keeps declaration order, so the first missing pair is
     # the one an all-pairs scan would find.
-    into: list[list[int]] = [[] for _ in objs]
     out_of: list[list[int]] = [[] for _ in objs]
-    for m in range(len(mors)):
-        into[cod[m]].append(m)
     for m in decl:
         out_of[dom[m]].append(m)
     if sum(map(len, rows)) != sum(len(a) * len(b) for a, b in zip(into, out_of)):
@@ -278,7 +315,7 @@ def _laws(decls: _Declarations, rows: list[dict[int, int]]) -> FinCat:
         raise NonAssociative(*(names[m] for m in _first_non_associative(decl, rows, cod, out_of)))
 
     c = FinCat(tuple(sorted(objs)), mors, ident, tuple(rows))
-    object.__setattr__(c, "interned", (index, c.rows, {x: into[oid[x]] for x in c.objects}))
+    object.__setattr__(c, "interned", (index, c.rows, {x: list(into[oid[x]]) for x in c.objects}))
     return c
 
 
@@ -298,8 +335,8 @@ def _generators(decl, dom, cod, ids, rows) -> set:
             a = queue.pop()
             ends.setdefault(cod[a], []).append(a)
             starts.setdefault(dom[a], []).append(a)
-            ra = rows[a]
-            new = {ra[b] for b in ends.get(dom[a], ())} | {rows[b][a] for b in starts.get(cod[a], ())}
+            new = set(map(rows[a].__getitem__, ends.get(dom[a], ())))
+            new.update(map(itemgetter(a), map(rows.__getitem__, starts.get(cod[a], ()))))
             queue += new - reached
             reached |= new
     return gens
@@ -529,82 +566,42 @@ def is_groupoid(c: FinCat) -> bool:
 
 
 def parse_category(text: str) -> FinCat:
-    """Read the text format above and validate it.  The file is interned as
-    it is read; one that cannot be is read again by name and goes through
-    ``validate_category``, which raises what is wrong with it."""
-    c = _read(text, intern=True)
-    return c if c is not None else _read(text, intern=False)
-
-
-def _read(text: str, intern: bool) -> FinCat | None:
-    """The one line loop: lines are split one at a time, comp and mor lines,
-    the bulk of a file, tried first.  By name, the tables go to
-    ``validate_category``, and a line that does not parse or repeats a comp
-    entry or an identity is a ParseError naming its line.  Interned, the
-    declarations are checked at the first comp line and each entry goes
-    straight into its row; after the loop, the row sizes against the count
-    of comp lines find a repeat, and each row is checked for typing.
-    Whatever would raise before the laws (a ParseError, a bad declaration,
-    an unknown or mistyped entry, a declaration after a comp line) gives
-    None instead, so that the file raises what it raises by name."""
+    """Read the text format above in one pass, whatever its line order, and
+    validate it.  Lines are split one at a time, comp and mor lines, the
+    bulk of a file, tried first; each comp line is kept as its three names
+    and its line number, for ``_intern``.  A line that does not parse or
+    repeats an identity is a ParseError naming it, unless an earlier comp
+    line repeats an entry, which a check on names meets first."""
     objects: list[str] = []
     morphisms: list[tuple[str, str, str]] = []
     identity: dict[str, str] = {}
-    comp: dict[tuple[str, str], str] = {}
-    rows = None
+    fs, gs, hs, at = [], [], [], []  # comp fs[i] ; gs[i] = hs[i], on line at[i]
     lines = text.splitlines()
-    blank = 0
-    try:
-        for lineno, line in enumerate([raw.partition("#")[0] for raw in lines] if "#" in text else lines, start=1):
-            parts = line.split()
-            if len(parts) == 6:
-                tag, a, sep, b, eq, c = parts
-                if tag == "comp" and sep == ";" and eq == "=":
-                    if rows is not None:
-                        rows[index[b]][index[a]] = index[c]
-                    elif intern:
-                        decls = _declarations(objects, morphisms, identity)
-                        index = decls.index
-                        rows = [{} for _ in index]
-                        rows[index[b]][index[a]] = index[c]
-                    elif (a, b) in comp:
-                        raise ParseError(f"line {lineno}: duplicate composition entry {(a, b)!r}")
-                    else:
-                        comp[a, b] = c
-                    continue
-                if tag == "mor" and sep == ":" and eq == "->" and rows is None:
-                    morphisms.append((a, b, c))
-                    continue
-            elif not parts:
-                blank += 1
+    for lineno, line in enumerate([raw.partition("#")[0] for raw in lines] if "#" in text else lines, start=1):
+        parts = line.split()
+        if len(parts) == 6:
+            tag, a, sep, b, eq, c = parts
+            if tag == "comp" and sep == ";" and eq == "=":
+                fs.append(a)
+                gs.append(b)
+                hs.append(c)
+                at.append(lineno)
                 continue
-            elif parts[0] == "obj" and len(parts) == 2 and rows is None:
-                objects.append(parts[1])
+            if tag == "mor" and sep == ":" and eq == "->":
+                morphisms.append((a, b, c))
                 continue
-            elif parts[0] == "id" and len(parts) == 4 and parts[2] == "=" and rows is None:
-                if parts[1] in identity:
-                    raise ParseError(f"line {lineno}: duplicate identity for {parts[1]!r}")
-                identity[parts[1]] = parts[3]
-                continue
-            raise ParseError(f"line {lineno}: cannot parse {lines[lineno - 1].strip()!r}")
-    except (KeyError, DanglingReference, MissingIdentity, ParseError):
-        if intern:
-            return None
-        raise
-    if not intern:
-        return validate_category(objects, morphisms, identity, comp)
-    if rows is None or sum(map(len, rows)) != len(lines) - blank - len(objects) - len(morphisms) - len(identity):
-        return None
-    # Each h;g = k in row g needs cod h = dom g, cod k = cod g and dom k = dom h.
-    dom, cod = decls.dom, decls.cod
-    ends: list[set[int]] = [set() for _ in decls.objs]
-    for m, y in enumerate(cod):
-        ends[y].add(m)
-    for g, row in enumerate(rows):
-        if row and not (ends[dom[g]].issuperset(row) and ends[cod[g]].issuperset(row.values())
-                        and itemgetter(*row)(dom) == itemgetter(*row.values())(dom)):
-            return None
-    return _laws(decls, rows)
+        elif not parts:
+            continue
+        elif parts[0] == "obj" and len(parts) == 2:
+            objects.append(parts[1])
+            continue
+        elif parts[0] == "id" and len(parts) == 4 and parts[2] == "=":
+            if parts[1] in identity:
+                raise _first_repeat(zip(fs, gs), at) or ParseError(f"line {lineno}: duplicate identity for {parts[1]!r}")
+            identity[parts[1]] = parts[3]
+            continue
+        raise _first_repeat(zip(fs, gs), at) or ParseError(f"line {lineno}: cannot parse {lines[lineno - 1].strip()!r}")
+    return _intern(objects, morphisms, identity, lambda: zip(zip(fs, gs), hs), len(hs), at)
 
 
 def check_label(text: str, what: str, fmt: str, breaks: tuple[str, ...]) -> None:

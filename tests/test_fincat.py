@@ -424,6 +424,31 @@ class TestTextFormat:
                 "obj 0\nmor id0 : 0 -> 0\nid 0 = id0\ncomp id0 ; id0 = id0\ncomp id0 ; id0 = id0"
             )
 
+    @pytest.mark.parametrize("order", ["canonical", "comp lines first", "one mor line last", "obj and id lines last"])
+    def test_every_line_order_is_read_once(self, order, monkeypatch):
+        """The size-3 ambient in four line orders reads as the canonical
+        file does, without a second reading by name: every route that names
+        what is wrong with a file fails here."""
+        text = fincat.serialize_category(setcat.finset_ambient(3))
+        canonical = fincat.parse_category(text)
+        lines = text.splitlines()
+        mor = next(line for line in lines if line.startswith("mor "))
+        lines = {
+            "canonical": lines,
+            "comp lines first": sorted(lines, key=lambda line: not line.startswith("comp ")),
+            "one mor line last": [line for line in lines if line != mor] + [mor],
+            "obj and id lines last": sorted(lines, key=lambda line: line.startswith(("obj ", "id "))),
+        }[order]
+
+        def by_name(*args):
+            raise AssertionError("read by name")
+
+        for name in ("validate_category", "_refuse", "_first_repeat"):
+            monkeypatch.setattr(fincat, name, by_name)
+        got = fincat.parse_category("\n".join(lines) + "\n")
+        assert got == canonical
+        assert got.interned == canonical.interned
+
     @pytest.mark.parametrize("text", [
         Z2 + "obj y\nmor i : y -> y\nid y = i\ncomp i ; i = i\n",
         Z2 + "mor t : * -> *\n",

@@ -32,12 +32,15 @@ f5389ef51f8d6377f0456a669636801ce44fcdcc47c0f7fb35dd86a9446d0701  set pi0 --fn f
 f89ae5f34fb059337217d94952d4ca95eb0327fe576636b3c89ca9263e13196d  set pi1 --fn fixtures/wide12_pi1.fn --format text
 5954b1870965f2618a9b8772e0ec3b103bfec93e980feef345f7c0cf4c3a6deb  set pi1 --fn fixtures/wide12_pi1.fn --format dot
 316ecc61a6a49bb6799980b67fba16085bda21bfec6cf38aee5ecfebda942f4c  set pi1 --fn fixtures/wide12_pi1.fn --format interchange
-# the size-3 finite-set skeleton, canonical and read by name (comp lines
-# first, a comment on every line)
+# the size-3 finite-set skeleton, canonical and in two other line orders,
+# each read once: comp lines first with a comment on every line
+# (byname.cat), and one mor line moved to the end (latemor.cat)
 852201d4148f0f0b0030b455684fd0f3d57902fec5ada2dc6ae579b5dcce16fa  cat analyze ambient.cat --morphism 3>2:010
 852201d4148f0f0b0030b455684fd0f3d57902fec5ada2dc6ae579b5dcce16fa  cat analyze byname.cat --morphism 3>2:010
+852201d4148f0f0b0030b455684fd0f3d57902fec5ada2dc6ae579b5dcce16fa  cat analyze latemor.cat --morphism 3>2:010
 11ac0629716ccfcf50451acd992865dbb3a9ec649e6abcadcfb8b5fd28585a0d  cat validate ambient.cat
 11ac0629716ccfcf50451acd992865dbb3a9ec649e6abcadcfb8b5fd28585a0d  cat validate byname.cat
+11ac0629716ccfcf50451acd992865dbb3a9ec649e6abcadcfb8b5fd28585a0d  cat validate latemor.cat
 9dc603b04bbdd3e57e7acd016c9a9f3c2b84c7ad2ca015c3511edf38702469f5  cat analyze ambient.cat --morphism 3>2:010 --format dot
 d34f275d02dd147d8859f7bfeebc1ae8826d807f1c1a3c889766d2e6ac4f17f2  cat analyze ambient.cat --morphism 3>2:010 --format interchange
 289e5dd1f6c8bf873a55a649529a598e92047aebf5a71063bf8ec3a647d2b9ec  cat pi1 ambient.cat --object 3 --format interchange
@@ -100,11 +103,14 @@ def argv_of(tmp_path_factory):
     built here, and fixtures are resolved against the repo."""
     tmp = tmp_path_factory.mktemp("pins")
     ambient = fincat.serialize_category(setcat.finset_ambient(3))
-    comp_first = sorted(ambient.splitlines(), key=lambda line: not line.startswith("comp "))
+    lines = ambient.splitlines()
+    comp_first = sorted(lines, key=lambda line: not line.startswith("comp "))
+    mor = next(line for line in lines if line.startswith("mor "))
     rng, ys = random.Random(76), ("y0", "y1", "y2")
     texts = {
         "ambient.cat": ambient,
         "byname.cat": "".join(f"{line}  # note\n" for line in comp_first),
+        "latemor.cat": "".join(f"{line}\n" for line in lines if line != mor) + f"{mor}\n",
         "z12.cat": fincat.serialize_category(gen.cyclic_group_category(12)),
         "twins.cat": fincat.serialize_category(gen.product_category(setcat.finset_ambient(2), gen.walking_isomorphism())),
         "left8.og": og.serialize_open_graph(gen.random_open_graph(rng, ("x0", "x1"), ys, edge_prob=0.25)),

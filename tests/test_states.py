@@ -82,6 +82,27 @@ class TestObstructions:
             assert len(sep) == 1 + (2**m - 1) * (2**n - 1)
 
 
+class TestZeroDimensionalFactor:
+    """A factor of dimension 0 has the one state zero, so the 2^n pairs of
+    states at dims (0, n) or (n, 0) all tensor to the one state of the
+    0-dimensional tensor: pi0 is one point, and the minimal pi1
+    obstructions are the 2^n (2^n - 1) ordered pairs of distinct pairs."""
+
+    @pytest.mark.parametrize("n", range(7))
+    def test_closed_forms(self, n):
+        pairs = 2**n * (2**n - 1)
+        # the full powerset up to the cap (4 kernel pairs at n = 1: the
+        # basepoint and the 2^4 - 2^2 subsets not inside the diagonal), past
+        # it the basepoint and the minimal layer
+        elements = 13 if n == 1 else 1 + pairs
+        for dims in ((0, n), (n, 0)):
+            p0, p1 = states.obstructions(GF2, *dims)
+            assert (p0.invariant.poset.elements, p0.trivial) == (("{}",), True)
+            assert len(p1.minimal) == pairs
+            assert len(p1.invariant.poset.elements) == elements
+            assert p1.trivial == (n == 0)
+
+
 def star_oracle(left, right, tensor, targets):
     """The pair-built summary past the cap, from brute-force tensoring of
     every input pair: pi0 is the basepoint {} below each state that no pair
