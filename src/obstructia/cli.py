@@ -13,7 +13,9 @@ from __future__ import annotations
 import argparse
 import sys
 
-from . import fincat, homotopy, opengraph, order, setcat, states
+# The set, opengraph and states engines load in the commands that run them,
+# so a cat command compiles and runs none of them.
+from . import fincat, homotopy, order
 from .errors import EngineError, ParseError
 
 
@@ -79,6 +81,8 @@ def _cmd_cat_check_terminal(args, out):
 
 
 def _cmd_set_pi(args, out, i: int):
+    from . import setcat
+
     name, f = setcat.parse_function(_read(args.fn))
     report = setcat.pi0_function(f) if i == 0 else setcat.pi1_function(f)
     out.write(f"function: {name}\n")
@@ -90,6 +94,8 @@ def _cmd_set_pi(args, out, i: int):
 
 
 def _cmd_og_compose(args, out):
+    from . import opengraph
+
     g = opengraph.parse_open_graph(_read(args.left))
     h = opengraph.parse_open_graph(_read(args.right))
     gh = opengraph.compose(g, h)
@@ -101,6 +107,8 @@ def _cmd_og_compose(args, out):
 
 
 def _cmd_og_reach(args, out):
+    from . import opengraph
+
     g = opengraph.parse_open_graph(_read(args.graph))
     if args.format == "dot":
         out.write(opengraph.open_graph_dot(g))
@@ -110,6 +118,8 @@ def _cmd_og_reach(args, out):
 
 
 def _cmd_og_obstruct(args, out):
+    from . import opengraph
+
     g = opengraph.parse_open_graph(_read(args.left))
     h = opengraph.parse_open_graph(_read(args.right))
     rg, rh = opengraph.reach(g), opengraph.reach(h)
@@ -128,6 +138,8 @@ def _cmd_og_obstruct(args, out):
 
 
 def _cmd_og_act(args, out):
+    from . import opengraph
+
     g = opengraph.parse_open_graph(_read(args.source))
     g2 = opengraph.parse_open_graph(_read(args.target))
     hom = opengraph.parse_graph_hom(_read(args.hom), g, g2)
@@ -171,6 +183,8 @@ def _parse_matrix(text: str) -> tuple:
 
 
 def _states_objects(args):
+    from . import states
+
     if args.context == "cartesian":
         if not args.sets:
             raise ParseError("cartesian context needs --sets")
@@ -181,6 +195,8 @@ def _states_objects(args):
 
 
 def _cmd_states_obstruct(args, out):
+    from . import states
+
     ctx, a, b = _states_objects(args)
     p0, p1 = states.obstructions(ctx, a, b)
     sep = states.separable_states(ctx, a, b)
@@ -193,15 +209,17 @@ def _cmd_states_obstruct(args, out):
 
 
 def _cmd_states_local_act(args, out):
+    from . import setcat, states
+
     ctx, a, b = _states_objects(args)
     if ctx.kind == "cartesian":
-        if not (args.target_sets and args.fmap and args.gmap):
+        if None in (args.target_sets, args.fmap, args.gmap):
             raise ParseError("cartesian local action needs --target-sets, --fmap, --gmap")
         a2, b2 = _parse_sets(args.target_sets)
         f = setcat.FiniteFunction(a, a2, setcat.parse_assignments(args.fmap))
         g = setcat.FiniteFunction(b, b2, setcat.parse_assignments(args.gmap))
     else:
-        if not (args.fmat and args.gmat):
+        if None in (args.fmat, args.gmat):
             raise ParseError("gf2 local action needs --fmat and --gmat")
         f = _parse_matrix(args.fmat)
         g = _parse_matrix(args.gmat)

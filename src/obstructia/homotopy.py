@@ -25,7 +25,6 @@ row generator, one ``str.join`` per element's row.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from itertools import chain, compress, islice, repeat
 from operator import and_, eq, rshift
@@ -373,6 +372,8 @@ def write_report(r: ObstructionReport, fmt: str, out) -> None:
         nodes = "".join(f"  {e} [shape={'doublecircle' if i == b else 'ellipse'}];\n" for i, e in enumerate(q))
         parts = (("digraph hasse {\n  rankdir=BT;\n" + nodes,), _rows(q, cov, "  ", " -> ", ";\n", ";\n"), ("}\n",))
     elif fmt == "interchange":
+        import json  # here only, so text and DOT runs never load it
+
         enc = [json.dumps(e) for e in p.elements]
         low = [json.dumps(e) for e in sorted(r.minimal)]
         pair = ("\n    [\n      ", ",\n      ", "\n    ],", "\n    ]", ",")  # a list of [name, name] at depth 1

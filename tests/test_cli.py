@@ -1,11 +1,14 @@
 import io
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import obstructia
 import oracles
 from obstructia import cli, fincat, opengraph, setcat, states
 from obstructia.errors import ParseError
@@ -239,6 +242,16 @@ class TestStates:
         assert code == 0
         assert "trivialised: 0 of 0" in text
 
+    @pytest.mark.parametrize("flags", [
+        ("--context", "cartesian", "--sets", "|b", "--target-sets", "|c", "--fmap", "", "--gmap", "b=>c"),
+        ("--context", "gf2", "--dims", "0,1", "--fmat", "", "--gmat", "1"),
+    ], ids=["cartesian", "gf2"])
+    def test_local_act_empty_flag_is_given(self, flags):
+        # an empty map or matrix is given, and reads as its blank spelling does
+        blank = tuple(" " if f == "" else f for f in flags)
+        assert run("states", "local-act", *flags) == run("states", "local-act", *blank)
+        assert run("states", "local-act", *flags) == (0, "obstruction flow (0):\ntrivialised: 0 of 0\nbasepoint preserved: yes\n")
+
     def test_local_act_repeated_source_refused(self, capsys):
         code, text = run(
             "states", "local-act", "--context", "cartesian", "--sets", "a,b|c",
@@ -298,6 +311,44 @@ class TestStates:
         line = states.lax_context(states.StateContext("cartesian"), a, b)
         assert line.startswith("sets (") and line.endswith(")")
         assert cli._parse_sets(line[len("sets (") : -1]) == (a, b)
+
+
+SRC = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src")
+CAT_ENGINE = {"obstructia", "obstructia.cli", "obstructia.errors", "obstructia.fincat", "obstructia.homotopy", "obstructia.order"}
+
+
+def loaded_after(code):
+    """The obstructia modules a fresh interpreter holds after running code."""
+    probe = code + "\nimport sys\nprint(*(m for m in sys.modules if m.partition('.')[0] == 'obstructia'))"
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, env={**os.environ, "PYTHONPATH": SRC})
+    assert (proc.returncode, proc.stderr) == (0, "")
+    return set(proc.stdout.split())
+
+
+class TestLoadSet:
+    """A command loads the engine it runs and no other module."""
+
+    def test_import_loads_no_submodule(self):
+        assert loaded_after("import obstructia") == {"obstructia"}
+
+    @pytest.mark.parametrize("argv, adds", [
+        (("cat", "validate", fx("z2.cat")), ()),
+        (("cat", "analyze", fx("walking_arrow.cat"), "--morphism", "a", "--format", "interchange"), ()),
+        (("set", "pi0", "--fn", fx("missing_two.fn")), ("setcat",)),
+        (("opengraph", "reach", fx("G.og")), ("opengraph",)),
+        (("states", "obstruct", "--context", "gf2", "--dims", "1,1"), ("setcat", "states")),
+    ], ids=["cat validate", "cat analyze", "set", "opengraph", "states"])
+    def test_a_command_loads_its_engine(self, argv, adds):
+        script = f"import io\nfrom obstructia import cli\nassert cli.run({list(argv)!r}, io.StringIO()) == 0"
+        assert loaded_after(script) == CAT_ENGINE | {f"obstructia.{m}" for m in adds}
+
+    @pytest.mark.parametrize("reach", [
+        "import obstructia\nmods = [getattr(obstructia, n) for n in obstructia.__all__]",
+        "from obstructia import *\nimport obstructia\nmods = [globals()[n] for n in obstructia.__all__]",
+    ], ids=["attribute", "star"])
+    def test_every_module_in_all_is_reached(self, reach):
+        check = "\nassert [m.__name__ for m in mods] == ['obstructia.' + n for n in obstructia.__all__]"
+        assert loaded_after(reach + check) == {"obstructia"} | {f"obstructia.{n}" for n in obstructia.__all__}
 
 
 # Every file-reading command, with the file that gets a stray byte.
