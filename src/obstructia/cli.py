@@ -153,14 +153,14 @@ def _cmd_og_act(args, out):
 # -- states -----------------------------------------------------------------------
 
 
-def _parse_sets(text: str) -> tuple[tuple[str, ...], tuple[str, ...]]:
+def _parse_sets(text: str, flag: str) -> tuple[tuple[str, ...], tuple[str, ...]]:
     try:
         left, right = text.split("|", 1)
     except ValueError:
-        raise ParseError("--sets wants 'a,b|c,d'")
+        raise ParseError(f"{flag} wants 'a,b|c,d'")
     a, b = (tuple(x.strip() for x in side.split(",")) if side.strip() else () for side in (left, right))
     if "" in a + b:
-        raise ParseError(f"--sets has an empty item in {text!r}")
+        raise ParseError(f"{flag} has an empty item in {text!r}")
     return a, b
 
 
@@ -186,10 +186,10 @@ def _states_objects(args):
     from . import states
 
     if args.context == "cartesian":
-        if not args.sets:
+        if args.sets is None:
             raise ParseError("cartesian context needs --sets")
-        return states.StateContext("cartesian"), *_parse_sets(args.sets)
-    if not args.dims:
+        return states.StateContext("cartesian"), *_parse_sets(args.sets, "--sets")
+    if args.dims is None:
         raise ParseError("gf2 context needs --dims")
     return states.StateContext("gf2"), *_parse_dims(args.dims)
 
@@ -215,7 +215,7 @@ def _cmd_states_local_act(args, out):
     if ctx.kind == "cartesian":
         if None in (args.target_sets, args.fmap, args.gmap):
             raise ParseError("cartesian local action needs --target-sets, --fmap, --gmap")
-        a2, b2 = _parse_sets(args.target_sets)
+        a2, b2 = _parse_sets(args.target_sets, "--target-sets")
         f = setcat.FiniteFunction(a, a2, setcat.parse_assignments(args.fmap))
         g = setcat.FiniteFunction(b, b2, setcat.parse_assignments(args.gmap))
     else:

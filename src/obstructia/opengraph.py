@@ -149,11 +149,6 @@ def compose_rel(r: Relation, s: Relation) -> Relation:
     return Relation(r.dom_set, s.cod_set, pairs)
 
 
-def identity_graph(boundary: tuple[str, ...]) -> OpenGraph:
-    legs = {x: x for x in boundary}
-    return OpenGraph(tuple(boundary), tuple(boundary), tuple(boundary), frozenset(), dict(legs), dict(legs))
-
-
 # -- gluing composition ----------------------------------------------------------
 
 

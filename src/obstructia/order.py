@@ -14,7 +14,7 @@ only: one routine reflects a preorder given by down-sets, which come from a
 category's morphisms or straight from the parallel arrows behind pi1.
 Chaining them is how the homotopy invariants are computed; everything else
 here is supporting machinery: lower sets, transitive reduction (``covers``),
-pointed-isomorphism search and DOT string quoting.  Reports, Hasse diagrams
+pointed and monotone maps, and DOT string quoting.  Reports, Hasse diagrams
 included, are written by ``homotopy.write_report``.
 
 ``from_masks`` validates every poset built here.  The one trusted
@@ -325,79 +325,6 @@ def covers(p: Poset) -> tuple[int, ...]:
         return p.cover_masks
     strict_up = [u & ~(1 << i) for i, u in enumerate(p.up)]
     return tuple(su & ~_union(strict_up, su) for su in strict_up)
-
-
-def hasse(p: Poset) -> tuple[tuple[str, str], ...]:
-    """The cover pairs, sorted."""
-    e = p.elements
-    return tuple((e[i], e[j]) for i, m in enumerate(covers(p)) for j in _bits(m))
-
-
-# -- pointed order isomorphism search ---------------------------------------
-
-
-def _signatures(p: Poset) -> list[tuple[int, int]]:
-    return [(d.bit_count(), u.bit_count()) for d, u in zip(p.down_masks, p.up)]
-
-
-def iso_pointed(pp1: PointedPoset, pp2: PointedPoset) -> Optional[PointedMap]:
-    """Search for a basepoint-preserving order isomorphism.
-
-    Backtracking over elements grouped by (down-set size, up-set size)
-    signatures.  Signatures and the size test are popcounts of the masks, so
-    grouping costs a few word operations per element; the search branches
-    only among elements that share a signature.  Returns None when no
-    isomorphism exists.
-    """
-    p1, p2 = pp1.poset, pp2.poset
-    if len(p1.elements) != len(p2.elements):
-        return None
-    if sum(u.bit_count() for u in p1.up) != sum(u.bit_count() for u in p2.up):
-        return None
-    b1, b2 = p1.index[pp1.basepoint], p2.index[pp2.basepoint]
-    sig1, sig2 = _signatures(p1), _signatures(p2)
-    if sig1[b1] != sig2[b2]:
-        return None
-
-    by_sig: dict[tuple[int, int], list[int]] = {}
-    for j, s in enumerate(sig2):
-        by_sig.setdefault(s, []).append(j)
-    candidates: list[list[int]] = []
-    for i, s in enumerate(sig1):
-        cs = [b2] if i == b1 else [j for j in by_sig.get(s, []) if j != b2]
-        if not cs:
-            return None
-        candidates.append(cs)
-
-    order = sorted(range(len(sig1)), key=lambda i: (len(candidates[i]), i))
-    assignment: dict[int, int] = {}
-    used: set = set()
-
-    def consistent(i: int, j: int) -> bool:
-        u1, u2 = p1.up, p2.up
-        for i2, j2 in assignment.items():
-            if u1[i] >> i2 & 1 != u2[j] >> j2 & 1 or u1[i2] >> i & 1 != u2[j2] >> j & 1:
-                return False
-        return True
-
-    def backtrack(k: int) -> bool:
-        if k == len(order):
-            return True
-        i = order[k]
-        for j in candidates[i]:
-            if j in used or not consistent(i, j):
-                continue
-            assignment[i] = j
-            used.add(j)
-            if backtrack(k + 1):
-                return True
-            del assignment[i]
-            used.remove(j)
-        return False
-
-    if not backtrack(0):
-        return None
-    return make_pointed(pp1, pp2, {p1.elements[i]: p2.elements[j] for i, j in assignment.items()})
 
 
 # -- DOT string literals ---------------------------------------------------

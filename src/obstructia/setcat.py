@@ -1,25 +1,18 @@
 """Finite-Set specialisations.
 
-Two things live here: a finite skeleton of the category of sets (one set
-per cardinality, all functions) so the generic engine has an ambient to run
-in, and the powerset fast paths that read off the homotopy posets of a
-function directly: obstructions to surjectivity are subsets meeting the
-complement of the image, obstructions to injectivity are subsets of the
-kernel pair meeting its off-diagonal part.  Both are powerset reports,
-bounded by ``homotopy.POWERSET_CAP`` generators.
+The powerset fast paths read off the homotopy posets of a function
+directly: obstructions to surjectivity are subsets meeting the complement
+of the image, obstructions to injectivity are subsets of the kernel pair
+meeting its off-diagonal part.  Both are powerset reports, bounded by
+``homotopy.POWERSET_CAP`` generators.
 """
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
-from itertools import product
 
 from . import fincat, homotopy
-from .errors import CapExceeded, OracleMismatch, ParseError
-
-# Largest cardinality the ambient skeleton is built for.
-AMBIENT_MAX_K = 4
+from .errors import OracleMismatch, ParseError
 
 
 @dataclass(frozen=True)
@@ -88,55 +81,6 @@ def kernel_pair(f: FiniteFunction) -> KernelPair:
     for x in f.dom_set:
         fibres.setdefault(f.mapping[x], []).append(x)
     return KernelPair(frozenset((x0, x1) for fibre in fibres.values() for x0 in fibre for x1 in fibre))
-
-
-# -- the ambient skeleton ----------------------------------------------------
-
-def ambient_object(n: int) -> str:
-    return str(n)
-
-
-def ambient_fn_name(m: int, n: int, images: tuple[int, ...]) -> str:
-    return f"{m}>{n}:" + "".join(str(i) for i in images)
-
-
-def finset_ambient(k: int) -> fincat.FinCat:
-    """Skeleton with one set per cardinality 0..k and every function between
-    them, law-checked like any other category (at k = 4, 499 morphisms
-    and 133,799 composition entries)."""
-    if k < 0 or k > AMBIENT_MAX_K:
-        raise CapExceeded(f"ambient cardinality bound {k} outside 0..{AMBIENT_MAX_K}")
-    return _finset_ambient(k)
-
-
-@functools.cache
-def _finset_ambient(k: int) -> fincat.FinCat:
-    objects = [ambient_object(n) for n in range(k + 1)]
-    morphisms = []
-    fn_of: dict[str, tuple[int, int, tuple[int, ...]]] = {}
-    for m in range(k + 1):
-        for n in range(k + 1):
-            for images in product(range(n), repeat=m):
-                name = ambient_fn_name(m, n, images)
-                morphisms.append((name, ambient_object(m), ambient_object(n)))
-                fn_of[name] = (m, n, images)
-    identity = {ambient_object(n): ambient_fn_name(n, n, tuple(range(n))) for n in range(k + 1)}
-    comp = {}
-    for f, (m, n, fi) in fn_of.items():
-        for g, (n2, p, gi) in fn_of.items():
-            if n == n2:
-                comp[(f, g)] = ambient_fn_name(m, p, tuple(gi[i] for i in fi))
-    return fincat.validate_category(objects, morphisms, identity, comp)
-
-
-def embed_function(f: FiniteFunction) -> tuple[str, str]:
-    """Name of f as a morphism of the ambient skeleton, together with the
-    ambient object standing for its codomain.  Elements are matched to
-    0..n-1 in sorted order."""
-    cod_index = {y: j for j, y in enumerate(f.cod_set)}
-    m, n = len(f.dom_set), len(f.cod_set)
-    images = tuple(cod_index[f.mapping[x]] for x in f.dom_set)
-    return ambient_fn_name(m, n, images), ambient_object(n)
 
 
 # -- powerset fast paths -------------------------------------------------------

@@ -130,15 +130,6 @@ def separable_states(ctx: StateContext, a, b) -> frozenset:
     return laxator(ctx, a, b).image()
 
 
-def oplaxator_cartesian(ctx: StateContext, a, b) -> setcat.FiniteFunction:
-    """Componentwise projections; a two-sided inverse of the laxator.  Only
-    the cartesian context is semicartesian here, anything else refuses."""
-    if ctx.kind != "cartesian":
-        raise WrongContext("oplaxator requires the cartesian context")
-    lax = laxator(ctx, a, b)
-    return setcat.FiniteFunction(lax.cod_set, lax.dom_set, {p: p for p in lax.cod_set})
-
-
 # -- obstruction reports ---------------------------------------------------------
 
 

@@ -1,5 +1,6 @@
 """Seeded generators for random categories, functors, natural
-transformations and open graphs.
+transformations and open graphs, and the finite skeleton of the category
+of sets that the finite-set fast paths are checked against.
 
 Validity by construction: free categories on acyclic multigraphs, known
 monoid/group tables, free (co)terminal extensions, disjoint unions,
@@ -7,10 +8,13 @@ products and opposites.  Every generated value still goes through the
 exhaustive validators, so a generator bug cannot silently leak.
 """
 
+import functools
 from dataclasses import dataclass
+from itertools import product
 
 import oracles
-from obstructia import fincat, opengraph, order
+from obstructia import fincat, homotopy, opengraph, order, setcat
+from obstructia.errors import CapExceeded
 
 # -- building blocks -------------------------------------------------------
 
@@ -194,6 +198,87 @@ def thin_category(p: order.Poset) -> fincat.FinCat:
             if (b, c) in p.leq:
                 comp[(name[(a, b)], name[(b, c)])] = name[(a, c)]
     return fincat.validate_category(objects, morphisms, identity, comp)
+
+
+# -- the finite-set skeleton -------------------------------------------------
+
+# Largest cardinality the ambient skeleton is built for.
+AMBIENT_MAX_K = 4
+
+
+def ambient_object(n: int) -> str:
+    return str(n)
+
+
+def ambient_fn_name(m: int, n: int, images: tuple[int, ...]) -> str:
+    return f"{m}>{n}:" + "".join(str(i) for i in images)
+
+
+def finset_ambient(k: int) -> fincat.FinCat:
+    """Skeleton with one set per cardinality 0..k and every function between
+    them, law-checked like any other category (at k = 4, 499 morphisms
+    and 133,799 composition entries)."""
+    if k < 0 or k > AMBIENT_MAX_K:
+        raise CapExceeded(f"ambient cardinality bound {k} outside 0..{AMBIENT_MAX_K}")
+    return _finset_ambient(k)
+
+
+@functools.cache
+def _finset_ambient(k: int) -> fincat.FinCat:
+    objects = [ambient_object(n) for n in range(k + 1)]
+    morphisms = []
+    fn_of: dict[str, tuple[int, int, tuple[int, ...]]] = {}
+    for m in range(k + 1):
+        for n in range(k + 1):
+            for images in product(range(n), repeat=m):
+                name = ambient_fn_name(m, n, images)
+                morphisms.append((name, ambient_object(m), ambient_object(n)))
+                fn_of[name] = (m, n, images)
+    identity = {ambient_object(n): ambient_fn_name(n, n, tuple(range(n))) for n in range(k + 1)}
+    comp = {}
+    for f, (m, n, fi) in fn_of.items():
+        for g, (n2, p, gi) in fn_of.items():
+            if n == n2:
+                comp[(f, g)] = ambient_fn_name(m, p, tuple(gi[i] for i in fi))
+    return fincat.validate_category(objects, morphisms, identity, comp)
+
+
+def embed_function(f: setcat.FiniteFunction) -> tuple[str, str]:
+    """Name of f as a morphism of the ambient skeleton, together with the
+    ambient object standing for its codomain.  Elements are matched to
+    0..n-1 in sorted order."""
+    cod_index = {y: j for j, y in enumerate(f.cod_set)}
+    m, n = len(f.dom_set), len(f.cod_set)
+    images = tuple(cod_index[f.mapping[x]] for x in f.dom_set)
+    return ambient_fn_name(m, n, images), ambient_object(n)
+
+
+def _images(g: str) -> str:
+    """The image digits of an ambient morphism, one per domain element."""
+    return g.split(":", 1)[1]
+
+
+def ambient_pi0_map(generic: homotopy.ObstructionReport) -> dict[str, str]:
+    """pi0 of a slice of the ambient, its classes named by ambient
+    morphisms g, to the powerset report of ``setcat.pi0_function``: the
+    class of g goes to im g, the basepoint to the basepoint."""
+    bp = generic.invariant.basepoint
+    return {e: "{}" if e == bp else homotopy.subset_name(set(_images(e))) for e in generic.invariant.poset.elements}
+
+
+def ambient_pi1_map(generic: homotopy.ObstructionReport, sl, mor: str) -> dict[str, str]:
+    """pi1 of the slice sl of the ambient at mor to the powerset report of
+    ``setcat.pi1_function``: the class of a pair (h0, h1) of slice
+    morphisms goes to the set of its pairs (h0(i), h1(i)), read off the
+    ambient morphisms that sl's projection sends h0 and h1 to."""
+    pairs, _ = fincat._enumerate(sl.cat, mor, 2)
+    bp = generic.invariant.basepoint
+    out = {bp: "{}"}
+    for e in generic.invariant.poset.elements:
+        if e != bp:
+            h0, h1 = (_images(sl.projection.mor_map[h]) for h in pairs[e])
+            out[e] = homotopy.subset_name({fincat.pair_name(a, b) for a, b in zip(h0, h1)})
+    return out
 
 
 # -- random categories ------------------------------------------------------
@@ -410,7 +495,12 @@ def _search_nat_trans(rng, f, g, cap=400):
     return None
 
 
-# -- random open graphs ------------------------------------------------------------
+# -- open graphs -------------------------------------------------------------------
+
+
+def identity_graph(boundary: tuple[str, ...]) -> opengraph.OpenGraph:
+    legs = {x: x for x in boundary}
+    return opengraph.OpenGraph(tuple(boundary), tuple(boundary), tuple(boundary), frozenset(), dict(legs), dict(legs))
 
 
 def random_open_graph(rng, inputs, outputs, max_inner=3, edge_prob=0.4) -> opengraph.OpenGraph:

@@ -627,6 +627,18 @@ def make_monotone(source, target, mapping):
     return m
 
 
+def pointed_iso(src, dst, mapping):
+    """Check that mapping is an isomorphism of pointed posets: a pointed
+    map (``order.make_pointed``) that is a bijection and whose inverse is
+    a pointed map too."""
+    there = order.make_pointed(src, dst, mapping)
+    inverse = {v: k for k, v in there.mapping.items()}
+    if not len(inverse) == len(there.mapping) == len(src.poset.elements) == len(dst.poset.elements):
+        raise InvalidMap("not a bijection")
+    order.make_pointed(dst, src, inverse)
+    return there
+
+
 def lower_closure(elements, leq, s):
     wanted = set(s)
     for e in wanted:
@@ -677,6 +689,13 @@ def hasse(elements, leq):
             if not any(b in strict_up[c] for c in ups):
                 covers.append((a, b))
     return tuple(sorted(covers))
+
+
+def cover_pairs(p):
+    """The engine's covers of p (``order.covers``) as sorted name pairs, to
+    hold against ``hasse``."""
+    e = p.elements
+    return tuple((e[i], e[j]) for i, m in enumerate(order.covers(p)) for j in order._bits(m))
 
 
 def powerset_members(universe, collapsed=()):
@@ -756,7 +775,7 @@ def report_to_dict(r):
         "elements": list(p.elements),
         "element_count": len(p.elements),
         "leq": [list(pair) for pair in sorted(p.leq)],
-        "covers": [list(pair) for pair in order.hasse(p)],
+        "covers": [list(pair) for pair in cover_pairs(p)],
         "minimal": sorted(r.minimal),
         "trivial": r.trivial,
     }

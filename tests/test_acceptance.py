@@ -18,7 +18,7 @@ import gen
 import oracles
 from conftest import base_seed
 from obstructia import cli, fincat, homotopy, opengraph, order, setcat, states
-from obstructia.errors import CapExceeded, SizeCapExceeded
+from obstructia.errors import SizeCapExceeded
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "..", "fixtures")
 
@@ -81,7 +81,7 @@ def test_criterion_01_pi0_diagram():
         _, f = setcat.parse_function(Path(fx("missing_two.fn")).read_text(encoding="utf-8"))
         r = setcat.pi0_function(f)
         assert set(r.invariant.poset.elements) == EXPECTED_PI0_ELEMENTS
-        assert set(order.hasse(r.invariant.poset)) == EXPECTED_PI0_COVERS
+        assert set(oracles.cover_pairs(r.invariant.poset)) == EXPECTED_PI0_COVERS
         assert len(EXPECTED_PI0_COVERS) == 22
         assert r.minimal == {"{2}", "{3}"}
         text = _run_cli("set", "pi0", "--fn", fx("missing_two.fn"))
@@ -99,7 +99,7 @@ def test_criterion_02_pi1_diagram():
         assert set(r.invariant.poset.elements) == EXPECTED_PI1_ELEMENTS
         assert r.minimal == {"{(0,1)}", "{(1,0)}"}
         # inclusion order over the kernel-pair subsets, 22 covers
-        assert len(order.hasse(r.invariant.poset)) == 22
+        assert len(oracles.cover_pairs(r.invariant.poset)) == 22
         text = _run_cli("set", "pi1", "--fn", fx("fold_pair.fn"))
         assert "elements (13)" in text
 
@@ -119,29 +119,30 @@ def test_criterion_03_oracle_equivalence():
                         tuple(str(j) for j in range(n)),
                         {str(i): str(images[i]) for i in range(m)},
                     )
-                    mor, yobj = setcat.embed_function(f)
+                    mor, yobj = gen.embed_function(f)
 
-                    amb = setcat.finset_ambient(max(m, n))
+                    amb = gen.finset_ambient(max(m, n))
                     sl = oracles.slice_category(amb, yobj)
                     generic0 = homotopy.pi0(sl.cat, mor)
                     fast0 = setcat.pi0_function(f)
-                    assert order.iso_pointed(generic0.invariant, fast0.invariant) is not None
+                    oracles.pointed_iso(generic0.invariant, fast0.invariant, gen.ambient_pi0_map(generic0))
                     pi0_iso += 1
 
                     k1 = max(m, n, len(setcat.kernel_pair(f).pairs))
+                    if k1 > gen.AMBIENT_MAX_K:
+                        assert not f.is_injective()
+                        pi1_ambient += 1
+                        continue
                     try:
-                        amb1 = setcat.finset_ambient(k1)
-                        sl1 = oracles.slice_category(amb1, yobj)
+                        sl1 = oracles.slice_category(gen.finset_ambient(k1), yobj)
                         generic1 = homotopy.pi1(sl1.cat, mor)
-                        fast1 = setcat.pi1_function(f)
-                        assert order.iso_pointed(generic1.invariant, fast1.invariant) is not None
-                        pi1_iso += 1
                     except SizeCapExceeded:
                         assert not f.is_injective()
                         pi1_guarded += 1
-                    except CapExceeded:
-                        assert k1 > 4 and not f.is_injective()
-                        pi1_ambient += 1
+                        continue
+                    fast1 = setcat.pi1_function(f)
+                    oracles.pointed_iso(generic1.invariant, fast1.invariant, gen.ambient_pi1_map(generic1, sl1, mor))
+                    pi1_iso += 1
         elapsed = time.perf_counter() - start
         assert n_fn == 60 and pi0_iso == 60
         # pi1 matches exactly wherever the sufficient ambient fits the

@@ -289,6 +289,24 @@ class TestStates:
         assert code == 0
         assert "states of tensor: 0" in text
 
+    def test_target_sets_named_in_its_error(self, capsys):
+        code, text = run(
+            "states", "local-act", "--context", "cartesian", "--sets", "a|b",
+            "--target-sets", "c", "--fmap", "a=>c", "--gmap", "b=>d",
+        )
+        assert (code, text) == (1, "")
+        assert capsys.readouterr().err == "error ParseError: --target-sets wants 'a,b|c,d'\n"
+
+    @pytest.mark.parametrize("flags, message", [
+        (("--context", "cartesian", "--sets"), "--sets wants 'a,b|c,d'"),
+        (("--context", "gf2", "--dims"), "--dims wants 'm,n'"),
+    ], ids=["sets", "dims"])
+    def test_empty_objects_flag_is_given(self, capsys, flags, message):
+        # an empty --sets or --dims is given, and is refused as its blank spelling is
+        for value in ("", " "):
+            assert run("states", "obstruct", *flags, value) == (1, "")
+            assert capsys.readouterr().err == f"error ParseError: {message}\n"
+
     def test_missing_args(self, capsys):
         code, _ = run("states", "obstruct", "--context", "gf2")
         assert code == 1
@@ -304,13 +322,13 @@ class TestStates:
         either refused, or stripped non-empty labels that read back from
         the context line of their reports."""
         try:
-            a, b = cli._parse_sets(text)
+            a, b = cli._parse_sets(text, "--sets")
         except ParseError:
             return
         assert all(x and x == x.strip() for x in a + b)
         line = states.lax_context(states.StateContext("cartesian"), a, b)
         assert line.startswith("sets (") and line.endswith(")")
-        assert cli._parse_sets(line[len("sets (") : -1]) == (a, b)
+        assert cli._parse_sets(line[len("sets (") : -1], "--sets") == (a, b)
 
 
 SRC = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src")

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 import gen
 import oracles
-from obstructia import fincat, homotopy, setcat
+from obstructia import fincat, homotopy
 from obstructia.errors import (
     BadCompositionTyping,
     DanglingReference,
@@ -429,7 +429,7 @@ class TestTextFormat:
         """The size-3 ambient in four line orders reads as the canonical
         file does, without a second reading by name: every route that names
         what is wrong with a file fails here."""
-        text = fincat.serialize_category(setcat.finset_ambient(3))
+        text = fincat.serialize_category(gen.finset_ambient(3))
         canonical = fincat.parse_category(text)
         lines = text.splitlines()
         mor = next(line for line in lines if line.startswith("mor "))
@@ -502,7 +502,7 @@ class TestOpposite:
 
 class TestRowsAreTheTable:
     def test_classify_path_never_builds_the_name_table(self):
-        c = fincat.parse_category(fincat.serialize_category(setcat.finset_ambient(3)))
+        c = fincat.parse_category(fincat.serialize_category(gen.finset_ambient(3)))
         for m in c.morphisms:
             homotopy.analyze_morphism(c, m.name)
         for x in c.objects:
@@ -662,9 +662,9 @@ def iso_rich_categories():
         "V4": gen.klein_four_category(),
         "Z/2+Z/3": gen.two_component_groupoid(),
         "Z/2xZ/3": gen.product_category(gen.cyclic_group_category(2), gen.cyclic_group_category(3, "o")),
-        "FinSet3": setcat.finset_ambient(3),
+        "FinSet3": gen.finset_ambient(3),
         "iso": gen.walking_isomorphism(),
-        "FinSet2xiso": gen.product_category(setcat.finset_ambient(2), gen.walking_isomorphism()),
+        "FinSet2xiso": gen.product_category(gen.finset_ambient(2), gen.walking_isomorphism()),
         "idempotent": gen.idempotent_monoid_category(),
         "flipflop": gen.flipflop_monoid_category(),
         "retract": gen.retraction_category(),
@@ -726,7 +726,7 @@ class TestIsos:
 def reversed_finset(k):
     """finset_ambient(k) with its objects renamed so that their name order
     is the reverse of their size order: the largest set sorts first."""
-    c = setcat.finset_ambient(k)
+    c = gen.finset_ambient(k)
     new = {m.name: m.name for m in c.morphisms} | {x: chr(ord("z") - int(x)) for x in c.objects}
     return gen.renamed(c, new)
 
@@ -741,7 +741,7 @@ class TestSplitEpis:
         retract = gen.retraction_category()
         assert {retract.morphisms[i].name for i in retract.split_epis} == {"ida", "idb", "r"}
         # among finite sets the split epis are the surjections
-        finset = setcat.finset_ambient(3)
+        finset = gen.finset_ambient(3)
         surjective = {m.name for m in finset.morphisms
                       if set(m.name.split(":")[1]) == {str(i) for i in range(int(m.cod))}}
         assert {finset.morphisms[i].name for i in finset.split_epis} == surjective

@@ -242,9 +242,9 @@ class TestCompose:
         assert len(merged) == 3
 
     def test_identity_composite_isomorphic(self, G):
-        ident = og.identity_graph(("1", "2", "3"))
+        ident = gen.identity_graph(("1", "2", "3"))
         assert oracles.open_graph_iso(og.compose(G, ident), G)
-        left_ident = og.identity_graph(("1",))
+        left_ident = gen.identity_graph(("1",))
         assert oracles.open_graph_iso(og.compose(left_ident, G), G)
 
     def test_vertex_count_with_injective_legs(self, seed):
@@ -336,7 +336,7 @@ class TestLaxatorObstructions:
         assert not r.trivial
 
     def test_trivial_when_parts_account_for_whole(self):
-        ident = og.identity_graph(("1", "2"))
+        ident = gen.identity_graph(("1", "2"))
         assert og.laxator_obstructions(*laxator(ident, ident)).trivial
 
     def test_composed_outside_whole_refused(self, G, H):
@@ -405,7 +405,7 @@ class TestPi1Laxator:
         assert og.pi1_laxator(*laxator(G, H)).trivial
 
     def test_identity_composite_trivial(self):
-        ident = og.identity_graph(("1",))
+        ident = gen.identity_graph(("1",))
         assert og.pi1_laxator(*laxator(ident, ident)).trivial
 
     def test_random_pairs_all_trivial(self, seed):

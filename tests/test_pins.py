@@ -18,7 +18,7 @@ from types import SimpleNamespace
 import pytest
 
 import gen
-from obstructia import cli, fincat, setcat
+from obstructia import cli, fincat
 from obstructia import opengraph as og
 
 ROOT = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..")
@@ -102,7 +102,7 @@ def argv_of(tmp_path_factory):
     """The argv of a row: the inputs it names are written to a temp dir as
     built here, and fixtures are resolved against the repo."""
     tmp = tmp_path_factory.mktemp("pins")
-    ambient = fincat.serialize_category(setcat.finset_ambient(3))
+    ambient = fincat.serialize_category(gen.finset_ambient(3))
     lines = ambient.splitlines()
     comp_first = sorted(lines, key=lambda line: not line.startswith("comp "))
     mor = next(line for line in lines if line.startswith("mor "))
@@ -112,7 +112,7 @@ def argv_of(tmp_path_factory):
         "byname.cat": "".join(f"{line}  # note\n" for line in comp_first),
         "latemor.cat": "".join(f"{line}\n" for line in lines if line != mor) + f"{mor}\n",
         "z12.cat": fincat.serialize_category(gen.cyclic_group_category(12)),
-        "twins.cat": fincat.serialize_category(gen.product_category(setcat.finset_ambient(2), gen.walking_isomorphism())),
+        "twins.cat": fincat.serialize_category(gen.product_category(gen.finset_ambient(2), gen.walking_isomorphism())),
         "left8.og": og.serialize_open_graph(gen.random_open_graph(rng, ("x0", "x1"), ys, edge_prob=0.25)),
         "right8.og": og.serialize_open_graph(gen.random_open_graph(rng, ys, ("z0", "z1", "z2", "z3"), edge_prob=0.25)),
     }

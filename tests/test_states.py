@@ -173,22 +173,6 @@ class TestMinimalLayer:
                 assert p0.invariant.poset.elements == ("{}",)
 
 
-class TestOplaxator:
-    def test_round_trip(self):
-        lax = states.laxator(CART, ("a", "b"), ("c", "d"))
-        opl = states.oplaxator_cartesian(CART, ("a", "b"), ("c", "d"))
-        for p in lax.dom_set:
-            assert opl.mapping[lax.mapping[p]] == p
-
-    def test_singletons(self):
-        opl = states.oplaxator_cartesian(CART, ("a",), ("b",))
-        assert len(opl.dom_set) == 1
-
-    def test_gf2_refused(self):
-        with pytest.raises(WrongContext):
-            states.oplaxator_cartesian(GF2, 2, 2)
-
-
 class TestLocalAction:
     def test_identity_matrices_identity_map(self):
         ident = ((1, 0), (0, 1))
