@@ -11,10 +11,12 @@ left as plain dicts because every invariant reads them in its inner loop).
 Categories are ints first.  Each morphism is its position in the sorted
 ``morphisms``, and the composition table is ``FinCat.rows``: one row per
 morphism g mapping each h into dom g to h;g.  Every law is checked on those
-rows.  ``parse_category`` reads a ``.cat`` file once, whatever its line
-order, and ``validate_category`` takes name-keyed tables; both go through
-one interning routine, which puts each entry straight into its row, and
-names are read again only to say what is wrong with tables that raise.
+rows.  ``parse_category`` reads a ``.cat`` file in one pass, whatever its
+line order, and ``validate_category`` takes name-keyed tables; both go
+through one interning routine, which puts each entry straight into its row,
+and names are read again only to say what is wrong with tables that raise.
+A bounded memo keyed by the whole text hands a repeat the immutable
+category its first read checked; failures and query results are not kept.
 ``FinCat.comp``, the table keyed by names, is a read-only view built from
 the rows on first read.  Derived constructions name their objects and
 morphisms canonically so outputs are reproducible byte for byte.  Besides
@@ -29,7 +31,7 @@ composition tables as oracles.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, lru_cache
 from itertools import product
 from operator import itemgetter
 from types import MappingProxyType
@@ -565,7 +567,18 @@ def is_groupoid(c: FinCat) -> bool:
 # '#' starts a comment; blank lines are ignored.
 
 
+_PARSE_MEMO = 4  # distinct texts kept parsed, the least recently read dropped
+
+
 def parse_category(text: str) -> FinCat:
+    """The category of a text, read once while the text is among the last
+    ``_PARSE_MEMO`` read: a repeat returns the same immutable category.  A
+    text that raises is never kept, so it raises alike on every call."""
+    return _parse(text)
+
+
+@lru_cache(maxsize=_PARSE_MEMO)
+def _parse(text: str) -> FinCat:
     """Read the text format above in one pass, whatever its line order, and
     validate it.  Lines are split one at a time, comp and mor lines, the
     bulk of a file, tried first; each comp line is kept as its three names

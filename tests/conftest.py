@@ -5,6 +5,8 @@ sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
 import pytest
 
+from obstructia import fincat
+
 
 def base_seed() -> int:
     return int(os.environ.get("OBSTRUCTIA_SEED", "0"))
@@ -13,3 +15,10 @@ def base_seed() -> int:
 @pytest.fixture
 def seed() -> int:
     return base_seed()
+
+
+@pytest.fixture(autouse=True)
+def cold_parse_memo():
+    """Every test starts with no text parsed, so what it exercises does not
+    depend on which tests ran before it."""
+    fincat._parse.cache_clear()

@@ -1,3 +1,4 @@
+import io
 import os
 import random
 
@@ -7,7 +8,7 @@ from hypothesis import strategies as st
 
 import gen
 import oracles
-from obstructia import fincat, homotopy
+from obstructia import cli, fincat, homotopy
 from obstructia.errors import (
     BadCompositionTyping,
     DanglingReference,
@@ -445,6 +446,7 @@ class TestTextFormat:
 
         for name in ("validate_category", "_refuse", "_first_repeat"):
             monkeypatch.setattr(fincat, name, by_name)
+        fincat._parse.cache_clear()  # the canonical text would be a memo hit
         got = fincat.parse_category("\n".join(lines) + "\n")
         assert got == canonical
         assert got.interned == canonical.interned
@@ -470,6 +472,85 @@ class TestTextFormat:
             assert str(got.value) == str(exc)
         else:
             assert fincat.parse_category(text) == expected
+
+
+class TestParseMemo:
+    """Each distinct text is read once while it stays among the last
+    ``_PARSE_MEMO`` texts read; what a command prints does not depend on it."""
+
+    @staticmethod
+    def run(argv, capsys):
+        out = io.StringIO()
+        code = cli.run(argv, out)
+        return code, out.getvalue(), capsys.readouterr().err
+
+    @staticmethod
+    def written(tmp_path, c):
+        path = tmp_path / "c.cat"
+        path.write_text(fincat.serialize_category(c), encoding="utf-8")
+        return str(path), path.read_text(encoding="utf-8")
+
+    def test_every_op_on_one_file_interns_it_once(self, tmp_path, capsys, monkeypatch):
+        c = gen.finset_ambient(3)
+        path, _ = self.written(tmp_path, c)
+        ops = [["cat", "analyze", path, "--morphism", m.name] for m in c.morphisms]
+        ops += [["cat", f"pi{i}", path, "--object", x] for x in c.objects for i in (0, 1)]
+        assert len(ops) == 68
+        cold = []
+        for argv in ops:
+            fincat._parse.cache_clear()
+            cold.append(self.run(argv, capsys))
+        fincat._parse.cache_clear()
+        interned, intern = [], fincat._intern
+        monkeypatch.setattr(fincat, "_intern", lambda *args: interned.append(args) or intern(*args))
+        for argv, expected in zip(ops, cold):
+            assert self.run(argv, capsys) == expected, argv
+        assert len(interned) == 1
+
+    @pytest.mark.parametrize("text", [
+        "objekt 0",
+        Z2 + "comp e ; e = e\n",
+        Z2.replace("comp e ; s = s", "comp e ; s = e"),
+        Z2 + "obj y\n",
+    ], ids=["a line that does not parse", "a repeated entry", "a broken law", "an object without identity"])
+    def test_a_refused_text_is_never_kept(self, text):
+        fincat.parse_category(Z2)
+        kept = fincat._parse.cache_info().currsize
+        raised = []
+        for _ in range(2):
+            with pytest.raises(EngineError) as exc:
+                fincat.parse_category(text)
+            raised.append((type(exc.value), str(exc.value)))
+        assert raised[0] == raised[1]
+        assert fincat._parse.cache_info().currsize == kept
+
+    @pytest.mark.parametrize("c", [gen.finset_ambient(3), gen.cyclic_group_category(12)], ids=["ambient", "Z/12"])
+    def test_no_command_writes_into_a_kept_category(self, c, tmp_path, capsys):
+        path, text = self.written(tmp_path, c)
+        kept = fincat.parse_category(text)
+        formats = [[], ["--format", "dot"], ["--format", "interchange"]]
+        ops = [["cat", "validate", path]]
+        ops += [["cat", "check-terminal", path, "--object", x] for x in c.objects]
+        ops += [["cat", f"pi{i}", path, "--object", x, *fmt] for x in c.objects for i in (0, 1) for fmt in formats]
+        ops += [["cat", "analyze", path, "--morphism", m.name, *fmt] for m in c.morphisms for fmt in formats]
+        for argv in ops:
+            self.run(argv, capsys)
+        assert fincat.parse_category(text) is kept
+        fresh = fincat._parse.__wrapped__(text)
+        assert kept == fresh  # objects, morphisms, identity and rows
+        assert kept.interned == fresh.interned
+
+    def test_never_more_texts_than_the_bound(self):
+        texts = [fincat.serialize_category(gen.cyclic_group_category(n)) for n in range(1, fincat._PARSE_MEMO + 3)]
+        for text in texts:
+            fincat.parse_category(text)
+            info = fincat._parse.cache_info()
+            assert info.currsize <= info.maxsize == fincat._PARSE_MEMO
+        assert info.currsize == fincat._PARSE_MEMO
+        fincat.parse_category(texts[-1])
+        assert fincat._parse.cache_info().hits == info.hits + 1
+        fincat.parse_category(texts[0])  # dropped: read again
+        assert fincat._parse.cache_info().misses == info.misses + 1
 
 
 class TestOpposite:

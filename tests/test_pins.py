@@ -121,13 +121,32 @@ def argv_of(tmp_path_factory):
     return lambda row: [str(tmp / t) if t in texts else os.path.join(ROOT, t) if t.startswith("fixtures/") else t for t in shlex.split(row)]
 
 
+def run_digest(argv) -> str:
+    """The sha256 of what `cli.run(argv)` writes, which must exit 0. Each
+    piece is hashed as it is written: no document is held in memory."""
+    sha = hashlib.sha256()
+    assert cli.run(argv, SimpleNamespace(write=lambda piece: sha.update(piece.encode("utf-8")))) == 0
+    return sha.hexdigest()
+
+
 @pytest.mark.parametrize("row, digest", ROWS, ids=[row for row, _ in ROWS])
 def test_output_bytes(row, digest, argv_of, capsys):
-    # each piece is hashed as it is written: no document is held in memory
-    sha = hashlib.sha256()
-    assert cli.run(argv_of(row), SimpleNamespace(write=lambda piece: sha.update(piece.encode("utf-8")))) == 0
+    got = run_digest(argv_of(row))
     assert capsys.readouterr().err == ""
-    assert sha.hexdigest() == digest, f"{row}: output sha256 {sha.hexdigest()}, pinned {digest}"
+    assert got == digest, f"{row}: output sha256 {got}, pinned {digest}"
+
+
+def test_cat_rows_with_a_warm_memo(argv_of, capsys):
+    """Every test starts with no text parsed, so each row above runs cold.
+    Here every `cat` row runs twice in one process, the second time on the
+    category the first kept, and both outputs match the pin."""
+    rows = [(row, digest) for row, digest in ROWS if row.startswith("cat ")]
+    for row, digest in rows:
+        for _ in range(2):
+            got = run_digest(argv_of(row))
+            assert got == digest, f"{row} (warm): output sha256 {got}, pinned {digest}"
+    assert capsys.readouterr().err == ""
+    assert fincat._parse.cache_info().hits >= len(rows)
 
 
 @pytest.mark.parametrize("row", ENTRY_POINTS)
