@@ -9,23 +9,25 @@ tuple, and no code writes to their dicts once a category is built (they are
 left as plain dicts because every invariant reads them in its inner loop).
 
 Categories are ints first.  Each morphism is its position in the sorted
-``morphisms``, and the composition table is ``FinCat.rows``: one row per
-morphism g mapping each h into dom g to h;g.  Every law is checked on those
-rows.  ``parse_category`` reads a ``.cat`` file in one pass, whatever its
-line order, and ``validate_category`` takes name-keyed tables; both go
-through one interning routine, which puts each entry straight into its row,
-and names are read again only to say what is wrong with tables that raise.
-A bounded memo keyed by the whole text hands a repeat the immutable
-category its first read checked; failures and query results are not kept.
-``FinCat.comp``, the table keyed by names, is a read-only view built from
-the rows on first read.  Derived constructions name their objects and
+``morphisms``, and composition is the rows alone: ``FinCat.rows`` holds one
+row per morphism g mapping each h into dom g to h;g.  Every law, the
+functor and naturality checks and every walk read those rows, and names
+are read only at parse, render and error time.  ``parse_category`` reads a
+``.cat`` file in one pass, whatever its line order, and
+``validate_category`` takes name-keyed tables, since they come from
+outside; both go through one interning routine, which puts each entry
+straight into its row, and names are read again only to say what is wrong
+with tables that raise.  A bounded memo keyed by the whole text hands a
+repeat the immutable category its first read checked; failures and query
+results are not kept.  Derived constructions name their objects and
 morphisms canonically so outputs are reproducible byte for byte.  Besides
 the opposite, they are categories of elements of hom(-, x)^k (the slice
 over x at k = 1, parallel arrows at k = 2): one enumeration behind the size
 caps below and one walk over the rows that hands each down-set along
 ``FinCat.split_epis``, kept as the reachability preorder that the
-invariants read.  The tests keep the walk over every arrow and the
-composition tables as oracles.
+invariants read.  The tests keep, as oracles, the walk over every arrow,
+the composition tables of the derived categories, the table keyed by names
+and the functor and naturality checks by name.
 """
 
 from __future__ import annotations
@@ -73,66 +75,49 @@ class FinCat:
     """Storage is canonical: objects and morphisms sorted by id, and the one
     composition table ``rows``, where ``rows[g][h]`` is h;g for the
     positions g and h in ``morphisms``.  So two categories with the same
-    tables compare equal however they were built.  ``identity`` and
-    ``comp``, the table keyed by names, are read-only views.  The rows are
-    a tuple of plain dicts, which must not be written to: ``comp``, once
-    built, would go stale."""
+    tables compare equal however they were built.  The one index, set here,
+    is ``index``, each morphism's position by name, and ``into``, the
+    positions into each object, ascending.  ``identity`` is a read-only
+    view; the rows are a tuple of plain dicts, which must not be written
+    to.  Composition is read from the rows alone: names are looked up only
+    to read arguments and to write results and errors."""
 
     objects: tuple[str, ...]
     morphisms: tuple[MorDecl, ...]
     identity: Mapping[str, str]
     rows: tuple[dict[int, int], ...]
-    _dom: dict[str, str] = field(init=False, repr=False, compare=False)
-    _cod: dict[str, str] = field(init=False, repr=False, compare=False)
+    index: dict[str, int] = field(init=False, repr=False, compare=False)
+    into: dict[str, tuple[int, ...]] = field(init=False, repr=False, compare=False)
     _hom: dict[tuple[str, str], tuple[str, ...]] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        dom = {m.name: m.dom for m in self.morphisms}
-        cod = {m.name: m.cod for m in self.morphisms}
-        hom: dict[tuple[str, str], list[str]] = {}
-        for m in self.morphisms:
-            hom.setdefault((m.dom, m.cod), []).append(m.name)
-        object.__setattr__(self, "_dom", dom)
-        object.__setattr__(self, "_cod", cod)
-        object.__setattr__(self, "_hom", {k: tuple(v) for k, v in hom.items()})
-        object.__setattr__(self, "identity", MappingProxyType(self.identity))
-
-    @cached_property
-    def interned(self) -> tuple[dict[str, int], tuple[dict[int, int], ...], dict[str, list[int]]]:
-        """The morphisms as ints, their positions in ``morphisms``: the index,
-        the rows, and the morphisms into each object in that order.  The
-        validators store the index they checked with; a category built
-        without them (``opposite``) builds it here on first use."""
-        index = {m.name: i for i, m in enumerate(self.morphisms)}
         into: dict[str, list[int]] = {x: [] for x in self.objects}
+        hom: dict[tuple[str, str], list[str]] = {}
         for i, m in enumerate(self.morphisms):
             into[m.cod].append(i)
-        return index, self.rows, into
-
-    @cached_property
-    def comp(self) -> Mapping[tuple[str, str], str]:
-        """``comp[(f, g)]`` is f;g by name: a read-only view of the rows,
-        built on first read."""
-        names = [m.name for m in self.morphisms]
-        return MappingProxyType({(names[h], names[g]): names[hg] for g, row in enumerate(self.rows) for h, hg in row.items()})
+            hom.setdefault((m.dom, m.cod), []).append(m.name)
+        object.__setattr__(self, "index", {m.name: i for i, m in enumerate(self.morphisms)})
+        object.__setattr__(self, "into", {x: tuple(v) for x, v in into.items()})
+        object.__setattr__(self, "_hom", {k: tuple(v) for k, v in hom.items()})
+        object.__setattr__(self, "identity", MappingProxyType(self.identity))
 
     # -- lookups ---------------------------------------------------------
 
     def dom(self, m: str) -> str:
-        if m not in self._dom:
+        if m not in self.index:
             raise UnknownMorphism(m)
-        return self._dom[m]
+        return self.morphisms[self.index[m]].dom
 
     def cod(self, m: str) -> str:
-        if m not in self._cod:
+        if m not in self.index:
             raise UnknownMorphism(m)
-        return self._cod[m]
+        return self.morphisms[self.index[m]].cod
 
     def has_object(self, x: str) -> bool:
         return x in self.identity
 
     def has_morphism(self, m: str) -> bool:
-        return m in self._dom
+        return m in self.index
 
     def hom(self, x: str, y: str) -> tuple[str, ...]:
         return self._hom.get((x, y), ())
@@ -147,10 +132,10 @@ class FinCat:
 
     @cached_property
     def split_epis(self) -> frozenset[int]:
-        """The split epimorphisms, as ids in ``interned``: h: z -> y is one
-        iff id_y = s;h for some s in h's row, a section of h."""
-        index, rows, _ = self.interned
-        return frozenset(h for h, (m, row) in enumerate(zip(self.morphisms, rows)) if index[self.identity[m.cod]] in row.values())
+        """The split epimorphisms, as positions: h: z -> y is one iff
+        id_y = s;h for some s in h's row, a section of h."""
+        index = self.index
+        return frozenset(h for h, (m, row) in enumerate(zip(self.morphisms, self.rows)) if index[self.identity[m.cod]] in row.values())
 
 
 def validate_category(
@@ -224,10 +209,9 @@ def _first_repeat(pairs, lines) -> ParseError | None:
 
 class _Declarations(NamedTuple):
     objs: tuple[str, ...]  # in declaration order
-    oid: dict[str, int]  # object positions in objs
     mors: tuple[MorDecl, ...]  # sorted by id
     index: dict[str, int]  # morphism positions in mors
-    dom: list[int]  # object positions, per morphism
+    dom: list[int]  # object positions in objs, per morphism
     cod: list[int]
     into: list[dict[int, int]]  # per object, h: dom h for each h into it, ascending
     decl: list[int]  # morphism positions in declaration order
@@ -275,7 +259,7 @@ def _declarations(objects, morphisms, identity) -> _Declarations:
         i = ident[x]
         if dom[index[i]] != oid[x] or cod[index[i]] != oid[x]:
             raise MissingIdentity(x, f"identity {i!r} is not an endomorphism of {x!r}")
-    return _Declarations(objs, oid, mors, index, dom, cod, into, [index[m.name] for m in decls], ident)
+    return _Declarations(objs, mors, index, dom, cod, into, [index[m.name] for m in decls], ident)
 
 
 def _laws(decls: _Declarations, rows: list[dict[int, int]]) -> FinCat:
@@ -283,7 +267,7 @@ def _laws(decls: _Declarations, rows: list[dict[int, int]]) -> FinCat:
     hold: totality, the identity laws and associativity, checked in the
     order and with the witnesses a check on names in declaration order
     gives."""
-    objs, oid, mors, index, dom, cod, into, decl, ident = decls
+    objs, mors, index, dom, cod, into, decl, ident = decls
     names = [m.name for m in mors]
     # The entries are distinct and composable, so the table is total iff it
     # has one entry per composable pair.  Only a short one is scanned for its
@@ -316,9 +300,7 @@ def _laws(decls: _Declarations, rows: list[dict[int, int]]) -> FinCat:
     if any(a != b for a, b in squares):
         raise NonAssociative(*(names[m] for m in _first_non_associative(decl, rows, cod, out_of)))
 
-    c = FinCat(tuple(sorted(objs)), mors, ident, tuple(rows))
-    object.__setattr__(c, "interned", (index, c.rows, {x: list(into[oid[x]]) for x in c.objects}))
-    return c
+    return FinCat(tuple(sorted(objs)), mors, ident, tuple(rows))
 
 
 def _generators(decl, dom, cod, ids, rows) -> set:
@@ -381,7 +363,9 @@ class FunctorData:
 
 def validate_functor(source: FinCat, target: FinCat, obj_map: Mapping[str, str], mor_map: Mapping[str, str]) -> FunctorData:
     """Exhaustively check that the maps preserve dom, cod, identities and
-    composition; NotAFunctor carries the first witness otherwise."""
+    composition; NotAFunctor carries the first witness otherwise.  F(h;g) =
+    F h ; F g is checked on the rows, source rows in order and each in its
+    own order, with F as a list of target positions."""
     om = dict(obj_map)
     mm = dict(mor_map)
     for x in source.objects:
@@ -400,9 +384,12 @@ def validate_functor(source: FinCat, target: FinCat, obj_map: Mapping[str, str],
     for x in source.objects:
         if mm[source.id_of(x)] != target.id_of(om[x]):
             raise NotAFunctor(x, "identity not preserved")
-    for (f, g), h in source.comp.items():
-        if target.comp[(mm[f], mm[g])] != mm[h]:
-            raise NotAFunctor((f, g), "composition not preserved")
+    image = [target.index[mm[m.name]] for m in source.morphisms]
+    for g, row in enumerate(source.rows):
+        fg = target.rows[image[g]]
+        for h, hg in row.items():
+            if fg[image[h]] != image[hg]:
+                raise NotAFunctor((source.morphisms[h].name, source.morphisms[g].name), "composition not preserved")
     return FunctorData(source, target, om, mm)
 
 
@@ -442,10 +429,11 @@ def validate_nat_trans(source: FunctorData, target: FunctorData, components: Map
             raise NotNatural(x)
         if d.dom(a) != source.obj_map[x] or d.cod(a) != target.obj_map[x]:
             raise NotNatural(x)
+    at, rows = d.index, d.rows
     for m in c.morphisms:
         # F f ; alpha_y  ==  alpha_x ; G f
-        left = d.comp[(source.mor_map[m.name], comps[m.cod])]
-        right = d.comp[(comps[m.dom], target.mor_map[m.name])]
+        left = rows[at[comps[m.cod]]][at[source.mor_map[m.name]]]
+        right = rows[at[target.mor_map[m.name]]][at[comps[m.dom]]]
         if left != right:
             raise NotNatural(m.name)
     return NatTransData(source, target, comps)
@@ -483,24 +471,25 @@ def pair_name(f0: str, f1: str) -> str:
 def _enumerate(c: FinCat, x: str, k: int, over: str | None = None, cap_objects: int = OBJECTS_CAP):
     """Objects of the category of elements of hom(-, x)^k, k = 1 (the slice)
     or k = 2 (parallel arrows): ``elements`` maps each name to its k-tuple
-    (f_1, .., f_k): y -> x, and ``tuples`` lists, in that order, each y with
-    the tuple as ints.  Given ``over``, only tuples with one g = f_i;over are
-    kept, named as slice morphisms f_i[g=>over].  A slice object is named by
-    its morphism id, a pair by ``pair_name``; ``_fresh_name`` keeps distinct
-    pairs apart when two render alike.  The sizes are checked first, the
-    objects against ``cap_objects``."""
+    (f_1, .., f_k): y -> x of positions, and ``tuples`` lists, in that
+    order, each y with its tuple.  Given ``over``, only tuples with one
+    g = f_i;over are kept, named as slice morphisms f_i[g=>over].  The
+    fibres are read off ``into[x]`` and the row of ``over``; names are read
+    only to name the elements.  A slice object is named by its morphism id,
+    a pair by ``pair_name``; ``_fresh_name`` keeps distinct pairs apart when
+    two render alike.  The sizes are checked first, the objects against
+    ``cap_objects``."""
     if not c.has_object(x):
         raise UnknownObject(x)
-    index, rows, into = c.interned
+    mors, into = c.morphisms, c.into
 
     # Predicted sizes from hom-set cardinalities only: an object z carries
     # |F|^k tuples for each fibre F of hom(z, x) (all of it, or one fibre per
     # value of f;over), and every morphism into z acts on each of them.
     fibres: dict[str, dict] = {z: {} for z in c.objects}
-    after = None if over is None else rows[index[over]]
-    for z in c.objects:
-        for f in c.hom(z, x):
-            fibres[z].setdefault(None if after is None else after[index[f]], []).append(f)
+    after = None if over is None else c.rows[c.index[over]]
+    for f in into[x]:
+        fibres[mors[f].dom].setdefault(None if after is None else after[f], []).append(f)
     weight = {z: sum(len(fb) ** k for fb in fibres[z].values()) for z in c.objects}
     checks = [("objects", sum(weight.values()), cap_objects),
               ("morphisms", sum(len(into[z]) * weight[z] for z in c.objects), MORPHISMS_CAP)]
@@ -510,15 +499,14 @@ def _enumerate(c: FinCat, x: str, k: int, over: str | None = None, cap_objects: 
             raise SizeCapExceeded(f"{('slice', 'parallel arrows')[k - 1]} over {point!r} {part}", n, cap)
 
     used: set = set()
-    elements: dict[str, tuple[str, ...]] = {}
-    tuples: list[tuple[str, tuple[int, ...]]] = []  # (domain, interned tuple) per element
+    elements: dict[str, tuple[int, ...]] = {}
+    tuples: list[tuple[str, tuple[int, ...]]] = []  # (domain, tuple) per element
     for y in c.objects:
         for g, fibre in fibres[y].items():
-            ids = [index[f] for f in fibre]
-            labels = fibre if over is None else [f"{f}[{c.morphisms[g].name}=>{over}]" for f in fibre]
-            for parts, t, it in zip(product(labels, repeat=k), product(fibre, repeat=k), product(ids, repeat=k)):
+            labels = [mors[f].name if over is None else f"{mors[f].name}[{mors[g].name}=>{over}]" for f in fibre]
+            for parts, t in zip(product(labels, repeat=k), product(fibre, repeat=k)):
                 elements[_fresh_name(parts[0] if k == 1 else pair_name(*parts), used)] = t
-                tuples.append((y, it))
+                tuples.append((y, t))
     return elements, tuples
 
 
@@ -532,7 +520,7 @@ def _elements_preorder(c: FinCat, x: str, k: int, over: str | None = None, cap_o
     t's mask is handed to its sources along split epis, which are not walked.
     Objects go in ascending count of morphisms into them: a retract first."""
     elements, tuples = _enumerate(c, x, k, over, cap_objects)
-    _, rows, into = c.interned
+    rows, into = c.rows, c.into
     size = len(rows)
     at = {t[0] if k == 1 else t[0] * size + t[1]: j for j, (_, t) in enumerate(tuples)}
     split_at = {y: [i for i, h in enumerate(hs) if h in c.split_epis] for y, hs in into.items()}
@@ -636,5 +624,6 @@ def serialize_category(c: FinCat) -> str:
     lines = [f"obj {x}" for x in sorted(c.objects)]
     lines += [f"mor {m.name} : {m.dom} -> {m.cod}" for m in sorted(c.morphisms, key=lambda m: m.name)]
     lines += [f"id {x} = {c.identity[x]}" for x in sorted(c.identity)]
-    lines += [f"comp {f} ; {g} = {h}" for (f, g), h in sorted(c.comp.items())]
+    names = c.morphism_names()  # sorted, so sorting positions sorts names
+    lines += [f"comp {names[h]} ; {names[g]} = {names[hg]}" for h, g, hg in sorted((h, g, hg) for g, row in enumerate(c.rows) for h, hg in row.items())]
     return "\n".join(lines) + "\n"

@@ -71,7 +71,9 @@ def report_from_pointed(pp: order.PointedPoset, context: str) -> ObstructionRepo
 
 
 def _pi_at(reflection: tuple[order.Poset, dict], base, point: str, i: int) -> ObstructionReport:
-    """pi_i pointed at ``point``: collapse the lower set of the class of base."""
+    """pi_i pointed at ``point``: collapse the lower set of the class of
+    base, an object (pi0 of c) or a tuple of positions (a category of
+    elements)."""
     p, class_of = reflection
     pp = order.collapse_lower(p, order.lower_closure(p, {class_of[base]}), f"[{point}]")
     return report_from_pointed(pp, f"pi{i} at object {point!r}")
@@ -87,8 +89,8 @@ def pi0(c: fincat.FinCat, x: str) -> ObstructionReport:
 def _pi_data(c: fincat.FinCat, x: str, k: int, over: str | None = None, cap_objects: int = fincat.OBJECTS_CAP):
     """The reflection of the reachability preorder of the category of
     elements of hom(-, x)^k (only the tuples that ``over`` equalises, if
-    given), with classes keyed by tuple, and the tuple behind each name.
-    Class names are least member names, so each names a tuple."""
+    given), with classes keyed by tuple of positions, and the tuple behind
+    each name.  Class names are least member names, so each names a tuple."""
     elements, down = fincat._elements_preorder(c, x, k, over, cap_objects)
     p, class_of = order._reflect(list(elements), down)
     return (p, {t: class_of[name] for name, t in elements.items()}), elements
@@ -97,7 +99,7 @@ def _pi_data(c: fincat.FinCat, x: str, k: int, over: str | None = None, cap_obje
 def pi1(c: fincat.FinCat, x: str, cap_objects: int = fincat.OBJECTS_CAP) -> ObstructionReport:
     """Pointed poset of obstructions to subterminality of x.  Refuses with
     SizeCapExceeded past ``cap_objects`` parallel pairs over x."""
-    return _pi_at(_pi_data(c, x, 2, cap_objects=cap_objects)[0], (c.id_of(x),) * 2, x, 1)
+    return _pi_at(_pi_data(c, x, 2, cap_objects=cap_objects)[0], (c.index[c.id_of(x)],) * 2, x, 1)
 
 
 # -- terminality oracles (independent of the poset machinery) ----------------
@@ -140,8 +142,8 @@ def induced_map(src: ObstructionReport, dst: ObstructionReport, image_class) -> 
 
 def _flow(c: fincat.FinCat, x: str, d: fincat.FinCat, y: str, i: int, move) -> order.PointedMap:
     """pi_i(c, x) -> pi_i(d, y): the class of an object (i = 0) or of a pair
-    (i = 1, componentwise) goes to that of its move.  Coinciding ends are
-    reflected once."""
+    of positions (i = 1, componentwise) goes to that of its move.
+    Coinciding ends are reflected once."""
     if i not in (0, 1):
         raise ValueError("i must be 0 or 1")
     if i == 0:
@@ -151,7 +153,7 @@ def _flow(c: fincat.FinCat, x: str, d: fincat.FinCat, y: str, i: int, move) -> o
         return induced_map(src, dst, lambda e: refl_d[1][move(e)])
     refl_c, elements = _pi_data(c, x, 2)
     refl_d = refl_c if (d == c and y == x) else _pi_data(d, y, 2)[0]
-    src, dst = _pi_at(refl_c, (c.id_of(x),) * 2, x, 1), _pi_at(refl_d, (d.id_of(y),) * 2, y, 1)
+    src, dst = _pi_at(refl_c, (c.index[c.id_of(x)],) * 2, x, 1), _pi_at(refl_d, (d.index[d.id_of(y)],) * 2, y, 1)
     return induced_map(src, dst, lambda e: refl_d[1][tuple(map(move, elements[e]))])
 
 
@@ -164,15 +166,16 @@ def pi_object_action(c: fincat.FinCat, f: str, i: int) -> order.PointedMap:
     """
     if not c.has_morphism(f):
         raise UnknownMorphism(f)
-    return _flow(c, c.dom(f), c, c.cod(f), i, (lambda x: x) if i == 0 else (lambda g: c.comp[(g, f)]))
+    return _flow(c, c.dom(f), c, c.cod(f), i, (lambda x: x) if i == 0 else c.rows[c.index[f]].__getitem__)
 
 
 def pi_functor_map(functor: fincat.FunctorData, x: str, i: int) -> order.PointedMap:
     """Component at x of the transformation pi_i(C, -) => pi_i(D, F-)."""
     if not functor.source.has_object(x):
         raise UnknownObject(x)
-    move = functor.obj_map if i == 0 else functor.mor_map
-    return _flow(functor.source, x, functor.target, functor.obj_map[x], i, move.__getitem__)
+    c, d = functor.source, functor.target
+    move = functor.obj_map if i == 0 else [d.index[functor.mor_map[m.name]] for m in c.morphisms]
+    return _flow(c, x, d, functor.obj_map[x], i, move.__getitem__)
 
 
 def covariance_map(alpha: fincat.NatTransData, f: str, i: int) -> order.PointedMap:
@@ -197,15 +200,15 @@ def covariance_map(alpha: fincat.NatTransData, f: str, i: int) -> order.PointedM
         gx, gy = G.obj_map[x], G.obj_map[y]
         refl_x, elements = _pi_data(d, gx, 1)
         refl_y = refl_x if gy == gx else _pi_data(d, gy, 1)[0]
-        src, dst = _pi_at(refl_x, (ax,), ax, 0), _pi_at(refl_y, (ay,), ay, 0)
-        post = G.mor_map[f]
+        src, dst = _pi_at(refl_x, (d.index[ax],), ax, 0), _pi_at(refl_y, (d.index[ay],), ay, 0)
+        post = d.rows[d.index[G.mor_map[f]]]
     else:
         fx, fy = F.obj_map[x], F.obj_map[y]
         refl_x, elements = _pi_data(d, fx, 2, ax)
         refl_y = refl_x if ay == ax else _pi_data(d, fy, 2, ay)[0]
-        src, dst = _pi_at(refl_x, (d.id_of(fx),) * 2, ax, 1), _pi_at(refl_y, (d.id_of(fy),) * 2, ay, 1)
-        post = F.mor_map[f]
-    return induced_map(src, dst, lambda e: refl_y[1][tuple(d.comp[(h, post)] for h in elements[e])])
+        src, dst = _pi_at(refl_x, (d.index[d.id_of(fx)],) * 2, ax, 1), _pi_at(refl_y, (d.index[d.id_of(fy)],) * 2, ay, 1)
+        post = d.rows[d.index[F.mor_map[f]]]
+    return induced_map(src, dst, lambda e: refl_y[1][tuple(map(post.__getitem__, elements[e]))])
 
 
 # -- morphism classification ---------------------------------------------------
@@ -213,16 +216,16 @@ def covariance_map(alpha: fincat.NatTransData, f: str, i: int) -> order.PointedM
 
 def brute_split_epi(c: fincat.FinCat, f: str) -> bool:
     """Some s: y -> x has s;f = id_y, read off f's row."""
-    index, rows, _ = c.interned
+    index = c.index
     x, y = c.dom(f), c.cod(f)
-    row, one = rows[index[f]], index[c.id_of(y)]
+    row, one = c.rows[index[f]], index[c.id_of(y)]
     return any(row[index[s]] == one for s in c.hom(y, x))
 
 
 def brute_mono(c: fincat.FinCat, f: str) -> bool:
     """g |-> g;f is one-to-one on every hom(w, x), read off f's row."""
-    index, rows, _ = c.interned
-    x, row = c.dom(f), rows[index[f]]
+    index = c.index
+    x, row = c.dom(f), c.rows[index[f]]
     for w in c.objects:
         hom = c.hom(w, x)
         if len({row[index[g]] for g in hom}) < len(hom):
@@ -238,8 +241,8 @@ def analyze_morphism(c: fincat.FinCat, f: str, cap_objects: int = fincat.OBJECTS
     if not c.has_morphism(f):
         raise UnknownMorphism(f)
     x, y = c.dom(f), c.cod(f)
-    r0 = _pi_at(_pi_data(c, y, 1, None, cap_objects)[0], (f,), f, 0)
-    r1 = _pi_at(_pi_data(c, x, 2, f, cap_objects)[0], (c.id_of(x),) * 2, f, 1)
+    r0 = _pi_at(_pi_data(c, y, 1, None, cap_objects)[0], (c.index[f],), f, 0)
+    r1 = _pi_at(_pi_data(c, x, 2, f, cap_objects)[0], (c.index[c.id_of(x)],) * 2, f, 1)
     split_epi = r0.trivial
     mono = r1.trivial
     if split_epi != brute_split_epi(c, f):

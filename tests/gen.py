@@ -111,8 +111,8 @@ def disjoint_union(c1: fincat.FinCat, c2: fincat.FinCat, p1="A.", p2="B.") -> fi
     morphisms += [(p2 + m.name, p2 + m.dom, p2 + m.cod) for m in c2.morphisms]
     identity = {p1 + x: p1 + i for x, i in c1.identity.items()}
     identity.update({p2 + x: p2 + i for x, i in c2.identity.items()})
-    comp = {(p1 + f, p1 + g): p1 + h for (f, g), h in c1.comp.items()}
-    comp.update({(p2 + f, p2 + g): p2 + h for (f, g), h in c2.comp.items()})
+    comp = {(p1 + f, p1 + g): p1 + h for (f, g), h in oracles.comp(c1).items()}
+    comp.update({(p2 + f, p2 + g): p2 + h for (f, g), h in oracles.comp(c2).items()})
     return fincat.validate_category(objects, morphisms, identity, comp)
 
 
@@ -130,7 +130,7 @@ def free_terminal_extension(c: fincat.FinCat, t: str = "T"):
     morphisms += [(bang[x], x, t) for x in objects]
     identity = dict(c.identity)
     identity[t] = bang[t]
-    comp = dict(c.comp)
+    comp = dict(oracles.comp(c))
     for m in c.morphisms:
         comp[(m.name, bang[m.cod])] = bang[m.dom]
     for x in objects:
@@ -156,9 +156,9 @@ def product_category(c1: fincat.FinCat, c2: fincat.FinCat) -> fincat.FinCat:
     identity = {
         f"{x}*{y}": f"{c1.identity[x]}*{c2.identity[y]}" for x in c1.objects for y in c2.objects
     }
-    comp = {}
-    for (f1, g1), h1 in c1.comp.items():
-        for (f2, g2), h2 in c2.comp.items():
+    comp, t2 = {}, oracles.comp(c2)
+    for (f1, g1), h1 in oracles.comp(c1).items():
+        for (f2, g2), h2 in t2.items():
             comp[(f"{f1}*{f2}", f"{g1}*{g2}")] = f"{h1}*{h2}"
     return fincat.validate_category(objects, morphisms, identity, comp)
 
@@ -276,7 +276,7 @@ def ambient_pi1_map(generic: homotopy.ObstructionReport, sl, mor: str) -> dict[s
     out = {bp: "{}"}
     for e in generic.invariant.poset.elements:
         if e != bp:
-            h0, h1 = (_images(sl.projection.mor_map[h]) for h in pairs[e])
+            h0, h1 = (_images(sl.projection.mor_map[sl.cat.morphisms[h].name]) for h in pairs[e])
             out[e] = homotopy.subset_name({fincat.pair_name(a, b) for a, b in zip(h0, h1)})
     return out
 
@@ -327,7 +327,7 @@ def renamed(c: fincat.FinCat, new) -> fincat.FinCat:
         [new[x] for x in c.objects],
         [(new[m.name], new[m.dom], new[m.cod]) for m in c.morphisms],
         {new[x]: new[i] for x, i in c.identity.items()},
-        {(new[f], new[g]): new[h] for (f, g), h in c.comp.items()},
+        {(new[f], new[g]): new[h] for (f, g), h in oracles.comp(c).items()},
     )
 
 
@@ -343,7 +343,7 @@ def constant_functor(c: fincat.FinCat, d: fincat.FinCat, t: str) -> fincat.Funct
 def free_functor(rng, free: FreeCat, d: fincat.FinCat):
     """Random functor out of a free category, or None when the object
     assignment leaves some generator without a possible image."""
-    c = free.cat
+    c, table = free.cat, oracles.comp(d)
     for _ in range(8):
         obj_map = {x: rng.choice(d.objects) for x in c.objects}
         edge_img = {}
@@ -361,7 +361,7 @@ def free_functor(rng, free: FreeCat, d: fincat.FinCat):
             at = obj_map[c.dom(nm)]
             acc = d.id_of(at)
             for e in seq:
-                acc = d.comp[(acc, edge_img[e])]
+                acc = table[(acc, edge_img[e])]
             mor_map[nm] = acc
         return fincat.validate_functor(c, d, obj_map, mor_map)
     return None

@@ -7,13 +7,15 @@ tautology.  The one exception is ``covariance_map``: it builds the flow
 through the materialised slices and their projections, the construction
 that the library now reads off the category directly.
 
-The category section keeps what ``fincat`` replaced: the line loop that
-reads a ``.cat`` file into name-keyed tables, the name-keyed validator,
-which scans every composable triple, a builder of a category from
-name-keyed tables without checks, the walk over every arrow
-of a category of elements, where the library hands down-sets along split
-epis, and the materialised categories of elements (slices and parallel
-arrows) with their composition tables, still guarded at 600,000 entries.
+The category section keeps what ``fincat`` replaced: the composition
+table keyed by names (``comp``), the line loop that reads a ``.cat`` file
+into name-keyed tables, the name-keyed validator, which scans every
+composable triple, the functor and naturality checks by name, a builder
+of a category from name-keyed tables without checks, the walk over every
+arrow of a category of elements, where the library hands down-sets along
+split epis, and the materialised categories of elements (slices and
+parallel arrows) with their composition tables, still guarded at 600,000
+entries.
 
 The order section keeps the string-pair implementations that the bitmask
 core in ``order`` replaced: a poset there is a sorted element tuple and a
@@ -28,6 +30,7 @@ f-string per cover pair, as the code that the row joins in ``order``,
 
 import json
 from itertools import combinations, product, repeat
+from types import MappingProxyType
 from typing import NamedTuple
 
 from obstructia import fincat, homotopy, order
@@ -39,7 +42,9 @@ from obstructia.errors import (
     InvalidPoset,
     MissingIdentity,
     NonAssociative,
+    NotAFunctor,
     NotDownClosed,
+    NotNatural,
     ParseError,
     SizeCapExceeded,
     UnknownObject,
@@ -60,16 +65,25 @@ def terminal(c, x):
     return weak_terminal(c, x) and subterminal(c, x)
 
 
+def comp(c):
+    """``comp(c)[(f, g)]`` is f;g by name: the composition table keyed by
+    names, a read-only view built from the rows, row by row."""
+    names = c.morphism_names()
+    return MappingProxyType({(names[h], names[g]): names[hg] for g, row in enumerate(c.rows) for h, hg in row.items()})
+
+
 def split_epi(c, f):
     x, y = c.dom(f), c.cod(f)
-    return any(c.comp[(s, f)] == c.id_of(y) for s in c.hom(y, x))
+    table = comp(c)
+    return any(table[(s, f)] == c.id_of(y) for s in c.hom(y, x))
 
 
 def mono(c, f):
     x = c.dom(f)
+    table = comp(c)
     for w in c.objects:
         for g, h in combinations(c.hom(w, x), 2):
-            if c.comp[(g, f)] == c.comp[(h, f)]:
+            if table[(g, f)] == table[(h, f)]:
                 return False
     return True
 
@@ -207,11 +221,60 @@ def parse_category(text):
 def isos(c):
     """The names of the morphisms with a two-sided inverse, by a search over
     every morphism back."""
+    table = comp(c)
     return frozenset(
         m.name for m in c.morphisms
-        if any(c.comp[m.name, g] == c.id_of(m.dom) and c.comp[g, m.name] == c.id_of(m.cod)
+        if any(table[m.name, g] == c.id_of(m.dom) and table[g, m.name] == c.id_of(m.cod)
                for g in c.hom(m.cod, m.dom))
     )
+
+
+def validate_functor(source, target, obj_map, mor_map):
+    """The functor check by name, which ``fincat.validate_functor``
+    replaced: the same checks in the same order, composition read from the
+    name-keyed tables in the order ``comp(source)`` lists its entries."""
+    om = dict(obj_map)
+    mm = dict(mor_map)
+    for x in source.objects:
+        if x not in om:
+            raise NotAFunctor(x, "object not mapped")
+        if not target.has_object(om[x]):
+            raise NotAFunctor(x, f"image object {om[x]!r} not in target")
+    for m in source.morphisms:
+        if m.name not in mm:
+            raise NotAFunctor(m.name, "morphism not mapped")
+        fm = mm[m.name]
+        if not target.has_morphism(fm):
+            raise NotAFunctor(m.name, f"image morphism {fm!r} not in target")
+        if target.dom(fm) != om[m.dom] or target.cod(fm) != om[m.cod]:
+            raise NotAFunctor(m.name, "image morphism mistyped")
+    for x in source.objects:
+        if mm[source.id_of(x)] != target.id_of(om[x]):
+            raise NotAFunctor(x, "identity not preserved")
+    there = comp(target)
+    for (f, g), h in comp(source).items():
+        if there[(mm[f], mm[g])] != mm[h]:
+            raise NotAFunctor((f, g), "composition not preserved")
+    return fincat.FunctorData(source, target, om, mm)
+
+
+def validate_nat_trans(source, target, components):
+    """The naturality check by name, which ``fincat.validate_nat_trans``
+    replaced: each square read from the name-keyed table of the target."""
+    if source.source != target.source or source.target != target.target:
+        raise NotNatural("functor boundaries differ")
+    c, d = source.source, source.target
+    comps = dict(components)
+    for x in c.objects:
+        a = comps.get(x)
+        if a is None or not d.has_morphism(a) or d.dom(a) != source.obj_map[x] or d.cod(a) != target.obj_map[x]:
+            raise NotNatural(x)
+    table = comp(d)
+    for m in c.morphisms:
+        # F f ; alpha_y  ==  alpha_x ; G f
+        if table[(source.mor_map[m.name], comps[m.cod])] != table[(comps[m.dom], target.mor_map[m.name])]:
+            raise NotNatural(m.name)
+    return fincat.NatTransData(source, target, comps)
 
 
 COMP_ENTRIES_CAP = 600_000
@@ -232,7 +295,7 @@ def _arrows(c, tuples):
     and, for each, the position of its source h;t: a k-tuple of ints g is
     looked up by its code g_1*M + g_2 (g_1 when k = 1), M the number of
     morphisms."""
-    _, rows, into = c.interned
+    rows, into = c.rows, c.into
     size = len(rows)
     at = {t[0] if len(t) == 1 else t[0] * size + t[1]: j for j, (_, t) in enumerate(tuples)}
     for y, t in tuples:
@@ -264,6 +327,8 @@ def _elements_category(c, x, k):
     and morphism guards, its composition entries are guarded too: one per
     morphism h into dom m and tuple over cod m, for every morphism m."""
     elements, tuples = fincat._enumerate(c, x, k)
+    names = c.morphism_names()
+    elements = {p: tuple(map(names.__getitem__, t)) for p, t in elements.items()}
     arrows = _arrows(c, tuples)
     into = {z: 0 for z in c.objects}
     for m in c.morphisms:
@@ -271,16 +336,16 @@ def _elements_category(c, x, k):
     entries = sum(into[m.dom] * len(c.hom(m.cod, x)) ** k for m in c.morphisms)
     if entries > COMP_ENTRIES_CAP:
         raise SizeCapExceeded(f"{('slice', 'parallel arrows')[k - 1]} over {x!r} composition entries", entries, COMP_ENTRIES_CAP)
-    names = list(elements)
+    objs = list(elements)
     used = set()
     mors = []
     witness = {}
     by_key = {}
     incoming = {p: [] for p in elements}
     outgoing = {p: [] for p in elements}
-    for tgt, (hs, sources) in zip(names, arrows):
+    for tgt, (hs, sources) in zip(objs, arrows):
         for i, j in zip(hs, sources):
-            src, h = names[j], c.morphisms[i].name
+            src, h = objs[j], names[i]
             name = fincat._fresh_name(f"{h}[{src}=>{tgt}]", used)
             mors.append((name, src, tgt))
             witness[name] = (src, h, tgt)
@@ -290,15 +355,15 @@ def _elements_category(c, x, k):
 
     ident = {p: by_key[(p, c.id_of(c.dom(t[0])), p)] for p, t in elements.items()}
 
-    comp = {}
+    table, entries = comp(c), {}
     for mid in elements:
         for m1 in incoming[mid]:
             src, h1, _ = witness[m1]
             for m2 in outgoing[mid]:
                 _, h2, tgt = witness[m2]
-                comp[(m1, m2)] = by_key[(src, c.comp[(h1, h2)], tgt)]
+                entries[(m1, m2)] = by_key[(src, table[(h1, h2)], tgt)]
 
-    cat = build(elements, mors, ident, comp)
+    cat = build(elements, mors, ident, entries)
     projection = fincat.FunctorData(
         cat, c, {p: c.dom(t[0]) for p, t in elements.items()}, {name: w[1] for name, w in witness.items()}
     )
@@ -356,6 +421,7 @@ def pi0_explicit(c, x):
 
 def pi1_explicit(c, x):
     """The case-by-case description of pi1 over parallel pairs into x."""
+    table = comp(c)
     pairs = [
         (f, g)
         for y in c.objects
@@ -367,7 +433,7 @@ def pi1_explicit(c, x):
         f, g = p
         f2, g2 = q
         return any(
-            c.comp[(h, f2)] == f and c.comp[(h, g2)] == g
+            table[(h, f2)] == f and table[(h, g2)] == g
             for h in c.hom(c.dom(f), c.dom(f2))
         )
 
@@ -388,7 +454,7 @@ def pi1_explicit(c, x):
         leq.add((a, a))
         fa, ga = rep_of[a]
         if any(
-            c.comp[(h, fa)] == c.comp[(h, ga)]
+            table[(h, fa)] == table[(h, ga)]
             for z in c.objects
             for h in c.hom(z, c.dom(fa))
         ):
@@ -417,6 +483,7 @@ def covariance_map(alpha, f, i):
     x, y = F.source.dom(f), F.source.cod(f)
     ax, ay = alpha.components[x], alpha.components[y]
     gf, ff = G.mor_map[f], F.mor_map[f]
+    table = comp(d)
     sx = slice_category(d, G.obj_map[x])
     sy = slice_category(d, G.obj_map[y])
     if i == 0:
@@ -424,7 +491,7 @@ def covariance_map(alpha, f, i):
         class_of = order.poset_reflection(sy.cat)[1]
 
         def image(e):
-            return class_of[d.comp[(e, gf)]]
+            return class_of[table[(e, gf)]]
 
     else:
         src, dst = homotopy.pi1(sx.cat, ax), homotopy.pi1(sy.cat, ay)
@@ -437,7 +504,7 @@ def covariance_map(alpha, f, i):
         def slice_image(p):
             h = sx.cat.dom(p)  # a morphism of D into Gx
             k = sx.projection.mor_map[p]  # its witness k: dom h -> Fx, k;alpha_x = h
-            return sy_by_key[(d.comp[(h, gf)], d.comp[(k, ff)], ay)]
+            return sy_by_key[(table[(h, gf)], table[(k, ff)], ay)]
 
         def image(e):
             return class_of[name_of[tuple(slice_image(p) for p in pairs_x[e])]]

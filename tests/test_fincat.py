@@ -78,6 +78,12 @@ def discrete2():
     )
 
 
+def indexed(c):
+    """The one table of c and its one index: the rows, the position of each
+    morphism, and the positions into each object."""
+    return c.index, c.rows, c.into
+
+
 class TestValidation:
     def test_walking_arrow_accepted(self, wa):
         assert wa.objects == ("0", "1")
@@ -85,7 +91,7 @@ class TestValidation:
 
     def test_z2_accepted(self, z2):
         assert len(z2.morphisms) == 2
-        assert z2.comp[("s", "s")] == "e"
+        assert oracles.comp(z2)[("s", "s")] == "e"
 
     def test_broken_identity_law_names_witness(self):
         # comp(a, id1) lands on the parallel arrow b, well-typed but wrong
@@ -150,8 +156,6 @@ class TestValidation:
 
     def test_tables_are_read_only(self, z2):
         with pytest.raises(TypeError):
-            z2.comp[("s", "s")] = "s"
-        with pytest.raises(TypeError):
             z2.identity["*"] = "s"
         with pytest.raises(TypeError):
             z2.rows[0] = {}
@@ -178,7 +182,7 @@ class TestLightsTest:
         # in the middle is (g2, g1, g1), the scan over every middle meets
         # (g1, g2, g1) first
         c = gen.cyclic_group_category(4)
-        comp = dict(c.comp)
+        comp = dict(oracles.comp(c))
         comp[("g3", "g1")] = "g1"
         with pytest.raises(NonAssociative, match=r"\('g1', 'g2', 'g1'\)"):
             fincat.validate_category(c.objects, [(m.name, m.dom, m.cod) for m in c.morphisms], c.identity, comp)
@@ -190,12 +194,13 @@ class TestLightsTest:
         # with no identity in them break associativity rather than an
         # identity law, so half the draws take only those
         c = gen.random_category(random.Random(seed))
-        entries = [(key, h) for key, h in sorted(c.comp.items()) if len(c.hom(c.dom(h), c.cod(h))) > 1]
+        table = oracles.comp(c)
+        entries = [(key, h) for key, h in sorted(table.items()) if len(c.hom(c.dom(h), c.cod(h))) > 1]
         if data.draw(st.booleans()):
             entries = [(key, h) for key, h in entries if not set(key) & set(c.identity.values())]
         assume(entries)
         key, h = data.draw(st.sampled_from(entries))
-        comp = dict(c.comp)
+        comp = dict(table)
         comp[key] = data.draw(st.sampled_from([m for m in c.hom(c.dom(h), c.cod(h)) if m != h]))
         decls = data.draw(st.permutations([(m.name, m.dom, m.cod) for m in c.morphisms]))
         expected = oracles.law_failure(decls, c.identity, comp)
@@ -229,9 +234,10 @@ def corrupt(c, kind, data):
     objects = list(draw(st.permutations(c.objects)))
     decls = list(draw(st.permutations([(m.name, m.dom, m.cod) for m in c.morphisms])))
     identity = dict(draw(st.permutations(sorted(c.identity.items()))))
-    comp = dict(draw(st.permutations(sorted(c.comp.items()))))
+    table = oracles.comp(c)
+    comp = dict(draw(st.permutations(sorted(table.items()))))
     names = [m.name for m in c.morphisms]
-    entries = sorted(c.comp.items())
+    entries = sorted(table.items())
     if kind == "duplicate object":
         objects.insert(draw(st.integers(0, len(objects))), pick(c.objects))
     elif kind == "duplicate morphism":
@@ -253,7 +259,7 @@ def corrupt(c, kind, data):
         (f, g), h = pick(entries)
         comp[pick([("?", g), (f, "?")])] = h
     elif kind == "unknown composite":
-        comp[pick(sorted(c.comp))] = "?"
+        comp[pick(sorted(table))] = "?"
     elif kind == "not composable":
         comp[pick([(f, g) for f in names for g in names if c.cod(f) != c.dom(g)])] = names[0]
     elif kind == "not composable, well typed":
@@ -267,7 +273,7 @@ def corrupt(c, kind, data):
         (f, g), h = pick(entries)
         comp[f, g] = pick([m for m in names if (c.dom(m) == c.dom(h)) != (c.cod(m) == c.cod(h))])
     elif kind == "missing composite":
-        del comp[pick(sorted(c.comp))]
+        del comp[pick(sorted(table))]
     elif kind in ("identity law", "associativity"):
         # another morphism of the composite's hom-set; an entry with an
         # identity in it breaks an identity law, one without associativity
@@ -325,7 +331,7 @@ class TestIntValidator:
         else:
             got = fincat.validate_category(*tables)
             assert got == expected
-            assert got.interned == expected.interned  # the oracle's are built from comp
+            assert indexed(got) == indexed(expected)  # the oracle's are built from comp
 
     @settings(max_examples=300, deadline=None)
     @given(st.integers(min_value=0, max_value=10_000), st.sampled_from(CORRUPTIONS), st.data())
@@ -343,8 +349,8 @@ class TestIntValidator:
         else:
             got = fincat.parse_category(text)
             assert got == expected
-            assert got.interned == expected.interned
-            assert dict(got.comp) == dict(expected.comp)
+            assert indexed(got) == indexed(expected)
+            assert dict(oracles.comp(got)) == dict(oracles.comp(expected))
 
     def test_parsed_rows_are_the_rows_built_from_comp(self, wa, z2, seed):
         rng = random.Random(seed + 5)
@@ -352,7 +358,8 @@ class TestIntValidator:
         cats += [gen.random_category(rng) for _ in range(20)]
         for c in cats:
             parsed = fincat.parse_category(fincat.serialize_category(c))
-            assert parsed.interned == fincat.opposite(fincat.opposite(c)).interned
+            twice = fincat.opposite(fincat.opposite(c))
+            assert indexed(parsed) == indexed(twice)
 
 
 class TestTextFormat:
@@ -402,7 +409,7 @@ class TestTextFormat:
 
     def test_comment_only_file_is_the_empty_category(self):
         c = fincat.parse_category("# nothing here\n   # indented\n\n")
-        assert (c.objects, c.morphisms, dict(c.comp)) == ((), (), {})
+        assert (c.objects, c.morphisms, dict(oracles.comp(c))) == ((), (), {})
 
     @pytest.mark.parametrize("text, message", [
         # str.splitlines ends a line at \x0b and \x0c too
@@ -449,7 +456,7 @@ class TestTextFormat:
         fincat._parse.cache_clear()  # the canonical text would be a memo hit
         got = fincat.parse_category("\n".join(lines) + "\n")
         assert got == canonical
-        assert got.interned == canonical.interned
+        assert indexed(got) == indexed(canonical)
 
     @pytest.mark.parametrize("text", [
         Z2 + "obj y\nmor i : y -> y\nid y = i\ncomp i ; i = i\n",
@@ -538,7 +545,7 @@ class TestParseMemo:
         assert fincat.parse_category(text) is kept
         fresh = fincat._parse.__wrapped__(text)
         assert kept == fresh  # objects, morphisms, identity and rows
-        assert kept.interned == fresh.interned
+        assert indexed(kept) == indexed(fresh)
 
     def test_never_more_texts_than_the_bound(self):
         texts = [fincat.serialize_category(gen.cyclic_group_category(n)) for n in range(1, fincat._PARSE_MEMO + 3)]
@@ -575,10 +582,10 @@ class TestOpposite:
         rng = random.Random(seed + 7)
         for c in [wa, gen.cyclic_group_category(5), *(gen.random_category(rng) for _ in range(20))]:
             op = fincat.opposite(c)
-            reversed_table = {(g, f): h for (f, g), h in c.comp.items()}
+            reversed_table = {(g, f): h for (f, g), h in oracles.comp(c).items()}
             built = oracles.build(op.objects, [(m.name, m.dom, m.cod) for m in op.morphisms], op.identity, reversed_table)
             assert op.rows == built.rows
-            assert dict(op.comp) == reversed_table
+            assert dict(oracles.comp(op)) == reversed_table
 
 
 class TestRowsAreTheTable:
@@ -589,9 +596,9 @@ class TestRowsAreTheTable:
         for x in c.objects:
             homotopy.pi0(c, x)
             homotopy.pi1(c, x)
-        assert "comp" not in vars(c)
-        assert c.comp[("1>2:0", "2>1:00")] == "1>1:0"
-        assert "comp" in vars(c)
+        # the one table and the one index, and the one cached property
+        assert set(vars(c)) == {"objects", "morphisms", "identity", "rows", "index", "into", "_hom", "split_epis"}
+        assert oracles.comp(c)[("1>2:0", "2>1:00")] == "1>1:0"
 
 
 class TestSlice:
@@ -612,7 +619,7 @@ class TestSlice:
         assert set(sl.cat.objects) == {"e", "s"}
         for f in ("e", "s"):
             for g in ("e", "s"):
-                expected = sum(1 for h in ("e", "s") if z2.comp[(h, g)] == f)
+                expected = sum(1 for h in ("e", "s") if oracles.comp(z2)[(h, g)] == f)
                 got = len(sl.cat.hom(f, g))
                 assert got == expected == 1
 
@@ -645,7 +652,7 @@ class TestSlice:
                 sl.cat.objects,
                 [(m.name, m.dom, m.cod) for m in sl.cat.morphisms],
                 sl.cat.identity,
-                sl.cat.comp,
+                oracles.comp(sl.cat),
             )
 
 
@@ -677,7 +684,7 @@ class TestParallelArrows:
             pa.cat.objects,
             [(m.name, m.dom, m.cod) for m in pa.cat.morphisms],
             pa.cat.identity,
-            pa.cat.comp,
+            oracles.comp(pa.cat),
         )
 
     def test_size_cap(self):
@@ -696,6 +703,50 @@ class TestParallelArrows:
         assert sorted(pa.elements.values()) == sorted(
             (f0, f1) for y in c.objects for f0 in c.hom(y, "x") for f1 in c.hom(y, "x")
         )
+
+
+# One way to break a map between categories per check of validate_functor,
+# a map whose every morphism goes into the hom-set its ends ask for, and none.
+MAP_BREAKS = (
+    "none", "object unmapped", "unknown image object", "morphism unmapped", "unknown image morphism",
+    "mistyped", "identity not kept", "another of its hom-set", "typed anywhere",
+)
+
+
+def break_map(c, d, om, mm, kind, draw):
+    """The object and morphism maps om and mm of a functor c -> d, broken
+    in the given way."""
+
+    def pick(items):
+        items = list(items)
+        assume(items)
+        return draw(st.sampled_from(items))
+
+    names = c.morphism_names()
+    if kind == "object unmapped":
+        del om[pick(c.objects)]
+    elif kind == "unknown image object":
+        om[pick(c.objects)] = "?"
+    elif kind == "morphism unmapped":
+        del mm[pick(names)]
+    elif kind == "unknown image morphism":
+        mm[pick(names)] = "?"
+    elif kind == "mistyped":
+        m = pick(names)
+        mm[m] = pick(n for n in d.morphism_names() if (d.dom(n), d.cod(n)) != (d.dom(mm[m]), d.cod(mm[m])))
+    elif kind == "identity not kept":
+        x = pick(c.objects)
+        mm[c.id_of(x)] = pick(n for n in d.hom(om[x], om[x]) if n != d.id_of(om[x]))
+    elif kind == "another of its hom-set":
+        m = pick(names)
+        mm[m] = pick(n for n in d.hom(d.dom(mm[m]), d.cod(mm[m])) if n != mm[m])
+    elif kind == "typed anywhere":
+        # objects anywhere, identities kept, and every other morphism into
+        # the hom-set its ends ask for, so composition is what is tested
+        om = {x: pick(d.objects) for x in c.objects}
+        ids = {c.id_of(x): d.id_of(om[x]) for x in c.objects}
+        mm = {m.name: ids.get(m.name) or pick(d.hom(om[m.dom], om[m.cod]) or d.morphism_names()) for m in c.morphisms}
+    return om, mm
 
 
 class TestFunctors:
@@ -726,6 +777,70 @@ class TestFunctors:
         assert exc.value.witness in ("1", "a")
         good = fincat.validate_nat_trans(ident, const1, {"0": "a", "1": "id1"})
         assert good.components["0"] == "a"
+
+    def test_witness_is_the_first_in_row_order(self):
+        # Z/12's row of g1 lists e, g1, .., g11 as declared, not by name:
+        # moving g10 fails there first at (g9, g1), where a walk by name
+        # would meet (g10, g1)
+        c = gen.cyclic_group_category(12)
+        mm = {m: m for m in c.morphism_names()} | {"g10": "g3"}
+        for check in (fincat.validate_functor, oracles.validate_functor):
+            with pytest.raises(NotAFunctor) as exc:
+                check(c, c, {"*": "*"}, mm)
+            assert exc.value.witness == ("g9", "g1")
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(min_value=0, max_value=10_000), st.sampled_from(MAP_BREAKS), st.data())
+    def test_agrees_with_the_name_keyed_oracle(self, seed, kind, data):
+        """A drawn functor, or a map broken at one of the checks, is refused
+        with the witness the check by name gives, or accepted by both.  Half
+        the draws start from the identity functor of a category with large
+        hom-sets, where a moved morphism is likely to break composition."""
+        if data.draw(st.booleans()):
+            f = gen.random_functor(random.Random(seed))
+        else:
+            rich = [*iso_rich_categories().values(), gen.cyclic_group_category(12)]  # Z/12 rows not in name order
+            f = fincat.identity_functor(data.draw(st.sampled_from(rich)))
+        c, d = f.source, f.target
+        om, mm = break_map(c, d, dict(f.obj_map), dict(f.mor_map), kind, data.draw)
+        try:
+            expected = oracles.validate_functor(c, d, om, mm)
+        except NotAFunctor as exc:
+            with pytest.raises(NotAFunctor) as got:
+                fincat.validate_functor(c, d, om, mm)
+            assert (got.value.witness, str(got.value)) == (exc.witness, str(exc))
+        else:
+            assert fincat.validate_functor(c, d, om, mm) == expected
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(min_value=0, max_value=10_000), st.sampled_from(["none", "missing", "unknown", "mistyped", "typed"]),
+           st.data())
+    def test_naturality_agrees_with_the_name_keyed_oracle(self, seed, kind, data):
+        """A drawn natural transformation with one component moved: missing,
+        unknown, mistyped, or another of its hom-set, which may break a
+        square.  Both checks refuse at the same witness, or accept."""
+        alpha = gen.random_nat_trans(random.Random(seed))
+        F, G = alpha.source, alpha.target
+        d, comps = F.target, dict(alpha.components)
+        assume(F.source.objects)
+        x = data.draw(st.sampled_from(F.source.objects))
+        ends = (F.obj_map[x], G.obj_map[x])
+        others = {"none": [comps[x]], "unknown": ["?"],
+                  "mistyped": [m for m in d.morphism_names() if (d.dom(m), d.cod(m)) != ends],
+                  "typed": [m for m in d.hom(*ends) if m != comps[x]]}
+        if kind == "missing":
+            del comps[x]
+        else:
+            assume(others[kind])
+            comps[x] = data.draw(st.sampled_from(others[kind]))
+        try:
+            expected = oracles.validate_nat_trans(F, G, comps)
+        except NotNatural as exc:
+            with pytest.raises(NotNatural) as got:
+                fincat.validate_nat_trans(F, G, comps)
+            assert (got.value.witness, str(got.value)) == (exc.witness, str(exc))
+        else:
+            assert fincat.validate_nat_trans(F, G, comps) == expected
 
 
 class TestGroupoid:
@@ -786,7 +901,8 @@ class TestIsos:
         assert not fincat.is_groupoid(cats["idempotent"]) and not fincat.is_groupoid(cats["flipflop"])
         # s;r = id_a but r;s = e is not id_b: r is split epi, s is not
         retract = cats["retract"]
-        assert retract.comp["s", "r"] == "ida" and retract.comp["r", "s"] == "e"
+        table = oracles.comp(retract)
+        assert table["s", "r"] == "ida" and table["r", "s"] == "e"
         assert oracles.isos(retract) == {"ida", "idb"}
         assert not fincat.is_groupoid(retract)
 
@@ -878,5 +994,5 @@ def test_random_categories_satisfy_all_laws(seed):
     # the generator promises validity; re-check through the validator
     c = gen.random_category(random.Random(seed))
     assert fincat.validate_category(
-        c.objects, [(m.name, m.dom, m.cod) for m in c.morphisms], c.identity, c.comp
+        c.objects, [(m.name, m.dom, m.cod) for m in c.morphisms], c.identity, oracles.comp(c)
     ) == c

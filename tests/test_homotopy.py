@@ -289,11 +289,11 @@ class TestObjectAction:
         done = 0
         while done < 15:
             c = gen.random_category(rng, max_objects=4, max_morphisms=16)
-            comps = [(f, g) for (f, g) in c.comp if True]
+            comps = [(f, g) for (f, g) in oracles.comp(c) if True]
             if not comps:
                 continue
             f, g = rng.choice(comps)
-            fg = c.comp[(f, g)]
+            fg = oracles.comp(c)[(f, g)]
             for i in (0, 1):
                 lhs = homotopy.pi_object_action(c, fg, i)
                 rhs = order.compose_pointed(
@@ -376,11 +376,11 @@ class TestCovariance:
         while done < 10:
             alpha = gen.random_nat_trans(rng)
             c = alpha.source.source
-            pairs = list(c.comp)
+            pairs = list(oracles.comp(c))
             if not pairs:
                 continue
             f, g = rng.choice(pairs)
-            fg = c.comp[(f, g)]
+            fg = oracles.comp(c)[(f, g)]
             for i in (0, 1):
                 lhs = homotopy.covariance_map(alpha, fg, i)
                 rhs = order.compose_pointed(
@@ -422,6 +422,18 @@ class TestAnalyze:
                 assert an.split_epi == oracles.split_epi(c, m)
                 assert an.mono == oracles.mono(c, m)
                 assert an.iso == (an.split_epi and an.mono)
+
+    @pytest.mark.parametrize("search, flag", [("brute_split_epi", "split-epi"), ("brute_mono", "mono")])
+    def test_a_search_that_disagrees_is_refused(self, monkeypatch, search, flag):
+        # each verdict is checked against its direct search; one that says
+        # the opposite, for a morphism that is mono and split epi or not
+        c = walking_arrow()
+        truth = getattr(homotopy, search)
+        monkeypatch.setattr(homotopy, search, lambda c, f: not truth(c, f))
+        for f in ("a", "id0"):
+            with pytest.raises(OracleMismatch) as exc:
+                homotopy.analyze_morphism(c, f)
+            assert str(exc.value) == f"{flag} flag disagrees with search at {f!r}"
 
     def test_matches_materialised_slice(self, seed):
         rng = random.Random(seed + 15)
@@ -472,7 +484,8 @@ class TestAnalyze:
         names = data.draw(st.lists(st.text("[]=>(),", min_size=1, max_size=3),
                                    min_size=len(ids), max_size=len(ids), unique=True))
         c = gen.renamed(c, dict(zip(ids, names)))
-        for f in c.morphism_names():
+        table, names = oracles.comp(c), c.morphism_names()
+        for f in names:
             x = c.dom(f)
             an = homotopy.analyze_morphism(c, f)
             sl = oracles.slice_category(c, c.cod(f)).cat
@@ -480,8 +493,8 @@ class TestAnalyze:
             assert len(an.pi1.invariant.poset.elements) == len(homotopy.pi1(sl, f).invariant.poset.elements)
             pairs, _ = fincat._elements_preorder(c, x, 2, f)
             equalised = [(h0, h1) for z in c.objects for h0 in c.hom(z, x) for h1 in c.hom(z, x)
-                         if c.comp[h0, f] == c.comp[h1, f]]
-            assert sorted(pairs.values()) == sorted(equalised)
+                         if table[h0, f] == table[h1, f]]
+            assert sorted((names[h0], names[h1]) for h0, h1 in pairs.values()) == sorted(equalised)
 
 
 class TestGroupoidDegeneration:

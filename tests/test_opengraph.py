@@ -16,6 +16,7 @@ from obstructia.errors import (
     DanglingReference,
     LaxityViolation,
     NotAGraphHom,
+    OracleMismatch,
     ParseError,
     TypeMismatch,
 )
@@ -473,6 +474,17 @@ class TestAct:
         assert reached.pairs == {("1", "1"), ("1", "3")}
         bp = pmap.target.basepoint
         assert pmap.mapping["{(1,1)}"] == bp
+
+    def test_reachability_that_shrinks_is_refused(self, G, H, monkeypatch):
+        # a valid homomorphism cannot shrink reachability, so the cross-check
+        # is made to see one by a reach that forgets the target's paths
+        hom = identified(G)
+        reach = og.reach
+        monkeypatch.setattr(og, "reach", lambda g: og.Relation(g.inputs, g.outputs, frozenset()) if g is hom.target else reach(g))
+        assert reach(hom.source).pairs
+        with pytest.raises(OracleMismatch) as exc:
+            og.act(hom, H)
+        assert str(exc.value) == "reachability must grow along a graph homomorphism"
 
     def test_identity_hom_identity_map(self, G, H):
         hom = og.GraphHom(G, G, {v: v for v in G.vertices})
