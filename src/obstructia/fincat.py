@@ -24,10 +24,10 @@ morphisms canonically so outputs are reproducible byte for byte.  Besides
 the opposite, they are categories of elements of hom(-, x)^k (the slice
 over x at k = 1, parallel arrows at k = 2): one enumeration behind the size
 caps below and one walk over the rows that hands each down-set along
-``FinCat.split_epis``, kept as the reachability preorder that the
-invariants read.  The tests keep, as oracles, the walk over every arrow,
-the composition tables of the derived categories, the table keyed by names
-and the functor and naturality checks by name.
+``FinCat.split_epis``, the preorder ``order.pointed_reflection`` points.
+The tests keep, as oracles, the walk over every arrow, the composition
+tables of the derived categories, the table keyed by names and the functor
+and naturality checks by name.
 """
 
 from __future__ import annotations
@@ -416,18 +416,18 @@ class NatTransData:
 
 
 def validate_nat_trans(source: FunctorData, target: FunctorData, components: Mapping[str, str]) -> NatTransData:
+    """Check both functors (``validate_functor``), then each component's
+    ends and each naturality square: NotNatural at the first that fails."""
     if source.source != target.source or source.target != target.target:
         raise NotNatural("functor boundaries differ")
     c = source.source
     d = source.target
+    for functor in (source, target):
+        validate_functor(c, d, functor.obj_map, functor.mor_map)
     comps = dict(components)
     for x in c.objects:
-        if x not in comps:
-            raise NotNatural(x)
-        a = comps[x]
-        if not d.has_morphism(a):
-            raise NotNatural(x)
-        if d.dom(a) != source.obj_map[x] or d.cod(a) != target.obj_map[x]:
+        a = comps.get(x)
+        if a is None or not d.has_morphism(a) or d.dom(a) != source.obj_map[x] or d.cod(a) != target.obj_map[x]:
             raise NotNatural(x)
     at, rows = d.index, d.rows
     for m in c.morphisms:
@@ -453,16 +453,6 @@ def opposite(c: FinCat) -> FinCat:
     return FinCat(c.objects, tuple(MorDecl(m.name, m.cod, m.dom) for m in c.morphisms), dict(c.identity), tuple(rows))
 
 
-def _fresh_name(base: str, used: set) -> str:
-    name = base
-    n = 1
-    while name in used:
-        n += 1
-        name = f"{base}#{n}"
-    used.add(name)
-    return name
-
-
 def pair_name(f0: str, f1: str) -> str:
     """The one rendering of a pair of names, for every module."""
     return f"({f0},{f1})"
@@ -476,9 +466,9 @@ def _enumerate(c: FinCat, x: str, k: int, over: str | None = None, cap_objects: 
     g = f_i;over are kept, named as slice morphisms f_i[g=>over].  The
     fibres are read off ``into[x]`` and the row of ``over``; names are read
     only to name the elements.  A slice object is named by its morphism id,
-    a pair by ``pair_name``; ``_fresh_name`` keeps distinct pairs apart when
-    two render alike.  The sizes are checked first, the objects against
-    ``cap_objects``."""
+    a pair by ``pair_name``; if a name repeats, the n-th rendered alike
+    gets ``#n``, so distinct pairs stay apart.  The sizes are checked
+    first, the objects against ``cap_objects``."""
     if not c.has_object(x):
         raise UnknownObject(x)
     mors, into = c.morphisms, c.into
@@ -498,15 +488,21 @@ def _enumerate(c: FinCat, x: str, k: int, over: str | None = None, cap_objects: 
         if n > cap:
             raise SizeCapExceeded(f"{('slice', 'parallel arrows')[k - 1]} over {point!r} {part}", n, cap)
 
-    used: set = set()
-    elements: dict[str, tuple[int, ...]] = {}
-    tuples: list[tuple[str, tuple[int, ...]]] = []  # (domain, tuple) per element
+    names, tuples = [], []  # each element's name, and its (domain, tuple)
     for y in c.objects:
         for g, fibre in fibres[y].items():
             labels = [mors[f].name if over is None else f"{mors[f].name}[{mors[g].name}=>{over}]" for f in fibre]
-            for parts, t in zip(product(labels, repeat=k), product(fibre, repeat=k)):
-                elements[_fresh_name(parts[0] if k == 1 else pair_name(*parts), used)] = t
-                tuples.append((y, t))
+            names += labels if k == 1 else [pair_name(*parts) for parts in product(labels, repeat=2)]
+            tuples += [(y, t) for t in product(fibre, repeat=k)]
+    elements = dict(zip(names, map(itemgetter(1), tuples)))
+    if len(elements) < len(names):  # a name repeats
+        elements = {}
+        for name, (_, t) in zip(names, tuples):
+            n, free = 1, name
+            while free in elements:
+                n += 1
+                free = f"{name}#{n}"
+            elements[free] = t
     return elements, tuples
 
 
@@ -525,7 +521,8 @@ def _elements_preorder(c: FinCat, x: str, k: int, over: str | None = None, cap_o
     at = {t[0] if k == 1 else t[0] * size + t[1]: j for j, (_, t) in enumerate(tuples)}
     split_at = {y: [i for i, h in enumerate(hs) if h in c.split_epis] for y, hs in into.items()}
     down = [0] * len(tuples)
-    for e in sorted(range(len(tuples)), key=lambda e: len(into[tuples[e][0]])):
+    weight = [len(into[y]) for y, _ in tuples]
+    for e in sorted(range(len(tuples)), key=weight.__getitem__):
         if down[e]:
             continue
         y, t = tuples[e]

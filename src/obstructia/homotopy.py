@@ -1,21 +1,23 @@
 """Zeroth and first homotopy posets of a pointed finite category.
 
-pi0 is computed by the pipeline "reflect, then collapse the lower set of the
-chosen object's class"; pi1 is pi0 of the category of parallel arrows over
-the object, pointed at the pair of identities.  As pi0 reads reachability
-only, every other invariant reflects the reachability preorder of a category
-of elements of c and none is materialised: the slice C/y at f: x -> y is
+pi0 is the pointed reflection of the objects' reachability preorder: the
+poset reflection with the lower set of the chosen object's class collapsed
+to a basepoint, built in one pass by ``order.pointed_reflection``; pi1 is
+pi0 of the category of parallel arrows over the object, pointed at the pair
+of identities.  As pi0 reads reachability only, every other invariant
+points the reachability preorder of a category of elements of c, handed
+over by one walk, and none is materialised: the slice C/y at f: x -> y is
 read off the morphisms into y (pi0) and the pairs into x that f equalises
 (pi1).  Non-basepoint elements rank the obstructions: to weak terminality
 for pi0, to subterminality for pi1.
 
 The induced maps (along a morphism, along a functor, and along a natural
-transformation over a morphism of the domain) reflect each distinct
-category once and, like every flow, are built by ``induced_map``: it maps
-class representatives, sends collapsed images to the basepoint, and then
-*checks* the result to be monotone, along the covers of the source poset,
-and basepoint-preserving, so a broken table shows up as an error instead
-of a silently wrong poset.
+transformation over a morphism of the domain) walk each distinct preorder
+once, point it once per end, and, like every flow, are built by
+``induced_map``: it maps class representatives, sends collapsed images to
+the basepoint, and then *checks* the result to be monotone, along the
+covers of the source poset, and basepoint-preserving, so a broken table
+shows up as an error instead of a silently wrong poset.
 
 ``write_report`` is the one writer of a report, as text, as a DOT Hasse
 diagram or as an interchange document.  Every list of name pairs in them
@@ -70,36 +72,42 @@ def report_from_pointed(pp: order.PointedPoset, context: str) -> ObstructionRepo
 # -- the two invariants ------------------------------------------------------
 
 
-def _pi_at(reflection: tuple[order.Poset, dict], base, point: str, i: int) -> ObstructionReport:
-    """pi_i pointed at ``point``: collapse the lower set of the class of
-    base, an object (pi0 of c) or a tuple of positions (a category of
-    elements)."""
-    p, class_of = reflection
-    pp = order.collapse_lower(p, order.lower_closure(p, {class_of[base]}), f"[{point}]")
-    return report_from_pointed(pp, f"pi{i} at object {point!r}")
+def _pi_data(c: fincat.FinCat, k: int, x: str | None = None, over: str | None = None, cap_objects: int = fincat.OBJECTS_CAP):
+    """The walk behind pi_i: the element names, each with its key, and, in
+    that order, their down-masks.  At k = 0 the elements are the objects of
+    c, each its own key, and each object's mask has the domains of the
+    morphisms into it; at k = 1, 2 they are the category of elements of
+    hom(-, x)^k (only the tuples that ``over`` equalises, if given), keyed
+    by tuple of positions."""
+    if k:
+        return fincat._elements_preorder(c, x, k, over, cap_objects)
+    index = {y: i for i, y in enumerate(c.objects)}
+    down = [0] * len(index)
+    for m in c.morphisms:
+        down[index[m.cod]] |= 1 << index[m.dom]
+    return dict(zip(c.objects, c.objects)), down
+
+
+def _pi_at(walk, base, point: str, i: int) -> tuple[ObstructionReport, list[str]]:
+    """pi_i pointed at ``point``: the pointed reflection of the walk at the
+    element keyed ``base``, an object or a tuple of positions, and the class
+    of each element in walk order."""
+    elements, down = walk
+    pp, class_of = order.pointed_reflection(list(elements), down, list(elements.values()).index(base), f"[{point}]")
+    return report_from_pointed(pp, f"pi{i} at object {point!r}"), class_of
 
 
 def pi0(c: fincat.FinCat, x: str) -> ObstructionReport:
     """Pointed poset of obstructions to weak terminality of x."""
     if not c.has_object(x):
         raise UnknownObject(x)
-    return _pi_at(order.poset_reflection(c), x, x, 0)
-
-
-def _pi_data(c: fincat.FinCat, x: str, k: int, over: str | None = None, cap_objects: int = fincat.OBJECTS_CAP):
-    """The reflection of the reachability preorder of the category of
-    elements of hom(-, x)^k (only the tuples that ``over`` equalises, if
-    given), with classes keyed by tuple of positions, and the tuple behind
-    each name.  Class names are least member names, so each names a tuple."""
-    elements, down = fincat._elements_preorder(c, x, k, over, cap_objects)
-    p, class_of = order._reflect(list(elements), down)
-    return (p, {t: class_of[name] for name, t in elements.items()}), elements
+    return _pi_at(_pi_data(c, 0), x, x, 0)[0]
 
 
 def pi1(c: fincat.FinCat, x: str, cap_objects: int = fincat.OBJECTS_CAP) -> ObstructionReport:
     """Pointed poset of obstructions to subterminality of x.  Refuses with
     SizeCapExceeded past ``cap_objects`` parallel pairs over x."""
-    return _pi_at(_pi_data(c, x, 2, cap_objects=cap_objects)[0], (c.index[c.id_of(x)],) * 2, x, 1)
+    return _pi_at(_pi_data(c, 2, x, cap_objects=cap_objects), (c.index[c.id_of(x)],) * 2, x, 1)[0]
 
 
 # -- terminality oracles (independent of the poset machinery) ----------------
@@ -140,21 +148,31 @@ def induced_map(src: ObstructionReport, dst: ObstructionReport, image_class) -> 
     return order.make_pointed(src.invariant, dst.invariant, mapping)
 
 
+def _between(i: int, src_end, dst_end, image) -> order.PointedMap:
+    """The map from pi_i at one end to pi_i at the other, each end a (walk,
+    base key, point): an element goes to the class of the image of its key,
+    read off one key -> class dict of the target end."""
+    (walk, base, point), (dst_walk, dst_base, dst_point) = src_end, dst_end
+    src = _pi_at(walk, base, point, i)[0]
+    dst, class_of = _pi_at(dst_walk, dst_base, dst_point, i)
+    elements, lookup = walk[0], dict(zip(dst_walk[0].values(), class_of))
+    return induced_map(src, dst, lambda e: lookup[image(elements[e])])
+
+
 def _flow(c: fincat.FinCat, x: str, d: fincat.FinCat, y: str, i: int, move) -> order.PointedMap:
     """pi_i(c, x) -> pi_i(d, y): the class of an object (i = 0) or of a pair
     of positions (i = 1, componentwise) goes to that of its move.
-    Coinciding ends are reflected once."""
+    Coinciding walks are taken once."""
     if i not in (0, 1):
         raise ValueError("i must be 0 or 1")
     if i == 0:
-        refl_c = order.poset_reflection(c)
-        refl_d = refl_c if d == c else order.poset_reflection(d)
-        src, dst = _pi_at(refl_c, x, x, 0), _pi_at(refl_d, y, y, 0)
-        return induced_map(src, dst, lambda e: refl_d[1][move(e)])
-    refl_c, elements = _pi_data(c, x, 2)
-    refl_d = refl_c if (d == c and y == x) else _pi_data(d, y, 2)[0]
-    src, dst = _pi_at(refl_c, (c.index[c.id_of(x)],) * 2, x, 1), _pi_at(refl_d, (d.index[d.id_of(y)],) * 2, y, 1)
-    return induced_map(src, dst, lambda e: refl_d[1][tuple(map(move, elements[e]))])
+        walk_c = _pi_data(c, 0)
+        walk_d = walk_c if d == c else _pi_data(d, 0)
+        return _between(0, (walk_c, x, x), (walk_d, y, y), move)
+    walk_c = _pi_data(c, 2, x)
+    walk_d = walk_c if (d == c and y == x) else _pi_data(d, 2, y)
+    ends = (walk_c, (c.index[c.id_of(x)],) * 2, x), (walk_d, (d.index[d.id_of(y)],) * 2, y)
+    return _between(1, *ends, lambda t: tuple(map(move, t)))
 
 
 def pi_object_action(c: fincat.FinCat, f: str, i: int) -> order.PointedMap:
@@ -198,17 +216,17 @@ def covariance_map(alpha: fincat.NatTransData, f: str, i: int) -> order.PointedM
     if i == 0:
         # the slice preorder over Gx does not depend on where it is pointed
         gx, gy = G.obj_map[x], G.obj_map[y]
-        refl_x, elements = _pi_data(d, gx, 1)
-        refl_y = refl_x if gy == gx else _pi_data(d, gy, 1)[0]
-        src, dst = _pi_at(refl_x, (d.index[ax],), ax, 0), _pi_at(refl_y, (d.index[ay],), ay, 0)
+        walk_x = _pi_data(d, 1, gx)
+        walk_y = walk_x if gy == gx else _pi_data(d, 1, gy)
+        ends = (walk_x, (d.index[ax],), ax), (walk_y, (d.index[ay],), ay)
         post = d.rows[d.index[G.mor_map[f]]]
     else:
         fx, fy = F.obj_map[x], F.obj_map[y]
-        refl_x, elements = _pi_data(d, fx, 2, ax)
-        refl_y = refl_x if ay == ax else _pi_data(d, fy, 2, ay)[0]
-        src, dst = _pi_at(refl_x, (d.index[d.id_of(fx)],) * 2, ax, 1), _pi_at(refl_y, (d.index[d.id_of(fy)],) * 2, ay, 1)
+        walk_x = _pi_data(d, 2, fx, ax)
+        walk_y = walk_x if ay == ax else _pi_data(d, 2, fy, ay)
+        ends = (walk_x, (d.index[d.id_of(fx)],) * 2, ax), (walk_y, (d.index[d.id_of(fy)],) * 2, ay)
         post = d.rows[d.index[F.mor_map[f]]]
-    return induced_map(src, dst, lambda e: refl_y[1][tuple(map(post.__getitem__, elements[e]))])
+    return _between(i, *ends, lambda t: tuple(map(post.__getitem__, t)))
 
 
 # -- morphism classification ---------------------------------------------------
@@ -241,8 +259,8 @@ def analyze_morphism(c: fincat.FinCat, f: str, cap_objects: int = fincat.OBJECTS
     if not c.has_morphism(f):
         raise UnknownMorphism(f)
     x, y = c.dom(f), c.cod(f)
-    r0 = _pi_at(_pi_data(c, y, 1, None, cap_objects)[0], (c.index[f],), f, 0)
-    r1 = _pi_at(_pi_data(c, x, 2, f, cap_objects)[0], (c.index[c.id_of(x)],) * 2, f, 1)
+    r0 = _pi_at(_pi_data(c, 1, y, None, cap_objects), (c.index[f],), f, 0)[0]
+    r1 = _pi_at(_pi_data(c, 2, x, f, cap_objects), (c.index[c.id_of(x)],) * 2, f, 1)[0]
     split_epi = r0.trivial
     mono = r1.trivial
     if split_epi != brute_split_epi(c, f):

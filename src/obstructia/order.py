@@ -7,15 +7,15 @@ ORs, ANDs and popcounts per element instead of lookups in a set of name
 pairs; the pairs themselves (``Poset.leq``) are derived on first read, and
 no operation here or output format reads them.
 
-The two workhorses are ``poset_reflection`` (collapse a finite category to
-its universal thin skeletal quotient) and ``collapse_lower`` (identify a
-down-closed set to a single basepoint).  The reflection reads reachability
-only: one routine reflects a preorder given by down-sets, which come from a
-category's morphisms or straight from the parallel arrows behind pi1.
-Chaining them is how the homotopy invariants are computed; everything else
-here is supporting machinery: lower sets, transitive reduction (``covers``),
-pointed and monotone maps, and DOT string quoting.  Reports, Hasse diagrams
-included, are written by ``homotopy.write_report``.
+The workhorse is ``pointed_reflection``: the universal thin skeletal
+quotient of a preorder given by down-masks, with the lower set of one
+element's class identified to a basepoint, built in one pass that names
+and orders only the classes that survive.  It reads reachability only: the
+down-masks come from a category's morphisms or straight from the walks
+behind the slices and parallel arrows, and every homotopy invariant is one
+call of it.  Everything else here is supporting machinery: transitive
+reduction (``covers``), pointed and monotone maps, and DOT string quoting.
+Reports, Hasse diagrams included, are written by ``homotopy.write_report``.
 
 ``from_masks`` validates every poset built here.  The one trusted
 constructor is ``homotopy.powerset_report``: its posets are orders by
@@ -28,11 +28,10 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import compress
-from typing import Iterable, Mapping, Optional
+from itertools import compress, repeat
+from typing import Mapping, Optional
 
-from . import fincat
-from .errors import EmptyCollapseSet, InvalidMap, InvalidPoset, NotDownClosed, UnknownObject
+from .errors import InvalidMap, InvalidPoset
 
 
 def _bits(m: int) -> list[int]:
@@ -212,93 +211,52 @@ def compose_pointed(first: PointedMap, second: PointedMap) -> PointedMap:
     return make_pointed(first.source, second.target, {e: second.mapping[v] for e, v in first.mapping.items()})
 
 
-# -- poset reflection ------------------------------------------------------
+# -- the pointed reflection ------------------------------------------------
 
 
-def _reflect(names, down: list[int]) -> tuple[Poset, dict[str, str]]:
+def pointed_reflection(names, down: list[int], base: int, basepoint_name: str) -> tuple[PointedPoset, list[str]]:
     """Reflect a preorder on ``names`` given by down-masks (bit j of down[i]
-    set when names[j] <= names[i]), reflexive and transitive as given.  The
-    class of i is down[i] & up[i], which in a preorder is the set of
-    elements with the same down-mask; it is named by its least member, so
-    the output is reproducible, and classes are ordered as their members
-    are: the classes below one are read off its down-mask, one least member
-    at a time.  Returns the poset and the name -> class map."""
-    members: dict[int, int] = {}  # down-mask -> the class having it
-    for i, d in enumerate(down):
-        members[d] = members.get(d, 0) | 1 << i
-    cls = {d: min(names[j] for j in _bits(m)) for d, m in members.items()}
-    elems = tuple(sorted(cls.values()))
-    index = {e: i for i, e in enumerate(elems)}
-    up = [0] * len(elems)
-    for d in members:
-        bit, rest = 1 << index[cls[d]], d
+    set when names[j] <= names[i]), reflexive and transitive as given, and
+    collapse the lower set of the class of position ``base``, low =
+    down[base], to a basepoint: one pass that names and orders only the
+    surviving classes.  In a preorder the class of i is the set of elements
+    with down-mask down[i], and it is named by its least member: taken in
+    name order, the first survivor seen with a mask names its class, so the
+    classes come out sorted.  The basepoint is ``basepoint_name``, with
+    ``'`` added while a surviving class has that name.  The classes below
+    one are read off its down-mask, one least surviving member at a time,
+    and the basepoint lies below exactly the classes whose masks meet low.
+    ``from_masks`` validates the result.  Returns the pointed poset and
+    each position's class, the basepoint for a collapsed one."""
+    low = down[base]
+    keep = ((1 << len(names)) - 1) & ~low
+    members: dict[int, int] = {}  # surviving down-mask -> its members
+    elems = []
+    for i in sorted(_pick(range(len(names)), keep), key=names.__getitem__):
+        d = down[i]
+        if d not in members:
+            members[d] = 0
+            elems.append(names[i])
+        members[d] |= 1 << i
+    bp = basepoint_name
+    taken = set(elems)
+    while bp in taken:
+        bp += "'"
+    at = bisect_left(elems, bp)
+    pos = {d: k + (k >= at) for k, d in enumerate(members)}
+    up = [0] * (len(elems) + 1)
+    up[at] = 1 << at
+    for d, k in pos.items():
+        bit, rest = 1 << k, d & keep
+        if d & low:
+            up[at] |= bit
         while rest:
             below = down[_low(rest)]
-            up[index[cls[below]]] |= bit
+            up[pos[below]] |= bit
             rest &= ~members[below]
-    return from_masks(elems, up), {e: cls[d] for e, d in zip(names, down)}
-
-
-def poset_reflection(c: fincat.FinCat) -> tuple[Poset, dict[str, str]]:
-    """Quotient a finite category to a poset.
-
-    Objects x, y are identified when hom(x, y) and hom(y, x) are both
-    non-empty; classes are ordered by existence of a connecting morphism.
-    Only the morphisms are read (dom below cod), never the composition
-    table.  Returns the poset and the object -> class map.
-    """
-    index = {x: i for i, x in enumerate(c.objects)}
-    down = [0] * len(index)
-    for m in c.morphisms:
-        down[index[m.cod]] |= 1 << index[m.dom]
-    return _reflect(c.objects, down)
-
-
-def _mask(p: Poset, names: Iterable[str]) -> int:
-    """The bitmask of a set of element names; the least unknown name raises."""
-    index = p.index
-    names = set(names)
-    unknown = [e for e in names if e not in index]
-    if unknown:
-        raise UnknownObject(min(unknown))
-    return sum(1 << index[e] for e in names)
-
-
-def lower_closure(p: Poset, s: Iterable[str]) -> frozenset:
-    """Least down-closed superset of s."""
-    return p._names(_union(p.down_masks, _mask(p, s)))
-
-
-def collapse_lower(p: Poset, lower: Iterable[str], basepoint_name: str) -> PointedPoset:
-    """Collapse a non-empty down-closed set to a fresh basepoint.
-
-    Survivors keep their names and order; the basepoint sits below exactly
-    the survivors that some collapsed element was below, and never above
-    anything.  Down-closure is what keeps the result antisymmetric.
-    """
-    l = frozenset(lower)
-    if not l:
-        raise EmptyCollapseSet("cannot collapse an empty set")
-    lm = _mask(p, l)
-    if _union(p.down_masks, lm) != lm:
-        raise NotDownClosed(f"{sorted(l)} is not down-closed")
-
-    keep = ((1 << len(p.elements)) - 1) & ~lm
-    old = _bits(keep)
-    survivors = [p.elements[i] for i in old]
-    bp = basepoint_name
-    while bp in p.index and keep >> p.index[bp] & 1:
-        bp = bp + "'"
-    at = bisect_left(survivors, bp)
-    elems = tuple(survivors[:at] + [bp] + survivors[at:])
-    new_bit = {i: 1 << (k + (k >= at)) for k, i in enumerate(old)}
-
-    def moved(m: int) -> int:
-        return sum(new_bit[i] for i in _bits(m & keep))
-
-    up = [moved(p.up[i]) for i in old]
-    up.insert(at, 1 << at | moved(_union(p.up, lm)))
-    return PointedPoset(from_masks(elems, up), bp)
+    name_of = dict(zip(members, elems))
+    elems.insert(at, bp)
+    return PointedPoset(from_masks(tuple(elems), up), bp), list(map(name_of.get, down, repeat(bp)))
 
 
 def is_trivial(pp: PointedPoset) -> bool:

@@ -1,11 +1,18 @@
 """Independent oracles.
 
 Everything here recomputes results from first principles (hom-set scans,
-span searches, exhaustive enumeration) without touching the reflect-then-
-collapse pipeline, so agreement with the library is a real check and not a
+span searches, exhaustive enumeration) without touching the library's
+pointed reflection, so agreement with the library is a real check and not a
 tautology.  The one exception is ``covariance_map``: it builds the flow
 through the materialised slices and their projections, the construction
 that the library now reads off the category directly.
+
+The two-step section keeps the pipeline that ``order.pointed_reflection``
+replaced: reflect every class (``_reflect``, and ``poset_reflection`` over
+a category's objects), then collapse the lower closure of the basepoint's
+class (``lower_closure``, ``collapse_lower``), each step validated by
+``order.from_masks``; ``two_step`` chains them as the library's routine is
+called.
 
 The category section keeps what ``fincat`` replaced: the composition
 table keyed by names (``comp``), the line loop that reads a ``.cat`` file
@@ -29,11 +36,13 @@ f-string per cover pair, as the code that the row joins in ``order``,
 """
 
 import json
+from bisect import bisect_left
 from itertools import combinations, product, repeat
 from types import MappingProxyType
-from typing import NamedTuple
+from typing import Iterable, NamedTuple
 
 from obstructia import fincat, homotopy, order
+from obstructia.order import PointedPoset, Poset, _bits, _low, _union, from_masks
 from obstructia.errors import (
     BadCompositionTyping,
     DanglingReference,
@@ -319,6 +328,16 @@ def elements_down_masks(c, x, k, over=None):
     return elements, down
 
 
+def _fresh_name(base: str, used: set) -> str:
+    name = base
+    n = 1
+    while name in used:
+        n += 1
+        name = f"{base}#{n}"
+    used.add(name)
+    return name
+
+
 def _elements_category(c, x, k):
     """Materialised category of elements of hom(-, x)^k over the library's
     enumeration and the walk over every arrow: a morphism to the tuple
@@ -346,7 +365,7 @@ def _elements_category(c, x, k):
     for tgt, (hs, sources) in zip(objs, arrows):
         for i, j in zip(hs, sources):
             src, h = objs[j], names[i]
-            name = fincat._fresh_name(f"{h}[{src}=>{tgt}]", used)
+            name = _fresh_name(f"{h}[{src}=>{tgt}]", used)
             mors.append((name, src, tgt))
             witness[name] = (src, h, tgt)
             by_key[(src, h, tgt)] = name
@@ -378,6 +397,105 @@ def slice_category(c, x):
 def parallel_arrows(c, x):
     """Category of ordered parallel pairs (f0, f1): y -> x (k = 2)."""
     return _elements_category(c, x, 2)
+
+
+# -- the two-step pointed reflection ----------------------------------------
+
+
+def _reflect(names, down: list[int]) -> tuple[Poset, dict[str, str]]:
+    """Reflect a preorder on ``names`` given by down-masks (bit j of down[i]
+    set when names[j] <= names[i]), reflexive and transitive as given.  The
+    class of i is down[i] & up[i], which in a preorder is the set of
+    elements with the same down-mask; it is named by its least member, so
+    the output is reproducible, and classes are ordered as their members
+    are: the classes below one are read off its down-mask, one least member
+    at a time.  Returns the poset and the name -> class map."""
+    members: dict[int, int] = {}  # down-mask -> the class having it
+    for i, d in enumerate(down):
+        members[d] = members.get(d, 0) | 1 << i
+    cls = {d: min(names[j] for j in _bits(m)) for d, m in members.items()}
+    elems = tuple(sorted(cls.values()))
+    index = {e: i for i, e in enumerate(elems)}
+    up = [0] * len(elems)
+    for d in members:
+        bit, rest = 1 << index[cls[d]], d
+        while rest:
+            below = down[_low(rest)]
+            up[index[cls[below]]] |= bit
+            rest &= ~members[below]
+    return from_masks(elems, up), {e: cls[d] for e, d in zip(names, down)}
+
+
+def poset_reflection(c: fincat.FinCat) -> tuple[Poset, dict[str, str]]:
+    """Quotient a finite category to a poset.
+
+    Objects x, y are identified when hom(x, y) and hom(y, x) are both
+    non-empty; classes are ordered by existence of a connecting morphism.
+    Only the morphisms are read (dom below cod), never the composition
+    table.  Returns the poset and the object -> class map.
+    """
+    index = {x: i for i, x in enumerate(c.objects)}
+    down = [0] * len(index)
+    for m in c.morphisms:
+        down[index[m.cod]] |= 1 << index[m.dom]
+    return _reflect(c.objects, down)
+
+
+def _mask(p: Poset, names: Iterable[str]) -> int:
+    """The bitmask of a set of element names; the least unknown name raises."""
+    index = p.index
+    names = set(names)
+    unknown = [e for e in names if e not in index]
+    if unknown:
+        raise UnknownObject(min(unknown))
+    return sum(1 << index[e] for e in names)
+
+
+def lower_closure(p: Poset, s: Iterable[str]) -> frozenset:
+    """Least down-closed superset of s."""
+    return p._names(_union(p.down_masks, _mask(p, s)))
+
+
+def collapse_lower(p: Poset, lower: Iterable[str], basepoint_name: str) -> PointedPoset:
+    """Collapse a non-empty down-closed set to a fresh basepoint.
+
+    Survivors keep their names and order; the basepoint sits below exactly
+    the survivors that some collapsed element was below, and never above
+    anything.  Down-closure is what keeps the result antisymmetric.
+    """
+    l = frozenset(lower)
+    if not l:
+        raise EmptyCollapseSet("cannot collapse an empty set")
+    lm = _mask(p, l)
+    if _union(p.down_masks, lm) != lm:
+        raise NotDownClosed(f"{sorted(l)} is not down-closed")
+
+    keep = ((1 << len(p.elements)) - 1) & ~lm
+    old = _bits(keep)
+    survivors = [p.elements[i] for i in old]
+    bp = basepoint_name
+    while bp in p.index and keep >> p.index[bp] & 1:
+        bp = bp + "'"
+    at = bisect_left(survivors, bp)
+    elems = tuple(survivors[:at] + [bp] + survivors[at:])
+    new_bit = {i: 1 << (k + (k >= at)) for k, i in enumerate(old)}
+
+    def moved(m: int) -> int:
+        return sum(new_bit[i] for i in _bits(m & keep))
+
+    up = [moved(p.up[i]) for i in old]
+    up.insert(at, 1 << at | moved(_union(p.up, lm)))
+    return PointedPoset(from_masks(elems, up), bp)
+
+
+def two_step(names, down, base, basepoint_name):
+    """``order.pointed_reflection`` in two steps: reflect every class, then
+    collapse the lower closure of the class of position ``base``.  Returns
+    the pointed poset and each position's class, the basepoint for a
+    collapsed one."""
+    p, class_of = _reflect(names, down)
+    pp = collapse_lower(p, lower_closure(p, {class_of[names[base]]}), basepoint_name)
+    return pp, [e if e in pp.poset.index else pp.basepoint for e in map(class_of.get, names)]
 
 
 # -- homotopy by hom-set scans -------------------------------------------------
@@ -488,7 +606,7 @@ def covariance_map(alpha, f, i):
     sy = slice_category(d, G.obj_map[y])
     if i == 0:
         src, dst = homotopy.pi0(sx.cat, ax), homotopy.pi0(sy.cat, ay)
-        class_of = order.poset_reflection(sy.cat)[1]
+        class_of = poset_reflection(sy.cat)[1]
 
         def image(e):
             return class_of[table[(e, gf)]]
@@ -497,7 +615,7 @@ def covariance_map(alpha, f, i):
         src, dst = homotopy.pi1(sx.cat, ax), homotopy.pi1(sy.cat, ay)
         pairs_x = parallel_arrows(sx.cat, ax).elements
         pa_y = parallel_arrows(sy.cat, ay)
-        class_of = order.poset_reflection(pa_y.cat)[1]
+        class_of = poset_reflection(pa_y.cat)[1]
         name_of = {pair: name for name, pair in pa_y.elements.items()}
         sy_by_key = {(m.dom, sy.projection.mor_map[m.name], m.cod): m.name for m in sy.cat.morphisms}
 
@@ -706,7 +824,7 @@ def pointed_iso(src, dst, mapping):
     return there
 
 
-def lower_closure(elements, leq, s):
+def lower_closure_pairs(elements, leq, s):
     wanted = set(s)
     for e in wanted:
         if e not in elements:
@@ -714,7 +832,7 @@ def lower_closure(elements, leq, s):
     return frozenset(a for a in elements if any((a, t) in leq for t in wanted))
 
 
-def collapse_lower(elements, leq, lower, basepoint_name):
+def collapse_lower_pairs(elements, leq, lower, basepoint_name):
     """Collapse a down-closed set to a basepoint; returns (elements, leq,
     basepoint) of the pointed result."""
     l = frozenset(lower)
@@ -723,7 +841,7 @@ def collapse_lower(elements, leq, lower, basepoint_name):
     for e in l:
         if e not in elements:
             raise UnknownObject(e)
-    if l != lower_closure(elements, leq, l):
+    if l != lower_closure_pairs(elements, leq, l):
         raise NotDownClosed(f"{sorted(l)} is not down-closed")
     survivors = [e for e in elements if e not in l]
     bp = basepoint_name

@@ -778,6 +778,23 @@ class TestFunctors:
         good = fincat.validate_nat_trans(ident, const1, {"0": "a", "1": "id1"})
         assert good.components["0"] == "a"
 
+    @pytest.mark.parametrize("side", ["source", "target"])
+    def test_naturality_refuses_a_functor_off_its_target(self, side):
+        # a FunctorData built without validate_functor may map a morphism
+        # outside its target or leave one unmapped
+        z2 = gen.cyclic_group_category(2)
+        ident = fincat.identity_functor(z2)
+        for mor_map, detail in (({"e": "e", "g1": "nosuch"}, "image morphism 'nosuch' not in target"),
+                                ({"e": "e"}, "morphism not mapped")):
+            broken = fincat.FunctorData(z2, z2, {"*": "*"}, mor_map)
+            ends = (broken, ident) if side == "source" else (ident, broken)
+            with pytest.raises(NotAFunctor) as exc:
+                fincat.validate_nat_trans(*ends, {"*": "e"})
+            with pytest.raises(NotAFunctor) as want:
+                fincat.validate_functor(z2, z2, broken.obj_map, broken.mor_map)
+            assert (exc.value.witness, str(exc.value)) == (want.value.witness, str(want.value))
+            assert str(exc.value) == f"not a functor at 'g1': {detail}"
+
     def test_witness_is_the_first_in_row_order(self):
         # Z/12's row of g1 lists e, g1, .., g11 as declared, not by name:
         # moving g10 fails there first at (g9, g1), where a walk by name

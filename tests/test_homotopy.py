@@ -101,9 +101,9 @@ def materialised_pi1(c, x):
     """pi1 through the full parallel-arrow category: reflect it, then collapse
     the lower set of the pair of identities."""
     pa = oracles.parallel_arrows(c, x)
-    p, class_of = order.poset_reflection(pa.cat)
+    p, class_of = oracles.poset_reflection(pa.cat)
     base = next(name for name, pair in pa.elements.items() if pair == (c.id_of(x), c.id_of(x)))
-    return order.collapse_lower(p, order.lower_closure(p, {class_of[base]}), f"[{x}]")
+    return oracles.collapse_lower(p, oracles.lower_closure(p, {class_of[base]}), f"[{x}]")
 
 
 class TestPreorderRoute:
@@ -141,49 +141,181 @@ class TestPreorderRoute:
         assert an.mono and not an.split_epi
 
 
+def pointed_walks(c):
+    """Every walk a pi route points, as (walk, base key, point, explicit):
+    pi0 and pi1 at each object, and at each morphism f: x -> y the two walks
+    of ``analyze_morphism``, the slice over y at f and the pairs into x that
+    f equalises, described on the materialised slice over y, at f."""
+    index, slices = c.index, {}
+    for x in c.objects:
+        yield homotopy._pi_data(c, 0), x, x, lambda x=x: oracles.pi0_explicit(c, x)
+        yield homotopy._pi_data(c, 2, x), (index[c.id_of(x)],) * 2, x, lambda x=x: oracles.pi1_explicit(c, x)
+    for f in c.morphism_names():
+        x, y = c.dom(f), c.cod(f)
+
+        def sl(y=y):
+            return slices.get(y) or slices.setdefault(y, oracles.slice_category(c, y).cat)
+
+        yield homotopy._pi_data(c, 1, y), (index[f],), f, lambda f=f, sl=sl: oracles.pi0_explicit(sl(), f)
+        yield homotopy._pi_data(c, 2, x, f), (index[c.id_of(x)],) * 2, f, lambda f=f, sl=sl: oracles.pi1_explicit(sl(), f)
+
+
+def check_pointed_walks(c):
+    """``order.pointed_reflection`` on every walk of c equals the two-step
+    oracle, and the explicit description wherever that names alike: no
+    fresh ``#n`` name on either side, and no element named as the
+    basepoint (the explicit descriptions never prime it)."""
+    for (elements, down), base, point, explicit in pointed_walks(c):
+        names, bp = list(elements), f"[{point}]"
+        at = list(elements.values()).index(base)
+        got = order.pointed_reflection(names, down, at, bp)
+        assert got == oracles.two_step(names, down, at, bp)
+        if bp in elements or any("#" in e for e in names):
+            continue
+        want = explicit()
+        if not any("#" in e for e in want[0]):
+            assert oracles.report_shape(homotopy.report_from_pointed(got[0], "")) == want
+
+
+class TestPointedReflection:
+    """The one pointed reflection against the two-step oracle (reflect every
+    class, then collapse) and the explicit descriptions."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(min_value=0, max_value=10_000), st.data())
+    def test_matches_two_step_and_explicit(self, seed, data):
+        rng = random.Random(seed)
+        if data.draw(st.booleans()):
+            c = gen.random_category(rng, max_objects=4, max_morphisms=14)
+        else:  # every morphism parallel to every other
+            c = gen.cyclic_group_category(rng.randint(3, 6))
+        if data.draw(st.booleans()):
+            # morphism ids over the pair separator, so that distinct pairs
+            # render alike and take #n names, and ids of the form [x], so
+            # that an element may be named as the basepoint
+            objects = list(c.objects)
+            morphisms = data.draw(st.permutations(c.morphism_names()))
+            labels = data.draw(st.permutations(["p", "[p]", "[[p]]", "q", "[q]"]))[: len(objects)]
+            labels += ["r", ",r", "r,", "[r]", "[[r]]"]
+            labels += data.draw(st.lists(st.text("r,[]", min_size=5, max_size=7), min_size=len(morphisms), max_size=len(morphisms), unique=True))
+            c = gen.renamed(c, dict(zip(objects + morphisms, labels)))
+        check_pointed_walks(c)
+
+    @pytest.mark.parametrize("fixture", ["pair_collision.cat", "primed_basepoint.cat"])
+    def test_fixtures(self, fixture):
+        with open(os.path.join(FIXTURES, fixture), encoding="utf-8") as fh:
+            check_pointed_walks(fincat.parse_category(fh.read()))
+
+    def test_fresh_names_reach_the_reflection(self):
+        # (p,q ; r) and (p ; q,r) render alike: the second is (p,q,r)#2
+        with open(PAIR_COLLISION, encoding="utf-8") as fh:
+            c = fincat.parse_category(fh.read())
+        elements, _ = homotopy._pi_data(c, 2, "x")
+        assert "(p,q,r)#2" in elements
+        assert "(p,q,r)#2" in homotopy.pi1(c, "x").invariant.poset.elements
+
+    def test_basepoint_primed_only_past_a_survivor(self):
+        # [a] <= a <= b, and c apart: at a the class of [a] is collapsed, so
+        # the basepoint keeps the name; at c it survives, so the basepoint
+        # is primed
+        names = ["[a]", "a", "b", "c"]
+        down = [0b0001, 0b0011, 0b0111, 0b1000]
+        pp, class_of = order.pointed_reflection(names, down, 1, "[a]")
+        assert (pp.basepoint, pp.poset.elements, class_of) == ("[a]", ("[a]", "b", "c"), ["[a]", "[a]", "b", "c"])
+        pp, class_of = order.pointed_reflection(names, down, 3, "[a]")
+        assert (pp.basepoint, pp.poset.elements) == ("[a]'", ("[a]", "[a]'", "a", "b"))
+        assert class_of == ["[a]", "a", "b", "[a]'"]
+        for base in range(4):
+            assert order.pointed_reflection(names, down, base, "[a]") == oracles.two_step(names, down, base, "[a]")
+
+    @pytest.mark.parametrize("down", [
+        [0b0001, 0b0010, 0b0110, 0b1100],  # a; b; b <= c; c <= d, not b <= d
+        [0b0001, 0b0011, 0b0110, 0b1100],  # a <= b; b <= c; c <= d, not b <= d
+    ])
+    def test_non_transitive_survivors_raise(self, down):
+        names = ["a", "b", "c", "d"]
+        with pytest.raises(InvalidPoset, match="transitivity"):
+            order.pointed_reflection(names, down, 0, "[a]")
+        with pytest.raises(InvalidPoset):
+            oracles.two_step(names, down, 0, "[a]")
+
+
 class TestOneReflectionPerCategory:
+    """One walk per distinct (category, object, k, over), and one pointed
+    reflection per end: counts of ``homotopy._pi_data`` and
+    ``order.pointed_reflection`` calls, exact.  Each reflection is validated
+    by ``order.from_masks`` once, and nothing else is."""
+
     @pytest.fixture
     def count(self, monkeypatch):
-        calls = []
-        reflect = order._reflect
+        walks, reflections, validated = [], [], []
+        walk, reflect, validate = homotopy._pi_data, order.pointed_reflection, order.from_masks
 
-        def counted(names, down):
-            calls.append(1)
-            return reflect(names, down)
+        def counted_walk(c, k, x=None, over=None, *rest, **kw):
+            walks.append((id(c), k, x, over))
+            return walk(c, k, x, over, *rest, **kw)
 
-        monkeypatch.setattr(order, "_reflect", counted)
+        def counted_reflect(*args):
+            reflections.append(1)
+            return reflect(*args)
+
+        def counted_validate(*args):
+            validated.append(1)
+            return validate(*args)
+
+        monkeypatch.setattr(homotopy, "_pi_data", counted_walk)
+        monkeypatch.setattr(order, "pointed_reflection", counted_reflect)
+        monkeypatch.setattr(order, "from_masks", counted_validate)
 
         def run(fn, *args):
-            calls.clear()
+            walks.clear()
+            reflections.clear()
+            validated.clear()
             fn(*args)
-            return len(calls)
+            assert len(set(walks)) == len(walks), walks
+            assert len(validated) == len(reflections)
+            return len(walks), len(reflections)
 
         return run
 
     def test_object_action_at_an_endomorphism(self, count):
         z4 = gen.cyclic_group_category(4)
-        assert count(homotopy.pi_object_action, z4, "g1", 0) == 1
-        assert count(homotopy.pi_object_action, z4, "g1", 1) == 1
+        assert count(homotopy.pi_object_action, z4, "g1", 0) == (1, 2)
+        assert count(homotopy.pi_object_action, z4, "g1", 1) == (1, 2)
 
     def test_identity_functor(self, count):
         ident = fincat.identity_functor(gen.cyclic_group_category(4))
-        assert count(homotopy.pi_functor_map, ident, "*", 0) == 1
-        assert count(homotopy.pi_functor_map, ident, "*", 1) == 1
+        assert count(homotopy.pi_functor_map, ident, "*", 0) == (1, 2)
+        assert count(homotopy.pi_functor_map, ident, "*", 1) == (1, 2)
 
     def test_covariance_reflects_each_slice_once(self, count):
         wa = walking_arrow()
         ident = fincat.identity_functor(wa)
         alpha = fincat.validate_nat_trans(ident, ident, {"0": "id0", "1": "id1"})
-        assert count(homotopy.covariance_map, alpha, "a", 0) == 2
-        assert count(homotopy.covariance_map, alpha, "id0", 0) == 1
-        assert count(homotopy.covariance_map, alpha, "id0", 1) == 1
+        assert count(homotopy.covariance_map, alpha, "a", 0) == (2, 2)
+        assert count(homotopy.covariance_map, alpha, "id0", 0) == (1, 2)
+        assert count(homotopy.covariance_map, alpha, "id0", 1) == (1, 2)
 
     def test_covariance_reflects_a_slice_once_whatever_its_point(self, count):
         # G constant at 1: both sides are the slice over 1, pointed at a and id1
         wa = walking_arrow()
         const = gen.constant_functor(wa, wa, "1")
         alpha = fincat.validate_nat_trans(fincat.identity_functor(wa), const, {"0": "a", "1": "id1"})
-        assert count(homotopy.covariance_map, alpha, "a", 0) == 1
+        assert count(homotopy.covariance_map, alpha, "a", 0) == (1, 2)
+
+    def test_invariants_and_analysis(self, count):
+        wa = walking_arrow()
+        assert count(homotopy.pi0, wa, "0") == (1, 1)
+        assert count(homotopy.pi1, wa, "0") == (1, 1)
+        assert count(homotopy.analyze_morphism, wa, "a") == (2, 2)
+
+    def test_functor_between_categories(self, count):
+        # the inclusion of 1 into the walking arrow: two categories, two walks
+        wa = walking_arrow()
+        one = gen.thin_category(oracles.poset_from_pairs(["1"], [("1", "1")]))
+        functor = fincat.validate_functor(one, wa, {"1": "1"}, {one.id_of("1"): "id1"})
+        assert count(homotopy.pi_functor_map, functor, "1", 0) == (2, 2)
+        assert count(homotopy.pi_functor_map, functor, "1", 1) == (2, 2)
 
 
 class TestExplicitDescriptions:
@@ -535,8 +667,8 @@ def odd_reports(draw):
     for a, b in sorted(edges, reverse=True):
         up[a] |= up[b]
     p = oracles.poset_from_pairs(names, {(names[i], names[j]) for i in range(n) for j in range(n) if up[i] >> j & 1})
-    lower = order.lower_closure(p, draw(st.sets(st.sampled_from(names), min_size=1)))
-    pp = order.collapse_lower(p, lower, draw(odd_names(min_size=1, max_size=4)))
+    lower = oracles.lower_closure(p, draw(st.sets(st.sampled_from(names), min_size=1)))
+    pp = oracles.collapse_lower(p, lower, draw(odd_names(min_size=1, max_size=4)))
     return homotopy.report_from_pointed(pp, draw(odd_names(max_size=6)))
 
 

@@ -56,6 +56,12 @@ b030170243141f41685394f6a948b1e6b92ae99c1bf4749e33ace1bdb0e44aa6  cat analyze tw
 ca02f2c39677970084c2d9719ffa68aefc51e1b36d37885b22838b0d09eddaea  cat pi0 fixtures/walking_arrow.cat --object 0 --format dot
 e22fbb50127100f974b326b0487b47c9a35e9ffbfa8954fd273841f4b639c8da  cat pi0 fixtures/walking_arrow.cat --object 0 --format interchange
 abf581d1378182204835ed8d3af5f073ed64344fa83d5dcb58e650307d27938a  cat check-terminal fixtures/walking_arrow.cat --object 0
+# an object named like the basepoint: primed when it survives ([0] at 0),
+# left alone when it is collapsed (clash.cat: [1] -> 1 at 1, and 2 apart)
+ed5876affd8861042b54896a4eb6aea2191ebb06a8d478883d445d729637a9ee  cat pi0 fixtures/primed_basepoint.cat --object 0
+f68463596ba600a227ba7796ce7ecfde7adddbfc7e669720645f18bbf74d40a8  cat pi0 fixtures/primed_basepoint.cat --object 0 --format interchange
+77de760aa9fe410db29a7da275439062ea520e24af6684302f4e61677db1cd91  cat pi0 clash.cat --object 1
+b7928938f1d1f40054bcc7f3904d545ca53e02d9ac20adeef0e120ae590dc3e6  cat pi0 clash.cat --object 1 --format interchange
 # state laxators: the README flow, a 42-obstruction flow from the 2x3
 # tensor, a cartesian flow; past the powerset cap (the 2x2 star and the
 # trivial 4x4 cartesian one) and a materialised pi1 of 1009 elements
@@ -112,6 +118,10 @@ def argv_of(tmp_path_factory):
         "byname.cat": "".join(f"{line}  # note\n" for line in comp_first),
         "latemor.cat": "".join(f"{line}\n" for line in lines if line != mor) + f"{mor}\n",
         "z12.cat": fincat.serialize_category(gen.cyclic_group_category(12)),
+        "clash.cat": fincat.serialize_category(fincat.validate_category(
+            ["[1]", "1", "2"], [("id[1]", "[1]", "[1]"), ("id1", "1", "1"), ("id2", "2", "2"), ("a", "[1]", "1")],
+            {"[1]": "id[1]", "1": "id1", "2": "id2"},
+            {("id[1]", "id[1]"): "id[1]", ("id1", "id1"): "id1", ("id2", "id2"): "id2", ("id[1]", "a"): "a", ("a", "id1"): "a"})),
         "twins.cat": fincat.serialize_category(gen.product_category(gen.finset_ambient(2), gen.walking_isomorphism())),
         "left8.og": og.serialize_open_graph(gen.random_open_graph(rng, ("x0", "x1"), ys, edge_prob=0.25)),
         "right8.og": og.serialize_open_graph(gen.random_open_graph(rng, ys, ("z0", "z1", "z2", "z3"), edge_prob=0.25)),

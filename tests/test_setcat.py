@@ -202,7 +202,7 @@ class TestPi0Function:
             leq = {(name[s], name[t]) for s in subsets for t in subsets if s <= t}
             p = oracles.poset_from_pairs(name.values(), leq)
             lower = {name[s] for s in subsets if s <= f.image()}
-            pp = order.collapse_lower(p, lower, "{}")
+            pp = oracles.collapse_lower(p, lower, "{}")
             fast = setcat.pi0_function(f).invariant
             assert set(pp.poset.elements) == set(fast.poset.elements)
             assert pp.poset.leq == fast.poset.leq
