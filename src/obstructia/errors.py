@@ -78,14 +78,6 @@ class InvalidPoset(EngineError):
     """Reflexivity, transitivity or antisymmetry fails on a poset table."""
 
 
-class NotDownClosed(EngineError):
-    """The set handed to a lower-set collapse is not down-closed."""
-
-
-class EmptyCollapseSet(EngineError):
-    """A lower-set collapse needs a non-empty set to collapse."""
-
-
 class InvalidMap(EngineError):
     """A monotone or pointed map fails its construction-time checks."""
 

@@ -88,17 +88,13 @@ class FinCat:
     rows: tuple[dict[int, int], ...]
     index: dict[str, int] = field(init=False, repr=False, compare=False)
     into: dict[str, tuple[int, ...]] = field(init=False, repr=False, compare=False)
-    _hom: dict[tuple[str, str], tuple[str, ...]] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         into: dict[str, list[int]] = {x: [] for x in self.objects}
-        hom: dict[tuple[str, str], list[str]] = {}
         for i, m in enumerate(self.morphisms):
             into[m.cod].append(i)
-            hom.setdefault((m.dom, m.cod), []).append(m.name)
         object.__setattr__(self, "index", {m.name: i for i, m in enumerate(self.morphisms)})
         object.__setattr__(self, "into", {x: tuple(v) for x, v in into.items()})
-        object.__setattr__(self, "_hom", {k: tuple(v) for k, v in hom.items()})
         object.__setattr__(self, "identity", MappingProxyType(self.identity))
 
     # -- lookups ---------------------------------------------------------
@@ -120,7 +116,8 @@ class FinCat:
         return m in self.index
 
     def hom(self, x: str, y: str) -> tuple[str, ...]:
-        return self._hom.get((x, y), ())
+        mors = self.morphisms
+        return tuple(mors[i].name for i in self.into.get(y, ()) if mors[i].dom == x)
 
     def id_of(self, x: str) -> str:
         if x not in self.identity:

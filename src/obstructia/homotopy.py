@@ -11,13 +11,17 @@ read off the morphisms into y (pi0) and the pairs into x that f equalises
 (pi1).  Non-basepoint elements rank the obstructions: to weak terminality
 for pi0, to subterminality for pi1.
 
-The induced maps (along a morphism, along a functor, and along a natural
-transformation over a morphism of the domain) walk each distinct preorder
-once, point it once per end, and, like every flow, are built by
-``induced_map``: it maps class representatives, sends collapsed images to
-the basepoint, and then *checks* the result to be monotone, along the
-covers of the source poset, and basepoint-preserving, so a broken table
-shows up as an error instead of a silently wrong poset.
+Where pi_i is read, at an object x or at a slice object f: x -> y, is one
+fact, ``_end``: the walk's arguments, the base key and the point name.
+``pi0``, ``pi1`` and ``analyze_morphism`` read it, and so does each flow
+(along a morphism, along a functor, and along a natural transformation
+over a morphism of the domain), one call of ``_flow`` on two ends: it walks
+a walk the ends share once, points it once per end, and, like every flow,
+is built by ``induced_map``: it maps class representatives, sends
+collapsed images to the basepoint, and then *checks* the result to be
+monotone, along the covers of the source poset, and basepoint-preserving,
+so a broken table shows up as an error instead of a silently wrong
+poset.
 
 ``write_report`` is the one writer of a report, as text, as a DOT Hasse
 diagram or as an interchange document.  Every list of name pairs in them
@@ -88,6 +92,23 @@ def _pi_data(c: fincat.FinCat, k: int, x: str | None = None, over: str | None = 
     return dict(zip(c.objects, c.objects)), down
 
 
+def _end(c: fincat.FinCat, i: int, x: str, f: str | None = None):
+    """Where pi_i is read: at the object x, or, given f: x -> y, at the
+    slice object f, read off c (pi0 on the slice over y, pi1 on the pairs
+    into x that f equalises).  Returns the ``_pi_data`` arguments, the key
+    of the base element and the point name."""
+    if i not in (0, 1):
+        raise ValueError("i must be 0 or 1")
+    point = x if f is None else f
+    if i == 0 and f is None:
+        if not c.has_object(x):
+            raise UnknownObject(x)
+        return (c, 0), x, point
+    if i == 0:
+        return (c, 1, c.cod(f)), (c.index[f],), point
+    return (c, 2, x, f), (c.index[c.id_of(x)],) * 2, point
+
+
 def _pi_at(walk, base, point: str, i: int) -> tuple[ObstructionReport, list[str]]:
     """pi_i pointed at ``point``: the pointed reflection of the walk at the
     element keyed ``base``, an object or a tuple of positions, and the class
@@ -97,17 +118,21 @@ def _pi_at(walk, base, point: str, i: int) -> tuple[ObstructionReport, list[str]
     return report_from_pointed(pp, f"pi{i} at object {point!r}"), class_of
 
 
+def _pi(c: fincat.FinCat, i: int, x: str, f: str | None = None, cap_objects: int = fincat.OBJECTS_CAP) -> ObstructionReport:
+    """pi_i at the ``_end`` of x and f."""
+    args, base, point = _end(c, i, x, f)
+    return _pi_at(_pi_data(*args, cap_objects=cap_objects), base, point, i)[0]
+
+
 def pi0(c: fincat.FinCat, x: str) -> ObstructionReport:
     """Pointed poset of obstructions to weak terminality of x."""
-    if not c.has_object(x):
-        raise UnknownObject(x)
-    return _pi_at(_pi_data(c, 0), x, x, 0)[0]
+    return _pi(c, 0, x)
 
 
 def pi1(c: fincat.FinCat, x: str, cap_objects: int = fincat.OBJECTS_CAP) -> ObstructionReport:
     """Pointed poset of obstructions to subterminality of x.  Refuses with
     SizeCapExceeded past ``cap_objects`` parallel pairs over x."""
-    return _pi_at(_pi_data(c, 2, x, cap_objects=cap_objects), (c.index[c.id_of(x)],) * 2, x, 1)[0]
+    return _pi(c, 1, x, cap_objects=cap_objects)
 
 
 # -- terminality oracles (independent of the poset machinery) ----------------
@@ -148,31 +173,20 @@ def induced_map(src: ObstructionReport, dst: ObstructionReport, image_class) -> 
     return order.make_pointed(src.invariant, dst.invariant, mapping)
 
 
-def _between(i: int, src_end, dst_end, image) -> order.PointedMap:
-    """The map from pi_i at one end to pi_i at the other, each end a (walk,
-    base key, point): an element goes to the class of the image of its key,
-    read off one key -> class dict of the target end."""
-    (walk, base, point), (dst_walk, dst_base, dst_point) = src_end, dst_end
+def _flow(i: int, src_end, dst_end, move) -> order.PointedMap:
+    """The map from pi_i at one ``_end`` to pi_i at the other: an element
+    goes to the class of the move of its key, an object, or each position
+    of a tuple, read off one key -> class dict of the target end.  A walk
+    the two ends share, as the slice over one object pointed at two of its
+    objects does, is taken once."""
+    (args, base, point), (dst_args, dst_base, dst_point) = src_end, dst_end
+    walk = _pi_data(*args)
+    dst_walk = walk if dst_args == args else _pi_data(*dst_args)
     src = _pi_at(walk, base, point, i)[0]
     dst, class_of = _pi_at(dst_walk, dst_base, dst_point, i)
     elements, lookup = walk[0], dict(zip(dst_walk[0].values(), class_of))
+    image = move if args[1] == 0 else lambda t: tuple(map(move, t))
     return induced_map(src, dst, lambda e: lookup[image(elements[e])])
-
-
-def _flow(c: fincat.FinCat, x: str, d: fincat.FinCat, y: str, i: int, move) -> order.PointedMap:
-    """pi_i(c, x) -> pi_i(d, y): the class of an object (i = 0) or of a pair
-    of positions (i = 1, componentwise) goes to that of its move.
-    Coinciding walks are taken once."""
-    if i not in (0, 1):
-        raise ValueError("i must be 0 or 1")
-    if i == 0:
-        walk_c = _pi_data(c, 0)
-        walk_d = walk_c if d == c else _pi_data(d, 0)
-        return _between(0, (walk_c, x, x), (walk_d, y, y), move)
-    walk_c = _pi_data(c, 2, x)
-    walk_d = walk_c if (d == c and y == x) else _pi_data(d, 2, y)
-    ends = (walk_c, (c.index[c.id_of(x)],) * 2, x), (walk_d, (d.index[d.id_of(y)],) * 2, y)
-    return _between(1, *ends, lambda t: tuple(map(move, t)))
 
 
 def pi_object_action(c: fincat.FinCat, f: str, i: int) -> order.PointedMap:
@@ -184,7 +198,8 @@ def pi_object_action(c: fincat.FinCat, f: str, i: int) -> order.PointedMap:
     """
     if not c.has_morphism(f):
         raise UnknownMorphism(f)
-    return _flow(c, c.dom(f), c, c.cod(f), i, (lambda x: x) if i == 0 else c.rows[c.index[f]].__getitem__)
+    move = (lambda x: x) if i == 0 else c.rows[c.index[f]].__getitem__
+    return _flow(i, _end(c, i, c.dom(f)), _end(c, i, c.cod(f)), move)
 
 
 def pi_functor_map(functor: fincat.FunctorData, x: str, i: int) -> order.PointedMap:
@@ -193,7 +208,7 @@ def pi_functor_map(functor: fincat.FunctorData, x: str, i: int) -> order.Pointed
         raise UnknownObject(x)
     c, d = functor.source, functor.target
     move = functor.obj_map if i == 0 else [d.index[functor.mor_map[m.name]] for m in c.morphisms]
-    return _flow(c, x, d, functor.obj_map[x], i, move.__getitem__)
+    return _flow(i, _end(c, i, x), _end(d, i, functor.obj_map[x]), move.__getitem__)
 
 
 def covariance_map(alpha: fincat.NatTransData, f: str, i: int) -> order.PointedMap:
@@ -209,46 +224,26 @@ def covariance_map(alpha: fincat.NatTransData, f: str, i: int) -> order.PointedM
     c, d = F.source, F.target
     if not c.has_morphism(f):
         raise UnknownMorphism(f)
-    if i not in (0, 1):
-        raise ValueError("i must be 0 or 1")
     x, y = c.dom(f), c.cod(f)
-    ax, ay = alpha.components[x], alpha.components[y]
-    if i == 0:
-        # the slice preorder over Gx does not depend on where it is pointed
-        gx, gy = G.obj_map[x], G.obj_map[y]
-        walk_x = _pi_data(d, 1, gx)
-        walk_y = walk_x if gy == gx else _pi_data(d, 1, gy)
-        ends = (walk_x, (d.index[ax],), ax), (walk_y, (d.index[ay],), ay)
-        post = d.rows[d.index[G.mor_map[f]]]
-    else:
-        fx, fy = F.obj_map[x], F.obj_map[y]
-        walk_x = _pi_data(d, 2, fx, ax)
-        walk_y = walk_x if ay == ax else _pi_data(d, 2, fy, ay)
-        ends = (walk_x, (d.index[d.id_of(fx)],) * 2, ax), (walk_y, (d.index[d.id_of(fy)],) * 2, ay)
-        post = d.rows[d.index[F.mor_map[f]]]
-    return _between(i, *ends, lambda t: tuple(map(post.__getitem__, t)))
+    ends = (_end(d, i, F.obj_map[z], alpha.components[z]) for z in (x, y))
+    post = d.rows[d.index[(F if i else G).mor_map[f]]]
+    return _flow(i, *ends, post.__getitem__)
 
 
 # -- morphism classification ---------------------------------------------------
 
 
 def brute_split_epi(c: fincat.FinCat, f: str) -> bool:
-    """Some s: y -> x has s;f = id_y, read off f's row."""
-    index = c.index
-    x, y = c.dom(f), c.cod(f)
-    row, one = c.rows[index[f]], index[c.id_of(y)]
-    return any(row[index[s]] == one for s in c.hom(y, x))
+    """Some s: y -> x has s;f = id_y, read off f's row: its values are the
+    h;f, and h;f = id_y needs h: y -> x."""
+    return c.index[c.id_of(c.cod(f))] in c.rows[c.index[f]].values()
 
 
 def brute_mono(c: fincat.FinCat, f: str) -> bool:
-    """g |-> g;f is one-to-one on every hom(w, x), read off f's row."""
-    index = c.index
-    x, row = c.dom(f), c.rows[index[f]]
-    for w in c.objects:
-        hom = c.hom(w, x)
-        if len({row[index[g]] for g in hom}) < len(hom):
-            return False
-    return True
+    """g |-> g;f is one-to-one on every hom(w, x), read off f's row: g;f has
+    the domain of g, so that is one-to-one on the whole row."""
+    row = c.rows[c.index[f]]
+    return len(set(row.values())) == len(row)
 
 
 def analyze_morphism(c: fincat.FinCat, f: str, cap_objects: int = fincat.OBJECTS_CAP) -> MorphismAnalysis:
@@ -258,9 +253,9 @@ def analyze_morphism(c: fincat.FinCat, f: str, cap_objects: int = fincat.OBJECTS
     The slice and the pairs f equalises are guarded as in ``pi1``."""
     if not c.has_morphism(f):
         raise UnknownMorphism(f)
-    x, y = c.dom(f), c.cod(f)
-    r0 = _pi_at(_pi_data(c, 1, y, None, cap_objects), (c.index[f],), f, 0)[0]
-    r1 = _pi_at(_pi_data(c, 2, x, f, cap_objects), (c.index[c.id_of(x)],) * 2, f, 1)[0]
+    x = c.dom(f)
+    r0 = _pi(c, 0, x, f, cap_objects)
+    r1 = _pi(c, 1, x, f, cap_objects)
     split_epi = r0.trivial
     mono = r1.trivial
     if split_epi != brute_split_epi(c, f):
@@ -378,7 +373,7 @@ def write_report(r: ObstructionReport, fmt: str, out) -> None:
     element's row of pairs goes to out in one write."""
     pp = r.invariant
     p = pp.poset
-    cov = order.covers(p)
+    cov = p.cover_masks
     if fmt == "text":
         head = (
             f"context: {r.context}\ntrivial: {'yes' if r.trivial else 'no'}\nbasepoint: {pp.basepoint}\n"

@@ -289,8 +289,8 @@ def act(hom: GraphHom, h: OpenGraph) -> tuple[Relation, order.PointedMap]:
 
 def parse_open_graph(text: str) -> OpenGraph:
     boundary: dict[str, dict[str, None]] = {}  # labels in order of appearance
-    vertices: list[str] = []
-    edges = set()
+    vertices: set[str] = set()
+    edges: set[tuple[str, str]] = set()
     in_leg: dict[str, str] = {}
     out_leg: dict[str, str] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -308,8 +308,13 @@ def parse_open_graph(text: str) -> OpenGraph:
                     raise ParseError(f"line {lineno}: duplicate {parts[0][:-1]} {x!r}")
                 labels[x] = None
         elif parts[0] == "vertex" and len(parts) >= 2:
-            vertices.extend(parts[1:])
+            for v in parts[1:]:
+                if v in vertices:
+                    raise ParseError(f"line {lineno}: duplicate vertex {v!r}")
+                vertices.add(v)
         elif parts[0] == "edge" and len(parts) == 4 and parts[2] == "->":
+            if (parts[1], parts[3]) in edges:
+                raise ParseError(f"line {lineno}: duplicate edge {parts[1]!r} -> {parts[3]!r}")
             edges.add((parts[1], parts[3]))
         elif parts[0] in ("in", "out") and len(parts) == 4 and parts[2] == "=":
             legs = in_leg if parts[0] == "in" else out_leg

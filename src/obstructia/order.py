@@ -13,14 +13,15 @@ element's class identified to a basepoint, built in one pass that names
 and orders only the classes that survive.  It reads reachability only: the
 down-masks come from a category's morphisms or straight from the walks
 behind the slices and parallel arrows, and every homotopy invariant is one
-call of it.  Everything else here is supporting machinery: transitive
-reduction (``covers``), pointed and monotone maps, and DOT string quoting.
-Reports, Hasse diagrams included, are written by ``homotopy.write_report``.
+call of it.  Everything else here is supporting machinery: pointed and
+monotone maps, and DOT string quoting.  Reports, Hasse diagrams included,
+are written by ``homotopy.write_report``.
 
-``from_masks`` validates every poset built here.  The one trusted
-constructor is ``homotopy.powerset_report``: its posets are orders by
-construction, so it builds ``Poset`` directly, cover masks included, and the
-tests check it against ``from_masks`` and the general reduction.
+Every poset carries its cover masks.  ``from_masks`` validates every poset
+built here and computes them on the way, as the transitive reduction.  The
+one trusted constructor is ``homotopy.powerset_report``: its posets are
+orders by construction, so it builds ``Poset`` directly, cover masks
+included, and the tests check it against ``from_masks``.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from bisect import bisect_left
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import compress, repeat
-from typing import Mapping, Optional
+from typing import Mapping
 
 from .errors import InvalidMap, InvalidPoset
 
@@ -61,28 +62,20 @@ def _low(m: int) -> int:
     return (m & -m).bit_length() - 1
 
 
-def _union(masks, m: int) -> int:
-    """OR of masks[i] over the set bits i of m."""
-    out = 0
-    for i in _bits(m):
-        out |= masks[i]
-    return out
-
-
 @dataclass(frozen=True)
 class Poset:
     """A finite poset: ``elements`` sorted, ``up[i]`` the bitmask of the
     indices j with elements[i] <= elements[j], ``down_masks`` its transpose,
-    and ``cover_masks``, when known, the covers of each element (read them
-    through ``covers``).  Equality and hashing read (elements, up) only.
-    Build one with ``from_masks`` from up-masks, which validates.
-    ``homotopy.powerset_report`` builds its posets directly, unvalidated,
-    and its check lives in the tests."""
+    and ``cover_masks`` the covers of each element: bit j of cover_masks[i]
+    set when elements[j] covers elements[i].  Equality and hashing read
+    (elements, up) only.  Build one with ``from_masks`` from up-masks, which
+    validates.  ``homotopy.powerset_report`` builds its posets directly,
+    unvalidated, and its check lives in the tests."""
 
     elements: tuple[str, ...]
     up: tuple[int, ...]
     down_masks: tuple[int, ...] = field(compare=False, repr=False)
-    cover_masks: Optional[tuple[int, ...]] = field(default=None, compare=False, repr=False)
+    cover_masks: tuple[int, ...] = field(compare=False, repr=False)
 
     @cached_property
     def index(self) -> dict[str, int]:
@@ -112,19 +105,25 @@ class Poset:
 def from_masks(elements: tuple[str, ...], up: list[int]) -> Poset:
     """The one poset validator: reflexivity, then antisymmetry, then
     transitivity (for each j in up[i], up[j] inside up[i]), each failure
-    reported at its least witness in sort order.  The down-masks it computes
-    on the way go into the result."""
+    reported at its least witness in sort order.  The down-masks and the
+    cover masks it computes on the way go into the result: the covers of a
+    are its strict up-set minus every element strictly above one of them,
+    the transitive reduction (Aho, Garey and Ullman)."""
     for i, e in enumerate(elements):
         if not up[i] >> i & 1:
             raise InvalidPoset(f"not reflexive at {e!r}")
-    down = [0] * len(elements)
+    strict = [u ^ 1 << i for i, u in enumerate(up)]
+    down = [1 << i for i in range(len(elements))]
+    covers = []
     broken = None  # least (i, j) with up[j] not inside up[i]
     for i, ui in enumerate(up):
-        bit = 1 << i
-        for j in _bits(ui):
+        bit, above = 1 << i, 0
+        for j in _bits(strict[i]):
             down[j] |= bit
+            above |= strict[j]
             if broken is None and up[j] | ui != ui:
                 broken = (i, j)
+        covers.append(strict[i] & ~above)
     for i, e in enumerate(elements):
         both = up[i] & down[i] & ~(1 << i)
         if both:
@@ -133,7 +132,7 @@ def from_masks(elements: tuple[str, ...], up: list[int]) -> Poset:
         i, j = broken
         c = elements[_low(up[j] & ~up[i])]
         raise InvalidPoset(f"transitivity fails on {elements[i]!r} <= {elements[j]!r} <= {c!r}")
-    return Poset(elements, tuple(up), tuple(down))
+    return Poset(elements, tuple(up), tuple(down), tuple(covers))
 
 
 @dataclass(frozen=True)
@@ -146,13 +145,6 @@ class PointedPoset:
             raise InvalidPoset(f"basepoint {self.basepoint!r} is not an element")
 
 
-@dataclass(frozen=True)
-class MonotoneMap:
-    source: Poset
-    target: Poset
-    mapping: dict[str, str]
-
-
 def _preserves(rows, image: list[int], up: tuple[int, ...]) -> bool:
     """Whether up[image[i]] has bit image[k] for every bit k of each rows[i]."""
     for row, t in zip(rows, image):
@@ -163,11 +155,11 @@ def _preserves(rows, image: list[int], up: tuple[int, ...]) -> bool:
     return True
 
 
-def make_monotone(source: Poset, target: Poset, mapping: Mapping[str, str]) -> MonotoneMap:
-    """Check that mapping is total and monotone.  A map of finite posets is
-    monotone iff it preserves covers (<= is the reflexive-transitive closure
-    of covering, and the target order is transitive), so the check runs
-    along the source's stored cover masks, or else its up-masks.  Only a
+def make_monotone(source: Poset, target: Poset, mapping: Mapping[str, str]) -> dict[str, str]:
+    """Check that mapping is total and monotone, and return it as a dict.
+    A map of finite posets is monotone iff it preserves covers (<= is the
+    reflexive-transitive closure of covering, and the target order is
+    transitive), so the check runs along the source's cover masks.  Only a
     failure scans every pair, to name the least broken one in sort order."""
     m = dict(mapping)
     tindex = target.index
@@ -178,13 +170,12 @@ def make_monotone(source: Poset, target: Poset, mapping: Mapping[str, str]) -> M
         if m[e] not in tindex:
             raise InvalidMap(f"image {m[e]!r} of {e!r} not in target")
         image.append(tindex[m[e]])
-    rows = source.up if source.cover_masks is None else source.cover_masks
-    if not _preserves(rows, image, target.up):
+    if not _preserves(source.cover_masks, image, target.up):
         for i, t in enumerate(image):
             bad = [k for k in _bits(source.up[i]) if not target.up[t] >> image[k] & 1]
             if bad:
                 raise InvalidMap(f"order not preserved on {source.elements[i]!r} <= {source.elements[bad[0]]!r}")
-    return MonotoneMap(source, target, m)
+    return m
 
 
 @dataclass(frozen=True)
@@ -195,10 +186,10 @@ class PointedMap:
 
 
 def make_pointed(source: PointedPoset, target: PointedPoset, mapping: Mapping[str, str]) -> PointedMap:
-    mono = make_monotone(source.poset, target.poset, mapping)
-    if mono.mapping[source.basepoint] != target.basepoint:
+    m = make_monotone(source.poset, target.poset, mapping)
+    if m[source.basepoint] != target.basepoint:
         raise InvalidMap("basepoint not preserved")
-    return PointedMap(source, target, mono.mapping)
+    return PointedMap(source, target, m)
 
 
 def identity_pointed(pp: PointedPoset) -> PointedMap:
@@ -272,17 +263,6 @@ def minimal_obstructions(pp: PointedPoset) -> frozenset:
     b = 1 << bi
     few = compress(range(len(p.elements)), map((3).__gt__, map(int.bit_count, p.down_masks)))
     return frozenset(p.elements[i] for i in few if i != bi and (p.down_masks[i] & ~(1 << i)) in (0, b))
-
-
-def covers(p: Poset) -> tuple[int, ...]:
-    """Bit j of covers(p)[i] set when elements[j] covers elements[i]: the
-    stored cover masks, or else the transitive reduction (Aho, Garey and
-    Ullman): the covers of a are its strict up-set minus every element
-    strictly above one of them."""
-    if p.cover_masks is not None:
-        return p.cover_masks
-    strict_up = [u & ~(1 << i) for i, u in enumerate(p.up)]
-    return tuple(su & ~_union(strict_up, su) for su in strict_up)
 
 
 # -- DOT string literals ---------------------------------------------------

@@ -42,17 +42,16 @@ from types import MappingProxyType
 from typing import Iterable, NamedTuple
 
 from obstructia import fincat, homotopy, order
-from obstructia.order import PointedPoset, Poset, _bits, _low, _union, from_masks
+from obstructia.order import PointedPoset, Poset, _bits, _low, from_masks
 from obstructia.errors import (
     BadCompositionTyping,
     DanglingReference,
-    EmptyCollapseSet,
+    EngineError,
     InvalidMap,
     InvalidPoset,
     MissingIdentity,
     NonAssociative,
     NotAFunctor,
-    NotDownClosed,
     NotNatural,
     ParseError,
     SizeCapExceeded,
@@ -60,6 +59,14 @@ from obstructia.errors import (
 )
 
 BP = object()  # marker for the basepoint in oracle outputs
+
+
+class NotDownClosed(EngineError):
+    """The set handed to a lower-set collapse is not down-closed."""
+
+
+class EmptyCollapseSet(EngineError):
+    """A lower-set collapse needs a non-empty set to collapse."""
 
 
 def weak_terminal(c, x):
@@ -441,6 +448,14 @@ def poset_reflection(c: fincat.FinCat) -> tuple[Poset, dict[str, str]]:
     return _reflect(c.objects, down)
 
 
+def _union(masks, m: int) -> int:
+    """OR of masks[i] over the set bits i of m."""
+    out = 0
+    for i in _bits(m):
+        out |= masks[i]
+    return out
+
+
 def _mask(p: Poset, names: Iterable[str]) -> int:
     """The bitmask of a set of element names; the least unknown name raises."""
     index = p.index
@@ -526,6 +541,8 @@ def pi0_explicit(c, x):
     cls = _classes(obstructions, lambda a, b: bool(c.hom(a, b)))
     elems = sorted(set(cls.values()))
     bp = f"[{x}]"
+    while bp in elems:
+        bp += "'"
     leq = {(bp, bp)}
     for a in elems:
         leq.add((a, a))
@@ -564,8 +581,10 @@ def pi1_explicit(c, x):
         reps.setdefault(key, []).append(p)
     surviving = {k: min(name[p] for p in ps) for k, ps in reps.items() if k not in collapsed}
 
-    bp = f"[{x}]"
     elems = sorted(surviving.values())
+    bp = f"[{x}]"
+    while bp in elems:
+        bp += "'"
     rep_of = {surviving[k]: k for k in surviving}
     leq = {(bp, bp)}
     for a in elems:
@@ -877,10 +896,10 @@ def hasse(elements, leq):
 
 
 def cover_pairs(p):
-    """The engine's covers of p (``order.covers``) as sorted name pairs, to
-    hold against ``hasse``."""
+    """The engine's covers of p (``Poset.cover_masks``) as sorted name
+    pairs, to hold against ``hasse``."""
     e = p.elements
-    return tuple((e[i], e[j]) for i, m in enumerate(order.covers(p)) for j in order._bits(m))
+    return tuple((e[i], e[j]) for i, m in enumerate(p.cover_masks) for j in order._bits(m))
 
 
 def powerset_members(universe, collapsed=()):

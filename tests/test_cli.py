@@ -1,3 +1,4 @@
+import ast
 import io
 import json
 import os
@@ -10,7 +11,7 @@ from hypothesis import strategies as st
 
 import obstructia
 import oracles
-from obstructia import cli, fincat, opengraph, setcat, states
+from obstructia import cli, errors, fincat, opengraph, setcat, states
 from obstructia.errors import ParseError
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "..", "fixtures")
@@ -395,6 +396,22 @@ def test_non_utf8_file_is_parse_error(tmp_path, capsys, argv, fixture):
     code, text = run(*(str(bad) if a == "BAD" else a for a in argv))
     assert (code, text) == (1, "")
     assert capsys.readouterr().err == f"error ParseError: {bad}: byte {at} is not UTF-8\n"
+
+
+def test_every_error_class_is_raised_in_src():
+    """Each class of ``obstructia.errors`` but the base is named in a
+    ``raise`` of another module of the package: a class that only the tests
+    raise belongs in the tests."""
+    raised, package = set(), os.path.dirname(errors.__file__)
+    for name in os.listdir(package):
+        if name.endswith(".py") and name != "errors.py":
+            with open(os.path.join(package, name), encoding="utf-8") as fh:
+                tree = ast.parse(fh.read())
+            for node in ast.walk(tree):
+                if isinstance(node, ast.Raise) and node.exc is not None:
+                    raised.update(n.id if isinstance(n, ast.Name) else n.attr for n in ast.walk(node.exc) if isinstance(n, (ast.Name, ast.Attribute)))
+    classes = {name for name, value in vars(errors).items() if isinstance(value, type) and issubclass(value, errors.EngineError)}
+    assert len(classes) > 1 and sorted(classes - raised - {"EngineError"}) == []
 
 
 class TestUsage:

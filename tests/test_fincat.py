@@ -597,7 +597,7 @@ class TestRowsAreTheTable:
             homotopy.pi0(c, x)
             homotopy.pi1(c, x)
         # the one table and the one index, and the one cached property
-        assert set(vars(c)) == {"objects", "morphisms", "identity", "rows", "index", "into", "_hom", "split_epis"}
+        assert set(vars(c)) == {"objects", "morphisms", "identity", "rows", "index", "into", "split_epis"}
         assert oracles.comp(c)[("1>2:0", "2>1:00")] == "1>1:0"
 
 

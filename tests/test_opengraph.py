@@ -156,6 +156,19 @@ class TestParsing:
         with pytest.raises(ParseError, match=r"line 6: duplicate out leg 'b'"):
             og.parse_open_graph(head + "in a = v\nout b = v\nout b = v")
 
+    def test_duplicate_vertex_rejected_with_line(self):
+        # once on one line, once on a second line: neither merges silently
+        with pytest.raises(ParseError, match=r"^line 3: duplicate vertex 'v'$"):
+            og.parse_open_graph("inputs a\noutputs b\nvertex v v\nin a = v\nout b = v")
+        with pytest.raises(ParseError, match=r"^line 4: duplicate vertex 'v'$"):
+            og.parse_open_graph("inputs a\noutputs b\nvertex v w\nvertex v\nin a = v\nout b = v")
+
+    def test_duplicate_edge_rejected_with_line(self):
+        head = "inputs a\noutputs b\nvertex v w\nedge v -> w\n"
+        with pytest.raises(ParseError, match=r"^line 5: duplicate edge 'v' -> 'w'$"):
+            og.parse_open_graph(head + "edge v -> w\nin a = v\nout b = w")
+        assert len(og.parse_open_graph(head + "edge w -> v\nin a = v\nout b = w").edges) == 2
+
     def test_duplicate_boundary_labels_rejected_with_line(self):
         with pytest.raises(ParseError, match=r"line 1: duplicate input '1'"):
             og.parse_open_graph("inputs 1,1\noutputs 2")
