@@ -49,17 +49,13 @@ def _cmd_cat_validate(args, out):
 
 def _cmd_cat_pi(args, out, i: int):
     c = fincat.parse_category(_read(args.file))
-    if i == 0:
-        report = homotopy.pi0(c, args.object)
-    else:
-        report = homotopy.pi1(c, args.object, args.cap_objects)
-    homotopy.write_report(report, args.format, out)
+    homotopy.write_report((homotopy.pi0, homotopy.pi1)[i](c, args.object), args.format, out)
     return 0
 
 
 def _cmd_cat_analyze(args, out):
     c = fincat.parse_category(_read(args.file))
-    analysis = homotopy.analyze_morphism(c, args.morphism, args.cap_objects)
+    analysis = homotopy.analyze_morphism(c, args.morphism)
     out.write(f"morphism: {args.morphism}\n")
     out.write(f"split-epi: {'yes' if analysis.split_epi else 'no'}\n")
     out.write(f"mono: {'yes' if analysis.mono else 'no'}\n")
@@ -198,11 +194,10 @@ def _cmd_states_obstruct(args, out):
     from . import states
 
     ctx, a, b = _states_objects(args)
-    p0, p1 = states.obstructions(ctx, a, b)
-    sep = states.separable_states(ctx, a, b)
-    total = len(states.laxator(ctx, a, b).cod_set)
-    out.write(f"states of tensor: {total}\n")
-    out.write(f"separable: {len(sep)}\n")
+    lax = states.laxator(ctx, a, b)
+    p0, p1 = states.laxator_obstructions(lax, states.lax_context(ctx, a, b))
+    out.write(f"states of tensor: {len(lax.cod_set)}\n")
+    out.write(f"separable: {len(lax.image())}\n")
     homotopy.write_report(p0, args.format, out)
     homotopy.write_report(p1, args.format, out)
     return 0
@@ -238,16 +233,6 @@ def _add_format(p, choices=("text", "dot", "interchange")):
     p.add_argument("--format", choices=choices, default="text")
 
 
-def _count(text: str) -> int:
-    try:
-        n = int(text)
-    except ValueError:
-        n = -1
-    if n < 0:
-        raise argparse.ArgumentTypeError(f"{text!r} is not a non-negative int")
-    return n
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="obstructia", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -263,15 +248,12 @@ def build_parser() -> argparse.ArgumentParser:
         p = cat_sub.add_parser(name)
         p.add_argument("file")
         p.add_argument("--object", required=True)
-        if i:
-            p.add_argument("--cap-objects", type=_count, default=fincat.OBJECTS_CAP, metavar="N")
         _add_format(p)
         p.set_defaults(func=lambda a, o, i=i: _cmd_cat_pi(a, o, i))
 
     p = cat_sub.add_parser("analyze")
     p.add_argument("file")
     p.add_argument("--morphism", required=True)
-    p.add_argument("--cap-objects", type=_count, default=fincat.OBJECTS_CAP, metavar="N")
     _add_format(p)
     p.set_defaults(func=_cmd_cat_analyze)
 

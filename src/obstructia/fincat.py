@@ -64,8 +64,7 @@ class MorDecl:
 
 # Guards on a derived category, predicted from hom-set cardinalities before
 # anything is built, so hitting one is cheap: its objects and its morphisms
-# (the arrows walked).  ``homotopy.pi1`` and ``homotopy.analyze_morphism``
-# take the object cap as a parameter.
+# (the arrows walked).
 OBJECTS_CAP = 20_000
 MORPHISMS_CAP = 50_000
 
@@ -359,10 +358,11 @@ class FunctorData:
 
 
 def validate_functor(source: FinCat, target: FinCat, obj_map: Mapping[str, str], mor_map: Mapping[str, str]) -> FunctorData:
-    """Exhaustively check that the maps preserve dom, cod, identities and
-    composition; NotAFunctor carries the first witness otherwise.  F(h;g) =
-    F h ; F g is checked on the rows, source rows in order and each in its
-    own order, with F as a list of target positions."""
+    """Exhaustively check that the maps cover the source and name nothing
+    else, and preserve dom, cod, identities and composition; NotAFunctor
+    carries the first witness otherwise.  F(h;g) = F h ; F g is checked on
+    the rows, source rows in order and each in its own order, with F as a
+    list of target positions."""
     om = dict(obj_map)
     mm = dict(mor_map)
     for x in source.objects:
@@ -370,6 +370,8 @@ def validate_functor(source: FinCat, target: FinCat, obj_map: Mapping[str, str],
             raise NotAFunctor(x, "object not mapped")
         if not target.has_object(om[x]):
             raise NotAFunctor(x, f"image object {om[x]!r} not in target")
+    if len(om) > len(source.objects):  # every object is mapped, and more
+        raise NotAFunctor(next(x for x in om if not source.has_object(x)), "not an object of the source")
     for m in source.morphisms:
         if m.name not in mm:
             raise NotAFunctor(m.name, "morphism not mapped")
@@ -378,6 +380,8 @@ def validate_functor(source: FinCat, target: FinCat, obj_map: Mapping[str, str],
             raise NotAFunctor(m.name, f"image morphism {fm!r} not in target")
         if target.dom(fm) != om[m.dom] or target.cod(fm) != om[m.cod]:
             raise NotAFunctor(m.name, "image morphism mistyped")
+    if len(mm) > len(source.morphisms):
+        raise NotAFunctor(next(m for m in mm if not source.has_morphism(m)), "not a morphism of the source")
     for x in source.objects:
         if mm[source.id_of(x)] != target.id_of(om[x]):
             raise NotAFunctor(x, "identity not preserved")
@@ -455,7 +459,7 @@ def pair_name(f0: str, f1: str) -> str:
     return f"({f0},{f1})"
 
 
-def _enumerate(c: FinCat, x: str, k: int, over: str | None = None, cap_objects: int = OBJECTS_CAP):
+def _enumerate(c: FinCat, x: str, k: int, over: str | None = None):
     """Objects of the category of elements of hom(-, x)^k, k = 1 (the slice)
     or k = 2 (parallel arrows): ``elements`` maps each name to its k-tuple
     (f_1, .., f_k): y -> x of positions, and ``tuples`` lists, in that
@@ -465,7 +469,7 @@ def _enumerate(c: FinCat, x: str, k: int, over: str | None = None, cap_objects: 
     only to name the elements.  A slice object is named by its morphism id,
     a pair by ``pair_name``; if a name repeats, the n-th rendered alike
     gets ``#n``, so distinct pairs stay apart.  The sizes are checked
-    first, the objects against ``cap_objects``."""
+    first, against ``OBJECTS_CAP`` and ``MORPHISMS_CAP``."""
     if not c.has_object(x):
         raise UnknownObject(x)
     mors, into = c.morphisms, c.into
@@ -478,7 +482,7 @@ def _enumerate(c: FinCat, x: str, k: int, over: str | None = None, cap_objects: 
     for f in into[x]:
         fibres[mors[f].dom].setdefault(None if after is None else after[f], []).append(f)
     weight = {z: sum(len(fb) ** k for fb in fibres[z].values()) for z in c.objects}
-    checks = [("objects", sum(weight.values()), cap_objects),
+    checks = [("objects", sum(weight.values()), OBJECTS_CAP),
               ("morphisms", sum(len(into[z]) * weight[z] for z in c.objects), MORPHISMS_CAP)]
     point = x if over is None else over
     for part, n, cap in checks:
@@ -503,7 +507,7 @@ def _enumerate(c: FinCat, x: str, k: int, over: str | None = None, cap_objects: 
     return elements, tuples
 
 
-def _elements_preorder(c: FinCat, x: str, k: int, over: str | None = None, cap_objects: int = OBJECTS_CAP):
+def _elements_preorder(c: FinCat, x: str, k: int, over: str | None = None):
     """The reachability preorder of the category of elements of hom(-, x)^k,
     without its composition table: ``elements`` and, in that order, their
     down-masks, a tuple t's mask the OR of bit j for each source h;t at j (h
@@ -512,7 +516,7 @@ def _elements_preorder(c: FinCat, x: str, k: int, over: str | None = None, cap_o
     split epi h with section s, h;t and t reach each other along h and s, so
     t's mask is handed to its sources along split epis, which are not walked.
     Objects go in ascending count of morphisms into them: a retract first."""
-    elements, tuples = _enumerate(c, x, k, over, cap_objects)
+    elements, tuples = _enumerate(c, x, k, over)
     rows, into = c.rows, c.into
     size = len(rows)
     at = {t[0] if k == 1 else t[0] * size + t[1]: j for j, (_, t) in enumerate(tuples)}

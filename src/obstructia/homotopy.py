@@ -76,7 +76,7 @@ def report_from_pointed(pp: order.PointedPoset, context: str) -> ObstructionRepo
 # -- the two invariants ------------------------------------------------------
 
 
-def _pi_data(c: fincat.FinCat, k: int, x: str | None = None, over: str | None = None, cap_objects: int = fincat.OBJECTS_CAP):
+def _pi_data(c: fincat.FinCat, k: int, x: str | None = None, over: str | None = None):
     """The walk behind pi_i: the element names, each with its key, and, in
     that order, their down-masks.  At k = 0 the elements are the objects of
     c, each its own key, and each object's mask has the domains of the
@@ -84,7 +84,7 @@ def _pi_data(c: fincat.FinCat, k: int, x: str | None = None, over: str | None = 
     hom(-, x)^k (only the tuples that ``over`` equalises, if given), keyed
     by tuple of positions."""
     if k:
-        return fincat._elements_preorder(c, x, k, over, cap_objects)
+        return fincat._elements_preorder(c, x, k, over)
     index = {y: i for i, y in enumerate(c.objects)}
     down = [0] * len(index)
     for m in c.morphisms:
@@ -118,10 +118,10 @@ def _pi_at(walk, base, point: str, i: int) -> tuple[ObstructionReport, list[str]
     return report_from_pointed(pp, f"pi{i} at object {point!r}"), class_of
 
 
-def _pi(c: fincat.FinCat, i: int, x: str, f: str | None = None, cap_objects: int = fincat.OBJECTS_CAP) -> ObstructionReport:
+def _pi(c: fincat.FinCat, i: int, x: str, f: str | None = None) -> ObstructionReport:
     """pi_i at the ``_end`` of x and f."""
     args, base, point = _end(c, i, x, f)
-    return _pi_at(_pi_data(*args, cap_objects=cap_objects), base, point, i)[0]
+    return _pi_at(_pi_data(*args), base, point, i)[0]
 
 
 def pi0(c: fincat.FinCat, x: str) -> ObstructionReport:
@@ -129,10 +129,10 @@ def pi0(c: fincat.FinCat, x: str) -> ObstructionReport:
     return _pi(c, 0, x)
 
 
-def pi1(c: fincat.FinCat, x: str, cap_objects: int = fincat.OBJECTS_CAP) -> ObstructionReport:
+def pi1(c: fincat.FinCat, x: str) -> ObstructionReport:
     """Pointed poset of obstructions to subterminality of x.  Refuses with
-    SizeCapExceeded past ``cap_objects`` parallel pairs over x."""
-    return _pi(c, 1, x, cap_objects=cap_objects)
+    SizeCapExceeded past ``fincat.OBJECTS_CAP`` parallel pairs over x."""
+    return _pi(c, 1, x)
 
 
 # -- terminality oracles (independent of the poset machinery) ----------------
@@ -246,7 +246,7 @@ def brute_mono(c: fincat.FinCat, f: str) -> bool:
     return len(set(row.values())) == len(row)
 
 
-def analyze_morphism(c: fincat.FinCat, f: str, cap_objects: int = fincat.OBJECTS_CAP) -> MorphismAnalysis:
+def analyze_morphism(c: fincat.FinCat, f: str) -> MorphismAnalysis:
     """Classify f through the homotopy posets of its slice over cod f, read
     off c, and cross-check the verdicts against direct split-epi / mono
     searches.  A disagreement raises OracleMismatch: it can only mean a bug.
@@ -254,8 +254,8 @@ def analyze_morphism(c: fincat.FinCat, f: str, cap_objects: int = fincat.OBJECTS
     if not c.has_morphism(f):
         raise UnknownMorphism(f)
     x = c.dom(f)
-    r0 = _pi(c, 0, x, f, cap_objects)
-    r1 = _pi(c, 1, x, f, cap_objects)
+    r0 = _pi(c, 0, x, f)
+    r1 = _pi(c, 1, x, f)
     split_epi = r0.trivial
     mono = r1.trivial
     if split_epi != brute_split_epi(c, f):

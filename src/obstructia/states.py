@@ -17,13 +17,12 @@ tells the routes apart by size alone.  A local action is a
 non-separable state to its image, which lands on the basepoint when it is
 separable: up to the cap every state is separable (at most 12 states means
 a factor of dimension <= 1), and so is every cartesian one.
-The laxator and its reports are cached per (context, objects).
+Each call builds the laxator it reads, and a CLI command builds one.
 """
 
 from __future__ import annotations
 
-import functools
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from itertools import chain, product
 
 from . import homotopy, order, setcat
@@ -100,20 +99,9 @@ def _gf2_payload(dim: int) -> dict[str, tuple[int, ...]]:
     return {vec_name(v): v for v in all_vectors(dim)}
 
 
-def _key(ctx: StateContext, obj):
-    """The hashable form of an object: a label tuple or a dimension."""
-    return tuple(obj) if ctx.kind == "cartesian" else int(obj)
-
-
 def laxator(ctx: StateContext, a, b) -> setcat.FiniteFunction:
     """The structural map from pairs of states to states of the tensor:
-    pairing for cartesian sets, outer product for GF(2).  Results are cached
-    per (context, objects); everything involved is immutable."""
-    return _laxator(ctx, _key(ctx, a), _key(ctx, b))
-
-
-@functools.cache
-def _laxator(ctx: StateContext, a, b) -> setcat.FiniteFunction:
+    pairing for cartesian sets, outer product for GF(2)."""
     sa, sb = states_of(ctx, a), states_of(ctx, b)
     dom = tuple(pair_name(x, y) for x in sa for y in sb)
     if ctx.kind == "cartesian":  # product set states are exactly the pairs
@@ -133,40 +121,36 @@ def separable_states(ctx: StateContext, a, b) -> frozenset:
 # -- obstruction reports ---------------------------------------------------------
 
 
-def _summary_report(missing, context: str) -> homotopy.ObstructionReport:
-    """Exact basepoint + minimal-obstruction sub-poset, for state spaces too
-    large to materialise the full powerset poset: the basepoint below each
-    {y}, y in missing, and nothing else related."""
-    bp = "{}"
-    elements = tuple(sorted([bp, *(homotopy.subset_name([y]) for y in missing)]))
+def _report(universe, collapsed, context: str) -> homotopy.ObstructionReport:
+    """The powerset report up to ``homotopy.POWERSET_CAP`` generators; past
+    it, state spaces too large to materialise, the exact basepoint + minimal
+    sub-poset: the basepoint below each {y}, y not collapsed, and no more."""
+    if len(universe) <= homotopy.POWERSET_CAP:
+        return homotopy.powerset_report(universe, collapsed, "{}", context)
+    bp, coll = "{}", set(collapsed)
+    elements = tuple(sorted([bp, *(homotopy.subset_name([y]) for y in universe if y not in coll)]))
     up = [1 << i for i in range(len(elements))]
     up[elements.index(bp)] = (1 << len(elements)) - 1  # "{}" sorts after "{0..." and "{(..."
     pp = order.PointedPoset(order.from_masks(elements, up), bp)
     return homotopy.report_from_pointed(pp, context + " (minimal sub-poset; full powerset elided)")
 
 
+def _pi0(lax: setcat.FiniteFunction, where: str) -> homotopy.ObstructionReport:
+    return _report(lax.cod_set, lax.image(), f"pi0 of state laxator at {where}")
+
+
 def obstructions(ctx: StateContext, a, b) -> tuple[homotopy.ObstructionReport, homotopy.ObstructionReport]:
     """(pi0, pi1) of the laxator at (a, b).  Minimal pi0 obstructions are the
     non-separable states; minimal pi1 obstructions are the distinct input
-    pairs with equal tensor.  Cached like the laxator."""
-    return _obstructions(ctx, _key(ctx, a), _key(ctx, b))
+    pairs with equal tensor."""
+    return laxator_obstructions(laxator(ctx, a, b), lax_context(ctx, a, b))
 
 
-@functools.cache
-def _obstructions(ctx: StateContext, a, b) -> tuple[homotopy.ObstructionReport, homotopy.ObstructionReport]:
-    lax = laxator(ctx, a, b)
-    ctx0 = f"pi0 of state laxator at {lax_context(ctx, a, b)}"
-    ctx1 = f"pi1 of state laxator at {lax_context(ctx, a, b)}"
-    if len(lax.cod_set) <= homotopy.POWERSET_CAP:
-        pi0 = replace(setcat.pi0_function(lax), context=ctx0)
-    else:
-        pi0 = _summary_report(set(lax.cod_set) - lax.image(), ctx0)
-    kp = setcat.kernel_pair(lax)
-    if len(kp.pairs) <= homotopy.POWERSET_CAP:
-        pi1 = replace(setcat.pi1_function(lax), context=ctx1)
-    else:
-        pi1 = _summary_report([pair_name(*p) for p in kp.off_diagonal()], ctx1)
-    return pi0, pi1
+def laxator_obstructions(lax: setcat.FiniteFunction, where: str) -> tuple[homotopy.ObstructionReport, homotopy.ObstructionReport]:
+    """``obstructions`` of a laxator already built, at ``where``, its
+    ``lax_context``; pi1 is over its kernel pair, the diagonal collapsed."""
+    pi0, kp = _pi0(lax, where), setcat.kernel_pair(lax)
+    return pi0, _report([pair_name(*p) for p in kp.pairs], [pair_name(x, x) for x in lax.dom_set], f"pi1 of state laxator at {where}")
 
 
 def lax_context(ctx: StateContext, a, b) -> str:
@@ -213,4 +197,4 @@ def local_action(ctx: StateContext, f, g) -> order.PointedMap:
             fvg = zip(*(apply_matrix(fm, c) for c in zip(*vg)))  # by rows
             return homotopy.subset_name([vec_name(tuple(chain.from_iterable(fvg)))])
 
-    return homotopy.induced_map(obstructions(ctx, a, b)[0], obstructions(ctx, a2, b2)[0], image)
+    return homotopy.induced_map(*(_pi0(laxator(ctx, p, q), lax_context(ctx, p, q)) for p, q in ((a, b), (a2, b2))), image)

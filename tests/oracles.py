@@ -256,6 +256,9 @@ def validate_functor(source, target, obj_map, mor_map):
             raise NotAFunctor(x, "object not mapped")
         if not target.has_object(om[x]):
             raise NotAFunctor(x, f"image object {om[x]!r} not in target")
+    for x in om:
+        if not source.has_object(x):
+            raise NotAFunctor(x, "not an object of the source")
     for m in source.morphisms:
         if m.name not in mm:
             raise NotAFunctor(m.name, "morphism not mapped")
@@ -264,6 +267,9 @@ def validate_functor(source, target, obj_map, mor_map):
             raise NotAFunctor(m.name, f"image morphism {fm!r} not in target")
         if target.dom(fm) != om[m.dom] or target.cod(fm) != om[m.cod]:
             raise NotAFunctor(m.name, "image morphism mistyped")
+    for m in mm:
+        if not source.has_morphism(m):
+            raise NotAFunctor(m, "not a morphism of the source")
     for x in source.objects:
         if mm[source.id_of(x)] != target.id_of(om[x]):
             raise NotAFunctor(x, "identity not preserved")

@@ -70,21 +70,19 @@ class TestCat:
         assert code == 0
         assert "elements (13)" in text
 
-    def test_cap_objects_zero_is_a_cap(self, capsys):
-        code, _ = run("cat", "pi1", fx("z2.cat"), "--object", "*", "--cap-objects", "0")
+    def test_cap_objects_zero_is_a_cap(self, capsys, monkeypatch):
+        monkeypatch.setattr(fincat, "OBJECTS_CAP", 0)
+        code, _ = run("cat", "pi1", fx("z2.cat"), "--object", "*")
         assert code == 1
         assert "SizeCapExceeded" in capsys.readouterr().err
 
-    def test_cap_objects_only_where_a_derived_category_is_built(self, capsys):
-        code, _ = run("cat", "pi0", fx("z2.cat"), "--object", "*", "--cap-objects", "0")
-        assert code == 2
-        assert "unrecognized arguments: --cap-objects 0" in capsys.readouterr().err
-
-    @pytest.mark.parametrize("argv", [("pi1", "--object", "*"), ("analyze", "--morphism", "s")])
-    def test_negative_cap_objects_is_usage_error(self, capsys, argv):
-        code, text = run("cat", argv[0], fx("z2.cat"), *argv[1:], "--cap-objects", "-5")
+    @pytest.mark.parametrize("argv", [("pi0", "--object", "*"), ("pi1", "--object", "*"), ("analyze", "--morphism", "s")],
+                             ids=["pi0", "pi1", "analyze"])
+    def test_cap_objects_is_not_an_option(self, capsys, argv):
+        # the object cap is the constant fincat.OBJECTS_CAP, set by no call
+        code, text = run("cat", argv[0], fx("z2.cat"), *argv[1:], "--cap-objects", "5")
         assert (code, text) == (2, "")
-        assert "--cap-objects: '-5' is not a non-negative int" in capsys.readouterr().err
+        assert "unrecognized arguments: --cap-objects 5" in capsys.readouterr().err
 
     def test_interchange_is_json(self):
         code, text = run(
@@ -214,6 +212,22 @@ class TestOpenGraph:
 
 
 class TestStates:
+    @pytest.mark.parametrize("argv, calls", [
+        (("obstruct",), {"laxator": 1, "kernel_pair": 1}),
+        (("local-act", "--fmat", "1", "--gmat", "1"), {"laxator": 2, "kernel_pair": 0}),
+    ], ids=["obstruct", "local-act"])
+    def test_one_laxator_per_command(self, monkeypatch, argv, calls):
+        # obstruct prints its totals from the laxator its reports are read
+        # off; local-act maps pi0 alone, one laxator at each end
+        counted = {"laxator": 0, "kernel_pair": 0}
+        for module, name in ((states, "laxator"), (setcat, "kernel_pair")):
+            def counting(*args, fn=getattr(module, name), name=name):
+                counted[name] += 1
+                return fn(*args)
+            monkeypatch.setattr(module, name, counting)
+        code, _ = run("states", argv[0], "--context", "gf2", "--dims", "1,1", *argv[1:])
+        assert (code, counted) == (0, calls)
+
     def test_obstruct_gf2(self):
         code, text = run("states", "obstruct", "--context", "gf2", "--dims", "2,2")
         assert code == 0
@@ -412,6 +426,22 @@ def test_every_error_class_is_raised_in_src():
                     raised.update(n.id if isinstance(n, ast.Name) else n.attr for n in ast.walk(node.exc) if isinstance(n, (ast.Name, ast.Attribute)))
     classes = {name for name, value in vars(errors).items() if isinstance(value, type) and issubclass(value, errors.EngineError)}
     assert len(classes) > 1 and sorted(classes - raised - {"EngineError"}) == []
+
+
+def test_one_memo_in_src():
+    """The one ``functools.cache``/``lru_cache`` in ``src/`` is the bounded
+    parse memo on ``fincat._parse``: a memo keyed by a query would keep
+    state from one call, or one test, to the next."""
+    memos, package = [], os.path.dirname(errors.__file__)
+    for name in sorted(os.listdir(package)):
+        if name.endswith(".py"):
+            with open(os.path.join(package, name), encoding="utf-8") as fh:
+                tree = ast.parse(fh.read())
+            decorates = {id(n): f"{name[:-3]}.{fn.name}" for fn in ast.walk(tree) if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
+                         for d in fn.decorator_list for n in ast.walk(d)}
+            memos += [decorates.get(id(n), f"{name}:{n.lineno}") for n in ast.walk(tree)
+                      if (n.attr if isinstance(n, ast.Attribute) else getattr(n, "id", None)) in ("cache", "lru_cache")]
+    assert memos == ["fincat._parse"]
 
 
 class TestUsage:

@@ -709,7 +709,7 @@ class TestParallelArrows:
 # a map whose every morphism goes into the hom-set its ends ask for, and none.
 MAP_BREAKS = (
     "none", "object unmapped", "unknown image object", "morphism unmapped", "unknown image morphism",
-    "mistyped", "identity not kept", "another of its hom-set", "typed anywhere",
+    "mistyped", "identity not kept", "another of its hom-set", "typed anywhere", "stray object", "stray morphism",
 )
 
 
@@ -740,6 +740,10 @@ def break_map(c, d, om, mm, kind, draw):
     elif kind == "another of its hom-set":
         m = pick(names)
         mm[m] = pick(n for n in d.hom(d.dom(mm[m]), d.cod(mm[m])) if n != mm[m])
+    elif kind == "stray object":
+        om[pick(["?", *(y for y in d.objects if not c.has_object(y))])] = pick(d.objects)
+    elif kind == "stray morphism":
+        mm[pick(["?", *(n for n in d.morphism_names() if not c.has_morphism(n))])] = pick(d.morphism_names())
     elif kind == "typed anywhere":
         # objects anywhere, identities kept, and every other morphism into
         # the hom-set its ends ask for, so composition is what is tested
@@ -794,6 +798,18 @@ class TestFunctors:
                 fincat.validate_functor(z2, z2, broken.obj_map, broken.mor_map)
             assert (exc.value.witness, str(exc.value)) == (want.value.witness, str(want.value))
             assert str(exc.value) == f"not a functor at 'g1': {detail}"
+
+    @pytest.mark.parametrize("obj_map, mor_map, witness, detail", [
+        ({"*": "*", "zz": "nosuch"}, {"e": "e", "g1": "g1"}, "zz", "not an object of the source"),
+        ({"*": "*"}, {"e": "e", "g1": "g1", "ghost": "nosuch"}, "ghost", "not a morphism of the source"),
+    ], ids=["object", "morphism"])
+    def test_a_name_outside_the_source_is_refused(self, obj_map, mor_map, witness, detail):
+        # kept, a stray entry would reach compose_functors as a KeyError
+        z2 = gen.cyclic_group_category(2)
+        for check in (fincat.validate_functor, oracles.validate_functor):
+            with pytest.raises(NotAFunctor) as exc:
+                check(z2, z2, obj_map, mor_map)
+            assert (exc.value.witness, str(exc.value)) == (witness, f"not a functor at {witness!r}: {detail}")
 
     def test_witness_is_the_first_in_row_order(self):
         # Z/12's row of g1 lists e, g1, .., g11 as declared, not by name:

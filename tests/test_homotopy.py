@@ -116,7 +116,7 @@ class TestPreorderRoute:
             for x in c.objects:
                 assert homotopy.pi1(c, x).invariant == materialised_pi1(c, x)
 
-    def test_morphisms_cap_still_refuses(self):
+    def test_morphisms_cap_still_refuses(self, monkeypatch):
         # parallel arrows over Z/n have n^2 objects and n^3 morphisms
         assert len(homotopy.pi1(gen.cyclic_group_category(36), "*").invariant.poset.elements) == 36
         with pytest.raises(SizeCapExceeded) as exc:
@@ -125,8 +125,9 @@ class TestPreorderRoute:
         with pytest.raises(SizeCapExceeded) as exc:
             homotopy.pi1(gen.cyclic_group_category(142), "*")
         assert str(exc.value) == "parallel arrows over '*' objects: projected 20164 exceeds cap 20000"
+        monkeypatch.setattr(fincat, "OBJECTS_CAP", 3)
         with pytest.raises(SizeCapExceeded):
-            homotopy.pi1(gen.cyclic_group_category(2), "*", 3)
+            homotopy.pi1(gen.cyclic_group_category(2), "*")
 
     def test_comp_entries_cap_guards_only_tables(self):
         # Z/36: pi1 is served above, its table of n^4 entries is not
@@ -585,11 +586,12 @@ class TestAnalyze:
                 assert an.pi0 == homotopy.pi0(sl, f)
                 assert an.pi1 == homotopy.pi1(sl, f)
 
-    def test_refusal_names_the_morphism(self):
+    def test_refusal_names_the_morphism(self, monkeypatch):
         # {e, p} with p;p = p: the slice over * has 2 objects, the pairs over p 4
         c = gen.idempotent_monoid_category()
+        monkeypatch.setattr(fincat, "OBJECTS_CAP", 3)
         with pytest.raises(SizeCapExceeded) as exc:
-            homotopy.analyze_morphism(c, "p", 3)
+            homotopy.analyze_morphism(c, "p")
         assert str(exc.value) == "parallel arrows over 'p' objects: projected 4 exceeds cap 3"
 
     def test_slice_pairs_that_render_alike_stay_distinct(self):
