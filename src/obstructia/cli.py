@@ -119,8 +119,8 @@ def _cmd_og_obstruct(args, out):
     g = opengraph.parse_open_graph(_read(args.left))
     h = opengraph.parse_open_graph(_read(args.right))
     rg, rh = opengraph.reach(g), opengraph.reach(h)
+    whole = opengraph.glued_reach(g, h)  # a BoundaryMismatch, as compose and act raise
     composed = opengraph.compose_rel(rg, rh)
-    whole = opengraph.glued_reach(g, h)
     # both reports before any output, so a refusal leaves stdout empty
     pi0 = opengraph.laxator_obstructions(composed, whole)
     pi1 = opengraph.pi1_laxator(composed, whole)

@@ -13,11 +13,10 @@ Categories are ints first.  Each morphism is its position in the sorted
 row per morphism g mapping each h into dom g to h;g.  Every law, the
 functor and naturality checks and every walk read those rows, and names
 are read only at parse, render and error time.  ``parse_category`` reads a
-``.cat`` file in one pass, whatever its line order, and
-``validate_category`` takes name-keyed tables, since they come from
-outside; both go through one interning routine, which puts each entry
-straight into its row, and names are read again only to say what is wrong
-with tables that raise.  A bounded memo keyed by the whole text hands a
+``.cat`` file in one pass, whatever its line order, into the name-keyed
+tables ``validate_category`` takes, and that is the one check: it puts each
+entry straight into its row, and names are read again only to say what is
+wrong with tables that raise.  A bounded memo keyed by the whole text hands a
 repeat the immutable category its first read checked; failures and query
 results are not kept.  Derived constructions name their objects and
 morphisms canonically so outputs are reproducible byte for byte.  Besides
@@ -145,42 +144,32 @@ def validate_category(
     Raises the first failed law with a witness: DanglingReference for unknown
     ids, BadCompositionTyping when comp is partial / overfull / mistyped,
     MissingIdentity for identity failures, NonAssociative with the witness
-    triple.  The entries go through ``_intern``, as a parsed file's do; comp
-    is read again by name, in its order, only when the rows fail to type.
+    triple.  Each entry goes straight into its row, and each row is checked
+    for typing: h;g = k needs cod h = dom g, cod k = cod g, dom k = dom h.
+    comp is read again by name, in its order, only when the rows fail to
+    type.
     """
-    return _intern(objects, morphisms, identity, comp.items, len(comp), ())
-
-
-def _intern(objects, morphisms, identity, entries, count: int, lines: Iterable[int]) -> FinCat:
-    """The one interning routine: ``entries()`` gives the ``count`` comp
-    entries ((f, g), h) in order, ``lines`` their lines in a file (none for
-    a mapping).  Each goes straight into its row, and each row is checked
-    for typing: h;g = k needs cod h = dom g, cod k = cod g, dom k = dom h."""
+    decls = _declarations(objects, morphisms, identity)
+    index, dom, cod, into = decls.index, decls.dom, decls.cod, decls.into
+    rows: list[dict[int, int]] = [{} for _ in index]  # rows[g][f] = f;g
     try:
-        decls = _declarations(objects, morphisms, identity)
-        index, dom, cod, into = decls.index, decls.dom, decls.cod, decls.into
-        rows: list[dict[int, int]] = [{} for _ in index]  # rows[g][f] = f;g
-        for (f, g), h in entries():
+        for (f, g), h in comp.items():
             rows[index[g]][index[f]] = index[h]
         # a key or a value outside its hom-set is a KeyError here
-        typed = sum(map(len, rows)) == count and all(
-            itemgetter(*row)(into[dom[g]]) == itemgetter(*row.values())(into[cod[g]]) for g, row in enumerate(rows) if row)
-    except (KeyError, DanglingReference, MissingIdentity):
+        typed = all(itemgetter(*row)(into[dom[g]]) == itemgetter(*row.values())(into[cod[g]]) for g, row in enumerate(rows) if row)
+    except KeyError:
         typed = False
     if not typed:
-        _refuse(objects, morphisms, identity, entries, lines)
+        _refuse(decls.mors, comp)
     return _laws(decls, rows)
 
 
-def _refuse(objects, morphisms, identity, entries, lines) -> None:
-    """Raise what is wrong with tables ``_intern`` could not type, found by
-    name in the order a check on names meets it: a repeated entry, then the
-    declarations, then the first unknown or mistyped entry."""
-    repeat = _first_repeat((pair for pair, _ in entries()), lines)
-    if repeat:
-        raise repeat
-    mors = {m.name: m for m in _declarations(objects, morphisms, identity).mors}
-    for (f, g), h in entries():
+def _refuse(mors, comp) -> None:
+    """Raise what is wrong with entries ``validate_category`` could not
+    type, found by name in comp's order: the first unknown or mistyped
+    entry."""
+    mors = {m.name: m for m in mors}
+    for (f, g), h in comp.items():
         for m in (f, g):
             if m not in mors:
                 raise DanglingReference(f"composition entry uses unknown morphism {m!r}")
@@ -192,15 +181,6 @@ def _refuse(objects, morphisms, identity, entries, lines) -> None:
         if hm.dom != fm.dom or hm.cod != gm.cod:
             raise BadCompositionTyping(f"composite of ({f!r}, {g!r}) must go {fm.dom!r} -> {gm.cod!r}, got {h!r}")
     raise AssertionError("tables that fail to intern pass every check by name")
-
-
-def _first_repeat(pairs, lines) -> ParseError | None:
-    """The ParseError of the first pair that repeats an earlier one, if any."""
-    seen: set[tuple[str, str]] = set()
-    for pair, lineno in zip(pairs, lines):
-        if pair in seen:
-            return ParseError(f"line {lineno}: duplicate composition entry {pair!r}")
-        seen.add(pair)
 
 
 class _Declarations(NamedTuple):
@@ -399,8 +379,12 @@ def identity_functor(c: FinCat) -> FunctorData:
 
 
 def compose_functors(first: FunctorData, second: FunctorData) -> FunctorData:
+    """The composite "first then second", once both are checked
+    (``validate_functor``)."""
     if first.target is not second.source and first.target != second.source:
         raise NotAFunctor("composite", "middle categories differ")
+    for functor in (first, second):
+        validate_functor(functor.source, functor.target, functor.obj_map, functor.mor_map)
     return FunctorData(
         first.source,
         second.target,
@@ -565,26 +549,24 @@ def parse_category(text: str) -> FinCat:
 
 @lru_cache(maxsize=_PARSE_MEMO)
 def _parse(text: str) -> FinCat:
-    """Read the text format above in one pass, whatever its line order, and
-    validate it.  Lines are split one at a time, comp and mor lines, the
-    bulk of a file, tried first; each comp line is kept as its three names
-    and its line number, for ``_intern``.  A line that does not parse or
-    repeats an identity is a ParseError naming it, unless an earlier comp
-    line repeats an entry, which a check on names meets first."""
+    """Read the text format above in one pass, whatever its line order, into
+    the tables ``validate_category`` takes, and validate them there.  Lines
+    are split one at a time, comp and mor lines, the bulk of a file, tried
+    first.  A line that does not parse or repeats a comp entry or an
+    identity is a ParseError naming it, raised when the loop meets it."""
     objects: list[str] = []
     morphisms: list[tuple[str, str, str]] = []
     identity: dict[str, str] = {}
-    fs, gs, hs, at = [], [], [], []  # comp fs[i] ; gs[i] = hs[i], on line at[i]
+    comp: dict[tuple[str, str], str] = {}
     lines = text.splitlines()
     for lineno, line in enumerate([raw.partition("#")[0] for raw in lines] if "#" in text else lines, start=1):
         parts = line.split()
         if len(parts) == 6:
             tag, a, sep, b, eq, c = parts
             if tag == "comp" and sep == ";" and eq == "=":
-                fs.append(a)
-                gs.append(b)
-                hs.append(c)
-                at.append(lineno)
+                if (a, b) in comp:
+                    raise ParseError(f"line {lineno}: duplicate composition entry {(a, b)!r}")
+                comp[a, b] = c
                 continue
             if tag == "mor" and sep == ":" and eq == "->":
                 morphisms.append((a, b, c))
@@ -596,11 +578,11 @@ def _parse(text: str) -> FinCat:
             continue
         elif parts[0] == "id" and len(parts) == 4 and parts[2] == "=":
             if parts[1] in identity:
-                raise _first_repeat(zip(fs, gs), at) or ParseError(f"line {lineno}: duplicate identity for {parts[1]!r}")
+                raise ParseError(f"line {lineno}: duplicate identity for {parts[1]!r}")
             identity[parts[1]] = parts[3]
             continue
-        raise _first_repeat(zip(fs, gs), at) or ParseError(f"line {lineno}: cannot parse {lines[lineno - 1].strip()!r}")
-    return _intern(objects, morphisms, identity, lambda: zip(zip(fs, gs), hs), len(hs), at)
+        raise ParseError(f"line {lineno}: cannot parse {lines[lineno - 1].strip()!r}")
+    return validate_category(objects, morphisms, identity, comp)
 
 
 def check_label(text: str, what: str, fmt: str, breaks: tuple[str, ...]) -> None:

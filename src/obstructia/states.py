@@ -114,10 +114,6 @@ def laxator(ctx: StateContext, a, b) -> setcat.FiniteFunction:
     return setcat.FiniteFunction(dom, cod, mapping)
 
 
-def separable_states(ctx: StateContext, a, b) -> frozenset:
-    return laxator(ctx, a, b).image()
-
-
 # -- obstruction reports ---------------------------------------------------------
 
 

@@ -347,8 +347,8 @@ def test_criterion_09_states():
             fm = tuple(tuple(rng.randint(0, 1) for _ in range(2)) for _ in range(a2))
             gm = tuple(tuple(rng.randint(0, 1) for _ in range(2)) for _ in range(b2))
             pm = states.local_action(gf2, fm, gm)  # validates basepoint preservation
-            target_sep = states.separable_states(gf2, a2, b2)
-            for name in states.separable_states(gf2, 2, 2):
+            target_sep = states.laxator(gf2, a2, b2).image()
+            for name in states.laxator(gf2, 2, 2).image():
                 v = payload[name]
                 rows = [v[0:2], v[2:4]]
                 mid = [states.apply_matrix(gm, tuple(r)) for r in rows]

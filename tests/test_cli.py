@@ -193,10 +193,11 @@ class TestOpenGraph:
         assert "reach of acted graph: {(1,1),(1,3)}" in text
         assert "trivialised: 1 of 1" in text
 
-    def test_boundary_mismatch_code(self, capsys):
-        code, _ = run("opengraph", "compose", fx("G.og"), fx("G.og"))
+    @pytest.mark.parametrize("command", ["compose", "obstruct"])
+    def test_boundary_mismatch_code(self, command, capsys):
+        code, _ = run("opengraph", command, fx("G.og"), fx("G.og"))
         assert code == 1
-        assert "BoundaryMismatch" in capsys.readouterr().err
+        assert "BoundaryMismatch: outputs ['1', '2', '3'] do not match inputs ['1']" in capsys.readouterr().err
 
     def test_obstruct_nine_pair_composite(self, tmp_path):
         # Three inputs and three outputs through one hub: all 9 pairs reach.

@@ -51,6 +51,7 @@ comp s ; s = e
 
 
 PAIR_COLLISION = os.path.join(os.path.dirname(__file__), "..", "fixtures", "pair_collision.cat")
+Z2_CAT = os.path.join(os.path.dirname(__file__), "..", "fixtures", "z2.cat")
 
 
 @pytest.fixture
@@ -435,8 +436,8 @@ class TestTextFormat:
     @pytest.mark.parametrize("order", ["canonical", "comp lines first", "one mor line last", "obj and id lines last"])
     def test_every_line_order_is_read_once(self, order, monkeypatch):
         """The size-3 ambient in four line orders reads as the canonical
-        file does, without a second reading by name: every route that names
-        what is wrong with a file fails here."""
+        file does, without a second reading by name: the one route that
+        names what is wrong with the entries fails here."""
         text = fincat.serialize_category(gen.finset_ambient(3))
         canonical = fincat.parse_category(text)
         lines = text.splitlines()
@@ -451,12 +452,33 @@ class TestTextFormat:
         def by_name(*args):
             raise AssertionError("read by name")
 
-        for name in ("validate_category", "_refuse", "_first_repeat"):
-            monkeypatch.setattr(fincat, name, by_name)
+        monkeypatch.setattr(fincat, "_refuse", by_name)
         fincat._parse.cache_clear()  # the canonical text would be a memo hit
         got = fincat.parse_category("\n".join(lines) + "\n")
         assert got == canonical
         assert indexed(got) == indexed(canonical)
+
+    @pytest.mark.parametrize("extra, message", [
+        ("comp e ; e = e\nobjekt x\n", "line 10: duplicate composition entry ('e', 'e')"),
+        ("objekt x\ncomp e ; e = e\n", "line 10: cannot parse 'objekt x'"),
+        ("comp e ; e = e\nid * = e\n", "line 10: duplicate composition entry ('e', 'e')"),
+        ("id * = e\ncomp e ; e = e\n", "line 10: duplicate identity for '*'"),
+        ("obj *\ncomp e ; e = e\n", "line 11: duplicate composition entry ('e', 'e')"),
+        ("comp e ; q = e\ncomp e ; e = e\n", "line 11: duplicate composition entry ('e', 'e')"),
+    ], ids=["repeated entry, then a bad line", "bad line, then a repeated entry",
+            "repeated entry, then a repeated identity", "repeated identity, then a repeated entry",
+            "repeated object, then a repeated entry", "unknown morphism, then a repeated entry"])
+    def test_the_first_of_two_faults_is_raised(self, extra, message):
+        """Z/2 with two faults appended: a line that does not parse or
+        repeats a comp entry or an identity is raised at its line, and a
+        repeated entry anywhere wins over the declarations and the entries,
+        which are checked once every line is read."""
+        with open(Z2_CAT, encoding="utf-8") as fh:
+            text = fh.read() + extra
+        for parse in (fincat.parse_category, oracles.parse_category):
+            with pytest.raises(ParseError) as exc:
+                parse(text)
+            assert str(exc.value) == message
 
     @pytest.mark.parametrize("text", [
         Z2 + "obj y\nmor i : y -> y\nid y = i\ncomp i ; i = i\n",
@@ -508,11 +530,11 @@ class TestParseMemo:
             fincat._parse.cache_clear()
             cold.append(self.run(argv, capsys))
         fincat._parse.cache_clear()
-        interned, intern = [], fincat._intern
-        monkeypatch.setattr(fincat, "_intern", lambda *args: interned.append(args) or intern(*args))
+        validated, validate = [], fincat.validate_category
+        monkeypatch.setattr(fincat, "validate_category", lambda *args: validated.append(args) or validate(*args))
         for argv, expected in zip(ops, cold):
             assert self.run(argv, capsys) == expected, argv
-        assert len(interned) == 1
+        assert len(validated) == 1
 
     @pytest.mark.parametrize("text", [
         "objekt 0",
@@ -797,6 +819,19 @@ class TestFunctors:
             with pytest.raises(NotAFunctor) as want:
                 fincat.validate_functor(z2, z2, broken.obj_map, broken.mor_map)
             assert (exc.value.witness, str(exc.value)) == (want.value.witness, str(want.value))
+            assert str(exc.value) == f"not a functor at 'g1': {detail}"
+
+    @pytest.mark.parametrize("side", ["first", "second"])
+    def test_composition_refuses_an_unchecked_functor(self, side):
+        # built without validate_functor, a stray image reached the composite
+        # as a bare KeyError, or was composed without a word
+        z2 = gen.cyclic_group_category(2)
+        ident = fincat.identity_functor(z2)
+        for mor_map, detail in (({"e": "e", "g1": "nosuch"}, "image morphism 'nosuch' not in target"),
+                                ({"e": "e"}, "morphism not mapped")):
+            broken = fincat.FunctorData(z2, z2, {"*": "*"}, mor_map)
+            with pytest.raises(NotAFunctor) as exc:
+                fincat.compose_functors(*((broken, ident) if side == "first" else (ident, broken)))
             assert str(exc.value) == f"not a functor at 'g1': {detail}"
 
     @pytest.mark.parametrize("obj_map, mor_map, witness, detail", [

@@ -78,7 +78,7 @@ class TestObstructions:
 
     def test_separable_count_identity(self):
         for m, n in ((1, 1), (1, 2), (2, 2), (2, 3), (3, 2)):
-            sep = states.separable_states(GF2, m, n)
+            sep = states.laxator(GF2, m, n).image()
             assert len(sep) == 1 + (2**m - 1) * (2**n - 1)
 
 
@@ -202,7 +202,7 @@ class TestLocalAction:
     def test_separability_preserved_on_random_actions(self, seed):
         rng = random.Random(seed)
         lax = states.laxator(GF2, 2, 2)
-        sep = states.separable_states(GF2, 2, 2)
+        sep = lax.image()
         for _ in range(200):
             a2, b2 = rng.randint(1, 2), rng.randint(1, 2)
             fm = tuple(tuple(rng.randint(0, 1) for _ in range(2)) for _ in range(a2))
