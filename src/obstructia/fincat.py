@@ -19,14 +19,14 @@ entry straight into its row, and names are read again only to say what is
 wrong with tables that raise.  A bounded memo keyed by the whole text hands a
 repeat the immutable category its first read checked; failures and query
 results are not kept.  Derived constructions name their objects and
-morphisms canonically so outputs are reproducible byte for byte.  Besides
-the opposite, they are categories of elements of hom(-, x)^k (the slice
-over x at k = 1, parallel arrows at k = 2): one enumeration behind the size
-caps below and one walk over the rows that hands each down-set along
-``FinCat.split_epis``, the preorder ``order.pointed_reflection`` points.
-The tests keep, as oracles, the walk over every arrow, the composition
-tables of the derived categories, the table keyed by names and the functor
-and naturality checks by name.
+morphisms canonically so outputs are reproducible byte for byte.  They are
+categories of elements of hom(-, x)^k (the slice over x at k = 1, parallel
+arrows at k = 2): one enumeration behind the size caps below and one walk
+over the rows that hands each down-set along ``FinCat.split_epis``, the
+preorder ``order.pointed_reflection`` points.  The tests keep the ``.cat``
+writer and the opposite, and, as oracles, the walk over every arrow, the
+composition tables of the derived categories, the table keyed by names and
+the functor and naturality checks by name.
 """
 
 from __future__ import annotations
@@ -121,9 +121,6 @@ class FinCat:
         if x not in self.identity:
             raise UnknownObject(x)
         return self.identity[x]
-
-    def morphism_names(self) -> tuple[str, ...]:
-        return tuple(m.name for m in self.morphisms)
 
     @cached_property
     def split_epis(self) -> frozenset[int]:
@@ -427,17 +424,6 @@ def validate_nat_trans(source: FunctorData, target: FunctorData, components: Map
 # -- derived categories ---------------------------------------------------
 
 
-def opposite(c: FinCat) -> FinCat:
-    """Reverse every arrow; an involution on the nose.  The morphisms keep
-    their positions, and the rows are transposed: f;g = h in c is g;f = h
-    in the opposite."""
-    rows: list[dict[int, int]] = [{} for _ in c.rows]
-    for g, row in enumerate(c.rows):
-        for f, h in row.items():
-            rows[f][g] = h
-    return FinCat(c.objects, tuple(MorDecl(m.name, m.cod, m.dom) for m in c.morphisms), dict(c.identity), tuple(rows))
-
-
 def pair_name(f0: str, f1: str) -> str:
     """The one rendering of a pair of names, for every module."""
     return f"({f0},{f1})"
@@ -593,17 +579,3 @@ def check_label(text: str, what: str, fmt: str, breaks: tuple[str, ...]) -> None
     whole = text.split() == [text] if " " in breaks else text == text.strip() and text.splitlines() == [text]
     if not whole or any(b in text for b in breaks):
         raise ParseError(f"{what} {text!r} would not read back from a {fmt} line")
-
-
-def serialize_category(c: FinCat) -> str:
-    """The text of c.  A ParseError names the first object, or else the
-    first morphism, whose id would not read back (``check_label``)."""
-    for what, ids in (("object", c.objects), ("morphism", [m.name for m in c.morphisms])):
-        for x in ids:
-            check_label(x, what, ".cat", (" ", "#"))
-    lines = [f"obj {x}" for x in sorted(c.objects)]
-    lines += [f"mor {m.name} : {m.dom} -> {m.cod}" for m in sorted(c.morphisms, key=lambda m: m.name)]
-    lines += [f"id {x} = {c.identity[x]}" for x in sorted(c.identity)]
-    names = c.morphism_names()  # sorted, so sorting positions sorts names
-    lines += [f"comp {names[h]} ; {names[g]} = {names[hg]}" for h, g, hg in sorted((h, g, hg) for g, row in enumerate(c.rows) for h, hg in row.items())]
-    return "\n".join(lines) + "\n"

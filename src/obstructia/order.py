@@ -4,8 +4,7 @@ A poset is stored as its sorted element names plus one bitmask per element:
 bit j of ``up[i]`` is set when elements[i] <= elements[j].  Masks are plain
 Python ints, so every order operation below is a handful of word-parallel
 ORs, ANDs and popcounts per element instead of lookups in a set of name
-pairs; the pairs themselves (``Poset.leq``) are derived on first read, and
-no operation here or output format reads them.
+pairs, which no operation here or output format reads.
 
 The workhorse is ``pointed_reflection``: the universal thin skeletal
 quotient of a preorder given by down-masks, with the lower set of one
@@ -80,26 +79,6 @@ class Poset:
     @cached_property
     def index(self) -> dict[str, int]:
         return {e: i for i, e in enumerate(self.elements)}
-
-    @cached_property
-    def leq(self) -> frozenset[tuple[str, str]]:
-        """The order as a set of name pairs (a, b) with a <= b."""
-        e = self.elements
-        return frozenset((e[i], e[j]) for i, ui in enumerate(self.up) for j in _bits(ui))
-
-    def le(self, a: str, b: str) -> bool:
-        i, j = self.index.get(a), self.index.get(b)
-        return i is not None and j is not None and bool(self.up[i] >> j & 1)
-
-    def lt(self, a: str, b: str) -> bool:
-        return a != b and self.le(a, b)
-
-    def down(self, e: str) -> frozenset:
-        i = self.index.get(e)
-        return frozenset() if i is None else self._names(self.down_masks[i])
-
-    def _names(self, m: int) -> frozenset:
-        return frozenset(self.elements[i] for i in _bits(m))
 
 
 def from_masks(elements: tuple[str, ...], up: list[int]) -> Poset:
@@ -190,16 +169,6 @@ def make_pointed(source: PointedPoset, target: PointedPoset, mapping: Mapping[st
     if m[source.basepoint] != target.basepoint:
         raise InvalidMap("basepoint not preserved")
     return PointedMap(source, target, m)
-
-
-def identity_pointed(pp: PointedPoset) -> PointedMap:
-    return make_pointed(pp, pp, {e: e for e in pp.poset.elements})
-
-
-def compose_pointed(first: PointedMap, second: PointedMap) -> PointedMap:
-    if first.target != second.source:
-        raise InvalidMap("pointed maps not composable")
-    return make_pointed(first.source, second.target, {e: second.mapping[v] for e, v in first.mapping.items()})
 
 
 # -- the pointed reflection ------------------------------------------------

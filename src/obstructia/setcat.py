@@ -41,12 +41,6 @@ class FiniteFunction:
     def image(self) -> frozenset:
         return frozenset(self.mapping.values())
 
-    def is_surjective(self) -> bool:
-        return self.image() == frozenset(self.cod_set)
-
-    def is_injective(self) -> bool:
-        return len(set(self.mapping.values())) == len(self.dom_set)
-
 
 @dataclass(frozen=True)
 class KernelPair:
@@ -71,9 +65,6 @@ class KernelPair:
         for x, y in self.pairs:
             if not rows[y] <= rows[x]:
                 raise OracleMismatch("kernel pair not transitive")
-
-    def off_diagonal(self) -> frozenset:
-        return frozenset((x, y) for (x, y) in self.pairs if x != y)
 
 
 def kernel_pair(f: FiniteFunction) -> KernelPair:
@@ -177,18 +168,3 @@ def parse_assignments(text: str) -> dict[str, str]:
             raise ParseError(f"element {x!r} assigned twice")
         mapping[x] = y
     return mapping
-
-
-def serialize_function(name: str, f: FiniteFunction) -> str:
-    """The one-line form of f.  A ParseError names the first label, or the
-    name, that ``parse_function`` would not read back verbatim
-    (``fincat.check_label``)."""
-    for x in (*f.dom_set, *f.cod_set):
-        fincat.check_label(x, "label", ".fn", (",", "{", "}", ";", "#", "=>", "->"))
-    fincat.check_label(name, "function name", ".fn", (":", "->", ";", "#"))
-    dom = "{" + ",".join(f.dom_set) + "}"
-    cod = "{" + ",".join(f.cod_set) + "}"
-    body = ", ".join(f"{x}=>{f.mapping[x]}" for x in f.dom_set)
-    if body:
-        return f"fn {name} : {dom} -> {cod} ; {body}\n"
-    return f"fn {name} : {dom} -> {cod} ;\n"

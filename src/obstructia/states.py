@@ -135,16 +135,11 @@ def _pi0(lax: setcat.FiniteFunction, where: str) -> homotopy.ObstructionReport:
     return _report(lax.cod_set, lax.image(), f"pi0 of state laxator at {where}")
 
 
-def obstructions(ctx: StateContext, a, b) -> tuple[homotopy.ObstructionReport, homotopy.ObstructionReport]:
-    """(pi0, pi1) of the laxator at (a, b).  Minimal pi0 obstructions are the
-    non-separable states; minimal pi1 obstructions are the distinct input
-    pairs with equal tensor."""
-    return laxator_obstructions(laxator(ctx, a, b), lax_context(ctx, a, b))
-
-
 def laxator_obstructions(lax: setcat.FiniteFunction, where: str) -> tuple[homotopy.ObstructionReport, homotopy.ObstructionReport]:
-    """``obstructions`` of a laxator already built, at ``where``, its
-    ``lax_context``; pi1 is over its kernel pair, the diagonal collapsed."""
+    """(pi0, pi1) of a laxator, at ``where``, its ``lax_context``; pi1 is over
+    its kernel pair, the diagonal collapsed.  Minimal pi0 obstructions are
+    the non-separable states; minimal pi1 obstructions are the distinct
+    input pairs with equal tensor."""
     pi0, kp = _pi0(lax, where), setcat.kernel_pair(lax)
     return pi0, _report([pair_name(*p) for p in kp.pairs], [pair_name(x, x) for x in lax.dom_set], f"pi1 of state laxator at {where}")
 

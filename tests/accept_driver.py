@@ -1,6 +1,8 @@
 """Run the full canned CLI command list over every fixture and print the
 combined output; used by the determinism criterion, which compares the bytes
-of two separate interpreter runs (different hash seeds included)."""
+of two separate interpreter runs (different hash seeds included).  Each
+command is printed with its fixture paths relative to the checkout root, so
+two checkouts print the same bytes."""
 
 import io
 import os
@@ -10,7 +12,8 @@ sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
 from obstructia import cli
 
-FIXTURES = os.path.join(os.path.dirname(__file__), "..", "fixtures")
+ROOT = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..")
+FIXTURES = os.path.join(ROOT, "fixtures")
 
 
 def fx(name):
@@ -54,7 +57,7 @@ COMMANDS = [
 def main() -> int:
     out = io.StringIO()
     for argv in COMMANDS:
-        out.write("$ " + " ".join(argv) + "\n")
+        out.write("$ " + " ".join(os.path.relpath(a, ROOT) if a.startswith(FIXTURES) else a for a in argv) + "\n")
         code = cli.run(argv, out)
         out.write(f"exit {code}\n")
         if code != 0:

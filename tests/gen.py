@@ -1,6 +1,7 @@
 """Seeded generators for random categories, functors, natural
-transformations and open graphs, and the finite skeleton of the category
-of sets that the finite-set fast paths are checked against.
+transformations and open graphs, the finite skeleton of the category of
+sets that the finite-set fast paths are checked against, and the writers
+of the ``.cat`` and ``.fn`` inputs that tests build.
 
 Validity by construction: free categories on acyclic multigraphs, known
 monoid/group tables, free (co)terminal extensions, disjoint unions,
@@ -13,7 +14,7 @@ from dataclasses import dataclass
 from itertools import product
 
 import oracles
-from obstructia import fincat, homotopy, opengraph, order, setcat
+from obstructia import fincat, homotopy, opengraph, order, setcat, states
 from obstructia.errors import CapExceeded
 
 # -- building blocks -------------------------------------------------------
@@ -121,7 +122,7 @@ def free_terminal_extension(c: fincat.FinCat, t: str = "T"):
     while c.has_object(t):
         t += "'"
     objects = list(c.objects) + [t]
-    taken = set(c.morphism_names())
+    taken = set(morphism_names(c))
     prefix = "!"
     while any(f"{prefix}{x}" in taken for x in objects):
         prefix += "!"
@@ -143,7 +144,18 @@ def add_free_terminal(c: fincat.FinCat, t: str = "T") -> fincat.FinCat:
 
 
 def add_free_initial(c: fincat.FinCat, s: str = "I") -> fincat.FinCat:
-    return fincat.opposite(add_free_terminal(fincat.opposite(c), s))
+    return opposite(add_free_terminal(opposite(c), s))
+
+
+def opposite(c: fincat.FinCat) -> fincat.FinCat:
+    """Reverse every arrow; an involution on the nose.  The morphisms keep
+    their positions, and the rows are transposed: f;g = h in c is g;f = h
+    in the opposite."""
+    rows: list[dict[int, int]] = [{} for _ in c.rows]
+    for g, row in enumerate(c.rows):
+        for f, h in row.items():
+            rows[f][g] = h
+    return fincat.FinCat(c.objects, tuple(fincat.MorDecl(m.name, m.cod, m.dom) for m in c.morphisms), dict(c.identity), tuple(rows))
 
 
 def product_category(c1: fincat.FinCat, c2: fincat.FinCat) -> fincat.FinCat:
@@ -189,13 +201,14 @@ def two_component_groupoid() -> fincat.FinCat:
 def thin_category(p: order.Poset) -> fincat.FinCat:
     """The poset viewed as a category with one morphism per related pair."""
     objects = list(p.elements)
-    name = {(a, b): f"[{a}<={b}]" for (a, b) in p.leq}
-    morphisms = [(name[(a, b)], a, b) for (a, b) in sorted(p.leq)]
+    leq = oracles.leq(p)
+    name = {(a, b): f"[{a}<={b}]" for (a, b) in leq}
+    morphisms = [(name[(a, b)], a, b) for (a, b) in sorted(leq)]
     identity = {a: name[(a, a)] for a in objects}
     comp = {}
-    for a, b in p.leq:
+    for a, b in leq:
         for c in p.elements:
-            if (b, c) in p.leq:
+            if (b, c) in leq:
                 comp[(name[(a, b)], name[(b, c)])] = name[(a, c)]
     return fincat.validate_category(objects, morphisms, identity, comp)
 
@@ -311,7 +324,7 @@ def random_category(rng, max_objects=5, max_morphisms=25) -> fincat.FinCat:
         elif kind == "initial":
             c = add_free_initial(free_dag_category(rng, max_objects=3, max_edges=3).cat)
         elif kind == "op":
-            c = fincat.opposite(free_dag_category(rng).cat)
+            c = opposite(free_dag_category(rng).cat)
         else:
             c = product_category(
                 free_dag_category(rng, max_objects=2, max_edges=1).cat,
@@ -495,6 +508,16 @@ def _search_nat_trans(rng, f, g, cap=400):
     return None
 
 
+# -- state laxators ----------------------------------------------------------------
+
+
+def obstructions(ctx: states.StateContext, a, b) -> tuple[homotopy.ObstructionReport, homotopy.ObstructionReport]:
+    """(pi0, pi1) of the laxator at (a, b).  Minimal pi0 obstructions are the
+    non-separable states; minimal pi1 obstructions are the distinct input
+    pairs with equal tensor."""
+    return states.laxator_obstructions(states.laxator(ctx, a, b), states.lax_context(ctx, a, b))
+
+
 # -- open graphs -------------------------------------------------------------------
 
 
@@ -555,3 +578,39 @@ def random_vertex_merge_hom(rng, g: opengraph.OpenGraph) -> opengraph.GraphHom:
         {y: target_of[g.out_leg[y]] for y in g.outputs},
     )
     return opengraph.GraphHom(g, h, target_of)
+
+
+# -- text formats ------------------------------------------------------------------
+
+
+def morphism_names(c: fincat.FinCat) -> tuple[str, ...]:
+    return tuple(m.name for m in c.morphisms)
+
+
+def serialize_category(c: fincat.FinCat) -> str:
+    """The text of c.  A ParseError names the first object, or else the
+    first morphism, whose id would not read back (``fincat.check_label``)."""
+    for what, ids in (("object", c.objects), ("morphism", [m.name for m in c.morphisms])):
+        for x in ids:
+            fincat.check_label(x, what, ".cat", (" ", "#"))
+    lines = [f"obj {x}" for x in sorted(c.objects)]
+    lines += [f"mor {m.name} : {m.dom} -> {m.cod}" for m in sorted(c.morphisms, key=lambda m: m.name)]
+    lines += [f"id {x} = {c.identity[x]}" for x in sorted(c.identity)]
+    names = morphism_names(c)  # sorted, so sorting positions sorts names
+    lines += [f"comp {names[h]} ; {names[g]} = {names[hg]}" for h, g, hg in sorted((h, g, hg) for g, row in enumerate(c.rows) for h, hg in row.items())]
+    return "\n".join(lines) + "\n"
+
+
+def serialize_function(name: str, f: setcat.FiniteFunction) -> str:
+    """The one-line form of f.  A ParseError names the first label, or the
+    name, that ``setcat.parse_function`` would not read back verbatim
+    (``fincat.check_label``)."""
+    for x in (*f.dom_set, *f.cod_set):
+        fincat.check_label(x, "label", ".fn", (",", "{", "}", ";", "#", "=>", "->"))
+    fincat.check_label(name, "function name", ".fn", (":", "->", ";", "#"))
+    dom = "{" + ",".join(f.dom_set) + "}"
+    cod = "{" + ",".join(f.cod_set) + "}"
+    body = ", ".join(f"{x}=>{f.mapping[x]}" for x in f.dom_set)
+    if body:
+        return f"fn {name} : {dom} -> {cod} ; {body}\n"
+    return f"fn {name} : {dom} -> {cod} ;\n"

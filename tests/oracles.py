@@ -26,8 +26,9 @@ entries.
 
 The order section keeps the string-pair implementations that the bitmask
 core in ``order`` replaced: a poset there is a sorted element tuple and a
-frozenset of name pairs, and every check is a set lookup;
-``poset_from_pairs`` writes such a poset down as the library's ``Poset``.
+frozenset of name pairs, and every check is a set lookup; ``leq`` reads
+such pairs off a library ``Poset``, and ``poset_from_pairs`` writes them
+down as one.  ``compose_pointed`` composes pointed maps by their mappings.
 Its monotonicity check scans every pair of the source's up-masks, where the
 library runs along covers.  The renderings at the end write the interchange
 document through the standard library's encoder, and DOT and text one
@@ -84,7 +85,7 @@ def terminal(c, x):
 def comp(c):
     """``comp(c)[(f, g)]`` is f;g by name: the composition table keyed by
     names, a read-only view built from the rows, row by row."""
-    names = c.morphism_names()
+    names = [m.name for m in c.morphisms]
     return MappingProxyType({(names[h], names[g]): names[hg] for g, row in enumerate(c.rows) for h, hg in row.items()})
 
 
@@ -359,7 +360,7 @@ def _elements_category(c, x, k):
     and morphism guards, its composition entries are guarded too: one per
     morphism h into dom m and tuple over cod m, for every morphism m."""
     elements, tuples = fincat._enumerate(c, x, k)
-    names = c.morphism_names()
+    names = [m.name for m in c.morphisms]
     elements = {p: tuple(map(names.__getitem__, t)) for p, t in elements.items()}
     arrows = _arrows(c, tuples)
     into = {z: 0 for z in c.objects}
@@ -474,7 +475,7 @@ def _mask(p: Poset, names: Iterable[str]) -> int:
 
 def lower_closure(p: Poset, s: Iterable[str]) -> frozenset:
     """Least down-closed superset of s."""
-    return p._names(_union(p.down_masks, _mask(p, s)))
+    return frozenset(p.elements[i] for i in _bits(_union(p.down_masks, _mask(p, s))))
 
 
 def collapse_lower(p: Poset, lower: Iterable[str], basepoint_name: str) -> PointedPoset:
@@ -612,7 +613,7 @@ def report_shape(report):
     """(elements, leq, basepoint) triple of a library report, for comparison
     with the explicit descriptions."""
     pp = report.invariant
-    return frozenset(pp.poset.elements), frozenset(pp.poset.leq), pp.basepoint
+    return frozenset(pp.poset.elements), leq(pp.poset), pp.basepoint
 
 
 def covariance_map(alpha, f, i):
@@ -771,6 +772,12 @@ def separable_vectors(m, n):
 # -- posets as sets of name pairs ----------------------------------------------
 
 
+def leq(p: Poset) -> frozenset[tuple[str, str]]:
+    """The order as a set of name pairs (a, b) with a <= b."""
+    e = p.elements
+    return frozenset((e[i], e[j]) for i, ui in enumerate(p.up) for j in _bits(ui))
+
+
 def make_poset(elements, leq):
     """Validate (elements, leq) as a poset by set lookups on name pairs;
     returns the sorted elements and the relation."""
@@ -847,6 +854,13 @@ def pointed_iso(src, dst, mapping):
         raise InvalidMap("not a bijection")
     order.make_pointed(dst, src, inverse)
     return there
+
+
+def compose_pointed(first, second):
+    """The pointed map "first then second", checked by ``order.make_pointed``."""
+    if first.target != second.source:
+        raise InvalidMap("pointed maps not composable")
+    return order.make_pointed(first.source, second.target, {e: second.mapping[v] for e, v in first.mapping.items()})
 
 
 def lower_closure_pairs(elements, leq, s):
@@ -984,7 +998,7 @@ def report_to_dict(r):
         "basepoint": r.invariant.basepoint,
         "elements": list(p.elements),
         "element_count": len(p.elements),
-        "leq": [list(pair) for pair in sorted(p.leq)],
+        "leq": [list(pair) for pair in sorted(leq(p))],
         "covers": [list(pair) for pair in cover_pairs(p)],
         "minimal": sorted(r.minimal),
         "trivial": r.trivial,
@@ -1013,7 +1027,7 @@ def hasse_dot(pp):
     for e in p.elements:
         shape = "doublecircle" if e == pp.basepoint else "ellipse"
         lines.append(f"  {_quote(e)} [shape={shape}];")
-    lines.extend(f"  {_quote(a)} -> {_quote(b)};" for a, b in hasse(p.elements, p.leq))
+    lines.extend(f"  {_quote(a)} -> {_quote(b)};" for a, b in hasse(p.elements, leq(p)))
     lines.append("}")
     return "\n".join(lines) + "\n"
 
@@ -1022,7 +1036,7 @@ def text_report(r):
     """The text rendering of a report, one f-string per textbook cover pair:
     what the CLI's text format must write byte for byte."""
     p = r.invariant.poset
-    covers = hasse(p.elements, p.leq)
+    covers = hasse(p.elements, leq(p))
     lines = [
         f"context: {r.context}",
         f"trivial: {'yes' if r.trivial else 'no'}",

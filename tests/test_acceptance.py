@@ -17,7 +17,7 @@ from pathlib import Path
 import gen
 import oracles
 from conftest import base_seed
-from obstructia import cli, fincat, homotopy, opengraph, order, setcat, states
+from obstructia import cli, fincat, homotopy, opengraph, setcat, states
 from obstructia.errors import SizeCapExceeded
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "..", "fixtures")
@@ -130,14 +130,14 @@ def test_criterion_03_oracle_equivalence():
 
                     k1 = max(m, n, len(setcat.kernel_pair(f).pairs))
                     if k1 > gen.AMBIENT_MAX_K:
-                        assert not f.is_injective()
+                        assert len(f.image()) < len(f.dom_set)
                         pi1_ambient += 1
                         continue
                     try:
                         sl1 = oracles.slice_category(gen.finset_ambient(k1), yobj)
                         generic1 = homotopy.pi1(sl1.cat, mor)
                     except SizeCapExceeded:
-                        assert not f.is_injective()
+                        assert len(f.image()) < len(f.dom_set)
                         pi1_guarded += 1
                         continue
                     fast1 = setcat.pi1_function(f)
@@ -167,7 +167,7 @@ def test_criterion_04_triviality_theorems():
                 assert p0 == oracles.weak_terminal(c, x)
                 assert p1 == oracles.subterminal(c, x)
                 assert (p0 and p1) == oracles.terminal(c, x)
-            for mname in c.morphism_names():
+            for mname in gen.morphism_names(c):
                 an = homotopy.analyze_morphism(c, mname)
                 assert an.split_epi == oracles.split_epi(c, mname)
                 assert an.mono == oracles.mono(c, mname)
@@ -188,7 +188,7 @@ def test_criterion_05_groupoid_degeneration():
             r0 = homotopy.pi0(cat, "*")
             r1 = homotopy.pi1(cat, "*")
             for r in (r0, r1):
-                assert all(a == b for a, b in r.invariant.poset.leq)
+                assert all(a == b for a, b in oracles.leq(r.invariant.poset))
             assert len(r0.invariant.poset.elements) == 1
             assert len(r1.invariant.poset.elements) == n
 
@@ -198,9 +198,9 @@ def test_criterion_05_groupoid_degeneration():
             r0 = homotopy.pi0(two, x)
             r1 = homotopy.pi1(two, x)
             assert len(r0.invariant.poset.elements) == 2
-            assert all(a == b for a, b in r0.invariant.poset.leq)
+            assert all(a == b for a, b in oracles.leq(r0.invariant.poset))
             assert len(r1.invariant.poset.elements) == group_order
-            assert all(a == b for a, b in r1.invariant.poset.leq)
+            assert all(a == b for a, b in oracles.leq(r1.invariant.poset))
 
     _report(5, "groupoids: discrete invariants, component and group-order counts", body)
 
@@ -221,7 +221,7 @@ def test_criterion_06_functoriality_laws():
                 assert ident.mapping == {e: e for e in ident.source.poset.elements}
                 # composition law, element-wise
                 lhs = homotopy.pi_functor_map(fg, x, i)
-                rhs = order.compose_pointed(
+                rhs = oracles.compose_pointed(
                     homotopy.pi_functor_map(f, x, i),
                     homotopy.pi_functor_map(g, f.obj_map[x], i),
                 )
@@ -231,10 +231,10 @@ def test_criterion_06_functoriality_laws():
                 h = rng.choice(mors)
                 y = c.cod(h)
                 for i in (0, 1):
-                    left = order.compose_pointed(
+                    left = oracles.compose_pointed(
                         homotopy.pi_object_action(c, h, i), homotopy.pi_functor_map(f, y, i)
                     )
-                    right = order.compose_pointed(
+                    right = oracles.compose_pointed(
                         homotopy.pi_functor_map(f, x, i),
                         homotopy.pi_object_action(f.target, f.mor_map[h], i),
                     )
@@ -259,7 +259,7 @@ def test_criterion_07_covariance():
                 m_f = homotopy.covariance_map(alpha, f, i)
                 m_g = homotopy.covariance_map(alpha, g, i)
                 m_fg = homotopy.covariance_map(alpha, fg, i)
-                assert m_fg == order.compose_pointed(m_f, m_g)
+                assert m_fg == oracles.compose_pointed(m_f, m_g)
                 x = c.dom(f)
                 m_id = homotopy.covariance_map(alpha, c.id_of(x), i)
                 assert m_id.mapping == {e: e for e in m_id.source.poset.elements}
@@ -305,7 +305,7 @@ def test_criterion_09_states():
             states.vec_name(v) for v in oracles.separable_vectors(2, 2)
         }
         assert len(sep_oracle) == 10
-        p0, p1 = states.obstructions(gf2, 2, 2)
+        p0, p1 = gen.obstructions(gf2, 2, 2)
         assert len(p0.minimal) == 6
         assert p0.minimal == {
             "{" + states.vec_name(v) + "}"
@@ -315,8 +315,8 @@ def test_criterion_09_states():
 
         for a, b in ((("a",), ("b", "c")), (("a", "b"), ("c", "d"))):
             lax = states.laxator(cart, a, b)
-            assert lax.is_surjective() and lax.is_injective()
-            c0, c1 = states.obstructions(cart, a, b)
+            assert lax.image() == set(lax.cod_set) and len(lax.image()) == len(lax.dom_set)
+            c0, c1 = gen.obstructions(cart, a, b)
             assert c0.trivial and c1.trivial
 
         # every rank-1 factor trivialises every obstruction

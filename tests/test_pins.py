@@ -5,19 +5,28 @@ argv as a shell would split it.  A `fixtures/` path names a checked-in
 fixture; a bare `*.cat` or `*.og` name is an input built below.  A digest
 changes only together with the output change it pins, and CHANGES.md names
 that change.
+
+One pass runs every row under `sys.setprofile` and counts the calls into
+each `def` of `src/`.  It pins each row's work (`WORK`), and it checks that
+`src/` holds only what a row enters or `UNREACHED` gives a reason for.
 """
 
+import ast
+import glob
 import hashlib
+import importlib
 import os
 import random
 import shlex
 import subprocess
 import sys
+from collections import Counter
 from types import SimpleNamespace
 
 import pytest
 
 import gen
+import obstructia
 from obstructia import cli, fincat
 from obstructia import opengraph as og
 
@@ -108,7 +117,7 @@ def argv_of(tmp_path_factory):
     """The argv of a row: the inputs it names are written to a temp dir as
     built here, and fixtures are resolved against the repo."""
     tmp = tmp_path_factory.mktemp("pins")
-    ambient = fincat.serialize_category(gen.finset_ambient(3))
+    ambient = gen.serialize_category(gen.finset_ambient(3))
     lines = ambient.splitlines()
     comp_first = sorted(lines, key=lambda line: not line.startswith("comp "))
     mor = next(line for line in lines if line.startswith("mor "))
@@ -117,12 +126,12 @@ def argv_of(tmp_path_factory):
         "ambient.cat": ambient,
         "byname.cat": "".join(f"{line}  # note\n" for line in comp_first),
         "latemor.cat": "".join(f"{line}\n" for line in lines if line != mor) + f"{mor}\n",
-        "z12.cat": fincat.serialize_category(gen.cyclic_group_category(12)),
-        "clash.cat": fincat.serialize_category(fincat.validate_category(
+        "z12.cat": gen.serialize_category(gen.cyclic_group_category(12)),
+        "clash.cat": gen.serialize_category(fincat.validate_category(
             ["[1]", "1", "2"], [("id[1]", "[1]", "[1]"), ("id1", "1", "1"), ("id2", "2", "2"), ("a", "[1]", "1")],
             {"[1]": "id[1]", "1": "id1", "2": "id2"},
             {("id[1]", "id[1]"): "id[1]", ("id1", "id1"): "id1", ("id2", "id2"): "id2", ("id[1]", "a"): "a", ("a", "id1"): "a"})),
-        "twins.cat": fincat.serialize_category(gen.product_category(gen.finset_ambient(2), gen.walking_isomorphism())),
+        "twins.cat": gen.serialize_category(gen.product_category(gen.finset_ambient(2), gen.walking_isomorphism())),
         "left8.og": og.serialize_open_graph(gen.random_open_graph(rng, ("x0", "x1"), ys, edge_prob=0.25)),
         "right8.og": og.serialize_open_graph(gen.random_open_graph(rng, ys, ("z0", "z1", "z2", "z3"), edge_prob=0.25)),
     }
@@ -166,3 +175,303 @@ def test_module_entry_point(row, argv_of):
     assert (proc.returncode, proc.stderr) == (0, b"")
     got, digest = hashlib.sha256(proc.stdout).hexdigest(), dict(ROWS)[row]
     assert got == digest, f"{row}: output sha256 {got}, pinned {digest}"
+
+
+# -- work and reach: one profiled pass over the rows ---------------------------
+
+SRC = os.path.join(ROOT, "src", "obstructia")
+
+# Each def of src/ that no row enters, with the reason it stays.
+UNREACHED = {
+    # error paths, each entered by the test named
+    "errors.MissingIdentity.__init__": "error path: test_fincat.py::TestValidation::test_missing_identity_declaration",
+    "errors.NonAssociative.__init__": "error path: test_fincat.py::TestValidation::test_non_associative_witness",
+    "errors.NotAFunctor.__init__": "error path: test_fincat.py::TestFunctors::test_not_a_functor_witness",
+    "errors.NotNatural.__init__": "error path: test_fincat.py::TestFunctors::test_broken_naturality_square_names_witness",
+    "errors.SizeCapExceeded.__init__": "error path: test_cli.py::TestCat::test_cap_objects_zero_is_a_cap",
+    "errors.UnknownMorphism.__init__": "error path: test_homotopy.py::TestObjectAction::test_unknown_morphism",
+    "errors.UnknownObject.__init__": "error path: test_cli.py::TestCat::test_unknown_object_error_code",
+    "fincat._refuse": "error path: test_fincat.py::TestValidation::test_non_composable_entry_rejected",
+    "fincat._first_non_associative": "error path: test_fincat.py::TestValidation::test_non_associative_witness",
+    # import time
+    "__init__.__getattr__": "import time: a submodule's first load, in the child processes of test_cli.py::TestLoadSet",
+    "cli.build_parser": "import time: builds cli._PARSER",
+    "cli._add_format": "import time: called by cli.build_parser",
+    # a child process
+    "cli.main": "the child process of test_module_entry_point",
+    # the library API that acceptance criteria 5-7 name, with no command
+    "fincat.is_groupoid": "library API: test_acceptance.py::test_criterion_05_groupoid_degeneration",
+    "fincat.validate_functor": "library API: test_acceptance.py::test_criterion_06_functoriality_laws",
+    "fincat.identity_functor": "library API: test_acceptance.py::test_criterion_06_functoriality_laws",
+    "fincat.compose_functors": "library API: test_acceptance.py::test_criterion_06_functoriality_laws",
+    "homotopy.pi_object_action": "library API: test_acceptance.py::test_criterion_06_functoriality_laws",
+    "homotopy.pi_functor_map": "library API: test_acceptance.py::test_criterion_06_functoriality_laws",
+    "homotopy._flow": "library API: the flows of test_acceptance.py::test_criterion_06_functoriality_laws and 07",
+    "fincat.validate_nat_trans": "library API: test_acceptance.py::test_criterion_07_covariance",
+    "homotopy.covariance_map": "library API: test_acceptance.py::test_criterion_07_covariance",
+}
+
+
+# Each row's work: the calls into src/ while it runs, as `profile_row`
+# counts them, then a digest of those calls by function, then the argv.
+# Work changes only together with the change to src/ that moves it, and
+# CHANGES.md names that change.
+WORK = """
+  8195  5624f9797bf3  set pi0 --fn fixtures/wide12.fn --format text
+ 12284  bc7f9f8d20f1  set pi0 --fn fixtures/wide12.fn --format dot
+ 16374  b78a44c5b394  set pi0 --fn fixtures/wide12.fn --format interchange
+  8101  0928d17110e4  set pi1 --fn fixtures/wide12_pi1.fn --format text
+ 12134  be4606f2d614  set pi1 --fn fixtures/wide12_pi1.fn --format dot
+ 16168  4a9d48e0c4b1  set pi1 --fn fixtures/wide12_pi1.fn --format interchange
+   750  916c45dcbb68  cat analyze ambient.cat --morphism 3>2:010
+   750  916c45dcbb68  cat analyze byname.cat --morphism 3>2:010
+   750  916c45dcbb68  cat analyze latemor.cat --morphism 3>2:010
+   451  efe2d8f12466  cat validate ambient.cat
+   451  efe2d8f12466  cat validate byname.cat
+   451  efe2d8f12466  cat validate latemor.cat
+   770  9b252c504358  cat analyze ambient.cat --morphism 3>2:010 --format dot
+   792  61c45c2fff86  cat analyze ambient.cat --morphism 3>2:010 --format interchange
+  2310  ef3464e1e9f5  cat pi1 ambient.cat --object 3 --format interchange
+  2186  97d85f0866de  cat pi1 ambient.cat --object 3 --format dot
+  2063  900cff07415c  cat pi1 ambient.cat --object 3
+   210  aefb0e10ce03  cat pi1 z12.cat --object '*'
+   263  375c0d7cc364  cat analyze twins.cat --morphism 2>1:00*f
+    13  edef5f6e7f24  cat validate fixtures/z2.cat
+    33  f7c3bbcd03d2  cat pi0 fixtures/walking_arrow.cat --object 0
+    35  642560c132cf  cat pi0 fixtures/walking_arrow.cat --object 0 --format dot
+    38  443422086cd1  cat pi0 fixtures/walking_arrow.cat --object 0 --format interchange
+    24  314fac404db4  cat check-terminal fixtures/walking_arrow.cat --object 0
+    35  fcc6c8045121  cat pi0 fixtures/primed_basepoint.cat --object 0
+    42  bb34e45fd1cd  cat pi0 fixtures/primed_basepoint.cat --object 0 --format interchange
+    31  80eeca5a9852  cat pi0 clash.cat --object 1
+    36  f6e1b6103f36  cat pi0 clash.cat --object 1 --format interchange
+   350  65a10de26973  states local-act --context gf2 --dims 2,2 --fmat 10,00 --gmat 10,01
+   878  1e9ae6b2f2f4  states local-act --context gf2 --dims 2,3 --fmat 11,01 --gmat 101,011
+    51  bd2347c22639  states local-act --context cartesian --sets 'a,b|c,d' --target-sets 'a|c,d' --fmap a=>a,b=>a --gmap c=>c,d=>d
+   316  ba3f61a152ea  states obstruct --context gf2 --dims 2,2 --format text
+   366  c4459d11c0ac  states obstruct --context gf2 --dims 2,2 --format dot
+   418  b1ff756d0ef1  states obstruct --context gf2 --dims 2,2 --format interchange
+  2100  cf0a9e77bade  states obstruct --context gf2 --dims 1,1 --format text
+  3110  92a4415b08f1  states obstruct --context gf2 --dims 1,1 --format dot
+  4122  eb03ab06de8f  states obstruct --context gf2 --dims 1,1 --format interchange
+    84  44bd4729f677  states obstruct --context cartesian --sets 'a,b,c,d|e,f,g,h' --format text
+    86  19fcb80eed40  states obstruct --context cartesian --sets 'a,b,c,d|e,f,g,h' --format dot
+    90  e36f9869cf37  states obstruct --context cartesian --sets 'a,b,c,d|e,f,g,h' --format interchange
+    33  31d20b94a9cd  opengraph compose fixtures/G.og fixtures/H.og
+    45  c4c426843920  opengraph compose fixtures/G.og fixtures/H.og --format dot
+    12  8d1616c099e7  opengraph reach fixtures/G.og
+    26  a914eba88aa8  opengraph reach fixtures/G.og --format dot
+    75  e36bedc0ec10  opengraph obstruct fixtures/G.og fixtures/H.og --format text
+    77  3f1f773ae49f  opengraph obstruct fixtures/G.og fixtures/H.og --format dot
+    80  5e6f9adc2db6  opengraph obstruct fixtures/G.og fixtures/H.og --format interchange
+   100  db5c3082b007  opengraph act fixtures/G.og fixtures/G_identified.og fixtures/identify_outputs.gh fixtures/H.og
+   563  28beab0de6ce  opengraph obstruct left8.og right8.og --format text
+   788  324d70ae8ff0  opengraph obstruct left8.og right8.og --format dot
+  1014  58355fa83cb6  opengraph obstruct left8.og right8.og --format interchange
+"""
+WORK_ROWS = {row: (int(total), digest) for total, digest, row in (line.split(None, 2) for line in WORK.splitlines() if line and not line.startswith("#"))}
+
+# The calls into each def of src/, summed over the rows: what names the
+# functions whose counts moved when a row's work does.
+CALLS = """
+     6  cli._cmd_cat_analyze
+     1  cli._cmd_cat_check_terminal
+    11  cli._cmd_cat_pi
+     4  cli._cmd_cat_validate
+     1  cli._cmd_og_act
+     2  cli._cmd_og_compose
+     6  cli._cmd_og_obstruct
+     2  cli._cmd_og_reach
+     6  cli._cmd_set_pi
+     3  cli._cmd_states_local_act
+     9  cli._cmd_states_obstruct
+     4  cli._emit_flow
+     8  cli._parse_dims
+     4  cli._parse_matrix
+     5  cli._parse_sets
+    50  cli._read
+    12  cli._states_objects
+    51  cli.run
+    22  fincat.FinCat.__post_init__
+    12  fincat.FinCat.cod
+     6  fincat.FinCat.dom
+     6  fincat.FinCat.has_morphism
+    26  fincat.FinCat.has_object
+     6  fincat.FinCat.hom
+    16  fincat.FinCat.id_of
+    10  fincat.FinCat.split_epis
+    22  fincat._declarations
+    16  fincat._elements_preorder
+    16  fincat._enumerate
+    22  fincat._generators
+    22  fincat._laws
+    22  fincat._parse
+  5022  fincat._squares
+     7  fincat.check_label
+  4312  fincat.pair_name
+    22  fincat.parse_category
+    22  fincat.validate_category
+    23  homotopy._end
+    23  homotopy._pi
+    23  homotopy._pi_at
+    23  homotopy._pi_data
+ 37873  homotopy._rows
+     6  homotopy.analyze_morphism
+     6  homotopy.brute_mono
+     6  homotopy.brute_split_epi
+     4  homotopy.induced_map
+     1  homotopy.is_subterminal
+     1  homotopy.is_terminal
+     1  homotopy.is_weak_terminal
+     7  homotopy.pi0
+     4  homotopy.pi1
+    28  homotopy.powerset_report
+    67  homotopy.report_from_pointed
+   295  homotopy.subset_name
+    53  homotopy.write_report
+     1  opengraph.GraphHom.__post_init__
+    23  opengraph.OpenGraph.__post_init__
+    32  opengraph.Relation.__post_init__
+    14  opengraph._check_laxator
+    10  opengraph._glue
+   157  opengraph._glue.find
+    24  opengraph._paths
+    48  opengraph._rel_pair_labels
+     1  opengraph.act
+     2  opengraph.compose
+     8  opengraph.compose_rel
+     8  opengraph.glued_reach
+     8  opengraph.laxator_obstructions
+     2  opengraph.open_graph_dot
+     1  opengraph.parse_graph_hom
+    21  opengraph.parse_open_graph
+     6  opengraph.pi1_laxator
+    16  opengraph.reach
+    26  opengraph.relation_text
+     1  opengraph.serialize_open_graph
+    67  order.PointedPoset.__post_init__
+    67  order.Poset.index
+ 29022  order._bits
+  2035  order._low
+  9584  order._pick
+     4  order._preserves
+    39  order.from_masks
+    67  order.is_trivial
+     4  order.make_monotone
+     4  order.make_pointed
+    67  order.minimal_obstructions
+    23  order.pointed_reflection
+  9595  order.quote
+    23  setcat.FiniteFunction.__post_init__
+    27  setcat.FiniteFunction.image
+    12  setcat.KernelPair.__post_init__
+    12  setcat._parse_set
+    12  setcat.kernel_pair
+     8  setcat.parse_assignments
+     6  setcat.parse_function
+     3  setcat.pi0_function
+     3  setcat.pi1_function
+    12  states.StateContext.__post_init__
+    34  states._check_dim
+    22  states._gf2_payload
+    15  states._pi0
+    24  states._report
+    52  states.all_vectors
+   192  states.apply_matrix
+     4  states.check_matrix
+    15  states.lax_context
+    15  states.laxator
+     9  states.laxator_obstructions
+     3  states.local_action
+    48  states.local_action.image
+    30  states.states_of
+   140  states.tensor_bits
+   578  states.vec_name
+"""
+
+
+def src_defs() -> dict:
+    """Every named def in src/, keyed as its code object is: by real path
+    and first line, which for a decorated def is its first decorator's.
+    The value is module.qualname.  Lambdas and comprehensions are no defs,
+    so Pythons that inline comprehensions count alike."""
+    out = {}
+
+    def visit(node, path, prefix):
+        for child in ast.iter_child_nodes(node):
+            name = prefix
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                name = f"{prefix}.{child.name}"
+                out[path, min(d.lineno for d in [child, *child.decorator_list])] = name
+            elif isinstance(child, ast.ClassDef):
+                name = f"{prefix}.{child.name}"
+            visit(child, path, name)
+
+    for path in sorted(glob.glob(os.path.join(SRC, "*.py"))):
+        with open(path, encoding="utf-8") as fh:
+            visit(ast.parse(fh.read()), os.path.realpath(path), os.path.basename(path)[:-3])
+    return out
+
+
+def profile_row(argv, defs) -> Counter:
+    """The calls into each def of src/ while `cli.run(argv)` runs, with a
+    cold parse memo; every call counts, a generator's resumptions too."""
+    calls: dict = {}
+
+    def hook(frame, event, arg):
+        if event == "call":
+            calls[frame.f_code] = calls.get(frame.f_code, 0) + 1
+
+    fincat._parse.cache_clear()
+    sys.setprofile(hook)
+    try:
+        code = cli.run(argv, SimpleNamespace(write=len))
+    finally:
+        sys.setprofile(None)
+    assert code == 0
+    counts = Counter()
+    for co, n in calls.items():
+        name = defs.get((os.path.realpath(co.co_filename), co.co_firstlineno))
+        if name is not None:
+            counts[name] += n
+    return counts
+
+
+def work_digest(counts: Counter) -> str:
+    """A short digest of a row's calls by function name, not by line, so an
+    edit that moves code and not work keeps it."""
+    return hashlib.sha256("".join(f"{name} {n}\n" for name, n in sorted(counts.items())).encode()).hexdigest()[:12]
+
+
+@pytest.fixture(scope="module")
+def profiled(argv_of):
+    """The names of the defs of src/, and each row's calls by function, in
+    one pass.  Every module is loaded first, so no row pays a first load."""
+    for name in obstructia.__all__:
+        importlib.import_module(f"obstructia.{name}")
+    defs = src_defs()
+    return set(defs.values()), {row: profile_row(argv_of(row), defs) for row, _ in ROWS}
+
+
+def test_every_def_is_reached(profiled):
+    """A def of src/ that no row enters is deleted, or listed in UNREACHED
+    with its reason; a listed def that a row enters, or that is gone, is a
+    stale row of UNREACHED."""
+    names, runs = profiled
+    entered = set().union(*runs.values())
+    unlisted = sorted(names - entered - UNREACHED.keys())
+    stale = sorted(name for name in UNREACHED if name in entered or name not in names)
+    assert not unlisted, f"no PINS row enters {unlisted}: delete them, or list them in UNREACHED with the reason"
+    assert not stale, f"stale UNREACHED rows: {stale} (entered by a PINS row, or no def of src/)"
+
+
+def test_work(profiled):
+    """Each row does the work WORK pins; on a change, the rows and the
+    functions whose counts moved are named."""
+    _, runs = profiled
+    got = {row: (sum(counts.values()), work_digest(counts)) for row, counts in runs.items()}
+    rows = [row for row in got.keys() | WORK_ROWS.keys() if got.get(row) != WORK_ROWS.get(row)]
+    summed = sum(runs.values(), Counter())
+    pinned = Counter({name: int(n) for n, name in (line.split() for line in CALLS.strip().splitlines())})
+    functions = sorted(f"{name}: {pinned[name]} -> {summed[name]}" for name in summed.keys() | pinned.keys() if pinned[name] != summed[name])
+    assert not rows and not functions, f"work moved in rows {sorted(rows)}; calls by function, pinned -> now: {functions}"

@@ -52,7 +52,7 @@ class TestFiniteFunction:
     def test_parse_and_round_trip(self):
         name, f = setcat.parse_function(FN_MISSING_TWO)
         assert name == "missing_two"
-        assert setcat.parse_function(setcat.serialize_function(name, f))[1] == f
+        assert setcat.parse_function(gen.serialize_function(name, f))[1] == f
 
     def test_empty_domain(self):
         name, f = setcat.parse_function("fn e : {} -> {a} ;")
@@ -92,9 +92,9 @@ class TestFiniteFunction:
         # written as "{ a,b}", it would read back as a function on ('a', 'b')
         f = setcat.FiniteFunction((" a", "b"), ("y",), {" a": "y", "b": "y"})
         with pytest.raises(ParseError, match="label ' a' would not read back"):
-            setcat.serialize_function("f", f)
+            gen.serialize_function("f", f)
         with pytest.raises(ParseError, match="function name 'f:g' would not read back"):
-            setcat.serialize_function("f:g", setcat.FiniteFunction(("a",), ("y",), {"a": "y"}))
+            gen.serialize_function("f:g", setcat.FiniteFunction(("a",), ("y",), {"a": "y"}))
 
     @settings(max_examples=300, deadline=None)
     @given(
@@ -115,7 +115,7 @@ class TestFiniteFunction:
         meaning to: either refused, or read back as they were written."""
         mapping = {x: (data.draw(st.sampled_from(cod)) if data else cod[0]) for x in dom} if cod else {}
         try:
-            text = setcat.serialize_function(name, setcat.FiniteFunction(tuple(dom), tuple(cod), mapping))
+            text = gen.serialize_function(name, setcat.FiniteFunction(tuple(dom), tuple(cod), mapping))
         except EngineError:
             return
         assert setcat.parse_function(text) == (name, setcat.FiniteFunction(tuple(dom), tuple(cod), mapping))
@@ -138,7 +138,7 @@ class TestKernelPair:
         )
         kp = setcat.kernel_pair(f)
         assert len(kp.pairs) == 5
-        assert kp.off_diagonal() == {("0", "1"), ("1", "0")}
+        assert {(x, y) for x, y in kp.pairs if x != y} == {("0", "1"), ("1", "0")}
 
     def test_missing_diagonal_refused(self):
         with pytest.raises(OracleMismatch, match=r"^kernel pair misses diagonal at 'a'$"):
@@ -205,7 +205,7 @@ class TestPi0Function:
             pp = oracles.collapse_lower(p, lower, "{}")
             fast = setcat.pi0_function(f).invariant
             assert set(pp.poset.elements) == set(fast.poset.elements)
-            assert pp.poset.leq == fast.poset.leq
+            assert oracles.leq(pp.poset) == oracles.leq(fast.poset)
 
 
 class TestPi1Function:
@@ -241,12 +241,12 @@ class TestMinimalCounts:
             if len(f.cod_set) <= homotopy.POWERSET_CAP:
                 r0 = setcat.pi0_function(f)
                 assert len(r0.minimal) == len(set(f.cod_set) - f.image())
-                assert r0.trivial == f.is_surjective()
+                assert r0.trivial == (f.image() == set(f.cod_set))
             kp = setcat.kernel_pair(f)
             if len(kp.pairs) <= homotopy.POWERSET_CAP:
                 r1 = setcat.pi1_function(f)
                 assert len(r1.minimal) == len(kp.pairs) - len(f.dom_set)
-                assert r1.trivial == f.is_injective()
+                assert r1.trivial == (len(f.image()) == len(f.dom_set))
 
 
 class TestInterchange:
@@ -294,7 +294,7 @@ class TestAmbient:
         amb = gen.finset_ambient(4)
         assert len(amb.morphisms) == sum(n**m for m in range(5) for n in range(5))
         rng = random.Random(seed)
-        names, table = amb.morphism_names(), oracles.comp(amb)
+        names, table = gen.morphism_names(amb), oracles.comp(amb)
         checked = 0
         while checked < 5000:
             f = rng.choice(names)
@@ -331,8 +331,8 @@ class TestAmbientAnalyze:
                 # parallel arrows, which fits the guards for every function here
                 capped += 1
                 continue
-            assert an.split_epi == f.is_surjective()
-            assert an.mono == f.is_injective()
+            assert an.split_epi == (f.image() == set(f.cod_set))
+            assert an.mono == (len(f.image()) == len(f.dom_set))
             checked += 1
         assert checked == 59 and capped == 0
 
