@@ -31,12 +31,12 @@ the functor and naturality checks by name.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections import namedtuple
+from collections.abc import Iterable, Mapping
 from functools import cached_property, lru_cache
 from itertools import product
 from operator import itemgetter
 from types import MappingProxyType
-from typing import Iterable, Mapping, NamedTuple
 
 from .errors import (
     BadCompositionTyping,
@@ -52,13 +52,8 @@ from .errors import (
 )
 
 
-@dataclass(frozen=True)
-class MorDecl:
-    """A morphism declaration: name, domain object, codomain object."""
-
-    name: str
-    dom: str
-    cod: str
+# A morphism declaration: name, domain object, codomain object.
+MorDecl = namedtuple("MorDecl", "name dom cod")
 
 
 # Guards on a derived category, predicted from hom-set cardinalities before
@@ -68,32 +63,24 @@ OBJECTS_CAP = 20_000
 MORPHISMS_CAP = 50_000
 
 
-@dataclass(frozen=True)
-class FinCat:
+class FinCat(namedtuple("FinCat", "objects morphisms identity rows index into")):
     """Storage is canonical: objects and morphisms sorted by id, and the one
     composition table ``rows``, where ``rows[g][h]`` is h;g for the
     positions g and h in ``morphisms``.  So two categories with the same
-    tables compare equal however they were built.  The one index, set here,
-    is ``index``, each morphism's position by name, and ``into``, the
-    positions into each object, ascending.  ``identity`` is a read-only
+    tables compare equal however they were built.  The one index is built
+    from them here: ``index``, each morphism's position by name, and
+    ``into``, the positions into each object, ascending; as it follows from
+    the tables, it changes no comparison.  ``identity`` is a read-only
     view; the rows are a tuple of plain dicts, which must not be written
     to.  Composition is read from the rows alone: names are looked up only
     to read arguments and to write results and errors."""
 
-    objects: tuple[str, ...]
-    morphisms: tuple[MorDecl, ...]
-    identity: Mapping[str, str]
-    rows: tuple[dict[int, int], ...]
-    index: dict[str, int] = field(init=False, repr=False, compare=False)
-    into: dict[str, tuple[int, ...]] = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        into: dict[str, list[int]] = {x: [] for x in self.objects}
-        for i, m in enumerate(self.morphisms):
+    def __new__(cls, objects, morphisms, identity, rows):
+        into: dict[str, list[int]] = {x: [] for x in objects}
+        for i, m in enumerate(morphisms):
             into[m.cod].append(i)
-        object.__setattr__(self, "index", {m.name: i for i, m in enumerate(self.morphisms)})
-        object.__setattr__(self, "into", {x: tuple(v) for x, v in into.items()})
-        object.__setattr__(self, "identity", MappingProxyType(self.identity))
+        index = {m.name: i for i, m in enumerate(morphisms)}
+        return super().__new__(cls, objects, morphisms, MappingProxyType(identity), rows, index, {x: tuple(v) for x, v in into.items()})
 
     # -- lookups ---------------------------------------------------------
 
@@ -180,15 +167,11 @@ def _refuse(mors, comp) -> None:
     raise AssertionError("tables that fail to intern pass every check by name")
 
 
-class _Declarations(NamedTuple):
-    objs: tuple[str, ...]  # in declaration order
-    mors: tuple[MorDecl, ...]  # sorted by id
-    index: dict[str, int]  # morphism positions in mors
-    dom: list[int]  # object positions in objs, per morphism
-    cod: list[int]
-    into: list[dict[int, int]]  # per object, h: dom h for each h into it, ascending
-    decl: list[int]  # morphism positions in declaration order
-    ident: dict[str, str]  # object -> its identity
+# objs in declaration order; mors sorted by id, and index their positions;
+# dom and cod, object positions in objs, per morphism; into, per object,
+# h: dom h for each h into it, ascending; decl, the morphism positions in
+# declaration order; ident, each object's identity.
+_Declarations = namedtuple("_Declarations", "objs mors index dom cod into decl ident")
 
 
 def _declarations(objects, morphisms, identity) -> _Declarations:
@@ -326,12 +309,7 @@ def _first_non_associative(decl, rows, cod, out_of):
 # -- functors and natural transformations --------------------------------
 
 
-@dataclass(frozen=True)
-class FunctorData:
-    source: FinCat
-    target: FinCat
-    obj_map: dict[str, str]
-    mor_map: dict[str, str]
+FunctorData = namedtuple("FunctorData", "source target obj_map mor_map")
 
 
 def validate_functor(source: FinCat, target: FinCat, obj_map: Mapping[str, str], mor_map: Mapping[str, str]) -> FunctorData:
@@ -390,11 +368,7 @@ def compose_functors(first: FunctorData, second: FunctorData) -> FunctorData:
     )
 
 
-@dataclass(frozen=True)
-class NatTransData:
-    source: FunctorData
-    target: FunctorData
-    components: dict[str, str]
+NatTransData = namedtuple("NatTransData", "source target components")
 
 
 def validate_nat_trans(source: FunctorData, target: FunctorData, components: Mapping[str, str]) -> NatTransData:

@@ -31,10 +31,10 @@ row generator, one ``str.join`` per element's row.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
+from collections.abc import Iterable
 from itertools import chain, compress, islice, repeat
 from operator import and_, eq, rshift
-from typing import Iterable
 
 from . import fincat, order
 from .errors import CapExceeded, InvalidPoset, OracleMismatch, UnknownMorphism, UnknownObject
@@ -47,21 +47,8 @@ _BIT = [bytes(48 + (j >> i & 1) for j in range(256)) for i in range(8)]
 _ONLY = [bytes(48 + (j == k) for j in range(256)) for k in range(POWERSET_CAP + 2)]
 
 
-@dataclass(frozen=True)
-class ObstructionReport:
-    invariant: order.PointedPoset
-    minimal: frozenset
-    trivial: bool
-    context: str
-
-
-@dataclass(frozen=True)
-class MorphismAnalysis:
-    pi0: ObstructionReport
-    pi1: ObstructionReport
-    split_epi: bool
-    mono: bool
-    iso: bool
+ObstructionReport = namedtuple("ObstructionReport", "invariant minimal trivial context")
+MorphismAnalysis = namedtuple("MorphismAnalysis", "pi0 pi1 split_epi mono iso")
 
 
 def report_from_pointed(pp: order.PointedPoset, context: str) -> ObstructionReport:

@@ -19,7 +19,7 @@ posets), so it is the powerset report of an empty universe: one point.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from . import homotopy, order
 from .fincat import check_label, pair_name
@@ -34,19 +34,11 @@ from .errors import (
 )
 
 
-@dataclass(frozen=True)
-class OpenGraph:
-    inputs: tuple[str, ...]
-    outputs: tuple[str, ...]
-    vertices: tuple[str, ...]
-    edges: frozenset
-    in_leg: dict[str, str]
-    out_leg: dict[str, str]
+class OpenGraph(namedtuple("OpenGraph", "inputs outputs vertices edges in_leg out_leg")):
+    __slots__ = ()
 
-    def __post_init__(self):
-        object.__setattr__(self, "inputs", tuple(self.inputs))
-        object.__setattr__(self, "outputs", tuple(self.outputs))
-        object.__setattr__(self, "vertices", tuple(sorted(set(self.vertices))))
+    def __new__(cls, inputs, outputs, vertices, edges, in_leg, out_leg):
+        self = super().__new__(cls, tuple(inputs), tuple(outputs), tuple(sorted(set(vertices))), edges, in_leg, out_leg)
         for side, labels in (("input", self.inputs), ("output", self.outputs)):
             twice = [x for i, x in enumerate(labels) if labels.index(x) != i]
             if twice:
@@ -64,49 +56,44 @@ class OpenGraph:
             extra = sorted(set(legs) - set(labels))
             if extra:
                 raise DanglingReference(f"{side} leg {extra[0]!r} has no {side} label")
+        return self
 
 
-@dataclass(frozen=True)
-class Relation:
-    dom_set: tuple[str, ...]
-    cod_set: tuple[str, ...]
-    pairs: frozenset
+class Relation(namedtuple("Relation", "dom_set cod_set pairs")):
+    __slots__ = ()
 
-    def __post_init__(self):
-        object.__setattr__(self, "dom_set", tuple(sorted(set(self.dom_set))))
-        object.__setattr__(self, "cod_set", tuple(sorted(set(self.cod_set))))
+    def __new__(cls, dom_set, cod_set, pairs):
+        self = super().__new__(cls, tuple(sorted(set(dom_set))), tuple(sorted(set(cod_set))), pairs)
         for x, y in self.pairs:
             if x not in self.dom_set or y not in self.cod_set:
                 raise TypeMismatch(f"pair ({x!r}, {y!r}) outside carrier")
+        return self
 
 
-@dataclass(frozen=True)
-class GraphHom:
+class GraphHom(namedtuple("GraphHom", "source target vertex_map")):
     """Interface-preserving graph homomorphism between open graphs sharing
     boundaries: edges map to edges and both legs commute."""
 
-    source: OpenGraph
-    target: OpenGraph
-    vertex_map: dict[str, str]
+    __slots__ = ()
 
-    def __post_init__(self):
-        s, t = self.source, self.target
+    def __init__(self, source, target, vertex_map):
+        s, t = source, target
         if set(s.inputs) != set(t.inputs) or set(s.outputs) != set(t.outputs):
             raise BoundaryMismatch("graph homomorphism must preserve the boundary sets")
         tv = set(t.vertices)
         for v in s.vertices:
-            if v not in self.vertex_map:
+            if v not in vertex_map:
                 raise NotAGraphHom(f"vertex {v!r} not mapped")
-            if self.vertex_map[v] not in tv:
+            if vertex_map[v] not in tv:
                 raise NotAGraphHom(f"image of {v!r} is not a target vertex")
         for u, v in s.edges:
-            if (self.vertex_map[u], self.vertex_map[v]) not in t.edges:
+            if (vertex_map[u], vertex_map[v]) not in t.edges:
                 raise NotAGraphHom(f"edge ({u!r}, {v!r}) has no image edge")
         for x in s.inputs:
-            if self.vertex_map[s.in_leg[x]] != t.in_leg[x]:
+            if vertex_map[s.in_leg[x]] != t.in_leg[x]:
                 raise NotAGraphHom(f"input leg {x!r} does not commute")
         for y in s.outputs:
-            if self.vertex_map[s.out_leg[y]] != t.out_leg[y]:
+            if vertex_map[s.out_leg[y]] != t.out_leg[y]:
                 raise NotAGraphHom(f"output leg {y!r} does not commute")
 
 

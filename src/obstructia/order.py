@@ -26,10 +26,10 @@ included, and the tests check it against ``from_masks``.
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass, field
+from collections import namedtuple
+from collections.abc import Mapping
 from functools import cached_property
 from itertools import compress, repeat
-from typing import Mapping
 
 from .errors import InvalidMap, InvalidPoset
 
@@ -61,20 +61,15 @@ def _low(m: int) -> int:
     return (m & -m).bit_length() - 1
 
 
-@dataclass(frozen=True)
-class Poset:
+class Poset(namedtuple("Poset", "elements up down_masks cover_masks")):
     """A finite poset: ``elements`` sorted, ``up[i]`` the bitmask of the
     indices j with elements[i] <= elements[j], ``down_masks`` its transpose,
     and ``cover_masks`` the covers of each element: bit j of cover_masks[i]
-    set when elements[j] covers elements[i].  Equality and hashing read
-    (elements, up) only.  Build one with ``from_masks`` from up-masks, which
-    validates.  ``homotopy.powerset_report`` builds its posets directly,
-    unvalidated, and its check lives in the tests."""
-
-    elements: tuple[str, ...]
-    up: tuple[int, ...]
-    down_masks: tuple[int, ...] = field(compare=False, repr=False)
-    cover_masks: tuple[int, ...] = field(compare=False, repr=False)
+    set when elements[j] covers elements[i].  The last two follow from
+    (elements, up), so equality and hashing, which read all four, compare
+    posets by their order.  Build one with ``from_masks`` from up-masks,
+    which validates.  ``homotopy.powerset_report`` builds its posets
+    directly, unvalidated, and its check lives in the tests."""
 
     @cached_property
     def index(self) -> dict[str, int]:
@@ -114,14 +109,12 @@ def from_masks(elements: tuple[str, ...], up: list[int]) -> Poset:
     return Poset(elements, tuple(up), tuple(down), tuple(covers))
 
 
-@dataclass(frozen=True)
-class PointedPoset:
-    poset: Poset
-    basepoint: str
+class PointedPoset(namedtuple("PointedPoset", "poset basepoint")):
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.basepoint not in self.poset.index:
-            raise InvalidPoset(f"basepoint {self.basepoint!r} is not an element")
+    def __init__(self, poset, basepoint):
+        if basepoint not in poset.index:
+            raise InvalidPoset(f"basepoint {basepoint!r} is not an element")
 
 
 def _preserves(rows, image: list[int], up: tuple[int, ...]) -> bool:
@@ -157,11 +150,7 @@ def make_monotone(source: Poset, target: Poset, mapping: Mapping[str, str]) -> d
     return m
 
 
-@dataclass(frozen=True)
-class PointedMap:
-    source: PointedPoset
-    target: PointedPoset
-    mapping: dict[str, str]
+PointedMap = namedtuple("PointedMap", "source target mapping")
 
 
 def make_pointed(source: PointedPoset, target: PointedPoset, mapping: Mapping[str, str]) -> PointedMap:

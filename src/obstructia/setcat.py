@@ -9,60 +9,55 @@ meeting its off-diagonal part.  Both are powerset reports, bounded by
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from . import fincat, homotopy
 from .errors import OracleMismatch, ParseError
 
 
-@dataclass(frozen=True)
-class FiniteFunction:
-    dom_set: tuple[str, ...]
-    cod_set: tuple[str, ...]
-    mapping: dict[str, str]
+class FiniteFunction(namedtuple("FiniteFunction", "dom_set cod_set mapping")):
+    __slots__ = ()
 
-    def __post_init__(self):
-        for labels in (self.dom_set, self.cod_set):
+    def __new__(cls, dom_set, cod_set, mapping):
+        for labels in (dom_set, cod_set):
             if len(set(labels)) != len(labels):
                 raise ParseError(f"duplicate element labels in {tuple(labels)!r}")
-        dom = tuple(sorted(self.dom_set))
-        cod = tuple(sorted(self.cod_set))
-        object.__setattr__(self, "dom_set", dom)
-        object.__setattr__(self, "cod_set", cod)
+        dom = tuple(sorted(dom_set))
+        cod = tuple(sorted(cod_set))
         for x in dom:
-            if x not in self.mapping:
+            if x not in mapping:
                 raise ParseError(f"function undefined on {x!r}")
-        for x, y in self.mapping.items():
+        for x, y in mapping.items():
             if x not in dom:
                 raise ParseError(f"mapping defined on stray element {x!r}")
             if y not in cod:
                 raise ParseError(f"value {y!r} of {x!r} outside codomain")
+        return super().__new__(cls, dom, cod, mapping)
 
     def image(self) -> frozenset:
         return frozenset(self.mapping.values())
 
 
-@dataclass(frozen=True)
-class KernelPair:
+class KernelPair(namedtuple("KernelPair", "pairs")):
     """The pullback of a function along itself: all pairs with equal image.
-    Always an equivalence relation, which __post_init__ re-checks on the
+    Always an equivalence relation, which the constructor re-checks on the
     rows R(x) = {y : (x, y)}: x in R(x), x in R(y) for each (x, y), and
     R(y) inside R(x) for each (x, y)."""
 
-    pairs: frozenset
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __init__(self, pairs):
         rows: dict[str, set] = {}
-        for x, y in self.pairs:
+        for x, y in pairs:
             rows.setdefault(x, set()).add(y)
             rows.setdefault(y, set())
         for x, row in sorted(rows.items()):
             if x not in row:
                 raise OracleMismatch(f"kernel pair misses diagonal at {x!r}")
-        for x, y in sorted(self.pairs):
+        for x, y in sorted(pairs):
             if x not in rows[y]:
                 raise OracleMismatch(f"kernel pair not symmetric at ({x!r}, {y!r})")
-        for x, y in self.pairs:
+        for x, y in pairs:
             if not rows[y] <= rows[x]:
                 raise OracleMismatch("kernel pair not transitive")
 

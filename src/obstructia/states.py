@@ -22,7 +22,7 @@ Each call builds the laxator it reads, and a CLI command builds one.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from itertools import chain, product
 
 from . import homotopy, order, setcat
@@ -33,13 +33,12 @@ Matrix = tuple  # rows of 0/1 ints; rows = target dim, columns = source dim
 DIM_CAP = 6  # largest GF(2) dimension, of a factor or a tensor, enumerated
 
 
-@dataclass(frozen=True)
-class StateContext:
-    kind: str  # "cartesian" | "gf2"
+class StateContext(namedtuple("StateContext", "kind")):  # kind: "cartesian" | "gf2"
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.kind not in ("cartesian", "gf2"):
-            raise WrongContext(f"unknown context kind {self.kind!r}")
+    def __init__(self, kind):
+        if kind not in ("cartesian", "gf2"):
+            raise WrongContext(f"unknown context kind {kind!r}")
 
 
 # -- GF(2) vectors -----------------------------------------------------------

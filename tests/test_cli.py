@@ -352,10 +352,17 @@ SRC = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src")
 CAT_ENGINE = {"obstructia", "obstructia.cli", "obstructia.errors", "obstructia.fincat", "obstructia.homotopy", "obstructia.order"}
 
 
+# Standard-library modules that no command loads: dataclasses pulls in
+# inspect, and with it ast, dis and tokenize, and typing is slow to import.
+HEAVY = {"dataclasses", "inspect", "typing"}
+
+
 def loaded_after(code):
-    """The obstructia modules a fresh interpreter holds after running code."""
-    probe = code + "\nimport sys\nprint(*(m for m in sys.modules if m.partition('.')[0] == 'obstructia'))"
-    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, env={**os.environ, "PYTHONPATH": SRC})
+    """The obstructia modules, and those of HEAVY, that a fresh interpreter
+    holds after running code.  It runs with -S, as a site hook may load
+    typing on its own (some .pth files do) and so hide an engine import."""
+    probe = code + f"\nimport sys\nprint(*(m for m in sys.modules if m.partition('.')[0] in {sorted({'obstructia', *HEAVY})!r}))"
+    proc = subprocess.run([sys.executable, "-S", "-c", probe], capture_output=True, text=True, env={**os.environ, "PYTHONPATH": SRC})
     assert (proc.returncode, proc.stderr) == (0, "")
     return set(proc.stdout.split())
 
@@ -375,7 +382,9 @@ class TestLoadSet:
     ], ids=["cat validate", "cat analyze", "set", "opengraph", "states"])
     def test_a_command_loads_its_engine(self, argv, adds):
         script = f"import io\nfrom obstructia import cli\nassert cli.run({list(argv)!r}, io.StringIO()) == 0"
-        assert loaded_after(script) == CAT_ENGINE | {f"obstructia.{m}" for m in adds}
+        loaded = loaded_after(script)
+        assert not loaded & HEAVY, f"the command loads {sorted(loaded & HEAVY)}"
+        assert loaded == CAT_ENGINE | {f"obstructia.{m}" for m in adds}
 
     @pytest.mark.parametrize("reach", [
         "import obstructia\nmods = [getattr(obstructia, n) for n in obstructia.__all__]",

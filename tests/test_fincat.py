@@ -618,8 +618,8 @@ class TestRowsAreTheTable:
         for x in c.objects:
             homotopy.pi0(c, x)
             homotopy.pi1(c, x)
-        # the one table and the one index, and the one cached property
-        assert set(vars(c)) == {"objects", "morphisms", "identity", "rows", "index", "into", "split_epis"}
+        # the one table and the one index as fields, and the one cached property
+        assert {*c._fields, *vars(c)} == {"objects", "morphisms", "identity", "rows", "index", "into", "split_epis"}
         assert oracles.comp(c)[("1>2:0", "2>1:00")] == "1>1:0"
 
 

@@ -217,57 +217,57 @@ UNREACHED = {
 # Work changes only together with the change to src/ that moves it, and
 # CHANGES.md names that change.
 WORK = """
-  8195  5624f9797bf3  set pi0 --fn fixtures/wide12.fn --format text
- 12284  bc7f9f8d20f1  set pi0 --fn fixtures/wide12.fn --format dot
- 16374  b78a44c5b394  set pi0 --fn fixtures/wide12.fn --format interchange
-  8101  0928d17110e4  set pi1 --fn fixtures/wide12_pi1.fn --format text
- 12134  be4606f2d614  set pi1 --fn fixtures/wide12_pi1.fn --format dot
- 16168  4a9d48e0c4b1  set pi1 --fn fixtures/wide12_pi1.fn --format interchange
-   750  916c45dcbb68  cat analyze ambient.cat --morphism 3>2:010
-   750  916c45dcbb68  cat analyze byname.cat --morphism 3>2:010
-   750  916c45dcbb68  cat analyze latemor.cat --morphism 3>2:010
-   451  efe2d8f12466  cat validate ambient.cat
-   451  efe2d8f12466  cat validate byname.cat
-   451  efe2d8f12466  cat validate latemor.cat
-   770  9b252c504358  cat analyze ambient.cat --morphism 3>2:010 --format dot
-   792  61c45c2fff86  cat analyze ambient.cat --morphism 3>2:010 --format interchange
-  2310  ef3464e1e9f5  cat pi1 ambient.cat --object 3 --format interchange
-  2186  97d85f0866de  cat pi1 ambient.cat --object 3 --format dot
-  2063  900cff07415c  cat pi1 ambient.cat --object 3
-   210  aefb0e10ce03  cat pi1 z12.cat --object '*'
-   263  375c0d7cc364  cat analyze twins.cat --morphism 2>1:00*f
-    13  edef5f6e7f24  cat validate fixtures/z2.cat
-    33  f7c3bbcd03d2  cat pi0 fixtures/walking_arrow.cat --object 0
-    35  642560c132cf  cat pi0 fixtures/walking_arrow.cat --object 0 --format dot
-    38  443422086cd1  cat pi0 fixtures/walking_arrow.cat --object 0 --format interchange
-    24  314fac404db4  cat check-terminal fixtures/walking_arrow.cat --object 0
-    35  fcc6c8045121  cat pi0 fixtures/primed_basepoint.cat --object 0
-    42  bb34e45fd1cd  cat pi0 fixtures/primed_basepoint.cat --object 0 --format interchange
-    31  80eeca5a9852  cat pi0 clash.cat --object 1
-    36  f6e1b6103f36  cat pi0 clash.cat --object 1 --format interchange
-   350  65a10de26973  states local-act --context gf2 --dims 2,2 --fmat 10,00 --gmat 10,01
-   878  1e9ae6b2f2f4  states local-act --context gf2 --dims 2,3 --fmat 11,01 --gmat 101,011
-    51  bd2347c22639  states local-act --context cartesian --sets 'a,b|c,d' --target-sets 'a|c,d' --fmap a=>a,b=>a --gmap c=>c,d=>d
-   316  ba3f61a152ea  states obstruct --context gf2 --dims 2,2 --format text
-   366  c4459d11c0ac  states obstruct --context gf2 --dims 2,2 --format dot
-   418  b1ff756d0ef1  states obstruct --context gf2 --dims 2,2 --format interchange
-  2100  cf0a9e77bade  states obstruct --context gf2 --dims 1,1 --format text
-  3110  92a4415b08f1  states obstruct --context gf2 --dims 1,1 --format dot
-  4122  eb03ab06de8f  states obstruct --context gf2 --dims 1,1 --format interchange
-    84  44bd4729f677  states obstruct --context cartesian --sets 'a,b,c,d|e,f,g,h' --format text
-    86  19fcb80eed40  states obstruct --context cartesian --sets 'a,b,c,d|e,f,g,h' --format dot
-    90  e36f9869cf37  states obstruct --context cartesian --sets 'a,b,c,d|e,f,g,h' --format interchange
-    33  31d20b94a9cd  opengraph compose fixtures/G.og fixtures/H.og
-    45  c4c426843920  opengraph compose fixtures/G.og fixtures/H.og --format dot
-    12  8d1616c099e7  opengraph reach fixtures/G.og
-    26  a914eba88aa8  opengraph reach fixtures/G.og --format dot
-    75  e36bedc0ec10  opengraph obstruct fixtures/G.og fixtures/H.og --format text
-    77  3f1f773ae49f  opengraph obstruct fixtures/G.og fixtures/H.og --format dot
-    80  5e6f9adc2db6  opengraph obstruct fixtures/G.og fixtures/H.og --format interchange
-   100  db5c3082b007  opengraph act fixtures/G.og fixtures/G_identified.og fixtures/identify_outputs.gh fixtures/H.og
-   563  28beab0de6ce  opengraph obstruct left8.og right8.og --format text
-   788  324d70ae8ff0  opengraph obstruct left8.og right8.og --format dot
-  1014  58355fa83cb6  opengraph obstruct left8.og right8.og --format interchange
+  8195  877b48421909  set pi0 --fn fixtures/wide12.fn --format text
+ 12284  1ba362f5c1e6  set pi0 --fn fixtures/wide12.fn --format dot
+ 16374  09baee4359d3  set pi0 --fn fixtures/wide12.fn --format interchange
+  8101  40c092479801  set pi1 --fn fixtures/wide12_pi1.fn --format text
+ 12134  63a7a87718ae  set pi1 --fn fixtures/wide12_pi1.fn --format dot
+ 16168  618ab11f7875  set pi1 --fn fixtures/wide12_pi1.fn --format interchange
+   750  a1bebe767bbf  cat analyze ambient.cat --morphism 3>2:010
+   750  a1bebe767bbf  cat analyze byname.cat --morphism 3>2:010
+   750  a1bebe767bbf  cat analyze latemor.cat --morphism 3>2:010
+   451  7e84492e0510  cat validate ambient.cat
+   451  7e84492e0510  cat validate byname.cat
+   451  7e84492e0510  cat validate latemor.cat
+   770  171990498e91  cat analyze ambient.cat --morphism 3>2:010 --format dot
+   792  ec1deb28fb94  cat analyze ambient.cat --morphism 3>2:010 --format interchange
+  2310  3ce21f1f8977  cat pi1 ambient.cat --object 3 --format interchange
+  2186  c67d139addb2  cat pi1 ambient.cat --object 3 --format dot
+  2063  dc7fca923ff9  cat pi1 ambient.cat --object 3
+   210  c5c4cb645a12  cat pi1 z12.cat --object '*'
+   263  2877cd076098  cat analyze twins.cat --morphism 2>1:00*f
+    13  ad8b3177cd2c  cat validate fixtures/z2.cat
+    33  f0ed8f7f5fd2  cat pi0 fixtures/walking_arrow.cat --object 0
+    35  374d8b4ea206  cat pi0 fixtures/walking_arrow.cat --object 0 --format dot
+    38  b7e79dcb85f4  cat pi0 fixtures/walking_arrow.cat --object 0 --format interchange
+    24  928f7280be76  cat check-terminal fixtures/walking_arrow.cat --object 0
+    35  9e53ed4f45a0  cat pi0 fixtures/primed_basepoint.cat --object 0
+    42  d7469fede032  cat pi0 fixtures/primed_basepoint.cat --object 0 --format interchange
+    31  696b647c9839  cat pi0 clash.cat --object 1
+    36  f82b5063e230  cat pi0 clash.cat --object 1 --format interchange
+   350  4780750cdd6a  states local-act --context gf2 --dims 2,2 --fmat 10,00 --gmat 10,01
+   878  1d3c9588635a  states local-act --context gf2 --dims 2,3 --fmat 11,01 --gmat 101,011
+    51  0a78c55b9298  states local-act --context cartesian --sets 'a,b|c,d' --target-sets 'a|c,d' --fmap a=>a,b=>a --gmap c=>c,d=>d
+   316  1b1a22cca13f  states obstruct --context gf2 --dims 2,2 --format text
+   366  a6ec8c762cd3  states obstruct --context gf2 --dims 2,2 --format dot
+   418  315efe8e516c  states obstruct --context gf2 --dims 2,2 --format interchange
+  2100  cb7f337c7596  states obstruct --context gf2 --dims 1,1 --format text
+  3110  8abe1ea7d421  states obstruct --context gf2 --dims 1,1 --format dot
+  4122  a07565050f43  states obstruct --context gf2 --dims 1,1 --format interchange
+    84  b5339f5c0fb8  states obstruct --context cartesian --sets 'a,b,c,d|e,f,g,h' --format text
+    86  da272fd15245  states obstruct --context cartesian --sets 'a,b,c,d|e,f,g,h' --format dot
+    90  5ef2874c99ef  states obstruct --context cartesian --sets 'a,b,c,d|e,f,g,h' --format interchange
+    33  230c108fdf61  opengraph compose fixtures/G.og fixtures/H.og
+    45  65bf9e903b5a  opengraph compose fixtures/G.og fixtures/H.og --format dot
+    12  0f16c77ddb7a  opengraph reach fixtures/G.og
+    26  cafbeefd7596  opengraph reach fixtures/G.og --format dot
+    75  29f27bcdf482  opengraph obstruct fixtures/G.og fixtures/H.og --format text
+    77  9f9c1c564d7c  opengraph obstruct fixtures/G.og fixtures/H.og --format dot
+    80  4f52fb8d4651  opengraph obstruct fixtures/G.og fixtures/H.og --format interchange
+   100  631bb12604aa  opengraph act fixtures/G.og fixtures/G_identified.og fixtures/identify_outputs.gh fixtures/H.og
+   563  1495d8244d55  opengraph obstruct left8.og right8.og --format text
+   788  07dffd3fc68b  opengraph obstruct left8.og right8.og --format dot
+  1014  c168087d5748  opengraph obstruct left8.og right8.og --format interchange
 """
 WORK_ROWS = {row: (int(total), digest) for total, digest, row in (line.split(None, 2) for line in WORK.splitlines() if line and not line.startswith("#"))}
 
@@ -292,7 +292,7 @@ CALLS = """
     50  cli._read
     12  cli._states_objects
     51  cli.run
-    22  fincat.FinCat.__post_init__
+    22  fincat.FinCat.__new__
     12  fincat.FinCat.cod
      6  fincat.FinCat.dom
      6  fincat.FinCat.has_morphism
@@ -329,9 +329,9 @@ CALLS = """
     67  homotopy.report_from_pointed
    295  homotopy.subset_name
     53  homotopy.write_report
-     1  opengraph.GraphHom.__post_init__
-    23  opengraph.OpenGraph.__post_init__
-    32  opengraph.Relation.__post_init__
+     1  opengraph.GraphHom.__init__
+    23  opengraph.OpenGraph.__new__
+    32  opengraph.Relation.__new__
     14  opengraph._check_laxator
     10  opengraph._glue
    157  opengraph._glue.find
@@ -349,7 +349,7 @@ CALLS = """
     16  opengraph.reach
     26  opengraph.relation_text
      1  opengraph.serialize_open_graph
-    67  order.PointedPoset.__post_init__
+    67  order.PointedPoset.__init__
     67  order.Poset.index
  29022  order._bits
   2035  order._low
@@ -362,16 +362,16 @@ CALLS = """
     67  order.minimal_obstructions
     23  order.pointed_reflection
   9595  order.quote
-    23  setcat.FiniteFunction.__post_init__
+    23  setcat.FiniteFunction.__new__
     27  setcat.FiniteFunction.image
-    12  setcat.KernelPair.__post_init__
+    12  setcat.KernelPair.__init__
     12  setcat._parse_set
     12  setcat.kernel_pair
      8  setcat.parse_assignments
      6  setcat.parse_function
      3  setcat.pi0_function
      3  setcat.pi1_function
-    12  states.StateContext.__post_init__
+    12  states.StateContext.__init__
     34  states._check_dim
     22  states._gf2_payload
     15  states._pi0
