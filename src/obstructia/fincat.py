@@ -33,7 +33,7 @@ from __future__ import annotations
 
 from collections import namedtuple
 from collections.abc import Iterable, Mapping
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from itertools import product
 from operator import itemgetter
 from types import MappingProxyType
@@ -63,24 +63,29 @@ OBJECTS_CAP = 20_000
 MORPHISMS_CAP = 50_000
 
 
-class FinCat(namedtuple("FinCat", "objects morphisms identity rows index into")):
+class FinCat(namedtuple("FinCat", "objects morphisms identity rows index into split_epis")):
     """Storage is canonical: objects and morphisms sorted by id, and the one
     composition table ``rows``, where ``rows[g][h]`` is h;g for the
     positions g and h in ``morphisms``.  So two categories with the same
     tables compare equal however they were built.  The one index is built
-    from them here: ``index``, each morphism's position by name, and
-    ``into``, the positions into each object, ascending; as it follows from
-    the tables, it changes no comparison.  ``identity`` is a read-only
-    view; the rows are a tuple of plain dicts, which must not be written
-    to.  Composition is read from the rows alone: names are looked up only
-    to read arguments and to write results and errors."""
+    from them here: ``index``, each morphism's position by name, ``into``,
+    the positions into each object, ascending, and ``split_epis``, the
+    positions of the split epimorphisms: h: z -> y is one iff id_y = s;h
+    for some s in h's row, a section of h.  As it follows from the tables,
+    it changes no comparison.  ``identity`` is a read-only view; the rows
+    are a tuple of plain dicts, which must not be written to.  Composition
+    is read from the rows alone: names are looked up only to read
+    arguments and to write results and errors."""
+
+    __slots__ = ()
 
     def __new__(cls, objects, morphisms, identity, rows):
         into: dict[str, list[int]] = {x: [] for x in objects}
         for i, m in enumerate(morphisms):
             into[m.cod].append(i)
         index = {m.name: i for i, m in enumerate(morphisms)}
-        return super().__new__(cls, objects, morphisms, MappingProxyType(identity), rows, index, {x: tuple(v) for x, v in into.items()})
+        split = frozenset(h for h, (m, row) in enumerate(zip(morphisms, rows)) if index[identity[m.cod]] in row.values())
+        return super().__new__(cls, objects, morphisms, MappingProxyType(identity), rows, index, {x: tuple(v) for x, v in into.items()}, split)
 
     # -- lookups ---------------------------------------------------------
 
@@ -108,13 +113,6 @@ class FinCat(namedtuple("FinCat", "objects morphisms identity rows index into"))
         if x not in self.identity:
             raise UnknownObject(x)
         return self.identity[x]
-
-    @cached_property
-    def split_epis(self) -> frozenset[int]:
-        """The split epimorphisms, as positions: h: z -> y is one iff
-        id_y = s;h for some s in h's row, a section of h."""
-        index = self.index
-        return frozenset(h for h, (m, row) in enumerate(zip(self.morphisms, self.rows)) if index[self.identity[m.cod]] in row.values())
 
 
 def validate_category(

@@ -52,11 +52,14 @@ MorphismAnalysis = namedtuple("MorphismAnalysis", "pi0 pi1 split_epi mono iso")
 
 
 def report_from_pointed(pp: order.PointedPoset, context: str) -> ObstructionReport:
+    """The report of a pointed poset: its minimal obstructions and whether
+    it is trivial, under ``context``.  The basepoint must be least in its
+    poset; OracleMismatch names the least element below it otherwise."""
     p = pp.poset
-    b = p.index[pp.basepoint]
-    below = p.down_masks[b] & ~(1 << b)
-    if below:  # the elements are sorted: the lowest bit names the least
-        raise OracleMismatch(f"basepoint fails minimality below {p.elements[order._low(below)]!r}")
+    b = p.elements.index(pp.basepoint)
+    below = [i for i in compress(range(len(p.up)), map((1 << b).__and__, p.up)) if i != b]
+    if below:
+        raise OracleMismatch(f"basepoint fails minimality below {p.elements[below[0]]!r}")
     return ObstructionReport(pp, order.minimal_obstructions(pp), order.is_trivial(pp), context)
 
 
@@ -270,14 +273,13 @@ def powerset_report(universe: Iterable[str], collapsed: Iterable[str], basepoint
     Subsets are bitmasks over the sorted universe, the basepoint standing
     in for the empty one, and the poset is an order by construction, so it
     is built directly, not through ``order.from_masks``.  In a Boolean
-    lattice up(S) is the intersection of the up({i}), i in S, and down(S)
-    that of the down(U - {i}), i not in S (Davey and Priestley).  So once
-    the elements are sorted, per-generator masks over their positions are
-    read off at C speed, one byte translation each: has[i], the elements
-    that contain generator i, and lacks[i], the others.  Then
-    up(S) = up(S - top) & has[top] and down(S) = down(S + low) & lacks[low],
-    and the covers of S are up(S) & next_size[|S|], the elements of one
-    generator more: one AND each per subset, built a list at a time.
+    lattice up(S) is the intersection of the up({i}), i in S (Davey and
+    Priestley).  So once the elements are sorted, per-generator masks over
+    their positions are read off at C speed, one byte translation each:
+    has[i], the elements that contain generator i.  Then
+    up(S) = up(S - top) & has[top], and the covers of S are
+    up(S) & next_size[|S|], the elements of one generator more: one AND
+    each per subset, built a list at a time.
     """
     uni = sorted(universe)
     if any(map(eq, uni, islice(uni, 1, None))):
@@ -315,16 +317,13 @@ def powerset_report(universe: Iterable[str], collapsed: Iterable[str], basepoint
     counts = bytes(map(int.bit_count, rev))
     next_size = [int(counts.translate(t), 2) for t in _ONLY[1 : n + 2]]
     every = (1 << len(elems)) - 1
-    up, down = [every], [every]  # by subset; down by complement until reversed
+    up = [every]  # by subset
     for i in range(n):
         has = int(octets[i >> 3].translate(_BIT[i & 7]), 2)
-        lacks = every ^ has
         up += [m & has for m in up]
-        down += [m & lacks for m in down]
-    down.reverse()
     ups = tuple(map(up.__getitem__, masks))
     covers = map(and_, ups, map(next_size.__getitem__, reversed(counts)))
-    p = order.Poset(elems, ups, tuple(map(down.__getitem__, masks)), tuple(covers))
+    p = order.Poset(elems, ups, tuple(covers))
     return report_from_pointed(order.PointedPoset(p, basepoint), context)
 
 
@@ -371,7 +370,7 @@ def write_report(r: ObstructionReport, fmt: str, out) -> None:
         parts = ((head,), _rows(p.elements, cov, "", " < ", "; ", "", "; "), ("\n",))
     elif fmt == "dot":
         q = [order.quote(e) for e in p.elements]
-        b = p.index[pp.basepoint]
+        b = p.elements.index(pp.basepoint)
         nodes = "".join(f"  {e} [shape={'doublecircle' if i == b else 'ellipse'}];\n" for i, e in enumerate(q))
         parts = (("digraph hasse {\n  rankdir=BT;\n" + nodes,), _rows(q, cov, "  ", " -> ", ";\n", ";\n"), ("}\n",))
     elif fmt == "interchange":

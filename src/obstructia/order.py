@@ -28,8 +28,9 @@ from __future__ import annotations
 from bisect import bisect_left
 from collections import namedtuple
 from collections.abc import Mapping
-from functools import cached_property
+from functools import reduce
 from itertools import compress, repeat
+from operator import or_, xor
 
 from .errors import InvalidMap, InvalidPoset
 
@@ -61,59 +62,51 @@ def _low(m: int) -> int:
     return (m & -m).bit_length() - 1
 
 
-class Poset(namedtuple("Poset", "elements up down_masks cover_masks")):
-    """A finite poset: ``elements`` sorted, ``up[i]`` the bitmask of the
-    indices j with elements[i] <= elements[j], ``down_masks`` its transpose,
-    and ``cover_masks`` the covers of each element: bit j of cover_masks[i]
-    set when elements[j] covers elements[i].  The last two follow from
-    (elements, up), so equality and hashing, which read all four, compare
-    posets by their order.  Build one with ``from_masks`` from up-masks,
-    which validates.  ``homotopy.powerset_report`` builds its posets
-    directly, unvalidated, and its check lives in the tests."""
-
-    @cached_property
-    def index(self) -> dict[str, int]:
-        return {e: i for i, e in enumerate(self.elements)}
+# A finite poset: ``elements`` sorted, ``up[i]`` the bitmask of the indices
+# j with elements[i] <= elements[j], and ``cover_masks`` the covers of each
+# element: bit j of cover_masks[i] set when elements[j] covers elements[i].
+# The covers follow from (elements, up), so equality and hashing compare
+# posets by their order.  Build one with ``from_masks`` from up-masks, which
+# validates.  ``homotopy.powerset_report`` builds its posets directly,
+# unvalidated, and its check lives in the tests.
+Poset = namedtuple("Poset", "elements up cover_masks")
 
 
 def from_masks(elements: tuple[str, ...], up: list[int]) -> Poset:
-    """The one poset validator: reflexivity, then antisymmetry, then
-    transitivity (for each j in up[i], up[j] inside up[i]), each failure
-    reported at its least witness in sort order.  The down-masks and the
-    cover masks it computes on the way go into the result: the covers of a
-    are its strict up-set minus every element strictly above one of them,
-    the transitive reduction (Aho, Garey and Ullman)."""
+    """The one poset validator: reflexivity, then antisymmetry (no j in the
+    strict up-set of i has i in its own), then transitivity (for each j in
+    up[i], up[j] inside up[i]), each failure reported at its least witness
+    in sort order.  The cover masks it computes on the way go into the
+    result: the covers of a are its strict up-set minus every element
+    strictly above one of them, the transitive reduction (Aho, Garey and
+    Ullman)."""
     for i, e in enumerate(elements):
         if not up[i] >> i & 1:
             raise InvalidPoset(f"not reflexive at {e!r}")
     strict = [u ^ 1 << i for i, u in enumerate(up)]
-    down = [1 << i for i in range(len(elements))]
     covers = []
     broken = None  # least (i, j) with up[j] not inside up[i]
     for i, ui in enumerate(up):
-        bit, above = 1 << i, 0
+        above = 0
         for j in _bits(strict[i]):
-            down[j] |= bit
+            if strict[j] >> i & 1:  # the least i, and its least j
+                raise InvalidPoset(f"antisymmetry fails on {elements[i]!r}, {elements[j]!r}")
             above |= strict[j]
             if broken is None and up[j] | ui != ui:
                 broken = (i, j)
         covers.append(strict[i] & ~above)
-    for i, e in enumerate(elements):
-        both = up[i] & down[i] & ~(1 << i)
-        if both:
-            raise InvalidPoset(f"antisymmetry fails on {e!r}, {elements[_low(both)]!r}")
     if broken is not None:
         i, j = broken
         c = elements[_low(up[j] & ~up[i])]
         raise InvalidPoset(f"transitivity fails on {elements[i]!r} <= {elements[j]!r} <= {c!r}")
-    return Poset(elements, tuple(up), tuple(down), tuple(covers))
+    return Poset(elements, tuple(up), tuple(covers))
 
 
 class PointedPoset(namedtuple("PointedPoset", "poset basepoint")):
     __slots__ = ()
 
     def __init__(self, poset, basepoint):
-        if basepoint not in poset.index:
+        if basepoint not in poset.elements:
             raise InvalidPoset(f"basepoint {basepoint!r} is not an element")
 
 
@@ -134,7 +127,7 @@ def make_monotone(source: Poset, target: Poset, mapping: Mapping[str, str]) -> d
     transitive), so the check runs along the source's cover masks.  Only a
     failure scans every pair, to name the least broken one in sort order."""
     m = dict(mapping)
-    tindex = target.index
+    tindex = {e: i for i, e in enumerate(target.elements)}
     image = []
     for e in source.elements:
         if e not in m:
@@ -213,14 +206,15 @@ def is_trivial(pp: PointedPoset) -> bool:
 
 
 def minimal_obstructions(pp: PointedPoset) -> frozenset:
-    """Minimal elements of the complement of the basepoint: those whose
-    strict down-set is empty or just the basepoint.  Such a down-set has at
-    most two bits, which rules out most elements by one popcount."""
+    """Minimal elements of the complement of the basepoint: those in no
+    strict up-set of a non-basepoint element.  The basepoint's own slot
+    holds its bit, so the OR of the slots leaves out the basepoint too."""
     p = pp.poset
-    bi = p.index[pp.basepoint]
-    b = 1 << bi
-    few = compress(range(len(p.elements)), map((3).__gt__, map(int.bit_count, p.down_masks)))
-    return frozenset(p.elements[i] for i in few if i != bi and (p.down_masks[i] & ~(1 << i)) in (0, b))
+    n = len(p.elements)
+    strict = list(map(xor, p.up, map((1).__lshift__, range(n))))
+    b = p.elements.index(pp.basepoint)
+    strict[b] = 1 << b
+    return frozenset(_pick(p.elements, ((1 << n) - 1) & ~reduce(or_, strict)))
 
 
 # -- DOT string literals ---------------------------------------------------

@@ -57,9 +57,7 @@ def tensor_bits(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(x & y for x in a for y in b)
 
 
-def check_matrix(m: Matrix, rows: int, cols: int):
-    if len(m) != rows:
-        raise ParseError(f"matrix needs {rows} rows, has {len(m)}")
+def check_matrix(m: Matrix, cols: int):
     for row in m:
         if len(row) != cols:
             raise ParseError(f"matrix row {row!r} needs {cols} columns")
@@ -175,8 +173,8 @@ def local_action(ctx: StateContext, f, g) -> order.PointedMap:
         if not fm or not gm:
             raise ParseError("empty matrix")
         a, b, a2, b2 = len(fm[0]), len(gm[0]), len(fm), len(gm)
-        check_matrix(fm, a2, a)
-        check_matrix(gm, b2, b)
+        check_matrix(fm, a)
+        check_matrix(gm, b)
         _check_dim(a * b)
         _check_dim(a2 * b2)
         bits = _gf2_payload(a * b)

@@ -465,7 +465,7 @@ def _union(masks, m: int) -> int:
 
 def _mask(p: Poset, names: Iterable[str]) -> int:
     """The bitmask of a set of element names; the least unknown name raises."""
-    index = p.index
+    index = {e: i for i, e in enumerate(p.elements)}
     names = set(names)
     unknown = [e for e in names if e not in index]
     if unknown:
@@ -473,9 +473,19 @@ def _mask(p: Poset, names: Iterable[str]) -> int:
     return sum(1 << index[e] for e in names)
 
 
+def _down_masks(p: Poset) -> list[int]:
+    """Bit i of the j-th mask set when elements[i] <= elements[j], read off
+    the order's name pairs."""
+    index = {e: i for i, e in enumerate(p.elements)}
+    down = [0] * len(index)
+    for a, b in leq(p):
+        down[index[b]] |= 1 << index[a]
+    return down
+
+
 def lower_closure(p: Poset, s: Iterable[str]) -> frozenset:
     """Least down-closed superset of s."""
-    return frozenset(p.elements[i] for i in _bits(_union(p.down_masks, _mask(p, s))))
+    return frozenset(p.elements[i] for i in _bits(_union(_down_masks(p), _mask(p, s))))
 
 
 def collapse_lower(p: Poset, lower: Iterable[str], basepoint_name: str) -> PointedPoset:
@@ -489,14 +499,14 @@ def collapse_lower(p: Poset, lower: Iterable[str], basepoint_name: str) -> Point
     if not l:
         raise EmptyCollapseSet("cannot collapse an empty set")
     lm = _mask(p, l)
-    if _union(p.down_masks, lm) != lm:
+    if _union(_down_masks(p), lm) != lm:
         raise NotDownClosed(f"{sorted(l)} is not down-closed")
 
     keep = ((1 << len(p.elements)) - 1) & ~lm
     old = _bits(keep)
     survivors = [p.elements[i] for i in old]
     bp = basepoint_name
-    while bp in p.index and keep >> p.index[bp] & 1:
+    while bp in p.elements and keep >> p.elements.index(bp) & 1:
         bp = bp + "'"
     at = bisect_left(survivors, bp)
     elems = tuple(survivors[:at] + [bp] + survivors[at:])
@@ -517,7 +527,7 @@ def two_step(names, down, base, basepoint_name):
     collapsed one."""
     p, class_of = _reflect(names, down)
     pp = collapse_lower(p, lower_closure(p, {class_of[names[base]]}), basepoint_name)
-    return pp, [e if e in pp.poset.index else pp.basepoint for e in map(class_of.get, names)]
+    return pp, [e if e in pp.poset.elements else pp.basepoint for e in map(class_of.get, names)]
 
 
 # -- homotopy by hom-set scans -------------------------------------------------
@@ -829,7 +839,7 @@ def make_monotone(source, target, mapping):
     every pair of the source order: each pair's images looked up in the
     target's up-masks, the least broken pair in sort order named."""
     m = dict(mapping)
-    tindex = target.index
+    tindex = {e: i for i, e in enumerate(target.elements)}
     image = []
     for e in source.elements:
         if e not in m:

@@ -200,15 +200,13 @@ class TestCollapse:
 @settings(max_examples=150, deadline=None)
 @given(posets(), st.data())
 def test_minimal_obstructions_popcount_filter(p, data):
-    """Rejecting down-masks of three or more bits first changes nothing:
-    the mask test alone picks the same elements, at any basepoint and after
-    a collapse."""
+    """The minimal obstructions are the non-basepoint elements with no
+    other non-basepoint element below them, at any basepoint, least or not,
+    and after a collapse."""
     bp = data.draw(st.sampled_from(p.elements))
     for pp in (order.PointedPoset(p, bp), oracles.collapse_lower(p, oracles.lower_closure(p, {bp}), "[*]")):
-        q, bi = pp.poset, pp.poset.index[pp.basepoint]
-        by_mask = frozenset(e for i, (e, d) in enumerate(zip(q.elements, q.down_masks))
-                            if i != bi and (d & ~(1 << i)) in (0, 1 << bi))
-        assert order.minimal_obstructions(pp) == by_mask
+        q = pp.poset
+        assert order.minimal_obstructions(pp) == oracles.minimal_obstructions(q.elements, oracles.leq(q), pp.basepoint)
 
 
 class TestHasse:
@@ -358,9 +356,9 @@ def powerset_maps(draw):
     members = oracles.powerset_members(uni)
     mapping = {src.basepoint: dst.basepoint}
     for e, items in members.items():
-        if e in src.poset.index:
+        if e in src.poset.elements:
             image = homotopy.subset_name({phi[u] for u in items})
-            mapping[e] = image if image in dst.poset.index else dst.basepoint
+            mapping[e] = image if image in dst.poset.elements else dst.basepoint
     for e in draw(st.lists(st.sampled_from(src.poset.elements), max_size=3)):
         mapping[e] = draw(st.sampled_from(dst.poset.elements))
     return src.poset, dst.poset, mapping
@@ -482,8 +480,6 @@ class TestMaskCoreAgainstPairs:
         assert oracles.make_poset(elems, leq) == (elems, leq)
         assert oracles.poset_from_pairs(reversed(elems), sorted(leq, reverse=True)) == p
         assert oracles.cover_pairs(p) == oracles.hasse(elems, leq)
-        for i, a in enumerate(elems):
-            assert {elems[j] for j in order._bits(p.down_masks[i])} == {b for b in elems if (b, a) in leq}
 
     def check_pointed(self, pp, minimal):
         p, leq = pp.poset, oracles.leq(pp.poset)
@@ -569,12 +565,11 @@ class TestMaskCoreAgainstPairs:
 
 def trusted_differs(p):
     """The fields of a poset built without validation that differ from the
-    validated rebuild by from_masks: up-, down- and cover masks."""
+    validated rebuild by from_masks: up- and cover masks."""
     checked = order.from_masks(p.elements, list(p.up))
     fields = [
         ("elements", p.elements == checked.elements),
         ("up", p.up == checked.up),
-        ("down_masks", p.down_masks == checked.down_masks),
         ("cover_masks", p.cover_masks == checked.cover_masks),
         ("hasse", oracles.cover_pairs(p) == oracles.cover_pairs(checked)),
     ]
@@ -644,7 +639,7 @@ class TestTrustedPowerset:
         assert (p.elements, r.invariant.basepoint) == (o_elems, o_bp)
         # leq == o_leq, read off the up-masks without naming 531,441 pairs:
         # as many pairs, and each of the oracle's is one of the library's
-        up, at = p.up, p.index
+        up, at = p.up, {e: i for i, e in enumerate(p.elements)}
         assert sum(map(int.bit_count, up)) == len(o_leq)
         assert all(up[at[a]] >> at[b] & 1 for a, b in o_leq)
         # trusted_differs runs on this report in TestMaskCoreAgainstPairs::test_fixture_reports
@@ -655,9 +650,5 @@ class TestTrustedPowerset:
         for i, m in enumerate(p.cover_masks):
             for j in range(len(p.elements)):
                 flipped = p.cover_masks[:i] + (m ^ 1 << j,) + p.cover_masks[i + 1 :]
-                assert trusted_differs(order.Poset(p.elements, p.up, p.down_masks, flipped)) == ["cover_masks", "hasse"]
+                assert trusted_differs(order.Poset(p.elements, p.up, flipped)) == ["cover_masks", "hasse"]
 
-    def test_one_flipped_down_bit_is_seen(self):
-        p = homotopy.powerset_report(["a", "b"], [], "{}", "ctx").invariant.poset
-        down = (p.down_masks[0] ^ 0b10,) + p.down_masks[1:]
-        assert trusted_differs(order.Poset(p.elements, p.up, down, p.cover_masks)) == ["down_masks"]

@@ -217,57 +217,57 @@ UNREACHED = {
 # Work changes only together with the change to src/ that moves it, and
 # CHANGES.md names that change.
 WORK = """
-  8195  877b48421909  set pi0 --fn fixtures/wide12.fn --format text
- 12284  1ba362f5c1e6  set pi0 --fn fixtures/wide12.fn --format dot
- 16374  09baee4359d3  set pi0 --fn fixtures/wide12.fn --format interchange
-  8101  40c092479801  set pi1 --fn fixtures/wide12_pi1.fn --format text
- 12134  63a7a87718ae  set pi1 --fn fixtures/wide12_pi1.fn --format dot
- 16168  618ab11f7875  set pi1 --fn fixtures/wide12_pi1.fn --format interchange
-   750  a1bebe767bbf  cat analyze ambient.cat --morphism 3>2:010
-   750  a1bebe767bbf  cat analyze byname.cat --morphism 3>2:010
-   750  a1bebe767bbf  cat analyze latemor.cat --morphism 3>2:010
+  8195  e6a40e1cca9d  set pi0 --fn fixtures/wide12.fn --format text
+ 12284  b7494eedd1c8  set pi0 --fn fixtures/wide12.fn --format dot
+ 16374  d3899f3f63f8  set pi0 --fn fixtures/wide12.fn --format interchange
+  8101  7c08ee02836a  set pi1 --fn fixtures/wide12_pi1.fn --format text
+ 12134  db6b80f6fbee  set pi1 --fn fixtures/wide12_pi1.fn --format dot
+ 16168  e8644adbd58c  set pi1 --fn fixtures/wide12_pi1.fn --format interchange
+   749  3261f2b40759  cat analyze ambient.cat --morphism 3>2:010
+   749  3261f2b40759  cat analyze byname.cat --morphism 3>2:010
+   749  3261f2b40759  cat analyze latemor.cat --morphism 3>2:010
    451  7e84492e0510  cat validate ambient.cat
    451  7e84492e0510  cat validate byname.cat
    451  7e84492e0510  cat validate latemor.cat
-   770  171990498e91  cat analyze ambient.cat --morphism 3>2:010 --format dot
-   792  ec1deb28fb94  cat analyze ambient.cat --morphism 3>2:010 --format interchange
-  2310  3ce21f1f8977  cat pi1 ambient.cat --object 3 --format interchange
-  2186  c67d139addb2  cat pi1 ambient.cat --object 3 --format dot
-  2063  dc7fca923ff9  cat pi1 ambient.cat --object 3
-   210  c5c4cb645a12  cat pi1 z12.cat --object '*'
-   263  2877cd076098  cat analyze twins.cat --morphism 2>1:00*f
+   769  0eaa887fe99e  cat analyze ambient.cat --morphism 3>2:010 --format dot
+   791  e600ff87de84  cat analyze ambient.cat --morphism 3>2:010 --format interchange
+  2309  b8b28f270a9d  cat pi1 ambient.cat --object 3 --format interchange
+  2185  5ab9d65feac2  cat pi1 ambient.cat --object 3 --format dot
+  2062  d8fccf1a9897  cat pi1 ambient.cat --object 3
+   209  159c30f80c0b  cat pi1 z12.cat --object '*'
+   262  955e64772cf1  cat analyze twins.cat --morphism 2>1:00*f
     13  ad8b3177cd2c  cat validate fixtures/z2.cat
-    33  f0ed8f7f5fd2  cat pi0 fixtures/walking_arrow.cat --object 0
-    35  374d8b4ea206  cat pi0 fixtures/walking_arrow.cat --object 0 --format dot
-    38  b7e79dcb85f4  cat pi0 fixtures/walking_arrow.cat --object 0 --format interchange
+    33  d014792ef0d7  cat pi0 fixtures/walking_arrow.cat --object 0
+    35  2852f252d07d  cat pi0 fixtures/walking_arrow.cat --object 0 --format dot
+    38  e12eb92b4acb  cat pi0 fixtures/walking_arrow.cat --object 0 --format interchange
     24  928f7280be76  cat check-terminal fixtures/walking_arrow.cat --object 0
-    35  9e53ed4f45a0  cat pi0 fixtures/primed_basepoint.cat --object 0
-    42  d7469fede032  cat pi0 fixtures/primed_basepoint.cat --object 0 --format interchange
-    31  696b647c9839  cat pi0 clash.cat --object 1
-    36  f82b5063e230  cat pi0 clash.cat --object 1 --format interchange
-   350  4780750cdd6a  states local-act --context gf2 --dims 2,2 --fmat 10,00 --gmat 10,01
-   878  1d3c9588635a  states local-act --context gf2 --dims 2,3 --fmat 11,01 --gmat 101,011
-    51  0a78c55b9298  states local-act --context cartesian --sets 'a,b|c,d' --target-sets 'a|c,d' --fmap a=>a,b=>a --gmap c=>c,d=>d
-   316  1b1a22cca13f  states obstruct --context gf2 --dims 2,2 --format text
-   366  a6ec8c762cd3  states obstruct --context gf2 --dims 2,2 --format dot
-   418  315efe8e516c  states obstruct --context gf2 --dims 2,2 --format interchange
-  2100  cb7f337c7596  states obstruct --context gf2 --dims 1,1 --format text
-  3110  8abe1ea7d421  states obstruct --context gf2 --dims 1,1 --format dot
-  4122  a07565050f43  states obstruct --context gf2 --dims 1,1 --format interchange
-    84  b5339f5c0fb8  states obstruct --context cartesian --sets 'a,b,c,d|e,f,g,h' --format text
-    86  da272fd15245  states obstruct --context cartesian --sets 'a,b,c,d|e,f,g,h' --format dot
-    90  5ef2874c99ef  states obstruct --context cartesian --sets 'a,b,c,d|e,f,g,h' --format interchange
+    35  d723feb7dbc6  cat pi0 fixtures/primed_basepoint.cat --object 0
+    42  d4e7e50aafe0  cat pi0 fixtures/primed_basepoint.cat --object 0 --format interchange
+    31  241fe8d1273c  cat pi0 clash.cat --object 1
+    36  2322b2528f18  cat pi0 clash.cat --object 1 --format interchange
+   350  4a769e1e3777  states local-act --context gf2 --dims 2,2 --fmat 10,00 --gmat 10,01
+   878  41121dc260da  states local-act --context gf2 --dims 2,3 --fmat 11,01 --gmat 101,011
+    51  7a4e0b0d5317  states local-act --context cartesian --sets 'a,b|c,d' --target-sets 'a|c,d' --fmap a=>a,b=>a --gmap c=>c,d=>d
+   316  1f68c3a79384  states obstruct --context gf2 --dims 2,2 --format text
+   366  36a90c55e1b0  states obstruct --context gf2 --dims 2,2 --format dot
+   418  239809557b79  states obstruct --context gf2 --dims 2,2 --format interchange
+  2100  9b29a39a78d4  states obstruct --context gf2 --dims 1,1 --format text
+  3110  2e8be39d8367  states obstruct --context gf2 --dims 1,1 --format dot
+  4122  15503bdf1c55  states obstruct --context gf2 --dims 1,1 --format interchange
+    84  1cc244873743  states obstruct --context cartesian --sets 'a,b,c,d|e,f,g,h' --format text
+    86  2a66269e5069  states obstruct --context cartesian --sets 'a,b,c,d|e,f,g,h' --format dot
+    90  700c0cad868a  states obstruct --context cartesian --sets 'a,b,c,d|e,f,g,h' --format interchange
     33  230c108fdf61  opengraph compose fixtures/G.og fixtures/H.og
     45  65bf9e903b5a  opengraph compose fixtures/G.og fixtures/H.og --format dot
     12  0f16c77ddb7a  opengraph reach fixtures/G.og
     26  cafbeefd7596  opengraph reach fixtures/G.og --format dot
-    75  29f27bcdf482  opengraph obstruct fixtures/G.og fixtures/H.og --format text
-    77  9f9c1c564d7c  opengraph obstruct fixtures/G.og fixtures/H.og --format dot
-    80  4f52fb8d4651  opengraph obstruct fixtures/G.og fixtures/H.og --format interchange
-   100  631bb12604aa  opengraph act fixtures/G.og fixtures/G_identified.og fixtures/identify_outputs.gh fixtures/H.og
-   563  1495d8244d55  opengraph obstruct left8.og right8.og --format text
-   788  07dffd3fc68b  opengraph obstruct left8.og right8.og --format dot
-  1014  c168087d5748  opengraph obstruct left8.og right8.og --format interchange
+    75  1a97c216b6cf  opengraph obstruct fixtures/G.og fixtures/H.og --format text
+    77  5e192ad80627  opengraph obstruct fixtures/G.og fixtures/H.og --format dot
+    80  6a57e46bcfeb  opengraph obstruct fixtures/G.og fixtures/H.og --format interchange
+   100  4dbc3f4e6656  opengraph act fixtures/G.og fixtures/G_identified.og fixtures/identify_outputs.gh fixtures/H.og
+   563  ceb45ca8b8e4  opengraph obstruct left8.og right8.og --format text
+   788  72dd9f8ceebd  opengraph obstruct left8.og right8.og --format dot
+  1014  56f19fdc53f0  opengraph obstruct left8.og right8.og --format interchange
 """
 WORK_ROWS = {row: (int(total), digest) for total, digest, row in (line.split(None, 2) for line in WORK.splitlines() if line and not line.startswith("#"))}
 
@@ -299,7 +299,6 @@ CALLS = """
     26  fincat.FinCat.has_object
      6  fincat.FinCat.hom
     16  fincat.FinCat.id_of
-    10  fincat.FinCat.split_epis
     22  fincat._declarations
     16  fincat._elements_preorder
     16  fincat._enumerate
@@ -350,10 +349,9 @@ CALLS = """
     26  opengraph.relation_text
      1  opengraph.serialize_open_graph
     67  order.PointedPoset.__init__
-    67  order.Poset.index
  29022  order._bits
   2035  order._low
-  9584  order._pick
+  9651  order._pick
      4  order._preserves
     39  order.from_masks
     67  order.is_trivial

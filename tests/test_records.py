@@ -1,15 +1,18 @@
 """The engine's records: equal values compare equal, a record hashes exactly
-when its values do, and no field can be rebound once it is built."""
+when its values do, no field can be rebound once it is built, and no other
+attribute can be set beside the fields."""
 
 import glob
+import io
 import os
 import re
 
 import pytest
 
-from obstructia import fincat, homotopy, opengraph, setcat, states
+from obstructia import cli, fincat, homotopy, opengraph, setcat, states
 
 SRC = os.path.join(os.path.dirname(__file__), "..", "src", "obstructia")
+Z2 = os.path.join(os.path.dirname(__file__), "..", "fixtures", "z2.cat")
 
 WALKING_ARROW = (
     ["0", "1"],
@@ -75,6 +78,8 @@ def test_record(name):
     for field in a._fields:
         with pytest.raises(AttributeError):
             setattr(a, field, getattr(b, field))
+    with pytest.raises(AttributeError):
+        setattr(a, "extra", 1)
     assert a == b
 
 
@@ -83,10 +88,29 @@ def test_a_shared_category_keeps_its_index():
     index cannot be rebound either."""
     text = "obj x\nmor i : x -> x\nid x = i\ncomp i ; i = i\n"
     c = fincat.parse_category(text)
-    for name in ("index", "into"):
+    for name in ("index", "into", "split_epis"):
         with pytest.raises(AttributeError):
             setattr(c, name, {})
-    assert fincat.parse_category(text) is c and c.index == {"i": 0} and c.into == {"x": (0,)}
+    assert fincat.parse_category(text) is c and c.index == {"i": 0} and c.into == {"x": (0,)} and c.split_epis == {0}
+
+
+def test_a_shared_category_keeps_its_split_epis():
+    """A split epi set written onto a parsed category would reach every
+    later command on the same text through the parse memo: it cannot be."""
+    with open(Z2, encoding="utf-8") as fh:
+        c = fincat.parse_category(fh.read())
+    with pytest.raises(AttributeError):
+        c.split_epis = frozenset()
+    out = io.StringIO()
+    assert cli.run(["cat", "pi1", Z2, "--object", "*"], out) == 0
+    assert out.getvalue() == (
+        "context: pi1 at object '*'\n"
+        "trivial: no\n"
+        "basepoint: [*]\n"
+        "elements (2): (e,s), [*]\n"
+        "minimal obstructions (1): (e,s)\n"
+        "covers (0): \n"
+    )
 
 
 def test_no_record_skips_its_checks():

@@ -231,6 +231,8 @@ class TestLocalAction:
     def test_matrix_validation(self):
         with pytest.raises(ParseError):
             states.local_action(GF2, ((1, 2),), ((1,),))
+        with pytest.raises(ParseError, match=r"^matrix row \(1,\) needs 2 columns$"):
+            states.local_action(GF2, ((1, 0), (1,)), ((1,),))
 
     def test_wrong_payload_kind(self):
         with pytest.raises(WrongContext):
