@@ -22,8 +22,10 @@ results are not kept.  Derived constructions name their objects and
 morphisms canonically so outputs are reproducible byte for byte.  They are
 categories of elements of hom(-, x)^k (the slice over x at k = 1, parallel
 arrows at k = 2): one enumeration behind the size caps below and one walk
-over the rows that hands each down-set along ``FinCat.split_epis``, the
-preorder ``order.pointed_reflection`` points.  The tests keep the ``.cat``
+over the rows, one object at a time in the order of ``FinCat.plan``, that
+reads the masks of earlier objects through each object's through arrows
+and hands each down-set along ``FinCat.split_epis``: the preorder
+``order.pointed_reflection`` points.  The tests keep the ``.cat``
 writer and the opposite, and, as oracles, the walk over every arrow, the
 composition tables of the derived categories, the table keyed by names and
 the functor and naturality checks by name.
@@ -31,7 +33,7 @@ the functor and naturality checks by name.
 
 from __future__ import annotations
 
-from collections import namedtuple
+from collections import Counter, namedtuple
 from collections.abc import Iterable, Mapping
 from functools import lru_cache
 from itertools import product
@@ -63,15 +65,16 @@ OBJECTS_CAP = 20_000
 MORPHISMS_CAP = 50_000
 
 
-class FinCat(namedtuple("FinCat", "objects morphisms identity rows index into split_epis")):
+class FinCat(namedtuple("FinCat", "objects morphisms identity rows index into split_epis plan")):
     """Storage is canonical: objects and morphisms sorted by id, and the one
     composition table ``rows``, where ``rows[g][h]`` is h;g for the
     positions g and h in ``morphisms``.  So two categories with the same
     tables compare equal however they were built.  The one index is built
     from them here: ``index``, each morphism's position by name, ``into``,
-    the positions into each object, ascending, and ``split_epis``, the
+    the positions into each object, ascending, ``split_epis``, the
     positions of the split epimorphisms: h: z -> y is one iff id_y = s;h
-    for some s in h's row, a section of h.  As it follows from the tables,
+    for some s in h's row, a section of h, and ``plan``, the walk of
+    ``_elements_preorder`` (see ``_plan``).  As it follows from the tables,
     it changes no comparison.  ``identity`` is a read-only view; the rows
     are a tuple of plain dicts, which must not be written to.  Composition
     is read from the rows alone: names are looked up only to read
@@ -83,9 +86,11 @@ class FinCat(namedtuple("FinCat", "objects morphisms identity rows index into sp
         into: dict[str, list[int]] = {x: [] for x in objects}
         for i, m in enumerate(morphisms):
             into[m.cod].append(i)
+        into = {x: tuple(v) for x, v in into.items()}
         index = {m.name: i for i, m in enumerate(morphisms)}
         split = frozenset(h for h, (m, row) in enumerate(zip(morphisms, rows)) if index[identity[m.cod]] in row.values())
-        return super().__new__(cls, objects, morphisms, MappingProxyType(identity), rows, index, {x: tuple(v) for x, v in into.items()}, split)
+        plan = _plan(objects, morphisms, rows, into, split)
+        return super().__new__(cls, objects, morphisms, MappingProxyType(identity), rows, index, into, split, plan)
 
     # -- lookups ---------------------------------------------------------
 
@@ -113,6 +118,31 @@ class FinCat(namedtuple("FinCat", "objects morphisms identity rows index into sp
         if x not in self.identity:
             raise UnknownObject(x)
         return self.identity[x]
+
+
+def _plan(objects, morphisms, rows, into, split) -> tuple:
+    """The walk of ``_elements_preorder``: each object y, taken in ascending
+    count of morphisms into it (ties in object order), with the direct and
+    the through morphisms into y.  The through ones are morphisms m from a
+    strictly earlier object that are not split epi, taken greedily, the
+    most composites a;m first, each while it covers a composite not yet
+    covered.  The direct ones are the morphisms into y that are not a;m
+    for a chosen m, every split epi among them: a;m split epi makes m
+    split epi."""
+    order = sorted(objects, key=lambda y: len(into[y]))
+    rank = {y: r for r, y in enumerate(order)}
+    plan = []
+    for y in order:
+        hs = into[y]
+        chosen = [(set(rows[m].values()), m) for m in hs if m not in split and rank[morphisms[m].dom] < rank[y]]
+        chosen.sort(key=lambda cover: len(cover[0]), reverse=True)
+        through, covered = [], set()
+        for cover, m in chosen:
+            if not cover <= covered:
+                through.append(m)
+                covered |= cover
+        plan.append((y, tuple(h for h in hs if h not in covered), tuple(through)))
+    return tuple(plan)
 
 
 def validate_category(
@@ -452,30 +482,41 @@ def _enumerate(c: FinCat, x: str, k: int, over: str | None = None):
 def _elements_preorder(c: FinCat, x: str, k: int, over: str | None = None):
     """The reachability preorder of the category of elements of hom(-, x)^k,
     without its composition table: ``elements`` and, in that order, their
-    down-masks, a tuple t's mask the OR of bit j for each source h;t at j (h
-    into dom t).  Identities and composites make it reflexive and transitive.
-    A tuple of ints is keyed g_1*M + g_2 (g_1 if k = 1), M morphisms.  For a
-    split epi h with section s, h;t and t reach each other along h and s, so
-    t's mask is handed to its sources along split epis, which are not walked.
-    Objects go in ascending count of morphisms into them: a retract first."""
+    down-masks.  A tuple t over y has one source h;t for each h into y, and
+    its mask ORs them all.  Identities and composites make it reflexive and
+    transitive.  A tuple of ints is keyed g_1*M + g_2 (g_1 if k = 1), M
+    morphisms.  The walk takes one object run at a time, in the order of
+    ``FinCat.plan``, and builds t's mask from the bit of h;t for each
+    direct h and the mask of m;t for each through m.  That is exact: the
+    sources of m;t are the (a;m);t, m;t lies over an earlier object, whose
+    masks are final, and down-sets are transitive.  For a split epi h with
+    section s, h;t and t reach each other along h and s, so t's mask is
+    handed to its sources along split epis, which are not walked."""
     elements, tuples = _enumerate(c, x, k, over)
-    rows, into = c.rows, c.into
-    size = len(rows)
+    rows, size = c.rows, len(c.rows)
     at = {t[0] if k == 1 else t[0] * size + t[1]: j for j, (_, t) in enumerate(tuples)}
-    split_at = {y: [i for i, h in enumerate(hs) if h in c.split_epis] for y, hs in into.items()}
+    runs, start = {}, 0  # each object's positions: _enumerate lists them in one run, in object order
+    count = Counter(map(itemgetter(0), tuples))
+    for y in c.objects:
+        runs[y] = range(start, start + count[y])
+        start += count[y]
     down = [0] * len(tuples)
-    weight = [len(into[y]) for y, _ in tuples]
-    for e in sorted(range(len(tuples)), key=weight.__getitem__):
-        if down[e]:
-            continue
-        y, t = tuples[e]
-        hs, r0, r1 = into[y], rows[t[0]], rows[t[-1]]
-        sources = [at[r0[h]] for h in hs] if k == 1 else [at[r0[h] * size + r1[h]] for h in hs]
-        mask = 0
-        for j in sources:
-            mask |= 1 << j
-        for i in split_at[y]:
-            down[sources[i]] = mask
+    for y, direct, through in c.plan:
+        hs, n = direct + through, len(direct)
+        split_at = [i for i, h in enumerate(direct) if h in c.split_epis]
+        for e in runs[y]:
+            if down[e]:
+                continue
+            t = tuples[e][1]
+            r0, r1 = rows[t[0]], rows[t[-1]]
+            sources = [at[r0[h]] for h in hs] if k == 1 else [at[r0[h] * size + r1[h]] for h in hs]
+            mask = 0
+            for j in sources[:n]:
+                mask |= 1 << j
+            for j in sources[n:]:
+                mask |= down[j]
+            for i in split_at:
+                down[sources[i]] = mask
     return elements, down
 
 

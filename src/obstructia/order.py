@@ -57,11 +57,6 @@ def _pick(seq, m: int):
     return compress(seq, bin(m)[:1:-1].encode("ascii").translate(_DIGIT_BYTES))
 
 
-def _low(m: int) -> int:
-    """Index of the lowest set bit of a non-zero m."""
-    return (m & -m).bit_length() - 1
-
-
 # A finite poset: ``elements`` sorted, ``up[i]`` the bitmask of the indices
 # j with elements[i] <= elements[j], and ``cover_masks`` the covers of each
 # element: bit j of cover_masks[i] set when elements[j] covers elements[i].
@@ -97,7 +92,8 @@ def from_masks(elements: tuple[str, ...], up: list[int]) -> Poset:
         covers.append(strict[i] & ~above)
     if broken is not None:
         i, j = broken
-        c = elements[_low(up[j] & ~up[i])]
+        gap = up[j] & ~up[i]
+        c = elements[(gap & -gap).bit_length() - 1]
         raise InvalidPoset(f"transitivity fails on {elements[i]!r} <= {elements[j]!r} <= {c!r}")
     return Poset(elements, tuple(up), tuple(covers))
 
@@ -162,41 +158,41 @@ def pointed_reflection(names, down: list[int], base: int, basepoint_name: str) -
     collapse the lower set of the class of position ``base``, low =
     down[base], to a basepoint: one pass that names and orders only the
     surviving classes.  In a preorder the class of i is the set of elements
-    with down-mask down[i], and it is named by its least member: taken in
-    name order, the first survivor seen with a mask names its class, so the
-    classes come out sorted.  The basepoint is ``basepoint_name``, with
-    ``'`` added while a surviving class has that name.  The classes below
-    one are read off its down-mask, one least surviving member at a time,
-    and the basepoint lies below exactly the classes whose masks meet low.
-    ``from_masks`` validates the result.  Returns the pointed poset and
-    each position's class, the basepoint for a collapsed one."""
+    with down-mask down[i], and it is named and represented by its least
+    member: one mapping of each surviving mask to its member, written in
+    reverse name order, keeps the least.  The basepoint is
+    ``basepoint_name``, with ``'`` added while a surviving class has that
+    name.  The classes below one are the representatives in its
+    representative's down-mask, read through one mask with a bit per
+    representative, and the basepoint lies below exactly the classes whose
+    masks meet low.  ``from_masks`` validates the result.  Returns the
+    pointed poset and each position's class, the basepoint for a collapsed
+    one."""
     low = down[base]
     keep = ((1 << len(names)) - 1) & ~low
-    members: dict[int, int] = {}  # surviving down-mask -> its members
-    elems = []
-    for i in sorted(_pick(range(len(names)), keep), key=names.__getitem__):
-        d = down[i]
-        if d not in members:
-            members[d] = 0
-            elems.append(names[i])
-        members[d] |= 1 << i
+    survivors = sorted(_pick(range(len(names)), keep), key=names.__getitem__, reverse=True)
+    least = dict(zip(map(down.__getitem__, survivors), survivors))  # surviving mask -> its least member
+    reps = sorted(least.values(), key=names.__getitem__)
+    elems = list(map(names.__getitem__, reps))
     bp = basepoint_name
     taken = set(elems)
     while bp in taken:
         bp += "'"
     at = bisect_left(elems, bp)
-    pos = {d: k + (k >= at) for k, d in enumerate(members)}
+    pos = {1 << r: k + (k >= at) for k, r in enumerate(reps)}  # a representative's bit -> its class
+    rep_bits = sum(pos)
     up = [0] * (len(elems) + 1)
     up[at] = 1 << at
-    for d, k in pos.items():
-        bit, rest = 1 << k, d & keep
+    for r, k in zip(reps, pos.values()):
+        bit, d = 1 << k, down[r]
         if d & low:
             up[at] |= bit
-        while rest:
-            below = down[_low(rest)]
-            up[pos[below]] |= bit
-            rest &= ~members[below]
-    name_of = dict(zip(members, elems))
+        below = d & rep_bits
+        while below:
+            j = below & -below
+            up[pos[j]] |= bit
+            below ^= j
+    name_of = {d: names[r] for d, r in least.items()}
     elems.insert(at, bp)
     return PointedPoset(from_masks(tuple(elems), up), bp), list(map(name_of.get, down, repeat(bp)))
 

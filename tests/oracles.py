@@ -43,7 +43,7 @@ from types import MappingProxyType
 from typing import Iterable, NamedTuple
 
 from obstructia import fincat, homotopy, order
-from obstructia.order import PointedPoset, Poset, _bits, _low, from_masks
+from obstructia.order import PointedPoset, Poset, _bits, from_masks
 from obstructia.errors import (
     BadCompositionTyping,
     DanglingReference,
@@ -414,6 +414,11 @@ def parallel_arrows(c, x):
 
 
 # -- the two-step pointed reflection ----------------------------------------
+
+
+def _low(m: int) -> int:
+    """Index of the lowest set bit of a non-zero m."""
+    return (m & -m).bit_length() - 1
 
 
 def _reflect(names, down: list[int]) -> tuple[Poset, dict[str, str]]:

@@ -1,0 +1,146 @@
+"""The walk behind pi1 and the pointed reflection, checked against networkx.
+
+networkx shares no code with obstructia or with the walks in
+tests/oracles.py, so these checks do not rest on this project's reading of
+the definitions.  The category of elements of hom(-, x)^k is built here as a
+digraph on tuples of morphism names, one edge h;t -> t per arrow h, and the
+down-set of t is t with its ``nx.ancestors``.  A pointed reflection is the
+condensation of the preorder's digraph, each class named by its least
+member, with the lower set of the base's class collapsed to the basepoint
+and the covers the ``nx.transitive_reduction`` of what is left.
+
+networkx is imported at top level: without it this module fails to collect.
+"""
+
+import random
+from itertools import product
+
+import networkx as nx
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import gen
+from obstructia import fincat, order
+
+
+def bits(m):
+    out = []
+    while m:
+        out.append((m & -m).bit_length() - 1)
+        m &= m - 1
+    return out
+
+
+def element_digraph(c, x, k, over=None):
+    """The category of elements of hom(-, x)^k, or of the tuples ``over``
+    equalises (f_i;over all one), with one edge h;t -> t per arrow h into
+    the domain of t."""
+    names = [m.name for m in c.morphisms]
+    comp = {(names[h], names[g]): names[hg] for g, row in enumerate(c.rows) for h, hg in row.items()}
+    dom = {m.name: m.dom for m in c.morphisms}
+    into = {y: [m.name for m in c.morphisms if m.cod == y] for y in c.objects}
+    g = nx.DiGraph()
+    for y in c.objects:
+        for t in product([f for f in into[x] if dom[f] == y], repeat=k):
+            if over is None or len({comp[f, over] for f in t}) == 1:
+                g.add_node(t)
+                g.add_edges_from((tuple(comp[h, f] for f in t), t) for h in into[y])
+    return g
+
+
+def nx_pointed_reflection(names, down, base, basepoint_name):
+    """The elements, basepoint, covers and class of each position of the
+    pointed reflection, by condensation and transitive reduction."""
+    g = nx.DiGraph()
+    g.add_nodes_from(range(len(names)))
+    g.add_edges_from((j, i) for i, d in enumerate(down) for j in bits(d) if j != i)
+    cond = nx.condensation(g)
+    scc = cond.graph["mapping"]
+    low = nx.ancestors(cond, scc[base]) | {scc[base]}
+    name = {s: min(names[i] for i in cond.nodes[s]["members"]) for s in cond if s not in low}
+    bp = basepoint_name
+    while bp in name.values():
+        bp += "'"
+    cls = {s: bp if s in low else name[s] for s in cond}
+    q = nx.DiGraph()
+    q.add_nodes_from(cls.values())
+    q.add_edges_from((cls[a], cls[b]) for a, b in cond.edges if cls[a] != cls[b])
+    assert nx.is_directed_acyclic_graph(q)
+    covers = set(nx.transitive_reduction(q).edges)
+    return tuple(sorted(q)), bp, covers, [cls[scc[i]] for i in range(len(names))]
+
+
+def assert_reflection(names, down, base, basepoint_name):
+    pp, class_of = order.pointed_reflection(names, down, base, basepoint_name)
+    elems = pp.poset.elements
+    got = elems, pp.basepoint, {(elems[i], elems[j]) for i, m in enumerate(pp.poset.cover_masks) for j in bits(m)}, class_of
+    assert got == nx_pointed_reflection(names, down, base, basepoint_name)
+
+
+def assert_walk(c, x, k, over=None):
+    """The masks of ``_elements_preorder`` are nx.ancestors, and the
+    reflection at the identity tuple agrees with the condensation."""
+    elements, down = fincat._elements_preorder(c, x, k, over)
+    keys = [tuple(c.morphisms[p].name for p in t) for t in elements.values()]
+    g = element_digraph(c, x, k, over)
+    assert len(keys) == len(g) and set(keys) == set(g)
+    for key, d in zip(keys, down):
+        assert {keys[j] for j in bits(d)} == nx.ancestors(g, key) | {key}
+    base = keys.index((c.identity[x],) * k)
+    assert_reflection(list(elements), down, base, f"[{over or x}]")
+
+
+def walk_cases(c, x):
+    return [(1, None), (2, None)] + [(2, m.name) for m in c.morphisms if m.dom == x]
+
+
+class TestWalk:
+    def test_finite_sets_up_to_three(self):
+        # the pairs over f are those f equalises, so of the morphisms out of
+        # x that equalise the same pairs only the first is walked
+        c = gen.finset_ambient(3)
+        names = [m.name for m in c.morphisms]
+        for x in c.objects:
+            pairs = [(a, b) for a in c.into[x] for b in c.into[x] if c.morphisms[a].dom == c.morphisms[b].dom]
+            seen = set()
+            for k, over in walk_cases(c, x):
+                if over is not None:
+                    row = c.rows[names.index(over)]
+                    equalised = frozenset((a, b) for a, b in pairs if row[a] == row[b])
+                    if equalised in seen:
+                        continue
+                    seen.add(equalised)
+                assert_walk(c, x, k, over)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(min_value=0, max_value=10_000))
+    def test_random_categories(self, seed):
+        c = gen.random_category(random.Random(seed), max_morphisms=16)
+        for x in c.objects:
+            for k, over in walk_cases(c, x):
+                assert_walk(c, x, k, over)
+
+
+class TestPointedReflection:
+    def test_every_base_of_the_finite_set_slices(self):
+        # pi0 of C/y at f is the slice walk over y at the base (f,)
+        c = gen.finset_ambient(3)
+        for y in c.objects:
+            elements, down = fincat._elements_preorder(c, y, 1)
+            for base, name in enumerate(elements):
+                assert_reflection(list(elements), down, base, f"[{name}]")
+
+    @settings(max_examples=120, deadline=None)
+    @given(st.data())
+    def test_random_preorders(self, data):
+        # names that a basepoint may clash with, and cycles that merge classes
+        pool = ["[a]", "[a]'", "[a]''", "a", "b", "c", "d", "e", "f"]
+        names = data.draw(st.lists(st.sampled_from(pool), min_size=1, max_size=8, unique=True))
+        n = len(names)
+        edges = data.draw(st.sets(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=12))
+        g = nx.DiGraph()
+        g.add_nodes_from(range(n))
+        g.add_edges_from(edges)
+        down = [sum(1 << j for j in nx.ancestors(g, i) | {i}) for i in range(n)]
+        base = data.draw(st.integers(0, n - 1))
+        assert_reflection(names, down, base, "[a]")

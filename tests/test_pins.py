@@ -223,28 +223,28 @@ WORK = """
   8101  7c08ee02836a  set pi1 --fn fixtures/wide12_pi1.fn --format text
  12134  db6b80f6fbee  set pi1 --fn fixtures/wide12_pi1.fn --format dot
  16168  e8644adbd58c  set pi1 --fn fixtures/wide12_pi1.fn --format interchange
-   749  3261f2b40759  cat analyze ambient.cat --morphism 3>2:010
-   749  3261f2b40759  cat analyze byname.cat --morphism 3>2:010
-   749  3261f2b40759  cat analyze latemor.cat --morphism 3>2:010
-   451  7e84492e0510  cat validate ambient.cat
-   451  7e84492e0510  cat validate byname.cat
-   451  7e84492e0510  cat validate latemor.cat
-   769  0eaa887fe99e  cat analyze ambient.cat --morphism 3>2:010 --format dot
-   791  e600ff87de84  cat analyze ambient.cat --morphism 3>2:010 --format interchange
-  2309  b8b28f270a9d  cat pi1 ambient.cat --object 3 --format interchange
-  2185  5ab9d65feac2  cat pi1 ambient.cat --object 3 --format dot
-  2062  d8fccf1a9897  cat pi1 ambient.cat --object 3
-   209  159c30f80c0b  cat pi1 z12.cat --object '*'
-   262  955e64772cf1  cat analyze twins.cat --morphism 2>1:00*f
-    13  ad8b3177cd2c  cat validate fixtures/z2.cat
-    33  d014792ef0d7  cat pi0 fixtures/walking_arrow.cat --object 0
-    35  2852f252d07d  cat pi0 fixtures/walking_arrow.cat --object 0 --format dot
-    38  e12eb92b4acb  cat pi0 fixtures/walking_arrow.cat --object 0 --format interchange
-    24  928f7280be76  cat check-terminal fixtures/walking_arrow.cat --object 0
-    35  d723feb7dbc6  cat pi0 fixtures/primed_basepoint.cat --object 0
-    42  d4e7e50aafe0  cat pi0 fixtures/primed_basepoint.cat --object 0 --format interchange
-    31  241fe8d1273c  cat pi0 clash.cat --object 1
-    36  2322b2528f18  cat pi0 clash.cat --object 1 --format interchange
+   691  aa9392515dc0  cat analyze ambient.cat --morphism 3>2:010
+   691  aa9392515dc0  cat analyze byname.cat --morphism 3>2:010
+   691  aa9392515dc0  cat analyze latemor.cat --morphism 3>2:010
+   452  63c309321edb  cat validate ambient.cat
+   452  63c309321edb  cat validate byname.cat
+   452  63c309321edb  cat validate latemor.cat
+   711  61dd1e3bde3e  cat analyze ambient.cat --morphism 3>2:010 --format dot
+   733  f809d5373eac  cat analyze ambient.cat --morphism 3>2:010 --format interchange
+  1741  c08020a9c04d  cat pi1 ambient.cat --object 3 --format interchange
+  1617  cb52b5859ed5  cat pi1 ambient.cat --object 3 --format dot
+  1494  9a37e8e853b4  cat pi1 ambient.cat --object 3
+   199  60717087e725  cat pi1 z12.cat --object '*'
+   250  cf4dd36a4c7c  cat analyze twins.cat --morphism 2>1:00*f
+    14  d04b18fa9f64  cat validate fixtures/z2.cat
+    33  e048fd098851  cat pi0 fixtures/walking_arrow.cat --object 0
+    35  4a15d27a1668  cat pi0 fixtures/walking_arrow.cat --object 0 --format dot
+    38  231049cbeec4  cat pi0 fixtures/walking_arrow.cat --object 0 --format interchange
+    25  7abfe3785a17  cat check-terminal fixtures/walking_arrow.cat --object 0
+    34  f1682eb288ae  cat pi0 fixtures/primed_basepoint.cat --object 0
+    41  61a77cdc4fb4  cat pi0 fixtures/primed_basepoint.cat --object 0 --format interchange
+    31  f24c8e2ddf1b  cat pi0 clash.cat --object 1
+    36  7fc1fa7f40ac  cat pi0 clash.cat --object 1 --format interchange
    350  4a769e1e3777  states local-act --context gf2 --dims 2,2 --fmat 10,00 --gmat 10,01
    878  41121dc260da  states local-act --context gf2 --dims 2,3 --fmat 11,01 --gmat 101,011
     51  7a4e0b0d5317  states local-act --context cartesian --sets 'a,b|c,d' --target-sets 'a|c,d' --fmap a=>a,b=>a --gmap c=>c,d=>d
@@ -305,6 +305,7 @@ CALLS = """
     22  fincat._generators
     22  fincat._laws
     22  fincat._parse
+    22  fincat._plan
   5022  fincat._squares
      7  fincat.check_label
   4312  fincat.pair_name
@@ -350,7 +351,6 @@ CALLS = """
      1  opengraph.serialize_open_graph
     67  order.PointedPoset.__init__
  29022  order._bits
-  2035  order._low
   9651  order._pick
      4  order._preserves
     39  order.from_masks
