@@ -53,8 +53,9 @@ MorphismAnalysis = namedtuple("MorphismAnalysis", "pi0 pi1 split_epi mono iso")
 
 def report_from_pointed(pp: order.PointedPoset, context: str) -> ObstructionReport:
     """The report of a pointed poset: its minimal obstructions and whether
-    it is trivial, under ``context``.  The basepoint must be least in its
-    poset; OracleMismatch names the least element below it otherwise."""
+    it is trivial, under ``context``.  The basepoint must be minimal, not
+    least, in its poset; OracleMismatch names the least element below it
+    otherwise."""
     p = pp.poset
     b = p.elements.index(pp.basepoint)
     below = [i for i in compress(range(len(p.up)), map((1 << b).__and__, p.up)) if i != b]
@@ -330,20 +331,22 @@ def powerset_report(universe: Iterable[str], collapsed: Iterable[str], basepoint
 # -- rendering ----------------------------------------------------------------
 
 
-def _rows(names, masks, pre: str, mid: str, glue: str, end: str, sep: str = "", pick=None):
-    """For each non-empty masks[i], one string of its pairs: head +
-    (glue + head).join(picked) + end, with head = pre + names[i] + mid and
-    picked the names at the set bits of masks[i]; every row but the first is
-    led by sep.  Each row is one C-level ``str.join``, not one Python string
-    per pair: a ``powerset`` report of 10 generators has 52,266 ``leq`` pairs
-    in about 1,000 rows.  Cover rows hold a few bits of many, so they are
-    walked by ``order._bits``; up-mask rows are dense, and pick=``order._pick``
-    reads them in one pass over the mask's binary digits."""
+def _rows(names, masks, pre: str, mid: str, glue: str, end: str, sep: str, pick):
+    """For each non-empty masks[i], three strings: lead + head, then
+    (glue + head).join(pick(names, masks[i])), then end, with head = pre +
+    names[i] + mid and lead sep on every row but the first.  The pairs are
+    one C-level ``str.join``, copied once more only by the write: a
+    ``powerset`` report of 10 generators has 52,266 ``leq`` pairs in about
+    1,000 rows.  Cover rows hold a few bits of many, so pick=``order._at``
+    reads them one set bit at a time; up-mask rows are dense, and
+    pick=``order._pick`` reads them in one pass over their binary digits."""
     lead = ""
     for i, m in enumerate(masks):
         if m:
             head = pre + names[i] + mid
-            yield lead + head + (glue + head).join(pick(names, m) if pick else map(names.__getitem__, order._bits(m))) + end
+            yield lead + head
+            yield (glue + head).join(pick(names, m))
+            yield end
             lead = sep
 
 
@@ -356,7 +359,7 @@ def write_report(r: ObstructionReport, fmt: str, out) -> None:
     basepoint, the elements and their count, the order ``leq`` and the
     ``covers`` as sorted name pairs, the sorted minimal obstructions and the
     trivial flag.  Each name is DOT-quoted or JSON-encoded once, and each
-    element's row of pairs goes to out in one write."""
+    element's row of pairs goes to out in three writes: head, pairs, end."""
     pp = r.invariant
     p = pp.poset
     cov = p.cover_masks
@@ -367,12 +370,12 @@ def write_report(r: ObstructionReport, fmt: str, out) -> None:
             f"minimal obstructions ({len(r.minimal)}): " + ", ".join(sorted(r.minimal)) + "\n"
             f"covers ({sum(map(int.bit_count, cov))}): "
         )
-        parts = ((head,), _rows(p.elements, cov, "", " < ", "; ", "", "; "), ("\n",))
+        parts = ((head,), _rows(p.elements, cov, "", " < ", "; ", "", "; ", order._at), ("\n",))
     elif fmt == "dot":
         q = [order.quote(e) for e in p.elements]
         b = p.elements.index(pp.basepoint)
         nodes = "".join(f"  {e} [shape={'doublecircle' if i == b else 'ellipse'}];\n" for i, e in enumerate(q))
-        parts = (("digraph hasse {\n  rankdir=BT;\n" + nodes,), _rows(q, cov, "  ", " -> ", ";\n", ";\n"), ("}\n",))
+        parts = (("digraph hasse {\n  rankdir=BT;\n" + nodes,), _rows(q, cov, "  ", " -> ", ";\n", ";\n", "", order._at), ("}\n",))
     elif fmt == "interchange":
         import json  # here only, so text and DOT runs never load it
 
@@ -381,7 +384,7 @@ def write_report(r: ObstructionReport, fmt: str, out) -> None:
         pair = ("\n    [\n      ", ",\n      ", "\n    ],", "\n    ]", ",")  # a list of [name, name] at depth 1
         parts = (
             (f'{{\n  "basepoint": {json.dumps(pp.basepoint)},\n  "context": {json.dumps(r.context)},\n  "covers": [',),
-            _rows(enc, cov, *pair),
+            _rows(enc, cov, *pair, order._at),
             ("\n  ]" if any(cov) else "]", f',\n  "element_count": {len(enc)},\n  "elements": [\n    ', ",\n    ".join(enc)),
             ('\n  ],\n  "kind": "obstruction-report",\n  "leq": [',),
             _rows(enc, p.up, *pair, order._pick),

@@ -35,14 +35,24 @@ from operator import or_, xor
 from .errors import InvalidMap, InvalidPoset
 
 
+def _at(seq, m: int) -> list:
+    """The items of seq at the set bits of m, ascending, as a list: one
+    step per set bit, which appends the item at the low bit's place and
+    shifts m past it.  The choice for rows with few bits set, such as cover
+    masks; ``_pick`` is its dense partner."""
+    out = []
+    j = -1
+    while m:
+        low = (m & -m).bit_length()
+        j += low
+        out.append(seq[j])
+        m >>= low
+    return out
+
+
 def _bits(m: int) -> list[int]:
     """Indices of the set bits of m, ascending."""
-    out = []
-    while m:
-        low = m & -m
-        out.append(low.bit_length() - 1)
-        m ^= low
-    return out
+    return _at(range(m.bit_length()), m)
 
 
 # The ASCII digits 0 and 1 as the bytes 0 and 1: a selector for compress.
@@ -53,7 +63,7 @@ def _pick(seq, m: int):
     """The items of seq at the set bits of m, ascending, as an iterator.
     One C-level pass over the binary digits of m, whatever their number:
     the choice for rows with many bits set, such as up-masks.  On a row
-    with few, ``_bits`` is cheaper, at one step per set bit."""
+    with few, ``_at`` is cheaper, at one step per set bit."""
     return compress(seq, bin(m)[:1:-1].encode("ascii").translate(_DIGIT_BYTES))
 
 

@@ -7,20 +7,27 @@ digraph on tuples of morphism names, one edge h;t -> t per arrow h, and the
 down-set of t is t with its ``nx.ancestors``.  A pointed reflection is the
 condensation of the preorder's digraph, each class named by its least
 member, with the lower set of the base's class collapsed to the basepoint
-and the covers the ``nx.transitive_reduction`` of what is left.
+and the covers the ``nx.transitive_reduction`` of what is left.  A written
+report is read back from its interchange document: its ``covers`` are the
+transitive reduction of its ``leq``, and ``leq`` the reflexive transitive
+closure of its ``covers``, which its text and DOT forms also name.
 
 networkx is imported at top level: without it this module fails to collect.
 """
 
+import io
+import json
 import random
+import re
 from itertools import product
 
 import networkx as nx
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import gen
-from obstructia import fincat, order
+from obstructia import fincat, homotopy, order
+from obstructia.errors import InvalidPoset
 
 
 def bits(m):
@@ -75,6 +82,7 @@ def assert_reflection(names, down, base, basepoint_name):
     elems = pp.poset.elements
     got = elems, pp.basepoint, {(elems[i], elems[j]) for i, m in enumerate(pp.poset.cover_masks) for j in bits(m)}, class_of
     assert got == nx_pointed_reflection(names, down, base, basepoint_name)
+    return pp
 
 
 def assert_walk(c, x, k, over=None):
@@ -133,8 +141,9 @@ class TestPointedReflection:
     @settings(max_examples=120, deadline=None)
     @given(st.data())
     def test_random_preorders(self, data):
-        # names that a basepoint may clash with, and cycles that merge classes
-        pool = ["[a]", "[a]'", "[a]''", "a", "b", "c", "d", "e", "f"]
+        # names that a basepoint may clash with, names that DOT and JSON
+        # escape, and cycles that merge classes; the written report too
+        pool = ["[a]", "[a]'", "[a]''", "", "\\", '"', "a", "b", "c", "d", "e", "f"]
         names = data.draw(st.lists(st.sampled_from(pool), min_size=1, max_size=8, unique=True))
         n = len(names)
         edges = data.draw(st.sets(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=12))
@@ -143,4 +152,75 @@ class TestPointedReflection:
         g.add_edges_from(edges)
         down = [sum(1 << j for j in nx.ancestors(g, i) | {i}) for i in range(n)]
         base = data.draw(st.integers(0, n - 1))
-        assert_reflection(names, down, base, "[a]")
+        assert_written(homotopy.report_from_pointed(assert_reflection(names, down, base, "[a]"), "reflection"))
+
+
+# -- written reports ----------------------------------------------------------
+
+
+def written(r, fmt):
+    out = io.StringIO()
+    homotopy.write_report(r, fmt, out)
+    return out.getvalue()
+
+
+def text_covers(text):
+    """The pairs of the text ``covers`` line, checked against its count;
+    names here hold no "; " and no " < "."""
+    line = next(line for line in text.splitlines() if line.startswith("covers ("))
+    count, _, rows = line[len("covers ("):].partition("): ")
+    pairs = [tuple(pair.split(" < ")) for pair in rows.split("; ")] if rows else []
+    assert int(count) == len(pairs)
+    return pairs
+
+
+QUOTED = r'"((?:[^"\\]|\\.)*)"'
+EDGE = re.compile(rf"^  {QUOTED} -> {QUOTED};$", re.M)
+
+
+def dot_edges(dot):
+    """The edges of a DOT digraph as name pairs, each DOT string unquoted."""
+    return [tuple(re.sub(r"\\(.)", r"\1", s) for s in pair) for pair in EDGE.findall(dot)]
+
+
+def assert_written(r):
+    """The interchange ``covers`` are the transitive reduction of its
+    ``leq`` without loops, ``leq`` is the reflexive transitive closure of
+    the covers, and the text and DOT covers name the same pairs."""
+    doc = json.loads(written(r, "interchange"))
+    leq = [tuple(pair) for pair in doc["leq"]]
+    covers = [tuple(pair) for pair in doc["covers"]]
+    assert leq == sorted(set(leq)) and covers == sorted(set(covers))
+    order_graph = nx.DiGraph(leq)
+    order_graph.add_nodes_from(doc["elements"])
+    order_graph.remove_edges_from(list(nx.selfloop_edges(order_graph)))
+    assert set(covers) == set(nx.transitive_reduction(order_graph).edges)
+    hasse = nx.DiGraph(covers)
+    hasse.add_nodes_from(doc["elements"])
+    assert set(leq) == set(nx.transitive_closure(hasse, reflexive=True).edges)
+    assert sorted(text_covers(written(r, "text"))) == sorted(dot_edges(written(r, "dot"))) == covers
+
+
+# generator names with DOT and JSON escapes, the empty one included, and a
+# collapsed part of them
+POWERSETS = st.lists(st.text(alphabet='ab\\"{}', max_size=2), max_size=8, unique=True).flatmap(
+    lambda universe: st.tuples(st.just(universe), st.sets(st.sampled_from(universe)) if universe else st.just(set()))
+)
+
+
+class TestWrittenReports:
+    @settings(max_examples=25, deadline=None)
+    @given(POWERSETS)
+    @example((["", "\\", '"', "a", "b", "{", "}", "ab"], set()))
+    @example((["", "\\", '"', "a", "b", "{", "}", "ab"], {"", '"', "b"}))
+    def test_powerset_reports(self, drawn):
+        universe, collapsed = drawn
+        try:
+            r = homotopy.powerset_report(universe, collapsed, "[x]", "powerset")
+        except InvalidPoset:  # two elements render alike
+            assume(False)
+        assert_written(r)
+
+    def test_pi1_of_the_finite_sets_at_the_largest(self):
+        c = gen.finset_ambient(3)
+        assert_written(homotopy.pi1(c, c.objects[-1]))

@@ -251,10 +251,16 @@ class TestHasse:
 
 
 class TestPick:
-    """``order._pick`` selects what ``order._bits`` indexes, on masks up to
-    4096 bits, dense and sparse."""
+    """``order._pick``, ``order._at`` and ``order._bits`` each select the
+    items at the set bits of a mask, on masks up to 4096 bits, dense and
+    sparse.  Each is checked against that definition, not against another,
+    as ``_bits`` is built on ``_at``."""
 
     SEQ = [f"e{i}" for i in range(4096)]
+
+    @staticmethod
+    def at(seq, m):
+        return [seq[i] for i in range(m.bit_length()) if m >> i & 1]
 
     @settings(max_examples=200, deadline=None)
     @given(st.one_of(
@@ -267,8 +273,13 @@ class TestPick:
     @example(1 << 4095)
     @example(int("01" * 2048, 2))
     @example(int("10" * 2048, 2))
-    def test_equals_bits(self, m):
-        assert list(order._pick(self.SEQ, m)) == [self.SEQ[i] for i in order._bits(m)]
+    def test_each_picks_the_set_bits(self, m):
+        want, places = self.at(self.SEQ, m), self.at(range(4096), m)
+        assert list(order._pick(self.SEQ, m)) == want
+        assert order._at(self.SEQ, m) == want
+        assert order._at(tuple(self.SEQ), m) == want
+        assert order._at(range(4096), m) == places
+        assert order._bits(m) == places
 
 
 class TestIso:

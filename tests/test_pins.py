@@ -217,57 +217,57 @@ UNREACHED = {
 # Work changes only together with the change to src/ that moves it, and
 # CHANGES.md names that change.
 WORK = """
-  8195  e6a40e1cca9d  set pi0 --fn fixtures/wide12.fn --format text
- 12284  b7494eedd1c8  set pi0 --fn fixtures/wide12.fn --format dot
- 16374  d3899f3f63f8  set pi0 --fn fixtures/wide12.fn --format interchange
-  8101  7c08ee02836a  set pi1 --fn fixtures/wide12_pi1.fn --format text
- 12134  db6b80f6fbee  set pi1 --fn fixtures/wide12_pi1.fn --format dot
- 16168  e8644adbd58c  set pi1 --fn fixtures/wide12_pi1.fn --format interchange
-   691  aa9392515dc0  cat analyze ambient.cat --morphism 3>2:010
-   691  aa9392515dc0  cat analyze byname.cat --morphism 3>2:010
-   691  aa9392515dc0  cat analyze latemor.cat --morphism 3>2:010
+ 16371  815e39070736  set pi0 --fn fixtures/wide12.fn --format text
+ 20460  538ecf8b7680  set pi0 --fn fixtures/wide12.fn --format dot
+ 32728  84fc53f98f7d  set pi0 --fn fixtures/wide12.fn --format interchange
+ 16165  d3a32a8d2d46  set pi1 --fn fixtures/wide12_pi1.fn --format text
+ 20198  d8d5e6c7f3f7  set pi1 --fn fixtures/wide12_pi1.fn --format dot
+ 32298  f13b2e190ec5  set pi1 --fn fixtures/wide12_pi1.fn --format interchange
+   731  a996a79a8807  cat analyze ambient.cat --morphism 3>2:010
+   731  a996a79a8807  cat analyze byname.cat --morphism 3>2:010
+   731  a996a79a8807  cat analyze latemor.cat --morphism 3>2:010
    452  63c309321edb  cat validate ambient.cat
    452  63c309321edb  cat validate byname.cat
    452  63c309321edb  cat validate latemor.cat
-   711  61dd1e3bde3e  cat analyze ambient.cat --morphism 3>2:010 --format dot
-   733  f809d5373eac  cat analyze ambient.cat --morphism 3>2:010 --format interchange
-  1741  c08020a9c04d  cat pi1 ambient.cat --object 3 --format interchange
-  1617  cb52b5859ed5  cat pi1 ambient.cat --object 3 --format dot
-  1494  9a37e8e853b4  cat pi1 ambient.cat --object 3
-   199  60717087e725  cat pi1 z12.cat --object '*'
-   250  cf4dd36a4c7c  cat analyze twins.cat --morphism 2>1:00*f
+   751  a18caf60d26a  cat analyze ambient.cat --morphism 3>2:010 --format dot
+   813  3fa8cb13051c  cat analyze ambient.cat --morphism 3>2:010 --format interchange
+  2190  75fc219daeb6  cat pi1 ambient.cat --object 3 --format interchange
+  1820  f7e78cae7b30  cat pi1 ambient.cat --object 3 --format dot
+  1697  ef49704617ea  cat pi1 ambient.cat --object 3
+   211  759178b68e3a  cat pi1 z12.cat --object '*'
+   265  194531fbf6f6  cat analyze twins.cat --morphism 2>1:00*f
     14  d04b18fa9f64  cat validate fixtures/z2.cat
-    33  e048fd098851  cat pi0 fixtures/walking_arrow.cat --object 0
-    35  4a15d27a1668  cat pi0 fixtures/walking_arrow.cat --object 0 --format dot
-    38  231049cbeec4  cat pi0 fixtures/walking_arrow.cat --object 0 --format interchange
+    37  780a7657c702  cat pi0 fixtures/walking_arrow.cat --object 0
+    39  7cf2e38e7064  cat pi0 fixtures/walking_arrow.cat --object 0 --format dot
+    46  de30323ea4b6  cat pi0 fixtures/walking_arrow.cat --object 0 --format interchange
     25  7abfe3785a17  cat check-terminal fixtures/walking_arrow.cat --object 0
-    34  f1682eb288ae  cat pi0 fixtures/primed_basepoint.cat --object 0
-    41  61a77cdc4fb4  cat pi0 fixtures/primed_basepoint.cat --object 0 --format interchange
-    31  f24c8e2ddf1b  cat pi0 clash.cat --object 1
-    36  7fc1fa7f40ac  cat pi0 clash.cat --object 1 --format interchange
-   350  4a769e1e3777  states local-act --context gf2 --dims 2,2 --fmat 10,00 --gmat 10,01
-   878  41121dc260da  states local-act --context gf2 --dims 2,3 --fmat 11,01 --gmat 101,011
-    51  7a4e0b0d5317  states local-act --context cartesian --sets 'a,b|c,d' --target-sets 'a|c,d' --fmap a=>a,b=>a --gmap c=>c,d=>d
-   316  1f68c3a79384  states obstruct --context gf2 --dims 2,2 --format text
-   366  36a90c55e1b0  states obstruct --context gf2 --dims 2,2 --format dot
-   418  239809557b79  states obstruct --context gf2 --dims 2,2 --format interchange
-  2100  9b29a39a78d4  states obstruct --context gf2 --dims 1,1 --format text
-  3110  2e8be39d8367  states obstruct --context gf2 --dims 1,1 --format dot
-  4122  15503bdf1c55  states obstruct --context gf2 --dims 1,1 --format interchange
-    84  1cc244873743  states obstruct --context cartesian --sets 'a,b,c,d|e,f,g,h' --format text
-    86  2a66269e5069  states obstruct --context cartesian --sets 'a,b,c,d|e,f,g,h' --format dot
-    90  700c0cad868a  states obstruct --context cartesian --sets 'a,b,c,d|e,f,g,h' --format interchange
+    39  e520447c6d11  cat pi0 fixtures/primed_basepoint.cat --object 0
+    52  7b043b80be62  cat pi0 fixtures/primed_basepoint.cat --object 0 --format interchange
+    33  59e79785663d  cat pi0 clash.cat --object 1
+    42  945ef44b8c92  cat pi0 clash.cat --object 1 --format interchange
+   371  a5aabf7b2816  states local-act --context gf2 --dims 2,2 --fmat 10,00 --gmat 10,01
+   971  218e78cf755d  states local-act --context gf2 --dims 2,3 --fmat 11,01 --gmat 101,011
+    52  1b9e6930bd43  states local-act --context cartesian --sets 'a,b|c,d' --target-sets 'a|c,d' --fmap a=>a,b=>a --gmap c=>c,d=>d
+   370  c43089bc1aa7  states obstruct --context gf2 --dims 2,2 --format text
+   420  737d678e783d  states obstruct --context gf2 --dims 2,2 --format dot
+   572  32a34ae8228d  states obstruct --context gf2 --dims 2,2 --format interchange
+  4116  39f4cab5c406  states obstruct --context gf2 --dims 1,1 --format text
+  5126  0e482c062595  states obstruct --context gf2 --dims 1,1 --format dot
+  8158  21fc65fb8e4e  states obstruct --context gf2 --dims 1,1 --format interchange
+    86  866feee8c6a5  states obstruct --context cartesian --sets 'a,b,c,d|e,f,g,h' --format text
+    88  94a17e94aa86  states obstruct --context cartesian --sets 'a,b,c,d|e,f,g,h' --format dot
+    96  7cc200959038  states obstruct --context cartesian --sets 'a,b,c,d|e,f,g,h' --format interchange
     33  230c108fdf61  opengraph compose fixtures/G.og fixtures/H.og
     45  65bf9e903b5a  opengraph compose fixtures/G.og fixtures/H.og --format dot
     12  0f16c77ddb7a  opengraph reach fixtures/G.og
     26  cafbeefd7596  opengraph reach fixtures/G.og --format dot
-    75  1a97c216b6cf  opengraph obstruct fixtures/G.og fixtures/H.og --format text
-    77  5e192ad80627  opengraph obstruct fixtures/G.og fixtures/H.og --format dot
-    80  6a57e46bcfeb  opengraph obstruct fixtures/G.og fixtures/H.og --format interchange
-   100  4dbc3f4e6656  opengraph act fixtures/G.og fixtures/G_identified.og fixtures/identify_outputs.gh fixtures/H.og
-   563  ceb45ca8b8e4  opengraph obstruct left8.og right8.og --format text
-   788  72dd9f8ceebd  opengraph obstruct left8.og right8.og --format dot
-  1014  56f19fdc53f0  opengraph obstruct left8.og right8.og --format interchange
+    77  bc2d37b8b8b9  opengraph obstruct fixtures/G.og fixtures/H.og --format text
+    79  fa144d653068  opengraph obstruct fixtures/G.og fixtures/H.og --format dot
+    86  bfc5538a2913  opengraph obstruct fixtures/G.og fixtures/H.og --format interchange
+   102  57f3ca2a83c1  opengraph act fixtures/G.og fixtures/G_identified.og fixtures/identify_outputs.gh fixtures/H.og
+  1011  d0ecdfdc9541  opengraph obstruct left8.og right8.og --format text
+  1236  9c1e04561109  opengraph obstruct left8.og right8.og --format dot
+  1912  aee61df33b98  opengraph obstruct left8.og right8.og --format interchange
 """
 WORK_ROWS = {row: (int(total), digest) for total, digest, row in (line.split(None, 2) for line in WORK.splitlines() if line and not line.startswith("#"))}
 
@@ -315,7 +315,7 @@ CALLS = """
     23  homotopy._pi
     23  homotopy._pi_at
     23  homotopy._pi_data
- 37873  homotopy._rows
+113481  homotopy._rows
      6  homotopy.analyze_morphism
      6  homotopy.brute_mono
      6  homotopy.brute_split_epi
@@ -350,7 +350,8 @@ CALLS = """
     26  opengraph.relation_text
      1  opengraph.serialize_open_graph
     67  order.PointedPoset.__init__
- 29022  order._bits
+ 29022  order._at
+   779  order._bits
   9651  order._pick
      4  order._preserves
     39  order.from_masks
