@@ -2,16 +2,19 @@
 
 Subcommands mirror the library: ``cat`` for finite categories, ``set`` for
 functions, ``opengraph`` for open graphs, ``states`` for the state-functor
-contexts.  Reports go out through ``homotopy.write_report`` in the format
-``--format`` names.  Output is deterministic (everything sorted), exit code 0
-on success, 1 on a domain error (the structured error name is printed; a
-file that is not UTF-8 is a ParseError), 2 on usage errors.
+contexts.  One table, ``COMMANDS``, holds each command's usage line and
+function, and ``_read_argv`` reads argv against it.  Reports go out through
+``homotopy.write_report`` in the format ``--format`` names.  Output is
+deterministic (everything sorted).  Exit code 0 on success, and for ``-h``
+or ``--help`` anywhere in argv, which print the table; 1 on a domain or IO
+error (the structured error name is printed; a file that is not UTF-8 is a
+ParseError); 2 on a usage error, with the command's usage on stderr.
 """
 
 from __future__ import annotations
 
-import argparse
 import sys
+from types import SimpleNamespace
 
 # The set, opengraph and states engines load in the commands that run them,
 # so a cat command compiles and runs none of them.
@@ -228,112 +231,108 @@ def _cmd_states_local_act(args, out):
 
 # -- wiring ------------------------------------------------------------------------
 
+_FORMAT = "[--format text|dot|interchange]"
+_CONTEXT = "--context cartesian|gf2 [--sets SETS] [--dims M,N]"
 
-def _add_format(p, choices=("text", "dot", "interchange")):
-    p.add_argument("--format", choices=choices, default="text")
-
-
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="obstructia", description=__doc__)
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    cat = sub.add_parser("cat", help="finite category computations")
-    cat_sub = cat.add_subparsers(dest="subcommand", required=True)
-
-    p = cat_sub.add_parser("validate")
-    p.add_argument("file")
-    p.set_defaults(func=_cmd_cat_validate)
-
-    for name, i in (("pi0", 0), ("pi1", 1)):
-        p = cat_sub.add_parser(name)
-        p.add_argument("file")
-        p.add_argument("--object", required=True)
-        _add_format(p)
-        p.set_defaults(func=lambda a, o, i=i: _cmd_cat_pi(a, o, i))
-
-    p = cat_sub.add_parser("analyze")
-    p.add_argument("file")
-    p.add_argument("--morphism", required=True)
-    _add_format(p)
-    p.set_defaults(func=_cmd_cat_analyze)
-
-    p = cat_sub.add_parser("check-terminal")
-    p.add_argument("file")
-    p.add_argument("--object", required=True)
-    p.set_defaults(func=_cmd_cat_check_terminal)
-
-    st = sub.add_parser("set", help="finite function fast paths")
-    st_sub = st.add_subparsers(dest="subcommand", required=True)
-    for name, i in (("pi0", 0), ("pi1", 1)):
-        p = st_sub.add_parser(name)
-        p.add_argument("--fn", required=True)
-        _add_format(p)
-        p.set_defaults(func=lambda a, o, i=i: _cmd_set_pi(a, o, i))
-
-    og = sub.add_parser("opengraph", help="open graphs and the reachability laxator")
-    og_sub = og.add_subparsers(dest="subcommand", required=True)
-
-    p = og_sub.add_parser("compose")
-    p.add_argument("left")
-    p.add_argument("right")
-    _add_format(p, ("text", "dot"))
-    p.set_defaults(func=_cmd_og_compose)
-
-    p = og_sub.add_parser("reach")
-    p.add_argument("graph")
-    _add_format(p, ("text", "dot"))
-    p.set_defaults(func=_cmd_og_reach)
-
-    p = og_sub.add_parser("obstruct")
-    p.add_argument("left")
-    p.add_argument("right")
-    _add_format(p)
-    p.set_defaults(func=_cmd_og_obstruct)
-
-    p = og_sub.add_parser("act")
-    p.add_argument("source")
-    p.add_argument("target")
-    p.add_argument("hom")
-    p.add_argument("right")
-    p.set_defaults(func=_cmd_og_act)
-
-    stt = sub.add_parser("states", help="state-functor laxators")
-    stt_sub = stt.add_subparsers(dest="subcommand", required=True)
-
-    p = stt_sub.add_parser("obstruct")
-    p.add_argument("--context", choices=("cartesian", "gf2"), required=True)
-    p.add_argument("--sets")
-    p.add_argument("--dims")
-    _add_format(p)
-    p.set_defaults(func=_cmd_states_obstruct)
-
-    p = stt_sub.add_parser("local-act")
-    p.add_argument("--context", choices=("cartesian", "gf2"), required=True)
-    p.add_argument("--sets")
-    p.add_argument("--dims")
-    p.add_argument("--target-sets")
-    p.add_argument("--fmap")
-    p.add_argument("--gmap")
-    p.add_argument("--fmat")
-    p.add_argument("--gmat")
-    p.set_defaults(func=_cmd_states_local_act)
-
-    return parser
+# (group, command) -> (usage, function).  The usage is the whole spec: an
+# upper-case word is a positional, read in order into its lower-case name;
+# `--flag VALUE` is a required flag, `[--flag VALUE]` an optional one, None
+# when not given; a value written `a|b` is a choice, and an optional choice
+# defaults to its first.  `--target-sets` is read into `target_sets`.
+COMMANDS = {
+    ("cat", "validate"): ("FILE", _cmd_cat_validate),
+    ("cat", "pi0"): (f"FILE --object OBJECT {_FORMAT}", lambda args, out: _cmd_cat_pi(args, out, 0)),
+    ("cat", "pi1"): (f"FILE --object OBJECT {_FORMAT}", lambda args, out: _cmd_cat_pi(args, out, 1)),
+    ("cat", "analyze"): (f"FILE --morphism MORPHISM {_FORMAT}", _cmd_cat_analyze),
+    ("cat", "check-terminal"): ("FILE --object OBJECT", _cmd_cat_check_terminal),
+    ("set", "pi0"): (f"--fn FILE {_FORMAT}", lambda args, out: _cmd_set_pi(args, out, 0)),
+    ("set", "pi1"): (f"--fn FILE {_FORMAT}", lambda args, out: _cmd_set_pi(args, out, 1)),
+    ("opengraph", "compose"): ("LEFT RIGHT [--format text|dot]", _cmd_og_compose),
+    ("opengraph", "reach"): ("GRAPH [--format text|dot]", _cmd_og_reach),
+    ("opengraph", "obstruct"): (f"LEFT RIGHT {_FORMAT}", _cmd_og_obstruct),
+    ("opengraph", "act"): ("SOURCE TARGET HOM RIGHT", _cmd_og_act),
+    ("states", "obstruct"): (f"{_CONTEXT} {_FORMAT}", _cmd_states_obstruct),
+    ("states", "local-act"): (
+        f"{_CONTEXT} [--target-sets SETS] [--fmap MAP] [--gmap MAP] [--fmat BITS] [--gmat BITS]",
+        _cmd_states_local_act,
+    ),
+}
 
 
-# Built once, at import, so no run pays for argparse's set-up (gettext's
-# locale lookups on disk included) and the first run costs what later ones do.
-_PARSER = build_parser()
+class _Usage(Exception):
+    """argv does not match the table; exit 2."""
+
+
+def _read_argv(argv):
+    """The function of argv's command and its args, read against COMMANDS.
+
+    argv is a group and a command, then that command's positionals and
+    flags in any order.  A flag is named in full, and takes the next word as
+    its value whatever that word holds (``--object ->``, ``--dims -1,2``),
+    or the text after its first ``=`` (``--object=->``).  When a flag is
+    given twice the last one wins.  Any other word that starts with ``-`` is
+    unrecognized, as is a positional past the last."""
+    try:
+        usage, func = COMMANDS[argv[0], argv[1]]
+    except (IndexError, KeyError):
+        raise _Usage(f"unknown command {' '.join(argv[:2])!r}" if argv[1:] else "missing a command") from None
+    places, flags, need, values = [], {}, [], {}
+    words = iter(usage.split())
+    for word in words:
+        flag, name = word.lstrip("["), word.lstrip("[-").lower().replace("-", "_")
+        if flag[:2] == "--":
+            spec = next(words).rstrip("]")
+            choices = spec.split("|") if "|" in spec else None
+            flags[flag] = name, choices
+            if flag != word:
+                values[name] = choices and choices[0]
+                continue
+        else:
+            places.append(name)
+        need.append((flag, name))
+    extra, rest = [], iter(argv[2:])
+    for word in rest:
+        flag, eq, value = word.partition("=")
+        if word[:1] != "-" and places:
+            values[places.pop(0)] = word
+        elif flag not in flags:
+            extra.append(word)
+        else:
+            name, choices = flags[flag]
+            if not eq:
+                value = next(rest, None)
+                if value is None:
+                    raise _Usage(f"{flag} expects a value")
+            if choices and value not in choices:
+                raise _Usage(f"{flag}: invalid choice {value!r} (choose from {'|'.join(choices)})")
+            values[name] = value
+    missing = [shown for shown, name in need if name not in values]
+    if extra or missing:
+        raise _Usage(f"unrecognized arguments: {' '.join(extra)}" if extra else f"missing {', '.join(missing)}")
+    return func, SimpleNamespace(**values)
+
+
+def _usage(head) -> str:
+    """'usage:' and the table's lines for the command head names, or else
+    for its group, or else all of them."""
+    for n in (2, 1, 0):
+        lines = [f"obstructia {g} {c} {COMMANDS[g, c][0]}" for g, c in COMMANDS if (g, c)[:n] == tuple(head[:n])]
+        if lines:
+            return "usage: " + "\n       ".join(lines) + "\n"
 
 
 def run(argv, out=None) -> int:
     out = out if out is not None else sys.stdout
+    if "-h" in argv or "--help" in argv:
+        out.write(_usage(()))
+        return 0
     try:
-        args = _PARSER.parse_args(argv)
-    except SystemExit as exc:
-        return exc.code if isinstance(exc.code, int) else 2
+        func, args = _read_argv(argv)
+    except _Usage as exc:
+        sys.stderr.write(f"{_usage(argv)}obstructia: error: {exc}\n")
+        return 2
     try:
-        return args.func(args, out)
+        return func(args, out)
     except EngineError as exc:
         sys.stderr.write(f"error {type(exc).__name__}: {exc}\n")
         return 1

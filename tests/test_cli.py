@@ -353,8 +353,9 @@ CAT_ENGINE = {"obstructia", "obstructia.cli", "obstructia.errors", "obstructia.f
 
 
 # Standard-library modules that no command loads: dataclasses pulls in
-# inspect, and with it ast, dis and tokenize, and typing is slow to import.
-HEAVY = {"dataclasses", "inspect", "typing"}
+# inspect, and with it ast, dis and tokenize, typing is slow to import, and
+# argparse loads gettext and, for its help, shutil.
+HEAVY = {"argparse", "dataclasses", "inspect", "typing"}
 
 
 def loaded_after(code):
@@ -475,6 +476,91 @@ class TestUsage:
         code, text = run("cat", "pi0", fx("walking_arrow.cat"), "--object", "0")
         assert code == 0
         assert "minimal obstructions (1): 1" in text
+
+
+class TestArgv:
+    """The argv grammar of cli._read_argv, one test for each form that
+    argparse, the reader before it, took or refused on its own."""
+
+    WA = fx("walking_arrow.cat")
+
+    def test_prefix_of_a_flag_refused(self, capsys):
+        # argparse took a unique prefix, --obj for --object
+        assert run("cat", "pi0", self.WA, "--obj", "0") == (2, "")
+        assert capsys.readouterr().err.endswith("\nobstructia: error: unrecognized arguments: --obj 0\n")
+
+    def test_flag_equals_value(self):
+        code, text = run("cat", "pi0", self.WA, "--object=0", "--format=dot")
+        assert (code, text) == run("cat", "pi0", self.WA, "--object", "0", "--format", "dot")
+        assert code == 0 and text.startswith("digraph")
+
+    def test_flags_before_and_between_positionals(self):
+        assert run("cat", "pi0", "--object", "0", self.WA) == run("cat", "pi0", self.WA, "--object", "0")
+        g, h = fx("G.og"), fx("H.og")
+        code, text = run("opengraph", "obstruct", g, "--format", "dot", h)
+        assert (code, text) == run("opengraph", "obstruct", g, h, "--format", "dot") and code == 0
+
+    def test_repeated_flag_last_wins(self):
+        code, text = run("cat", "pi0", self.WA, "--object", "1", "--format", "dot", "--object", "0", "--format", "text")
+        assert (code, text) == run("cat", "pi0", self.WA, "--object", "0") and "trivial: no" in text
+
+    def test_value_that_starts_with_a_dash(self, tmp_path, capsys):
+        # argparse refused `--object ->` and `--dims -1,2` with "expected one
+        # argument"; a flag takes the next word as its value, whatever it holds
+        path = tmp_path / "arrow.cat"
+        path.write_text("obj ->\nobj b\nmor i : -> -> ->\nmor j : b -> b\nmor f : -> -> b\nid -> = i\nid b = j\n"
+                        "comp i ; i = i\ncomp j ; j = j\ncomp i ; f = f\ncomp f ; j = f\n")
+        code, text = run("cat", "pi0", str(path), "--object", "->")
+        assert (code, text) == run("cat", "pi0", str(path), "--object=->") and "basepoint: [->]\n" in text
+        assert run("states", "obstruct", "--context", "gf2", "--dims", "-1,2") == (1, "")
+        assert capsys.readouterr().err == "error DimensionCap: negative dimension -1\n"
+
+    def test_flag_without_a_value(self, capsys):
+        assert run("cat", "pi0", self.WA, "--object") == (2, "")
+        assert capsys.readouterr().err.endswith("\nobstructia: error: --object expects a value\n")
+
+    @pytest.mark.parametrize("argv", [("cat", "pi0", WA, "--object", "0", "--format", "svg"), ("opengraph", "reach", fx("G.og"), "--format", "interchange")],
+                             ids=["svg", "per-command"])
+    def test_choice_outside_the_table(self, capsys, argv):
+        assert run(*argv) == (2, "")
+        assert f"obstructia: error: --format: invalid choice {argv[-1]!r}" in capsys.readouterr().err
+
+    def test_empty_words_are_values(self, capsys):
+        assert run("cat", "validate", "") == (1, "")
+        assert capsys.readouterr().err.startswith("error IO: ")
+        assert run("cat", "pi0", self.WA, "--object", "") == run("cat", "pi0", self.WA, "--object=") == (1, "")
+        assert capsys.readouterr().err == "error UnknownObject: no such object: ''\n" * 2
+
+    @pytest.mark.parametrize("word", ["-", "--", "-x"])
+    def test_other_dash_words_are_unrecognized(self, capsys, word):
+        # argparse read `-` as a positional and `--` as the end of the flags
+        assert run("cat", "validate", word, fx("z2.cat")) == (2, "")
+        assert capsys.readouterr().err.endswith(f"\nobstructia: error: unrecognized arguments: {word}\n")
+
+    def test_help_anywhere(self, capsys):
+        # -h and --help print the table wherever they stand, even as a
+        # flag's value (`--object=-h` names an object -h) and whatever the
+        # rest of argv holds
+        argv = ["cat", "pi0", self.WA, "--object", "0", "--format", "svg", "--bogus"]
+        table = run("-h")[1]
+        for at in range(len(argv) + 1):
+            for word in ("-h", "--help"):
+                assert run(*argv[:at], word, *argv[at:]) == (0, table)
+        assert capsys.readouterr().err == ""
+        lines = table.splitlines()
+        assert [line.removeprefix("usage:").split()[1:3] for line in lines] == [list(key) for key in cli.COMMANDS]
+        assert lines[0] == "usage: obstructia cat validate FILE" and all(line.startswith("       obstructia ") for line in lines[1:])
+
+    @pytest.mark.parametrize("argv, first, lines", [
+        ((), "cat validate", 13), (("cat",), "cat validate", 5), (("cat", "frobnicate"), "cat validate", 5),
+        (("frob", "pi0"), "cat validate", 13), (("set", "pi0"), "set pi0", 1),
+    ], ids=["empty", "group", "unknown command", "unknown group", "command"])
+    def test_usage_names_the_commands_argv_could_mean(self, capsys, argv, first, lines):
+        assert run(*argv) == (2, "")
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == lines + 1 and err[0].startswith(f"usage: obstructia {first} ")
+        assert err[-1] == ("obstructia: error: missing --fn" if argv == ("set", "pi0") else
+                           "obstructia: error: missing a command" if len(argv) < 2 else f"obstructia: error: unknown command {' '.join(argv)!r}")
 
 
 class TestDeterminismQuick:

@@ -15,6 +15,7 @@ import ast
 import glob
 import hashlib
 import importlib
+import inspect
 import os
 import random
 import shlex
@@ -193,10 +194,9 @@ UNREACHED = {
     "errors.UnknownObject.__init__": "error path: test_cli.py::TestCat::test_unknown_object_error_code",
     "fincat._refuse": "error path: test_fincat.py::TestValidation::test_non_composable_entry_rejected",
     "fincat._first_non_associative": "error path: test_fincat.py::TestValidation::test_non_associative_witness",
+    "cli._usage": "error path: test_cli.py::TestUsage::test_usage_error_then_valid_command, and -h in test_cli.py::TestArgv::test_help_anywhere",
     # import time
     "__init__.__getattr__": "import time: a submodule's first load, in the child processes of test_cli.py::TestLoadSet",
-    "cli.build_parser": "import time: builds cli._PARSER",
-    "cli._add_format": "import time: called by cli.build_parser",
     # a child process
     "cli.main": "the child process of test_module_entry_point",
     # the library API that acceptance criteria 5-7 name, with no command
@@ -217,57 +217,57 @@ UNREACHED = {
 # Work changes only together with the change to src/ that moves it, and
 # CHANGES.md names that change.
 WORK = """
- 16371  815e39070736  set pi0 --fn fixtures/wide12.fn --format text
- 20460  538ecf8b7680  set pi0 --fn fixtures/wide12.fn --format dot
- 32728  84fc53f98f7d  set pi0 --fn fixtures/wide12.fn --format interchange
- 16165  d3a32a8d2d46  set pi1 --fn fixtures/wide12_pi1.fn --format text
- 20198  d8d5e6c7f3f7  set pi1 --fn fixtures/wide12_pi1.fn --format dot
- 32298  f13b2e190ec5  set pi1 --fn fixtures/wide12_pi1.fn --format interchange
-   731  a996a79a8807  cat analyze ambient.cat --morphism 3>2:010
-   731  a996a79a8807  cat analyze byname.cat --morphism 3>2:010
-   731  a996a79a8807  cat analyze latemor.cat --morphism 3>2:010
-   452  63c309321edb  cat validate ambient.cat
-   452  63c309321edb  cat validate byname.cat
-   452  63c309321edb  cat validate latemor.cat
-   751  a18caf60d26a  cat analyze ambient.cat --morphism 3>2:010 --format dot
-   813  3fa8cb13051c  cat analyze ambient.cat --morphism 3>2:010 --format interchange
-  2190  75fc219daeb6  cat pi1 ambient.cat --object 3 --format interchange
-  1820  f7e78cae7b30  cat pi1 ambient.cat --object 3 --format dot
-  1697  ef49704617ea  cat pi1 ambient.cat --object 3
-   211  759178b68e3a  cat pi1 z12.cat --object '*'
-   265  194531fbf6f6  cat analyze twins.cat --morphism 2>1:00*f
-    14  d04b18fa9f64  cat validate fixtures/z2.cat
-    37  780a7657c702  cat pi0 fixtures/walking_arrow.cat --object 0
-    39  7cf2e38e7064  cat pi0 fixtures/walking_arrow.cat --object 0 --format dot
-    46  de30323ea4b6  cat pi0 fixtures/walking_arrow.cat --object 0 --format interchange
-    25  7abfe3785a17  cat check-terminal fixtures/walking_arrow.cat --object 0
-    39  e520447c6d11  cat pi0 fixtures/primed_basepoint.cat --object 0
-    52  7b043b80be62  cat pi0 fixtures/primed_basepoint.cat --object 0 --format interchange
-    33  59e79785663d  cat pi0 clash.cat --object 1
-    42  945ef44b8c92  cat pi0 clash.cat --object 1 --format interchange
-   371  a5aabf7b2816  states local-act --context gf2 --dims 2,2 --fmat 10,00 --gmat 10,01
-   971  218e78cf755d  states local-act --context gf2 --dims 2,3 --fmat 11,01 --gmat 101,011
-    52  1b9e6930bd43  states local-act --context cartesian --sets 'a,b|c,d' --target-sets 'a|c,d' --fmap a=>a,b=>a --gmap c=>c,d=>d
-   370  c43089bc1aa7  states obstruct --context gf2 --dims 2,2 --format text
-   420  737d678e783d  states obstruct --context gf2 --dims 2,2 --format dot
-   572  32a34ae8228d  states obstruct --context gf2 --dims 2,2 --format interchange
-  4116  39f4cab5c406  states obstruct --context gf2 --dims 1,1 --format text
-  5126  0e482c062595  states obstruct --context gf2 --dims 1,1 --format dot
-  8158  21fc65fb8e4e  states obstruct --context gf2 --dims 1,1 --format interchange
-    86  866feee8c6a5  states obstruct --context cartesian --sets 'a,b,c,d|e,f,g,h' --format text
-    88  94a17e94aa86  states obstruct --context cartesian --sets 'a,b,c,d|e,f,g,h' --format dot
-    96  7cc200959038  states obstruct --context cartesian --sets 'a,b,c,d|e,f,g,h' --format interchange
-    33  230c108fdf61  opengraph compose fixtures/G.og fixtures/H.og
-    45  65bf9e903b5a  opengraph compose fixtures/G.og fixtures/H.og --format dot
-    12  0f16c77ddb7a  opengraph reach fixtures/G.og
-    26  cafbeefd7596  opengraph reach fixtures/G.og --format dot
-    77  bc2d37b8b8b9  opengraph obstruct fixtures/G.og fixtures/H.og --format text
-    79  fa144d653068  opengraph obstruct fixtures/G.og fixtures/H.og --format dot
-    86  bfc5538a2913  opengraph obstruct fixtures/G.og fixtures/H.og --format interchange
-   102  57f3ca2a83c1  opengraph act fixtures/G.og fixtures/G_identified.og fixtures/identify_outputs.gh fixtures/H.og
-  1011  d0ecdfdc9541  opengraph obstruct left8.og right8.og --format text
-  1236  9c1e04561109  opengraph obstruct left8.og right8.og --format dot
-  1912  aee61df33b98  opengraph obstruct left8.og right8.og --format interchange
+  4108  569b37bca205  set pi0 --fn fixtures/wide12.fn --format text
+  8197  034aeff5e5fe  set pi0 --fn fixtures/wide12.fn --format dot
+  8198  fc03e020d7b5  set pi0 --fn fixtures/wide12.fn --format interchange
+  4070  244494610c40  set pi1 --fn fixtures/wide12_pi1.fn --format text
+  8103  1ce1ce35d6b9  set pi1 --fn fixtures/wide12_pi1.fn --format dot
+  8104  9236aa19408c  set pi1 --fn fixtures/wide12_pi1.fn --format interchange
+   262  de24052ec325  cat analyze ambient.cat --morphism 3>2:010
+   262  de24052ec325  cat analyze byname.cat --morphism 3>2:010
+   262  de24052ec325  cat analyze latemor.cat --morphism 3>2:010
+    13  b18af2ea154a  cat validate ambient.cat
+    13  b18af2ea154a  cat validate byname.cat
+    13  b18af2ea154a  cat validate latemor.cat
+   282  9348ed8f5d33  cat analyze ambient.cat --morphism 3>2:010 --format dot
+   284  93bd077585d9  cat analyze ambient.cat --morphism 3>2:010 --format interchange
+  1262  81fb078fa96e  cat pi1 ambient.cat --object 3 --format interchange
+  1261  846c4a786cea  cat pi1 ambient.cat --object 3 --format dot
+  1138  18e2e3c58f2c  cat pi1 ambient.cat --object 3
+   200  469853288046  cat pi1 z12.cat --object '*'
+   119  3990a694356b  cat analyze twins.cat --morphism 2>1:00*f
+    13  b18af2ea154a  cat validate fixtures/z2.cat
+    34  0731dd106d83  cat pi0 fixtures/walking_arrow.cat --object 0
+    36  5eaadbc2d952  cat pi0 fixtures/walking_arrow.cat --object 0 --format dot
+    37  35d29dc36188  cat pi0 fixtures/walking_arrow.cat --object 0 --format interchange
+    25  0f00410e2caa  cat check-terminal fixtures/walking_arrow.cat --object 0
+    36  1391932f6dfc  cat pi0 fixtures/primed_basepoint.cat --object 0
+    40  367a84e6b24b  cat pi0 fixtures/primed_basepoint.cat --object 0 --format interchange
+    33  1ae9d7841ca9  cat pi0 clash.cat --object 1
+    36  a0ea3ef8eb86  cat pi0 clash.cat --object 1 --format interchange
+   372  1627549a5ce1  states local-act --context gf2 --dims 2,2 --fmat 10,00 --gmat 10,01
+   972  bee525976c55  states local-act --context gf2 --dims 2,3 --fmat 11,01 --gmat 101,011
+    53  969c80d353da  states local-act --context cartesian --sets 'a,b|c,d' --target-sets 'a|c,d' --fmap a=>a,b=>a --gmap c=>c,d=>d
+   365  ddf6170cea32  states obstruct --context gf2 --dims 2,2 --format text
+   415  7c6182e88ee8  states obstruct --context gf2 --dims 2,2 --format dot
+   417  e1737d3a95b5  states obstruct --context gf2 --dims 2,2 --format interchange
+  1093  e6c3c085d88c  states obstruct --context gf2 --dims 1,1 --format text
+  2103  4369d4b21bd4  states obstruct --context gf2 --dims 1,1 --format dot
+  2105  195c556f3612  states obstruct --context gf2 --dims 1,1 --format interchange
+    87  7d41c7de6a60  states obstruct --context cartesian --sets 'a,b,c,d|e,f,g,h' --format text
+    89  bacb01e7a329  states obstruct --context cartesian --sets 'a,b,c,d|e,f,g,h' --format dot
+    91  c499f355467f  states obstruct --context cartesian --sets 'a,b,c,d|e,f,g,h' --format interchange
+    34  76997c843d39  opengraph compose fixtures/G.og fixtures/H.og
+    46  56c165a98683  opengraph compose fixtures/G.og fixtures/H.og --format dot
+    13  f1ae79317af0  opengraph reach fixtures/G.og
+    27  301c7ff9ba91  opengraph reach fixtures/G.og --format dot
+    75  d8f3054a9b1a  opengraph obstruct fixtures/G.og fixtures/H.og --format text
+    77  dd39f850ff9c  opengraph obstruct fixtures/G.og fixtures/H.og --format dot
+    78  6ff31a778380  opengraph obstruct fixtures/G.og fixtures/H.og --format interchange
+   103  b74646d1c3ca  opengraph act fixtures/G.og fixtures/G_identified.og fixtures/identify_outputs.gh fixtures/H.og
+   340  84c9a9d571c3  opengraph obstruct left8.og right8.og --format text
+   565  bb15fb24dc57  opengraph obstruct left8.og right8.og --format dot
+   566  00f424908abb  opengraph obstruct left8.og right8.og --format interchange
 """
 WORK_ROWS = {row: (int(total), digest) for total, digest, row in (line.split(None, 2) for line in WORK.splitlines() if line and not line.startswith("#"))}
 
@@ -290,6 +290,7 @@ CALLS = """
      4  cli._parse_matrix
      5  cli._parse_sets
     50  cli._read
+    51  cli._read_argv
     12  cli._states_objects
     51  cli.run
     22  fincat.FinCat.__new__
@@ -306,7 +307,7 @@ CALLS = """
     22  fincat._laws
     22  fincat._parse
     22  fincat._plan
-  5022  fincat._squares
+    22  fincat._squares
      7  fincat.check_label
   4312  fincat.pair_name
     22  fincat.parse_category
@@ -315,7 +316,7 @@ CALLS = """
     23  homotopy._pi
     23  homotopy._pi_at
     23  homotopy._pi_data
-113481  homotopy._rows
+    69  homotopy._rows
      6  homotopy.analyze_morphism
      6  homotopy.brute_mono
      6  homotopy.brute_split_epi
@@ -414,11 +415,19 @@ def src_defs() -> dict:
 
 def profile_row(argv, defs) -> Counter:
     """The calls into each def of src/ while `cli.run(argv)` runs, with a
-    cold parse memo; every call counts, a generator's resumptions too."""
+    cold parse memo.  A generator counts once, at its first call event:
+    `sys.setprofile` sees a call event at each resumption too.  Its frames
+    are held until the row ends, so that no later frame is taken for one
+    already counted."""
     calls: dict = {}
+    started: set = set()
 
     def hook(frame, event, arg):
         if event == "call":
+            if frame.f_code.co_flags & inspect.CO_GENERATOR:
+                if frame in started:
+                    return
+                started.add(frame)
             calls[frame.f_code] = calls.get(frame.f_code, 0) + 1
 
     fincat._parse.cache_clear()
