@@ -16,16 +16,20 @@ are read only at parse, render and error time.  ``parse_category`` reads a
 ``.cat`` file in one pass, whatever its line order, into the name-keyed
 tables ``validate_category`` takes, and that is the one check: it puts each
 entry straight into its row, and names are read again only to say what is
-wrong with tables that raise.  A bounded memo keyed by the whole text hands a
-repeat the immutable category its first read checked; failures and query
-results are not kept.  Derived constructions name their objects and
-morphisms canonically so outputs are reproducible byte for byte.  They are
-categories of elements of hom(-, x)^k (the slice over x at k = 1, parallel
-arrows at k = 2): one enumeration behind the size caps below and one walk
+wrong with tables that raise.  Two bounded memos are all the state kept
+between calls.  The parse memo, keyed by the whole text, hands a repeat the
+immutable category its first read checked; failures are not kept.
+Derived constructions name their objects and morphisms canonically so
+outputs are reproducible byte for byte.  They are categories of elements of
+hom(-, x)^k (the slice over x at k = 1, parallel arrows at k = 2): one
+split of hom(-, x) into fibres behind the size caps below, and one walk
 over the rows, one object at a time in the order of ``FinCat.plan``, that
 reads the masks of earlier objects through each object's through arrows
 and hands each down-set along ``FinCat.split_epis``: the preorder
-``order.pointed_reflection`` points.  The tests keep the ``.cat``
+``order.pointed_reflection`` points.  The walk reads no name, so the walk
+memo ``_WALKS`` keeps it for the category last walked, by its fibres, within
+``OBJECTS_CAP`` elements; the caps are checked and the elements named on
+every call.  The tests keep the ``.cat``
 writer and the opposite, and, as oracles, the walk over every arrow, the
 composition tables of the derived categories, the table keyed by names and
 the functor and naturality checks by name.
@@ -33,7 +37,8 @@ the functor and naturality checks by name.
 
 from __future__ import annotations
 
-from collections import Counter, namedtuple
+from _thread import allocate_lock
+from collections import namedtuple
 from collections.abc import Iterable, Mapping
 from functools import lru_cache
 from itertools import product
@@ -74,7 +79,7 @@ class FinCat(namedtuple("FinCat", "objects morphisms identity rows index into sp
     the positions into each object, ascending, ``split_epis``, the
     positions of the split epimorphisms: h: z -> y is one iff id_y = s;h
     for some s in h's row, a section of h, and ``plan``, the walk of
-    ``_elements_preorder`` (see ``_plan``).  As it follows from the tables,
+    ``_walk`` (see ``_plan``).  As it follows from the tables,
     it changes no comparison.  ``identity`` is a read-only view; the rows
     are a tuple of plain dicts, which must not be written to.  Composition
     is read from the rows alone: names are looked up only to read
@@ -121,7 +126,7 @@ class FinCat(namedtuple("FinCat", "objects morphisms identity rows index into sp
 
 
 def _plan(objects, morphisms, rows, into, split) -> tuple:
-    """The walk of ``_elements_preorder``: each object y, taken in ascending
+    """The walk of ``_walk``: each object y, taken in ascending
     count of morphisms into it (ties in object order), with the direct and
     the through morphisms into y.  The through ones are morphisms m from a
     strictly earlier object that are not split epi, taken greedily, the
@@ -426,88 +431,137 @@ def validate_nat_trans(source: FunctorData, target: FunctorData, components: Map
 # -- derived categories ---------------------------------------------------
 
 
-def pair_name(f0: str, f1: str) -> str:
-    """The one rendering of a pair of names, for every module."""
-    return f"({f0},{f1})"
+def pair_names(pairs) -> list[str]:
+    """The one rendering of pairs of names, for every module: "(a,b)" for
+    each (a, b) in pairs, in order.  One call names a whole list, so there
+    is no Python frame per pair, and each name is one f-string: on CPython
+    3.11 ``str.format`` or ``%`` would parse their template for every
+    pair, at twice the time."""
+    return [f"({a},{b})" for a, b in pairs]
 
 
-def _enumerate(c: FinCat, x: str, k: int, over: str | None = None):
-    """Objects of the category of elements of hom(-, x)^k, k = 1 (the slice)
-    or k = 2 (parallel arrows): ``elements`` maps each name to its k-tuple
-    (f_1, .., f_k): y -> x of positions, and ``tuples`` lists, in that
-    order, each y with its tuple.  Given ``over``, only tuples with one
-    g = f_i;over are kept, named as slice morphisms f_i[g=>over].  The
-    fibres are read off ``into[x]`` and the row of ``over``; names are read
-    only to name the elements.  A slice object is named by its morphism id,
-    a pair by ``pair_name``; if a name repeats, the n-th rendered alike
-    gets ``#n``, so distinct pairs stay apart.  The sizes are checked
-    first, against ``OBJECTS_CAP`` and ``MORPHISMS_CAP``."""
+def _fibres(c: FinCat, x: str, k: int, over: str | None = None) -> tuple:
+    """The fibres the category of elements of hom(-, x)^k draws its tuples
+    from, k = 1 (the slice) or k = 2 (parallel arrows), as (y, g, fibre)
+    in enumeration order: for each y in object order, the positions of the
+    morphisms y -> x, ascending, split by the value g = f;over when
+    ``over`` is given (g is None otherwise), each part in the order of its
+    first member.  An element is a k-tuple of one fibre, so the fibres are
+    the partition that h |-> h;over induces on hom(-, x), and no name is
+    read.  The sizes are checked first, against ``OBJECTS_CAP`` and
+    ``MORPHISMS_CAP``: an object y carries |F|^k tuples for each of its
+    fibres F, and every morphism into y acts on each of them."""
     if not c.has_object(x):
         raise UnknownObject(x)
     mors, into = c.morphisms, c.into
-
-    # Predicted sizes from hom-set cardinalities only: an object z carries
-    # |F|^k tuples for each fibre F of hom(z, x) (all of it, or one fibre per
-    # value of f;over), and every morphism into z acts on each of them.
-    fibres: dict[str, dict] = {z: {} for z in c.objects}
+    parts: dict[str, dict] = {z: {} for z in c.objects}
     after = None if over is None else c.rows[c.index[over]]
     for f in into[x]:
-        fibres[mors[f].dom].setdefault(None if after is None else after[f], []).append(f)
-    weight = {z: sum(len(fb) ** k for fb in fibres[z].values()) for z in c.objects}
-    checks = [("objects", sum(weight.values()), OBJECTS_CAP),
-              ("morphisms", sum(len(into[z]) * weight[z] for z in c.objects), MORPHISMS_CAP)]
+        parts[mors[f].dom].setdefault(None if after is None else after[f], []).append(f)
+    fibres = tuple((y, g, tuple(fibre)) for y in c.objects for g, fibre in parts[y].items())
+    checks = [("objects", sum(len(fibre) ** k for _, _, fibre in fibres), OBJECTS_CAP),
+              ("morphisms", sum(len(into[y]) * len(fibre) ** k for y, _, fibre in fibres), MORPHISMS_CAP)]
     point = x if over is None else over
     for part, n, cap in checks:
         if n > cap:
             raise SizeCapExceeded(f"{('slice', 'parallel arrows')[k - 1]} over {point!r} {part}", n, cap)
+    return fibres
 
-    names, tuples = [], []  # each element's name, and its (domain, tuple)
-    for y in c.objects:
-        for g, fibre in fibres[y].items():
-            labels = [mors[f].name if over is None else f"{mors[f].name}[{mors[g].name}=>{over}]" for f in fibre]
-            names += labels if k == 1 else [pair_name(*parts) for parts in product(labels, repeat=2)]
-            tuples += [(y, t) for t in product(fibre, repeat=k)]
-    elements = dict(zip(names, map(itemgetter(1), tuples)))
+
+def _named(c: FinCat, fibres: tuple, k: int, over: str | None, tuples: list) -> dict:
+    """Each element's name, mapped to its tuple, in the order of
+    ``tuples``: the k-tuples of each fibre in turn.  A slice object is
+    named by its morphism id, or as the slice morphism f[g=>over] given
+    ``over``, and a pair by ``pair_names`` of those; if a name repeats, the
+    n-th rendered alike gets ``#n``, so distinct tuples stay apart."""
+    mors, names = c.morphisms, []
+    for _, g, fibre in fibres:
+        labels = [mors[f].name for f in fibre] if over is None else [f"{mors[f].name}[{mors[g].name}=>{over}]" for f in fibre]
+        names += labels if k == 1 else pair_names(product(labels, repeat=2))
+    elements = dict(zip(names, tuples))
     if len(elements) < len(names):  # a name repeats
         elements = {}
-        for name, (_, t) in zip(names, tuples):
+        for name, t in zip(names, tuples):
             n, free = 1, name
             while free in elements:
                 n += 1
                 free = f"{name}#{n}"
             elements[free] = t
-    return elements, tuples
+    return elements
 
 
-def _elements_preorder(c: FinCat, x: str, k: int, over: str | None = None):
-    """The reachability preorder of the category of elements of hom(-, x)^k,
-    without its composition table: ``elements`` and, in that order, their
-    down-masks.  A tuple t over y has one source h;t for each h into y, and
-    its mask ORs them all.  Identities and composites make it reflexive and
-    transitive.  A tuple of ints is keyed g_1*M + g_2 (g_1 if k = 1), M
-    morphisms.  The walk takes one object run at a time, in the order of
-    ``FinCat.plan``, and builds t's mask from the bit of h;t for each
-    direct h and the mask of m;t for each through m.  That is exact: the
-    sources of m;t are the (a;m);t, m;t lies over an earlier object, whose
-    masks are final, and down-sets are transitive.  For a split epi h with
-    section s, h;t and t reach each other along h and s, so t's mask is
-    handed to its sources along split epis, which are not walked."""
-    elements, tuples = _enumerate(c, x, k, over)
+class _WalkMemo:
+    """The walks of the category last walked, by key, tied to it by
+    identity: a walk of another category starts the memo afresh, so no
+    walk is handed to a category it was not taken on, and none outlives
+    the next category walked.  A walk is kept whole while the elements kept
+    stay within ``OBJECTS_CAP``, the oldest dropped first to make room;
+    ``hits`` and ``misses`` count reads since the memo was built.  Each
+    read holds one lock, so threads that share the memo cannot interleave
+    a switch of category with a read.  Walks are shared by every reader of
+    a key and must not be written to."""
+
+    __slots__ = ("of", "walks", "kept", "hits", "misses", "lock")
+
+    def __init__(self):
+        self.of, self.walks, self.kept, self.hits, self.misses = None, {}, 0, 0, 0
+        self.lock = allocate_lock()
+
+    def get(self, c: FinCat, key, walk):
+        """The walk of c at ``key``, its element keys and their down-masks,
+        taken by ``walk()`` on a miss."""
+        with self.lock:
+            if self.of is not c:
+                self.of, self.walks, self.kept = c, {}, 0
+            found = self.walks.get(key)
+            if found is not None:
+                self.hits += 1
+                return found
+            self.misses += 1
+            found = walk()
+            n = len(found[1])
+            if n <= OBJECTS_CAP:
+                while self.kept + n > OBJECTS_CAP:
+                    self.kept -= len(self.walks.pop(next(iter(self.walks)))[1])
+                self.walks[key] = found
+                self.kept += n
+            return found
+
+
+_WALKS = _WalkMemo()
+
+
+def _walk(c: FinCat, k: int, fibres: tuple):
+    """The tuples of the category of elements of hom(-, x)^k over
+    ``fibres``, in enumeration order, and their down-masks: the walk
+    without names.  A tuple t over y has one source h;t for each h into y,
+    and its mask ORs them all.  Identities and composites make it
+    reflexive and transitive.  A tuple of ints is keyed g_1*M + g_2 (g_1 if
+    k = 1), M morphisms.  The walk takes one object run at a time, in the
+    order of ``FinCat.plan``, and builds t's mask from the bit of h;t for
+    each direct h and the mask of m;t for each through m.  That is exact:
+    the sources of m;t are the (a;m);t, m;t lies over an earlier object,
+    whose masks are final, and down-sets are transitive.  For a split epi
+    h with section s, h;t and t reach each other along h and s, so t's
+    mask is handed to its sources along split epis, which are not walked.
+    The tuples of a fibre partition are closed under every h;-, as
+    h;t_1;over = h;t_2;over when t_1;over = t_2;over, so the walk never
+    leaves them."""
     rows, size = c.rows, len(c.rows)
-    at = {t[0] if k == 1 else t[0] * size + t[1]: j for j, (_, t) in enumerate(tuples)}
-    runs, start = {}, 0  # each object's positions: _enumerate lists them in one run, in object order
-    count = Counter(map(itemgetter(0), tuples))
-    for y in c.objects:
-        runs[y] = range(start, start + count[y])
-        start += count[y]
+    tuples, runs = [], {}  # each object's positions: one run, in object order
+    for y, _, fibre in fibres:
+        start = runs[y].start if y in runs else len(tuples)
+        tuples += product(fibre, repeat=k)
+        runs[y] = range(start, len(tuples))
+    at = {t[0] if k == 1 else t[0] * size + t[1]: j for j, t in enumerate(tuples)}
     down = [0] * len(tuples)
     for y, direct, through in c.plan:
         hs, n = direct + through, len(direct)
         split_at = [i for i, h in enumerate(direct) if h in c.split_epis]
-        for e in runs[y]:
+        for e in runs.get(y, ()):
             if down[e]:
                 continue
-            t = tuples[e][1]
+            t = tuples[e]
             r0, r1 = rows[t[0]], rows[t[-1]]
             sources = [at[r0[h]] for h in hs] if k == 1 else [at[r0[h] * size + r1[h]] for h in hs]
             mask = 0
@@ -517,7 +571,22 @@ def _elements_preorder(c: FinCat, x: str, k: int, over: str | None = None):
                 mask |= down[j]
             for i in split_at:
                 down[sources[i]] = mask
-    return elements, down
+    return tuples, down
+
+
+def _elements_preorder(c: FinCat, x: str, k: int, over: str | None = None):
+    """The reachability preorder of the category of elements of
+    hom(-, x)^k, or of the tuples that ``over`` equalises, without its
+    composition table: ``elements``, each name mapped to its tuple of
+    positions, and, in that order, their down-masks.  The sizes are
+    checked on every call (``_fibres``); the walk is read from ``_WALKS``
+    at the key (x, k, the fibres without their values), so every morphism
+    out of x that induces one partition of hom(-, x) shares one walk, and
+    so does the partition by domain, which is what pi1 at x walks.  The
+    names are given per call (``_named``)."""
+    fibres = _fibres(c, x, k, over)
+    tuples, down = _WALKS.get(c, (x, k, tuple(fibre for _, _, fibre in fibres)), lambda: _walk(c, k, fibres))
+    return _named(c, fibres, k, over, tuples), down
 
 
 def is_groupoid(c: FinCat) -> bool:

@@ -15,13 +15,17 @@ Where pi_i is read, at an object x or at a slice object f: x -> y, is one
 fact, ``_end``: the walk's arguments, the base key and the point name.
 ``pi0``, ``pi1`` and ``analyze_morphism`` read it, and so does each flow
 (along a morphism, along a functor, and along a natural transformation
-over a morphism of the domain), one call of ``_flow`` on two ends: it walks
-a walk the ends share once, points it once per end, and, like every flow,
-is built by ``induced_map``: it maps class representatives, sends
-collapsed images to the basepoint, and then *checks* the result to be
-monotone, along the covers of the source poset, and basepoint-preserving,
-so a broken table shows up as an error instead of a silently wrong
-poset.
+over a morphism of the domain), one call of ``_flow`` on two ends.  Every
+walk is read through the walk memo ``fincat._WALKS``, so ends and ops on one
+category share it by key: the slice over y by y, the pairs into x that f
+equalises by the partition h |-> h;f induces on hom(-, x), which pi1 at x
+shares with every f of constant kernel, and the objects' preorder by 0.
+Only the names and the pointing depend on f.  A flow points each end once
+and, like every flow, is built by ``induced_map``: it maps class
+representatives, sends collapsed images to the basepoint, and then
+*checks* the result to be monotone, along the covers of the source poset,
+and basepoint-preserving, so a broken table shows up as an error instead
+of a silently wrong poset.
 
 ``write_report`` is the one writer of a report, as text, as a DOT Hasse
 diagram or as an interchange document.  Every list of name pairs in them
@@ -71,11 +75,15 @@ def _pi_data(c: fincat.FinCat, k: int, x: str | None = None, over: str | None = 
     """The walk behind pi_i: the element names, each with its key, and, in
     that order, their down-masks.  At k = 0 the elements are the objects of
     c, each its own key, and each object's mask has the domains of the
-    morphisms into it; at k = 1, 2 they are the category of elements of
-    hom(-, x)^k (only the tuples that ``over`` equalises, if given), keyed
-    by tuple of positions."""
+    morphisms into it, read from ``fincat._WALKS`` at the key 0; at k = 1,
+    2 they are the category of elements of hom(-, x)^k (only the tuples
+    that ``over`` equalises, if given), keyed by tuple of positions."""
     if k:
         return fincat._elements_preorder(c, x, k, over)
+    return fincat._WALKS.get(c, 0, lambda: _object_preorder(c))
+
+
+def _object_preorder(c: fincat.FinCat):
     index = {y: i for i, y in enumerate(c.objects)}
     down = [0] * len(index)
     for m in c.morphisms:
@@ -167,12 +175,9 @@ def induced_map(src: ObstructionReport, dst: ObstructionReport, image_class) -> 
 def _flow(i: int, src_end, dst_end, move) -> order.PointedMap:
     """The map from pi_i at one ``_end`` to pi_i at the other: an element
     goes to the class of the move of its key, an object, or each position
-    of a tuple, read off one key -> class dict of the target end.  A walk
-    the two ends share, as the slice over one object pointed at two of its
-    objects does, is taken once."""
+    of a tuple, read off one key -> class dict of the target end."""
     (args, base, point), (dst_args, dst_base, dst_point) = src_end, dst_end
-    walk = _pi_data(*args)
-    dst_walk = walk if dst_args == args else _pi_data(*dst_args)
+    walk, dst_walk = _pi_data(*args), _pi_data(*dst_args)
     src = _pi_at(walk, base, point, i)[0]
     dst, class_of = _pi_at(dst_walk, dst_base, dst_point, i)
     elements, lookup = walk[0], dict(zip(dst_walk[0].values(), class_of))

@@ -22,7 +22,7 @@ from __future__ import annotations
 from collections import namedtuple
 
 from . import homotopy, order
-from .fincat import check_label, pair_name
+from .fincat import check_label, pair_names
 from .errors import (
     BoundaryMismatch,
     DanglingReference,
@@ -211,7 +211,7 @@ def glued_reach(g: OpenGraph, h: OpenGraph) -> Relation:
 
 
 def _rel_pair_labels(pairs) -> list[str]:
-    return sorted(pair_name(x, y) for (x, y) in pairs)
+    return sorted(pair_names(pairs))
 
 
 def _check_laxator(composed: Relation, whole: Relation) -> None:

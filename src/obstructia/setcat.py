@@ -88,8 +88,8 @@ def pi0_function(f: FiniteFunction) -> homotopy.ObstructionReport:
 def pi1_function(f: FiniteFunction) -> homotopy.ObstructionReport:
     """Obstructions to injectivity: subsets of the kernel pair containing an
     off-diagonal pair, ordered by inclusion over a basepoint."""
-    universe = [fincat.pair_name(*p) for p in kernel_pair(f).pairs]
-    diagonal = [fincat.pair_name(x, x) for x in f.dom_set]
+    universe = fincat.pair_names(kernel_pair(f).pairs)
+    diagonal = fincat.pair_names(zip(f.dom_set, f.dom_set))
     return homotopy.powerset_report(
         universe,
         diagonal,

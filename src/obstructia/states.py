@@ -26,7 +26,7 @@ from collections import namedtuple
 from itertools import chain, product
 
 from . import homotopy, order, setcat
-from .fincat import pair_name
+from .fincat import pair_names
 from .errors import DimensionCap, ParseError, WrongContext
 
 Matrix = tuple  # rows of 0/1 ints; rows = target dim, columns = source dim
@@ -100,14 +100,14 @@ def laxator(ctx: StateContext, a, b) -> setcat.FiniteFunction:
     """The structural map from pairs of states to states of the tensor:
     pairing for cartesian sets, outer product for GF(2)."""
     sa, sb = states_of(ctx, a), states_of(ctx, b)
-    dom = tuple(pair_name(x, y) for x in sa for y in sb)
+    dom = tuple(pair_names(product(sa, sb)))
     if ctx.kind == "cartesian":  # product set states are exactly the pairs
         return setcat.FiniteFunction(dom, dom, {p: p for p in dom})
     m, n = int(a), int(b)
     _check_dim(m * n)
     va, vb = _gf2_payload(m), _gf2_payload(n)
     cod = tuple(vec_name(v) for v in all_vectors(m * n))
-    mapping = {pair_name(x, y): vec_name(tensor_bits(va[x], vb[y])) for x in sa for y in sb}
+    mapping = {p: vec_name(tensor_bits(va[x], vb[y])) for p, (x, y) in zip(dom, product(sa, sb))}
     return setcat.FiniteFunction(dom, cod, mapping)
 
 
@@ -138,7 +138,7 @@ def laxator_obstructions(lax: setcat.FiniteFunction, where: str) -> tuple[homoto
     the non-separable states; minimal pi1 obstructions are the distinct
     input pairs with equal tensor."""
     pi0, kp = _pi0(lax, where), setcat.kernel_pair(lax)
-    return pi0, _report([pair_name(*p) for p in kp.pairs], [pair_name(x, x) for x in lax.dom_set], f"pi1 of state laxator at {where}")
+    return pi0, _report(pair_names(kp.pairs), pair_names(zip(lax.dom_set, lax.dom_set)), f"pi1 of state laxator at {where}")
 
 
 def lax_context(ctx: StateContext, a, b) -> str:

@@ -18,7 +18,8 @@ def seed() -> int:
 
 
 @pytest.fixture(autouse=True)
-def cold_parse_memo():
-    """Every test starts with no text parsed, so what it exercises does not
-    depend on which tests ran before it."""
+def cold_memos(monkeypatch):
+    """Every test starts with no text parsed and no walk taken, so what it
+    exercises does not depend on which tests ran before it."""
     fincat._parse.cache_clear()
+    monkeypatch.setattr(fincat, "_WALKS", fincat._WalkMemo())

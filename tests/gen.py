@@ -194,6 +194,36 @@ def retraction_category() -> fincat.FinCat:
     return fincat.validate_category(["a", "b"], mors, {"a": "ida", "b": "idb"}, comp)
 
 
+def twins() -> fincat.FinCat:
+    """Finite sets up to 2 times the walking isomorphism: every object has
+    a distinct isomorphic twin."""
+    return product_category(finset_ambient(2), walking_isomorphism())
+
+
+def basepoint_clash() -> fincat.FinCat:
+    """An object named like the basepoint of pi0 at 1: [1] -> 1, and 2
+    apart."""
+    return fincat.validate_category(
+        ["[1]", "1", "2"], [("id[1]", "[1]", "[1]"), ("id1", "1", "1"), ("id2", "2", "2"), ("a", "[1]", "1")],
+        {"[1]": "id[1]", "1": "id1", "2": "id2"},
+        {("id[1]", "id[1]"): "id[1]", ("id1", "id1"): "id1", ("id2", "id2"): "id2", ("id[1]", "a"): "a", ("a", "id1"): "a"})
+
+
+def slice_pair_collision() -> fincat.FinCat:
+    """Four arrows z -> x with h;f = g, so that the slice pairs (p, q[g=>f],r)
+    and (p[g=>f],q, r) over f both render as (p[g=>f],q[g=>f],r[g=>f])."""
+    hs = ["p", "r", "p[g=>f],q", "q[g=>f],r"]
+    return fincat.validate_category(
+        ["x", "y", "z"],
+        [("idx", "x", "x"), ("idy", "y", "y"), ("idz", "z", "z"), ("f", "x", "y"), ("g", "z", "y")]
+        + [(h, "z", "x") for h in hs],
+        {"x": "idx", "y": "idy", "z": "idz"},
+        {("idx", "idx"): "idx", ("idy", "idy"): "idy", ("idz", "idz"): "idz",
+         ("idx", "f"): "f", ("f", "idy"): "f", ("idz", "g"): "g", ("g", "idy"): "g",
+         **{(h, "f"): "g" for h in hs}, **{("idz", h): h for h in hs}, **{(h, "idx"): h for h in hs}},
+    )
+
+
 def two_component_groupoid() -> fincat.FinCat:
     return disjoint_union(cyclic_group_category(2), cyclic_group_category(3))
 
@@ -284,13 +314,13 @@ def ambient_pi1_map(generic: homotopy.ObstructionReport, sl, mor: str) -> dict[s
     ``setcat.pi1_function``: the class of a pair (h0, h1) of slice
     morphisms goes to the set of its pairs (h0(i), h1(i)), read off the
     ambient morphisms that sl's projection sends h0 and h1 to."""
-    pairs, _ = fincat._enumerate(sl.cat, mor, 2)
+    pairs, _ = oracles.enumerate_elements(sl.cat, mor, 2)
     bp = generic.invariant.basepoint
     out = {bp: "{}"}
     for e in generic.invariant.poset.elements:
         if e != bp:
             h0, h1 = (_images(sl.projection.mor_map[sl.cat.morphisms[h].name]) for h in pairs[e])
-            out[e] = homotopy.subset_name({fincat.pair_name(a, b) for a, b in zip(h0, h1)})
+            out[e] = homotopy.subset_name(set(fincat.pair_names(zip(h0, h1))))
     return out
 
 

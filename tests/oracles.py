@@ -329,10 +329,19 @@ def _arrows(c, tuples):
             yield hs, [at[r0[h] * size + r1[h]] for h in hs]
 
 
+def enumerate_elements(c, x, k, over=None):
+    """The elements of ``fincat._elements_preorder``, each name mapped to its
+    tuple, and, in that order, each y with its tuple: the library's fibres
+    and names, read fresh, without the walk memo."""
+    fibres = fincat._fibres(c, x, k, over)
+    tuples = [(y, t) for y, _, fibre in fibres for t in product(fibre, repeat=k)]
+    return fincat._named(c, fibres, k, over, [t for _, t in tuples]), tuples
+
+
 def elements_down_masks(c, x, k, over=None):
     """The down-masks of ``fincat._elements_preorder`` by the full walk: each
     element ORs the position of the source of every arrow into it."""
-    elements, tuples = fincat._enumerate(c, x, k, over)
+    elements, tuples = enumerate_elements(c, x, k, over)
     down = []
     for _, sources in _arrows(c, tuples):
         mask = 0
@@ -359,7 +368,7 @@ def _elements_category(c, x, k):
     sends a tuple to its domain and each morphism to its witness h.  Past the library's object
     and morphism guards, its composition entries are guarded too: one per
     morphism h into dom m and tuple over cod m, for every morphism m."""
-    elements, tuples = fincat._enumerate(c, x, k)
+    elements, tuples = enumerate_elements(c, x, k)
     names = [m.name for m in c.morphisms]
     elements = {p: tuple(map(names.__getitem__, t)) for p, t in elements.items()}
     arrows = _arrows(c, tuples)
@@ -596,7 +605,7 @@ def pi1_explicit(c, x):
 
     cls = _classes(pairs, related)
     collapsed = {cls[p] for p in pairs if p[0] == p[1]}
-    name = {p: fincat.pair_name(*p) for p in pairs}
+    name = dict(zip(pairs, fincat.pair_names(pairs)))
     reps = {}
     for p in pairs:
         key = cls[p]

@@ -3,6 +3,9 @@ import io
 import json
 import os
 import random
+import sys
+import threading
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -10,7 +13,7 @@ from hypothesis import strategies as st
 
 import gen
 import oracles
-from obstructia import fincat, homotopy, order
+from obstructia import cli, fincat, homotopy, order
 from obstructia.errors import InvalidPoset, OracleMismatch, SizeCapExceeded, UnknownMorphism, UnknownObject
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "..", "fixtures")
@@ -170,7 +173,7 @@ def check_pointed_walks(c):
     """``order.pointed_reflection`` on every walk of c equals the two-step
     oracle, and the explicit description wherever that names alike: no
     fresh ``#n`` name on either side (the explicit descriptions name every
-    pair by ``pair_name``, so two pairs that render alike share a name)."""
+    pair by ``pair_names``, so two pairs that render alike share a name)."""
     for (elements, down), base, point, explicit in pointed_walks(c):
         names, bp = list(elements), f"[{point}]"
         at = list(elements.values()).index(base)
@@ -247,19 +250,22 @@ class TestPointedReflection:
 
 
 class TestOneReflectionPerCategory:
-    """One walk per distinct (category, object, k, over), and one pointed
-    reflection per end: counts of ``homotopy._pi_data`` and
-    ``order.pointed_reflection`` calls, exact.  Each reflection is validated
-    by ``order.from_masks`` once, and nothing else is."""
+    """One walk per distinct (category, key), and one pointed reflection
+    per end: the walks taken, the misses of ``fincat._WALKS`` from cold,
+    and the ``order.pointed_reflection`` calls, exact.  Each reflection is
+    validated by ``order.from_masks`` once, and nothing else is."""
 
     @pytest.fixture
     def count(self, monkeypatch):
         walks, reflections, validated = [], [], []
-        walk, reflect, validate = homotopy._pi_data, order.pointed_reflection, order.from_masks
+        get, reflect, validate = fincat._WalkMemo.get, order.pointed_reflection, order.from_masks
 
-        def counted_walk(c, k, x=None, over=None, *rest, **kw):
-            walks.append((id(c), k, x, over))
-            return walk(c, k, x, over, *rest, **kw)
+        def counted_get(memo, c, key, walk):
+            def counted_walk():
+                walks.append((id(c), key))
+                return walk()
+
+            return get(memo, c, key, counted_walk)
 
         def counted_reflect(*args):
             reflections.append(1)
@@ -269,11 +275,12 @@ class TestOneReflectionPerCategory:
             validated.append(1)
             return validate(*args)
 
-        monkeypatch.setattr(homotopy, "_pi_data", counted_walk)
+        monkeypatch.setattr(fincat._WalkMemo, "get", counted_get)
         monkeypatch.setattr(order, "pointed_reflection", counted_reflect)
         monkeypatch.setattr(order, "from_masks", counted_validate)
 
         def run(fn, *args):
+            monkeypatch.setattr(fincat, "_WALKS", fincat._WalkMemo())
             walks.clear()
             reflections.clear()
             validated.clear()
@@ -322,6 +329,124 @@ class TestOneReflectionPerCategory:
         functor = fincat.validate_functor(one, wa, {"1": "1"}, {one.id_of("1"): "id1"})
         assert count(homotopy.pi_functor_map, functor, "1", 0) == (2, 2)
         assert count(homotopy.pi_functor_map, functor, "1", 1) == (2, 2)
+
+
+class TestWalkMemo:
+    """``fincat._WALKS``: ops on one category share its walks by key, and
+    their outputs are those of ops that each start from a cold memo."""
+
+    def outputs(self, argvs, monkeypatch, cold=False):
+        out = []
+        for argv in argvs:
+            if cold:
+                fincat._parse.cache_clear()
+                monkeypatch.setattr(fincat, "_WALKS", fincat._WalkMemo())
+            buf = io.StringIO()
+            assert cli.run(argv, buf) == 0
+            out.append(buf.getvalue())
+        return out
+
+    def written(self, tmp_path, name, c):
+        path = tmp_path / name
+        path.write_text(gen.serialize_category(c), encoding="utf-8")
+        return str(path)
+
+    def test_a_classification_takes_thirteen_walks(self, tmp_path, monkeypatch):
+        # 4 slices by codomain and 9 partitions of hom(-, x) for 60
+        # morphisms; pi1 at x reads the partition by domain, which a
+        # morphism onto a point induces
+        c = gen.finset_ambient(3)
+        path = self.written(tmp_path, "ambient.cat", c)
+        argvs = [["cat", "analyze", path, "--morphism", m.name] for m in c.morphisms]
+        argvs += [["cat", "pi1", path, "--object", x] for x in c.objects]
+        cold = self.outputs(argvs, monkeypatch, cold=True)
+        monkeypatch.setattr(fincat, "_WALKS", fincat._WalkMemo())
+        assert self.outputs(argvs, monkeypatch) == cold
+        assert (fincat._WALKS.misses, fincat._WALKS.hits) == (13, 111)
+
+    def test_categories_never_share_walks(self, tmp_path, monkeypatch):
+        # the twins, the basepoint clash and two categories whose pairs take
+        # #n names, interleaved with the ambient: each op reads the walks of
+        # its own category only, even at a key, such as the objects' 0, that
+        # every category has
+        files = {name: self.written(tmp_path, name, build()) for name, build in (
+            ("twins.cat", gen.twins), ("clash.cat", gen.basepoint_clash), ("slices.cat", gen.slice_pair_collision),
+            ("ambient.cat", lambda: gen.finset_ambient(3)))}
+        files["pairs.cat"] = PAIR_COLLISION
+        rounds = [
+            [("analyze", "twins.cat", "--morphism", "2>1:00*f"), ("pi1", "pairs.cat", "--object", "x"),
+             ("pi0", "clash.cat", "--object", "1"), ("analyze", "ambient.cat", "--morphism", "3>2:010")],
+            [("pi1", "twins.cat", "--object", "2*a"), ("analyze", "slices.cat", "--morphism", "f"),
+             ("pi1", "clash.cat", "--object", "1"), ("pi1", "ambient.cat", "--object", "3")],
+            [("pi0", "twins.cat", "--object", "1*b"), ("pi0", "pairs.cat", "--object", "y"),
+             ("analyze", "clash.cat", "--morphism", "a"), ("pi0", "ambient.cat", "--object", "2")],
+        ] * 2
+        argvs = [["cat", cmd, files[name], *rest] for ops in rounds for cmd, name, *rest in ops]
+        cold = self.outputs(argvs, monkeypatch, cold=True)
+        assert "(p,q,r)#2" in cold[1] and "(p[g=>f],q[g=>f],r[g=>f])#2" in cold[5]
+        fincat._parse.cache_clear()
+        assert self.outputs(argvs, monkeypatch) == cold
+        # most ops read a category the parse memo kept, and walked before
+        assert fincat._parse.cache_info().hits == 16
+
+    def test_threads_read_the_walks_of_their_own_category(self, monkeypatch):
+        # two threads on each of Z/3 and the flip-flop monoid, whose walks
+        # have equal keys and masks that give different reports; each walk
+        # yields to the other threads before it starts, and the threads
+        # switch every microsecond, so the memo changes category mid-read
+        cats = [gen.cyclic_group_category(3), gen.flipflop_monoid_category()]
+        ops = [[(homotopy.pi0, c, "*"), (homotopy.pi1, c, "*")]
+               + [(homotopy.analyze_morphism, c, m.name) for m in c.morphisms] for c in cats]
+        want = [[fn(c, arg) for fn, c, arg in part] * 20 for part in ops]
+        for module, name in ((homotopy, "_object_preorder"), (fincat, "_walk")):
+            walk = getattr(module, name)
+            monkeypatch.setattr(module, name, lambda *args, walk=walk: time.sleep(0) or walk(*args))
+        got, errors, start = {}, [], threading.Barrier(4)
+
+        def work(t):
+            try:
+                start.wait(timeout=60)
+                got[t] = [fn(c, arg) for _ in range(20) for fn, c, arg in ops[t % 2]]
+            except Exception as exc:  # reported below
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(t,)) for t in range(4)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads) and not errors
+        assert got == {t: want[t % 2] for t in range(4)}
+
+    def test_a_refusal_keeps_nothing(self, monkeypatch):
+        c = gen.finset_ambient(3)
+        homotopy.analyze_morphism(c, "3>2:010")
+        memo = fincat._WALKS
+        kept = (memo.of, list(memo.walks), memo.kept, memo.hits, memo.misses)
+        monkeypatch.setattr(fincat, "OBJECTS_CAP", 100)
+        for cat, x in ((c, "3"), (gen.cyclic_group_category(12), "*")):
+            with pytest.raises(SizeCapExceeded):
+                homotopy.pi1(cat, x)
+            assert (memo.of, list(memo.walks), memo.kept, memo.hits, memo.misses) == kept
+
+    def test_the_elements_kept_stay_within_the_cap(self, monkeypatch):
+        # pi1 at 3 walks 820 pairs: past 900 elements the oldest walks go
+        monkeypatch.setattr(fincat, "OBJECTS_CAP", 900)
+        c = gen.finset_ambient(3)
+        ops = [(homotopy.analyze_morphism, m.name) for m in c.morphisms] + [(homotopy.pi1, x) for x in c.objects]
+        memo = fincat._WALKS
+        for fn, arg in ops * 2:
+            got = fn(c, arg)
+            assert memo.kept == sum(len(down) for _, down in memo.walks.values()) <= 900
+            monkeypatch.setattr(fincat, "_WALKS", fincat._WalkMemo())
+            assert fn(c, arg) == got
+            monkeypatch.setattr(fincat, "_WALKS", memo)
+        assert memo.misses > 13
 
 
 class TestExplicitDescriptions:
@@ -390,7 +515,7 @@ class TestSubterminalTransfer:
             c = gen.random_category(rng, max_objects=4, max_morphisms=16)
             for x in c.objects:
                 pa = oracles.parallel_arrows(c, x)
-                base = fincat.pair_name(c.id_of(x), c.id_of(x))
+                [base] = fincat.pair_names([(c.id_of(x),) * 2])
                 assert homotopy.is_subterminal(c, x) == oracles.weak_terminal(pa.cat, base)
 
 
@@ -595,18 +720,7 @@ class TestAnalyze:
         assert str(exc.value) == "parallel arrows over 'p' objects: projected 4 exceeds cap 3"
 
     def test_slice_pairs_that_render_alike_stay_distinct(self):
-        # four arrows z -> x with h;f = g; the slice pairs (p, q[g=>f],r) and
-        # (p[g=>f],q, r) both render as (p[g=>f],q[g=>f],r[g=>f])
-        hs = ["p", "r", "p[g=>f],q", "q[g=>f],r"]
-        c = fincat.validate_category(
-            ["x", "y", "z"],
-            [("idx", "x", "x"), ("idy", "y", "y"), ("idz", "z", "z"), ("f", "x", "y"), ("g", "z", "y")]
-            + [(h, "z", "x") for h in hs],
-            {"x": "idx", "y": "idy", "z": "idz"},
-            {("idx", "idx"): "idx", ("idy", "idy"): "idy", ("idz", "idz"): "idz",
-             ("idx", "f"): "f", ("f", "idy"): "f", ("idz", "g"): "g", ("g", "idy"): "g",
-             **{(h, "f"): "g" for h in hs}, **{("idz", h): h for h in hs}, **{(h, "idx"): h for h in hs}},
-        )
+        c = gen.slice_pair_collision()
         an = homotopy.analyze_morphism(c, "f")
         assert not an.mono
         # the 12 off-diagonal pairs at z survive; the diagonal joins [f]

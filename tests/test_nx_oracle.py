@@ -51,30 +51,39 @@ def element_digraph(c, x, k, over=None):
         for t in product([f for f in into[x] if dom[f] == y], repeat=k):
             if over is None or len({comp[f, over] for f in t}) == 1:
                 g.add_node(t)
-                g.add_edges_from((tuple(comp[h, f] for f in t), t) for h in into[y])
+                g.add_edges_from((source, t) for source in {tuple([comp[h, f] for f in t]) for h in into[y]})
     return g
 
 
-def nx_pointed_reflection(names, down, base, basepoint_name):
-    """The elements, basepoint, covers and class of each position of the
-    pointed reflection, by condensation and transitive reduction."""
-    g = nx.DiGraph()
-    g.add_nodes_from(range(len(names)))
-    g.add_edges_from((j, i) for i, d in enumerate(down) for j in bits(d) if j != i)
+def nx_reflect(g, name, base, basepoint_name):
+    """The elements, basepoint, covers and class of each node of the
+    pointed reflection of g's reachability preorder, at the node ``base``,
+    by condensation and transitive reduction: each class is named by its
+    least member's ``name``."""
     cond = nx.condensation(g)
     scc = cond.graph["mapping"]
     low = nx.ancestors(cond, scc[base]) | {scc[base]}
-    name = {s: min(names[i] for i in cond.nodes[s]["members"]) for s in cond if s not in low}
+    label = {s: min(name[v] for v in cond.nodes[s]["members"]) for s in cond if s not in low}
     bp = basepoint_name
-    while bp in name.values():
+    while bp in label.values():
         bp += "'"
-    cls = {s: bp if s in low else name[s] for s in cond}
+    cls = {s: bp if s in low else label[s] for s in cond}
     q = nx.DiGraph()
     q.add_nodes_from(cls.values())
     q.add_edges_from((cls[a], cls[b]) for a, b in cond.edges if cls[a] != cls[b])
     assert nx.is_directed_acyclic_graph(q)
     covers = set(nx.transitive_reduction(q).edges)
-    return tuple(sorted(q)), bp, covers, [cls[scc[i]] for i in range(len(names))]
+    return tuple(sorted(q)), bp, covers, {v: cls[scc[v]] for v in g}
+
+
+def nx_pointed_reflection(names, down, base, basepoint_name):
+    """``nx_reflect`` on the preorder of down-masks, its classes by
+    position."""
+    g = nx.DiGraph()
+    g.add_nodes_from(range(len(names)))
+    g.add_edges_from((j, i) for i, d in enumerate(down) for j in bits(d) if j != i)
+    elems, bp, covers, cls = nx_reflect(g, names, base, basepoint_name)
+    return elems, bp, covers, [cls[i] for i in range(len(names))]
 
 
 def assert_reflection(names, down, base, basepoint_name):
@@ -153,6 +162,92 @@ class TestPointedReflection:
         down = [sum(1 << j for j in nx.ancestors(g, i) | {i}) for i in range(n)]
         base = data.draw(st.integers(0, n - 1))
         assert_written(homotopy.report_from_pointed(assert_reflection(names, down, base, "[a]"), "reflection"))
+
+
+def slice_names(c, f, g):
+    """The name of each node of ``element_digraph(c, dom f, 2, f)``: the
+    pair of slice morphisms h[k=>f], k = h;f, each pair in the order the
+    library documents, object by object, the morphisms y -> dom f split by
+    their composite with f in the order of their first member, and the
+    tuples of each part in product order; the n-th pair named alike gets
+    ``#n``."""
+    names = [m.name for m in c.morphisms]
+    comp = {(names[h], names[k]): names[hk] for k, row in enumerate(c.rows) for h, hk in row.items()}
+    x = c.dom(f)
+    order, out = [], {}
+    for y in c.objects:
+        parts = {}
+        for h in names:
+            if c.dom(h) == y and c.cod(h) == x:
+                parts.setdefault(comp[h, f], []).append(h)
+        order += [pair for part in parts.values() for pair in product(part, repeat=2)]
+    for h0, h1 in order:
+        name = f"({h0}[{comp[h0, f]}=>{f}],{h1}[{comp[h1, f]}=>{f}])"
+        n, free = 1, name
+        while free in out.values():
+            n += 1
+            free = f"{name}#{n}"
+        out[h0, h1] = free
+    assert set(out) == set(g)
+    return out
+
+
+def nx_analysis(c, f):
+    """Both reports of ``analyze_morphism`` at f: x -> y, as (elements,
+    basepoint, covers, minimal, trivial): pi0 of the slice digraph over y
+    at f, and pi1 of the digraph of the pairs into x that f equalises at
+    the pair of identities, each pointed at [f]."""
+    x, y = c.dom(f), c.cod(f)
+    slices, pairs = element_digraph(c, y, 1), element_digraph(c, x, 2, f)
+    reports = []
+    for g, name, base in ((slices, {t: t[0] for t in slices}, (f,)),
+                          (pairs, slice_names(c, f, pairs), (c.identity[x],) * 2)):
+        elems, bp, covers, _ = nx_reflect(g, name, base, f"[{f}]")
+        below = {b for a, b in covers if a != bp}
+        reports.append((elems, bp, covers, {e for e in elems if e != bp and e not in below}, len(elems) == 1))
+    return reports
+
+
+def report_shape(r):
+    p = r.invariant.poset
+    covers = {(p.elements[i], p.elements[j]) for i, m in enumerate(p.cover_masks) for j in bits(m)}
+    return p.elements, r.invariant.basepoint, covers, set(r.minimal), r.trivial
+
+
+def assert_analysis(c, f):
+    an = homotopy.analyze_morphism(c, f)
+    assert [report_shape(an.pi0), report_shape(an.pi1)] == nx_analysis(c, f)
+    assert (an.pi0.context, an.pi1.context) == (f"pi0 at object {f!r}", f"pi1 at object {f!r}")
+
+
+class TestAnalysis:
+    def test_every_morphism_of_the_finite_sets_with_one_memo(self):
+        # one process, one memo: 60 morphisms read 13 walks
+        c = gen.finset_ambient(3)
+        for m in c.morphisms:
+            assert_analysis(c, m.name)
+        assert (fincat._WALKS.misses, fincat._WALKS.hits) == (13, 107)
+
+    def test_slice_pairs_named_alike(self):
+        c = gen.slice_pair_collision()
+        assert "(p[g=>f],q[g=>f],r[g=>f])#2" in homotopy.analyze_morphism(c, "f").pi1.invariant.poset.elements
+        for m in c.morphisms:
+            assert_analysis(c, m.name)
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.integers(min_value=0, max_value=10_000), st.data())
+    def test_random_categories(self, seed, data):
+        c = gen.random_category(random.Random(seed), max_objects=4, max_morphisms=14)
+        if data.draw(st.booleans()):
+            # morphism ids over the pair separator and the basepoint's
+            # brackets, so that distinct pairs render alike and take #n
+            # names, and an element may be named like the basepoint
+            morphisms = [m.name for m in c.morphisms]
+            labels = data.draw(st.lists(st.text("r,[]=>", min_size=1, max_size=4), min_size=len(morphisms),
+                                        max_size=len(morphisms), unique=True))
+            c = gen.renamed(c, {x: x for x in c.objects} | dict(zip(morphisms, labels)))
+        for m in c.morphisms:
+            assert_analysis(c, m.name)
 
 
 # -- written reports ----------------------------------------------------------

@@ -128,11 +128,8 @@ def argv_of(tmp_path_factory):
         "byname.cat": "".join(f"{line}  # note\n" for line in comp_first),
         "latemor.cat": "".join(f"{line}\n" for line in lines if line != mor) + f"{mor}\n",
         "z12.cat": gen.serialize_category(gen.cyclic_group_category(12)),
-        "clash.cat": gen.serialize_category(fincat.validate_category(
-            ["[1]", "1", "2"], [("id[1]", "[1]", "[1]"), ("id1", "1", "1"), ("id2", "2", "2"), ("a", "[1]", "1")],
-            {"[1]": "id[1]", "1": "id1", "2": "id2"},
-            {("id[1]", "id[1]"): "id[1]", ("id1", "id1"): "id1", ("id2", "id2"): "id2", ("id[1]", "a"): "a", ("a", "id1"): "a"})),
-        "twins.cat": gen.serialize_category(gen.product_category(gen.finset_ambient(2), gen.walking_isomorphism())),
+        "clash.cat": gen.serialize_category(gen.basepoint_clash()),
+        "twins.cat": gen.serialize_category(gen.twins()),
         "left8.og": og.serialize_open_graph(gen.random_open_graph(rng, ("x0", "x1"), ys, edge_prob=0.25)),
         "right8.og": og.serialize_open_graph(gen.random_open_graph(rng, ys, ("z0", "z1", "z2", "z3"), edge_prob=0.25)),
     }
@@ -197,6 +194,7 @@ UNREACHED = {
     "cli._usage": "error path: test_cli.py::TestUsage::test_usage_error_then_valid_command, and -h in test_cli.py::TestArgv::test_help_anywhere",
     # import time
     "__init__.__getattr__": "import time: a submodule's first load, in the child processes of test_cli.py::TestLoadSet",
+    "fincat._WalkMemo.__init__": "import time: the walk memo, built when fincat loads, and afresh for each test by conftest.py",
     # a child process
     "cli.main": "the child process of test_module_entry_point",
     # the library API that acceptance criteria 5-7 name, with no command
@@ -220,54 +218,54 @@ WORK = """
   4108  569b37bca205  set pi0 --fn fixtures/wide12.fn --format text
   8197  034aeff5e5fe  set pi0 --fn fixtures/wide12.fn --format dot
   8198  fc03e020d7b5  set pi0 --fn fixtures/wide12.fn --format interchange
-  4070  244494610c40  set pi1 --fn fixtures/wide12_pi1.fn --format text
-  8103  1ce1ce35d6b9  set pi1 --fn fixtures/wide12_pi1.fn --format dot
-  8104  9236aa19408c  set pi1 --fn fixtures/wide12_pi1.fn --format interchange
-   262  de24052ec325  cat analyze ambient.cat --morphism 3>2:010
-   262  de24052ec325  cat analyze byname.cat --morphism 3>2:010
-   262  de24052ec325  cat analyze latemor.cat --morphism 3>2:010
+  4054  5000231b5f3c  set pi1 --fn fixtures/wide12_pi1.fn --format text
+  8087  3da89def1720  set pi1 --fn fixtures/wide12_pi1.fn --format dot
+  8088  7d9e319d6cb4  set pi1 --fn fixtures/wide12_pi1.fn --format interchange
+   127  085689405b7c  cat analyze ambient.cat --morphism 3>2:010
+   127  085689405b7c  cat analyze byname.cat --morphism 3>2:010
+   127  085689405b7c  cat analyze latemor.cat --morphism 3>2:010
     13  b18af2ea154a  cat validate ambient.cat
     13  b18af2ea154a  cat validate byname.cat
     13  b18af2ea154a  cat validate latemor.cat
-   282  9348ed8f5d33  cat analyze ambient.cat --morphism 3>2:010 --format dot
-   284  93bd077585d9  cat analyze ambient.cat --morphism 3>2:010 --format interchange
-  1262  81fb078fa96e  cat pi1 ambient.cat --object 3 --format interchange
-  1261  846c4a786cea  cat pi1 ambient.cat --object 3 --format dot
-  1138  18e2e3c58f2c  cat pi1 ambient.cat --object 3
-   200  469853288046  cat pi1 z12.cat --object '*'
-   119  3990a694356b  cat analyze twins.cat --morphism 2>1:00*f
+   147  03b4aba6b61a  cat analyze ambient.cat --morphism 3>2:010 --format dot
+   149  ee457f536847  cat analyze ambient.cat --morphism 3>2:010 --format interchange
+   449  8cb9665e5b02  cat pi1 ambient.cat --object 3 --format interchange
+   448  bfbe1571fdaf  cat pi1 ambient.cat --object 3 --format dot
+   325  69865148074c  cat pi1 ambient.cat --object 3
+    60  a0d7422ed377  cat pi1 z12.cat --object '*'
+    89  8e8e9b68c03e  cat analyze twins.cat --morphism 2>1:00*f
     13  b18af2ea154a  cat validate fixtures/z2.cat
-    34  0731dd106d83  cat pi0 fixtures/walking_arrow.cat --object 0
-    36  5eaadbc2d952  cat pi0 fixtures/walking_arrow.cat --object 0 --format dot
-    37  35d29dc36188  cat pi0 fixtures/walking_arrow.cat --object 0 --format interchange
+    36  5400839ff85f  cat pi0 fixtures/walking_arrow.cat --object 0
+    38  5e114d90feb3  cat pi0 fixtures/walking_arrow.cat --object 0 --format dot
+    39  f564ae894743  cat pi0 fixtures/walking_arrow.cat --object 0 --format interchange
     25  0f00410e2caa  cat check-terminal fixtures/walking_arrow.cat --object 0
-    36  1391932f6dfc  cat pi0 fixtures/primed_basepoint.cat --object 0
-    40  367a84e6b24b  cat pi0 fixtures/primed_basepoint.cat --object 0 --format interchange
-    33  1ae9d7841ca9  cat pi0 clash.cat --object 1
-    36  a0ea3ef8eb86  cat pi0 clash.cat --object 1 --format interchange
-   372  1627549a5ce1  states local-act --context gf2 --dims 2,2 --fmat 10,00 --gmat 10,01
-   972  bee525976c55  states local-act --context gf2 --dims 2,3 --fmat 11,01 --gmat 101,011
-    53  969c80d353da  states local-act --context cartesian --sets 'a,b|c,d' --target-sets 'a|c,d' --fmap a=>a,b=>a --gmap c=>c,d=>d
-   365  ddf6170cea32  states obstruct --context gf2 --dims 2,2 --format text
-   415  7c6182e88ee8  states obstruct --context gf2 --dims 2,2 --format dot
-   417  e1737d3a95b5  states obstruct --context gf2 --dims 2,2 --format interchange
-  1093  e6c3c085d88c  states obstruct --context gf2 --dims 1,1 --format text
-  2103  4369d4b21bd4  states obstruct --context gf2 --dims 1,1 --format dot
-  2105  195c556f3612  states obstruct --context gf2 --dims 1,1 --format interchange
-    87  7d41c7de6a60  states obstruct --context cartesian --sets 'a,b,c,d|e,f,g,h' --format text
-    89  bacb01e7a329  states obstruct --context cartesian --sets 'a,b,c,d|e,f,g,h' --format dot
-    91  c499f355467f  states obstruct --context cartesian --sets 'a,b,c,d|e,f,g,h' --format interchange
+    38  1b5e2486e635  cat pi0 fixtures/primed_basepoint.cat --object 0
+    42  3cc793af54be  cat pi0 fixtures/primed_basepoint.cat --object 0 --format interchange
+    35  48f9a9069cc1  cat pi0 clash.cat --object 1
+    38  d67442586032  cat pi0 clash.cat --object 1 --format interchange
+   310  a597c2ee603f  states local-act --context gf2 --dims 2,2 --fmat 10,00 --gmat 10,01
+   878  a8176ca5bd8f  states local-act --context gf2 --dims 2,3 --fmat 11,01 --gmat 101,011
+    49  d0ceb52d0675  states local-act --context cartesian --sets 'a,b|c,d' --target-sets 'a|c,d' --fmap a=>a,b=>a --gmap c=>c,d=>d
+   262  d12b006450e8  states obstruct --context gf2 --dims 2,2 --format text
+   312  0f4cc2fa4fb7  states obstruct --context gf2 --dims 2,2 --format dot
+   314  189de0f8011d  states obstruct --context gf2 --dims 2,2 --format interchange
+  1074  9df41ae4a607  states obstruct --context gf2 --dims 1,1 --format text
+  2084  26bcab1e6b71  states obstruct --context gf2 --dims 1,1 --format dot
+  2086  7247cc26cf2c  states obstruct --context gf2 --dims 1,1 --format interchange
+    42  99ebf4e57a80  states obstruct --context cartesian --sets 'a,b,c,d|e,f,g,h' --format text
+    44  fdca77ba9c28  states obstruct --context cartesian --sets 'a,b,c,d|e,f,g,h' --format dot
+    46  ef764a3f514b  states obstruct --context cartesian --sets 'a,b,c,d|e,f,g,h' --format interchange
     34  76997c843d39  opengraph compose fixtures/G.og fixtures/H.og
     46  56c165a98683  opengraph compose fixtures/G.og fixtures/H.og --format dot
-    13  f1ae79317af0  opengraph reach fixtures/G.og
+    13  0a574200a2e2  opengraph reach fixtures/G.og
     27  301c7ff9ba91  opengraph reach fixtures/G.og --format dot
-    75  d8f3054a9b1a  opengraph obstruct fixtures/G.og fixtures/H.og --format text
-    77  dd39f850ff9c  opengraph obstruct fixtures/G.og fixtures/H.og --format dot
-    78  6ff31a778380  opengraph obstruct fixtures/G.og fixtures/H.og --format interchange
-   103  b74646d1c3ca  opengraph act fixtures/G.og fixtures/G_identified.og fixtures/identify_outputs.gh fixtures/H.og
-   340  84c9a9d571c3  opengraph obstruct left8.og right8.og --format text
-   565  bb15fb24dc57  opengraph obstruct left8.og right8.og --format dot
-   566  00f424908abb  opengraph obstruct left8.og right8.og --format interchange
+    78  905cde882a45  opengraph obstruct fixtures/G.og fixtures/H.og --format text
+    80  16d9d32e2303  opengraph obstruct fixtures/G.og fixtures/H.og --format dot
+    81  a20e477b2e00  opengraph obstruct fixtures/G.og fixtures/H.og --format interchange
+   103  04db81bd5370  opengraph act fixtures/G.og fixtures/G_identified.og fixtures/identify_outputs.gh fixtures/H.og
+   307  19ce56c284e5  opengraph obstruct left8.og right8.og --format text
+   532  fbaf02b98d5c  opengraph obstruct left8.og right8.og --format dot
+   533  3394305b94b0  opengraph obstruct left8.og right8.og --format interchange
 """
 WORK_ROWS = {row: (int(total), digest) for total, digest, row in (line.split(None, 2) for line in WORK.splitlines() if line and not line.startswith("#"))}
 
@@ -300,19 +298,23 @@ CALLS = """
     26  fincat.FinCat.has_object
      6  fincat.FinCat.hom
     16  fincat.FinCat.id_of
+    23  fincat._WalkMemo.get
     22  fincat._declarations
     16  fincat._elements_preorder
-    16  fincat._enumerate
+    16  fincat._fibres
     22  fincat._generators
     22  fincat._laws
+    16  fincat._named
     22  fincat._parse
     22  fincat._plan
     22  fincat._squares
+    16  fincat._walk
      7  fincat.check_label
-  4312  fincat.pair_name
+   181  fincat.pair_names
     22  fincat.parse_category
     22  fincat.validate_category
     23  homotopy._end
+     7  homotopy._object_preorder
     23  homotopy._pi
     23  homotopy._pi_at
     23  homotopy._pi_data
@@ -415,7 +417,7 @@ def src_defs() -> dict:
 
 def profile_row(argv, defs) -> Counter:
     """The calls into each def of src/ while `cli.run(argv)` runs, with a
-    cold parse memo.  A generator counts once, at its first call event:
+    cold parse memo and a cold walk memo.  A generator counts once, at its first call event:
     `sys.setprofile` sees a call event at each resumption too.  Its frames
     are held until the row ends, so that no later frame is taken for one
     already counted."""
@@ -431,6 +433,7 @@ def profile_row(argv, defs) -> Counter:
             calls[frame.f_code] = calls.get(frame.f_code, 0) + 1
 
     fincat._parse.cache_clear()
+    fincat._WALKS = fincat._WalkMemo()
     sys.setprofile(hook)
     try:
         code = cli.run(argv, SimpleNamespace(write=len))
