@@ -23,14 +23,13 @@ Derived constructions name their objects and morphisms canonically so
 outputs are reproducible byte for byte.  They are categories of elements of
 hom(-, x)^k (the slice over x at k = 1, parallel arrows at k = 2): one
 split of hom(-, x) into fibres behind the size caps below, and one walk
-over the rows, one object at a time in the order of ``FinCat.plan``, that
-reads the masks of earlier objects through each object's through arrows
-and hands each down-set along ``FinCat.split_epis``: the preorder
+over the rows, one object at a time, that reads every arrow into each
+element and hands each down-set along ``FinCat.split_epis``: the preorder
 ``order.pointed_reflection`` points.  The walk reads no name, so the walk
 memo ``_WALKS`` keeps it for the category last walked, by its fibres, within
 ``OBJECTS_CAP`` elements; the caps are checked and the elements named on
 every call.  The tests keep the ``.cat``
-writer and the opposite, and, as oracles, the walk over every arrow, the
+writer and the opposite, and, as oracles, the walk of every element, the
 composition tables of the derived categories, the table keyed by names and
 the functor and naturality checks by name.
 """
@@ -70,7 +69,7 @@ OBJECTS_CAP = 20_000
 MORPHISMS_CAP = 50_000
 
 
-class FinCat(namedtuple("FinCat", "objects morphisms identity rows index into split_epis plan")):
+class FinCat(namedtuple("FinCat", "objects morphisms identity rows index into split_epis")):
     """Storage is canonical: objects and morphisms sorted by id, and the one
     composition table ``rows``, where ``rows[g][h]`` is h;g for the
     positions g and h in ``morphisms``.  So two categories with the same
@@ -78,8 +77,7 @@ class FinCat(namedtuple("FinCat", "objects morphisms identity rows index into sp
     from them here: ``index``, each morphism's position by name, ``into``,
     the positions into each object, ascending, ``split_epis``, the
     positions of the split epimorphisms: h: z -> y is one iff id_y = s;h
-    for some s in h's row, a section of h, and ``plan``, the walk of
-    ``_walk`` (see ``_plan``).  As it follows from the tables,
+    for some s in h's row, a section of h.  As it follows from the tables,
     it changes no comparison.  ``identity`` is a read-only view; the rows
     are a tuple of plain dicts, which must not be written to.  Composition
     is read from the rows alone: names are looked up only to read
@@ -94,8 +92,7 @@ class FinCat(namedtuple("FinCat", "objects morphisms identity rows index into sp
         into = {x: tuple(v) for x, v in into.items()}
         index = {m.name: i for i, m in enumerate(morphisms)}
         split = frozenset(h for h, (m, row) in enumerate(zip(morphisms, rows)) if index[identity[m.cod]] in row.values())
-        plan = _plan(objects, morphisms, rows, into, split)
-        return super().__new__(cls, objects, morphisms, MappingProxyType(identity), rows, index, into, split, plan)
+        return super().__new__(cls, objects, morphisms, MappingProxyType(identity), rows, index, into, split)
 
     # -- lookups ---------------------------------------------------------
 
@@ -123,31 +120,6 @@ class FinCat(namedtuple("FinCat", "objects morphisms identity rows index into sp
         if x not in self.identity:
             raise UnknownObject(x)
         return self.identity[x]
-
-
-def _plan(objects, morphisms, rows, into, split) -> tuple:
-    """The walk of ``_walk``: each object y, taken in ascending
-    count of morphisms into it (ties in object order), with the direct and
-    the through morphisms into y.  The through ones are morphisms m from a
-    strictly earlier object that are not split epi, taken greedily, the
-    most composites a;m first, each while it covers a composite not yet
-    covered.  The direct ones are the morphisms into y that are not a;m
-    for a chosen m, every split epi among them: a;m split epi makes m
-    split epi."""
-    order = sorted(objects, key=lambda y: len(into[y]))
-    rank = {y: r for r, y in enumerate(order)}
-    plan = []
-    for y in order:
-        hs = into[y]
-        chosen = [(set(rows[m].values()), m) for m in hs if m not in split and rank[morphisms[m].dom] < rank[y]]
-        chosen.sort(key=lambda cover: len(cover[0]), reverse=True)
-        through, covered = [], set()
-        for cover, m in chosen:
-            if not cover <= covered:
-                through.append(m)
-                covered |= cover
-        plan.append((y, tuple(h for h in hs if h not in covered), tuple(through)))
-    return tuple(plan)
 
 
 def validate_category(
@@ -535,19 +507,17 @@ def _walk(c: FinCat, k: int, fibres: tuple):
     """The tuples of the category of elements of hom(-, x)^k over
     ``fibres``, in enumeration order, and their down-masks: the walk
     without names.  A tuple t over y has one source h;t for each h into y,
-    and its mask ORs them all.  Identities and composites make it
-    reflexive and transitive.  A tuple of ints is keyed g_1*M + g_2 (g_1 if
-    k = 1), M morphisms.  The walk takes one object run at a time, in the
-    order of ``FinCat.plan``, and builds t's mask from the bit of h;t for
-    each direct h and the mask of m;t for each through m.  That is exact:
-    the sources of m;t are the (a;m);t, m;t lies over an earlier object,
-    whose masks are final, and down-sets are transitive.  For a split epi
-    h with section s, h;t and t reach each other along h and s, so t's
-    mask is handed to its sources along split epis, which are not walked.
-    The tuples of a fibre partition are closed under every h;-, as
-    h;t_1;over = h;t_2;over when t_1;over = t_2;over, so the walk never
-    leaves them."""
-    rows, size = c.rows, len(c.rows)
+    and its mask ORs the bits of them all.  Identities and composites make
+    it reflexive and transitive.  A tuple of ints is keyed g_1*M + g_2 (g_1
+    if k = 1), M morphisms.  For a split epi h with section s, h;t and t
+    reach each other along h and s, so t's mask is handed to h;t, which is
+    then not walked.  The objects are walked in ascending count of
+    morphisms into them, ties in object order: if h: z -> y is split epi,
+    y is a retract of z, no more arrows go into y than into z, and so the
+    masks go from the cheaper end to the dearer.  The tuples of a fibre
+    partition are closed under every h;-, as h;t_1;over = h;t_2;over when
+    t_1;over = t_2;over, so the walk never leaves them."""
+    rows, size, into = c.rows, len(c.rows), c.into
     tuples, runs = [], {}  # each object's positions: one run, in object order
     for y, _, fibre in fibres:
         start = runs[y].start if y in runs else len(tuples)
@@ -555,20 +525,18 @@ def _walk(c: FinCat, k: int, fibres: tuple):
         runs[y] = range(start, len(tuples))
     at = {t[0] if k == 1 else t[0] * size + t[1]: j for j, t in enumerate(tuples)}
     down = [0] * len(tuples)
-    for y, direct, through in c.plan:
-        hs, n = direct + through, len(direct)
-        split_at = [i for i, h in enumerate(direct) if h in c.split_epis]
-        for e in runs.get(y, ()):
+    for y in sorted(runs, key=lambda y: len(into[y])):
+        hs = into[y]
+        split_at = [i for i, h in enumerate(hs) if h in c.split_epis]
+        for e in runs[y]:
             if down[e]:
                 continue
             t = tuples[e]
             r0, r1 = rows[t[0]], rows[t[-1]]
             sources = [at[r0[h]] for h in hs] if k == 1 else [at[r0[h] * size + r1[h]] for h in hs]
             mask = 0
-            for j in sources[:n]:
+            for j in sources:
                 mask |= 1 << j
-            for j in sources[n:]:
-                mask |= down[j]
             for i in split_at:
                 down[sources[i]] = mask
     return tuples, down

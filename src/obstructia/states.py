@@ -10,9 +10,9 @@ colliding input pairs.
 
 Posets are materialised in full up to ``homotopy.POWERSET_CAP`` generators;
 past it the reports keep the exact basepoint-plus-minimal sub-poset (which
-carries the whole separability story), a star checked by
-``order.from_masks``, with the elision noted in the report context; code
-tells the routes apart by size alone.  A local action is a
+carries the whole separability story), a star pointed by
+``order.pointed_reflection``, with the elision noted in the report context;
+code tells the routes apart by size alone.  A local action is a
 ``homotopy.induced_map`` that moves the minimal layer alone, each
 non-separable state to its image, which lands on the basepoint when it is
 separable: up to the cap every state is separable (at most 12 states means
@@ -23,7 +23,7 @@ Each call builds the laxator it reads, and a CLI command builds one.
 from __future__ import annotations
 
 from collections import namedtuple
-from itertools import chain, product
+from itertools import product
 
 from . import homotopy, order, setcat
 from .fincat import pair_names
@@ -120,11 +120,10 @@ def _report(universe, collapsed, context: str) -> homotopy.ObstructionReport:
     sub-poset: the basepoint below each {y}, y not collapsed, and no more."""
     if len(universe) <= homotopy.POWERSET_CAP:
         return homotopy.powerset_report(universe, collapsed, "{}", context)
-    bp, coll = "{}", set(collapsed)
-    elements = tuple(sorted([bp, *(homotopy.subset_name([y]) for y in universe if y not in coll)]))
-    up = [1 << i for i in range(len(elements))]
-    up[elements.index(bp)] = (1 << len(elements)) - 1  # "{}" sorts after "{0..." and "{(..."
-    pp = order.PointedPoset(order.from_masks(elements, up), bp)
+    coll = set(collapsed)
+    singletons = [homotopy.subset_name([y]) for y in universe if y not in coll]
+    down = [1, *(1 | 2 << i for i in range(len(singletons)))]  # the base below each singleton
+    pp, _ = order.pointed_reflection(["{}", *singletons], down, 0, "{}")
     return homotopy.report_from_pointed(pp, context + " (minimal sub-poset; full powerset elided)")
 
 
@@ -178,11 +177,9 @@ def local_action(ctx: StateContext, f, g) -> order.PointedMap:
         _check_dim(a * b)
         _check_dim(a2 * b2)
         bits = _gf2_payload(a * b)
+        kron = [tensor_bits(r, s) for r in fm for s in gm]  # vec(f V g^T) = (f (x) g) vec(V), row-major
 
         def image(e: str) -> str:
-            v = bits[e[1:-1]]  # e = {y}; row-major: a rows of b bits
-            vg = [apply_matrix(gm, v[i : i + b]) for i in range(0, a * b, b)]
-            fvg = zip(*(apply_matrix(fm, c) for c in zip(*vg)))  # by rows
-            return homotopy.subset_name([vec_name(tuple(chain.from_iterable(fvg)))])
+            return homotopy.subset_name([vec_name(apply_matrix(kron, bits[e[1:-1]]))])  # e = {y}
 
     return homotopy.induced_map(*(_pi0(laxator(ctx, p, q), lax_context(ctx, p, q)) for p, q in ((a, b), (a2, b2))), image)

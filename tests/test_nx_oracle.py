@@ -1,22 +1,28 @@
-"""The walk behind pi1 and the pointed reflection, checked against networkx.
+"""The walks behind pi0 and pi1, the pointed reflection and open-graph
+reachability, checked against networkx.
 
 networkx shares no code with obstructia or with the walks in
 tests/oracles.py, so these checks do not rest on this project's reading of
-the definitions.  The category of elements of hom(-, x)^k is built here as a
-digraph on tuples of morphism names, one edge h;t -> t per arrow h, and the
-down-set of t is t with its ``nx.ancestors``.  A pointed reflection is the
-condensation of the preorder's digraph, each class named by its least
-member, with the lower set of the base's class collapsed to the basepoint
-and the covers the ``nx.transitive_reduction`` of what is left.  A written
-report is read back from its interchange document: its ``covers`` are the
-transitive reduction of its ``leq``, and ``leq`` the reflexive transitive
-closure of its ``covers``, which its text and DOT forms also name.
+the definitions.  The category of elements of hom(-, x)^k is built here as
+a digraph on tuples of morphism names, one edge h;t -> t per arrow h, and
+the down-set of t is t with its ``nx.ancestors``; pi0 at an object reads
+the object digraph, one edge dom m -> cod m per morphism m, the same way,
+and reachability of open graphs is ``nx.descendants`` on a glued digraph
+built here.  A pointed reflection is the condensation of the preorder's
+digraph, each class named by its least member, with the lower set of the
+base's class collapsed to the basepoint and the covers the
+``nx.transitive_reduction`` of what is left.  A written report is read back
+from its interchange document: its ``covers`` are the transitive reduction
+of its ``leq``, and ``leq`` the reflexive transitive closure of its
+``covers``, which its text and DOT forms also name.
 
 networkx is imported at top level: without it this module fails to collect.
 """
 
+import glob
 import io
 import json
+import os
 import random
 import re
 from itertools import product
@@ -27,7 +33,10 @@ from hypothesis import strategies as st
 
 import gen
 from obstructia import fincat, homotopy, order
+from obstructia import opengraph as og
 from obstructia.errors import InvalidPoset
+
+FIXTURES = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "fixtures")
 
 
 def bits(m):
@@ -164,25 +173,25 @@ class TestPointedReflection:
         assert_written(homotopy.report_from_pointed(assert_reflection(names, down, base, "[a]"), "reflection"))
 
 
-def slice_names(c, f, g):
-    """The name of each node of ``element_digraph(c, dom f, 2, f)``: the
-    pair of slice morphisms h[k=>f], k = h;f, each pair in the order the
-    library documents, object by object, the morphisms y -> dom f split by
-    their composite with f in the order of their first member, and the
-    tuples of each part in product order; the n-th pair named alike gets
-    ``#n``."""
+def pair_element_names(c, x, g, over=None):
+    """The name of each node of ``element_digraph(c, x, 2, over)``: the
+    pair of morphism ids, or of slice morphisms h[k=>over], k = h;over,
+    given ``over``, each pair in the order the library documents, object by
+    object, the morphisms y -> x split by their composite with ``over`` in
+    the order of their first member, and the tuples of each part in
+    product order; the n-th pair named alike gets ``#n``."""
     names = [m.name for m in c.morphisms]
     comp = {(names[h], names[k]): names[hk] for k, row in enumerate(c.rows) for h, hk in row.items()}
-    x = c.dom(f)
+    label = (lambda h: h) if over is None else (lambda h: f"{h}[{comp[h, over]}=>{over}]")
     order, out = [], {}
     for y in c.objects:
         parts = {}
         for h in names:
             if c.dom(h) == y and c.cod(h) == x:
-                parts.setdefault(comp[h, f], []).append(h)
+                parts.setdefault(None if over is None else comp[h, over], []).append(h)
         order += [pair for part in parts.values() for pair in product(part, repeat=2)]
     for h0, h1 in order:
-        name = f"({h0}[{comp[h0, f]}=>{f}],{h1}[{comp[h1, f]}=>{f}])"
+        name = f"({label(h0)},{label(h1)})"
         n, free = 1, name
         while free in out.values():
             n += 1
@@ -192,20 +201,36 @@ def slice_names(c, f, g):
     return out
 
 
+def nx_report(g, name, base, point):
+    """The report shape of the pointed reflection of g at the node
+    ``base``, pointed at [point]: (elements, basepoint, covers, minimal,
+    trivial)."""
+    elems, bp, covers, _ = nx_reflect(g, name, base, f"[{point}]")
+    below = {b for a, b in covers if a != bp}
+    return elems, bp, covers, {e for e in elems if e != bp and e not in below}, len(elems) == 1
+
+
 def nx_analysis(c, f):
-    """Both reports of ``analyze_morphism`` at f: x -> y, as (elements,
-    basepoint, covers, minimal, trivial): pi0 of the slice digraph over y
-    at f, and pi1 of the digraph of the pairs into x that f equalises at
-    the pair of identities, each pointed at [f]."""
+    """Both reports of ``analyze_morphism`` at f: x -> y: pi0 of the slice
+    digraph over y at f, and pi1 of the digraph of the pairs into x that f
+    equalises at the pair of identities, each pointed at [f]."""
     x, y = c.dom(f), c.cod(f)
     slices, pairs = element_digraph(c, y, 1), element_digraph(c, x, 2, f)
-    reports = []
-    for g, name, base in ((slices, {t: t[0] for t in slices}, (f,)),
-                          (pairs, slice_names(c, f, pairs), (c.identity[x],) * 2)):
-        elems, bp, covers, _ = nx_reflect(g, name, base, f"[{f}]")
-        below = {b for a, b in covers if a != bp}
-        reports.append((elems, bp, covers, {e for e in elems if e != bp and e not in below}, len(elems) == 1))
-    return reports
+    return [nx_report(slices, {t: t[0] for t in slices}, (f,), f),
+            nx_report(pairs, pair_element_names(c, x, pairs, f), (c.identity[x],) * 2, f)]
+
+
+def nx_pi(c, x, i):
+    """pi_i at the object x: pi0 of the object digraph, one edge dom m ->
+    cod m per morphism m, and pi1 of the digraph of the pairs into x, at
+    the pair of identities, each pointed at [x]."""
+    if i == 0:
+        g = nx.DiGraph()
+        g.add_nodes_from(c.objects)
+        g.add_edges_from((m.dom, m.cod) for m in c.morphisms if m.dom != m.cod)
+        return nx_report(g, {y: y for y in g}, x, x)
+    g = element_digraph(c, x, 2)
+    return nx_report(g, pair_element_names(c, x, g), (c.identity[x],) * 2, x)
 
 
 def report_shape(r):
@@ -218,6 +243,44 @@ def assert_analysis(c, f):
     an = homotopy.analyze_morphism(c, f)
     assert [report_shape(an.pi0), report_shape(an.pi1)] == nx_analysis(c, f)
     assert (an.pi0.context, an.pi1.context) == (f"pi0 at object {f!r}", f"pi1 at object {f!r}")
+
+
+def assert_pi_at_objects(c):
+    for x in c.objects:
+        for i, pi in ((0, homotopy.pi0), (1, homotopy.pi1)):
+            r = pi(c, x)
+            assert report_shape(r) == nx_pi(c, x, i)
+            assert r.context == f"pi{i} at object {x!r}"
+
+
+class TestPiAtObjects:
+    def test_finite_sets_up_to_three(self):
+        assert_pi_at_objects(gen.finset_ambient(3))
+
+    def test_cyclic_groups(self):
+        for n in range(2, 7):
+            assert_pi_at_objects(gen.cyclic_group_category(n))
+
+    def test_fixtures(self):
+        # primed_basepoint.cat names an object like the basepoint, and
+        # pair_collision.cat renders two distinct pairs alike
+        for path in sorted(glob.glob(os.path.join(FIXTURES, "*.cat"))):
+            with open(path, encoding="utf-8") as fh:
+                assert_pi_at_objects(fincat.parse_category(fh.read()))
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(min_value=0, max_value=10_000), st.data())
+    def test_random_categories(self, seed, data):
+        c = gen.random_category(random.Random(seed), max_objects=4, max_morphisms=14)
+        if data.draw(st.booleans()):
+            # ids over the pair separator and the basepoint's brackets, so
+            # that distinct pairs take #n names and an object may be named
+            # like the basepoint
+            ids = [*c.objects, *(m.name for m in c.morphisms)]
+            labels = data.draw(st.lists(st.text("r,[]'", min_size=1, max_size=4), min_size=len(ids),
+                                        max_size=len(ids), unique=True))
+            c = gen.renamed(c, dict(zip(ids, labels)))
+        assert_pi_at_objects(c)
 
 
 class TestAnalysis:
@@ -319,3 +382,59 @@ class TestWrittenReports:
     def test_pi1_of_the_finite_sets_at_the_largest(self):
         c = gen.finset_ambient(3)
         assert_written(homotopy.pi1(c, c.objects[-1]))
+
+
+# -- reachability of open graphs ----------------------------------------------
+
+
+def nx_reach(g, h=None):
+    """The boundary pairs joined by a directed path, by ``nx.descendants``:
+    in g, or in g glued to h, built here as one digraph on side-tagged
+    vertices with an edge each way between g's leg at output y and h's leg
+    at input y."""
+    parts = [("L", g), ("R", h)] if h else [("L", g)]
+    d = nx.DiGraph()
+    for side, graph in parts:
+        d.add_nodes_from((side, v) for v in graph.vertices)
+        d.add_edges_from(((side, u), (side, v)) for u, v in graph.edges)
+    if h:
+        for y in g.outputs:
+            glued = ("L", g.out_leg[y]), ("R", h.in_leg[y])
+            d.add_edges_from([glued, glued[::-1]])
+    side, last = parts[-1]
+    pairs = set()
+    for x in g.inputs:
+        start = ("L", g.in_leg[x])
+        seen = nx.descendants(d, start) | {start}
+        pairs.update((x, z) for z in last.outputs if (side, last.out_leg[z]) in seen)
+    return pairs
+
+
+def assert_reach(g, h):
+    for graph in (g, h):
+        assert og.reach(graph).pairs == nx_reach(graph)
+    assert og.glued_reach(g, h).pairs == nx_reach(g, h)
+
+
+def read_og(name):
+    with open(os.path.join(FIXTURES, name), encoding="utf-8") as fh:
+        return og.parse_open_graph(fh.read())
+
+
+class TestReach:
+    def test_fixtures(self):
+        h = read_og("H.og")
+        for left in ("G.og", "G_identified.og"):
+            assert_reach(read_og(left), h)
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.integers(min_value=0, max_value=10_000), st.booleans())
+    def test_random_open_graphs(self, seed, clash):
+        rng = random.Random(seed)
+        g, h = gen.random_composable_graphs(rng)
+        if clash:
+            # both parts named by one list, so that a vertex of g and one
+            # of h share a name without being glued
+            g = gen.renamed_open_graph(g, [f"v{i}" for i in range(len(g.vertices))])
+            h = gen.renamed_open_graph(h, [f"v{i}" for i in range(len(h.vertices))])
+        assert_reach(g, h)

@@ -221,40 +221,40 @@ WORK = """
   4054  5000231b5f3c  set pi1 --fn fixtures/wide12_pi1.fn --format text
   8087  3da89def1720  set pi1 --fn fixtures/wide12_pi1.fn --format dot
   8088  7d9e319d6cb4  set pi1 --fn fixtures/wide12_pi1.fn --format interchange
-   127  085689405b7c  cat analyze ambient.cat --morphism 3>2:010
-   127  085689405b7c  cat analyze byname.cat --morphism 3>2:010
-   127  085689405b7c  cat analyze latemor.cat --morphism 3>2:010
-    13  b18af2ea154a  cat validate ambient.cat
-    13  b18af2ea154a  cat validate byname.cat
-    13  b18af2ea154a  cat validate latemor.cat
-   147  03b4aba6b61a  cat analyze ambient.cat --morphism 3>2:010 --format dot
-   149  ee457f536847  cat analyze ambient.cat --morphism 3>2:010 --format interchange
-   449  8cb9665e5b02  cat pi1 ambient.cat --object 3 --format interchange
-   448  bfbe1571fdaf  cat pi1 ambient.cat --object 3 --format dot
-   325  69865148074c  cat pi1 ambient.cat --object 3
-    60  a0d7422ed377  cat pi1 z12.cat --object '*'
-    89  8e8e9b68c03e  cat analyze twins.cat --morphism 2>1:00*f
-    13  b18af2ea154a  cat validate fixtures/z2.cat
-    36  5400839ff85f  cat pi0 fixtures/walking_arrow.cat --object 0
-    38  5e114d90feb3  cat pi0 fixtures/walking_arrow.cat --object 0 --format dot
-    39  f564ae894743  cat pi0 fixtures/walking_arrow.cat --object 0 --format interchange
-    25  0f00410e2caa  cat check-terminal fixtures/walking_arrow.cat --object 0
-    38  1b5e2486e635  cat pi0 fixtures/primed_basepoint.cat --object 0
-    42  3cc793af54be  cat pi0 fixtures/primed_basepoint.cat --object 0 --format interchange
-    35  48f9a9069cc1  cat pi0 clash.cat --object 1
-    38  d67442586032  cat pi0 clash.cat --object 1 --format interchange
-   310  a597c2ee603f  states local-act --context gf2 --dims 2,2 --fmat 10,00 --gmat 10,01
-   878  a8176ca5bd8f  states local-act --context gf2 --dims 2,3 --fmat 11,01 --gmat 101,011
+   126  18f5fb428e72  cat analyze ambient.cat --morphism 3>2:010
+   126  18f5fb428e72  cat analyze byname.cat --morphism 3>2:010
+   126  18f5fb428e72  cat analyze latemor.cat --morphism 3>2:010
+    12  fd8fd7f3d6d2  cat validate ambient.cat
+    12  fd8fd7f3d6d2  cat validate byname.cat
+    12  fd8fd7f3d6d2  cat validate latemor.cat
+   146  86defbdf09bf  cat analyze ambient.cat --morphism 3>2:010 --format dot
+   148  09a120087b21  cat analyze ambient.cat --morphism 3>2:010 --format interchange
+   448  fe5e5c920754  cat pi1 ambient.cat --object 3 --format interchange
+   447  d6a74dadfe3f  cat pi1 ambient.cat --object 3 --format dot
+   324  28053c6e349f  cat pi1 ambient.cat --object 3
+    59  48f68467cde1  cat pi1 z12.cat --object '*'
+    88  b11eaa53b8e6  cat analyze twins.cat --morphism 2>1:00*f
+    12  fd8fd7f3d6d2  cat validate fixtures/z2.cat
+    35  5108b859cb6c  cat pi0 fixtures/walking_arrow.cat --object 0
+    37  e0b3cc30ea84  cat pi0 fixtures/walking_arrow.cat --object 0 --format dot
+    38  f14fbf5a9c77  cat pi0 fixtures/walking_arrow.cat --object 0 --format interchange
+    24  a38f568c01ce  cat check-terminal fixtures/walking_arrow.cat --object 0
+    37  ea020421490c  cat pi0 fixtures/primed_basepoint.cat --object 0
+    41  0273a31046fe  cat pi0 fixtures/primed_basepoint.cat --object 0 --format interchange
+    34  6e9fa2bdb1d9  cat pi0 clash.cat --object 1
+    37  deda96f97215  cat pi0 clash.cat --object 1 --format interchange
+   300  c19073e5c422  states local-act --context gf2 --dims 2,2 --fmat 10,00 --gmat 10,01
+   760  fdeab45b89c4  states local-act --context gf2 --dims 2,3 --fmat 11,01 --gmat 101,011
     49  d0ceb52d0675  states local-act --context cartesian --sets 'a,b|c,d' --target-sets 'a|c,d' --fmap a=>a,b=>a --gmap c=>c,d=>d
-   262  d12b006450e8  states obstruct --context gf2 --dims 2,2 --format text
-   312  0f4cc2fa4fb7  states obstruct --context gf2 --dims 2,2 --format dot
-   314  189de0f8011d  states obstruct --context gf2 --dims 2,2 --format interchange
+   266  9133a4933a01  states obstruct --context gf2 --dims 2,2 --format text
+   316  e29b0c7bb834  states obstruct --context gf2 --dims 2,2 --format dot
+   318  810739cc99fe  states obstruct --context gf2 --dims 2,2 --format interchange
   1074  9df41ae4a607  states obstruct --context gf2 --dims 1,1 --format text
   2084  26bcab1e6b71  states obstruct --context gf2 --dims 1,1 --format dot
   2086  7247cc26cf2c  states obstruct --context gf2 --dims 1,1 --format interchange
-    42  99ebf4e57a80  states obstruct --context cartesian --sets 'a,b,c,d|e,f,g,h' --format text
-    44  fdca77ba9c28  states obstruct --context cartesian --sets 'a,b,c,d|e,f,g,h' --format dot
-    46  ef764a3f514b  states obstruct --context cartesian --sets 'a,b,c,d|e,f,g,h' --format interchange
+    46  f7cb5496892e  states obstruct --context cartesian --sets 'a,b,c,d|e,f,g,h' --format text
+    48  6cc640c11061  states obstruct --context cartesian --sets 'a,b,c,d|e,f,g,h' --format dot
+    50  05d2a0713e95  states obstruct --context cartesian --sets 'a,b,c,d|e,f,g,h' --format interchange
     34  76997c843d39  opengraph compose fixtures/G.og fixtures/H.og
     46  56c165a98683  opengraph compose fixtures/G.og fixtures/H.og --format dot
     13  0a574200a2e2  opengraph reach fixtures/G.og
@@ -306,7 +306,6 @@ CALLS = """
     22  fincat._laws
     16  fincat._named
     22  fincat._parse
-    22  fincat._plan
     22  fincat._squares
     16  fincat._walk
      7  fincat.check_label
@@ -355,14 +354,14 @@ CALLS = """
     67  order.PointedPoset.__init__
  29022  order._at
    779  order._bits
-  9651  order._pick
+  9667  order._pick
      4  order._preserves
     39  order.from_masks
     67  order.is_trivial
      4  order.make_monotone
      4  order.make_pointed
     67  order.minimal_obstructions
-    23  order.pointed_reflection
+    39  order.pointed_reflection
   9595  order.quote
     23  setcat.FiniteFunction.__new__
     27  setcat.FiniteFunction.image
@@ -379,7 +378,7 @@ CALLS = """
     15  states._pi0
     24  states._report
     52  states.all_vectors
-   192  states.apply_matrix
+    48  states.apply_matrix
      4  states.check_matrix
     15  states.lax_context
     15  states.laxator
@@ -387,7 +386,7 @@ CALLS = """
      3  states.local_action
     48  states.local_action.image
     30  states.states_of
-   140  states.tensor_bits
+   148  states.tensor_bits
    578  states.vec_name
 """
 

@@ -85,14 +85,13 @@ def test_record(name):
 
 def test_a_shared_category_keeps_its_index():
     """The parse memo hands every reader of a text one category, so its
-    index and its walk plan cannot be rebound either."""
+    index cannot be rebound either."""
     text = "obj x\nmor i : x -> x\nid x = i\ncomp i ; i = i\n"
     c = fincat.parse_category(text)
-    for name in ("index", "into", "split_epis", "plan"):
+    for name in ("index", "into", "split_epis"):
         with pytest.raises(AttributeError):
             setattr(c, name, {})
     assert fincat.parse_category(text) is c and c.index == {"i": 0} and c.into == {"x": (0,)} and c.split_epis == {0}
-    assert c.plan == (("x", (0,), ()),)
 
 
 def test_a_shared_category_keeps_its_split_epis():
