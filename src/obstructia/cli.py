@@ -23,10 +23,13 @@ from .errors import EngineError, ParseError
 
 
 def _read(path: str) -> str:
-    """The text of a UTF-8 file; any other bytes are a ParseError."""
+    """The text of a UTF-8 file, read as bytes and decoded whole: the
+    parsers' ``str.splitlines`` reads "\\r\\n" and lone "\\r" line ends.  Any
+    other bytes are a ParseError at the first one's offset in the file."""
+    with open(path, "rb") as fh:
+        data = fh.read()
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            return fh.read()
+        return data.decode("utf-8")
     except UnicodeDecodeError as exc:
         raise ParseError(f"{path}: byte {exc.start} is not UTF-8") from None
 

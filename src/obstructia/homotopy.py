@@ -37,8 +37,9 @@ from __future__ import annotations
 
 from collections import namedtuple
 from collections.abc import Iterable
+from functools import reduce
 from itertools import chain, compress, islice, repeat
-from operator import and_, eq, rshift
+from operator import and_, eq, or_, rshift
 
 from . import fincat, order
 from .errors import CapExceeded, InvalidPoset, OracleMismatch, UnknownMorphism, UnknownObject
@@ -57,15 +58,22 @@ MorphismAnalysis = namedtuple("MorphismAnalysis", "pi0 pi1 split_epi mono iso")
 
 def report_from_pointed(pp: order.PointedPoset, context: str) -> ObstructionReport:
     """The report of a pointed poset: its minimal obstructions and whether
-    it is trivial, under ``context``.  The basepoint must be minimal, not
-    least, in its poset; OracleMismatch names the least element below it
-    otherwise."""
+    it is trivial, under ``context``.  Both read one OR of the cover masks
+    of the non-basepoint elements.  The basepoint covers one of them iff
+    one lies below it, so it is minimal, as it must be, iff it is outside
+    the OR; then the elements outside it are the minimal ones, as a chain
+    up from a non-basepoint element never passes the basepoint.  Only a
+    basepoint inside it is searched for through the up-masks, and
+    OracleMismatch names the least element below it."""
     p = pp.poset
     b = p.elements.index(pp.basepoint)
-    below = [i for i in compress(range(len(p.up)), map((1 << b).__and__, p.up)) if i != b]
-    if below:
-        raise OracleMismatch(f"basepoint fails minimality below {p.elements[below[0]]!r}")
-    return ObstructionReport(pp, order.minimal_obstructions(pp), order.is_trivial(pp), context)
+    cov = p.cover_masks
+    covering = reduce(or_, cov[:b], 0) | reduce(or_, cov[b + 1 :], 0)
+    if covering >> b & 1:
+        below = next(i for i, u in enumerate(p.up) if i != b and u >> b & 1)
+        raise OracleMismatch(f"basepoint fails minimality below {p.elements[below]!r}")
+    minimal = ((1 << len(cov)) - 1) & ~covering & ~(1 << b)
+    return ObstructionReport(pp, frozenset(order._at(p.elements, minimal)), len(cov) == 1, context)
 
 
 # -- the two invariants ------------------------------------------------------

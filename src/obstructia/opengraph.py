@@ -15,11 +15,19 @@ the flow of obstructions under a 2-morphism is checked along covers
 (``order.make_monotone``), and built by ``homotopy.induced_map``.  The
 laxator's pi1 is trivial by theorem (hom-categories of relations are
 posets), so it is the powerset report of an empty universe: one point.
+Open graphs, relations and graph homomorphisms are checked as built, one
+whole-set test per check; only a failing one searches item by item, and
+a refusal with several offending edges (or pairs) names the least in sort
+order, so it reads the same under every hash seed.  Text is read a line
+at a time by ``str.splitlines``, so "\\r\\n" and lone "\\r" line ends read
+as "\\n" does.
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
+from itertools import chain
+from operator import itemgetter
 
 from . import homotopy, order
 from .fincat import check_label, pair_names
@@ -35,27 +43,33 @@ from .errors import (
 
 
 class OpenGraph(namedtuple("OpenGraph", "inputs outputs vertices edges in_leg out_leg")):
+    """The refusals, in the order checked: a repeated label, an edge with
+    an end outside the vertices, and then, inputs before outputs, a label
+    without a leg, a leg landing outside the vertices, a leg without a
+    label."""
+
     __slots__ = ()
 
     def __new__(cls, inputs, outputs, vertices, edges, in_leg, out_leg):
-        self = super().__new__(cls, tuple(inputs), tuple(outputs), tuple(sorted(set(vertices))), edges, in_leg, out_leg)
+        vs = set(vertices)
+        self = super().__new__(cls, tuple(inputs), tuple(outputs), tuple(sorted(vs)), edges, in_leg, out_leg)
         for side, labels in (("input", self.inputs), ("output", self.outputs)):
-            twice = [x for i, x in enumerate(labels) if labels.index(x) != i]
-            if twice:
+            if len(set(labels)) != len(labels):
+                twice = [x for i, x in enumerate(labels) if labels.index(x) != i]
                 raise BoundaryMismatch(f"{side} label {twice[0]!r} is repeated")
-        vs = set(self.vertices)
-        for u, v in self.edges:
-            if u not in vs or v not in vs:
-                raise DanglingReference(f"edge ({u!r}, {v!r}) uses unknown vertex")
+        if not vs.issuperset(chain.from_iterable(edges)):
+            u, v = min(e for e in edges if not vs.issuperset(e))
+            raise DanglingReference(f"edge ({u!r}, {v!r}) uses unknown vertex")
         for side, labels, legs in (("input", self.inputs, self.in_leg), ("output", self.outputs, self.out_leg)):
+            if legs.keys() == set(labels) and vs.issuperset(legs.values()):
+                continue
             for x in labels:
                 if x not in legs:
                     raise DanglingReference(f"{side} {x!r} has no leg")
                 if legs[x] not in vs:
                     raise DanglingReference(f"{side} leg of {x!r} lands outside the graph")
             extra = sorted(set(legs) - set(labels))
-            if extra:
-                raise DanglingReference(f"{side} leg {extra[0]!r} has no {side} label")
+            raise DanglingReference(f"{side} leg {extra[0]!r} has no {side} label")
         return self
 
 
@@ -63,10 +77,11 @@ class Relation(namedtuple("Relation", "dom_set cod_set pairs")):
     __slots__ = ()
 
     def __new__(cls, dom_set, cod_set, pairs):
-        self = super().__new__(cls, tuple(sorted(set(dom_set))), tuple(sorted(set(cod_set))), pairs)
-        for x, y in self.pairs:
-            if x not in self.dom_set or y not in self.cod_set:
-                raise TypeMismatch(f"pair ({x!r}, {y!r}) outside carrier")
+        dom, cod = set(dom_set), set(cod_set)
+        self = super().__new__(cls, tuple(sorted(dom)), tuple(sorted(cod)), pairs)
+        if not (dom.issuperset(map(itemgetter(0), pairs)) and cod.issuperset(map(itemgetter(1), pairs))):
+            x, y = min(p for p in pairs if p[0] not in dom or p[1] not in cod)
+            raise TypeMismatch(f"pair ({x!r}, {y!r}) outside carrier")
         return self
 
 
@@ -86,9 +101,9 @@ class GraphHom(namedtuple("GraphHom", "source target vertex_map")):
                 raise NotAGraphHom(f"vertex {v!r} not mapped")
             if vertex_map[v] not in tv:
                 raise NotAGraphHom(f"image of {v!r} is not a target vertex")
-        for u, v in s.edges:
-            if (vertex_map[u], vertex_map[v]) not in t.edges:
-                raise NotAGraphHom(f"edge ({u!r}, {v!r}) has no image edge")
+        if not {(vertex_map[u], vertex_map[v]) for u, v in s.edges}.issubset(t.edges):
+            u, v = min((u, v) for u, v in s.edges if (vertex_map[u], vertex_map[v]) not in t.edges)
+            raise NotAGraphHom(f"edge ({u!r}, {v!r}) has no image edge")
         for x in s.inputs:
             if vertex_map[s.in_leg[x]] != t.in_leg[x]:
                 raise NotAGraphHom(f"input leg {x!r} does not commute")
@@ -275,17 +290,40 @@ def act(hom: GraphHom, h: OpenGraph) -> tuple[Relation, order.PointedMap]:
 
 
 def parse_open_graph(text: str) -> OpenGraph:
+    """Read the text format above in one pass.  Comments are cut only when
+    the text has a '#', and edge, leg and vertex lines, the bulk of a file,
+    are tried first.  A line that does not parse, an empty boundary label,
+    or a repeated label, vertex, edge or leg is a ParseError naming the
+    line."""
     boundary: dict[str, dict[str, None]] = {}  # labels in order of appearance
     vertices: set[str] = set()
     edges: set[tuple[str, str]] = set()
     in_leg: dict[str, str] = {}
     out_leg: dict[str, str] = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
+    lines = text.splitlines()
+    for lineno, line in enumerate([raw.partition("#")[0] for raw in lines] if "#" in text else lines, start=1):
         parts = line.split()
-        if parts[0] in ("inputs", "outputs"):
+        if len(parts) == 4:
+            tag, a, sep, b = parts
+            if tag == "edge" and sep == "->":
+                if (a, b) in edges:
+                    raise ParseError(f"line {lineno}: duplicate edge {a!r} -> {b!r}")
+                edges.add((a, b))
+                continue
+            if tag in ("in", "out") and sep == "=":
+                legs = in_leg if tag == "in" else out_leg
+                if a in legs:
+                    raise ParseError(f"line {lineno}: duplicate {tag} leg {a!r}")
+                legs[a] = b
+                continue
+        elif not parts:
+            continue
+        if parts[0] == "vertex" and len(parts) >= 2:
+            for v in parts[1:]:
+                if v in vertices:
+                    raise ParseError(f"line {lineno}: duplicate vertex {v!r}")
+                vertices.add(v)
+        elif parts[0] in ("inputs", "outputs"):
             labels = boundary.setdefault(parts[0], {})
             for x in " ".join(parts[1:]).split(",") if len(parts) > 1 else ():
                 x = x.strip()
@@ -294,25 +332,11 @@ def parse_open_graph(text: str) -> OpenGraph:
                 if x in labels:
                     raise ParseError(f"line {lineno}: duplicate {parts[0][:-1]} {x!r}")
                 labels[x] = None
-        elif parts[0] == "vertex" and len(parts) >= 2:
-            for v in parts[1:]:
-                if v in vertices:
-                    raise ParseError(f"line {lineno}: duplicate vertex {v!r}")
-                vertices.add(v)
-        elif parts[0] == "edge" and len(parts) == 4 and parts[2] == "->":
-            if (parts[1], parts[3]) in edges:
-                raise ParseError(f"line {lineno}: duplicate edge {parts[1]!r} -> {parts[3]!r}")
-            edges.add((parts[1], parts[3]))
-        elif parts[0] in ("in", "out") and len(parts) == 4 and parts[2] == "=":
-            legs = in_leg if parts[0] == "in" else out_leg
-            if parts[1] in legs:
-                raise ParseError(f"line {lineno}: duplicate {parts[0]} leg {parts[1]!r}")
-            legs[parts[1]] = parts[3]
         else:
-            raise ParseError(f"line {lineno}: cannot parse {raw.strip()!r}")
+            raise ParseError(f"line {lineno}: cannot parse {lines[lineno - 1].strip()!r}")
     if len(boundary) < 2:
         raise ParseError("open graph needs 'inputs' and 'outputs' lines")
-    return OpenGraph(tuple(boundary["inputs"]), tuple(boundary["outputs"]), tuple(vertices), frozenset(edges), in_leg, out_leg)
+    return OpenGraph(tuple(boundary["inputs"]), tuple(boundary["outputs"]), vertices, frozenset(edges), in_leg, out_leg)
 
 
 def serialize_open_graph(g: OpenGraph) -> str:

@@ -14,7 +14,8 @@ down-masks come from a category's morphisms or straight from the walks
 behind the slices and parallel arrows, and every homotopy invariant is one
 call of it.  Everything else here is supporting machinery: pointed and
 monotone maps, and DOT string quoting.  Reports, Hasse diagrams included,
-are written by ``homotopy.write_report``.
+are written by ``homotopy.write_report``, and read their minimal
+obstructions off the cover masks (``homotopy.report_from_pointed``).
 
 Every poset carries its cover masks.  ``from_masks`` validates every poset
 built here and computes them on the way, as the transitive reduction.  The
@@ -28,9 +29,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from collections import namedtuple
 from collections.abc import Mapping
-from functools import reduce
 from itertools import compress, repeat
-from operator import or_, xor
 
 from .errors import InvalidMap, InvalidPoset
 
@@ -205,22 +204,6 @@ def pointed_reflection(names, down: list[int], base: int, basepoint_name: str) -
     name_of = {d: names[r] for d, r in least.items()}
     elems.insert(at, bp)
     return PointedPoset(from_masks(tuple(elems), up), bp), list(map(name_of.get, down, repeat(bp)))
-
-
-def is_trivial(pp: PointedPoset) -> bool:
-    return len(pp.poset.elements) == 1
-
-
-def minimal_obstructions(pp: PointedPoset) -> frozenset:
-    """Minimal elements of the complement of the basepoint: those in no
-    strict up-set of a non-basepoint element.  The basepoint's own slot
-    holds its bit, so the OR of the slots leaves out the basepoint too."""
-    p = pp.poset
-    n = len(p.elements)
-    strict = list(map(xor, p.up, map((1).__lshift__, range(n))))
-    b = p.elements.index(pp.basepoint)
-    strict[b] = 1 << b
-    return frozenset(_pick(p.elements, ((1 << n) - 1) & ~reduce(or_, strict)))
 
 
 # -- DOT string literals ---------------------------------------------------

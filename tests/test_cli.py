@@ -424,6 +424,65 @@ def test_non_utf8_file_is_parse_error(tmp_path, capsys, argv, fixture):
     assert capsys.readouterr().err == f"error ParseError: {bad}: byte {at} is not UTF-8\n"
 
 
+@pytest.mark.parametrize("argv, fixture", FILE_COMMANDS, ids=[" ".join(argv[:2]) for argv, _ in FILE_COMMANDS])
+@pytest.mark.parametrize("broken", [False, True], ids=["as is", "bad third line"])
+def test_line_ends_read_alike(tmp_path, capsys, argv, fixture, broken):
+    """A copy of the fixture with "\\r\\n" line ends, and one with lone
+    "\\r", gives the exit code, output and errors of the "\\n" original,
+    line-numbered refusals included, as the text-mode read did; a byte that
+    is not UTF-8 is named at its offset in the file, line ends counted."""
+    with open(fx(fixture), "rb") as fh:
+        lines = fh.read().split(b"\n")
+    if broken:
+        lines.insert(2, b"!? not a line")
+    got = []
+    for end in (b"\n", b"\r\n", b"\r"):
+        path = tmp_path / str(len(got)) / fixture
+        path.parent.mkdir()
+        path.write_bytes(end.join(lines))
+        code, text = run(*(str(path) if a == "BAD" else a for a in argv))
+        got.append((code, text, capsys.readouterr().err))
+    assert got[1] == got[0] and got[2] == got[0]
+    path.write_bytes(b"\r\n".join([lines[0], b"\xff" + lines[1], *lines[2:]]))
+    run(*(str(path) if a == "BAD" else a for a in argv))
+    assert capsys.readouterr().err == f"error ParseError: {path}: byte {len(lines[0]) + 2} is not UTF-8\n"
+
+
+# Refusals with several witnesses, each named at its least: an open graph
+# with four edges to undeclared vertices, and a graph homomorphism that
+# sends four edges to no edge.
+ONE_WITNESS = {
+    "dangling": (
+        {"g.og": "inputs a\noutputs b\nvertex v\nedge v -> x3\nedge x1 -> v\nedge v -> x2\nedge x0 -> x4\nin a = v\nout b = v\n"},
+        ("opengraph", "reach", "g.og"),
+        "error DanglingReference: edge ('v', 'x2') uses unknown vertex\n",
+    ),
+    "no image edge": (
+        {
+            "s.og": "inputs a\noutputs b\nvertex p q r s\nedge r -> s\nedge q -> r\nedge p -> q\nedge s -> p\nin a = p\nout b = s\n",
+            "t.og": "inputs a\noutputs b\nvertex p q r s\nedge p -> s\nin a = p\nout b = s\n",
+            "id.gh": "",
+        },
+        ("opengraph", "act", "s.og", "t.og", "id.gh", fx("H.og")),
+        "error NotAGraphHom: edge ('p', 'q') has no image edge\n",
+    ),
+}
+
+
+@pytest.mark.parametrize("refusal", ONE_WITNESS)
+def test_refusal_names_one_witness_under_every_hash_seed(tmp_path, refusal):
+    """The least offending edge in sort order, whatever order the hash seed
+    gives the edge set."""
+    files, argv, err = ONE_WITNESS[refusal]
+    for name, text in files.items():
+        (tmp_path / name).write_text(text, encoding="utf-8")
+    argv = [str(tmp_path / a) if a in files else a for a in argv]
+    for seed in range(4):
+        env = {**os.environ, "PYTHONPATH": SRC, "PYTHONHASHSEED": str(seed)}
+        proc = subprocess.run([sys.executable, "-m", "obstructia.cli", *argv], capture_output=True, text=True, env=env)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (1, "", err), f"PYTHONHASHSEED={seed}"
+
+
 def test_every_error_class_is_raised_in_src():
     """Each class of ``obstructia.errors`` but the base is named in a
     ``raise`` of another module of the package: a class that only the tests

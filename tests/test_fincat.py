@@ -1,6 +1,7 @@
 import io
 import os
 import random
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import assume, example, given, settings
@@ -1104,6 +1105,27 @@ class TestOrbitWalk:
         c = gen.finset_ambient(4)
         for x in c.objects:
             assert_orbit_walk_is_full_walk(c, x)
+
+    @pytest.mark.parametrize("c", [gen.finset_ambient(3), reversed_finset(3)], ids=["finset", "reversed"])
+    def test_arrow_reads_follow_the_object_order(self, c):
+        # masks and call counts are the same in any object order; only the
+        # arrows read tell ascending count of morphisms into an object from
+        # any other order: each slice and pair walk at every object of the
+        # size-3 skeleton, through a stand-in category whose rows count
+        # their reads, reads 8,548 rows whatever the names, and 17,458 with
+        # the objects in descending count
+        count = [0]
+
+        class Row(dict):
+            def __getitem__(self, h):
+                count[0] += 1
+                return dict.__getitem__(self, h)
+
+        stand_in = SimpleNamespace(rows=tuple(map(Row, c.rows)), into=c.into, split_epis=c.split_epis)
+        for x in c.objects:
+            for k in (1, 2):
+                fincat._walk(stand_in, k, fincat._fibres(c, x, k))
+        assert count[0] == 8548
 
 
 @settings(max_examples=30, deadline=None)

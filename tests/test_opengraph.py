@@ -331,6 +331,11 @@ class TestRelations:
         with pytest.raises(TypeMismatch):
             og.compose_rel(r, r)
 
+    def test_pair_outside_carrier_names_the_least(self):
+        # the least offending pair in sort order, here met last
+        with pytest.raises(TypeMismatch, match=r"^pair \('a', 'q'\) outside carrier$"):
+            og.Relation(("a", "y", "z"), ("b",), [("z", "q"), ("y", "b"), ("a", "q")])
+
     def test_against_triple_loop(self, seed):
         rng = random.Random(seed + 3)
         xs, ys, zs = ("x0", "x1"), ("y0", "y1", "y2"), ("z0",)

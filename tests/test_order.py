@@ -2,6 +2,7 @@ import glob
 import io
 import os
 import random
+import re
 from itertools import combinations
 
 import pytest
@@ -11,7 +12,7 @@ from hypothesis import strategies as st
 import gen
 import oracles
 from obstructia import fincat, homotopy, opengraph, order, setcat, states
-from obstructia.errors import InvalidMap, InvalidPoset
+from obstructia.errors import InvalidMap, InvalidPoset, OracleMismatch
 from oracles import EmptyCollapseSet, NotDownClosed
 
 
@@ -200,13 +201,21 @@ class TestCollapse:
 @settings(max_examples=150, deadline=None)
 @given(posets(), st.data())
 def test_minimal_obstructions_popcount_filter(p, data):
-    """The minimal obstructions are the non-basepoint elements with no
-    other non-basepoint element below them, at any basepoint, least or not,
-    and after a collapse."""
+    """The minimal obstructions of a report, read off its cover masks, are
+    the non-basepoint elements with no other non-basepoint element below
+    them, at any minimal basepoint and after a collapse; at a basepoint with
+    an element below it the report is refused, naming the least such."""
     bp = data.draw(st.sampled_from(p.elements))
     for pp in (order.PointedPoset(p, bp), oracles.collapse_lower(p, oracles.lower_closure(p, {bp}), "[*]")):
-        q = pp.poset
-        assert order.minimal_obstructions(pp) == oracles.minimal_obstructions(q.elements, oracles.leq(q), pp.basepoint)
+        q, leq = pp.poset, oracles.leq(pp.poset)
+        below = [e for e in q.elements if e != pp.basepoint and (e, pp.basepoint) in leq]
+        if below:
+            with pytest.raises(OracleMismatch, match=f"^basepoint fails minimality below {re.escape(repr(below[0]))}$"):
+                homotopy.report_from_pointed(pp, "ctx")
+            continue
+        r = homotopy.report_from_pointed(pp, "ctx")
+        assert r.minimal == oracles.minimal_obstructions(q.elements, leq, pp.basepoint)
+        assert r.trivial == (len(q.elements) == 1)
 
 
 class TestHasse:
@@ -510,7 +519,7 @@ class TestMaskCoreAgainstPairs:
         pp = oracles.collapse_lower(p, lower, bp)
         o_elems, o_leq, o_bp = oracles.collapse_lower_pairs(elems, leq, lower, bp)
         assert pp == order.PointedPoset(oracles.poset_from_pairs(o_elems, o_leq), o_bp)
-        self.check_pointed(pp, order.minimal_obstructions(pp))
+        self.check_pointed(pp, homotopy.report_from_pointed(pp, "ctx").minimal)
 
     @settings(max_examples=120, deadline=None)
     @given(posets(), st.data())

@@ -215,57 +215,57 @@ UNREACHED = {
 # Work changes only together with the change to src/ that moves it, and
 # CHANGES.md names that change.
 WORK = """
-  4108  569b37bca205  set pi0 --fn fixtures/wide12.fn --format text
-  8197  034aeff5e5fe  set pi0 --fn fixtures/wide12.fn --format dot
-  8198  fc03e020d7b5  set pi0 --fn fixtures/wide12.fn --format interchange
-  4054  5000231b5f3c  set pi1 --fn fixtures/wide12_pi1.fn --format text
-  8087  3da89def1720  set pi1 --fn fixtures/wide12_pi1.fn --format dot
-  8088  7d9e319d6cb4  set pi1 --fn fixtures/wide12_pi1.fn --format interchange
-   126  18f5fb428e72  cat analyze ambient.cat --morphism 3>2:010
-   126  18f5fb428e72  cat analyze byname.cat --morphism 3>2:010
-   126  18f5fb428e72  cat analyze latemor.cat --morphism 3>2:010
+  4106  d57abe9cc6aa  set pi0 --fn fixtures/wide12.fn --format text
+  8195  86d8d1d5681f  set pi0 --fn fixtures/wide12.fn --format dot
+  8196  d5647557336d  set pi0 --fn fixtures/wide12.fn --format interchange
+  4052  dc49f6977d73  set pi1 --fn fixtures/wide12_pi1.fn --format text
+  8085  8d07874ac37f  set pi1 --fn fixtures/wide12_pi1.fn --format dot
+  8086  c97350441d9d  set pi1 --fn fixtures/wide12_pi1.fn --format interchange
+   122  e277ed6aace4  cat analyze ambient.cat --morphism 3>2:010
+   122  e277ed6aace4  cat analyze byname.cat --morphism 3>2:010
+   122  e277ed6aace4  cat analyze latemor.cat --morphism 3>2:010
     12  fd8fd7f3d6d2  cat validate ambient.cat
     12  fd8fd7f3d6d2  cat validate byname.cat
     12  fd8fd7f3d6d2  cat validate latemor.cat
-   146  86defbdf09bf  cat analyze ambient.cat --morphism 3>2:010 --format dot
-   148  09a120087b21  cat analyze ambient.cat --morphism 3>2:010 --format interchange
-   448  fe5e5c920754  cat pi1 ambient.cat --object 3 --format interchange
-   447  d6a74dadfe3f  cat pi1 ambient.cat --object 3 --format dot
-   324  28053c6e349f  cat pi1 ambient.cat --object 3
-    59  48f68467cde1  cat pi1 z12.cat --object '*'
-    88  b11eaa53b8e6  cat analyze twins.cat --morphism 2>1:00*f
+   142  e5f9908e5c8f  cat analyze ambient.cat --morphism 3>2:010 --format dot
+   144  17b42d0ee0f7  cat analyze ambient.cat --morphism 3>2:010 --format interchange
+   446  719c245e43f6  cat pi1 ambient.cat --object 3 --format interchange
+   445  c81386972ffa  cat pi1 ambient.cat --object 3 --format dot
+   322  8fe261949416  cat pi1 ambient.cat --object 3
+    57  d9d28e4b8613  cat pi1 z12.cat --object '*'
+    84  75d51a76e72c  cat analyze twins.cat --morphism 2>1:00*f
     12  fd8fd7f3d6d2  cat validate fixtures/z2.cat
-    35  5108b859cb6c  cat pi0 fixtures/walking_arrow.cat --object 0
-    37  e0b3cc30ea84  cat pi0 fixtures/walking_arrow.cat --object 0 --format dot
-    38  f14fbf5a9c77  cat pi0 fixtures/walking_arrow.cat --object 0 --format interchange
+    33  341b97be8e84  cat pi0 fixtures/walking_arrow.cat --object 0
+    35  d561af1c5290  cat pi0 fixtures/walking_arrow.cat --object 0 --format dot
+    36  8bee28d7b73f  cat pi0 fixtures/walking_arrow.cat --object 0 --format interchange
     24  a38f568c01ce  cat check-terminal fixtures/walking_arrow.cat --object 0
-    37  ea020421490c  cat pi0 fixtures/primed_basepoint.cat --object 0
-    41  0273a31046fe  cat pi0 fixtures/primed_basepoint.cat --object 0 --format interchange
-    34  6e9fa2bdb1d9  cat pi0 clash.cat --object 1
-    37  deda96f97215  cat pi0 clash.cat --object 1 --format interchange
-   300  c19073e5c422  states local-act --context gf2 --dims 2,2 --fmat 10,00 --gmat 10,01
-   760  fdeab45b89c4  states local-act --context gf2 --dims 2,3 --fmat 11,01 --gmat 101,011
-    49  d0ceb52d0675  states local-act --context cartesian --sets 'a,b|c,d' --target-sets 'a|c,d' --fmap a=>a,b=>a --gmap c=>c,d=>d
-   266  9133a4933a01  states obstruct --context gf2 --dims 2,2 --format text
-   316  e29b0c7bb834  states obstruct --context gf2 --dims 2,2 --format dot
-   318  810739cc99fe  states obstruct --context gf2 --dims 2,2 --format interchange
-  1074  9df41ae4a607  states obstruct --context gf2 --dims 1,1 --format text
-  2084  26bcab1e6b71  states obstruct --context gf2 --dims 1,1 --format dot
-  2086  7247cc26cf2c  states obstruct --context gf2 --dims 1,1 --format interchange
-    46  f7cb5496892e  states obstruct --context cartesian --sets 'a,b,c,d|e,f,g,h' --format text
-    48  6cc640c11061  states obstruct --context cartesian --sets 'a,b,c,d|e,f,g,h' --format dot
-    50  05d2a0713e95  states obstruct --context cartesian --sets 'a,b,c,d|e,f,g,h' --format interchange
+    35  7c76394c5bab  cat pi0 fixtures/primed_basepoint.cat --object 0
+    39  a09c58ef5c06  cat pi0 fixtures/primed_basepoint.cat --object 0 --format interchange
+    32  30cd408f6438  cat pi0 clash.cat --object 1
+    35  38ae25a45c8a  cat pi0 clash.cat --object 1 --format interchange
+   296  53af711c98ae  states local-act --context gf2 --dims 2,2 --fmat 10,00 --gmat 10,01
+   756  8a568c71bc52  states local-act --context gf2 --dims 2,3 --fmat 11,01 --gmat 101,011
+    45  87a2f7a7b200  states local-act --context cartesian --sets 'a,b|c,d' --target-sets 'a|c,d' --fmap a=>a,b=>a --gmap c=>c,d=>d
+   262  e7c977b00d15  states obstruct --context gf2 --dims 2,2 --format text
+   312  95a3ff78843f  states obstruct --context gf2 --dims 2,2 --format dot
+   314  e5a39734cd17  states obstruct --context gf2 --dims 2,2 --format interchange
+  1070  bd4ec9053087  states obstruct --context gf2 --dims 1,1 --format text
+  2080  a0911a082240  states obstruct --context gf2 --dims 1,1 --format dot
+  2082  eb6fa29df6c2  states obstruct --context gf2 --dims 1,1 --format interchange
+    42  d1c932c52afc  states obstruct --context cartesian --sets 'a,b,c,d|e,f,g,h' --format text
+    44  7c5a805cdc22  states obstruct --context cartesian --sets 'a,b,c,d|e,f,g,h' --format dot
+    46  cfb926c59ad3  states obstruct --context cartesian --sets 'a,b,c,d|e,f,g,h' --format interchange
     34  76997c843d39  opengraph compose fixtures/G.og fixtures/H.og
     46  56c165a98683  opengraph compose fixtures/G.og fixtures/H.og --format dot
     13  0a574200a2e2  opengraph reach fixtures/G.og
     27  301c7ff9ba91  opengraph reach fixtures/G.og --format dot
-    78  905cde882a45  opengraph obstruct fixtures/G.og fixtures/H.og --format text
-    80  16d9d32e2303  opengraph obstruct fixtures/G.og fixtures/H.og --format dot
-    81  a20e477b2e00  opengraph obstruct fixtures/G.og fixtures/H.og --format interchange
-   103  04db81bd5370  opengraph act fixtures/G.og fixtures/G_identified.og fixtures/identify_outputs.gh fixtures/H.og
-   307  19ce56c284e5  opengraph obstruct left8.og right8.og --format text
-   532  fbaf02b98d5c  opengraph obstruct left8.og right8.og --format dot
-   533  3394305b94b0  opengraph obstruct left8.og right8.og --format interchange
+    74  907cdffceb73  opengraph obstruct fixtures/G.og fixtures/H.og --format text
+    76  f58f62dcba83  opengraph obstruct fixtures/G.og fixtures/H.og --format dot
+    77  c97d5b45490c  opengraph obstruct fixtures/G.og fixtures/H.og --format interchange
+    99  058b641f6b7b  opengraph act fixtures/G.og fixtures/G_identified.og fixtures/identify_outputs.gh fixtures/H.og
+   303  a0cb89ae68e4  opengraph obstruct left8.og right8.og --format text
+   528  b662465ce0ce  opengraph obstruct left8.og right8.og --format dot
+   529  ffa452972b6f  opengraph obstruct left8.og right8.og --format interchange
 """
 WORK_ROWS = {row: (int(total), digest) for total, digest, row in (line.split(None, 2) for line in WORK.splitlines() if line and not line.startswith("#"))}
 
@@ -352,15 +352,13 @@ CALLS = """
     26  opengraph.relation_text
      1  opengraph.serialize_open_graph
     67  order.PointedPoset.__init__
- 29022  order._at
+ 29089  order._at
    779  order._bits
-  9667  order._pick
+  9600  order._pick
      4  order._preserves
     39  order.from_masks
-    67  order.is_trivial
      4  order.make_monotone
      4  order.make_pointed
-    67  order.minimal_obstructions
     39  order.pointed_reflection
   9595  order.quote
     23  setcat.FiniteFunction.__new__
