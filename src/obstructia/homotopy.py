@@ -12,10 +12,12 @@ read off the morphisms into y (pi0) and the pairs into x that f equalises
 for pi0, to subterminality for pi1.
 
 Where pi_i is read, at an object x or at a slice object f: x -> y, is one
-fact, ``_end``: the walk's arguments, the base key and the point name.
+fact, ``_end``: the walk, the base element's key and the point name.
 ``pi0``, ``pi1`` and ``analyze_morphism`` read it, and so does each flow
 (along a morphism, along a functor, and along a natural transformation
 over a morphism of the domain), one call of ``_flow`` on two ends.  Every
+element key is a tuple, (y,) for an object y, (h,) for a slice object and
+(h0, h1) for a pair, so a flow moves any key position by position.  Every
 walk is read through the walk memo ``fincat._WALKS``, so ends and ops on one
 category share it by key: the slice over y by y, the pairs into x that f
 equalises by the partition h |-> h;f induces on hom(-, x), which pi1 at x
@@ -42,7 +44,7 @@ from itertools import chain, compress, islice, repeat
 from operator import and_, eq, or_, rshift
 
 from . import fincat, order
-from .errors import CapExceeded, InvalidPoset, OracleMismatch, UnknownMorphism, UnknownObject
+from .errors import CapExceeded, InvalidPoset, OracleMismatch, UnknownObject
 
 # Generators past which no powerset poset is built (it has up to 2^n elements).
 POWERSET_CAP = 12
@@ -79,67 +81,52 @@ def report_from_pointed(pp: order.PointedPoset, context: str) -> ObstructionRepo
 # -- the two invariants ------------------------------------------------------
 
 
-def _pi_data(c: fincat.FinCat, k: int, x: str | None = None, over: str | None = None):
-    """The walk behind pi_i: the element names, each with its key, and, in
-    that order, their down-masks.  At k = 0 the elements are the objects of
-    c, each its own key, and each object's mask has the domains of the
-    morphisms into it, read from ``fincat._WALKS`` at the key 0; at k = 1,
-    2 they are the category of elements of hom(-, x)^k (only the tuples
-    that ``over`` equalises, if given), keyed by tuple of positions."""
-    if k:
-        return fincat._elements_preorder(c, x, k, over)
-    return fincat._WALKS.get(c, 0, lambda: _object_preorder(c))
-
-
 def _object_preorder(c: fincat.FinCat):
     index = {y: i for i, y in enumerate(c.objects)}
     down = [0] * len(index)
     for m in c.morphisms:
         down[index[m.cod]] |= 1 << index[m.dom]
-    return dict(zip(c.objects, c.objects)), down
+    return dict(zip(c.objects, zip(c.objects))), down
 
 
 def _end(c: fincat.FinCat, i: int, x: str, f: str | None = None):
     """Where pi_i is read: at the object x, or, given f: x -> y, at the
     slice object f, read off c (pi0 on the slice over y, pi1 on the pairs
-    into x that f equalises).  Returns the ``_pi_data`` arguments, the key
-    of the base element and the point name."""
+    into x that f equalises).  Returns the walk, each element name mapped
+    to its key and, in that order, the down-masks; then the base element's
+    key and the point name.  Every key is a tuple: (y,) for an object y of
+    the objects' preorder, read from ``fincat._WALKS`` at the key 0, and a
+    tuple of positions for an element of hom(-, x)^k."""
     if i not in (0, 1):
         raise ValueError("i must be 0 or 1")
-    point = x if f is None else f
     if i == 0 and f is None:
         if not c.has_object(x):
             raise UnknownObject(x)
-        return (c, 0), x, point
+        return fincat._WALKS.get(c, 0, lambda: _object_preorder(c)), (x,), x
     if i == 0:
-        return (c, 1, c.cod(f)), (c.index[f],), point
-    return (c, 2, x, f), (c.index[c.id_of(x)],) * 2, point
+        return fincat._elements_preorder(c, c.cod(f), 1), (c.index[f],), f
+    base = (c.index[c.id_of(x)],) * 2
+    return fincat._elements_preorder(c, x, 2, f), base, x if f is None else f
 
 
-def _pi_at(walk, base, point: str, i: int) -> tuple[ObstructionReport, list[str]]:
-    """pi_i pointed at ``point``: the pointed reflection of the walk at the
-    element keyed ``base``, an object or a tuple of positions, and the class
-    of each element in walk order."""
-    elements, down = walk
+def _pi_at(end, i: int) -> tuple[ObstructionReport, list[str]]:
+    """pi_i at an ``_end``: the pointed reflection of its walk at the base
+    element, pointed at [point], and the class of each element in walk
+    order."""
+    (elements, down), base, point = end
     pp, class_of = order.pointed_reflection(list(elements), down, list(elements.values()).index(base), f"[{point}]")
     return report_from_pointed(pp, f"pi{i} at object {point!r}"), class_of
 
 
-def _pi(c: fincat.FinCat, i: int, x: str, f: str | None = None) -> ObstructionReport:
-    """pi_i at the ``_end`` of x and f."""
-    args, base, point = _end(c, i, x, f)
-    return _pi_at(_pi_data(*args), base, point, i)[0]
-
-
 def pi0(c: fincat.FinCat, x: str) -> ObstructionReport:
     """Pointed poset of obstructions to weak terminality of x."""
-    return _pi(c, 0, x)
+    return _pi_at(_end(c, 0, x), 0)[0]
 
 
 def pi1(c: fincat.FinCat, x: str) -> ObstructionReport:
     """Pointed poset of obstructions to subterminality of x.  Refuses with
     SizeCapExceeded past ``fincat.OBJECTS_CAP`` parallel pairs over x."""
-    return _pi(c, 1, x)
+    return _pi_at(_end(c, 1, x), 1)[0]
 
 
 # -- terminality oracles (independent of the poset machinery) ----------------
@@ -182,15 +169,12 @@ def induced_map(src: ObstructionReport, dst: ObstructionReport, image_class) -> 
 
 def _flow(i: int, src_end, dst_end, move) -> order.PointedMap:
     """The map from pi_i at one ``_end`` to pi_i at the other: an element
-    goes to the class of the move of its key, an object, or each position
-    of a tuple, read off one key -> class dict of the target end."""
-    (args, base, point), (dst_args, dst_base, dst_point) = src_end, dst_end
-    walk, dst_walk = _pi_data(*args), _pi_data(*dst_args)
-    src = _pi_at(walk, base, point, i)[0]
-    dst, class_of = _pi_at(dst_walk, dst_base, dst_point, i)
-    elements, lookup = walk[0], dict(zip(dst_walk[0].values(), class_of))
-    image = move if args[1] == 0 else lambda t: tuple(map(move, t))
-    return induced_map(src, dst, lambda e: lookup[image(elements[e])])
+    goes to the class of its key moved position by position, read off one
+    key -> class dict of the target end."""
+    src = _pi_at(src_end, i)[0]
+    dst, class_of = _pi_at(dst_end, i)
+    keys, lookup = src_end[0][0], dict(zip(dst_end[0][0].values(), class_of))
+    return induced_map(src, dst, lambda e: lookup[tuple(map(move, keys[e]))])
 
 
 def pi_object_action(c: fincat.FinCat, f: str, i: int) -> order.PointedMap:
@@ -200,10 +184,9 @@ def pi_object_action(c: fincat.FinCat, f: str, i: int) -> order.PointedMap:
     into y, in which case it lands on the basepoint.  For i = 1 a pair class
     maps to the class of the postcomposed pair.
     """
-    if not c.has_morphism(f):
-        raise UnknownMorphism(f)
-    move = (lambda x: x) if i == 0 else c.rows[c.index[f]].__getitem__
-    return _flow(i, _end(c, i, c.dom(f)), _end(c, i, c.cod(f)), move)
+    x, y = c.dom(f), c.cod(f)
+    move = (lambda z: z) if i == 0 else c.rows[c.index[f]].__getitem__
+    return _flow(i, _end(c, i, x), _end(c, i, y), move)
 
 
 def pi_functor_map(functor: fincat.FunctorData, x: str, i: int) -> order.PointedMap:
@@ -226,8 +209,6 @@ def covariance_map(alpha: fincat.NatTransData, f: str, i: int) -> order.PointedM
     """
     F, G = alpha.source, alpha.target
     c, d = F.source, F.target
-    if not c.has_morphism(f):
-        raise UnknownMorphism(f)
     x, y = c.dom(f), c.cod(f)
     ends = (_end(d, i, F.obj_map[z], alpha.components[z]) for z in (x, y))
     post = d.rows[d.index[(F if i else G).mor_map[f]]]
@@ -255,11 +236,9 @@ def analyze_morphism(c: fincat.FinCat, f: str) -> MorphismAnalysis:
     off c, and cross-check the verdicts against direct split-epi / mono
     searches.  A disagreement raises OracleMismatch: it can only mean a bug.
     The slice and the pairs f equalises are guarded as in ``pi1``."""
-    if not c.has_morphism(f):
-        raise UnknownMorphism(f)
     x = c.dom(f)
-    r0 = _pi(c, 0, x, f)
-    r1 = _pi(c, 1, x, f)
+    r0 = _pi_at(_end(c, 0, x, f), 0)[0]
+    r1 = _pi_at(_end(c, 1, x, f), 1)[0]
     split_epi = r0.trivial
     mono = r1.trivial
     if split_epi != brute_split_epi(c, f):

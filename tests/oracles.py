@@ -585,8 +585,36 @@ def pi0_explicit(c, x):
     return frozenset([bp] + elems), frozenset(leq), bp
 
 
-def pi1_explicit(c, x):
-    """The case-by-case description of pi1 over parallel pairs into x."""
+def pair_element_names(c, x, over=None):
+    """The name of each pair of ``fincat._elements_preorder(c, x, 2,
+    over)``, keyed by its pair of morphism ids: the pair of ids, or of slice
+    morphisms h[k=>over], k = h;over, given ``over``, each pair in the
+    order the library documents, object by object, the morphisms y -> x
+    split by their composite with ``over`` in the order of their first
+    member, and the tuples of each part in product order; the n-th pair
+    named alike gets ``#n``."""
+    table = comp(c)
+    label = (lambda h: h) if over is None else (lambda h: f"{h}[{table[h, over]}=>{over}]")
+    pairs, out = [], {}
+    for y in c.objects:
+        parts = {}
+        for h in (m.name for m in c.morphisms if m.dom == y and m.cod == x):
+            parts.setdefault(None if over is None else table[h, over], []).append(h)
+        pairs += [pair for part in parts.values() for pair in product(part, repeat=2)]
+    for h0, h1 in pairs:
+        name = f"({label(h0)},{label(h1)})"
+        n, free = 1, name
+        while free in out.values():
+            n += 1
+            free = f"{name}#{n}"
+        out[h0, h1] = free
+    return out
+
+
+def pi1_explicit(c, x, name_of=None):
+    """The case-by-case description of pi1 over parallel pairs into x, each
+    pair named by ``name_of``: by default as the library names the pairs
+    into x (``pair_element_names``)."""
     table = comp(c)
     pairs = [
         (f, g)
@@ -605,7 +633,7 @@ def pi1_explicit(c, x):
 
     cls = _classes(pairs, related)
     collapsed = {cls[p] for p in pairs if p[0] == p[1]}
-    name = dict(zip(pairs, fincat.pair_names(pairs)))
+    name = dict(zip(pairs, map(name_of or pair_element_names(c, x).__getitem__, pairs)))
     reps = {}
     for p in pairs:
         key = cls[p]

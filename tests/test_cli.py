@@ -66,6 +66,11 @@ class TestCat:
         assert code == 1
         assert "UnknownObject" in capsys.readouterr().err
 
+    def test_unknown_morphism_error(self, capsys):
+        code, text = run("cat", "analyze", fx("walking_arrow.cat"), "--morphism", "zz")
+        assert (code, text) == (1, "")
+        assert capsys.readouterr().err == "error UnknownMorphism: no such morphism: 'zz'\n"
+
     def test_pi1_pairs_that_render_alike_stay_distinct(self):
         code, text = run("cat", "pi1", fx("pair_collision.cat"), "--object", "x")
         assert code == 0

@@ -8,7 +8,8 @@ a digraph on tuples of morphism names, one edge h;t -> t per arrow h, and
 the down-set of t is t with its ``nx.ancestors``; pi0 at an object reads
 the object digraph, one edge dom m -> cod m per morphism m, the same way,
 and reachability of open graphs is ``nx.descendants`` on a glued digraph
-built here.  A pointed reflection is the condensation of the preorder's
+built here.  Pairs are named by ``oracles.pair_element_names``, the one
+model of the library's pair names, which the explicit descriptions share.  A pointed reflection is the condensation of the preorder's
 digraph, each class named by its least member, with the lower set of the
 base's class collapsed to the basepoint and the covers the
 ``nx.transitive_reduction`` of what is left.  A written report is read back
@@ -32,6 +33,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import gen
+import oracles
 from obstructia import fincat, homotopy, order
 from obstructia import opengraph as og
 from obstructia.errors import InvalidPoset
@@ -173,38 +175,11 @@ class TestPointedReflection:
         assert_written(homotopy.report_from_pointed(assert_reflection(names, down, base, "[a]"), "reflection"))
 
 
-def pair_element_names(c, x, g, over=None):
-    """The name of each node of ``element_digraph(c, x, 2, over)``: the
-    pair of morphism ids, or of slice morphisms h[k=>over], k = h;over,
-    given ``over``, each pair in the order the library documents, object by
-    object, the morphisms y -> x split by their composite with ``over`` in
-    the order of their first member, and the tuples of each part in
-    product order; the n-th pair named alike gets ``#n``."""
-    names = [m.name for m in c.morphisms]
-    comp = {(names[h], names[k]): names[hk] for k, row in enumerate(c.rows) for h, hk in row.items()}
-    label = (lambda h: h) if over is None else (lambda h: f"{h}[{comp[h, over]}=>{over}]")
-    order, out = [], {}
-    for y in c.objects:
-        parts = {}
-        for h in names:
-            if c.dom(h) == y and c.cod(h) == x:
-                parts.setdefault(None if over is None else comp[h, over], []).append(h)
-        order += [pair for part in parts.values() for pair in product(part, repeat=2)]
-    for h0, h1 in order:
-        name = f"({label(h0)},{label(h1)})"
-        n, free = 1, name
-        while free in out.values():
-            n += 1
-            free = f"{name}#{n}"
-        out[h0, h1] = free
-    assert set(out) == set(g)
-    return out
-
-
 def nx_report(g, name, base, point):
     """The report shape of the pointed reflection of g at the node
     ``base``, pointed at [point]: (elements, basepoint, covers, minimal,
-    trivial)."""
+    trivial).  ``name`` names each node of g and nothing else."""
+    assert name.keys() == set(g)
     elems, bp, covers, _ = nx_reflect(g, name, base, f"[{point}]")
     below = {b for a, b in covers if a != bp}
     return elems, bp, covers, {e for e in elems if e != bp and e not in below}, len(elems) == 1
@@ -217,7 +192,7 @@ def nx_analysis(c, f):
     x, y = c.dom(f), c.cod(f)
     slices, pairs = element_digraph(c, y, 1), element_digraph(c, x, 2, f)
     return [nx_report(slices, {t: t[0] for t in slices}, (f,), f),
-            nx_report(pairs, pair_element_names(c, x, pairs, f), (c.identity[x],) * 2, f)]
+            nx_report(pairs, oracles.pair_element_names(c, x, f), (c.identity[x],) * 2, f)]
 
 
 def nx_pi(c, x, i):
@@ -230,7 +205,7 @@ def nx_pi(c, x, i):
         g.add_edges_from((m.dom, m.cod) for m in c.morphisms if m.dom != m.cod)
         return nx_report(g, {y: y for y in g}, x, x)
     g = element_digraph(c, x, 2)
-    return nx_report(g, pair_element_names(c, x, g), (c.identity[x],) * 2, x)
+    return nx_report(g, oracles.pair_element_names(c, x), (c.identity[x],) * 2, x)
 
 
 def report_shape(r):

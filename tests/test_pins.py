@@ -200,6 +200,7 @@ UNREACHED = {
     # the library API that acceptance criteria 5-7 name, with no command
     "fincat.is_groupoid": "library API: test_acceptance.py::test_criterion_05_groupoid_degeneration",
     "fincat.validate_functor": "library API: test_acceptance.py::test_criterion_06_functoriality_laws",
+    "fincat.FinCat.has_morphism": "library API: validate_functor and validate_nat_trans, acceptance criteria 6-7",
     "fincat.identity_functor": "library API: test_acceptance.py::test_criterion_06_functoriality_laws",
     "fincat.compose_functors": "library API: test_acceptance.py::test_criterion_06_functoriality_laws",
     "homotopy.pi_object_action": "library API: test_acceptance.py::test_criterion_06_functoriality_laws",
@@ -221,28 +222,28 @@ WORK = """
   4052  dc49f6977d73  set pi1 --fn fixtures/wide12_pi1.fn --format text
   8085  8d07874ac37f  set pi1 --fn fixtures/wide12_pi1.fn --format dot
   8086  c97350441d9d  set pi1 --fn fixtures/wide12_pi1.fn --format interchange
-   122  e277ed6aace4  cat analyze ambient.cat --morphism 3>2:010
-   122  e277ed6aace4  cat analyze byname.cat --morphism 3>2:010
-   122  e277ed6aace4  cat analyze latemor.cat --morphism 3>2:010
+   117  080c1e9c79ef  cat analyze ambient.cat --morphism 3>2:010
+   117  080c1e9c79ef  cat analyze byname.cat --morphism 3>2:010
+   117  080c1e9c79ef  cat analyze latemor.cat --morphism 3>2:010
     12  fd8fd7f3d6d2  cat validate ambient.cat
     12  fd8fd7f3d6d2  cat validate byname.cat
     12  fd8fd7f3d6d2  cat validate latemor.cat
-   142  e5f9908e5c8f  cat analyze ambient.cat --morphism 3>2:010 --format dot
-   144  17b42d0ee0f7  cat analyze ambient.cat --morphism 3>2:010 --format interchange
-   446  719c245e43f6  cat pi1 ambient.cat --object 3 --format interchange
-   445  c81386972ffa  cat pi1 ambient.cat --object 3 --format dot
-   322  8fe261949416  cat pi1 ambient.cat --object 3
-    57  d9d28e4b8613  cat pi1 z12.cat --object '*'
-    84  75d51a76e72c  cat analyze twins.cat --morphism 2>1:00*f
+   137  3c1940bb1c72  cat analyze ambient.cat --morphism 3>2:010 --format dot
+   139  571ed30a3471  cat analyze ambient.cat --morphism 3>2:010 --format interchange
+   444  1814bdec5073  cat pi1 ambient.cat --object 3 --format interchange
+   443  5426a0a70c7f  cat pi1 ambient.cat --object 3 --format dot
+   320  0ae5b7ad25c4  cat pi1 ambient.cat --object 3
+    55  7df2b7d8e280  cat pi1 z12.cat --object '*'
+    79  32239234e6fe  cat analyze twins.cat --morphism 2>1:00*f
     12  fd8fd7f3d6d2  cat validate fixtures/z2.cat
-    33  341b97be8e84  cat pi0 fixtures/walking_arrow.cat --object 0
-    35  d561af1c5290  cat pi0 fixtures/walking_arrow.cat --object 0 --format dot
-    36  8bee28d7b73f  cat pi0 fixtures/walking_arrow.cat --object 0 --format interchange
+    31  36daa8748ebe  cat pi0 fixtures/walking_arrow.cat --object 0
+    33  2a44d01e5a19  cat pi0 fixtures/walking_arrow.cat --object 0 --format dot
+    34  c7d468e5c649  cat pi0 fixtures/walking_arrow.cat --object 0 --format interchange
     24  a38f568c01ce  cat check-terminal fixtures/walking_arrow.cat --object 0
-    35  7c76394c5bab  cat pi0 fixtures/primed_basepoint.cat --object 0
-    39  a09c58ef5c06  cat pi0 fixtures/primed_basepoint.cat --object 0 --format interchange
-    32  30cd408f6438  cat pi0 clash.cat --object 1
-    35  38ae25a45c8a  cat pi0 clash.cat --object 1 --format interchange
+    33  65b7fdfbd4fe  cat pi0 fixtures/primed_basepoint.cat --object 0
+    37  46ffa787b606  cat pi0 fixtures/primed_basepoint.cat --object 0 --format interchange
+    30  72d0aabe5b26  cat pi0 clash.cat --object 1
+    33  dc117dc63923  cat pi0 clash.cat --object 1 --format interchange
    296  53af711c98ae  states local-act --context gf2 --dims 2,2 --fmat 10,00 --gmat 10,01
    756  8a568c71bc52  states local-act --context gf2 --dims 2,3 --fmat 11,01 --gmat 101,011
     45  87a2f7a7b200  states local-act --context cartesian --sets 'a,b|c,d' --target-sets 'a|c,d' --fmap a=>a,b=>a --gmap c=>c,d=>d
@@ -294,7 +295,6 @@ CALLS = """
     22  fincat.FinCat.__new__
     12  fincat.FinCat.cod
      6  fincat.FinCat.dom
-     6  fincat.FinCat.has_morphism
     26  fincat.FinCat.has_object
      6  fincat.FinCat.hom
     16  fincat.FinCat.id_of
@@ -314,9 +314,7 @@ CALLS = """
     22  fincat.validate_category
     23  homotopy._end
      7  homotopy._object_preorder
-    23  homotopy._pi
     23  homotopy._pi_at
-    23  homotopy._pi_data
     69  homotopy._rows
      6  homotopy.analyze_morphism
      6  homotopy.brute_mono
