@@ -26,9 +26,9 @@ split of hom(-, x) into fibres behind the size caps below, and one walk
 over the rows, one object at a time, that reads every arrow into each
 element and hands each down-set along ``FinCat.split_epis``: the preorder
 ``order.pointed_reflection`` points.  The walk reads no name, so the walk
-memo ``_WALKS`` keeps it for the category last walked, by its fibres, within
-``OBJECTS_CAP`` elements; the caps are checked and the elements named on
-every call.  The tests keep the ``.cat``
+memo ``_WALKS`` keeps it, by its fibres, and its reflections' name-free
+part, by base, for the category last walked, within ``OBJECTS_CAP``
+elements; the caps are checked and the elements named on every call.  The tests keep the ``.cat``
 writer and the opposite, and, as oracles, the walk of every element, the
 composition tables of the derived categories, the table keyed by names and
 the functor and naturality checks by name.
@@ -463,20 +463,22 @@ def _named(c: FinCat, fibres: tuple, k: int, over: str | None, tuples: list) -> 
 
 
 class _WalkMemo:
-    """The walks of the category last walked, by key, tied to it by
-    identity: a walk of another category starts the memo afresh, so no
-    walk is handed to a category it was not taken on, and none outlives
-    the next category walked.  A walk is kept whole while the elements kept
-    stay within ``OBJECTS_CAP``, the oldest dropped first to make room;
-    ``hits`` and ``misses`` count reads since the memo was built.  Each
-    read holds one lock, so threads that share the memo cannot interleave
-    a switch of category with a read.  Walks are shared by every reader of
-    a key and must not be written to."""
+    """The walks of the category last walked, by key, and what their
+    reflections keep, by walk key and base, tied to it by identity: a walk
+    of another category starts the memo afresh, so nothing is handed to a
+    category it was not taken on, and nothing outlives the next category
+    walked.  An entry is kept whole while the elements kept (walked, or
+    classes reflected) stay within ``OBJECTS_CAP``, a walk dropping the
+    oldest first to make room, a reflection none; ``hits`` and ``misses``
+    count walk reads since the memo was built, ``reused`` and ``validated``
+    reflections.  Each read holds one lock, so threads that share the memo
+    cannot interleave a switch of category with a read.  Entries are shared
+    by every reader of a key and must not be written to."""
 
-    __slots__ = ("of", "walks", "kept", "hits", "misses", "lock")
+    __slots__ = ("of", "walks", "kept", "hits", "misses", "reused", "validated", "lock")
 
     def __init__(self):
-        self.of, self.walks, self.kept, self.hits, self.misses = None, {}, 0, 0, 0
+        self.of, self.walks, self.kept, self.hits, self.misses, self.reused, self.validated = None, {}, 0, 0, 0, 0, 0
         self.lock = allocate_lock()
 
     def get(self, c: FinCat, key, walk):
@@ -499,8 +501,30 @@ class _WalkMemo:
                 self.kept += n
             return found
 
+    def reflect(self, at: tuple, base: int, reflect):
+        """What ``reflect(kept)`` returns first, with kept what is kept at
+        ``base`` of the walk ``at`` (category, key), or None; it returns
+        second None if it renamed kept, else what to keep where none is."""
+        c, key = at
+        with self.lock:
+            kept = self.walks.get((key, base)) if self.of is c else None
+            got, keep = reflect(kept)
+            self.reused, self.validated = self.reused + (keep is None), self.validated + (keep is not None)
+            if kept is None and self.of is c and self.kept + len(keep[1]) <= OBJECTS_CAP:
+                self.walks[key, base], self.kept = keep, self.kept + len(keep[1])
+            return got
+
 
 _WALKS = _WalkMemo()
+
+
+class Walk(tuple):
+    """A walk (elements, down) and ``at``, where ``_WALKS`` reads it."""
+
+    def __new__(cls, elements: dict, down: list, at: tuple):
+        walk = super().__new__(cls, (elements, down))
+        walk.at = at
+        return walk
 
 
 def _walk(c: FinCat, k: int, fibres: tuple):
@@ -551,10 +575,12 @@ def _elements_preorder(c: FinCat, x: str, k: int, over: str | None = None):
     at the key (x, k, the fibres without their values), so every morphism
     out of x that induces one partition of hom(-, x) shares one walk, and
     so does the partition by domain, which is what pi1 at x walks.  The
-    names are given per call (``_named``)."""
+    names are given per call (``_named``), in a ``Walk`` that hands the key
+    on."""
     fibres = _fibres(c, x, k, over)
-    tuples, down = _WALKS.get(c, (x, k, tuple(fibre for _, _, fibre in fibres)), lambda: _walk(c, k, fibres))
-    return _named(c, fibres, k, over, tuples), down
+    key = (x, k, tuple(fibre for _, _, fibre in fibres))
+    tuples, down = _WALKS.get(c, key, lambda: _walk(c, k, fibres))
+    return Walk(_named(c, fibres, k, over, tuples), down, (c, key))
 
 
 def is_groupoid(c: FinCat) -> bool:

@@ -22,8 +22,11 @@ walk is read through the walk memo ``fincat._WALKS``, so ends and ops on one
 category share it by key: the slice over y by y, the pairs into x that f
 equalises by the partition h |-> h;f induces on hom(-, x), which pi1 at x
 shares with every f of constant kernel, and the objects' preorder by 0.
-Only the names and the pointing depend on f.  A flow points each end once
-and, like every flow, is built by ``induced_map``: it maps class
+Only the names and the pointing depend on f, so the memo keeps each
+reflection's masks, validated, by walk and base, and a later call with
+classes in the same name order renames them (``order.reflection``);
+``report_from_pointed`` still checks every report.  A flow points each end
+once and, like every flow, is built by ``induced_map``: it maps class
 representatives, sends collapsed images to the basepoint, and then
 *checks* the result to be monotone, along the covers of the source poset,
 and basepoint-preserving, so a broken table shows up as an error instead
@@ -92,9 +95,9 @@ def _object_preorder(c: fincat.FinCat):
 def _end(c: fincat.FinCat, i: int, x: str, f: str | None = None):
     """Where pi_i is read: at the object x, or, given f: x -> y, at the
     slice object f, read off c (pi0 on the slice over y, pi1 on the pairs
-    into x that f equalises).  Returns the walk, each element name mapped
-    to its key and, in that order, the down-masks; then the base element's
-    key and the point name.  Every key is a tuple: (y,) for an object y of
+    into x that f equalises).  Returns the walk, a ``fincat.Walk``: each
+    element name mapped to its key and, in that order, the down-masks; then
+    the base element's key and the point name.  Every key is a tuple: (y,) for an object y of
     the objects' preorder, read from ``fincat._WALKS`` at the key 0, and a
     tuple of positions for an element of hom(-, x)^k."""
     if i not in (0, 1):
@@ -102,7 +105,7 @@ def _end(c: fincat.FinCat, i: int, x: str, f: str | None = None):
     if i == 0 and f is None:
         if not c.has_object(x):
             raise UnknownObject(x)
-        return fincat._WALKS.get(c, 0, lambda: _object_preorder(c)), (x,), x
+        return fincat.Walk(*fincat._WALKS.get(c, 0, lambda: _object_preorder(c)), (c, 0)), (x,), x
     if i == 0:
         return fincat._elements_preorder(c, c.cod(f), 1), (c.index[f],), f
     base = (c.index[c.id_of(x)],) * 2
@@ -114,7 +117,8 @@ def _pi_at(end, i: int) -> tuple[ObstructionReport, list[str]]:
     element, pointed at [point], and the class of each element in walk
     order."""
     (elements, down), base, point = end
-    pp, class_of = order.pointed_reflection(list(elements), down, list(elements.values()).index(base), f"[{point}]")
+    names, at, bp = list(elements), list(elements.values()).index(base), f"[{point}]"
+    pp, class_of = fincat._WALKS.reflect(end[0].at, at, lambda kept: order.reflection(names, down, at, bp, kept))
     return report_from_pointed(pp, f"pi{i} at object {point!r}"), class_of
 
 

@@ -6,21 +6,23 @@ Python ints, so every order operation below is a handful of word-parallel
 ORs, ANDs and popcounts per element instead of lookups in a set of name
 pairs, which no operation here or output format reads.
 
-The workhorse is ``pointed_reflection``: the universal thin skeletal
-quotient of a preorder given by down-masks, with the lower set of one
-element's class identified to a basepoint, built in one pass that names
-and orders only the classes that survive.  It reads reachability only: the
-down-masks come from a category's morphisms or straight from the walks
-behind the slices and parallel arrows, and every homotopy invariant is one
-call of it.  Everything else here is supporting machinery: pointed and
-monotone maps, and DOT string quoting.  Reports, Hasse diagrams included,
-are written by ``homotopy.write_report``, and read their minimal
-obstructions off the cover masks (``homotopy.report_from_pointed``).
+The workhorse is ``reflection`` (``pointed_reflection`` with nothing
+kept): the universal thin skeletal quotient of a preorder given by
+down-masks, with the lower set of one element's class identified to a
+basepoint, built in one pass that names and orders only the classes that
+survive.  It reads reachability only: the down-masks come from a
+category's morphisms or straight from the walks behind the slices and
+parallel arrows, and every homotopy invariant is one call of it.
+Everything else here is supporting machinery: pointed and monotone maps,
+and DOT string quoting.  Reports, Hasse diagrams included, are written by
+``homotopy.write_report``, and read their minimal obstructions off the
+cover masks (``homotopy.report_from_pointed``).
 
 Every poset carries its cover masks.  ``from_masks`` validates every poset
-built here and computes them on the way, as the transitive reduction.  The
-one trusted constructor is ``homotopy.powerset_report``: its posets are
-orders by construction, so it builds ``Poset`` directly, cover masks
+built here and computes them on the way, as the transitive reduction, with
+two exceptions.  A reflection renamed from what one at the same down-masks
+and base kept reuses the masks validated there.  ``homotopy.powerset_report``
+builds orders by construction, so it builds ``Poset`` directly, cover masks
 included, and the tests check it against ``from_masks``.
 """
 
@@ -162,6 +164,12 @@ def make_pointed(source: PointedPoset, target: PointedPoset, mapping: Mapping[st
 
 
 def pointed_reflection(names, down: list[int], base: int, basepoint_name: str) -> tuple[PointedPoset, list[str]]:
+    """``reflection`` with nothing kept: the pointed poset and each
+    position's class, the basepoint for a collapsed one."""
+    return reflection(names, down, base, basepoint_name)[0]
+
+
+def reflection(names, down: list[int], base: int, basepoint_name: str, kept=None):
     """Reflect a preorder on ``names`` given by down-masks (bit j of down[i]
     set when names[j] <= names[i]), reflexive and transitive as given, and
     collapse the lower set of the class of position ``base``, low =
@@ -175,8 +183,11 @@ def pointed_reflection(names, down: list[int], base: int, basepoint_name: str) -
     representative's down-mask, read through one mask with a bit per
     representative, and the basepoint lies below exactly the classes whose
     masks meet low.  ``from_masks`` validates the result.  Returns the
-    pointed poset and each position's class, the basepoint for a collapsed
-    one."""
+    pointed poset and each position's class, and what to keep: the up- and
+    cover masks, and the classes' down-masks in order, low at the
+    basepoint's.  Given ``kept`` with these down-masks in this order, its
+    masks, which follow from them alone and were validated there, are
+    renamed, and there is nothing to keep."""
     low = down[base]
     keep = ((1 << len(names)) - 1) & ~low
     survivors = sorted(_pick(range(len(names)), keep), key=names.__getitem__, reverse=True)
@@ -188,9 +199,16 @@ def pointed_reflection(names, down: list[int], base: int, basepoint_name: str) -
     while bp in taken:
         bp += "'"
     at = bisect_left(elems, bp)
+    downs = list(map(down.__getitem__, reps))
+    downs.insert(at, low)
+    name_of = {d: names[r] for d, r in least.items()}
+    elems.insert(at, bp)
+    class_of = list(map(name_of.get, down, repeat(bp)))
+    if kept is not None and kept[1] == downs:
+        return (PointedPoset(Poset(tuple(elems), *kept[0]), bp), class_of), None
     pos = {1 << r: k + (k >= at) for k, r in enumerate(reps)}  # a representative's bit -> its class
     rep_bits = sum(pos)
-    up = [0] * (len(elems) + 1)
+    up = [0] * len(elems)
     up[at] = 1 << at
     for r, k in zip(reps, pos.values()):
         bit, d = 1 << k, down[r]
@@ -201,9 +219,8 @@ def pointed_reflection(names, down: list[int], base: int, basepoint_name: str) -
             j = below & -below
             up[pos[j]] |= bit
             below ^= j
-    name_of = {d: names[r] for d, r in least.items()}
-    elems.insert(at, bp)
-    return PointedPoset(from_masks(tuple(elems), up), bp), list(map(name_of.get, down, repeat(bp)))
+    p = from_masks(tuple(elems), up)
+    return (PointedPoset(p, bp), class_of), ((p.up, p.cover_masks), downs)
 
 
 # -- DOT string literals ---------------------------------------------------

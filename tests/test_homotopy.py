@@ -246,15 +246,17 @@ class TestPointedReflection:
 
 
 class TestOneReflectionPerCategory:
-    """One walk per distinct (category, key), and one pointed reflection
-    per end: the walks taken, the misses of ``fincat._WALKS`` from cold,
-    and the ``order.pointed_reflection`` calls, exact.  Each reflection is
-    validated by ``order.from_masks`` once, and nothing else is."""
+    """One walk per distinct (category, key), one pointed reflection per
+    end, and one validation per distinct (walk, base): the walks taken, the
+    misses of ``fincat._WALKS`` from cold, the ``order.reflection`` calls
+    and the ``order.from_masks`` calls, exact.  A reflection at a (walk,
+    base) already validated renames the masks kept there, and nothing else
+    is validated."""
 
     @pytest.fixture
     def count(self, monkeypatch):
         walks, reflections, validated = [], [], []
-        get, reflect, validate = fincat._WalkMemo.get, order.pointed_reflection, order.from_masks
+        get, reflect, validate = fincat._WalkMemo.get, fincat._WalkMemo.reflect, order.from_masks
 
         def counted_get(memo, c, key, walk):
             def counted_walk():
@@ -263,16 +265,16 @@ class TestOneReflectionPerCategory:
 
             return get(memo, c, key, counted_walk)
 
-        def counted_reflect(*args):
-            reflections.append(1)
-            return reflect(*args)
+        def counted_reflect(memo, at, base, fn):
+            reflections.append((id(at[0]), at[1], base))
+            return reflect(memo, at, base, fn)
 
         def counted_validate(*args):
             validated.append(1)
             return validate(*args)
 
         monkeypatch.setattr(fincat._WalkMemo, "get", counted_get)
-        monkeypatch.setattr(order, "pointed_reflection", counted_reflect)
+        monkeypatch.setattr(fincat._WalkMemo, "reflect", counted_reflect)
         monkeypatch.setattr(order, "from_masks", counted_validate)
 
         def run(fn, *args):
@@ -282,49 +284,127 @@ class TestOneReflectionPerCategory:
             validated.clear()
             fn(*args)
             assert len(set(walks)) == len(walks), walks
-            assert len(validated) == len(reflections)
-            return len(walks), len(reflections)
+            assert len(validated) == len(set(reflections)) == fincat._WALKS.validated
+            assert len(reflections) == fincat._WALKS.validated + fincat._WALKS.reused
+            return len(walks), len(reflections), len(validated)
 
         return run
 
     def test_object_action_at_an_endomorphism(self, count):
         z4 = gen.cyclic_group_category(4)
-        assert count(homotopy.pi_object_action, z4, "g1", 0) == (1, 2)
-        assert count(homotopy.pi_object_action, z4, "g1", 1) == (1, 2)
+        assert count(homotopy.pi_object_action, z4, "g1", 0) == (1, 2, 1)
+        assert count(homotopy.pi_object_action, z4, "g1", 1) == (1, 2, 1)
 
     def test_identity_functor(self, count):
         ident = fincat.identity_functor(gen.cyclic_group_category(4))
-        assert count(homotopy.pi_functor_map, ident, "*", 0) == (1, 2)
-        assert count(homotopy.pi_functor_map, ident, "*", 1) == (1, 2)
+        assert count(homotopy.pi_functor_map, ident, "*", 0) == (1, 2, 1)
+        assert count(homotopy.pi_functor_map, ident, "*", 1) == (1, 2, 1)
 
     def test_covariance_reflects_each_slice_once(self, count):
         wa = walking_arrow()
         ident = fincat.identity_functor(wa)
         alpha = fincat.validate_nat_trans(ident, ident, {"0": "id0", "1": "id1"})
-        assert count(homotopy.covariance_map, alpha, "a", 0) == (2, 2)
-        assert count(homotopy.covariance_map, alpha, "id0", 0) == (1, 2)
-        assert count(homotopy.covariance_map, alpha, "id0", 1) == (1, 2)
+        assert count(homotopy.covariance_map, alpha, "a", 0) == (2, 2, 2)
+        assert count(homotopy.covariance_map, alpha, "id0", 0) == (1, 2, 1)
+        assert count(homotopy.covariance_map, alpha, "id0", 1) == (1, 2, 1)
 
     def test_covariance_reflects_a_slice_once_whatever_its_point(self, count):
-        # G constant at 1: both sides are the slice over 1, pointed at a and id1
+        # G constant at 1: both sides are the slice over 1, pointed at a and
+        # id1, so one walk at two bases
         wa = walking_arrow()
         const = gen.constant_functor(wa, wa, "1")
         alpha = fincat.validate_nat_trans(fincat.identity_functor(wa), const, {"0": "a", "1": "id1"})
-        assert count(homotopy.covariance_map, alpha, "a", 0) == (1, 2)
+        assert count(homotopy.covariance_map, alpha, "a", 0) == (1, 2, 2)
 
     def test_invariants_and_analysis(self, count):
         wa = walking_arrow()
-        assert count(homotopy.pi0, wa, "0") == (1, 1)
-        assert count(homotopy.pi1, wa, "0") == (1, 1)
-        assert count(homotopy.analyze_morphism, wa, "a") == (2, 2)
+        assert count(homotopy.pi0, wa, "0") == (1, 1, 1)
+        assert count(homotopy.pi1, wa, "0") == (1, 1, 1)
+        assert count(homotopy.analyze_morphism, wa, "a") == (2, 2, 2)
 
     def test_functor_between_categories(self, count):
         # the inclusion of 1 into the walking arrow: two categories, two walks
         wa = walking_arrow()
         one = gen.thin_category(oracles.poset_from_pairs(["1"], [("1", "1")]))
         functor = fincat.validate_functor(one, wa, {"1": "1"}, {one.id_of("1"): "id1"})
-        assert count(homotopy.pi_functor_map, functor, "1", 0) == (2, 2)
-        assert count(homotopy.pi_functor_map, functor, "1", 1) == (2, 2)
+        assert count(homotopy.pi_functor_map, functor, "1", 0) == (2, 2, 2)
+        assert count(homotopy.pi_functor_map, functor, "1", 1) == (2, 2, 2)
+
+    def test_a_classification_validates_once_per_walk_and_base(self, count):
+        # the 64 ops of a classification of the size-3 finite-set skeleton:
+        # 124 reports over 69 distinct (walk, base), which pi1 at x shares
+        # with every f out of x onto a point, and pi1 at f with every f of
+        # the same kernel
+        c = gen.finset_ambient(3)
+        ops = [(homotopy.analyze_morphism, m.name) for m in c.morphisms] + [(homotopy.pi1, x) for x in c.objects]
+        assert count(lambda: [fn(c, arg) for fn, arg in ops]) == (13, 124, 69)
+
+
+def prefixed_ambient():
+    """The skeleton of sets of at most 2 elements, with 1>2:0 named p and
+    the constant 2>2:00 named p[.  pi1 at p[ shares its walk and base with
+    pi1 at 2 and at the constant 2>2:11, but its pairs of p and p[ fall in
+    another name order: (p[p=>p[],...) sorts after (p[[p[=>p[],...),
+    where (p,...) sorts before (p[,...)."""
+    c = gen.finset_ambient(2)
+    names = {**{x: x for x in c.objects}, **{m: m for m in gen.morphism_names(c)}}
+    return gen.renamed(c, {**names, "1>2:0": "p", "2>2:00": "p["})
+
+
+class TestRenamedReflections:
+    """A reflection renamed from what the walk memo kept against the same
+    reflection taken afresh: on one warm memo, every morphism analysed and
+    pi1 at every object, each result and its written bytes equal to those
+    of a cold memo per op."""
+
+    def check(self, c):
+        warm = fincat._WALKS
+        ops = [(homotopy.analyze_morphism, m) for m in gen.morphism_names(c)] + [(homotopy.pi1, x) for x in c.objects]
+        try:
+            for fn, arg in ops:
+                fincat._WALKS = warm
+                got = fn(c, arg)
+                fincat._WALKS = fincat._WalkMemo()
+                want = fn(c, arg)
+                reports = [(got, want)] if fn is homotopy.pi1 else [(got.pi0, want.pi0), (got.pi1, want.pi1)]
+                assert got == want
+                for g, w in reports:
+                    for fmt in ("text", "dot", "interchange"):
+                        assert written(g, fmt) == written(w, fmt)
+        finally:
+            fincat._WALKS = warm
+        return warm
+
+    def test_a_name_order_that_differs_is_reflected_afresh(self):
+        memo = self.check(prefixed_ambient())
+        kept = sum(len(key) == 2 for key in memo.walks)
+        # 25 reflections over 15 (walk, base): pi1 at p[ takes its own
+        assert (memo.reused, memo.validated, kept) == (9, 16, 15)
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.integers(min_value=0, max_value=10_000), st.data())
+    def test_renamed_categories(self, seed, data):
+        # ids over p, q and [, so that one id is a prefix of another and
+        # pairs of slice morphisms sort by their fibres' names
+        if data.draw(st.booleans()):
+            c = gen.finset_ambient(2)
+        else:
+            c = gen.random_category(random.Random(seed), max_objects=4, max_morphisms=14)
+        morphisms = gen.morphism_names(c)
+        labels = data.draw(st.lists(st.text("pq[", min_size=1, max_size=4), min_size=len(morphisms), max_size=len(morphisms), unique=True))
+        self.check(gen.renamed(c, {**{x: x for x in c.objects}, **dict(zip(morphisms, labels))}))
+
+    def test_a_basepoint_that_moves_is_reflected_afresh(self):
+        # a <= b, and c apart, pointed at a: b and c survive.  Named d and
+        # e, they keep their order and the basepoint its place; Z sorts
+        # before [a], so the basepoint moves; e and d swap the classes
+        down = [0b001, 0b011, 0b100]
+        first, kept = order.reflection(["a", "b", "c"], down, 0, "[a]")
+        assert first[0].poset.elements == ("[a]", "b", "c")
+        for names, reused in ((["a", "d", "e"], True), (["a", "Z", "e"], False), (["a", "e", "d"], False)):
+            got, keep = order.reflection(names, down, 0, "[a]", kept)
+            assert got == order.pointed_reflection(names, down, 0, "[a]")
+            assert (keep is None) == reused
 
 
 class TestWalkMemo:

@@ -222,40 +222,40 @@ WORK = """
   4052  dc49f6977d73  set pi1 --fn fixtures/wide12_pi1.fn --format text
   8085  8d07874ac37f  set pi1 --fn fixtures/wide12_pi1.fn --format dot
   8086  c97350441d9d  set pi1 --fn fixtures/wide12_pi1.fn --format interchange
-   117  080c1e9c79ef  cat analyze ambient.cat --morphism 3>2:010
-   117  080c1e9c79ef  cat analyze byname.cat --morphism 3>2:010
-   117  080c1e9c79ef  cat analyze latemor.cat --morphism 3>2:010
+   121  610f830f295d  cat analyze ambient.cat --morphism 3>2:010
+   121  610f830f295d  cat analyze byname.cat --morphism 3>2:010
+   121  610f830f295d  cat analyze latemor.cat --morphism 3>2:010
     12  fd8fd7f3d6d2  cat validate ambient.cat
     12  fd8fd7f3d6d2  cat validate byname.cat
     12  fd8fd7f3d6d2  cat validate latemor.cat
-   137  3c1940bb1c72  cat analyze ambient.cat --morphism 3>2:010 --format dot
-   139  571ed30a3471  cat analyze ambient.cat --morphism 3>2:010 --format interchange
-   444  1814bdec5073  cat pi1 ambient.cat --object 3 --format interchange
-   443  5426a0a70c7f  cat pi1 ambient.cat --object 3 --format dot
-   320  0ae5b7ad25c4  cat pi1 ambient.cat --object 3
-    55  7df2b7d8e280  cat pi1 z12.cat --object '*'
-    79  32239234e6fe  cat analyze twins.cat --morphism 2>1:00*f
+   141  570a7d2456aa  cat analyze ambient.cat --morphism 3>2:010 --format dot
+   143  983ee2de83d3  cat analyze ambient.cat --morphism 3>2:010 --format interchange
+   446  ba4518c5b351  cat pi1 ambient.cat --object 3 --format interchange
+   445  566857021a31  cat pi1 ambient.cat --object 3 --format dot
+   322  b9a8cde4c0ab  cat pi1 ambient.cat --object 3
+    57  a189513a38a8  cat pi1 z12.cat --object '*'
+    83  d1a9d3513e0f  cat analyze twins.cat --morphism 2>1:00*f
     12  fd8fd7f3d6d2  cat validate fixtures/z2.cat
-    31  36daa8748ebe  cat pi0 fixtures/walking_arrow.cat --object 0
-    33  2a44d01e5a19  cat pi0 fixtures/walking_arrow.cat --object 0 --format dot
-    34  c7d468e5c649  cat pi0 fixtures/walking_arrow.cat --object 0 --format interchange
+    33  4cf7786e5026  cat pi0 fixtures/walking_arrow.cat --object 0
+    35  26b0ad965ae8  cat pi0 fixtures/walking_arrow.cat --object 0 --format dot
+    36  e2ef6323e178  cat pi0 fixtures/walking_arrow.cat --object 0 --format interchange
     24  a38f568c01ce  cat check-terminal fixtures/walking_arrow.cat --object 0
-    33  65b7fdfbd4fe  cat pi0 fixtures/primed_basepoint.cat --object 0
-    37  46ffa787b606  cat pi0 fixtures/primed_basepoint.cat --object 0 --format interchange
-    30  72d0aabe5b26  cat pi0 clash.cat --object 1
-    33  dc117dc63923  cat pi0 clash.cat --object 1 --format interchange
-   296  53af711c98ae  states local-act --context gf2 --dims 2,2 --fmat 10,00 --gmat 10,01
-   756  8a568c71bc52  states local-act --context gf2 --dims 2,3 --fmat 11,01 --gmat 101,011
+    35  a58251708c97  cat pi0 fixtures/primed_basepoint.cat --object 0
+    39  8fe09dba6850  cat pi0 fixtures/primed_basepoint.cat --object 0 --format interchange
+    32  94328de073dd  cat pi0 clash.cat --object 1
+    35  5b2cf3f81198  cat pi0 clash.cat --object 1 --format interchange
+   298  f034b6cf31a3  states local-act --context gf2 --dims 2,2 --fmat 10,00 --gmat 10,01
+   758  c2d2f5855af2  states local-act --context gf2 --dims 2,3 --fmat 11,01 --gmat 101,011
     45  87a2f7a7b200  states local-act --context cartesian --sets 'a,b|c,d' --target-sets 'a|c,d' --fmap a=>a,b=>a --gmap c=>c,d=>d
-   262  e7c977b00d15  states obstruct --context gf2 --dims 2,2 --format text
-   312  95a3ff78843f  states obstruct --context gf2 --dims 2,2 --format dot
-   314  e5a39734cd17  states obstruct --context gf2 --dims 2,2 --format interchange
+   264  b733780667c0  states obstruct --context gf2 --dims 2,2 --format text
+   314  e5db7596c002  states obstruct --context gf2 --dims 2,2 --format dot
+   316  426a7475e06f  states obstruct --context gf2 --dims 2,2 --format interchange
   1070  bd4ec9053087  states obstruct --context gf2 --dims 1,1 --format text
   2080  a0911a082240  states obstruct --context gf2 --dims 1,1 --format dot
   2082  eb6fa29df6c2  states obstruct --context gf2 --dims 1,1 --format interchange
-    42  d1c932c52afc  states obstruct --context cartesian --sets 'a,b,c,d|e,f,g,h' --format text
-    44  7c5a805cdc22  states obstruct --context cartesian --sets 'a,b,c,d|e,f,g,h' --format dot
-    46  cfb926c59ad3  states obstruct --context cartesian --sets 'a,b,c,d|e,f,g,h' --format interchange
+    44  f0c984ffc6f7  states obstruct --context cartesian --sets 'a,b,c,d|e,f,g,h' --format text
+    46  7440d15e3364  states obstruct --context cartesian --sets 'a,b,c,d|e,f,g,h' --format dot
+    48  2831f1f89b23  states obstruct --context cartesian --sets 'a,b,c,d|e,f,g,h' --format interchange
     34  76997c843d39  opengraph compose fixtures/G.og fixtures/H.og
     46  56c165a98683  opengraph compose fixtures/G.og fixtures/H.og --format dot
     13  0a574200a2e2  opengraph reach fixtures/G.og
@@ -298,7 +298,9 @@ CALLS = """
     26  fincat.FinCat.has_object
      6  fincat.FinCat.hom
     16  fincat.FinCat.id_of
+    23  fincat.Walk.__new__
     23  fincat._WalkMemo.get
+    23  fincat._WalkMemo.reflect
     22  fincat._declarations
     16  fincat._elements_preorder
     16  fincat._fibres
@@ -357,8 +359,9 @@ CALLS = """
     39  order.from_masks
      4  order.make_monotone
      4  order.make_pointed
-    39  order.pointed_reflection
+    16  order.pointed_reflection
   9595  order.quote
+    39  order.reflection
     23  setcat.FiniteFunction.__new__
     27  setcat.FiniteFunction.image
     12  setcat.KernelPair.__init__

@@ -347,3 +347,37 @@ class TestAmbientAnalyze:
         fast = setcat.pi0_function(f)
         oracles.pointed_iso(generic.invariant, fast.invariant, gen.ambient_pi0_map(generic))
         assert fast.minimal == {"{1}", "{2}"}
+
+
+class TestPi1CutAgainstGeneric:
+    """pi1 of a function by its kernel-pair theorem against the generic
+    walk at the same function, a morphism of the skeleton of sets of at
+    most k elements: a pair (h0, h1) that f equalises is a map Y -> K with
+    |Y| <= k, its class is its image, and every subset of at most k pairs
+    is an image.  So the generic pi1 at f is the fast report cut to the
+    subsets of at most k pairs, basepoint kept.  All 60 functions of k = 3
+    run on one warm walk memo, so the reflections renamed from it meet an
+    oracle that shares no code with them."""
+
+    def test_every_function_of_the_size_3_skeleton(self):
+        amb, k = gen.finset_ambient(3), 3
+        for f in all_functions(k):
+            mor, _ = gen.embed_function(f)
+            end = homotopy._end(amb, 1, amb.dom(mor), mor)
+            generic, class_of = homotopy._pi_at(end, 1)
+            bp = generic.invariant.basepoint
+            image_of = {bp: "{}"}
+            for key, cls in zip(end[0][0].values(), class_of):
+                h0, h1 = (gen._images(amb.morphisms[h].name) for h in key)
+                if cls == bp:
+                    assert h0 == h1, (mor, key)
+                else:
+                    assert image_of.setdefault(cls, homotopy.subset_name(fincat.pair_names(set(zip(h0, h1))))) == image_of[cls]
+            fast = setcat.pi1_function(f)
+            cut = {e for e in fast.invariant.poset.elements if e.count("(") <= k}
+            assert sorted(image_of.values()) == sorted(cut), mor
+            assert {(image_of[a], image_of[b]) for a, b in oracles.leq(generic.invariant.poset)} == {
+                (a, b) for a, b in oracles.leq(fast.invariant.poset) if a in cut and b in cut}, mor
+            assert {image_of[e] for e in generic.minimal} == fast.minimal
+            assert generic.trivial == fast.trivial
+        assert (fincat._WALKS.reused, fincat._WALKS.validated) == (51, 9)
