@@ -72,6 +72,11 @@ ed5876affd8861042b54896a4eb6aea2191ebb06a8d478883d445d729637a9ee  cat pi0 fixtur
 f68463596ba600a227ba7796ce7ecfde7adddbfc7e669720645f18bbf74d40a8  cat pi0 fixtures/primed_basepoint.cat --object 0 --format interchange
 77de760aa9fe410db29a7da275439062ea520e24af6684302f4e61677db1cd91  cat pi0 clash.cat --object 1
 b7928938f1d1f40054bcc7f3904d545ca53e02d9ac20adeef0e120ae590dc3e6  cat pi0 clash.cat --object 1 --format interchange
+# ids that contain the pair separator: (p,q ; r) and (p ; q,r) both render
+# as (p,q,r), so the second pair takes the name (p,q,r)#2
+552e2e9b82f702925787dfd9c1bb56f2e235a8dbbc71aec97735235737dd86f4  cat pi1 fixtures/pair_collision.cat --object x
+4216000ca1e542b5f2b19011b6fb77d4aab5d18249882e2b82a0b2e4fd7ce08a  cat pi1 fixtures/pair_collision.cat --object x --format interchange
+37124f7c08c6a89e59c75240732da5ea1f7daae176417b1f98ff2dacaf197b08  cat analyze fixtures/pair_collision.cat --morphism p
 # state laxators: the README flow, a 42-obstruction flow from the 2x3
 # tensor, a cartesian flow; past the powerset cap (the 2x2 star and the
 # trivial 4x4 cartesian one) and a materialised pi1 of 1009 elements
@@ -244,6 +249,9 @@ WORK = """
     39  8fe09dba6850  cat pi0 fixtures/primed_basepoint.cat --object 0 --format interchange
     32  94328de073dd  cat pi0 clash.cat --object 1
     35  5b2cf3f81198  cat pi0 clash.cat --object 1 --format interchange
+    60  62161157ada1  cat pi1 fixtures/pair_collision.cat --object x
+    74  4162bbdab177  cat pi1 fixtures/pair_collision.cat --object x --format interchange
+    73  a7f7a0df8d8c  cat analyze fixtures/pair_collision.cat --morphism p
    298  f034b6cf31a3  states local-act --context gf2 --dims 2,2 --fmat 10,00 --gmat 10,01
    758  c2d2f5855af2  states local-act --context gf2 --dims 2,3 --fmat 11,01 --gmat 101,011
     45  87a2f7a7b200  states local-act --context cartesian --sets 'a,b|c,d' --target-sets 'a|c,d' --fmap a=>a,b=>a --gmap c=>c,d=>d
@@ -273,9 +281,9 @@ WORK_ROWS = {row: (int(total), digest) for total, digest, row in (line.split(Non
 # The calls into each def of src/, summed over the rows: what names the
 # functions whose counts moved when a row's work does.
 CALLS = """
-     6  cli._cmd_cat_analyze
+     7  cli._cmd_cat_analyze
      1  cli._cmd_cat_check_terminal
-    11  cli._cmd_cat_pi
+    13  cli._cmd_cat_pi
      4  cli._cmd_cat_validate
      1  cli._cmd_og_act
      2  cli._cmd_og_compose
@@ -288,49 +296,49 @@ CALLS = """
      8  cli._parse_dims
      4  cli._parse_matrix
      5  cli._parse_sets
-    50  cli._read
-    51  cli._read_argv
+    53  cli._read
+    54  cli._read_argv
     12  cli._states_objects
-    51  cli.run
-    22  fincat.FinCat.__new__
-    12  fincat.FinCat.cod
-     6  fincat.FinCat.dom
-    26  fincat.FinCat.has_object
+    54  cli.run
+    25  fincat.FinCat.__new__
+    14  fincat.FinCat.cod
+     7  fincat.FinCat.dom
+    30  fincat.FinCat.has_object
      6  fincat.FinCat.hom
-    16  fincat.FinCat.id_of
-    23  fincat.Walk.__new__
-    23  fincat._WalkMemo.get
-    23  fincat._WalkMemo.reflect
-    22  fincat._declarations
-    16  fincat._elements_preorder
-    16  fincat._fibres
-    22  fincat._generators
-    22  fincat._laws
-    16  fincat._named
-    22  fincat._parse
-    22  fincat._squares
-    16  fincat._walk
+    20  fincat.FinCat.id_of
+    27  fincat.Walk.__new__
+    27  fincat._WalkMemo.get
+    27  fincat._WalkMemo.reflect
+    25  fincat._declarations
+    20  fincat._elements_preorder
+    20  fincat._fibres
+    25  fincat._generators
+    25  fincat._laws
+    20  fincat._named
+    25  fincat._parse
+    25  fincat._squares
+    20  fincat._walk
      7  fincat.check_label
-   181  fincat.pair_names
-    22  fincat.parse_category
-    22  fincat.validate_category
-    23  homotopy._end
+   186  fincat.pair_names
+    25  fincat.parse_category
+    25  fincat.validate_category
+    27  homotopy._end
      7  homotopy._object_preorder
-    23  homotopy._pi_at
-    69  homotopy._rows
-     6  homotopy.analyze_morphism
-     6  homotopy.brute_mono
-     6  homotopy.brute_split_epi
+    27  homotopy._pi_at
+    74  homotopy._rows
+     7  homotopy.analyze_morphism
+     7  homotopy.brute_mono
+     7  homotopy.brute_split_epi
      4  homotopy.induced_map
      1  homotopy.is_subterminal
      1  homotopy.is_terminal
      1  homotopy.is_weak_terminal
      7  homotopy.pi0
-     4  homotopy.pi1
+     6  homotopy.pi1
     28  homotopy.powerset_report
-    67  homotopy.report_from_pointed
+    71  homotopy.report_from_pointed
    295  homotopy.subset_name
-    53  homotopy.write_report
+    57  homotopy.write_report
      1  opengraph.GraphHom.__init__
     23  opengraph.OpenGraph.__new__
     32  opengraph.Relation.__new__
@@ -351,17 +359,17 @@ CALLS = """
     16  opengraph.reach
     26  opengraph.relation_text
      1  opengraph.serialize_open_graph
-    67  order.PointedPoset.__init__
- 29089  order._at
-   779  order._bits
-  9600  order._pick
+    71  order.PointedPoset.__init__
+ 29129  order._at
+   811  order._bits
+  9617  order._pick
      4  order._preserves
-    39  order.from_masks
+    43  order.from_masks
      4  order.make_monotone
      4  order.make_pointed
     16  order.pointed_reflection
   9595  order.quote
-    39  order.reflection
+    43  order.reflection
     23  setcat.FiniteFunction.__new__
     27  setcat.FiniteFunction.image
     12  setcat.KernelPair.__init__
