@@ -25,13 +25,13 @@ hom(-, x)^k (the slice over x at k = 1, parallel arrows at k = 2): one
 split of hom(-, x) into fibres behind the size caps below, and one walk
 over the rows, one object at a time, that reads every arrow into each
 element and hands each down-set along ``FinCat.split_epis``: the preorder
-``order.pointed_reflection`` points.  The walk reads no name, so the walk
-memo ``_WALKS`` keeps it, by its fibres, and its reflections' name-free
-part, by base, for the category last walked, within ``OBJECTS_CAP``
-elements; the caps are checked and the elements named on every call.  The tests keep the ``.cat``
-writer and the opposite, and, as oracles, the walk of every element, the
-composition tables of the derived categories, the table keyed by names and
-the functor and naturality checks by name.
+``order.reflection`` points.  The walk reads no name, so the walk memo
+``_WALKS`` keeps it, by its fibres, and its reflections' name-free part,
+by base position, for the category last walked, within ``OBJECTS_CAP``
+elements; the caps are checked and the elements named on every call.  The
+tests keep the ``.cat`` writer and the opposite, and, as oracles, the walk
+of every element, the composition tables of the derived categories, the
+table keyed by names and the functor and naturality checks by name.
 """
 
 from __future__ import annotations
@@ -440,26 +440,26 @@ def _fibres(c: FinCat, x: str, k: int, over: str | None = None) -> tuple:
     return fibres
 
 
-def _named(c: FinCat, fibres: tuple, k: int, over: str | None, tuples: list) -> dict:
-    """Each element's name, mapped to its tuple, in the order of
-    ``tuples``: the k-tuples of each fibre in turn.  A slice object is
-    named by its morphism id, or as the slice morphism f[g=>over] given
-    ``over``, and a pair by ``pair_names`` of those; if a name repeats, the
-    n-th rendered alike gets ``#n``, so distinct tuples stay apart."""
+def _named(c: FinCat, fibres: tuple, k: int, over: str | None) -> list[str]:
+    """Each element's name, in walk order: the k-tuples of each fibre in
+    turn.  A slice object is named by its morphism id, or as the slice
+    morphism f[g=>over] given ``over``, and a pair by ``pair_names`` of
+    those; if a name repeats, the n-th rendered alike gets ``#n``, so
+    distinct tuples stay apart."""
     mors, names = c.morphisms, []
     for _, g, fibre in fibres:
         labels = [mors[f].name for f in fibre] if over is None else [f"{mors[f].name}[{mors[g].name}=>{over}]" for f in fibre]
         names += labels if k == 1 else pair_names(product(labels, repeat=2))
-    elements = dict(zip(names, tuples))
-    if len(elements) < len(names):  # a name repeats
-        elements = {}
-        for name, t in zip(names, tuples):
+    if len(set(names)) < len(names):  # a name repeats
+        taken = set()
+        for i, name in enumerate(names):
             n, free = 1, name
-            while free in elements:
+            while free in taken:
                 n += 1
                 free = f"{name}#{n}"
-            elements[free] = t
-    return elements
+            taken.add(free)
+            names[i] = free
+    return names
 
 
 class _WalkMemo:
@@ -518,13 +518,9 @@ class _WalkMemo:
 _WALKS = _WalkMemo()
 
 
-class Walk(tuple):
-    """A walk (elements, down) and ``at``, where ``_WALKS`` reads it."""
-
-    def __new__(cls, elements: dict, down: list, at: tuple):
-        walk = super().__new__(cls, (elements, down))
-        walk.at = at
-        return walk
+# A walk as an end reads it, by position: names, keys and down-masks, the
+# last two shared with ``_WALKS``, and ``at``, where it keeps them: (c, key).
+Walk = namedtuple("Walk", "names keys down at")
 
 
 def _walk(c: FinCat, k: int, fibres: tuple):
@@ -566,21 +562,23 @@ def _walk(c: FinCat, k: int, fibres: tuple):
     return tuples, down
 
 
-def _elements_preorder(c: FinCat, x: str, k: int, over: str | None = None):
+def _elements_preorder(c: FinCat, x: str, k: int, base: int, over: str | None = None):
     """The reachability preorder of the category of elements of
     hom(-, x)^k, or of the tuples that ``over`` equalises, without its
-    composition table: ``elements``, each name mapped to its tuple of
-    positions, and, in that order, their down-masks.  The sizes are
-    checked on every call (``_fibres``); the walk is read from ``_WALKS``
-    at the key (x, k, the fibres without their values), so every morphism
-    out of x that induces one partition of hom(-, x) shares one walk, and
-    so does the partition by domain, which is what pi1 at x walks.  The
-    names are given per call (``_named``), in a ``Walk`` that hands the key
-    on."""
+    composition table, as a ``Walk`` of k-tuples of positions, and the
+    position in it of (base, ..., base), read off the fibres.  The sizes
+    are checked on every call (``_fibres``); the walk is read from
+    ``_WALKS`` at the key (x, k, the fibres without their values), so
+    every morphism out of x that induces one partition of hom(-, x) shares
+    one walk, and so does the partition by domain, which is what pi1 at x
+    walks.  The names are given per call (``_named``)."""
     fibres = _fibres(c, x, k, over)
     key = (x, k, tuple(fibre for _, _, fibre in fibres))
     tuples, down = _WALKS.get(c, key, lambda: _walk(c, k, fibres))
-    return Walk(_named(c, fibres, k, over, tuples), down, (c, key))
+    i = next(i for i, fibre in enumerate(key[2]) if base in fibre)
+    n, j = len(key[2][i]), key[2][i].index(base)
+    at = sum(len(fibre) ** k for fibre in key[2][:i]) + (j if k == 1 else j * n + j)
+    return Walk(_named(c, fibres, k, over), tuples, down, (c, key)), at
 
 
 def is_groupoid(c: FinCat) -> bool:

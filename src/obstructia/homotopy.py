@@ -2,9 +2,9 @@
 
 pi0 is the pointed reflection of the objects' reachability preorder: the
 poset reflection with the lower set of the chosen object's class collapsed
-to a basepoint, built in one pass by ``order.pointed_reflection``; pi1 is
-pi0 of the category of parallel arrows over the object, pointed at the pair
-of identities.  As pi0 reads reachability only, every other invariant
+to a basepoint, built in one pass by ``order.reflection``; pi1 is pi0 of
+the category of parallel arrows over the object, pointed at the pair of
+identities.  As pi0 reads reachability only, every other invariant
 points the reachability preorder of a category of elements of c, handed
 over by one walk, and none is materialised: the slice C/y at f: x -> y is
 read off the morphisms into y (pi0) and the pairs into x that f equalises
@@ -12,7 +12,7 @@ read off the morphisms into y (pi0) and the pairs into x that f equalises
 for pi0, to subterminality for pi1.
 
 Where pi_i is read, at an object x or at a slice object f: x -> y, is one
-fact, ``_end``: the walk, the base element's key and the point name.
+fact, ``_end``: the walk, the base element's position and the point name.
 ``pi0``, ``pi1`` and ``analyze_morphism`` read it, and so does each flow
 (along a morphism, along a functor, and along a natural transformation
 over a morphism of the domain), one call of ``_flow`` on two ends.  Every
@@ -26,11 +26,12 @@ Only the names and the pointing depend on f, so the memo keeps each
 reflection's masks, validated, by walk and base, and a later call with
 classes in the same name order renames them (``order.reflection``);
 ``report_from_pointed`` still checks every report.  A flow points each end
-once and, like every flow, is built by ``induced_map``: it maps class
-representatives, sends collapsed images to the basepoint, and then
-*checks* the result to be monotone, along the covers of the source poset,
-and basepoint-preserving, so a broken table shows up as an error instead
-of a silently wrong poset.
+once and reads the class of each target key off the target's reflection
+(``_classes``, the one class list built).  Like every flow, it is built by
+``induced_map``: it maps class representatives, sends collapsed images to
+the basepoint, and then *checks* the result to be monotone, along the
+covers of the source poset, and basepoint-preserving, so a broken table
+shows up as an error instead of a silently wrong poset.
 
 ``write_report`` is the one writer of a report, as text, as a DOT Hasse
 diagram or as an interchange document.  Every list of name pairs in them
@@ -89,48 +90,45 @@ def _object_preorder(c: fincat.FinCat):
     down = [0] * len(index)
     for m in c.morphisms:
         down[index[m.cod]] |= 1 << index[m.dom]
-    return dict(zip(c.objects, zip(c.objects))), down
+    return list(zip(c.objects)), down
 
 
 def _end(c: fincat.FinCat, i: int, x: str, f: str | None = None):
     """Where pi_i is read: at the object x, or, given f: x -> y, at the
     slice object f, read off c (pi0 on the slice over y, pi1 on the pairs
-    into x that f equalises).  Returns the walk, a ``fincat.Walk``: each
-    element name mapped to its key and, in that order, the down-masks; then
-    the base element's key and the point name.  Every key is a tuple: (y,) for an object y of
-    the objects' preorder, read from ``fincat._WALKS`` at the key 0, and a
-    tuple of positions for an element of hom(-, x)^k."""
+    into x that f equalises).  Returns the walk, a ``fincat.Walk``, then
+    the base element's position in it and the point name.  Every key is a
+    tuple: (y,) for an object y of the objects' preorder, read from
+    ``fincat._WALKS`` at the key 0, and a tuple of positions for an element
+    of hom(-, x)^k."""
     if i not in (0, 1):
         raise ValueError("i must be 0 or 1")
     if i == 0 and f is None:
         if not c.has_object(x):
             raise UnknownObject(x)
-        return fincat.Walk(*fincat._WALKS.get(c, 0, lambda: _object_preorder(c)), (c, 0)), (x,), x
+        return fincat.Walk(c.objects, *fincat._WALKS.get(c, 0, lambda: _object_preorder(c)), (c, 0)), c.objects.index(x), x
     if i == 0:
-        return fincat._elements_preorder(c, c.cod(f), 1), (c.index[f],), f
-    base = (c.index[c.id_of(x)],) * 2
-    return fincat._elements_preorder(c, x, 2, f), base, x if f is None else f
+        return *fincat._elements_preorder(c, c.cod(f), 1, c.index[f]), f
+    return *fincat._elements_preorder(c, x, 2, c.index[c.id_of(x)], f), x if f is None else f
 
 
-def _pi_at(end, i: int) -> tuple[ObstructionReport, list[str]]:
+def _pi_at(end, i: int) -> ObstructionReport:
     """pi_i at an ``_end``: the pointed reflection of its walk at the base
-    element, pointed at [point], and the class of each element in walk
-    order."""
-    (elements, down), base, point = end
-    names, at, bp = list(elements), list(elements.values()).index(base), f"[{point}]"
-    pp, class_of = fincat._WALKS.reflect(end[0].at, at, lambda kept: order.reflection(names, down, at, bp, kept))
-    return report_from_pointed(pp, f"pi{i} at object {point!r}"), class_of
+    element, pointed at [point]."""
+    walk, base, point = end
+    pp = fincat._WALKS.reflect(walk.at, base, lambda kept: order.reflection(walk.names, walk.down, base, f"[{point}]", kept))
+    return report_from_pointed(pp, f"pi{i} at object {point!r}")
 
 
 def pi0(c: fincat.FinCat, x: str) -> ObstructionReport:
     """Pointed poset of obstructions to weak terminality of x."""
-    return _pi_at(_end(c, 0, x), 0)[0]
+    return _pi_at(_end(c, 0, x), 0)
 
 
 def pi1(c: fincat.FinCat, x: str) -> ObstructionReport:
     """Pointed poset of obstructions to subterminality of x.  Refuses with
     SizeCapExceeded past ``fincat.OBJECTS_CAP`` parallel pairs over x."""
-    return _pi_at(_end(c, 1, x), 1)[0]
+    return _pi_at(_end(c, 1, x), 1)
 
 
 # -- terminality oracles (independent of the poset machinery) ----------------
@@ -171,14 +169,24 @@ def induced_map(src: ObstructionReport, dst: ObstructionReport, image_class) -> 
     return order.make_pointed(src.invariant, dst.invariant, mapping)
 
 
+def _classes(walk: fincat.Walk, pp: order.PointedPoset) -> list[str]:
+    """The class of each element of a walk in pp, its pointed reflection,
+    in walk order: the basepoint for a collapsed one, else its class's
+    least member, the one member named in pp, as a walk's names are
+    distinct and the basepoint is named apart from every class."""
+    named = set(pp.poset.elements) - {pp.basepoint}
+    name_of = {d: name for name, d in zip(walk.names, walk.down) if name in named}
+    return list(map(name_of.get, walk.down, repeat(pp.basepoint)))
+
+
 def _flow(i: int, src_end, dst_end, move) -> order.PointedMap:
     """The map from pi_i at one ``_end`` to pi_i at the other: an element
     goes to the class of its key moved position by position, read off one
-    key -> class dict of the target end."""
-    src = _pi_at(src_end, i)[0]
-    dst, class_of = _pi_at(dst_end, i)
-    keys, lookup = src_end[0][0], dict(zip(dst_end[0][0].values(), class_of))
-    return induced_map(src, dst, lambda e: lookup[tuple(map(move, keys[e]))])
+    key -> class dict of the target end (``_classes``)."""
+    src, dst = _pi_at(src_end, i), _pi_at(dst_end, i)
+    walk, target = src_end[0], dst_end[0]
+    key_of, lookup = dict(zip(walk.names, walk.keys)), dict(zip(target.keys, _classes(target, dst.invariant)))
+    return induced_map(src, dst, lambda e: lookup[tuple(map(move, key_of[e]))])
 
 
 def pi_object_action(c: fincat.FinCat, f: str, i: int) -> order.PointedMap:
@@ -241,8 +249,8 @@ def analyze_morphism(c: fincat.FinCat, f: str) -> MorphismAnalysis:
     searches.  A disagreement raises OracleMismatch: it can only mean a bug.
     The slice and the pairs f equalises are guarded as in ``pi1``."""
     x = c.dom(f)
-    r0 = _pi_at(_end(c, 0, x, f), 0)[0]
-    r1 = _pi_at(_end(c, 1, x, f), 1)[0]
+    r0 = _pi_at(_end(c, 0, x, f), 0)
+    r1 = _pi_at(_end(c, 1, x, f), 1)
     split_epi = r0.trivial
     mono = r1.trivial
     if split_epi != brute_split_epi(c, f):

@@ -6,11 +6,10 @@ Python ints, so every order operation below is a handful of word-parallel
 ORs, ANDs and popcounts per element instead of lookups in a set of name
 pairs, which no operation here or output format reads.
 
-The workhorse is ``reflection`` (``pointed_reflection`` with nothing
-kept): the universal thin skeletal quotient of a preorder given by
-down-masks, with the lower set of one element's class identified to a
-basepoint, built in one pass that names and orders only the classes that
-survive.  It reads reachability only: the down-masks come from a
+The workhorse is ``reflection``: the universal thin skeletal quotient of
+a preorder given by down-masks, with the lower set of one element's class
+identified to a basepoint, built in one pass that names and orders only
+the classes that survive.  It reads reachability only: the down-masks come from a
 category's morphisms or straight from the walks behind the slices and
 parallel arrows, and every homotopy invariant is one call of it.
 Everything else here is supporting machinery: pointed and monotone maps,
@@ -31,7 +30,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from collections import namedtuple
 from collections.abc import Mapping
-from itertools import compress, repeat
+from itertools import compress
 
 from .errors import InvalidMap, InvalidPoset
 
@@ -163,12 +162,6 @@ def make_pointed(source: PointedPoset, target: PointedPoset, mapping: Mapping[st
 # -- the pointed reflection ------------------------------------------------
 
 
-def pointed_reflection(names, down: list[int], base: int, basepoint_name: str) -> tuple[PointedPoset, list[str]]:
-    """``reflection`` with nothing kept: the pointed poset and each
-    position's class, the basepoint for a collapsed one."""
-    return reflection(names, down, base, basepoint_name)[0]
-
-
 def reflection(names, down: list[int], base: int, basepoint_name: str, kept=None):
     """Reflect a preorder on ``names`` given by down-masks (bit j of down[i]
     set when names[j] <= names[i]), reflexive and transitive as given, and
@@ -183,11 +176,11 @@ def reflection(names, down: list[int], base: int, basepoint_name: str, kept=None
     representative's down-mask, read through one mask with a bit per
     representative, and the basepoint lies below exactly the classes whose
     masks meet low.  ``from_masks`` validates the result.  Returns the
-    pointed poset and each position's class, and what to keep: the up- and
-    cover masks, and the classes' down-masks in order, low at the
-    basepoint's.  Given ``kept`` with these down-masks in this order, its
-    masks, which follow from them alone and were validated there, are
-    renamed, and there is nothing to keep."""
+    pointed poset and what to keep: the up- and cover masks, and the
+    classes' down-masks in order, low at the basepoint's.  Given ``kept``
+    with these down-masks in this order, its masks, which follow from them
+    alone and were validated there, are renamed, and there is nothing to
+    keep."""
     low = down[base]
     keep = ((1 << len(names)) - 1) & ~low
     survivors = sorted(_pick(range(len(names)), keep), key=names.__getitem__, reverse=True)
@@ -201,11 +194,9 @@ def reflection(names, down: list[int], base: int, basepoint_name: str, kept=None
     at = bisect_left(elems, bp)
     downs = list(map(down.__getitem__, reps))
     downs.insert(at, low)
-    name_of = {d: names[r] for d, r in least.items()}
     elems.insert(at, bp)
-    class_of = list(map(name_of.get, down, repeat(bp)))
     if kept is not None and kept[1] == downs:
-        return (PointedPoset(Poset(tuple(elems), *kept[0]), bp), class_of), None
+        return PointedPoset(Poset(tuple(elems), *kept[0]), bp), None
     pos = {1 << r: k + (k >= at) for k, r in enumerate(reps)}  # a representative's bit -> its class
     rep_bits = sum(pos)
     up = [0] * len(elems)
@@ -220,7 +211,7 @@ def reflection(names, down: list[int], base: int, basepoint_name: str, kept=None
             up[pos[j]] |= bit
             below ^= j
     p = from_masks(tuple(elems), up)
-    return (PointedPoset(p, bp), class_of), ((p.up, p.cover_masks), downs)
+    return PointedPoset(p, bp), ((p.up, p.cover_masks), downs)
 
 
 # -- DOT string literals ---------------------------------------------------

@@ -11,7 +11,7 @@ colliding input pairs.
 Posets are materialised in full up to ``homotopy.POWERSET_CAP`` generators;
 past it the reports keep the exact basepoint-plus-minimal sub-poset (which
 carries the whole separability story), a star pointed by
-``order.pointed_reflection``, with the elision noted in the report context;
+``order.reflection``, with the elision noted in the report context;
 code tells the routes apart by size alone.  A local action is a
 ``homotopy.induced_map`` that moves the minimal layer alone, each
 non-separable state to its image, which lands on the basepoint when it is
@@ -123,7 +123,7 @@ def _report(universe, collapsed, context: str) -> homotopy.ObstructionReport:
     coll = set(collapsed)
     singletons = [homotopy.subset_name([y]) for y in universe if y not in coll]
     down = [1, *(1 | 2 << i for i in range(len(singletons)))]  # the base below each singleton
-    pp, _ = order.pointed_reflection(["{}", *singletons], down, 0, "{}")
+    pp = order.reflection(["{}", *singletons], down, 0, "{}")[0]
     return homotopy.report_from_pointed(pp, context + " (minimal sub-poset; full powerset elided)")
 
 

@@ -7,7 +7,7 @@ tautology.  The one exception is ``covariance_map``: it builds the flow
 through the materialised slices and their projections, the construction
 that the library now reads off the category directly.
 
-The two-step section keeps the pipeline that ``order.pointed_reflection``
+The two-step section keeps the pipeline that ``order.reflection``
 replaced: reflect every class (``_reflect``, and ``poset_reflection`` over
 a category's objects), then collapse the lower closure of the basepoint's
 class (``lower_closure``, ``collapse_lower``), each step validated by
@@ -335,7 +335,7 @@ def enumerate_elements(c, x, k, over=None):
     and names, read fresh, without the walk memo."""
     fibres = fincat._fibres(c, x, k, over)
     tuples = [(y, t) for y, _, fibre in fibres for t in product(fibre, repeat=k)]
-    return fincat._named(c, fibres, k, over, [t for _, t in tuples]), tuples
+    return dict(zip(fincat._named(c, fibres, k, over), (t for _, t in tuples))), tuples
 
 
 def elements_down_masks(c, x, k, over=None):
@@ -535,7 +535,7 @@ def collapse_lower(p: Poset, lower: Iterable[str], basepoint_name: str) -> Point
 
 
 def two_step(names, down, base, basepoint_name):
-    """``order.pointed_reflection`` in two steps: reflect every class, then
+    """``order.reflection`` in two steps: reflect every class, then
     collapse the lower closure of the class of position ``base``.  Returns
     the pointed poset and each position's class, the basepoint for a
     collapsed one."""

@@ -1021,19 +1021,25 @@ class TestSplitEpis:
 
 
 def assert_orbit_walk_is_full_walk(c, x):
-    """The down-masks of the walk, which hands masks along split epis,
-    equal those of the oracle that walks every element, element for
-    element: k = 1, k = 2, and k = 2 over every morphism out of x.  A case
+    """The names, keys and down-masks of the walk, which hands masks along
+    split epis, equal those of the oracle that walks every element, element
+    for element: k = 1, k = 2, and k = 2 over every morphism out of x; and
+    the base position of each morphism m into x holds (m, ..., m).  A case
     past a size cap is refused by both."""
     cases = [(1, None), (2, None)] + [(2, m.name) for m in c.morphisms if m.dom == x]
+    base = c.index[c.id_of(x)]
     for k, over in cases:
         try:
-            want = oracles.elements_down_masks(c, x, k, over)
+            elements, down = oracles.elements_down_masks(c, x, k, over)
         except SizeCapExceeded:
             with pytest.raises(SizeCapExceeded):
-                fincat._elements_preorder(c, x, k, over)
+                fincat._elements_preorder(c, x, k, base, over)
             continue
-        assert fincat._elements_preorder(c, x, k, over) == want
+        walk, _ = fincat._elements_preorder(c, x, k, base, over)
+        assert (list(zip(walk.names, walk.keys)), walk.down) == (list(elements.items()), down)
+        for m in c.into[x]:  # every m into x gives (m, ..., m) a position
+            at = fincat._elements_preorder(c, x, k, m, over)[1]
+            assert walk.keys[at] == (m,) * k
 
 
 def random_poset(rng, n):

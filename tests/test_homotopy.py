@@ -146,16 +146,20 @@ class TestPreorderRoute:
 
 
 def pointed_walks(c):
-    """Every walk a pi route points, as (walk, base key, point, explicit):
-    pi0 and pi1 at each object, and at each morphism f: x -> y the two walks
+    """Every walk a pi route points, as (walk, base position, point, base
+    key, explicit): pi0 and pi1 at each object, and at each morphism
+    f: x -> y the two walks
     of ``analyze_morphism``, the slice over y at f and the pairs into x that
     f equalises, described on the materialised slice over y, at f, where
     each pair of slice morphisms is named by its pair of witnesses."""
     slices = {}
 
+    def ids(x):
+        return (c.index[c.id_of(x)],) * 2
+
     for x in c.objects:
-        yield *homotopy._end(c, 0, x), lambda x=x: oracles.pi0_explicit(c, x)
-        yield *homotopy._end(c, 1, x), lambda x=x: oracles.pi1_explicit(c, x)
+        yield *homotopy._end(c, 0, x), (x,), lambda x=x: oracles.pi0_explicit(c, x)
+        yield *homotopy._end(c, 1, x), ids(x), lambda x=x: oracles.pi1_explicit(c, x)
     for f in gen.morphism_names(c):
         x, y = c.dom(f), c.cod(f)
 
@@ -166,19 +170,26 @@ def pointed_walks(c):
             names, witness = oracles.pair_element_names(c, x, f), sl().projection.mor_map
             return oracles.pi1_explicit(sl().cat, f, lambda p: names[witness[p[0]], witness[p[1]]])
 
-        yield *homotopy._end(c, 0, x, f), lambda f=f, sl=sl: oracles.pi0_explicit(sl().cat, f)
-        yield *homotopy._end(c, 1, x, f), pi1_at_f
+        yield *homotopy._end(c, 0, x, f), (c.index[f],), lambda f=f, sl=sl: oracles.pi0_explicit(sl().cat, f)
+        yield *homotopy._end(c, 1, x, f), ids(x), pi1_at_f
+
+
+def pointed(names, down, base, basepoint_name):
+    """``order.reflection`` with nothing kept, and each position's class
+    (``homotopy._classes``)."""
+    pp, _ = order.reflection(names, down, base, basepoint_name)
+    return pp, homotopy._classes(fincat.Walk(names, None, down, None), pp)
 
 
 def check_pointed_walks(c):
-    """``order.pointed_reflection`` on every walk of c equals the two-step
-    oracle and the explicit description, ``#n`` names included: the
-    explicit descriptions name every pair by ``oracles.pair_element_names``."""
-    for (elements, down), base, point, explicit in pointed_walks(c):
-        names, bp = list(elements), f"[{point}]"
-        at = list(elements.values()).index(base)
-        got = order.pointed_reflection(names, down, at, bp)
-        assert got == oracles.two_step(names, down, at, bp)
+    """The pointed reflection of every walk of c, at the base element whose
+    key is given, equals the two-step oracle and the explicit description,
+    ``#n`` names included: the explicit descriptions name every pair by
+    ``oracles.pair_element_names``."""
+    for walk, base, point, key, explicit in pointed_walks(c):
+        assert walk.keys[base] == key
+        got = pointed(walk.names, walk.down, base, f"[{point}]")
+        assert got == oracles.two_step(walk.names, walk.down, base, f"[{point}]")
         assert oracles.report_shape(homotopy.report_from_pointed(got[0], "")) == explicit()
 
 
@@ -215,8 +226,10 @@ class TestPointedReflection:
         # (p,q ; r) and (p ; q,r) render alike: the second is (p,q,r)#2
         with open(PAIR_COLLISION, encoding="utf-8") as fh:
             c = fincat.parse_category(fh.read())
-        (elements, _), _, _ = homotopy._end(c, 1, "x")
-        assert "(p,q,r)#2" in elements
+        walk, _, _ = homotopy._end(c, 1, "x")
+        ids = [tuple(c.morphisms[h].name for h in key) for key in walk.keys]
+        assert dict(zip(ids, walk.names)) == oracles.pair_element_names(c, "x")
+        assert walk.names[ids.index(("p", "q,r"))] == "(p,q,r)" and walk.names[ids.index(("p,q", "r"))] == "(p,q,r)#2"
         assert "(p,q,r)#2" in homotopy.pi1(c, "x").invariant.poset.elements
 
     def test_basepoint_primed_only_past_a_survivor(self):
@@ -225,13 +238,22 @@ class TestPointedReflection:
         # is primed
         names = ["[a]", "a", "b", "c"]
         down = [0b0001, 0b0011, 0b0111, 0b1000]
-        pp, class_of = order.pointed_reflection(names, down, 1, "[a]")
+        pp, class_of = pointed(names, down, 1, "[a]")
         assert (pp.basepoint, pp.poset.elements, class_of) == ("[a]", ("[a]", "b", "c"), ["[a]", "[a]", "b", "c"])
-        pp, class_of = order.pointed_reflection(names, down, 3, "[a]")
+        pp, class_of = pointed(names, down, 3, "[a]")
         assert (pp.basepoint, pp.poset.elements) == ("[a]'", ("[a]", "[a]'", "a", "b"))
         assert class_of == ["[a]", "a", "b", "[a]'"]
         for base in range(4):
-            assert order.pointed_reflection(names, down, base, "[a]") == oracles.two_step(names, down, base, "[a]")
+            assert pointed(names, down, base, "[a]") == oracles.two_step(names, down, base, "[a]")
+
+    def test_a_member_named_as_the_basepoint(self):
+        # A and [b] reach each other, b apart: at b the class of A survives,
+        # named by A, and the basepoint [b] is not primed, as no class is
+        # named so; the member [b] is still in the class of A
+        names, down = ["A", "[b]", "b"], [0b011, 0b011, 0b100]
+        pp, class_of = pointed(names, down, 2, "[b]")
+        assert (pp.basepoint, pp.poset.elements, class_of) == ("[b]", ("A", "[b]"), ["A", "A", "[b]"])
+        assert (pp, class_of) == oracles.two_step(names, down, 2, "[b]")
 
     @pytest.mark.parametrize("down", [
         [0b0001, 0b0010, 0b0110, 0b1100],  # a; b; b <= c; c <= d, not b <= d
@@ -240,7 +262,7 @@ class TestPointedReflection:
     def test_non_transitive_survivors_raise(self, down):
         names = ["a", "b", "c", "d"]
         with pytest.raises(InvalidPoset, match="transitivity"):
-            order.pointed_reflection(names, down, 0, "[a]")
+            order.reflection(names, down, 0, "[a]")
         with pytest.raises(InvalidPoset):
             oracles.two_step(names, down, 0, "[a]")
 
@@ -400,10 +422,10 @@ class TestRenamedReflections:
         # before [a], so the basepoint moves; e and d swap the classes
         down = [0b001, 0b011, 0b100]
         first, kept = order.reflection(["a", "b", "c"], down, 0, "[a]")
-        assert first[0].poset.elements == ("[a]", "b", "c")
+        assert first.poset.elements == ("[a]", "b", "c")
         for names, reused in ((["a", "d", "e"], True), (["a", "Z", "e"], False), (["a", "e", "d"], False)):
             got, keep = order.reflection(names, down, 0, "[a]", kept)
-            assert got == order.pointed_reflection(names, down, 0, "[a]")
+            assert got == order.reflection(names, down, 0, "[a]")[0]
             assert (keep is None) == reused
 
 
@@ -836,10 +858,10 @@ class TestAnalyze:
             sl = oracles.slice_category(c, c.cod(f)).cat
             assert len(an.pi0.invariant.poset.elements) == len(homotopy.pi0(sl, f).invariant.poset.elements)
             assert len(an.pi1.invariant.poset.elements) == len(homotopy.pi1(sl, f).invariant.poset.elements)
-            pairs, _ = fincat._elements_preorder(c, x, 2, f)
+            pairs = fincat._elements_preorder(c, x, 2, c.index[c.id_of(x)], f)[0].keys
             equalised = [(h0, h1) for z in c.objects for h0 in c.hom(z, x) for h1 in c.hom(z, x)
                          if table[h0, f] == table[h1, f]]
-            assert sorted((names[h0], names[h1]) for h0, h1 in pairs.values()) == sorted(equalised)
+            assert sorted((names[h0], names[h1]) for h0, h1 in pairs) == sorted(equalised)
 
 
 class TestGroupoidDegeneration:

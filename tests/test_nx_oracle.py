@@ -98,7 +98,8 @@ def nx_pointed_reflection(names, down, base, basepoint_name):
 
 
 def assert_reflection(names, down, base, basepoint_name):
-    pp, class_of = order.pointed_reflection(names, down, base, basepoint_name)
+    pp, _ = order.reflection(names, down, base, basepoint_name)
+    class_of = homotopy._classes(fincat.Walk(names, None, down, None), pp)
     elems = pp.poset.elements
     got = elems, pp.basepoint, {(elems[i], elems[j]) for i, m in enumerate(pp.poset.cover_masks) for j in bits(m)}, class_of
     assert got == nx_pointed_reflection(names, down, base, basepoint_name)
@@ -108,14 +109,14 @@ def assert_reflection(names, down, base, basepoint_name):
 def assert_walk(c, x, k, over=None):
     """The masks of ``_elements_preorder`` are nx.ancestors, and the
     reflection at the identity tuple agrees with the condensation."""
-    elements, down = fincat._elements_preorder(c, x, k, over)
-    keys = [tuple(c.morphisms[p].name for p in t) for t in elements.values()]
+    walk, base = fincat._elements_preorder(c, x, k, c.index[c.identity[x]], over)
+    keys = [tuple(c.morphisms[p].name for p in t) for t in walk.keys]
     g = element_digraph(c, x, k, over)
     assert len(keys) == len(g) and set(keys) == set(g)
-    for key, d in zip(keys, down):
+    for key, d in zip(keys, walk.down):
         assert {keys[j] for j in bits(d)} == nx.ancestors(g, key) | {key}
-    base = keys.index((c.identity[x],) * k)
-    assert_reflection(list(elements), down, base, f"[{over or x}]")
+    assert base == keys.index((c.identity[x],) * k)
+    assert_reflection(walk.names, walk.down, base, f"[{over or x}]")
 
 
 def walk_cases(c, x):
@@ -154,9 +155,10 @@ class TestPointedReflection:
         # pi0 of C/y at f is the slice walk over y at the base (f,)
         c = gen.finset_ambient(3)
         for y in c.objects:
-            elements, down = fincat._elements_preorder(c, y, 1)
-            for base, name in enumerate(elements):
-                assert_reflection(list(elements), down, base, f"[{name}]")
+            walk, _ = fincat._elements_preorder(c, y, 1, c.index[c.id_of(y)])
+            for base, name in enumerate(walk.names):
+                assert fincat._elements_preorder(c, y, 1, walk.keys[base][0])[1] == base
+                assert_reflection(walk.names, walk.down, base, f"[{name}]")
 
     @settings(max_examples=120, deadline=None)
     @given(st.data())

@@ -440,23 +440,46 @@ class TestPi1Laxator:
     def test_matches_thin_category_oracle(self, G, H, seed):
         """pi1 computed through the thin category of all sub-relations of the
         composite reachability, pointed at the composite of the parts."""
+        for g, h in thin_draws(G, H, seed):
+            assert og.pi1_laxator(*laxator(g, h)) == homotopy.pi1(*thin_laxator(g, h))
 
-        def oracle(g, h):
-            composed, whole = laxator(g, h)
-            labels = og._rel_pair_labels(whole.pairs)
-            subsets = homotopy.powerset_report(labels, (), homotopy.subset_name(()), "sub-relations")
-            thin = gen.thin_category(subsets.invariant.poset)
-            return homotopy.pi1(thin, homotopy.subset_name(og._rel_pair_labels(composed.pairs)))
+    def test_pi0_matches_thin_category_oracle(self, G, H, seed):
+        """pi0, the laxator obstructions, through the same thin category at
+        the same point and on the same draws, and on a width-8 pair whose
+        parts compose to 5 of its 8 boundary pairs (224 obstructions): the
+        pointed poset, the minimal set and the flag agree, under another
+        context."""
+        rng, ys = random.Random(76), ("y0", "y1", "y2")
+        wide = (gen.random_open_graph(rng, ("x0", "x1"), ys, edge_prob=0.25),
+                gen.random_open_graph(rng, ys, ("z0", "z1", "z2", "z3"), edge_prob=0.25))
+        for g, h in [*thin_draws(G, H, seed), wide]:
+            got, want = og.laxator_obstructions(*laxator(g, h)), homotopy.pi0(*thin_laxator(g, h))
+            assert (got.invariant, got.minimal, got.trivial) == (want.invariant, want.minimal, want.trivial)
+            assert got.context != want.context
+        assert len(got.invariant.poset.elements) == 225
 
-        assert og.pi1_laxator(*laxator(G, H)) == oracle(G, H)
-        rng = random.Random(seed + 9)
-        done = 0
-        while done < 20:
-            g, h = gen.random_composable_graphs(rng)
-            if len(og.reach(og.compose(g, h)).pairs) > 6:
-                continue
-            assert og.pi1_laxator(*laxator(g, h)) == oracle(g, h)
-            done += 1
+
+def thin_laxator(g, h):
+    """The thin category of all sub-relations of reach(g . h), and its
+    object at the composite of the parts' reachabilities."""
+    composed, whole = laxator(g, h)
+    labels = og._rel_pair_labels(whole.pairs)
+    subsets = homotopy.powerset_report(labels, (), homotopy.subset_name(()), "sub-relations")
+    return gen.thin_category(subsets.invariant.poset), homotopy.subset_name(og._rel_pair_labels(composed.pairs))
+
+
+def thin_draws(G, H, seed):
+    """The fixture pair, then 20 drawn pairs whose composite relates at
+    most 6 boundary pairs."""
+    yield G, H
+    rng = random.Random(seed + 9)
+    done = 0
+    while done < 20:
+        g, h = gen.random_composable_graphs(rng)
+        if len(og.reach(og.compose(g, h)).pairs) > 6:
+            continue
+        yield g, h
+        done += 1
 
 
 class TestGraphHom:

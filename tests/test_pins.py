@@ -211,6 +211,7 @@ UNREACHED = {
     "homotopy.pi_object_action": "library API: test_acceptance.py::test_criterion_06_functoriality_laws",
     "homotopy.pi_functor_map": "library API: test_acceptance.py::test_criterion_06_functoriality_laws",
     "homotopy._flow": "library API: the flows of test_acceptance.py::test_criterion_06_functoriality_laws and 07",
+    "homotopy._classes": "library API: the target classes of each flow of test_acceptance.py::test_criterion_06_functoriality_laws and 07",
     "fincat.validate_nat_trans": "library API: test_acceptance.py::test_criterion_07_covariance",
     "homotopy.covariance_map": "library API: test_acceptance.py::test_criterion_07_covariance",
 }
@@ -227,43 +228,43 @@ WORK = """
   4052  dc49f6977d73  set pi1 --fn fixtures/wide12_pi1.fn --format text
   8085  8d07874ac37f  set pi1 --fn fixtures/wide12_pi1.fn --format dot
   8086  c97350441d9d  set pi1 --fn fixtures/wide12_pi1.fn --format interchange
-   121  610f830f295d  cat analyze ambient.cat --morphism 3>2:010
-   121  610f830f295d  cat analyze byname.cat --morphism 3>2:010
-   121  610f830f295d  cat analyze latemor.cat --morphism 3>2:010
+   119  f6410b4b6505  cat analyze ambient.cat --morphism 3>2:010
+   119  f6410b4b6505  cat analyze byname.cat --morphism 3>2:010
+   119  f6410b4b6505  cat analyze latemor.cat --morphism 3>2:010
     12  fd8fd7f3d6d2  cat validate ambient.cat
     12  fd8fd7f3d6d2  cat validate byname.cat
     12  fd8fd7f3d6d2  cat validate latemor.cat
-   141  570a7d2456aa  cat analyze ambient.cat --morphism 3>2:010 --format dot
-   143  983ee2de83d3  cat analyze ambient.cat --morphism 3>2:010 --format interchange
-   446  ba4518c5b351  cat pi1 ambient.cat --object 3 --format interchange
-   445  566857021a31  cat pi1 ambient.cat --object 3 --format dot
-   322  b9a8cde4c0ab  cat pi1 ambient.cat --object 3
-    57  a189513a38a8  cat pi1 z12.cat --object '*'
-    83  d1a9d3513e0f  cat analyze twins.cat --morphism 2>1:00*f
+   139  a50901474417  cat analyze ambient.cat --morphism 3>2:010 --format dot
+   141  9c0479f52c6b  cat analyze ambient.cat --morphism 3>2:010 --format interchange
+   445  2f9819266948  cat pi1 ambient.cat --object 3 --format interchange
+   444  73c7fe3da599  cat pi1 ambient.cat --object 3 --format dot
+   321  559ccaa25b22  cat pi1 ambient.cat --object 3
+    56  b61dd86e32cb  cat pi1 z12.cat --object '*'
+    81  2b7b9cba4d30  cat analyze twins.cat --morphism 2>1:00*f
     12  fd8fd7f3d6d2  cat validate fixtures/z2.cat
-    33  4cf7786e5026  cat pi0 fixtures/walking_arrow.cat --object 0
-    35  26b0ad965ae8  cat pi0 fixtures/walking_arrow.cat --object 0 --format dot
-    36  e2ef6323e178  cat pi0 fixtures/walking_arrow.cat --object 0 --format interchange
+    32  6376260c245a  cat pi0 fixtures/walking_arrow.cat --object 0
+    34  78d1bc19c517  cat pi0 fixtures/walking_arrow.cat --object 0 --format dot
+    35  89c40118f2c8  cat pi0 fixtures/walking_arrow.cat --object 0 --format interchange
     24  a38f568c01ce  cat check-terminal fixtures/walking_arrow.cat --object 0
-    35  a58251708c97  cat pi0 fixtures/primed_basepoint.cat --object 0
-    39  8fe09dba6850  cat pi0 fixtures/primed_basepoint.cat --object 0 --format interchange
-    32  94328de073dd  cat pi0 clash.cat --object 1
-    35  5b2cf3f81198  cat pi0 clash.cat --object 1 --format interchange
-    60  62161157ada1  cat pi1 fixtures/pair_collision.cat --object x
-    74  4162bbdab177  cat pi1 fixtures/pair_collision.cat --object x --format interchange
-    73  a7f7a0df8d8c  cat analyze fixtures/pair_collision.cat --morphism p
-   298  f034b6cf31a3  states local-act --context gf2 --dims 2,2 --fmat 10,00 --gmat 10,01
-   758  c2d2f5855af2  states local-act --context gf2 --dims 2,3 --fmat 11,01 --gmat 101,011
+    34  6d138b96b66b  cat pi0 fixtures/primed_basepoint.cat --object 0
+    38  dd71b0401159  cat pi0 fixtures/primed_basepoint.cat --object 0 --format interchange
+    31  4b9dbbd2da65  cat pi0 clash.cat --object 1
+    34  796ae6718e43  cat pi0 clash.cat --object 1 --format interchange
+    59  5bdd12744e48  cat pi1 fixtures/pair_collision.cat --object x
+    73  f86f4618bc90  cat pi1 fixtures/pair_collision.cat --object x --format interchange
+    71  51269870b91b  cat analyze fixtures/pair_collision.cat --morphism p
+   296  b5fb3c5049c5  states local-act --context gf2 --dims 2,2 --fmat 10,00 --gmat 10,01
+   756  c3871fef1722  states local-act --context gf2 --dims 2,3 --fmat 11,01 --gmat 101,011
     45  87a2f7a7b200  states local-act --context cartesian --sets 'a,b|c,d' --target-sets 'a|c,d' --fmap a=>a,b=>a --gmap c=>c,d=>d
-   264  b733780667c0  states obstruct --context gf2 --dims 2,2 --format text
-   314  e5db7596c002  states obstruct --context gf2 --dims 2,2 --format dot
-   316  426a7475e06f  states obstruct --context gf2 --dims 2,2 --format interchange
+   262  8cf3552324dc  states obstruct --context gf2 --dims 2,2 --format text
+   312  c7102e54bedc  states obstruct --context gf2 --dims 2,2 --format dot
+   314  f50829b4004e  states obstruct --context gf2 --dims 2,2 --format interchange
   1070  bd4ec9053087  states obstruct --context gf2 --dims 1,1 --format text
   2080  a0911a082240  states obstruct --context gf2 --dims 1,1 --format dot
   2082  eb6fa29df6c2  states obstruct --context gf2 --dims 1,1 --format interchange
-    44  f0c984ffc6f7  states obstruct --context cartesian --sets 'a,b,c,d|e,f,g,h' --format text
-    46  7440d15e3364  states obstruct --context cartesian --sets 'a,b,c,d|e,f,g,h' --format dot
-    48  2831f1f89b23  states obstruct --context cartesian --sets 'a,b,c,d|e,f,g,h' --format interchange
+    42  052b31df7372  states obstruct --context cartesian --sets 'a,b,c,d|e,f,g,h' --format text
+    44  0ca146d73484  states obstruct --context cartesian --sets 'a,b,c,d|e,f,g,h' --format dot
+    46  03d306d87dc8  states obstruct --context cartesian --sets 'a,b,c,d|e,f,g,h' --format interchange
     34  76997c843d39  opengraph compose fixtures/G.og fixtures/H.og
     46  56c165a98683  opengraph compose fixtures/G.og fixtures/H.og --format dot
     13  0a574200a2e2  opengraph reach fixtures/G.og
@@ -306,7 +307,6 @@ CALLS = """
     30  fincat.FinCat.has_object
      6  fincat.FinCat.hom
     20  fincat.FinCat.id_of
-    27  fincat.Walk.__new__
     27  fincat._WalkMemo.get
     27  fincat._WalkMemo.reflect
     25  fincat._declarations
@@ -367,7 +367,6 @@ CALLS = """
     43  order.from_masks
      4  order.make_monotone
      4  order.make_pointed
-    16  order.pointed_reflection
   9595  order.quote
     43  order.reflection
     23  setcat.FiniteFunction.__new__

@@ -364,10 +364,10 @@ class TestPi1CutAgainstGeneric:
         for f in all_functions(k):
             mor, _ = gen.embed_function(f)
             end = homotopy._end(amb, 1, amb.dom(mor), mor)
-            generic, class_of = homotopy._pi_at(end, 1)
+            generic = homotopy._pi_at(end, 1)
             bp = generic.invariant.basepoint
             image_of = {bp: "{}"}
-            for key, cls in zip(end[0][0].values(), class_of):
+            for key, cls in zip(end[0].keys, homotopy._classes(end[0], generic.invariant)):
                 h0, h1 = (gen._images(amb.morphisms[h].name) for h in key)
                 if cls == bp:
                     assert h0 == h1, (mor, key)

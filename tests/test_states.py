@@ -83,6 +83,36 @@ class TestObstructions:
             assert len(sep) == 1 + (2**m - 1) * (2**n - 1)
 
 
+class TestFunctionRoutes:
+    """Up to ``homotopy.POWERSET_CAP`` generators, each report of a state
+    laxator is the report of the laxator as a finite function: pi0 is
+    ``setcat.pi0_function`` and pi1 ``setcat.pi1_function``, alike in
+    pointed poset, minimal set and flag, under another context."""
+
+    def shapes(self):
+        left, right = "abcdefghijkl", "mnopqrstuvwx"
+        for k, l in product(range(13), repeat=2):
+            if k * l <= 12:
+                yield CART, tuple(left[:k]), tuple(right[:l])
+        yield from ((GF2, m, n) for m, n in product(range(7), repeat=2) if m * n <= states.DIM_CAP)
+
+    def test_every_shape_under_the_cap(self):
+        compared = {0: 0, 1: 0}
+        for ctx, a, b in self.shapes():
+            lax = states.laxator(ctx, a, b)
+            sizes = len(lax.cod_set), len(setcat.kernel_pair(lax).pairs)
+            reports = states.laxator_obstructions(lax, states.lax_context(ctx, a, b))
+            for i, (got, size, route) in enumerate(zip(reports, sizes, (setcat.pi0_function, setcat.pi1_function))):
+                if size <= homotopy.POWERSET_CAP:
+                    want = route(lax)
+                    assert (got.invariant, got.minimal, got.trivial) == (want.invariant, want.minimal, want.trivial), (ctx, a, b, i)
+                    compared[i] += 1
+        # cartesian: the 60 shapes of at most 12 pairs, for both; GF(2): pi0
+        # at the 18 shapes with m n <= 3, pi1 at the 4 whose kernel pair
+        # fits, dims (0, 0), (0, 1), (1, 0) and (1, 1)
+        assert compared == {0: 78, 1: 64}
+
+
 class TestZeroDimensionalFactor:
     """A factor of dimension 0 has the one state zero, so the 2^n pairs of
     states at dims (0, n) or (n, 0) all tensor to the one state of the
