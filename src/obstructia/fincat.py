@@ -573,11 +573,12 @@ def _elements_preorder(c: FinCat, x: str, k: int, base: int, over: str | None = 
     one walk, and so does the partition by domain, which is what pi1 at x
     walks.  The names are given per call (``_named``)."""
     fibres = _fibres(c, x, k, over)
-    key = (x, k, tuple(fibre for _, _, fibre in fibres))
+    parts = tuple(fibre for _, _, fibre in fibres)
+    key = (x, k, parts)
     tuples, down = _WALKS.get(c, key, lambda: _walk(c, k, fibres))
-    i = next(i for i, fibre in enumerate(key[2]) if base in fibre)
-    n, j = len(key[2][i]), key[2][i].index(base)
-    at = sum(len(fibre) ** k for fibre in key[2][:i]) + (j if k == 1 else j * n + j)
+    i = next(i for i, part in enumerate(parts) if base in part)
+    n, j = len(parts[i]), parts[i].index(base)  # base is the j-th of n in its part
+    at = sum(len(part) ** k for part in parts[:i]) + (j if k == 1 else j * n + j)
     return Walk(_named(c, fibres, k, over), tuples, down, (c, key)), at
 
 

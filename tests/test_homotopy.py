@@ -147,19 +147,31 @@ class TestPreorderRoute:
 
 def pointed_walks(c):
     """Every walk a pi route points, as (walk, base position, point, base
-    key, explicit): pi0 and pi1 at each object, and at each morphism
-    f: x -> y the two walks
-    of ``analyze_morphism``, the slice over y at f and the pairs into x that
-    f equalises, described on the materialised slice over y, at f, where
-    each pair of slice morphisms is named by its pair of witnesses."""
+    key, names, explicit): pi0 and pi1 at each object, and at each morphism
+    f: x -> y the two walks of ``analyze_morphism``, the slice over y at f
+    and the pairs into x that f equalises.  ``names`` gives the name of
+    each key: objects and slice objects by id, pairs by
+    ``oracles.pair_element_names``.  ``explicit`` describes pi1 at f on the
+    materialised slice over y, at f, where each pair of slice morphisms is
+    named by its pair of witnesses."""
     slices = {}
 
     def ids(x):
         return (c.index[c.id_of(x)],) * 2
 
+    def objects(keys):
+        return [y for y, in keys]
+
+    def morphisms(keys):
+        return [c.morphisms[h].name for h, in keys]
+
+    def pairs(x, f=None):
+        named = oracles.pair_element_names(c, x, f)
+        return lambda keys: [named[c.morphisms[h0].name, c.morphisms[h1].name] for h0, h1 in keys]
+
     for x in c.objects:
-        yield *homotopy._end(c, 0, x), (x,), lambda x=x: oracles.pi0_explicit(c, x)
-        yield *homotopy._end(c, 1, x), ids(x), lambda x=x: oracles.pi1_explicit(c, x)
+        yield *homotopy._end(c, 0, x), (x,), objects, lambda x=x: oracles.pi0_explicit(c, x)
+        yield *homotopy._end(c, 1, x), ids(x), pairs(x), lambda x=x: oracles.pi1_explicit(c, x)
     for f in gen.morphism_names(c):
         x, y = c.dom(f), c.cod(f)
 
@@ -170,8 +182,8 @@ def pointed_walks(c):
             names, witness = oracles.pair_element_names(c, x, f), sl().projection.mor_map
             return oracles.pi1_explicit(sl().cat, f, lambda p: names[witness[p[0]], witness[p[1]]])
 
-        yield *homotopy._end(c, 0, x, f), (c.index[f],), lambda f=f, sl=sl: oracles.pi0_explicit(sl().cat, f)
-        yield *homotopy._end(c, 1, x, f), ids(x), pi1_at_f
+        yield *homotopy._end(c, 0, x, f), (c.index[f],), morphisms, lambda f=f, sl=sl: oracles.pi0_explicit(sl().cat, f)
+        yield *homotopy._end(c, 1, x, f), ids(x), pairs(x, f), pi1_at_f
 
 
 def pointed(names, down, base, basepoint_name):
@@ -184,10 +196,12 @@ def pointed(names, down, base, basepoint_name):
 def check_pointed_walks(c):
     """The pointed reflection of every walk of c, at the base element whose
     key is given, equals the two-step oracle and the explicit description,
-    ``#n`` names included: the explicit descriptions name every pair by
+    ``#n`` names included: the walk's names are the oracles' names of its
+    keys, and the explicit descriptions name every pair by
     ``oracles.pair_element_names``."""
-    for walk, base, point, key, explicit in pointed_walks(c):
+    for walk, base, point, key, names, explicit in pointed_walks(c):
         assert walk.keys[base] == key
+        assert list(walk.names) == names(walk.keys)
         got = pointed(walk.names, walk.down, base, f"[{point}]")
         assert got == oracles.two_step(walk.names, walk.down, base, f"[{point}]")
         assert oracles.report_shape(homotopy.report_from_pointed(got[0], "")) == explicit()
