@@ -128,8 +128,7 @@ def _cmd_og_obstruct(args, out):
     whole = opengraph.glued_reach(g, h)  # a BoundaryMismatch, as compose and act raise
     composed = opengraph.compose_rel(rg, rh)
     # both reports before any output, so a refusal leaves stdout empty
-    pi0 = opengraph.laxator_obstructions(composed, whole)
-    pi1 = opengraph.pi1_laxator(composed, whole)
+    pi0, pi1 = opengraph.laxator_obstructions(composed, whole)
     out.write("reach left: " + opengraph.relation_text(rg) + "\n")
     out.write("reach right: " + opengraph.relation_text(rh) + "\n")
     out.write("composite of parts: " + opengraph.relation_text(composed) + "\n")

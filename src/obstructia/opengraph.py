@@ -15,6 +15,8 @@ the flow of obstructions under a 2-morphism is checked along covers
 (``order.make_monotone``), and built by ``homotopy.induced_map``.  The
 laxator's pi1 is trivial by theorem (hom-categories of relations are
 posets), so it is the powerset report of an empty universe: one point.
+``laxator_obstructions`` returns pi0 and pi1 after one laxity check, the
+composite's pairs sorted and named once.
 Open graphs, relations and graph homomorphisms are checked as built, one
 whole-set test per check; only a failing one searches item by item, and
 a refusal with several offending edges (or pairs) names the least in sort
@@ -229,34 +231,28 @@ def _rel_pair_labels(pairs) -> list[str]:
     return sorted(pair_names(pairs))
 
 
-def _check_laxator(composed: Relation, whole: Relation) -> None:
-    """The composite of the parts' reachabilities must lie inside reach(g . h)."""
+def _pi0(composed: Relation, whole: Relation) -> tuple[homotopy.ObstructionReport, str]:
+    """pi0 of the slice of inclusion-ordered relations over whole =
+    reach(g . h), pointed at composed = compose_rel(reach g, reach h), and
+    the name of that point.  Non-basepoint elements are the sub-relations
+    of the composite's reachability that are not accounted for by composing
+    the parts.  The composite of the parts must lie inside the whole."""
     if not composed.pairs <= whole.pairs:
         raise LaxityViolation("composite of parts exceeds reachability of the composite")
-
-
-def laxator_obstructions(composed: Relation, whole: Relation) -> homotopy.ObstructionReport:
-    """pi0 of the slice of inclusion-ordered relations over whole =
-    reach(g . h), pointed at composed = compose_rel(reach g, reach h).
-    Non-basepoint elements are the sub-relations of the composite's
-    reachability that are not accounted for by composing the parts."""
-    _check_laxator(composed, whole)
-    universe = _rel_pair_labels(whole.pairs)
     collapsed = _rel_pair_labels(composed.pairs)
-    basepoint = "[" + homotopy.subset_name(collapsed) + "]"
-    return homotopy.powerset_report(
-        universe, collapsed, basepoint, "pi0 of reachability laxator"
-    )
+    point = homotopy.subset_name(collapsed)
+    pi0 = homotopy.powerset_report(_rel_pair_labels(whole.pairs), collapsed, f"[{point}]", "pi0 of reachability laxator")
+    return pi0, point
 
 
-def pi1_laxator(composed: Relation, whole: Relation) -> homotopy.ObstructionReport:
-    """pi1 at the same point: hom-categories of relations are posets, so
-    pi1 is the one-point poset that homotopy.pi1 gives on the thin category
-    of sub-relations (the tests keep that as the oracle), the powerset
-    report of an empty universe."""
-    _check_laxator(composed, whole)
-    point = homotopy.subset_name(_rel_pair_labels(composed.pairs))
-    return homotopy.powerset_report((), (), f"[{point}]", f"pi1 at object {point!r}")
+def laxator_obstructions(composed: Relation, whole: Relation) -> tuple[homotopy.ObstructionReport, homotopy.ObstructionReport]:
+    """(pi0, pi1) of the reachability laxator at composed, after one laxity
+    check.  Hom-categories of relations are posets, so pi1 is the one-point
+    poset that homotopy.pi1 gives on the thin category of sub-relations
+    (the tests keep that as the oracle): the powerset report of an empty
+    universe at pi0's basepoint."""
+    pi0, point = _pi0(composed, whole)
+    return pi0, homotopy.powerset_report((), (), f"[{point}]", f"pi1 at object {point!r}")
 
 
 def act(hom: GraphHom, h: OpenGraph) -> tuple[Relation, order.PointedMap]:
@@ -273,8 +269,8 @@ def act(hom: GraphHom, h: OpenGraph) -> tuple[Relation, order.PointedMap]:
         raise OracleMismatch("reachability must grow along a graph homomorphism")
 
     rh = reach(h)
-    src = laxator_obstructions(compose_rel(rg, rh), glued_reach(g, h))
-    dst = laxator_obstructions(compose_rel(rg2, rh), glued_reach(g2, h))
+    src, _ = _pi0(compose_rel(rg, rh), glued_reach(g, h))
+    dst, _ = _pi0(compose_rel(rg2, rh), glued_reach(g2, h))
     # Paths survive the homomorphism, so reach(g . h) lies inside
     # reach(g2 . h) and every source subset is still a subset on the target
     # side; it keeps its name exactly when the grown composite-of-parts does

@@ -576,6 +576,25 @@ def random_composable_graphs(rng):
     return random_open_graph(rng, xs, ys), random_open_graph(rng, ys, zs)
 
 
+def zigzag_composable_graphs(rng):
+    """A composable pair whose composite relates x0 to z0 only by paths
+    that cross the boundary three times or more: out of the left part at
+    y0, back into it at y1 (i_y0 -> i_y1 on the right) and out again at y2
+    (o_y1 -> o_y2 on the left), under random extra edges.  A path that
+    crossed once, at y, would put (x0, y) in the left part's reachability
+    and (y, z0) in the right's, so the parts' relations compose to a strict
+    sub-relation of the reachability of their composite."""
+    xs = tuple(f"x{i}" for i in range(rng.randint(1, 2)))
+    ys = ("y0", "y1", "y2")
+    zs = tuple(f"z{i}" for i in range(rng.randint(1, 2)))
+    while True:
+        g, h = random_open_graph(rng, xs, ys, 2, 0.15), random_open_graph(rng, ys, zs, 2, 0.15)
+        g = opengraph.OpenGraph(xs, ys, g.vertices, g.edges | {("i_x0", "o_y0"), ("o_y1", "o_y2")}, g.in_leg, g.out_leg)
+        h = opengraph.OpenGraph(ys, zs, h.vertices, h.edges | {("i_y0", "i_y1"), ("i_y2", "o_z0")}, h.in_leg, h.out_leg)
+        if ("x0", "z0") not in opengraph.compose_rel(opengraph.reach(g), opengraph.reach(h)).pairs:
+            return g, h
+
+
 def renamed_open_graph(g: opengraph.OpenGraph, names) -> opengraph.OpenGraph:
     """g with its sorted vertices renamed to names, in order."""
     new = dict(zip(g.vertices, names))

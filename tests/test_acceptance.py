@@ -280,10 +280,10 @@ def test_criterion_08_open_graphs():
         whole = opengraph.reach(opengraph.compose(g, h))
         assert whole.pairs == {("1", "1")}  # total on {1} x {1}
 
-        r = opengraph.laxator_obstructions(composed, whole)
+        r, pi1 = opengraph.laxator_obstructions(composed, whole)
         assert len(r.invariant.poset.elements) == 2
         assert r.minimal == {"{(1,1)}"}
-        assert opengraph.pi1_laxator(composed, whole).trivial
+        assert pi1.trivial
 
         hom = opengraph.parse_graph_hom(Path(fx("identify_outputs.gh")).read_text(encoding="utf-8"), g, g2)
         reached, pmap = opengraph.act(hom, h)

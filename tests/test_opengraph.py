@@ -313,7 +313,7 @@ class TestCompose:
         gh = og.compose(g, h)
         assert len(gh.vertices) == 3
         assert og.reach(gh).pairs == frozenset()
-        assert og.laxator_obstructions(*laxator(g, h)).trivial
+        assert og.laxator_obstructions(*laxator(g, h))[0].trivial
         assert og.parse_open_graph(og.serialize_open_graph(gh)) == gh
 
 
@@ -349,24 +349,27 @@ class TestRelations:
 
 class TestLaxatorObstructions:
     def test_two_chain_gap(self, G, H):
-        r = og.laxator_obstructions(*laxator(G, H))
+        r = og.laxator_obstructions(*laxator(G, H))[0]
         assert len(r.invariant.poset.elements) == 2
         assert r.minimal == {"{(1,1)}"}
         assert not r.trivial
 
     def test_trivial_when_parts_account_for_whole(self):
         ident = gen.identity_graph(("1", "2"))
-        assert og.laxator_obstructions(*laxator(ident, ident)).trivial
+        assert og.laxator_obstructions(*laxator(ident, ident))[0].trivial
 
-    def test_composed_outside_whole_refused(self, G, H):
+    def test_composed_outside_whole_refused(self, G, H, monkeypatch):
         # the parts of (G, H) compose to a strict sub-relation of the
-        # composite's reachability; swapped, the parts would reach more
+        # composite's reachability; swapped, the parts would reach more,
+        # and the one call refuses before it builds either report
         composed, whole = laxator(G, H)
         assert composed.pairs < whole.pairs
-        for obstructions in (og.laxator_obstructions, og.pi1_laxator):
-            obstructions(composed, whole)
-            with pytest.raises(LaxityViolation, match=r"^composite of parts exceeds reachability of the composite$"):
-                obstructions(whole, composed)
+        og.laxator_obstructions(composed, whole)
+        built = []
+        monkeypatch.setattr(homotopy, "powerset_report", lambda *args: built.append(args))
+        with pytest.raises(LaxityViolation, match=r"^composite of parts exceeds reachability of the composite$"):
+            og.laxator_obstructions(whole, composed)
+        assert built == []
 
     def test_gap_of_two(self):
         # the composite path zig-zags between the parts, so both z's are
@@ -391,8 +394,17 @@ class TestLaxatorObstructions:
         assert og.reach(h).pairs == {("y2", "z0"), ("y2", "z1")}
         assert og.compose_rel(og.reach(g), og.reach(h)).pairs == frozenset()
         assert og.reach(og.compose(g, h)).pairs == {("x", "z0"), ("x", "z1")}
-        r = og.laxator_obstructions(*laxator(g, h))
+        r = og.laxator_obstructions(*laxator(g, h))[0]
         assert r.minimal == {"{(x,z0)}", "{(x,z1)}"}
+
+    def test_zigzag_pairs_obstruct_at_x0_z0(self, seed):
+        # the whole reaches (x0, z0) only by crossing the boundary three
+        # times, so the singleton of that pair is a minimal obstruction
+        rng = random.Random(seed + 10)
+        for _ in range(25):
+            pi0, pi1 = og.laxator_obstructions(*laxator(*gen.zigzag_composable_graphs(rng)))
+            assert "{(x0,z0)}" in pi0.minimal
+            assert pi1.trivial
 
     def test_laxity_holds_on_random_pairs(self, seed):
         rng = random.Random(seed + 4)
@@ -402,30 +414,39 @@ class TestLaxatorObstructions:
             whole = og.reach(og.compose(g, h))
             assert composed.pairs <= whole.pairs
 
-    def test_cap(self, seed):
-        rng = random.Random(seed + 5)
-        xs = tuple(f"x{i}" for i in range(4))
-        zs = tuple(f"z{i}" for i in range(4))
-        g = og.OpenGraph(xs, ("m",), tuple(f"i_{x}" for x in xs) + ("c",),
-                         frozenset((f"i_{x}", "c") for x in xs),
-                         {x: f"i_{x}" for x in xs}, {"m": "c"})
-        h = og.OpenGraph(("m",), zs, ("c",) + tuple(f"o_{z}" for z in zs),
-                         frozenset(("c", f"o_{z}") for z in zs),
-                         {"m": "c"}, {z: f"o_{z}" for z in zs})
+    def test_cap(self):
+        def fan(m, n):
+            # m inputs into one glued vertex c, and n outputs out of it
+            xs = tuple(f"x{i}" for i in range(m))
+            zs = tuple(f"z{i}" for i in range(n))
+            g = og.OpenGraph(xs, ("m",), tuple(f"i_{x}" for x in xs) + ("c",),
+                             frozenset((f"i_{x}", "c") for x in xs),
+                             {x: f"i_{x}" for x in xs}, {"m": "c"})
+            h = og.OpenGraph(("m",), zs, ("c",) + tuple(f"o_{z}" for z in zs),
+                             frozenset(("c", f"o_{z}") for z in zs),
+                             {"m": "c"}, {z: f"o_{z}" for z in zs})
+            return g, h
+
+        g, h = fan(4, 4)
         assert len(og.reach(og.compose(g, h)).pairs) == 16
-        with pytest.raises(CapExceeded):
+        with pytest.raises(CapExceeded, match=r"^powerset of 16 generators exceeds cap 12$"):
             og.laxator_obstructions(*laxator(g, h))
-        # pi1 is read off by theorem and builds no powerset, so it has no cap
-        assert og.pi1_laxator(*laxator(g, h)).trivial
+        # pi1 is read off by theorem and builds no powerset, so only pi0's
+        # cap bounds the call: at the cap (the parts account for all 12
+        # pairs) the call returns, and pi1 is the one point
+        composed, whole = laxator(*fan(3, 4))
+        assert len(whole.pairs) == 12
+        pi0, pi1 = og.laxator_obstructions(composed, whole)
+        assert pi0.trivial and pi1.trivial
 
 
 class TestPi1Laxator:
     def test_fixture_pair_trivial(self, G, H):
-        assert og.pi1_laxator(*laxator(G, H)).trivial
+        assert og.laxator_obstructions(*laxator(G, H))[1].trivial
 
     def test_identity_composite_trivial(self):
         ident = gen.identity_graph(("1",))
-        assert og.pi1_laxator(*laxator(ident, ident)).trivial
+        assert og.laxator_obstructions(*laxator(ident, ident))[1].trivial
 
     def test_random_pairs_all_trivial(self, seed):
         rng = random.Random(seed + 6)
@@ -434,14 +455,17 @@ class TestPi1Laxator:
             g, h = gen.random_composable_graphs(rng)
             if len(og.reach(og.compose(g, h)).pairs) > 5:
                 continue
-            assert og.pi1_laxator(*laxator(g, h)).trivial
+            assert og.laxator_obstructions(*laxator(g, h))[1].trivial
             done += 1
 
     def test_matches_thin_category_oracle(self, G, H, seed):
         """pi1 computed through the thin category of all sub-relations of the
-        composite reachability, pointed at the composite of the parts."""
-        for g, h in thin_draws(G, H, seed):
-            assert og.pi1_laxator(*laxator(g, h)) == homotopy.pi1(*thin_laxator(g, h))
+        composite reachability, pointed at the composite of the parts, on
+        draws of which at least 5 have a pi0 that is not one point."""
+        drawn = list(thin_draws(seed))
+        for g, h in [(G, H), *drawn]:
+            assert og.laxator_obstructions(*laxator(g, h))[1] == homotopy.pi1(*thin_laxator(g, h))
+        assert sum(not og.laxator_obstructions(*laxator(g, h))[0].trivial for g, h in drawn) >= 5
 
     def test_pi0_matches_thin_category_oracle(self, G, H, seed):
         """pi0, the laxator obstructions, through the same thin category at
@@ -452,11 +476,13 @@ class TestPi1Laxator:
         rng, ys = random.Random(76), ("y0", "y1", "y2")
         wide = (gen.random_open_graph(rng, ("x0", "x1"), ys, edge_prob=0.25),
                 gen.random_open_graph(rng, ys, ("z0", "z1", "z2", "z3"), edge_prob=0.25))
-        for g, h in [*thin_draws(G, H, seed), wide]:
-            got, want = og.laxator_obstructions(*laxator(g, h)), homotopy.pi0(*thin_laxator(g, h))
+        drawn = list(thin_draws(seed))
+        for g, h in [(G, H), *drawn, wide]:
+            got, want = og.laxator_obstructions(*laxator(g, h))[0], homotopy.pi0(*thin_laxator(g, h))
             assert (got.invariant, got.minimal, got.trivial) == (want.invariant, want.minimal, want.trivial)
             assert got.context != want.context
         assert len(got.invariant.poset.elements) == 225
+        assert sum(not og.laxator_obstructions(*laxator(g, h))[0].trivial for g, h in drawn) >= 5
 
 
 def thin_laxator(g, h):
@@ -468,18 +494,19 @@ def thin_laxator(g, h):
     return gen.thin_category(subsets.invariant.poset), homotopy.subset_name(og._rel_pair_labels(composed.pairs))
 
 
-def thin_draws(G, H, seed):
-    """The fixture pair, then 20 drawn pairs whose composite relates at
-    most 6 boundary pairs."""
-    yield G, H
+def thin_draws(seed):
+    """Drawn pairs whose composite relates at most 6 boundary pairs: 20
+    random ones, most with a one-point pi0, then 6 zig-zag ones, whose parts
+    compose to a strict sub-relation of the whole."""
     rng = random.Random(seed + 9)
-    done = 0
-    while done < 20:
-        g, h = gen.random_composable_graphs(rng)
-        if len(og.reach(og.compose(g, h)).pairs) > 6:
-            continue
-        yield g, h
-        done += 1
+    for draw, count in ((gen.random_composable_graphs, 20), (gen.zigzag_composable_graphs, 6)):
+        done = 0
+        while done < count:
+            g, h = draw(rng)
+            if len(og.reach(og.compose(g, h)).pairs) > 6:
+                continue
+            yield g, h
+            done += 1
 
 
 class TestGraphHom:

@@ -466,8 +466,7 @@ def fixture_reports():
     for left in (g, g2):
         composed = opengraph.compose_rel(opengraph.reach(left), opengraph.reach(h))
         whole = opengraph.reach(opengraph.compose(left, h))
-        yield opengraph.laxator_obstructions(composed, whole)
-        yield opengraph.pi1_laxator(composed, whole)
+        yield from opengraph.laxator_obstructions(composed, whole)
     for dims in ((1, 3), (2, 2)):
         yield from gen.obstructions(states.StateContext("gf2"), *dims)
 

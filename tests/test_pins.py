@@ -269,13 +269,13 @@ WORK = """
     46  56c165a98683  opengraph compose fixtures/G.og fixtures/H.og --format dot
     13  0a574200a2e2  opengraph reach fixtures/G.og
     27  301c7ff9ba91  opengraph reach fixtures/G.og --format dot
-    74  907cdffceb73  opengraph obstruct fixtures/G.og fixtures/H.og --format text
-    76  f58f62dcba83  opengraph obstruct fixtures/G.og fixtures/H.og --format dot
-    77  c97d5b45490c  opengraph obstruct fixtures/G.og fixtures/H.og --format interchange
-    99  058b641f6b7b  opengraph act fixtures/G.og fixtures/G_identified.og fixtures/identify_outputs.gh fixtures/H.og
-   303  a0cb89ae68e4  opengraph obstruct left8.og right8.og --format text
-   528  b662465ce0ce  opengraph obstruct left8.og right8.og --format dot
-   529  ffa452972b6f  opengraph obstruct left8.og right8.og --format interchange
+    69  52e2ca16ae81  opengraph obstruct fixtures/G.og fixtures/H.og --format text
+    71  6f8acb59a9b4  opengraph obstruct fixtures/G.og fixtures/H.og --format dot
+    72  52e8d8b68948  opengraph obstruct fixtures/G.og fixtures/H.og --format interchange
+    97  3a514ea18101  opengraph act fixtures/G.og fixtures/G_identified.og fixtures/identify_outputs.gh fixtures/H.og
+   298  81f9fba627b8  opengraph obstruct left8.og right8.og --format text
+   523  796e6f82fc62  opengraph obstruct left8.og right8.og --format dot
+   524  5285f9766b66  opengraph obstruct left8.og right8.og --format interchange
 """
 WORK_ROWS = {row: (int(total), digest) for total, digest, row in (line.split(None, 2) for line in WORK.splitlines() if line and not line.startswith("#"))}
 
@@ -319,7 +319,7 @@ CALLS = """
     25  fincat._squares
     20  fincat._walk
      7  fincat.check_label
-   186  fincat.pair_names
+   180  fincat.pair_names
     25  fincat.parse_category
     25  fincat.validate_category
     27  homotopy._end
@@ -337,25 +337,24 @@ CALLS = """
      6  homotopy.pi1
     28  homotopy.powerset_report
     71  homotopy.report_from_pointed
-   295  homotopy.subset_name
+   289  homotopy.subset_name
     57  homotopy.write_report
      1  opengraph.GraphHom.__init__
     23  opengraph.OpenGraph.__new__
     32  opengraph.Relation.__new__
-    14  opengraph._check_laxator
     10  opengraph._glue
    157  opengraph._glue.find
     24  opengraph._paths
-    48  opengraph._rel_pair_labels
+     8  opengraph._pi0
+    42  opengraph._rel_pair_labels
      1  opengraph.act
      2  opengraph.compose
      8  opengraph.compose_rel
      8  opengraph.glued_reach
-     8  opengraph.laxator_obstructions
+     6  opengraph.laxator_obstructions
      2  opengraph.open_graph_dot
      1  opengraph.parse_graph_hom
     21  opengraph.parse_open_graph
-     6  opengraph.pi1_laxator
     16  opengraph.reach
     26  opengraph.relation_text
      1  opengraph.serialize_open_graph
