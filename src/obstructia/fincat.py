@@ -26,9 +26,15 @@ split of hom(-, x) into fibres behind the size caps below, and one walk
 over the rows, one object at a time, that reads every arrow into each
 element and hands each down-set along ``FinCat.split_epis``: the preorder
 ``order.reflection`` points.  The walk reads no name, so the walk memo
-``_WALKS`` keeps it, by its fibres, and its reflections' name-free part,
-by base position, for the category last walked, within ``OBJECTS_CAP``
-elements; the caps are checked and the elements named on every call.  The
+``_WALKS`` keeps it, by its fibres, for the category last walked, within
+``OBJECTS_CAP`` elements, with the category's ranks, taken when the memo
+first walks it.  In a ranked category no id starts with another id
+followed by ``,`` or ``[`` (``_ranks``), so every derived name sorts as a
+tuple of its parts' ranks and no two render alike: an element is sorted by
+its ranks, a reflection's classes are kept by base position and reused on
+every call at that base, and only their representatives are named.  An
+unranked category names every element on every call, ``#n`` and all, and
+reflects afresh.  The caps are checked on every call.  The
 tests keep the ``.cat`` writer and the opposite, and, as oracles, the walk
 of every element, the composition tables of the derived categories, the
 table keyed by names and the functor and naturality checks by name.
@@ -36,7 +42,8 @@ table keyed by names and the functor and naturality checks by name.
 
 from __future__ import annotations
 
-from _thread import allocate_lock
+from _thread import RLock
+from bisect import bisect_left
 from collections import namedtuple
 from collections.abc import Iterable, Mapping
 from functools import lru_cache
@@ -440,15 +447,24 @@ def _fibres(c: FinCat, x: str, k: int, over: str | None = None) -> tuple:
     return fibres
 
 
+def _label(c: FinCat, over: str | None):
+    """A slice object's name, by the position of its morphism h: the id of
+    h, or the slice morphism h[g=>over], g = h;over, given ``over``."""
+    mors = c.morphisms
+    if over is None:
+        return lambda h: mors[h].name
+    after = c.rows[c.index[over]]
+    return lambda h: f"{mors[h].name}[{mors[after[h]].name}=>{over}]"
+
+
 def _named(c: FinCat, fibres: tuple, k: int, over: str | None) -> list[str]:
     """Each element's name, in walk order: the k-tuples of each fibre in
-    turn.  A slice object is named by its morphism id, or as the slice
-    morphism f[g=>over] given ``over``, and a pair by ``pair_names`` of
-    those; if a name repeats, the n-th rendered alike gets ``#n``, so
-    distinct tuples stay apart."""
-    mors, names = c.morphisms, []
-    for _, g, fibre in fibres:
-        labels = [mors[f].name for f in fibre] if over is None else [f"{mors[f].name}[{mors[g].name}=>{over}]" for f in fibre]
+    turn.  A slice object is named by ``_label``, and a pair by
+    ``pair_names`` of those; if a name repeats, the n-th rendered alike
+    gets ``#n``, so distinct tuples stay apart."""
+    label, names = _label(c, over), []
+    for _, _, fibre in fibres:
+        labels = list(map(label, fibre))
         names += labels if k == 1 else pair_names(product(labels, repeat=2))
     if len(set(names)) < len(names):  # a name repeats
         taken = set()
@@ -462,35 +478,67 @@ def _named(c: FinCat, fibres: tuple, k: int, over: str | None) -> list[str]:
     return names
 
 
-class _WalkMemo:
-    """The walks of the category last walked, by key, and what their
-    reflections keep, by walk key and base, tied to it by identity: a walk
-    of another category starts the memo afresh, so nothing is handed to a
-    category it was not taken on, and nothing outlives the next category
-    walked.  An entry is kept whole while the elements kept (walked, or
-    classes reflected) stay within ``OBJECTS_CAP``, a walk dropping the
-    oldest first to make room, a reflection none; ``hits`` and ``misses``
-    count walk reads since the memo was built, ``reused`` and ``validated``
-    reflections.  Each read holds one lock, so threads that share the memo
-    cannot interleave a switch of category with a read.  Entries are shared
-    by every reader of a key and must not be written to."""
+def _ranks(c: FinCat) -> dict | None:
+    """None if c is unranked: some morphism id starts with another id
+    followed by ``,`` or ``[``.  Else, for each suffix s a part of a
+    derived name ends in (none for h, ``[`` for either part of h[g=>f] or
+    a pair of those, ``,`` for a and ``)`` for b in (a,b)), each id's place
+    among all ids sorted with s appended, as (form, ranks), with equal
+    rank lists sharing one form number.  Then two derived names of one
+    walk compare as their parts' ranks do, first part first: where the
+    parts differ, neither part with its suffix is a prefix of the other, or
+    it ends the name.  So no two elements render alike, and an element's
+    rank tuple sorts it as its name would."""
+    names = [m.name for m in c.morphisms]
+    for a in names:
+        for s in ",[":
+            i = bisect_left(names, a + s)
+            if i < len(names) and names[i].startswith(a + s):
+                return None
+    distinct, out = [], {}
+    for s in ("", "[", ",", ")"):
+        rank = [0] * len(names)
+        for r, i in enumerate(sorted(range(len(names)), key=lambda i: names[i] + s)):
+            rank[i] = r
+        if rank not in distinct:
+            distinct.append(rank)
+        out[s] = (distinct.index(rank), rank)
+    return out
 
-    __slots__ = ("of", "walks", "kept", "hits", "misses", "reused", "validated", "lock")
+
+class _WalkMemo:
+    """The walks of the category last walked, by key, its ranks
+    (``_ranks``), and what the reflections of its ranked walks keep, by
+    walk key, base and form, tied to it by identity: a walk of another
+    category starts the memo afresh, so nothing is handed to a category it
+    was not taken on, and nothing outlives the next category walked.  An
+    entry is kept whole while the elements kept (walked, or classes
+    reflected) stay within ``OBJECTS_CAP``, a walk dropping the oldest
+    first to make room, a reflection none; ``hits`` and ``misses`` count
+    walk reads since the memo was built, ``reused`` and ``validated``
+    reflections, and ``named`` the element names built.  Each read and
+    count holds one lock, so threads that share the memo cannot interleave
+    a switch of category with a read; a reflection counts the names it
+    builds while it holds it.  Entries are shared by every reader of a key
+    and must not be written to."""
+
+    __slots__ = ("of", "ranks", "walks", "kept", "hits", "misses", "reused", "validated", "named", "lock")
 
     def __init__(self):
-        self.of, self.walks, self.kept, self.hits, self.misses, self.reused, self.validated = None, {}, 0, 0, 0, 0, 0
-        self.lock = allocate_lock()
+        self.of, self.ranks, self.walks, self.kept = None, None, {}, 0
+        self.hits = self.misses = self.reused = self.validated = self.named = 0
+        self.lock = RLock()
 
     def get(self, c: FinCat, key, walk):
         """The walk of c at ``key``, its element keys and their down-masks,
-        taken by ``walk()`` on a miss."""
+        taken by ``walk()`` on a miss, and c's ranks."""
         with self.lock:
             if self.of is not c:
-                self.of, self.walks, self.kept = c, {}, 0
+                self.of, self.ranks, self.walks, self.kept = c, _ranks(c), {}, 0
             found = self.walks.get(key)
             if found is not None:
                 self.hits += 1
-                return found
+                return found, self.ranks
             self.misses += 1
             found = walk()
             n = len(found[1])
@@ -499,28 +547,44 @@ class _WalkMemo:
                     self.kept -= len(self.walks.pop(next(iter(self.walks)))[1])
                 self.walks[key] = found
                 self.kept += n
-            return found
+            return found, self.ranks
 
     def reflect(self, at: tuple, base: int, reflect):
         """What ``reflect(kept)`` returns first, with kept what is kept at
-        ``base`` of the walk ``at`` (category, key), or None; it returns
-        second None if it renamed kept, else what to keep where none is."""
-        c, key = at
+        ``base`` of the walk ``at`` (category, key, form), or None; it
+        returns second None if it renamed kept, else what to keep where
+        none is.  A walk of form None, whose names are not ranked, keeps
+        nothing."""
+        c, key, form = at
         with self.lock:
-            kept = self.walks.get((key, base)) if self.of is c else None
+            mine = self.of is c and form is not None
+            kept = self.walks.get((key, base, form)) if mine else None
             got, keep = reflect(kept)
             self.reused, self.validated = self.reused + (keep is None), self.validated + (keep is not None)
-            if kept is None and self.of is c and self.kept + len(keep[1]) <= OBJECTS_CAP:
-                self.walks[key, base], self.kept = keep, self.kept + len(keep[1])
+            if mine and kept is None and self.kept + len(keep[1]) <= OBJECTS_CAP:
+                self.walks[key, base, form], self.kept = keep, self.kept + len(keep[1])
             return got
+
+    def built(self, n: int) -> None:
+        """Count n element names built."""
+        with self.lock:
+            self.named += n
 
 
 _WALKS = _WalkMemo()
 
 
-# A walk as an end reads it, by position: names, keys and down-masks, the
-# last two shared with ``_WALKS``, and ``at``, where it keeps them: (c, key).
-Walk = namedtuple("Walk", "names keys down at")
+# A walk as an end reads it, by position: keys and down-masks, shared with
+# ``_WALKS``; ``rank``, the sort key of a position, and ``names``, the
+# names of a list of positions; and ``at``, where its reflections are kept:
+# (c, key, form), form the forms of its parts' ranks, () for the objects'
+# preorder, whose ids sort as their positions, and None where nothing is.
+Walk = namedtuple("Walk", "keys down rank names at")
+
+
+def _read(names):
+    """The names of a list of positions, read off ``names``."""
+    return lambda ps: list(map(names.__getitem__, ps))
 
 
 def _walk(c: FinCat, k: int, fibres: tuple):
@@ -571,15 +635,39 @@ def _elements_preorder(c: FinCat, x: str, k: int, base: int, over: str | None = 
     ``_WALKS`` at the key (x, k, the fibres without their values), so
     every morphism out of x that induces one partition of hom(-, x) shares
     one walk, and so does the partition by domain, which is what pi1 at x
-    walks.  The names are given per call (``_named``)."""
+    walks.  In a ranked category a position sorts by its parts' ranks
+    (``_ranks``), packed into one int, and only the names asked for are
+    built; the walk's form is its parts' rank forms.  Otherwise every
+    element is named (``_named``), sorts by its name, and the form is
+    None."""
     fibres = _fibres(c, x, k, over)
     parts = tuple(fibre for _, _, fibre in fibres)
-    key = (x, k, parts)
-    tuples, down = _WALKS.get(c, key, lambda: _walk(c, k, fibres))
+    key, memo = (x, k, parts), _WALKS
+    (tuples, down), ranks = memo.get(c, key, lambda: _walk(c, k, fibres))
     i = next(i for i, part in enumerate(parts) if base in part)
     n, j = len(parts[i]), parts[i].index(base)  # base is the j-th of n in its part
     at = sum(len(part) ** k for part in parts[:i]) + (j if k == 1 else j * n + j)
-    return Walk(_named(c, fibres, k, over), tuples, down, (c, key)), at
+    if ranks is None:
+        names = _named(c, fibres, k, over)
+        memo.built(len(names))
+        return Walk(tuples, down, names.__getitem__, _read(names), (c, key, None)), at
+    s0, s1 = ("[", "[") if over is not None else ("", "") if k == 1 else (",", ")")
+    (f0, r0), (f1, r1) = ranks[s0], ranks[s1]
+    size, label = len(r0), _label(c, over)
+
+    def names(ps):
+        memo.built(len(ps))
+        if k == 1:
+            return [label(tuples[p][0]) for p in ps]
+        return pair_names([(label(a), label(b)) for a, b in map(tuples.__getitem__, ps)])
+
+    def rank(p):
+        t = tuples[p]
+        return r0[t[0]] * size + r1[t[-1]]
+
+    # form 0 ranks the ids as they sort bare, by position, so a position
+    # sorts as its tuple of positions does
+    return Walk(tuples, down, tuples.__getitem__ if f0 == f1 == 0 else rank, names, (c, key, (f0, f1))), at
 
 
 def is_groupoid(c: FinCat) -> bool:

@@ -22,11 +22,14 @@ walk is read through the walk memo ``fincat._WALKS``, so ends and ops on one
 category share it by key: the slice over y by y, the pairs into x that f
 equalises by the partition h |-> h;f induces on hom(-, x), which pi1 at x
 shares with every f of constant kernel, and the objects' preorder by 0.
-Only the names and the pointing depend on f, so the memo keeps each
-reflection's masks, validated, by walk and base, and a later call with
-classes in the same name order renames them (``order.reflection``);
-``report_from_pointed`` still checks every report.  A flow points each end
-once and reads the class of each target key off the target's reflection
+Only the names and the pointing depend on f.  In a ranked category
+(``fincat._ranks``) an element sorts by its ids' ranks, whatever f, so
+the memo keeps each reflection's representatives and masks, validated, by
+walk, base and ranks, and every later call there names only those
+representatives and reuses the masks, unless its basepoint sorts to
+another place (``order.reflection``); ``report_from_pointed`` still checks
+every report.  A flow points each end once, names its keys on demand, and
+reads the class of each target key off the target's reflection
 (``_classes``, the one class list built).  Like every flow, it is built by
 ``induced_map``: it maps class representatives, sends collapsed images to
 the basepoint, and then *checks* the result to be monotone, along the
@@ -106,7 +109,8 @@ def _end(c: fincat.FinCat, i: int, x: str, f: str | None = None):
     if i == 0 and f is None:
         if not c.has_object(x):
             raise UnknownObject(x)
-        return fincat.Walk(c.objects, *fincat._WALKS.get(c, 0, lambda: _object_preorder(c)), (c, 0)), c.objects.index(x), x
+        walk, _ = fincat._WALKS.get(c, 0, lambda: _object_preorder(c))
+        return fincat.Walk(*walk, c.objects.__getitem__, fincat._read(c.objects), (c, 0, ())), c.objects.index(x), x
     if i == 0:
         return *fincat._elements_preorder(c, c.cod(f), 1, c.index[f]), f
     return *fincat._elements_preorder(c, x, 2, c.index[c.id_of(x)], f), x if f is None else f
@@ -116,7 +120,7 @@ def _pi_at(end, i: int) -> ObstructionReport:
     """pi_i at an ``_end``: the pointed reflection of its walk at the base
     element, pointed at [point]."""
     walk, base, point = end
-    pp = fincat._WALKS.reflect(walk.at, base, lambda kept: order.reflection(walk.names, walk.down, base, f"[{point}]", kept))
+    pp = fincat._WALKS.reflect(walk.at, base, lambda kept: order.reflection(walk.rank, walk.down, base, f"[{point}]", walk.names, kept))
     return report_from_pointed(pp, f"pi{i} at object {point!r}")
 
 
@@ -175,7 +179,7 @@ def _classes(walk: fincat.Walk, pp: order.PointedPoset) -> list[str]:
     least member, the one member named in pp, as a walk's names are
     distinct and the basepoint is named apart from every class."""
     named = set(pp.poset.elements) - {pp.basepoint}
-    name_of = {d: name for name, d in zip(walk.names, walk.down) if name in named}
+    name_of = {d: name for name, d in zip(walk.names(range(len(walk.down))), walk.down) if name in named}
     return list(map(name_of.get, walk.down, repeat(pp.basepoint)))
 
 
@@ -185,7 +189,7 @@ def _flow(i: int, src_end, dst_end, move) -> order.PointedMap:
     key -> class dict of the target end (``_classes``)."""
     src, dst = _pi_at(src_end, i), _pi_at(dst_end, i)
     walk, target = src_end[0], dst_end[0]
-    key_of, lookup = dict(zip(walk.names, walk.keys)), dict(zip(target.keys, _classes(target, dst.invariant)))
+    key_of, lookup = dict(zip(walk.names(range(len(walk.keys))), walk.keys)), dict(zip(target.keys, _classes(target, dst.invariant)))
     return induced_map(src, dst, lambda e: lookup[tuple(map(move, key_of[e]))])
 
 

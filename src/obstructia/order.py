@@ -8,10 +8,11 @@ pairs, which no operation here or output format reads.
 
 The workhorse is ``reflection``: the universal thin skeletal quotient of
 a preorder given by down-masks, with the lower set of one element's class
-identified to a basepoint, built in one pass that names and orders only
-the classes that survive.  It reads reachability only: the down-masks come from a
-category's morphisms or straight from the walks behind the slices and
-parallel arrows, and every homotopy invariant is one call of it.
+identified to a basepoint, built in one pass that sorts the survivors by
+one key each and names only the classes' representatives.  It reads
+reachability only: the down-masks come from a category's morphisms or
+straight from the walks behind the slices and parallel arrows, and every
+homotopy invariant is one call of it.
 Everything else here is supporting machinery: pointed and monotone maps,
 and DOT string quoting.  Reports, Hasse diagrams included, are written by
 ``homotopy.write_report``, and read their minimal obstructions off the
@@ -19,8 +20,8 @@ cover masks (``homotopy.report_from_pointed``).
 
 Every poset carries its cover masks.  ``from_masks`` validates every poset
 built here and computes them on the way, as the transitive reduction, with
-two exceptions.  A reflection renamed from what one at the same down-masks
-and base kept reuses the masks validated there.  ``homotopy.powerset_report``
+two exceptions.  A reflection renamed from what one at the same down-masks,
+base and sort keys kept reuses the masks validated there.  ``homotopy.powerset_report``
 builds orders by construction, so it builds ``Poset`` directly, cover masks
 included, and the tests check it against ``from_masks``.
 """
@@ -162,41 +163,45 @@ def make_pointed(source: PointedPoset, target: PointedPoset, mapping: Mapping[st
 # -- the pointed reflection ------------------------------------------------
 
 
-def reflection(names, down: list[int], base: int, basepoint_name: str, kept=None):
-    """Reflect a preorder on ``names`` given by down-masks (bit j of down[i]
-    set when names[j] <= names[i]), reflexive and transitive as given, and
+def reflection(rank, down: list[int], base: int, basepoint_name: str, names=None, kept=None):
+    """Reflect a preorder given by down-masks (bit j of down[i] set when
+    element j <= element i), reflexive and transitive as given, and
     collapse the lower set of the class of position ``base``, low =
-    down[base], to a basepoint: one pass that names and orders only the
-    surviving classes.  In a preorder the class of i is the set of elements
-    with down-mask down[i], and it is named and represented by its least
-    member: one mapping of each surviving mask to its member, written in
-    reverse name order, keeps the least.  The basepoint is
-    ``basepoint_name``, with ``'`` added while a surviving class has that
-    name.  The classes below one are the representatives in its
-    representative's down-mask, read through one mask with a bit per
-    representative, and the basepoint lies below exactly the classes whose
-    masks meet low.  ``from_masks`` validates the result.  Returns the
-    pointed poset and what to keep: the up- and cover masks, and the
-    classes' down-masks in order, low at the basepoint's.  Given ``kept``
-    with these down-masks in this order, its masks, which follow from them
-    alone and were validated there, are renamed, and there is nothing to
-    keep."""
+    down[base], to a basepoint: one pass that sorts and names only the
+    surviving classes.  ``rank`` is each position's sort key, which sorts
+    the elements as their names do, and ``names`` names a list of
+    positions (by default, each by its key).  In a preorder the class of i
+    is the set of elements with down-mask down[i], and it is named and
+    represented by its least member: the survivors, sorted once, give each
+    surviving mask its least member, in order.  Only the representatives
+    are named.  The basepoint is ``basepoint_name``, with ``'`` added while
+    a class has that name.  The classes below one are the representatives
+    in its representative's down-mask, read through one mask with a bit
+    per representative, and the basepoint lies below exactly the classes
+    whose masks meet low.  ``from_masks`` validates the result.  Returns
+    the pointed poset and what to keep: the up- and cover masks and the
+    basepoint's place, then the representatives.  Given ``kept``, taken at
+    these down-masks and base under the same ranks, its representatives
+    are named and its masks, validated there, reused, and there is nothing
+    to keep; unless the basepoint sorts to another place among the new
+    names, which is reflected afresh."""
+    names = names or (lambda ps: list(map(rank, ps)))
+    if kept is not None:
+        (up, covers, at), reps = kept
+        elems = names(reps)
+        bp = _free(basepoint_name, elems)
+        if bisect_left(elems, bp) == at:
+            elems.insert(at, bp)
+            return PointedPoset(Poset(tuple(elems), up, covers), bp), None
     low = down[base]
-    keep = ((1 << len(names)) - 1) & ~low
-    survivors = sorted(_pick(range(len(names)), keep), key=names.__getitem__, reverse=True)
-    least = dict(zip(map(down.__getitem__, survivors), survivors))  # surviving mask -> its least member
-    reps = sorted(least.values(), key=names.__getitem__)
-    elems = list(map(names.__getitem__, reps))
-    bp = basepoint_name
-    taken = set(elems)
-    while bp in taken:
-        bp += "'"
+    survivors = sorted(_pick(range(len(down)), ((1 << len(down)) - 1) & ~low), key=rank)
+    masks = list(map(down.__getitem__, survivors))
+    least = dict(zip(reversed(masks), reversed(survivors)))  # surviving mask -> its least member
+    reps = list(map(least.__getitem__, dict.fromkeys(masks)))  # in the order of their least members
+    elems = names(reps)
+    bp = _free(basepoint_name, elems)
     at = bisect_left(elems, bp)
-    downs = list(map(down.__getitem__, reps))
-    downs.insert(at, low)
     elems.insert(at, bp)
-    if kept is not None and kept[1] == downs:
-        return PointedPoset(Poset(tuple(elems), *kept[0]), bp), None
     pos = {1 << r: k + (k >= at) for k, r in enumerate(reps)}  # a representative's bit -> its class
     rep_bits = sum(pos)
     up = [0] * len(elems)
@@ -211,7 +216,15 @@ def reflection(names, down: list[int], base: int, basepoint_name: str, kept=None
             up[pos[j]] |= bit
             below ^= j
     p = from_masks(tuple(elems), up)
-    return PointedPoset(p, bp), ((p.up, p.cover_masks), downs)
+    return PointedPoset(p, bp), ((p.up, p.cover_masks, at), reps)
+
+
+def _free(name: str, taken: list[str]) -> str:
+    """name, with ``'`` added while it is taken."""
+    taken = set(taken)
+    while name in taken:
+        name += "'"
+    return name
 
 
 # -- DOT string literals ---------------------------------------------------

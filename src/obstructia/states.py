@@ -123,7 +123,7 @@ def _report(universe, collapsed, context: str) -> homotopy.ObstructionReport:
     coll = set(collapsed)
     singletons = [homotopy.subset_name([y]) for y in universe if y not in coll]
     down = [1, *(1 | 2 << i for i in range(len(singletons)))]  # the base below each singleton
-    pp = order.reflection(["{}", *singletons], down, 0, "{}")[0]
+    pp = order.reflection(["{}", *singletons].__getitem__, down, 0, "{}")[0]
     return homotopy.report_from_pointed(pp, context + " (minimal sub-poset; full powerset elided)")
 
 

@@ -209,6 +209,15 @@ def basepoint_clash() -> fincat.FinCat:
         {("id[1]", "id[1]"): "id[1]", ("id1", "id1"): "id1", ("id2", "id2"): "id2", ("id[1]", "a"): "a", ("a", "id1"): "a"})
 
 
+def bang_skeleton() -> fincat.FinCat:
+    """The skeleton of sets of at most 2 elements, with the constants
+    2>2:00 and 2>2:11 named b and b!: ranked (``fincat._ranks``), but b
+    sorts before b! only alone, and after it as either part of a pair, as
+    b!, < b, and b!) < b)."""
+    c = finset_ambient(2)
+    return renamed(c, {**{x: x for x in c.objects}, **{m: m for m in morphism_names(c)}, "2>2:00": "b", "2>2:11": "b!"})
+
+
 def slice_pair_collision() -> fincat.FinCat:
     """Four arrows z -> x with h;f = g, so that the slice pairs (p, q[g=>f],r)
     and (p[g=>f],q, r) over f both render as (p[g=>f],q[g=>f],r[g=>f])."""

@@ -534,6 +534,13 @@ def collapse_lower(p: Poset, lower: Iterable[str], basepoint_name: str) -> Point
     return PointedPoset(from_masks(elems, up), bp)
 
 
+def named_walk(names, down) -> fincat.Walk:
+    """A ``fincat.Walk`` of a preorder given by distinct names and
+    down-masks, each position sorting by its name, as an unranked walk's
+    do; it has no keys and keeps nothing."""
+    return fincat.Walk(None, down, names.__getitem__, fincat._read(names), None)
+
+
 def two_step(names, down, base, basepoint_name):
     """``order.reflection`` in two steps: reflect every class, then
     collapse the lower closure of the class of position ``base``.  Returns

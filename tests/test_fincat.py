@@ -1036,7 +1036,7 @@ def assert_orbit_walk_is_full_walk(c, x):
                 fincat._elements_preorder(c, x, k, base, over)
             continue
         walk, _ = fincat._elements_preorder(c, x, k, base, over)
-        assert (list(zip(walk.names, walk.keys)), walk.down) == (list(elements.items()), down)
+        assert (list(zip(walk.names(range(len(walk.keys))), walk.keys)), walk.down) == (list(elements.items()), down)
         for m in c.into[x]:  # every m into x gives (m, ..., m) a position
             at = fincat._elements_preorder(c, x, k, m, over)[1]
             assert walk.keys[at] == (m,) * k
@@ -1132,6 +1132,44 @@ class TestOrbitWalk:
             for k in (1, 2):
                 fincat._walk(stand_in, k, fincat._fibres(c, x, k))
         assert count[0] == 8548
+
+
+def discrete(ids):
+    """The discrete category whose identities are ids, one object each."""
+    objs = [f"o{i}" for i in range(len(ids))]
+    return fincat.validate_category(objs, [(m, x, x) for m, x in zip(ids, objs)], dict(zip(objs, ids)), {(m, m): m for m in ids})
+
+
+class TestRanks:
+    """``fincat._ranks``: a category is ranked unless a morphism id starts
+    with another id followed by `,` or `[`, and then each suffix ranks the
+    ids as they sort with it appended, equal rank lists sharing a form."""
+
+    def test_the_finite_set_skeleton_is_ranked(self):
+        # no id is a prefix of another, so every suffix ranks by position
+        ranks = fincat._ranks(gen.finset_ambient(3))
+        assert ranks == {s: (0, list(range(60))) for s in ("", "[", ",", ")")}
+
+    def test_pair_collision_is_unranked(self):
+        with open(PAIR_COLLISION, encoding="utf-8") as fh:
+            assert fincat._ranks(fincat.parse_category(fh.read())) is None
+
+    @pytest.mark.parametrize("ids, ranked", [
+        (["p", "p[", "q"], False),
+        (["p", "p,q", "q"], False),
+        (["p[q", "p", "q"], False),
+        (["p", "p)", "p!", "p=>", "p]", "p#2"], True),
+        (["p,", "p[", "q"], True),  # neither starts with another id
+    ])
+    def test_the_check(self, ids, ranked):
+        assert (fincat._ranks(discrete(ids)) is not None) == ranked
+
+    def test_a_close_rank_apart_from_the_plain_rank(self):
+        # a < a! < a) by name, but a!) < a) < a)) and a!, < a), < a,: the
+        # second part of a pair sorts as b + ")", the first as a + ","
+        ranks = fincat._ranks(discrete(["a", "a!", "a)"]))
+        assert ranks == {"": (0, [0, 1, 2]), "[": (1, [2, 0, 1]), ",": (1, [2, 0, 1]), ")": (2, [1, 0, 2])}
+
 
 
 @settings(max_examples=30, deadline=None)

@@ -186,11 +186,11 @@ def pointed_walks(c):
         yield *homotopy._end(c, 1, x, f), ids(x), pairs(x, f), pi1_at_f
 
 
-def pointed(names, down, base, basepoint_name):
-    """``order.reflection`` with nothing kept, and each position's class
-    (``homotopy._classes``)."""
-    pp, _ = order.reflection(names, down, base, basepoint_name)
-    return pp, homotopy._classes(fincat.Walk(names, None, down, None), pp)
+def pointed(walk, base, basepoint_name):
+    """``order.reflection`` of a walk with nothing kept, by its ranks and
+    names, and each position's class (``homotopy._classes``)."""
+    pp, _ = order.reflection(walk.rank, walk.down, base, basepoint_name, walk.names)
+    return pp, homotopy._classes(walk, pp)
 
 
 def check_pointed_walks(c):
@@ -201,9 +201,9 @@ def check_pointed_walks(c):
     ``oracles.pair_element_names``."""
     for walk, base, point, key, names, explicit in pointed_walks(c):
         assert walk.keys[base] == key
-        assert list(walk.names) == names(walk.keys)
-        got = pointed(walk.names, walk.down, base, f"[{point}]")
-        assert got == oracles.two_step(walk.names, walk.down, base, f"[{point}]")
+        assert walk.names(range(len(walk.keys))) == names(walk.keys)
+        got = pointed(walk, base, f"[{point}]")
+        assert got == oracles.two_step(names(walk.keys), walk.down, base, f"[{point}]")
         assert oracles.report_shape(homotopy.report_from_pointed(got[0], "")) == explicit()
 
 
@@ -242,8 +242,9 @@ class TestPointedReflection:
             c = fincat.parse_category(fh.read())
         walk, _, _ = homotopy._end(c, 1, "x")
         ids = [tuple(c.morphisms[h].name for h in key) for key in walk.keys]
-        assert dict(zip(ids, walk.names)) == oracles.pair_element_names(c, "x")
-        assert walk.names[ids.index(("p", "q,r"))] == "(p,q,r)" and walk.names[ids.index(("p,q", "r"))] == "(p,q,r)#2"
+        names = walk.names(range(len(walk.keys)))
+        assert dict(zip(ids, names)) == oracles.pair_element_names(c, "x")
+        assert names[ids.index(("p", "q,r"))] == "(p,q,r)" and names[ids.index(("p,q", "r"))] == "(p,q,r)#2"
         assert "(p,q,r)#2" in homotopy.pi1(c, "x").invariant.poset.elements
 
     def test_basepoint_primed_only_past_a_survivor(self):
@@ -252,20 +253,21 @@ class TestPointedReflection:
         # is primed
         names = ["[a]", "a", "b", "c"]
         down = [0b0001, 0b0011, 0b0111, 0b1000]
-        pp, class_of = pointed(names, down, 1, "[a]")
+        walk = oracles.named_walk(names, down)
+        pp, class_of = pointed(walk, 1, "[a]")
         assert (pp.basepoint, pp.poset.elements, class_of) == ("[a]", ("[a]", "b", "c"), ["[a]", "[a]", "b", "c"])
-        pp, class_of = pointed(names, down, 3, "[a]")
+        pp, class_of = pointed(walk, 3, "[a]")
         assert (pp.basepoint, pp.poset.elements) == ("[a]'", ("[a]", "[a]'", "a", "b"))
         assert class_of == ["[a]", "a", "b", "[a]'"]
         for base in range(4):
-            assert pointed(names, down, base, "[a]") == oracles.two_step(names, down, base, "[a]")
+            assert pointed(walk, base, "[a]") == oracles.two_step(names, down, base, "[a]")
 
     def test_a_member_named_as_the_basepoint(self):
         # A and [b] reach each other, b apart: at b the class of A survives,
         # named by A, and the basepoint [b] is not primed, as no class is
         # named so; the member [b] is still in the class of A
         names, down = ["A", "[b]", "b"], [0b011, 0b011, 0b100]
-        pp, class_of = pointed(names, down, 2, "[b]")
+        pp, class_of = pointed(oracles.named_walk(names, down), 2, "[b]")
         assert (pp.basepoint, pp.poset.elements, class_of) == ("[b]", ("A", "[b]"), ["A", "A", "[b]"])
         assert (pp, class_of) == oracles.two_step(names, down, 2, "[b]")
 
@@ -276,7 +278,7 @@ class TestPointedReflection:
     def test_non_transitive_survivors_raise(self, down):
         names = ["a", "b", "c", "d"]
         with pytest.raises(InvalidPoset, match="transitivity"):
-            order.reflection(names, down, 0, "[a]")
+            order.reflection(names.__getitem__, down, 0, "[a]")
         with pytest.raises(InvalidPoset):
             oracles.two_step(names, down, 0, "[a]")
 
@@ -373,7 +375,13 @@ class TestOneReflectionPerCategory:
         # the same kernel
         c = gen.finset_ambient(3)
         ops = [(homotopy.analyze_morphism, m.name) for m in c.morphisms] + [(homotopy.pi1, x) for x in c.objects]
-        assert count(lambda: [fn(c, arg) for fn, arg in ops]) == (13, 124, 69)
+        got = []
+        assert count(lambda: got.extend(fn(c, arg) for fn, arg in ops)) == (13, 124, 69)
+        # the category is ranked, so each reflection names only the
+        # representatives of its classes: 1,536 names for 1,660 classes,
+        # 124 of them basepoints, where naming every element built 12,314
+        reports = [r for (fn, _), a in zip(ops, got) for r in ((a,) if fn is homotopy.pi1 else (a.pi0, a.pi1))]
+        assert fincat._WALKS.named == sum(len(r.invariant.poset.elements) - 1 for r in reports) == 1536
 
 
 def prefixed_ambient():
@@ -412,10 +420,13 @@ class TestRenamedReflections:
         return warm
 
     def test_a_name_order_that_differs_is_reflected_afresh(self):
+        # p[ starts with p followed by [, so the category is unranked: all
+        # 25 reflections, over 15 (walk, base), are taken afresh, and none
+        # is kept, as pi1 at p[ shares the walk and base of pi1 at 2 but
+        # not its name order
         memo = self.check(prefixed_ambient())
-        kept = sum(len(key) == 2 for key in memo.walks)
-        # 25 reflections over 15 (walk, base): pi1 at p[ takes its own
-        assert (memo.reused, memo.validated, kept) == (9, 16, 15)
+        kept = len(memo.walks) - memo.misses
+        assert (memo.reused, memo.validated, kept) == (0, 25, 0)
 
     @settings(max_examples=25, deadline=None)
     @given(st.integers(min_value=0, max_value=10_000), st.data())
@@ -431,16 +442,74 @@ class TestRenamedReflections:
         self.check(gen.renamed(c, {**{x: x for x in c.objects}, **dict(zip(morphisms, labels))}))
 
     def test_a_basepoint_that_moves_is_reflected_afresh(self):
-        # a <= b, and c apart, pointed at a: b and c survive.  Named d and
-        # e, they keep their order and the basepoint its place; Z sorts
-        # before [a], so the basepoint moves; e and d swap the classes
-        down = [0b001, 0b011, 0b100]
-        first, kept = order.reflection(["a", "b", "c"], down, 0, "[a]")
+        # a <= b, and c apart, pointed at a: b and c survive.  Ranked by
+        # position, as a ranked walk's elements are whatever their names,
+        # and named d and e, they keep the basepoint's place and the kept
+        # masks; Z sorts before [a], and a class named [a] primes the
+        # basepoint past it, so the basepoint moves and is taken afresh
+        down, rank = [0b001, 0b011, 0b100], [0, 1, 2].__getitem__
+        first, kept = order.reflection(rank, down, 0, "[a]", fincat._read(["a", "b", "c"]))
         assert first.poset.elements == ("[a]", "b", "c")
-        for names, reused in ((["a", "d", "e"], True), (["a", "Z", "e"], False), (["a", "e", "d"], False)):
-            got, keep = order.reflection(names, down, 0, "[a]", kept)
-            assert got == order.reflection(names, down, 0, "[a]")[0]
+        for names, reused in ((["a", "d", "e"], True), (["a", "Z", "e"], False), (["a", "[a]", "e"], False)):
+            got, keep = order.reflection(rank, down, 0, "[a]", fincat._read(names), kept)
+            assert got == order.reflection(names.__getitem__, down, 0, "[a]")[0]
             assert (keep is None) == reused
+
+
+class TestRankedRoute:
+    """The ranked route on one warm memo against the names route taken
+    cold: every morphism analysed, and pi0 and pi1 at every object, each
+    result and its text, DOT and interchange bytes equal to those of a
+    fresh memo in which no category is ranked (``fincat._ranks`` gives
+    None), so that every element is named and sorts by its name.  In a
+    ranked category every walk's ranks sort its names, which are
+    distinct."""
+
+    def check(self, c):
+        ops = [(homotopy.analyze_morphism, m) for m in gen.morphism_names(c)]
+        ops += [(fn, x) for x in c.objects for fn in (homotopy.pi0, homotopy.pi1)]
+        warm, memo, ranks = fincat._WalkMemo(), fincat._WALKS, fincat._ranks
+        try:
+            for fn, arg in ops:
+                fincat._WALKS, fincat._ranks = warm, ranks
+                got = fn(c, arg)
+                fincat._WALKS, fincat._ranks = fincat._WalkMemo(), lambda c: None
+                want = fn(c, arg)
+                assert got == want
+                for g, w in [(got, want)] if fn is not homotopy.analyze_morphism else [(got.pi0, want.pi0), (got.pi1, want.pi1)]:
+                    for fmt in ("text", "dot", "interchange"):
+                        assert written(g, fmt) == written(w, fmt)
+        finally:
+            fincat._WALKS, fincat._ranks = memo, ranks
+        if ranks(c) is not None:
+            for walk, *_ in pointed_walks(c):
+                names = walk.names(range(len(walk.down)))
+                assert len(set(names)) == len(names)
+                assert [names[p] for p in sorted(range(len(names)), key=walk.rank)] == sorted(names)
+        return warm
+
+    def test_a_pair_part_that_sorts_apart(self):
+        # pi1 at 2 has the classes of (2>2:01,b) and (2>2:01,b!): ranked
+        # by the plain rank of b, they would fall out of name order
+        c = gen.bang_skeleton()
+        assert fincat._ranks(c) is not None
+        memo = self.check(c)
+        assert (memo.reused, memo.validated) == (10, 18)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(min_value=0, max_value=10_000), st.data())
+    def test_ids_that_share_prefixes(self, seed, data):
+        # ids such as p, p,q, p[, a, a! and a): over the first alphabet
+        # every category is ranked, and one id may be another with ! or )
+        # appended; over the second, some are not
+        if data.draw(st.booleans()):
+            c = gen.finset_ambient(2)
+        else:
+            c = gen.random_category(random.Random(seed), max_objects=4, max_morphisms=14)
+        morphisms = gen.morphism_names(c)
+        alphabet = data.draw(st.sampled_from(["a!)", "ap!),["]))
+        labels = data.draw(st.lists(st.text(alphabet, min_size=1, max_size=4), min_size=len(morphisms), max_size=len(morphisms), unique=True))
+        self.check(gen.renamed(c, {**{x: x for x in c.objects}, **dict(zip(morphisms, labels))}))
 
 
 class TestWalkMemo:

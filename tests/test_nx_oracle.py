@@ -97,9 +97,12 @@ def nx_pointed_reflection(names, down, base, basepoint_name):
     return elems, bp, covers, [cls[i] for i in range(len(names))]
 
 
-def assert_reflection(names, down, base, basepoint_name):
-    pp, _ = order.reflection(names, down, base, basepoint_name)
-    class_of = homotopy._classes(fincat.Walk(names, None, down, None), pp)
+def assert_reflection(names, down, base, basepoint_name, walk=None):
+    """The reflection of a walk, by default of the one sorting by
+    ``names``, by its ranks and names against networkx on ``names``."""
+    walk = walk or oracles.named_walk(names, down)
+    pp, _ = order.reflection(walk.rank, down, base, basepoint_name, walk.names)
+    class_of = homotopy._classes(walk, pp)
     elems = pp.poset.elements
     got = elems, pp.basepoint, {(elems[i], elems[j]) for i, m in enumerate(pp.poset.cover_masks) for j in bits(m)}, class_of
     assert got == nx_pointed_reflection(names, down, base, basepoint_name)
@@ -116,7 +119,7 @@ def assert_walk(c, x, k, over=None):
     for key, d in zip(keys, walk.down):
         assert {keys[j] for j in bits(d)} == nx.ancestors(g, key) | {key}
     assert base == keys.index((c.identity[x],) * k)
-    assert_reflection(walk.names, walk.down, base, f"[{over or x}]")
+    assert_reflection(walk.names(range(len(keys))), walk.down, base, f"[{over or x}]", walk)
 
 
 def walk_cases(c, x):
@@ -156,9 +159,10 @@ class TestPointedReflection:
         c = gen.finset_ambient(3)
         for y in c.objects:
             walk, _ = fincat._elements_preorder(c, y, 1, c.index[c.id_of(y)])
-            for base, name in enumerate(walk.names):
+            names = walk.names(range(len(walk.keys)))
+            for base, name in enumerate(names):
                 assert fincat._elements_preorder(c, y, 1, walk.keys[base][0])[1] == base
-                assert_reflection(walk.names, walk.down, base, f"[{name}]")
+                assert_reflection(names, walk.down, base, f"[{name}]", walk)
 
     @settings(max_examples=120, deadline=None)
     @given(st.data())

@@ -77,6 +77,12 @@ b7928938f1d1f40054bcc7f3904d545ca53e02d9ac20adeef0e120ae590dc3e6  cat pi0 clash.
 552e2e9b82f702925787dfd9c1bb56f2e235a8dbbc71aec97735235737dd86f4  cat pi1 fixtures/pair_collision.cat --object x
 4216000ca1e542b5f2b19011b6fb77d4aab5d18249882e2b82a0b2e4fd7ce08a  cat pi1 fixtures/pair_collision.cat --object x --format interchange
 37124f7c08c6a89e59c75240732da5ea1f7daae176417b1f98ff2dacaf197b08  cat analyze fixtures/pair_collision.cat --morphism p
+# ids whose ranks differ from their bare order: b sorts before b!, but
+# (2>2:01,b!) before (2>2:01,b), and b![ before b[ in the pairs over a
+# morphism (bang.cat: the size-2 skeleton with its constants named b, b!)
+db7c49e636a74d275e7dba7a8ee9c71743dd60885def739a334595a4eec082e7  cat pi1 bang.cat --object 2
+97c5e059ad975e19e6b9a81efba8da38a445d789edec341081a774fc5c4e4570  cat pi1 bang.cat --object 2 --format interchange
+86c10fa3b69a7858ab7378f53ee659752865e4498b417d328ad8cc114e96921f  cat analyze bang.cat --morphism 2>2:10
 # state laxators: the README flow, a 42-obstruction flow from the 2x3
 # tensor, a cartesian flow; past the powerset cap (the 2x2 star and the
 # trivial 4x4 cartesian one) and a materialised pi1 of 1009 elements
@@ -135,6 +141,7 @@ def argv_of(tmp_path_factory):
         "z12.cat": gen.serialize_category(gen.cyclic_group_category(12)),
         "clash.cat": gen.serialize_category(gen.basepoint_clash()),
         "twins.cat": gen.serialize_category(gen.twins()),
+        "bang.cat": gen.serialize_category(gen.bang_skeleton()),
         "left8.og": og.serialize_open_graph(gen.random_open_graph(rng, ("x0", "x1"), ys, edge_prob=0.25)),
         "right8.og": og.serialize_open_graph(gen.random_open_graph(rng, ys, ("z0", "z1", "z2", "z3"), edge_prob=0.25)),
     }
@@ -228,43 +235,46 @@ WORK = """
   4052  dc49f6977d73  set pi1 --fn fixtures/wide12_pi1.fn --format text
   8085  8d07874ac37f  set pi1 --fn fixtures/wide12_pi1.fn --format dot
   8086  c97350441d9d  set pi1 --fn fixtures/wide12_pi1.fn --format interchange
-   119  f6410b4b6505  cat analyze ambient.cat --morphism 3>2:010
-   119  f6410b4b6505  cat analyze byname.cat --morphism 3>2:010
-   119  f6410b4b6505  cat analyze latemor.cat --morphism 3>2:010
+   112  1bf67f3e7082  cat analyze ambient.cat --morphism 3>2:010
+   112  1bf67f3e7082  cat analyze byname.cat --morphism 3>2:010
+   112  1bf67f3e7082  cat analyze latemor.cat --morphism 3>2:010
     12  fd8fd7f3d6d2  cat validate ambient.cat
     12  fd8fd7f3d6d2  cat validate byname.cat
     12  fd8fd7f3d6d2  cat validate latemor.cat
-   139  a50901474417  cat analyze ambient.cat --morphism 3>2:010 --format dot
-   141  9c0479f52c6b  cat analyze ambient.cat --morphism 3>2:010 --format interchange
-   445  2f9819266948  cat pi1 ambient.cat --object 3 --format interchange
-   444  73c7fe3da599  cat pi1 ambient.cat --object 3 --format dot
-   321  559ccaa25b22  cat pi1 ambient.cat --object 3
-    56  b61dd86e32cb  cat pi1 z12.cat --object '*'
-    81  2b7b9cba4d30  cat analyze twins.cat --morphism 2>1:00*f
+   132  c252bac72850  cat analyze ambient.cat --morphism 3>2:010 --format dot
+   134  18fd8eeb6e6a  cat analyze ambient.cat --morphism 3>2:010 --format interchange
+   446  f42b6f77bcb3  cat pi1 ambient.cat --object 3 --format interchange
+   445  42f070ad1489  cat pi1 ambient.cat --object 3 --format dot
+   322  4b8cca596a31  cat pi1 ambient.cat --object 3
+    60  007227ded439  cat pi1 z12.cat --object '*'
+    83  a88aa9e5b286  cat analyze twins.cat --morphism 2>1:00*f
     12  fd8fd7f3d6d2  cat validate fixtures/z2.cat
-    32  6376260c245a  cat pi0 fixtures/walking_arrow.cat --object 0
-    34  78d1bc19c517  cat pi0 fixtures/walking_arrow.cat --object 0 --format dot
-    35  89c40118f2c8  cat pi0 fixtures/walking_arrow.cat --object 0 --format interchange
+    35  0f793aa9e0c0  cat pi0 fixtures/walking_arrow.cat --object 0
+    37  f52c4fcbbc6a  cat pi0 fixtures/walking_arrow.cat --object 0 --format dot
+    38  93c22a16a110  cat pi0 fixtures/walking_arrow.cat --object 0 --format interchange
     24  a38f568c01ce  cat check-terminal fixtures/walking_arrow.cat --object 0
-    34  6d138b96b66b  cat pi0 fixtures/primed_basepoint.cat --object 0
-    38  dd71b0401159  cat pi0 fixtures/primed_basepoint.cat --object 0 --format interchange
-    31  4b9dbbd2da65  cat pi0 clash.cat --object 1
-    34  796ae6718e43  cat pi0 clash.cat --object 1 --format interchange
-    59  5bdd12744e48  cat pi1 fixtures/pair_collision.cat --object x
-    73  f86f4618bc90  cat pi1 fixtures/pair_collision.cat --object x --format interchange
-    71  51269870b91b  cat analyze fixtures/pair_collision.cat --morphism p
-   296  b5fb3c5049c5  states local-act --context gf2 --dims 2,2 --fmat 10,00 --gmat 10,01
-   756  c3871fef1722  states local-act --context gf2 --dims 2,3 --fmat 11,01 --gmat 101,011
+    37  fada145b655f  cat pi0 fixtures/primed_basepoint.cat --object 0
+    41  8e208d4f43d5  cat pi0 fixtures/primed_basepoint.cat --object 0 --format interchange
+    34  0e2f95a67723  cat pi0 clash.cat --object 1
+    37  7e163e3f965c  cat pi0 clash.cat --object 1 --format interchange
+    64  4f2e98bdfa1c  cat pi1 fixtures/pair_collision.cat --object x
+    78  eca0fbffade2  cat pi1 fixtures/pair_collision.cat --object x --format interchange
+    80  7caa4d3923dd  cat analyze fixtures/pair_collision.cat --morphism p
+    69  1d8714182e3b  cat pi1 bang.cat --object 2
+    78  a2dbaa7fdcd0  cat pi1 bang.cat --object 2 --format interchange
+    66  0c55695f1bc0  cat analyze bang.cat --morphism 2>2:10
+   298  8cb55dea6f33  states local-act --context gf2 --dims 2,2 --fmat 10,00 --gmat 10,01
+   758  d2c2c4eef021  states local-act --context gf2 --dims 2,3 --fmat 11,01 --gmat 101,011
     45  87a2f7a7b200  states local-act --context cartesian --sets 'a,b|c,d' --target-sets 'a|c,d' --fmap a=>a,b=>a --gmap c=>c,d=>d
-   262  8cf3552324dc  states obstruct --context gf2 --dims 2,2 --format text
-   312  c7102e54bedc  states obstruct --context gf2 --dims 2,2 --format dot
-   314  f50829b4004e  states obstruct --context gf2 --dims 2,2 --format interchange
+   264  3677ee7dbfdb  states obstruct --context gf2 --dims 2,2 --format text
+   314  a3ba636a2b62  states obstruct --context gf2 --dims 2,2 --format dot
+   316  f18850bbdfa6  states obstruct --context gf2 --dims 2,2 --format interchange
   1070  bd4ec9053087  states obstruct --context gf2 --dims 1,1 --format text
   2080  a0911a082240  states obstruct --context gf2 --dims 1,1 --format dot
   2082  eb6fa29df6c2  states obstruct --context gf2 --dims 1,1 --format interchange
-    42  052b31df7372  states obstruct --context cartesian --sets 'a,b,c,d|e,f,g,h' --format text
-    44  0ca146d73484  states obstruct --context cartesian --sets 'a,b,c,d|e,f,g,h' --format dot
-    46  03d306d87dc8  states obstruct --context cartesian --sets 'a,b,c,d|e,f,g,h' --format interchange
+    44  e1e28eb8cc4d  states obstruct --context cartesian --sets 'a,b,c,d|e,f,g,h' --format text
+    46  1bb3c4ea4026  states obstruct --context cartesian --sets 'a,b,c,d|e,f,g,h' --format dot
+    48  9f6880e07d5f  states obstruct --context cartesian --sets 'a,b,c,d|e,f,g,h' --format interchange
     34  76997c843d39  opengraph compose fixtures/G.og fixtures/H.og
     46  56c165a98683  opengraph compose fixtures/G.og fixtures/H.og --format dot
     13  0a574200a2e2  opengraph reach fixtures/G.og
@@ -282,9 +292,9 @@ WORK_ROWS = {row: (int(total), digest) for total, digest, row in (line.split(Non
 # The calls into each def of src/, summed over the rows: what names the
 # functions whose counts moved when a row's work does.
 CALLS = """
-     7  cli._cmd_cat_analyze
+     8  cli._cmd_cat_analyze
      1  cli._cmd_cat_check_terminal
-    13  cli._cmd_cat_pi
+    15  cli._cmd_cat_pi
      4  cli._cmd_cat_validate
      1  cli._cmd_og_act
      2  cli._cmd_og_compose
@@ -297,48 +307,54 @@ CALLS = """
      8  cli._parse_dims
      4  cli._parse_matrix
      5  cli._parse_sets
-    53  cli._read
-    54  cli._read_argv
+    56  cli._read
+    57  cli._read_argv
     12  cli._states_objects
-    54  cli.run
-    25  fincat.FinCat.__new__
-    14  fincat.FinCat.cod
-     7  fincat.FinCat.dom
-    30  fincat.FinCat.has_object
+    57  cli.run
+    28  fincat.FinCat.__new__
+    16  fincat.FinCat.cod
+     8  fincat.FinCat.dom
+    34  fincat.FinCat.has_object
      6  fincat.FinCat.hom
-    20  fincat.FinCat.id_of
-    27  fincat._WalkMemo.get
-    27  fincat._WalkMemo.reflect
-    25  fincat._declarations
-    20  fincat._elements_preorder
-    20  fincat._fibres
-    25  fincat._generators
-    25  fincat._laws
-    20  fincat._named
-    25  fincat._parse
-    25  fincat._squares
-    20  fincat._walk
+    24  fincat.FinCat.id_of
+    24  fincat._WalkMemo.built
+    31  fincat._WalkMemo.get
+    31  fincat._WalkMemo.reflect
+    28  fincat._declarations
+    24  fincat._elements_preorder
+    20  fincat._elements_preorder.names
+    28  fincat._elements_preorder.rank
+    24  fincat._fibres
+    28  fincat._generators
+    24  fincat._label
+    28  fincat._laws
+     4  fincat._named
+    28  fincat._parse
+    23  fincat._ranks
+    11  fincat._read
+    28  fincat._squares
+    24  fincat._walk
      7  fincat.check_label
-   180  fincat.pair_names
-    25  fincat.parse_category
-    25  fincat.validate_category
-    27  homotopy._end
+    99  fincat.pair_names
+    28  fincat.parse_category
+    28  fincat.validate_category
+    31  homotopy._end
      7  homotopy._object_preorder
-    27  homotopy._pi_at
-    74  homotopy._rows
-     7  homotopy.analyze_morphism
-     7  homotopy.brute_mono
-     7  homotopy.brute_split_epi
+    31  homotopy._pi_at
+    79  homotopy._rows
+     8  homotopy.analyze_morphism
+     8  homotopy.brute_mono
+     8  homotopy.brute_split_epi
      4  homotopy.induced_map
      1  homotopy.is_subterminal
      1  homotopy.is_terminal
      1  homotopy.is_weak_terminal
      7  homotopy.pi0
-     6  homotopy.pi1
+     8  homotopy.pi1
     28  homotopy.powerset_report
-    71  homotopy.report_from_pointed
+    75  homotopy.report_from_pointed
    289  homotopy.subset_name
-    57  homotopy.write_report
+    61  homotopy.write_report
      1  opengraph.GraphHom.__init__
     23  opengraph.OpenGraph.__new__
     32  opengraph.Relation.__new__
@@ -358,16 +374,17 @@ CALLS = """
     16  opengraph.reach
     26  opengraph.relation_text
      1  opengraph.serialize_open_graph
-    71  order.PointedPoset.__init__
- 29129  order._at
-   811  order._bits
-  9617  order._pick
+    75  order.PointedPoset.__init__
+ 29157  order._at
+   829  order._bits
+    47  order._free
+  9629  order._pick
      4  order._preserves
-    43  order.from_masks
+    47  order.from_masks
      4  order.make_monotone
      4  order.make_pointed
   9595  order.quote
-    43  order.reflection
+    47  order.reflection
     23  setcat.FiniteFunction.__new__
     27  setcat.FiniteFunction.image
     12  setcat.KernelPair.__init__
