@@ -28,16 +28,17 @@ element and hands each down-set along ``FinCat.split_epis``: the preorder
 ``order.reflection`` points.  The walk reads no name, so the walk memo
 ``_WALKS`` keeps it, by its fibres, for the category last walked, within
 ``OBJECTS_CAP`` elements, with the category's ranks, taken when the memo
-first walks it.  In a ranked category no id starts with another id
-followed by ``,`` or ``[`` (``_ranks``), so every derived name sorts as a
-tuple of its parts' ranks and no two render alike: an element is sorted by
-its ranks, a reflection's classes are kept by base position and reused on
-every call at that base, and only their representatives are named.  An
-unranked category names every element on every call, ``#n`` and all, and
-reflects afresh.  The caps are checked on every call.  The
-tests keep the ``.cat`` writer and the opposite, and, as oracles, the walk
-of every element, the composition tables of the derived categories, the
-table keyed by names and the functor and naturality checks by name.
+first walks it.  In a ranked walk no id into its object starts with
+another followed by the ``,`` or ``[`` that follows it in the walk's names
+(``_ranks``), so every derived name sorts as a tuple of its parts' ranks
+and no two render alike: an element is sorted by its ranks, a reflection's
+classes are kept by base position and reused on every call at that base,
+and only their representatives are named.  An unranked walk names every
+element on every call, ``#n`` and all, and reflects afresh.  The caps are
+checked on every call.  The tests keep the ``.cat`` writer and the
+opposite, and, as oracles, the walk of every element, the composition
+tables of the derived categories, the table keyed by names and the functor
+and naturality checks by name.
 """
 
 from __future__ import annotations
@@ -478,23 +479,20 @@ def _named(c: FinCat, fibres: tuple, k: int, over: str | None) -> list[str]:
     return names
 
 
-def _ranks(c: FinCat) -> dict | None:
-    """None if c is unranked: some morphism id starts with another id
-    followed by ``,`` or ``[``.  Else, for each suffix s a part of a
-    derived name ends in (none for h, ``[`` for either part of h[g=>f] or
-    a pair of those, ``,`` for a and ``)`` for b in (a,b)), each id's place
-    among all ids sorted with s appended, as (form, ranks), with equal
-    rank lists sharing one form number.  Then two derived names of one
-    walk compare as their parts' ranks do, first part first: where the
-    parts differ, neither part with its suffix is a prefix of the other, or
-    it ends the name.  So no two elements render alike, and an element's
-    rank tuple sorts it as its name would."""
-    names = [m.name for m in c.morphisms]
-    for a in names:
-        for s in ",[":
-            i = bisect_left(names, a + s)
-            if i < len(names) and names[i].startswith(a + s):
-                return None
+def _ranks(c: FinCat) -> dict:
+    """For each suffix s a part of a derived name ends in (none for h,
+    ``[`` for either part of h[g=>f] or a pair of those, ``,`` for a and
+    ``)`` for b in (a,b)), each id's place among all ids sorted with s
+    appended, as (form, ranks, apart), with equal rank lists sharing one
+    form number, and apart the objects x into which one morphism id starts
+    with another followed by s (none but for ``,`` and ``[``).  A walk at
+    any other x, whose parts are the ids into x, is *ranked*: two of its
+    derived names compare as their parts' ranks do, first part first:
+    where the parts differ, neither part with its suffix is a prefix of
+    the other, or it ends the name.  So no two of its elements render
+    alike, and an element's rank tuple sorts it as its name would."""
+    mors = c.morphisms
+    names = [m.name for m in mors]
     distinct, out = [], {}
     for s in ("", "[", ",", ")"):
         rank = [0] * len(names)
@@ -502,7 +500,15 @@ def _ranks(c: FinCat) -> dict | None:
             rank[i] = r
         if rank not in distinct:
             distinct.append(rank)
-        out[s] = (distinct.index(rank), rank)
+        apart = set()
+        if s in (",", "["):
+            for a, m in zip(names, mors):
+                i = bisect_left(names, a + s)
+                while i < len(names) and names[i].startswith(a + s):
+                    if mors[i].cod == m.cod:
+                        apart.add(m.cod)
+                    i += 1
+        out[s] = (distinct.index(rank), rank, apart)
     return out
 
 
@@ -635,7 +641,7 @@ def _elements_preorder(c: FinCat, x: str, k: int, base: int, over: str | None = 
     ``_WALKS`` at the key (x, k, the fibres without their values), so
     every morphism out of x that induces one partition of hom(-, x) shares
     one walk, and so does the partition by domain, which is what pi1 at x
-    walks.  In a ranked category a position sorts by its parts' ranks
+    walks.  In a ranked walk a position sorts by its parts' ranks
     (``_ranks``), packed into one int, and only the names asked for are
     built; the walk's form is its parts' rank forms.  Otherwise every
     element is named (``_named``), sorts by its name, and the form is
@@ -647,12 +653,12 @@ def _elements_preorder(c: FinCat, x: str, k: int, base: int, over: str | None = 
     i = next(i for i, part in enumerate(parts) if base in part)
     n, j = len(parts[i]), parts[i].index(base)  # base is the j-th of n in its part
     at = sum(len(part) ** k for part in parts[:i]) + (j if k == 1 else j * n + j)
-    if ranks is None:
+    s0, s1 = ("[", "[") if over is not None else ("", "") if k == 1 else (",", ")")
+    (f0, r0, apart), (f1, r1, _) = ranks[s0], ranks[s1]
+    if x in apart:
         names = _named(c, fibres, k, over)
         memo.built(len(names))
         return Walk(tuples, down, names.__getitem__, _read(names), (c, key, None)), at
-    s0, s1 = ("[", "[") if over is not None else ("", "") if k == 1 else (",", ")")
-    (f0, r0), (f1, r1) = ranks[s0], ranks[s1]
     size, label = len(r0), _label(c, over)
 
     def names(ps):
@@ -665,9 +671,7 @@ def _elements_preorder(c: FinCat, x: str, k: int, base: int, over: str | None = 
         t = tuples[p]
         return r0[t[0]] * size + r1[t[-1]]
 
-    # form 0 ranks the ids as they sort bare, by position, so a position
-    # sorts as its tuple of positions does
-    return Walk(tuples, down, tuples.__getitem__ if f0 == f1 == 0 else rank, names, (c, key, (f0, f1))), at
+    return Walk(tuples, down, rank, names, (c, key, (f0, f1))), at
 
 
 def is_groupoid(c: FinCat) -> bool:

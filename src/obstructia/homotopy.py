@@ -22,7 +22,7 @@ walk is read through the walk memo ``fincat._WALKS``, so ends and ops on one
 category share it by key: the slice over y by y, the pairs into x that f
 equalises by the partition h |-> h;f induces on hom(-, x), which pi1 at x
 shares with every f of constant kernel, and the objects' preorder by 0.
-Only the names and the pointing depend on f.  In a ranked category
+Only the names and the pointing depend on f.  In a ranked walk
 (``fincat._ranks``) an element sorts by its ids' ranks, whatever f, so
 the memo keeps each reflection's representatives and masks, validated, by
 walk, base and ranks, and every later call there names only those

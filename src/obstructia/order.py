@@ -163,29 +163,28 @@ def make_pointed(source: PointedPoset, target: PointedPoset, mapping: Mapping[st
 # -- the pointed reflection ------------------------------------------------
 
 
-def reflection(rank, down: list[int], base: int, basepoint_name: str, names=None, kept=None):
+def reflection(rank, down: list[int], base: int, basepoint_name: str, names, kept=None):
     """Reflect a preorder given by down-masks (bit j of down[i] set when
     element j <= element i), reflexive and transitive as given, and
     collapse the lower set of the class of position ``base``, low =
     down[base], to a basepoint: one pass that sorts and names only the
     surviving classes.  ``rank`` is each position's sort key, which sorts
     the elements as their names do, and ``names`` names a list of
-    positions (by default, each by its key).  In a preorder the class of i
-    is the set of elements with down-mask down[i], and it is named and
-    represented by its least member: the survivors, sorted once, give each
-    surviving mask its least member, in order.  Only the representatives
-    are named.  The basepoint is ``basepoint_name``, with ``'`` added while
-    a class has that name.  The classes below one are the representatives
-    in its representative's down-mask, read through one mask with a bit
-    per representative, and the basepoint lies below exactly the classes
-    whose masks meet low.  ``from_masks`` validates the result.  Returns
-    the pointed poset and what to keep: the up- and cover masks and the
-    basepoint's place, then the representatives.  Given ``kept``, taken at
-    these down-masks and base under the same ranks, its representatives
-    are named and its masks, validated there, reused, and there is nothing
-    to keep; unless the basepoint sorts to another place among the new
-    names, which is reflected afresh."""
-    names = names or (lambda ps: list(map(rank, ps)))
+    positions.  In a preorder the class of i is the set of elements with
+    down-mask down[i], and it is named and represented by its least
+    member: the survivors, sorted once, give each surviving mask its least
+    member, in order.  Only the representatives are named.  The basepoint
+    is ``basepoint_name``, with ``'`` added while a class has that name.
+    The classes below one are the representatives in its representative's
+    down-mask, read through one mask with a bit per representative, and
+    the basepoint lies below exactly the classes whose masks meet low.
+    ``from_masks`` validates the result.  Returns the pointed poset and
+    what to keep: the up- and cover masks and the basepoint's place, then
+    the representatives.  Given ``kept``, taken at these down-masks and
+    base under the same ranks, its representatives are named and its
+    masks, validated there, reused, and there is nothing to keep; unless
+    the basepoint sorts to another place among the new names, which is
+    reflected afresh."""
     if kept is not None:
         (up, covers, at), reps = kept
         elems = names(reps)

@@ -26,7 +26,7 @@ from collections import namedtuple
 from itertools import product
 
 from . import homotopy, order, setcat
-from .fincat import pair_names
+from .fincat import _read, pair_names
 from .errors import DimensionCap, ParseError, WrongContext
 
 Matrix = tuple  # rows of 0/1 ints; rows = target dim, columns = source dim
@@ -123,7 +123,8 @@ def _report(universe, collapsed, context: str) -> homotopy.ObstructionReport:
     coll = set(collapsed)
     singletons = [homotopy.subset_name([y]) for y in universe if y not in coll]
     down = [1, *(1 | 2 << i for i in range(len(singletons)))]  # the base below each singleton
-    pp = order.reflection(["{}", *singletons].__getitem__, down, 0, "{}")[0]
+    elems = ["{}", *singletons]
+    pp = order.reflection(elems.__getitem__, down, 0, "{}", _read(elems))[0]
     return homotopy.report_from_pointed(pp, context + " (minimal sub-poset; full powerset elided)")
 
 

@@ -1140,19 +1140,33 @@ def discrete(ids):
     return fincat.validate_category(objs, [(m, x, x) for m, x in zip(ids, objs)], dict(zip(objs, ids)), {(m, m): m for m in ids})
 
 
+def fan(ids):
+    """ids as parallel arrows y -> x, with identities 1x and 1y."""
+    comp = {**{("1y", m): m for m in ids}, **{(m, "1x"): m for m in ids}, ("1x", "1x"): "1x", ("1y", "1y"): "1y"}
+    return fincat.validate_category(["x", "y"], [(m, "y", "x") for m in ids] + [("1x", "x", "x"), ("1y", "y", "y")], {"x": "1x", "y": "1y"}, comp)
+
+
+def apart(ranks):
+    """The objects at which each suffix of ``fincat._ranks`` misorders."""
+    return {s: a for s, (_, _, a) in ranks.items()}
+
+
 class TestRanks:
-    """``fincat._ranks``: a category is ranked unless a morphism id starts
-    with another id followed by `,` or `[`, and then each suffix ranks the
-    ids as they sort with it appended, equal rank lists sharing a form."""
+    """``fincat._ranks``: each suffix ranks the ids as they sort with it
+    appended, equal rank lists sharing a form, and a walk at x is ranked
+    unless a morphism id into x starts with another one into x followed by
+    `,` or `[`."""
 
     def test_the_finite_set_skeleton_is_ranked(self):
         # no id is a prefix of another, so every suffix ranks by position
         ranks = fincat._ranks(gen.finset_ambient(3))
-        assert ranks == {s: (0, list(range(60))) for s in ("", "[", ",", ")")}
+        assert ranks == {s: (0, list(range(60)), set()) for s in ("", "[", ",", ")")}
 
     def test_pair_collision_is_unranked(self):
+        # p and p,q both go into x: only the pairs there, whose first part
+        # is followed by a comma, are named
         with open(PAIR_COLLISION, encoding="utf-8") as fh:
-            assert fincat._ranks(fincat.parse_category(fh.read())) is None
+            assert apart(fincat._ranks(fincat.parse_category(fh.read()))) == {"": set(), "[": set(), ",": {"x"}, ")": set()}
 
     @pytest.mark.parametrize("ids, ranked", [
         (["p", "p[", "q"], False),
@@ -1162,13 +1176,19 @@ class TestRanks:
         (["p,", "p[", "q"], True),  # neither starts with another id
     ])
     def test_the_check(self, ids, ranked):
-        assert (fincat._ranks(discrete(ids)) is not None) == ranked
+        got = apart(fincat._ranks(fan(ids)))
+        assert (got[""], got[")"]) == (set(), set())
+        assert (got["["] | got[","] == set()) == ranked
+
+    def test_ids_into_other_objects_never_misorder(self):
+        # p and p[ go into objects of their own, so no walk holds both
+        assert apart(fincat._ranks(discrete(["p", "p[", "p,q"]))) == {s: set() for s in ("", "[", ",", ")")}
 
     def test_a_close_rank_apart_from_the_plain_rank(self):
         # a < a! < a) by name, but a!) < a) < a)) and a!, < a), < a,: the
         # second part of a pair sorts as b + ")", the first as a + ","
         ranks = fincat._ranks(discrete(["a", "a!", "a)"]))
-        assert ranks == {"": (0, [0, 1, 2]), "[": (1, [2, 0, 1]), ",": (1, [2, 0, 1]), ")": (2, [1, 0, 2])}
+        assert ranks == {"": (0, [0, 1, 2], set()), "[": (1, [2, 0, 1], set()), ",": (1, [2, 0, 1], set()), ")": (2, [1, 0, 2], set())}
 
 
 

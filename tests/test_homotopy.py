@@ -278,7 +278,7 @@ class TestPointedReflection:
     def test_non_transitive_survivors_raise(self, down):
         names = ["a", "b", "c", "d"]
         with pytest.raises(InvalidPoset, match="transitivity"):
-            order.reflection(names.__getitem__, down, 0, "[a]")
+            order.reflection(names.__getitem__, down, 0, "[a]", fincat._read(names))
         with pytest.raises(InvalidPoset):
             oracles.two_step(names, down, 0, "[a]")
 
@@ -377,7 +377,7 @@ class TestOneReflectionPerCategory:
         ops = [(homotopy.analyze_morphism, m.name) for m in c.morphisms] + [(homotopy.pi1, x) for x in c.objects]
         got = []
         assert count(lambda: got.extend(fn(c, arg) for fn, arg in ops)) == (13, 124, 69)
-        # the category is ranked, so each reflection names only the
+        # every walk is ranked, so each reflection names only the
         # representatives of its classes: 1,536 names for 1,660 classes,
         # 124 of them basepoints, where naming every element built 12,314
         reports = [r for (fn, _), a in zip(ops, got) for r in ((a,) if fn is homotopy.pi1 else (a.pi0, a.pi1))]
@@ -420,13 +420,15 @@ class TestRenamedReflections:
         return warm
 
     def test_a_name_order_that_differs_is_reflected_afresh(self):
-        # p[ starts with p followed by [, so the category is unranked: all
-        # 25 reflections, over 15 (walk, base), are taken afresh, and none
-        # is kept, as pi1 at p[ shares the walk and base of pi1 at 2 but
-        # not its name order
+        # p[ starts with p followed by [, and both go into 2, so the walks
+        # of pairs into 2 named by slice morphisms are unranked: pi1 at
+        # each of the 5 morphisms out of 2 is taken afresh and keeps
+        # nothing, as pi1 at p[ shares the walk and base of pi1 at 2 but
+        # not its name order.  The other 20 reflections, over 14 (walk,
+        # base), are ranked, kept and reused
         memo = self.check(prefixed_ambient())
         kept = len(memo.walks) - memo.misses
-        assert (memo.reused, memo.validated, kept) == (0, 25, 0)
+        assert (memo.reused, memo.validated, kept) == (6, 19, 14)
 
     @settings(max_examples=25, deadline=None)
     @given(st.integers(min_value=0, max_value=10_000), st.data())
@@ -452,18 +454,23 @@ class TestRenamedReflections:
         assert first.poset.elements == ("[a]", "b", "c")
         for names, reused in ((["a", "d", "e"], True), (["a", "Z", "e"], False), (["a", "[a]", "e"], False)):
             got, keep = order.reflection(rank, down, 0, "[a]", fincat._read(names), kept)
-            assert got == order.reflection(names.__getitem__, down, 0, "[a]")[0]
+            assert got == order.reflection(names.__getitem__, down, 0, "[a]", fincat._read(names))[0]
             assert (keep is None) == reused
+
+
+def unranked(ranks):
+    """``ranks``, a ``fincat._ranks``, with every object apart under every
+    suffix, so that no walk is ranked."""
+    return lambda c: {s: (form, rank, set(c.objects)) for s, (form, rank, _) in ranks(c).items()}
 
 
 class TestRankedRoute:
     """The ranked route on one warm memo against the names route taken
     cold: every morphism analysed, and pi0 and pi1 at every object, each
     result and its text, DOT and interchange bytes equal to those of a
-    fresh memo in which no category is ranked (``fincat._ranks`` gives
-    None), so that every element is named and sorts by its name.  In a
-    ranked category every walk's ranks sort its names, which are
-    distinct."""
+    fresh memo in which no walk is ranked (``unranked``), so that every
+    element is named and sorts by its name.  Every ranked walk's ranks
+    sort its names, which are distinct."""
 
     def check(self, c):
         ops = [(homotopy.analyze_morphism, m) for m in gen.morphism_names(c)]
@@ -473,7 +480,7 @@ class TestRankedRoute:
             for fn, arg in ops:
                 fincat._WALKS, fincat._ranks = warm, ranks
                 got = fn(c, arg)
-                fincat._WALKS, fincat._ranks = fincat._WalkMemo(), lambda c: None
+                fincat._WALKS, fincat._ranks = fincat._WalkMemo(), unranked(ranks)
                 want = fn(c, arg)
                 assert got == want
                 for g, w in [(got, want)] if fn is not homotopy.analyze_morphism else [(got.pi0, want.pi0), (got.pi1, want.pi1)]:
@@ -481,8 +488,8 @@ class TestRankedRoute:
                         assert written(g, fmt) == written(w, fmt)
         finally:
             fincat._WALKS, fincat._ranks = memo, ranks
-        if ranks(c) is not None:
-            for walk, *_ in pointed_walks(c):
+        for walk, *_ in pointed_walks(c):
+            if walk.at[2] is not None:
                 names = walk.names(range(len(walk.down)))
                 assert len(set(names)) == len(names)
                 assert [names[p] for p in sorted(range(len(names)), key=walk.rank)] == sorted(names)
@@ -492,15 +499,23 @@ class TestRankedRoute:
         # pi1 at 2 has the classes of (2>2:01,b) and (2>2:01,b!): ranked
         # by the plain rank of b, they would fall out of name order
         c = gen.bang_skeleton()
-        assert fincat._ranks(c) is not None
+        assert not any(apart for _, _, apart in fincat._ranks(c).values())
         memo = self.check(c)
         assert (memo.reused, memo.validated) == (10, 18)
+
+    def test_a_prefix_into_one_object(self):
+        # p and p[ both go into 2: the slice pairs into 2 are named, and
+        # every other walk, the pairs into 2 by domain among them, ranked
+        c = prefixed_ambient()
+        self.check(c)
+        named = {(point, walk.at[1][:2]) for walk, _, point, *_ in pointed_walks(c) if walk.at[2] is None}
+        assert named == {("2>1:00", ("2", 2)), ("2>2:01", ("2", 2)), ("2>2:10", ("2", 2)), ("2>2:11", ("2", 2)), ("p[", ("2", 2))}
 
     @settings(max_examples=40, deadline=None)
     @given(st.integers(min_value=0, max_value=10_000), st.data())
     def test_ids_that_share_prefixes(self, seed, data):
         # ids such as p, p,q, p[, a, a! and a): over the first alphabet
-        # every category is ranked, and one id may be another with ! or )
+        # every walk is ranked, and one id may be another with ! or )
         # appended; over the second, some are not
         if data.draw(st.booleans()):
             c = gen.finset_ambient(2)

@@ -235,19 +235,19 @@ WORK = """
   4052  dc49f6977d73  set pi1 --fn fixtures/wide12_pi1.fn --format text
   8085  8d07874ac37f  set pi1 --fn fixtures/wide12_pi1.fn --format dot
   8086  c97350441d9d  set pi1 --fn fixtures/wide12_pi1.fn --format interchange
-   112  1bf67f3e7082  cat analyze ambient.cat --morphism 3>2:010
-   112  1bf67f3e7082  cat analyze byname.cat --morphism 3>2:010
-   112  1bf67f3e7082  cat analyze latemor.cat --morphism 3>2:010
+   228  4f48bc62b1f7  cat analyze ambient.cat --morphism 3>2:010
+   228  4f48bc62b1f7  cat analyze byname.cat --morphism 3>2:010
+   228  4f48bc62b1f7  cat analyze latemor.cat --morphism 3>2:010
     12  fd8fd7f3d6d2  cat validate ambient.cat
     12  fd8fd7f3d6d2  cat validate byname.cat
     12  fd8fd7f3d6d2  cat validate latemor.cat
-   132  c252bac72850  cat analyze ambient.cat --morphism 3>2:010 --format dot
-   134  18fd8eeb6e6a  cat analyze ambient.cat --morphism 3>2:010 --format interchange
-   446  f42b6f77bcb3  cat pi1 ambient.cat --object 3 --format interchange
-   445  42f070ad1489  cat pi1 ambient.cat --object 3 --format dot
-   322  4b8cca596a31  cat pi1 ambient.cat --object 3
-    60  007227ded439  cat pi1 z12.cat --object '*'
-    83  a88aa9e5b286  cat analyze twins.cat --morphism 2>1:00*f
+   248  9c5c9b275ec0  cat analyze ambient.cat --morphism 3>2:010 --format dot
+   250  837281f967fc  cat analyze ambient.cat --morphism 3>2:010 --format interchange
+  1226  10935eb7668d  cat pi1 ambient.cat --object 3 --format interchange
+  1225  545c6f6547b6  cat pi1 ambient.cat --object 3 --format dot
+  1102  056210395097  cat pi1 ambient.cat --object 3
+   192  674fd48d9b30  cat pi1 z12.cat --object '*'
+   111  0f03edd76739  cat analyze twins.cat --morphism 2>1:00*f
     12  fd8fd7f3d6d2  cat validate fixtures/z2.cat
     35  0f793aa9e0c0  cat pi0 fixtures/walking_arrow.cat --object 0
     37  f52c4fcbbc6a  cat pi0 fixtures/walking_arrow.cat --object 0 --format dot
@@ -259,22 +259,22 @@ WORK = """
     37  7e163e3f965c  cat pi0 clash.cat --object 1 --format interchange
     64  4f2e98bdfa1c  cat pi1 fixtures/pair_collision.cat --object x
     78  eca0fbffade2  cat pi1 fixtures/pair_collision.cat --object x --format interchange
-    80  7caa4d3923dd  cat analyze fixtures/pair_collision.cat --morphism p
+    82  f93f9ad1a2a8  cat analyze fixtures/pair_collision.cat --morphism p
     69  1d8714182e3b  cat pi1 bang.cat --object 2
     78  a2dbaa7fdcd0  cat pi1 bang.cat --object 2 --format interchange
     66  0c55695f1bc0  cat analyze bang.cat --morphism 2>2:10
-   298  8cb55dea6f33  states local-act --context gf2 --dims 2,2 --fmat 10,00 --gmat 10,01
-   758  d2c2c4eef021  states local-act --context gf2 --dims 2,3 --fmat 11,01 --gmat 101,011
+   300  bb625635534a  states local-act --context gf2 --dims 2,2 --fmat 10,00 --gmat 10,01
+   760  4e794980a99b  states local-act --context gf2 --dims 2,3 --fmat 11,01 --gmat 101,011
     45  87a2f7a7b200  states local-act --context cartesian --sets 'a,b|c,d' --target-sets 'a|c,d' --fmap a=>a,b=>a --gmap c=>c,d=>d
-   264  3677ee7dbfdb  states obstruct --context gf2 --dims 2,2 --format text
-   314  a3ba636a2b62  states obstruct --context gf2 --dims 2,2 --format dot
-   316  f18850bbdfa6  states obstruct --context gf2 --dims 2,2 --format interchange
+   266  2ba68cce770e  states obstruct --context gf2 --dims 2,2 --format text
+   316  898832f3ee56  states obstruct --context gf2 --dims 2,2 --format dot
+   318  3bb5ca80fe76  states obstruct --context gf2 --dims 2,2 --format interchange
   1070  bd4ec9053087  states obstruct --context gf2 --dims 1,1 --format text
   2080  a0911a082240  states obstruct --context gf2 --dims 1,1 --format dot
   2082  eb6fa29df6c2  states obstruct --context gf2 --dims 1,1 --format interchange
-    44  e1e28eb8cc4d  states obstruct --context cartesian --sets 'a,b,c,d|e,f,g,h' --format text
-    46  1bb3c4ea4026  states obstruct --context cartesian --sets 'a,b,c,d|e,f,g,h' --format dot
-    48  9f6880e07d5f  states obstruct --context cartesian --sets 'a,b,c,d|e,f,g,h' --format interchange
+    46  ab6c55200e80  states obstruct --context cartesian --sets 'a,b,c,d|e,f,g,h' --format text
+    48  1eddd60109f1  states obstruct --context cartesian --sets 'a,b,c,d|e,f,g,h' --format dot
+    50  587826d0b46a  states obstruct --context cartesian --sets 'a,b,c,d|e,f,g,h' --format interchange
     34  76997c843d39  opengraph compose fixtures/G.og fixtures/H.og
     46  56c165a98683  opengraph compose fixtures/G.og fixtures/H.og --format dot
     13  0a574200a2e2  opengraph reach fixtures/G.og
@@ -322,16 +322,16 @@ CALLS = """
     31  fincat._WalkMemo.reflect
     28  fincat._declarations
     24  fincat._elements_preorder
-    20  fincat._elements_preorder.names
-    28  fincat._elements_preorder.rank
+    22  fincat._elements_preorder.names
+  3112  fincat._elements_preorder.rank
     24  fincat._fibres
     28  fincat._generators
     24  fincat._label
     28  fincat._laws
-     4  fincat._named
+     2  fincat._named
     28  fincat._parse
     23  fincat._ranks
-    11  fincat._read
+    25  fincat._read
     28  fincat._squares
     24  fincat._walk
      7  fincat.check_label
