@@ -265,20 +265,12 @@ class _Usage(Exception):
     """argv does not match the table; exit 2."""
 
 
-def _read_argv(argv):
-    """The function of argv's command and its args, read against COMMANDS.
-
-    argv is a group and a command, then that command's positionals and
-    flags in any order.  A flag is named in full, and takes the next word as
-    its value whatever that word holds (``--object ->``, ``--dims -1,2``),
-    or the text after its first ``=`` (``--object=->``).  When a flag is
-    given twice the last one wins.  Any other word that starts with ``-`` is
-    unrecognized, as is a positional past the last."""
-    try:
-        usage, func = COMMANDS[argv[0], argv[1]]
-    except (IndexError, KeyError):
-        raise _Usage(f"unknown command {' '.join(argv[:2])!r}" if argv[1:] else "missing a command") from None
-    places, flags, need, values = [], {}, [], {}
+def _spec(usage: str):
+    """A usage line read into its positionals' names, in order, its flags
+    (each with its name and choices, None for a free value), what is
+    required, as shown and by name, and the defaults of the optional
+    flags."""
+    places, flags, need, defaults = [], {}, [], {}
     words = iter(usage.split())
     for word in words:
         flag, name = word.lstrip("["), word.lstrip("[-").lower().replace("-", "_")
@@ -287,11 +279,34 @@ def _read_argv(argv):
             choices = spec.split("|") if "|" in spec else None
             flags[flag] = name, choices
             if flag != word:
-                values[name] = choices and choices[0]
+                defaults[name] = choices and choices[0]
                 continue
         else:
             places.append(name)
         need.append((flag, name))
+    return tuple(places), flags, need, defaults
+
+
+# Each command's function and usage line, read once, when the module loads.
+_SPECS = {command: (func, *_spec(usage)) for command, (usage, func) in COMMANDS.items()}
+
+
+def _read_argv(argv):
+    """The function of argv's command and its args, read against COMMANDS.
+
+    argv is a group and a command, then that command's positionals and
+    flags in any order.  A flag is named in full, and takes the next word as
+    its value whatever that word holds (``--object ->``, ``--dims -1,2``),
+    or the text after its first ``=`` (``--object=->``).  When a flag is
+    given twice the last one wins.  Any other word that starts with ``-`` is
+    unrecognized, as is a positional past the last.  The command's spec
+    (``_SPECS``) is shared: its positionals and defaults are copied before
+    they are consumed."""
+    try:
+        func, places, flags, need, values = _SPECS[argv[0], argv[1]]
+    except (IndexError, KeyError):
+        raise _Usage(f"unknown command {' '.join(argv[:2])!r}" if argv[1:] else "missing a command") from None
+    places, values = list(places), dict(values)
     extra, rest = [], iter(argv[2:])
     for word in rest:
         flag, eq, value = word.partition("=")

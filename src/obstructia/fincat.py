@@ -22,9 +22,10 @@ immutable category its first read checked; failures are not kept.
 Derived constructions name their objects and morphisms canonically so
 outputs are reproducible byte for byte.  They are categories of elements of
 hom(-, x)^k (the slice over x at k = 1, parallel arrows at k = 2): one
-split of hom(-, x) into fibres behind the size caps below, and one walk
-over the rows, one object at a time, that reads every arrow into each
-element and hands each down-set along ``FinCat.split_epis``: the preorder
+split of hom(-, x) into fibres behind the size caps below, from its split
+by domain, taken once per category (``FinCat.homs``), and one walk over
+the rows, one object at a time, that reads every arrow into each element
+and hands each down-set along ``FinCat.split_epis``: the preorder
 ``order.reflection`` points.  The walk reads no name, so the walk memo
 ``_WALKS`` keeps it, by its fibres, for the category last walked, within
 ``OBJECTS_CAP`` elements, with the category's ranks, taken when the memo
@@ -32,13 +33,13 @@ first walks it.  In a ranked walk no id into its object starts with
 another followed by the ``,`` or ``[`` that follows it in the walk's names
 (``_ranks``), so every derived name sorts as a tuple of its parts' ranks
 and no two render alike: an element is sorted by its ranks, a reflection's
-classes are kept by base position and reused on every call at that base,
-and only their representatives are named.  An unranked walk names every
-element on every call, ``#n`` and all, and reflects afresh.  The caps are
-checked on every call.  The tests keep the ``.cat`` writer and the
-opposite, and, as oracles, the walk of every element, the composition
-tables of the derived categories, the table keyed by names and the functor
-and naturality checks by name.
+classes are kept by the lower set it collapses and reused on every call
+with that lower set, whatever its base, and only their representatives
+are named.  An unranked walk names every element on every call, ``#n``
+and all, and reflects afresh.  The caps are checked on every call.  The
+tests keep the ``.cat`` writer and the opposite, and, as oracles, the walk
+of every element, the composition tables of the derived categories, the
+table keyed by names and the functor and naturality checks by name.
 """
 
 from __future__ import annotations
@@ -77,19 +78,20 @@ OBJECTS_CAP = 20_000
 MORPHISMS_CAP = 50_000
 
 
-class FinCat(namedtuple("FinCat", "objects morphisms identity rows index into split_epis")):
+class FinCat(namedtuple("FinCat", "objects morphisms identity rows index into homs split_epis")):
     """Storage is canonical: objects and morphisms sorted by id, and the one
     composition table ``rows``, where ``rows[g][h]`` is h;g for the
     positions g and h in ``morphisms``.  So two categories with the same
     tables compare equal however they were built.  The one index is built
     from them here: ``index``, each morphism's position by name, ``into``,
-    the positions into each object, ascending, ``split_epis``, the
-    positions of the split epimorphisms: h: z -> y is one iff id_y = s;h
-    for some s in h's row, a section of h.  As it follows from the tables,
-    it changes no comparison.  ``identity`` is a read-only view; the rows
-    are a tuple of plain dicts, which must not be written to.  Composition
-    is read from the rows alone: names are looked up only to read
-    arguments and to write results and errors."""
+    the positions into each object, ascending, ``homs``, the same split by
+    domain, as (y, the positions y -> x ascending) for each y with one, in
+    object order, ``split_epis``, the positions of the split epimorphisms:
+    h: z -> y is one iff id_y = s;h for some s in h's row, a section of h.
+    As it follows from the tables, it changes no comparison.  ``identity``
+    is a read-only view; the rows are a tuple of plain dicts, which must
+    not be written to.  Composition is read from the rows alone: names are
+    looked up only to read arguments and to write results and errors."""
 
     __slots__ = ()
 
@@ -98,9 +100,15 @@ class FinCat(namedtuple("FinCat", "objects morphisms identity rows index into sp
         for i, m in enumerate(morphisms):
             into[m.cod].append(i)
         into = {x: tuple(v) for x, v in into.items()}
+        place, homs = {x: i for i, x in enumerate(objects)}, {}
+        for x, hs in into.items():
+            by: dict[str, list[int]] = {}
+            for h in hs:
+                by.setdefault(morphisms[h].dom, []).append(h)
+            homs[x] = tuple((y, tuple(by[y])) for y in sorted(by, key=place.__getitem__))
         index = {m.name: i for i, m in enumerate(morphisms)}
         split = frozenset(h for h, (m, row) in enumerate(zip(morphisms, rows)) if index[identity[m.cod]] in row.values())
-        return super().__new__(cls, objects, morphisms, MappingProxyType(identity), rows, index, into, split)
+        return super().__new__(cls, objects, morphisms, MappingProxyType(identity), rows, index, into, homs, split)
 
     # -- lookups ---------------------------------------------------------
 
@@ -422,25 +430,28 @@ def pair_names(pairs) -> list[str]:
 
 def _fibres(c: FinCat, x: str, k: int, over: str | None = None) -> tuple:
     """The fibres the category of elements of hom(-, x)^k draws its tuples
-    from, k = 1 (the slice) or k = 2 (parallel arrows), as (y, g, fibre)
-    in enumeration order: for each y in object order, the positions of the
-    morphisms y -> x, ascending, split by the value g = f;over when
-    ``over`` is given (g is None otherwise), each part in the order of its
-    first member.  An element is a k-tuple of one fibre, so the fibres are
-    the partition that h |-> h;over induces on hom(-, x), and no name is
-    read.  The sizes are checked first, against ``OBJECTS_CAP`` and
-    ``MORPHISMS_CAP``: an object y carries |F|^k tuples for each of its
+    from, k = 1 (the slice) or k = 2 (parallel arrows), as (y, fibre) in
+    enumeration order: for each y in object order, the positions of the
+    morphisms y -> x, ascending, as ``FinCat.homs`` holds them, each split
+    by the value h;over when ``over`` is given, each part in the order of
+    its first member.  An element is a k-tuple of one fibre, so the fibres
+    are the partition that h |-> h;over induces on hom(-, x), and no name
+    is read.  The sizes are checked on every call, against ``OBJECTS_CAP``
+    and ``MORPHISMS_CAP``: an object y carries |F|^k tuples for each of its
     fibres F, and every morphism into y acts on each of them."""
     if not c.has_object(x):
         raise UnknownObject(x)
-    mors, into = c.morphisms, c.into
-    parts: dict[str, dict] = {z: {} for z in c.objects}
-    after = None if over is None else c.rows[c.index[over]]
-    for f in into[x]:
-        parts[mors[f].dom].setdefault(None if after is None else after[f], []).append(f)
-    fibres = tuple((y, g, tuple(fibre)) for y in c.objects for g, fibre in parts[y].items())
-    checks = [("objects", sum(len(fibre) ** k for _, _, fibre in fibres), OBJECTS_CAP),
-              ("morphisms", sum(len(into[y]) * len(fibre) ** k for y, _, fibre in fibres), MORPHISMS_CAP)]
+    fibres, into = c.homs[x], c.into
+    if over is not None:
+        after, split = c.rows[c.index[over]], []
+        for y, hom in fibres:
+            parts: dict[int, list[int]] = {}
+            for h in hom:
+                parts.setdefault(after[h], []).append(h)
+            split += [(y, tuple(part)) for part in parts.values()]
+        fibres = tuple(split)
+    checks = [("objects", sum(len(fibre) ** k for _, fibre in fibres), OBJECTS_CAP),
+              ("morphisms", sum(len(into[y]) * len(fibre) ** k for y, fibre in fibres), MORPHISMS_CAP)]
     point = x if over is None else over
     for part, n, cap in checks:
         if n > cap:
@@ -464,7 +475,7 @@ def _named(c: FinCat, fibres: tuple, k: int, over: str | None) -> list[str]:
     ``pair_names`` of those; if a name repeats, the n-th rendered alike
     gets ``#n``, so distinct tuples stay apart."""
     label, names = _label(c, over), []
-    for _, _, fibre in fibres:
+    for _, fibre in fibres:
         labels = list(map(label, fibre))
         names += labels if k == 1 else pair_names(product(labels, repeat=2))
     if len(set(names)) < len(names):  # a name repeats
@@ -515,7 +526,7 @@ def _ranks(c: FinCat) -> dict:
 class _WalkMemo:
     """The walks of the category last walked, by key, its ranks
     (``_ranks``), and what the reflections of its ranked walks keep, by
-    walk key, base and form, tied to it by identity: a walk of another
+    walk key, lower set and form, tied to it by identity: a walk of another
     category starts the memo afresh, so nothing is handed to a category it
     was not taken on, and nothing outlives the next category walked.  An
     entry is kept whole while the elements kept (walked, or classes
@@ -555,20 +566,22 @@ class _WalkMemo:
                 self.kept += n
             return found, self.ranks
 
-    def reflect(self, at: tuple, base: int, reflect):
+    def reflect(self, at: tuple, low: int, reflect):
         """What ``reflect(kept)`` returns first, with kept what is kept at
-        ``base`` of the walk ``at`` (category, key, form), or None; it
-        returns second None if it renamed kept, else what to keep where
-        none is.  A walk of form None, whose names are not ranked, keeps
+        the lower set ``low`` (a down-mask) of the walk ``at`` (category,
+        key, form), or None; it returns second None if it renamed kept,
+        else what to keep where none is.  A reflection reads its base only
+        through that lower set, so every base in one class shares the
+        entry.  A walk of form None, whose names are not ranked, keeps
         nothing."""
         c, key, form = at
         with self.lock:
             mine = self.of is c and form is not None
-            kept = self.walks.get((key, base, form)) if mine else None
+            kept = self.walks.get((key, low, form)) if mine else None
             got, keep = reflect(kept)
             self.reused, self.validated = self.reused + (keep is None), self.validated + (keep is not None)
             if mine and kept is None and self.kept + len(keep[1]) <= OBJECTS_CAP:
-                self.walks[key, base, form], self.kept = keep, self.kept + len(keep[1])
+                self.walks[key, low, form], self.kept = keep, self.kept + len(keep[1])
             return got
 
     def built(self, n: int) -> None:
@@ -609,7 +622,7 @@ def _walk(c: FinCat, k: int, fibres: tuple):
     t_1;over = t_2;over, so the walk never leaves them."""
     rows, size, into = c.rows, len(c.rows), c.into
     tuples, runs = [], {}  # each object's positions: one run, in object order
-    for y, _, fibre in fibres:
+    for y, fibre in fibres:
         start = runs[y].start if y in runs else len(tuples)
         tuples += product(fibre, repeat=k)
         runs[y] = range(start, len(tuples))
@@ -638,21 +651,19 @@ def _elements_preorder(c: FinCat, x: str, k: int, base: int, over: str | None = 
     composition table, as a ``Walk`` of k-tuples of positions, and the
     position in it of (base, ..., base), read off the fibres.  The sizes
     are checked on every call (``_fibres``); the walk is read from
-    ``_WALKS`` at the key (x, k, the fibres without their values), so
-    every morphism out of x that induces one partition of hom(-, x) shares
-    one walk, and so does the partition by domain, which is what pi1 at x
-    walks.  In a ranked walk a position sorts by its parts' ranks
-    (``_ranks``), packed into one int, and only the names asked for are
-    built; the walk's form is its parts' rank forms.  Otherwise every
-    element is named (``_named``), sorts by its name, and the form is
-    None."""
+    ``_WALKS`` at the key (x, k, the fibres), so every morphism out of x
+    that induces one partition of hom(-, x) shares one walk, and so does
+    the partition by domain, which is what pi1 at x walks.  In a ranked
+    walk a position sorts by its parts' ranks (``_ranks``), packed into
+    one int, and only the names asked for are built; the walk's form is
+    its parts' rank forms.  Otherwise every element is named (``_named``),
+    sorts by its name, and the form is None."""
     fibres = _fibres(c, x, k, over)
-    parts = tuple(fibre for _, _, fibre in fibres)
-    key, memo = (x, k, parts), _WALKS
+    key, memo = (x, k, fibres), _WALKS
     (tuples, down), ranks = memo.get(c, key, lambda: _walk(c, k, fibres))
-    i = next(i for i, part in enumerate(parts) if base in part)
-    n, j = len(parts[i]), parts[i].index(base)  # base is the j-th of n in its part
-    at = sum(len(part) ** k for part in parts[:i]) + (j if k == 1 else j * n + j)
+    i = next(i for i, (_, fibre) in enumerate(fibres) if base in fibre)
+    n, j = len(fibres[i][1]), fibres[i][1].index(base)  # base is the j-th of n in its fibre
+    at = sum(len(fibre) ** k for _, fibre in fibres[:i]) + (j if k == 1 else j * n + j)
     s0, s1 = ("[", "[") if over is not None else ("", "") if k == 1 else (",", ")")
     (f0, r0, apart), (f1, r1, _) = ranks[s0], ranks[s1]
     if x in apart:

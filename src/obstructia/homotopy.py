@@ -25,16 +25,18 @@ shares with every f of constant kernel, and the objects' preorder by 0.
 Only the names and the pointing depend on f.  In a ranked walk
 (``fincat._ranks``) an element sorts by its ids' ranks, whatever f, so
 the memo keeps each reflection's representatives and masks, validated, by
-walk, base and ranks, and every later call there names only those
-representatives and reuses the masks, unless its basepoint sorts to
-another place (``order.reflection``); ``report_from_pointed`` still checks
-every report.  A flow points each end once, names its keys on demand, and
-reads the class of each target key off the target's reflection
-(``_classes``, the one class list built).  Like every flow, it is built by
-``induced_map``: it maps class representatives, sends collapsed images to
-the basepoint, and then *checks* the result to be monotone, along the
-covers of the source poset, and basepoint-preserving, so a broken table
-shows up as an error instead of a silently wrong poset.
+walk, lower set and ranks: the reflection reads its base only as the lower
+set of the base's class, so every f in one class of a slice shares it.
+Every later call there names only those representatives and reuses the
+masks, unless its basepoint sorts to another place (``order.reflection``);
+``report_from_pointed`` still checks every report.  A flow points each
+end once, names its keys on demand, and reads the class of each target
+key off the target's reflection (``_classes``, the one class list built).
+Like every flow, it is built by ``induced_map``: it maps class
+representatives, sends collapsed images to the basepoint, and then
+*checks* the result to be monotone, along the covers of the source poset,
+and basepoint-preserving, so a broken table shows up as an error instead
+of a silently wrong poset.
 
 ``write_report`` is the one writer of a report, as text, as a DOT Hasse
 diagram or as an interchange document.  Every list of name pairs in them
@@ -118,9 +120,9 @@ def _end(c: fincat.FinCat, i: int, x: str, f: str | None = None):
 
 def _pi_at(end, i: int) -> ObstructionReport:
     """pi_i at an ``_end``: the pointed reflection of its walk at the base
-    element, pointed at [point]."""
+    element, pointed at [point], kept by the base's lower set."""
     walk, base, point = end
-    pp = fincat._WALKS.reflect(walk.at, base, lambda kept: order.reflection(walk.rank, walk.down, base, f"[{point}]", walk.names, kept))
+    pp = fincat._WALKS.reflect(walk.at, walk.down[base], lambda kept: order.reflection(walk.rank, walk.down, base, f"[{point}]", walk.names, kept))
     return report_from_pointed(pp, f"pi{i} at object {point!r}")
 
 

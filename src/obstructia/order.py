@@ -20,10 +20,11 @@ cover masks (``homotopy.report_from_pointed``).
 
 Every poset carries its cover masks.  ``from_masks`` validates every poset
 built here and computes them on the way, as the transitive reduction, with
-two exceptions.  A reflection renamed from what one at the same down-masks,
-base and sort keys kept reuses the masks validated there.  ``homotopy.powerset_report``
-builds orders by construction, so it builds ``Poset`` directly, cover masks
-included, and the tests check it against ``from_masks``.
+two exceptions.  A reflection renamed from what one at the same
+down-masks, lower set and sort keys kept reuses the masks validated
+there.  ``homotopy.powerset_report`` builds orders by construction, so it
+builds ``Poset`` directly, cover masks included, and the tests check it
+against ``from_masks``.
 """
 
 from __future__ import annotations
@@ -180,11 +181,12 @@ def reflection(rank, down: list[int], base: int, basepoint_name: str, names, kep
     the basepoint lies below exactly the classes whose masks meet low.
     ``from_masks`` validates the result.  Returns the pointed poset and
     what to keep: the up- and cover masks and the basepoint's place, then
-    the representatives.  Given ``kept``, taken at these down-masks and
-    base under the same ranks, its representatives are named and its
-    masks, validated there, reused, and there is nothing to keep; unless
-    the basepoint sorts to another place among the new names, which is
-    reflected afresh."""
+    the representatives.  The base is read only through low, so what is
+    kept holds for every base with that lower set.  Given ``kept``, taken
+    at these down-masks and lower set under the same ranks, its
+    representatives are named and its masks, validated there, reused, and
+    there is nothing to keep; unless the basepoint sorts to another place
+    among the new names, which is reflected afresh."""
     if kept is not None:
         (up, covers, at), reps = kept
         elems = names(reps)

@@ -334,7 +334,7 @@ def enumerate_elements(c, x, k, over=None):
     tuple, and, in that order, each y with its tuple: the library's fibres
     and names, read fresh, without the walk memo."""
     fibres = fincat._fibres(c, x, k, over)
-    tuples = [(y, t) for y, _, fibre in fibres for t in product(fibre, repeat=k)]
+    tuples = [(y, t) for y, fibre in fibres for t in product(fibre, repeat=k)]
     return dict(zip(fincat._named(c, fibres, k, over), (t for _, t in tuples))), tuples
 
 

@@ -620,7 +620,7 @@ class TestRowsAreTheTable:
             homotopy.pi0(c, x)
             homotopy.pi1(c, x)
         # the one table and the one index, split epis included, as fields
-        assert set(c._fields) == {"objects", "morphisms", "identity", "rows", "index", "into", "split_epis"}
+        assert set(c._fields) == {"objects", "morphisms", "identity", "rows", "index", "into", "homs", "split_epis"}
         assert oracles.comp(c)[("1>2:0", "2>1:00")] == "1>1:0"
 
 

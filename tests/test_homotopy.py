@@ -285,11 +285,11 @@ class TestPointedReflection:
 
 class TestOneReflectionPerCategory:
     """One walk per distinct (category, key), one pointed reflection per
-    end, and one validation per distinct (walk, base): the walks taken, the
-    misses of ``fincat._WALKS`` from cold, the ``order.reflection`` calls
-    and the ``order.from_masks`` calls, exact.  A reflection at a (walk,
-    base) already validated renames the masks kept there, and nothing else
-    is validated."""
+    end, and one validation per distinct (walk, lower set): the walks
+    taken, the misses of ``fincat._WALKS`` from cold, the
+    ``order.reflection`` calls and the ``order.from_masks`` calls, exact.
+    A reflection at a (walk, lower set) already validated renames the masks
+    kept there, whatever its base, and nothing else is validated."""
 
     @pytest.fixture
     def count(self, monkeypatch):
@@ -303,9 +303,9 @@ class TestOneReflectionPerCategory:
 
             return get(memo, c, key, counted_walk)
 
-        def counted_reflect(memo, at, base, fn):
-            reflections.append((id(at[0]), at[1], base))
-            return reflect(memo, at, base, fn)
+        def counted_reflect(memo, at, low, fn):
+            reflections.append((id(at[0]), at[1], low))
+            return reflect(memo, at, low, fn)
 
         def counted_validate(*args):
             validated.append(1)
@@ -370,18 +370,43 @@ class TestOneReflectionPerCategory:
 
     def test_a_classification_validates_once_per_walk_and_base(self, count):
         # the 64 ops of a classification of the size-3 finite-set skeleton:
-        # 124 reports over 69 distinct (walk, base), which pi1 at x shares
-        # with every f out of x onto a point, and pi1 at f with every f of
-        # the same kernel
+        # 124 reports over 24 distinct (walk, lower set).  pi1 at x shares
+        # one with every f out of x onto a point, pi1 at f with every f of
+        # the same kernel, and pi0 at f with every f of its class in the
+        # slice, that is of its image: 69 distinct (walk, base) in all
         c = gen.finset_ambient(3)
         ops = [(homotopy.analyze_morphism, m.name) for m in c.morphisms] + [(homotopy.pi1, x) for x in c.objects]
         got = []
-        assert count(lambda: got.extend(fn(c, arg) for fn, arg in ops)) == (13, 124, 69)
+        assert count(lambda: got.extend(fn(c, arg) for fn, arg in ops)) == (13, 124, 24)
         # every walk is ranked, so each reflection names only the
         # representatives of its classes: 1,536 names for 1,660 classes,
         # 124 of them basepoints, where naming every element built 12,314
         reports = [r for (fn, _), a in zip(ops, got) for r in ((a,) if fn is homotopy.pi1 else (a.pi0, a.pi1))]
         assert fincat._WALKS.named == sum(len(r.invariant.poset.elements) - 1 for r in reports) == 1536
+
+    def test_one_slice_class_shares_one_reflection(self, count, monkeypatch):
+        # 1>2:0 and 2>2:00 both have the image {0}, so each factors through
+        # the other: one class of the slice over 2, one lower set to
+        # collapse.  pi0 at the second renames what the first validated,
+        # and each report is the one a fresh memo takes
+        c = gen.finset_ambient(2)
+        points = ("1>2:0", "2>2:00")
+        ends, got = [], []
+
+        def run():
+            ends.extend(homotopy._end(c, 0, c.dom(f), f) for f in points)
+            got.extend(homotopy._pi_at(end, 0) for end in ends)
+
+        assert count(run) == (1, 2, 1)
+        assert (fincat._WALKS.validated, fincat._WALKS.reused) == (1, 1)
+        assert len({walk.down[base] for walk, base, _ in ends}) == 1
+        assert [r.invariant.basepoint for r in got] == ["[1>2:0]", "[2>2:00]"]
+        for f, r in zip(points, got):
+            monkeypatch.setattr(fincat, "_WALKS", fincat._WalkMemo())
+            want = homotopy._pi_at(homotopy._end(c, 0, c.dom(f), f), 0)
+            assert r == want and fincat._WALKS.validated == 1
+            for fmt in ("text", "dot", "interchange"):
+                assert written(r, fmt) == written(want, fmt)
 
 
 def prefixed_ambient():
@@ -424,11 +449,11 @@ class TestRenamedReflections:
         # of pairs into 2 named by slice morphisms are unranked: pi1 at
         # each of the 5 morphisms out of 2 is taken afresh and keeps
         # nothing, as pi1 at p[ shares the walk and base of pi1 at 2 but
-        # not its name order.  The other 20 reflections, over 14 (walk,
-        # base), are ranked, kept and reused
+        # not its name order.  The other 20 reflections, over 10 (walk,
+        # lower set), are ranked, kept and reused
         memo = self.check(prefixed_ambient())
         kept = len(memo.walks) - memo.misses
-        assert (memo.reused, memo.validated, kept) == (6, 19, 14)
+        assert (memo.reused, memo.validated, kept) == (10, 15, 10)
 
     @settings(max_examples=25, deadline=None)
     @given(st.integers(min_value=0, max_value=10_000), st.data())
@@ -501,7 +526,7 @@ class TestRankedRoute:
         c = gen.bang_skeleton()
         assert not any(apart for _, _, apart in fincat._ranks(c).values())
         memo = self.check(c)
-        assert (memo.reused, memo.validated) == (10, 18)
+        assert (memo.reused, memo.validated) == (15, 13)
 
     def test_a_prefix_into_one_object(self):
         # p and p[ both go into 2: the slice pairs into 2 are named, and

@@ -207,6 +207,7 @@ UNREACHED = {
     # import time
     "__init__.__getattr__": "import time: a submodule's first load, in the child processes of test_cli.py::TestLoadSet",
     "fincat._WalkMemo.__init__": "import time: the walk memo, built when fincat loads, and afresh for each test by conftest.py",
+    "cli._spec": "import time: each usage line of COMMANDS, read once into cli._SPECS when cli loads",
     # a child process
     "cli.main": "the child process of test_module_entry_point",
     # the library API that acceptance criteria 5-7 name, with no command
