@@ -28,24 +28,24 @@ the rows, one object at a time, that reads every arrow into each element
 and hands each down-set along ``FinCat.split_epis``: the preorder
 ``order.reflection`` points.  The walk reads no name, so the walk memo
 ``_WALKS`` keeps it, by its fibres, for the category last walked, within
-``OBJECTS_CAP`` elements, with the category's ranks, taken when the memo
-first walks it.  In a ranked walk no id into its object starts with
-another followed by the ``,`` or ``[`` that follows it in the walk's names
-(``_ranks``), so every derived name sorts as a tuple of its parts' ranks
-and no two render alike: an element is sorted by its ranks, a reflection's
-classes are kept by the lower set it collapses and reused on every call
-with that lower set, whatever its base, and only their representatives
-are named.  An unranked walk names every element on every call, ``#n``
-and all, and reflects afresh.  The caps are checked on every call.  The
-tests keep the ``.cat`` writer and the opposite, and, as oracles, the walk
-of every element, the composition tables of the derived categories, the
-table keyed by names and the functor and naturality checks by name.
+``OBJECTS_CAP`` elements, with the objects the category keeps apart,
+taken when the memo first walks it.  In a ranked walk no id into its
+object is the id before it extended by a character at or below the
+suffix that follows it in the walk's names (``_apart``), so every derived
+name sorts as its parts' positions do and no two render alike: an element
+is sorted by its packed key, a reflection's classes are kept by the lower
+set it collapses and reused on every call with that lower set, whatever
+its base, and only their representatives are named.  Any other walk
+names every element on every call, ``#n`` and all, and reflects afresh.
+The caps are checked on every call.  The tests keep the ``.cat`` writer
+and the opposite, and, as oracles, the walk of every element, the
+composition tables of the derived categories, the table keyed by names
+and the functor and naturality checks by name.
 """
 
 from __future__ import annotations
 
 from _thread import RLock
-from bisect import bisect_left
 from collections import namedtuple
 from collections.abc import Iterable, Mapping
 from functools import lru_cache
@@ -490,43 +490,26 @@ def _named(c: FinCat, fibres: tuple, k: int, over: str | None) -> list[str]:
     return names
 
 
-def _ranks(c: FinCat) -> dict:
-    """For each suffix s a part of a derived name ends in (none for h,
-    ``[`` for either part of h[g=>f] or a pair of those, ``,`` for a and
-    ``)`` for b in (a,b)), each id's place among all ids sorted with s
-    appended, as (form, ranks, apart), with equal rank lists sharing one
-    form number, and apart the objects x into which one morphism id starts
-    with another followed by s (none but for ``,`` and ``[``).  A walk at
-    any other x, whose parts are the ids into x, is *ranked*: two of its
-    derived names compare as their parts' ranks do, first part first:
-    where the parts differ, neither part with its suffix is a prefix of
-    the other, or it ends the name.  So no two of its elements render
-    alike, and an element's rank tuple sorts it as its name would."""
-    mors = c.morphisms
-    names = [m.name for m in mors]
-    distinct, out = [], {}
-    for s in ("", "[", ",", ")"):
-        rank = [0] * len(names)
-        for r, i in enumerate(sorted(range(len(names)), key=lambda i: names[i] + s)):
-            rank[i] = r
-        if rank not in distinct:
-            distinct.append(rank)
-        apart = set()
-        if s in (",", "["):
-            for a, m in zip(names, mors):
-                i = bisect_left(names, a + s)
-                while i < len(names) and names[i].startswith(a + s):
-                    if mors[i].cod == m.cod:
-                        apart.add(m.cod)
-                    i += 1
-        out[s] = (distinct.index(rank), rank, apart)
-    return out
+def _apart(c: FinCat) -> dict:
+    """For each suffix s a part of a derived name ends in (``[`` for either
+    part of h[g=>f] or a pair of those, ``,`` for a and ``)`` for b in
+    (a,b)), the objects x into which some morphism id, taken in id order,
+    is the id just before it extended by a character at or below s.  A
+    walk at any other x, whose parts are ids into x, is *ranked*: its
+    derived names compare as their parts' ids do, first part first, and no
+    two render alike, so its elements sort by position.  Checking each id
+    against the one before it is enough: if ids a < b into x misorder with
+    s appended, or clash with it, then b starts with a, and the id right
+    after a also extends a, by a character at or below s."""
+    names = [m.name for m in c.morphisms]
+    return {s: {x for x, hs in c.into.items() if any(
+        names[b].startswith(names[a]) and names[b][len(names[a])] <= s for a, b in zip(hs, hs[1:]))} for s in "[,)"}
 
 
 class _WalkMemo:
-    """The walks of the category last walked, by key, its ranks
-    (``_ranks``), and what the reflections of its ranked walks keep, by
-    walk key, lower set and form, tied to it by identity: a walk of another
+    """The walks of the category last walked, by key, the objects it keeps
+    apart (``_apart``), and what the reflections of its ranked walks keep,
+    by walk key and lower set, tied to it by identity: a walk of another
     category starts the memo afresh, so nothing is handed to a category it
     was not taken on, and nothing outlives the next category walked.  An
     entry is kept whole while the elements kept (walked, or classes
@@ -539,23 +522,24 @@ class _WalkMemo:
     builds while it holds it.  Entries are shared by every reader of a key
     and must not be written to."""
 
-    __slots__ = ("of", "ranks", "walks", "kept", "hits", "misses", "reused", "validated", "named", "lock")
+    __slots__ = ("of", "apart", "walks", "kept", "hits", "misses", "reused", "validated", "named", "lock")
 
     def __init__(self):
-        self.of, self.ranks, self.walks, self.kept = None, None, {}, 0
+        self.of, self.apart, self.walks, self.kept = None, None, {}, 0
         self.hits = self.misses = self.reused = self.validated = self.named = 0
         self.lock = RLock()
 
     def get(self, c: FinCat, key, walk):
-        """The walk of c at ``key``, its element keys and their down-masks,
-        taken by ``walk()`` on a miss, and c's ranks."""
+        """The walk of c at ``key``, its element keys and their down-masks
+        (and packed keys, from ``_walk``), taken by ``walk()`` on a miss,
+        and ``_apart(c)``."""
         with self.lock:
             if self.of is not c:
-                self.of, self.ranks, self.walks, self.kept = c, _ranks(c), {}, 0
+                self.of, self.apart, self.walks, self.kept = c, _apart(c), {}, 0
             found = self.walks.get(key)
             if found is not None:
                 self.hits += 1
-                return found, self.ranks
+                return found, self.apart
             self.misses += 1
             found = walk()
             n = len(found[1])
@@ -564,24 +548,23 @@ class _WalkMemo:
                     self.kept -= len(self.walks.pop(next(iter(self.walks)))[1])
                 self.walks[key] = found
                 self.kept += n
-            return found, self.ranks
+            return found, self.apart
 
     def reflect(self, at: tuple, low: int, reflect):
         """What ``reflect(kept)`` returns first, with kept what is kept at
         the lower set ``low`` (a down-mask) of the walk ``at`` (category,
-        key, form), or None; it returns second None if it renamed kept,
+        key, ranked), or None; it returns second None if it renamed kept,
         else what to keep where none is.  A reflection reads its base only
         through that lower set, so every base in one class shares the
-        entry.  A walk of form None, whose names are not ranked, keeps
-        nothing."""
-        c, key, form = at
+        entry.  A walk that is not ranked keeps nothing."""
+        c, key, ranked = at
         with self.lock:
-            mine = self.of is c and form is not None
-            kept = self.walks.get((key, low, form)) if mine else None
+            mine = self.of is c and ranked
+            kept = self.walks.get((key, low)) if mine else None
             got, keep = reflect(kept)
             self.reused, self.validated = self.reused + (keep is None), self.validated + (keep is not None)
             if mine and kept is None and self.kept + len(keep[1]) <= OBJECTS_CAP:
-                self.walks[key, low, form], self.kept = keep, self.kept + len(keep[1])
+                self.walks[key, low], self.kept = keep, self.kept + len(keep[1])
             return got
 
     def built(self, n: int) -> None:
@@ -596,8 +579,7 @@ _WALKS = _WalkMemo()
 # A walk as an end reads it, by position: keys and down-masks, shared with
 # ``_WALKS``; ``rank``, the sort key of a position, and ``names``, the
 # names of a list of positions; and ``at``, where its reflections are kept:
-# (c, key, form), form the forms of its parts' ranks, () for the objects'
-# preorder, whose ids sort as their positions, and None where nothing is.
+# (c, key, ranked), ranked true where positions sort as names do.
 Walk = namedtuple("Walk", "keys down rank names at")
 
 
@@ -608,11 +590,11 @@ def _read(names):
 
 def _walk(c: FinCat, k: int, fibres: tuple):
     """The tuples of the category of elements of hom(-, x)^k over
-    ``fibres``, in enumeration order, and their down-masks: the walk
-    without names.  A tuple t over y has one source h;t for each h into y,
-    and its mask ORs the bits of them all.  Identities and composites make
-    it reflexive and transitive.  A tuple of ints is keyed g_1*M + g_2 (g_1
-    if k = 1), M morphisms.  For a split epi h with section s, h;t and t
+    ``fibres``, in enumeration order, their down-masks and their packed
+    keys: the walk without names.  A tuple t over y has one source h;t for
+    each h into y, and its mask ORs the bits of them all.  Identities and
+    composites make it reflexive and transitive.  A tuple of ints is keyed
+    g_1*M + g_2 (g_1 if k = 1), M morphisms.  For a split epi h with section s, h;t and t
     reach each other along h and s, so t's mask is handed to h;t, which is
     then not walked.  The objects are walked in ascending count of
     morphisms into them, ties in object order: if h: z -> y is split epi,
@@ -642,7 +624,7 @@ def _walk(c: FinCat, k: int, fibres: tuple):
                 mask |= 1 << j
             for i in split_at:
                 down[sources[i]] = mask
-    return tuples, down
+    return tuples, down, list(at)
 
 
 def _elements_preorder(c: FinCat, x: str, k: int, base: int, over: str | None = None):
@@ -654,23 +636,21 @@ def _elements_preorder(c: FinCat, x: str, k: int, base: int, over: str | None = 
     ``_WALKS`` at the key (x, k, the fibres), so every morphism out of x
     that induces one partition of hom(-, x) shares one walk, and so does
     the partition by domain, which is what pi1 at x walks.  In a ranked
-    walk a position sorts by its parts' ranks (``_ranks``), packed into
-    one int, and only the names asked for are built; the walk's form is
-    its parts' rank forms.  Otherwise every element is named (``_named``),
-    sorts by its name, and the form is None."""
+    walk, at an x that no suffix of its names keeps apart (``_apart``), a
+    position sorts by its packed key, and only the names asked for are
+    built.  Otherwise every element is named (``_named``) and sorts by its
+    name."""
     fibres = _fibres(c, x, k, over)
     key, memo = (x, k, fibres), _WALKS
-    (tuples, down), ranks = memo.get(c, key, lambda: _walk(c, k, fibres))
+    (tuples, down, packed), apart = memo.get(c, key, lambda: _walk(c, k, fibres))
     i = next(i for i, (_, fibre) in enumerate(fibres) if base in fibre)
     n, j = len(fibres[i][1]), fibres[i][1].index(base)  # base is the j-th of n in its fibre
     at = sum(len(fibre) ** k for _, fibre in fibres[:i]) + (j if k == 1 else j * n + j)
-    s0, s1 = ("[", "[") if over is not None else ("", "") if k == 1 else (",", ")")
-    (f0, r0, apart), (f1, r1, _) = ranks[s0], ranks[s1]
-    if x in apart:
+    if any(x in apart[s] for s in ("[" if over is not None else "" if k == 1 else ",)")):
         names = _named(c, fibres, k, over)
         memo.built(len(names))
-        return Walk(tuples, down, names.__getitem__, _read(names), (c, key, None)), at
-    size, label = len(r0), _label(c, over)
+        return Walk(tuples, down, names.__getitem__, _read(names), (c, key, False)), at
+    label = _label(c, over)
 
     def names(ps):
         memo.built(len(ps))
@@ -678,11 +658,7 @@ def _elements_preorder(c: FinCat, x: str, k: int, base: int, over: str | None = 
             return [label(tuples[p][0]) for p in ps]
         return pair_names([(label(a), label(b)) for a, b in map(tuples.__getitem__, ps)])
 
-    def rank(p):
-        t = tuples[p]
-        return r0[t[0]] * size + r1[t[-1]]
-
-    return Walk(tuples, down, rank, names, (c, key, (f0, f1))), at
+    return Walk(tuples, down, packed.__getitem__, names, (c, key, True)), at
 
 
 def is_groupoid(c: FinCat) -> bool:

@@ -23,9 +23,9 @@ category share it by key: the slice over y by y, the pairs into x that f
 equalises by the partition h |-> h;f induces on hom(-, x), which pi1 at x
 shares with every f of constant kernel, and the objects' preorder by 0.
 Only the names and the pointing depend on f.  In a ranked walk
-(``fincat._ranks``) an element sorts by its ids' ranks, whatever f, so
+(``fincat._apart``) an element sorts by its position, whatever f, so
 the memo keeps each reflection's representatives and masks, validated, by
-walk, lower set and ranks: the reflection reads its base only as the lower
+walk and lower set: the reflection reads its base only as the lower
 set of the base's class, so every f in one class of a slice shares it.
 Every later call there names only those representatives and reuses the
 masks, unless its basepoint sorts to another place (``order.reflection``);
@@ -112,7 +112,7 @@ def _end(c: fincat.FinCat, i: int, x: str, f: str | None = None):
         if not c.has_object(x):
             raise UnknownObject(x)
         walk, _ = fincat._WALKS.get(c, 0, lambda: _object_preorder(c))
-        return fincat.Walk(*walk, c.objects.__getitem__, fincat._read(c.objects), (c, 0, ())), c.objects.index(x), x
+        return fincat.Walk(*walk, c.objects.__getitem__, fincat._read(c.objects), (c, 0, True)), c.objects.index(x), x
     if i == 0:
         return *fincat._elements_preorder(c, c.cod(f), 1, c.index[f]), f
     return *fincat._elements_preorder(c, x, 2, c.index[c.id_of(x)], f), x if f is None else f

@@ -183,7 +183,7 @@ def reflection(rank, down: list[int], base: int, basepoint_name: str, names, kep
     what to keep: the up- and cover masks and the basepoint's place, then
     the representatives.  The base is read only through low, so what is
     kept holds for every base with that lower set.  Given ``kept``, taken
-    at these down-masks and lower set under the same ranks, its
+    at these down-masks and lower set under the same sort key, its
     representatives are named and its masks, validated there, reused, and
     there is nothing to keep; unless the basepoint sorts to another place
     among the new names, which is reflected afresh."""

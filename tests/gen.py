@@ -211,9 +211,10 @@ def basepoint_clash() -> fincat.FinCat:
 
 def bang_skeleton() -> fincat.FinCat:
     """The skeleton of sets of at most 2 elements, with the constants
-    2>2:00 and 2>2:11 named b and b!: ranked (``fincat._ranks``), but b
-    sorts before b! only alone, and after it as either part of a pair, as
-    b!, < b, and b!) < b)."""
+    2>2:00 and 2>2:11 named b and b!: b sorts before b! only alone, and
+    after it as either part of a pair, as b!, < b, and b!) < b), so b!,
+    which extends b by ! below every suffix, keeps 2 apart
+    (``fincat._apart``), and the pairs into 2 take the names route."""
     c = finset_ambient(2)
     return renamed(c, {**{x: x for x in c.objects}, **{m: m for m in morphism_names(c)}, "2>2:00": "b", "2>2:11": "b!"})
 

@@ -1146,50 +1146,58 @@ def fan(ids):
     return fincat.validate_category(["x", "y"], [(m, "y", "x") for m in ids] + [("1x", "x", "x"), ("1y", "y", "y")], {"x": "1x", "y": "1y"}, comp)
 
 
-def apart(ranks):
-    """The objects at which each suffix of ``fincat._ranks`` misorders."""
-    return {s: a for s, (_, _, a) in ranks.items()}
-
-
 class TestRanks:
-    """``fincat._ranks``: each suffix ranks the ids as they sort with it
-    appended, equal rank lists sharing a form, and a walk at x is ranked
-    unless a morphism id into x starts with another one into x followed by
-    `,` or `[`."""
+    """``fincat._apart``: under each suffix, the objects x into which a
+    morphism id is the id before it extended by a character at or below
+    the suffix.  A walk at any other x is ranked, its elements sorting by
+    position as their names do."""
 
     def test_the_finite_set_skeleton_is_ranked(self):
-        # no id is a prefix of another, so every suffix ranks by position
-        ranks = fincat._ranks(gen.finset_ambient(3))
-        assert ranks == {s: (0, list(range(60)), set()) for s in ("", "[", ",", ")")}
+        # no id is a prefix of another, so no object is apart
+        assert fincat._apart(gen.finset_ambient(3)) == {s: set() for s in "[,)"}
 
     def test_pair_collision_is_unranked(self):
-        # p and p,q both go into x: only the pairs there, whose first part
-        # is followed by a comma, are named
+        # p and p,q both go into x, and , sorts below [ and above ): the
+        # pairs there by domain, and any over a morphism, are named
         with open(PAIR_COLLISION, encoding="utf-8") as fh:
-            assert apart(fincat._ranks(fincat.parse_category(fh.read()))) == {"": set(), "[": set(), ",": {"x"}, ")": set()}
+            assert fincat._apart(fincat.parse_category(fh.read())) == {"[": {"x"}, ",": {"x"}, ")": set()}
 
     @pytest.mark.parametrize("ids, ranked", [
         (["p", "p[", "q"], False),
         (["p", "p,q", "q"], False),
         (["p[q", "p", "q"], False),
-        (["p", "p)", "p!", "p=>", "p]", "p#2"], True),
+        (["p", "p)", "p!", "p=>", "p]", "p#2"], False),  # p! extends p by ! below every suffix
         (["p,", "p[", "q"], True),  # neither starts with another id
+        (["p", "p!", "p,q"], False),  # p,q is not next to p, but p! is
     ])
     def test_the_check(self, ids, ranked):
-        got = apart(fincat._ranks(fan(ids)))
-        assert (got[""], got[")"]) == (set(), set())
-        assert (got["["] | got[","] == set()) == ranked
+        got = fincat._apart(fan(ids))
+        assert set().union(*got.values()) <= {"x"}
+        assert (not any(got.values())) == ranked
 
     def test_ids_into_other_objects_never_misorder(self):
         # p and p[ go into objects of their own, so no walk holds both
-        assert apart(fincat._ranks(discrete(["p", "p[", "p,q"]))) == {s: set() for s in ("", "[", ",", ")")}
+        assert fincat._apart(discrete(["p", "p[", "p,q"])) == {s: set() for s in "[,)"}
 
     def test_a_close_rank_apart_from_the_plain_rank(self):
-        # a < a! < a) by name, but a!) < a) < a)) and a!, < a), < a,: the
-        # second part of a pair sorts as b + ")", the first as a + ","
-        ranks = fincat._ranks(discrete(["a", "a!", "a)"]))
-        assert ranks == {"": (0, [0, 1, 2], set()), "[": (1, [2, 0, 1], set()), ",": (1, [2, 0, 1], set()), ")": (2, [1, 0, 2], set())}
+        # a < a! < a) by name, but a!) < a) < a)) and a!, < a), < a,: a!
+        # extends a by !, which sorts below every suffix
+        assert fincat._apart(fan(["a", "a!", "a)"])) == {s: {"x"} for s in "[,)"}
 
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.text("p[,)!0A", min_size=1, max_size=4), max_size=8, unique=True))
+    def test_a_ranked_object_keeps_every_pair_in_order(self, ids):
+        # brute force over every pair into x: outside the objects apart
+        # under s, a < b keeps a+s < b+s, and under , and [ a+s is no
+        # prefix of b, so no two derived names render alike
+        c = fan(ids)
+        names = sorted(c.morphisms[h].name for h in c.into["x"])
+        for s, apart in fincat._apart(c).items():
+            if "x" not in apart:
+                for i, a in enumerate(names):
+                    for b in names[i + 1:]:
+                        assert a + s < b + s
+                        assert s == ")" or not b.startswith(a + s)
 
 
 @settings(max_examples=30, deadline=None)

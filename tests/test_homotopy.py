@@ -187,8 +187,8 @@ def pointed_walks(c):
 
 
 def pointed(walk, base, basepoint_name):
-    """``order.reflection`` of a walk with nothing kept, by its ranks and
-    names, and each position's class (``homotopy._classes``)."""
+    """``order.reflection`` of a walk with nothing kept, by its sort keys
+    and names, and each position's class (``homotopy._classes``)."""
     pp, _ = order.reflection(walk.rank, walk.down, base, basepoint_name, walk.names)
     return pp, homotopy._classes(walk, pp)
 
@@ -483,71 +483,85 @@ class TestRenamedReflections:
             assert (keep is None) == reused
 
 
-def unranked(ranks):
-    """``ranks``, a ``fincat._ranks``, with every object apart under every
-    suffix, so that no walk is ranked."""
-    return lambda c: {s: (form, rank, set(c.objects)) for s, (form, rank, _) in ranks(c).items()}
+def unranked(c):
+    """A ``fincat._apart`` with every object of c apart under every suffix,
+    so that every walk whose names carry one is named."""
+    return {s: set(c.objects) for s in "[,)"}
 
 
 class TestRankedRoute:
     """The ranked route on one warm memo against the names route taken
     cold: every morphism analysed, and pi0 and pi1 at every object, each
     result and its text, DOT and interchange bytes equal to those of a
-    fresh memo in which no walk is ranked (``unranked``), so that every
-    element is named and sorts by its name.  Every ranked walk's ranks
-    sort its names, which are distinct."""
+    fresh memo in which every walk of pairs is named (``unranked``) and
+    sorts by its names.  Every ranked walk's packed keys sort its names,
+    which are distinct: the slice walks of pi0 too, whose bare ids are
+    ranked in both routes."""
 
     def check(self, c):
         ops = [(homotopy.analyze_morphism, m) for m in gen.morphism_names(c)]
         ops += [(fn, x) for x in c.objects for fn in (homotopy.pi0, homotopy.pi1)]
-        warm, memo, ranks = fincat._WalkMemo(), fincat._WALKS, fincat._ranks
+        warm, memo, apart = fincat._WalkMemo(), fincat._WALKS, fincat._apart
         try:
             for fn, arg in ops:
-                fincat._WALKS, fincat._ranks = warm, ranks
+                fincat._WALKS, fincat._apart = warm, apart
                 got = fn(c, arg)
-                fincat._WALKS, fincat._ranks = fincat._WalkMemo(), unranked(ranks)
+                fincat._WALKS, fincat._apart = fincat._WalkMemo(), unranked
                 want = fn(c, arg)
                 assert got == want
                 for g, w in [(got, want)] if fn is not homotopy.analyze_morphism else [(got.pi0, want.pi0), (got.pi1, want.pi1)]:
                     for fmt in ("text", "dot", "interchange"):
                         assert written(g, fmt) == written(w, fmt)
         finally:
-            fincat._WALKS, fincat._ranks = memo, ranks
+            fincat._WALKS, fincat._apart = memo, apart
         for walk, *_ in pointed_walks(c):
-            if walk.at[2] is not None:
+            if walk.at[2]:
                 names = walk.names(range(len(walk.down)))
                 assert len(set(names)) == len(names)
                 assert [names[p] for p in sorted(range(len(names)), key=walk.rank)] == sorted(names)
         return warm
 
     def test_a_pair_part_that_sorts_apart(self):
-        # pi1 at 2 has the classes of (2>2:01,b) and (2>2:01,b!): ranked
-        # by the plain rank of b, they would fall out of name order
+        # pi1 at 2 has the classes of (2>2:01,b) and (2>2:01,b!): sorted
+        # by the position of b, they would fall out of name order, so b!,
+        # which extends b by ! below every suffix, keeps 2 apart, and the
+        # pairs into 2 take the names route
         c = gen.bang_skeleton()
-        assert not any(apart for _, _, apart in fincat._ranks(c).values())
+        assert fincat._apart(c) == {s: {"2"} for s in "[,)"}
         memo = self.check(c)
-        assert (memo.reused, memo.validated) == (15, 13)
+        assert (memo.reused, memo.validated) == (11, 17)
 
     def test_a_prefix_into_one_object(self):
         # p and p[ both go into 2: the slice pairs into 2 are named, and
         # every other walk, the pairs into 2 by domain among them, ranked
         c = prefixed_ambient()
         self.check(c)
-        named = {(point, walk.at[1][:2]) for walk, _, point, *_ in pointed_walks(c) if walk.at[2] is None}
+        named = {(point, walk.at[1][:2]) for walk, _, point, *_ in pointed_walks(c) if not walk.at[2]}
         assert named == {("2>1:00", ("2", 2)), ("2>2:01", ("2", 2)), ("2>2:10", ("2", 2)), ("2>2:11", ("2", 2)), ("p[", ("2", 2))}
+
+    def test_a_digit_under_brackets(self):
+        # g10 extends g1 by 0, which sorts below [ and above , and ): the
+        # pairs into * over each morphism are named, and every other walk,
+        # pi1 at * among them, ranked
+        c = gen.cyclic_group_category(12)
+        assert fincat._apart(c) == {"[": {"*"}, ",": set(), ")": set()}
+        self.check(c)
+        named = {(point, walk.at[1][:2]) for walk, _, point, *_ in pointed_walks(c) if not walk.at[2]}
+        assert named == {(m.name, ("*", 2)) for m in c.morphisms}
 
     @settings(max_examples=40, deadline=None)
     @given(st.integers(min_value=0, max_value=10_000), st.data())
     def test_ids_that_share_prefixes(self, seed, data):
-        # ids such as p, p,q, p[, a, a! and a): over the first alphabet
-        # every walk is ranked, and one id may be another with ! or )
-        # appended; over the second, some are not
+        # ids such as p, p,q, p[, a, a!, a), g1 and g10: one id may be
+        # another with a character appended that sorts below a suffix, as
+        # ! and ) below all three and 0 below [ only, and the walks into
+        # its codomain whose names carry that suffix are named
         if data.draw(st.booleans()):
             c = gen.finset_ambient(2)
         else:
             c = gen.random_category(random.Random(seed), max_objects=4, max_morphisms=14)
         morphisms = gen.morphism_names(c)
-        alphabet = data.draw(st.sampled_from(["a!)", "ap!),["]))
+        alphabet = data.draw(st.sampled_from(["a!)", "ap!),[", "a0A[", "g10[,)"]))
         labels = data.draw(st.lists(st.text(alphabet, min_size=1, max_size=4), min_size=len(morphisms), max_size=len(morphisms), unique=True))
         self.check(gen.renamed(c, {**{x: x for x in c.objects}, **dict(zip(morphisms, labels))}))
 
@@ -663,7 +677,7 @@ class TestWalkMemo:
         memo = fincat._WALKS
         for fn, arg in ops * 2:
             got = fn(c, arg)
-            assert memo.kept == sum(len(down) for _, down in memo.walks.values()) <= 900
+            assert memo.kept == sum(len(entry[1]) for entry in memo.walks.values()) <= 900
             monkeypatch.setattr(fincat, "_WALKS", fincat._WalkMemo())
             assert fn(c, arg) == got
             monkeypatch.setattr(fincat, "_WALKS", memo)

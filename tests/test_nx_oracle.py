@@ -99,7 +99,7 @@ def nx_pointed_reflection(names, down, base, basepoint_name):
 
 def assert_reflection(names, down, base, basepoint_name, walk=None):
     """The reflection of a walk, by default of the one sorting by
-    ``names``, by its ranks and names against networkx on ``names``."""
+    ``names``, by its sort keys and names against networkx on ``names``."""
     walk = walk or oracles.named_walk(names, down)
     pp, _ = order.reflection(walk.rank, down, base, basepoint_name, walk.names)
     class_of = homotopy._classes(walk, pp)

@@ -77,9 +77,10 @@ b7928938f1d1f40054bcc7f3904d545ca53e02d9ac20adeef0e120ae590dc3e6  cat pi0 clash.
 552e2e9b82f702925787dfd9c1bb56f2e235a8dbbc71aec97735235737dd86f4  cat pi1 fixtures/pair_collision.cat --object x
 4216000ca1e542b5f2b19011b6fb77d4aab5d18249882e2b82a0b2e4fd7ce08a  cat pi1 fixtures/pair_collision.cat --object x --format interchange
 37124f7c08c6a89e59c75240732da5ea1f7daae176417b1f98ff2dacaf197b08  cat analyze fixtures/pair_collision.cat --morphism p
-# ids whose ranks differ from their bare order: b sorts before b!, but
-# (2>2:01,b!) before (2>2:01,b), and b![ before b[ in the pairs over a
-# morphism (bang.cat: the size-2 skeleton with its constants named b, b!)
+# ids whose derived names sort apart from their bare order, so that their
+# pairs take the names route: b sorts before b!, but (2>2:01,b!) before
+# (2>2:01,b), and b![ before b[ in the pairs over a morphism (bang.cat:
+# the size-2 skeleton with its constants named b, b!)
 db7c49e636a74d275e7dba7a8ee9c71743dd60885def739a334595a4eec082e7  cat pi1 bang.cat --object 2
 97c5e059ad975e19e6b9a81efba8da38a445d789edec341081a774fc5c4e4570  cat pi1 bang.cat --object 2 --format interchange
 86c10fa3b69a7858ab7378f53ee659752865e4498b417d328ad8cc114e96921f  cat analyze bang.cat --morphism 2>2:10
@@ -236,34 +237,34 @@ WORK = """
   4052  dc49f6977d73  set pi1 --fn fixtures/wide12_pi1.fn --format text
   8085  8d07874ac37f  set pi1 --fn fixtures/wide12_pi1.fn --format dot
   8086  c97350441d9d  set pi1 --fn fixtures/wide12_pi1.fn --format interchange
-   228  4f48bc62b1f7  cat analyze ambient.cat --morphism 3>2:010
-   228  4f48bc62b1f7  cat analyze byname.cat --morphism 3>2:010
-   228  4f48bc62b1f7  cat analyze latemor.cat --morphism 3>2:010
+   112  c3b6de072986  cat analyze ambient.cat --morphism 3>2:010
+   112  c3b6de072986  cat analyze byname.cat --morphism 3>2:010
+   112  c3b6de072986  cat analyze latemor.cat --morphism 3>2:010
     12  fd8fd7f3d6d2  cat validate ambient.cat
     12  fd8fd7f3d6d2  cat validate byname.cat
     12  fd8fd7f3d6d2  cat validate latemor.cat
-   248  9c5c9b275ec0  cat analyze ambient.cat --morphism 3>2:010 --format dot
-   250  837281f967fc  cat analyze ambient.cat --morphism 3>2:010 --format interchange
-  1226  10935eb7668d  cat pi1 ambient.cat --object 3 --format interchange
-  1225  545c6f6547b6  cat pi1 ambient.cat --object 3 --format dot
-  1102  056210395097  cat pi1 ambient.cat --object 3
-   192  674fd48d9b30  cat pi1 z12.cat --object '*'
-   111  0f03edd76739  cat analyze twins.cat --morphism 2>1:00*f
+   132  d12a28ccd19a  cat analyze ambient.cat --morphism 3>2:010 --format dot
+   134  f5f099ff613f  cat analyze ambient.cat --morphism 3>2:010 --format interchange
+   446  71d8627be66b  cat pi1 ambient.cat --object 3 --format interchange
+   445  8fa484869254  cat pi1 ambient.cat --object 3 --format dot
+   322  c867f126a55c  cat pi1 ambient.cat --object 3
+    60  c1251285080a  cat pi1 z12.cat --object '*'
+    83  07a9beb32c33  cat analyze twins.cat --morphism 2>1:00*f
     12  fd8fd7f3d6d2  cat validate fixtures/z2.cat
-    35  0f793aa9e0c0  cat pi0 fixtures/walking_arrow.cat --object 0
-    37  f52c4fcbbc6a  cat pi0 fixtures/walking_arrow.cat --object 0 --format dot
-    38  93c22a16a110  cat pi0 fixtures/walking_arrow.cat --object 0 --format interchange
+    35  55752e6de475  cat pi0 fixtures/walking_arrow.cat --object 0
+    37  fd8c3c3b2291  cat pi0 fixtures/walking_arrow.cat --object 0 --format dot
+    38  cc72fc5e9f7a  cat pi0 fixtures/walking_arrow.cat --object 0 --format interchange
     24  a38f568c01ce  cat check-terminal fixtures/walking_arrow.cat --object 0
-    37  fada145b655f  cat pi0 fixtures/primed_basepoint.cat --object 0
-    41  8e208d4f43d5  cat pi0 fixtures/primed_basepoint.cat --object 0 --format interchange
-    34  0e2f95a67723  cat pi0 clash.cat --object 1
-    37  7e163e3f965c  cat pi0 clash.cat --object 1 --format interchange
-    64  4f2e98bdfa1c  cat pi1 fixtures/pair_collision.cat --object x
-    78  eca0fbffade2  cat pi1 fixtures/pair_collision.cat --object x --format interchange
-    82  f93f9ad1a2a8  cat analyze fixtures/pair_collision.cat --morphism p
-    69  1d8714182e3b  cat pi1 bang.cat --object 2
-    78  a2dbaa7fdcd0  cat pi1 bang.cat --object 2 --format interchange
-    66  0c55695f1bc0  cat analyze bang.cat --morphism 2>2:10
+    37  afdf9da57cef  cat pi0 fixtures/primed_basepoint.cat --object 0
+    41  48a2907040c7  cat pi0 fixtures/primed_basepoint.cat --object 0 --format interchange
+    34  0530441c4e02  cat pi0 clash.cat --object 1
+    37  91f2f340e8af  cat pi0 clash.cat --object 1 --format interchange
+    64  0f3e599d91d5  cat pi1 fixtures/pair_collision.cat --object x
+    78  be32b44ed65d  cat pi1 fixtures/pair_collision.cat --object x --format interchange
+    78  0dfa71c98c71  cat analyze fixtures/pair_collision.cat --morphism p
+    58  17b6156ebdc9  cat pi1 bang.cat --object 2
+    67  0e92a7dd1bae  cat pi1 bang.cat --object 2 --format interchange
+    73  4c4f020829e4  cat analyze bang.cat --morphism 2>2:10
    300  bb625635534a  states local-act --context gf2 --dims 2,2 --fmat 10,00 --gmat 10,01
    760  4e794980a99b  states local-act --context gf2 --dims 2,3 --fmat 11,01 --gmat 101,011
     45  87a2f7a7b200  states local-act --context cartesian --sets 'a,b|c,d' --target-sets 'a|c,d' --fmap a=>a,b=>a --gmap c=>c,d=>d
@@ -321,22 +322,21 @@ CALLS = """
     24  fincat._WalkMemo.built
     31  fincat._WalkMemo.get
     31  fincat._WalkMemo.reflect
+    23  fincat._apart
     28  fincat._declarations
     24  fincat._elements_preorder
-    22  fincat._elements_preorder.names
-  3112  fincat._elements_preorder.rank
+    19  fincat._elements_preorder.names
     24  fincat._fibres
     28  fincat._generators
     24  fincat._label
     28  fincat._laws
-     2  fincat._named
+     5  fincat._named
     28  fincat._parse
-    23  fincat._ranks
-    25  fincat._read
+    28  fincat._read
     28  fincat._squares
     24  fincat._walk
      7  fincat.check_label
-    99  fincat.pair_names
+   109  fincat.pair_names
     28  fincat.parse_category
     28  fincat.validate_category
     31  homotopy._end
