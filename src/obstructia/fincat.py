@@ -16,8 +16,9 @@ are read only at parse, render and error time.  ``parse_category`` reads a
 ``.cat`` file in one pass, whatever its line order, into the name-keyed
 tables ``validate_category`` takes, and that is the one check: it puts each
 entry straight into its row, and names are read again only to say what is
-wrong with tables that raise.  Two bounded memos are all the state kept
-between calls.  The parse memo, keyed by the whole text, hands a repeat the
+wrong with tables that raise.  Two bounded memos here and the last
+powerset report (``homotopy._KEPT``) are all the state kept between
+calls.  The parse memo, keyed by the whole text, hands a repeat the
 immutable category its first read checked; failures are not kept.
 Derived constructions name their objects and morphisms canonically so
 outputs are reproducible byte for byte.  They are categories of elements of

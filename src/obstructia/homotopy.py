@@ -38,6 +38,11 @@ representatives, sends collapsed images to the basepoint, and then
 and basepoint-preserving, so a broken table shows up as an error instead
 of a silently wrong poset.
 
+A powerset report, pi0 or pi1 of a function and either laxator, is fixed
+by its description: the universe, its collapsed part, the basepoint and
+the context.  ``powerset_report`` keeps the last one it built by that key
+(``_KEPT``), so a function shown in a second format reuses its report.
+
 ``write_report`` is the one writer of a report, as text, as a DOT Hasse
 diagram or as an interchange document.  Every list of name pairs in them
 (text and DOT covers, interchange ``covers`` and ``leq``) comes from one
@@ -46,6 +51,7 @@ row generator, one ``str.join`` per element's row.
 
 from __future__ import annotations
 
+from _thread import RLock
 from collections import namedtuple
 from collections.abc import Iterable
 from functools import reduce
@@ -273,6 +279,23 @@ def subset_name(items: Iterable[str]) -> str:
     return "{" + ",".join(sorted(items)) + "}"
 
 
+class _KeptReport:
+    """The last report ``powerset_report`` built, as one pair (key, report)
+    replaced whole, so no thread reads one call's key with another's
+    report; ``hits`` counts the calls it answered since it was built, and
+    ``misses`` the others, refusals among them.  Each count holds the
+    lock.  The report is shared by every caller of its key and, like every
+    record, cannot be written to."""
+
+    __slots__ = ("last", "hits", "misses", "lock")
+
+    def __init__(self):
+        self.last, self.hits, self.misses, self.lock = (None, None), 0, 0, RLock()
+
+
+_KEPT = _KeptReport()
+
+
 def powerset_report(universe: Iterable[str], collapsed: Iterable[str], basepoint: str, context: str) -> ObstructionReport:
     """Inclusion-ordered report: basepoint below everything, survivors are
     the subsets that meet the free part F, the universe minus the collapsed
@@ -280,6 +303,13 @@ def powerset_report(universe: Iterable[str], collapsed: Iterable[str], basepoint
     elements would render alike, with UnknownObject when a collapsed name is
     not a generator, and with CapExceeded past POWERSET_CAP generators,
     before any subset is built.
+
+    The report is a function of its description (the universe's names in
+    order, the collapsed names as a set, the basepoint and the context),
+    so the last one built is kept by that key in ``_KEPT`` until the next
+    report is built, and a call with an equal key returns it: a function
+    shown in a second format builds its report once.  A call that raises
+    keeps nothing, so a refusal raises alike on every call.
 
     Subsets are bitmasks over the sorted universe, the basepoint standing
     in for the empty one, and the poset is an order by construction, so it
@@ -292,14 +322,21 @@ def powerset_report(universe: Iterable[str], collapsed: Iterable[str], basepoint
     up(S) & next_size[|S|], the elements of one generator more: one AND
     each per subset, built a list at a time.
     """
-    uni = sorted(universe)
+    given, coll = tuple(universe), frozenset(collapsed)
+    key, kept = (given, coll, basepoint, context), _KEPT
+    with kept.lock:
+        last_key, last = kept.last
+        hit = last_key == key
+        kept.hits, kept.misses = kept.hits + hit, kept.misses + (not hit)
+    if hit:
+        return last
+    uni = sorted(given)
     if any(map(eq, uni, islice(uni, 1, None))):
         raise InvalidPoset(f"two generators render as {next(a for a, b in zip(uni, uni[1:]) if a == b)!r}")
     n = len(uni)
     if n > POWERSET_CAP:
         raise CapExceeded(f"powerset of {n} generators exceeds cap {POWERSET_CAP}")
     index = dict(zip(uni, range(n)))
-    coll = set(collapsed)
     unknown = coll - index.keys()
     if unknown:
         raise UnknownObject(min(unknown))
@@ -335,7 +372,9 @@ def powerset_report(universe: Iterable[str], collapsed: Iterable[str], basepoint
     ups = tuple(map(up.__getitem__, masks))
     covers = map(and_, ups, map(next_size.__getitem__, reversed(counts)))
     p = order.Poset(elems, ups, tuple(covers))
-    return report_from_pointed(order.PointedPoset(p, basepoint), context)
+    r = report_from_pointed(order.PointedPoset(p, basepoint), context)
+    kept.last = key, r
+    return r
 
 
 # -- rendering ----------------------------------------------------------------

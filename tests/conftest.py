@@ -5,7 +5,7 @@ sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
 import pytest
 
-from obstructia import fincat
+from obstructia import fincat, homotopy
 
 
 def base_seed() -> int:
@@ -19,7 +19,9 @@ def seed() -> int:
 
 @pytest.fixture(autouse=True)
 def cold_memos(monkeypatch):
-    """Every test starts with no text parsed and no walk taken, so what it
-    exercises does not depend on which tests ran before it."""
+    """Every test starts with no text parsed, no walk taken and no powerset
+    report kept, so what it exercises does not depend on which tests ran
+    before it."""
     fincat._parse.cache_clear()
     monkeypatch.setattr(fincat, "_WALKS", fincat._WalkMemo())
+    monkeypatch.setattr(homotopy, "_KEPT", homotopy._KeptReport())

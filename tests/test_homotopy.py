@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 import gen
 import oracles
 from obstructia import cli, fincat, homotopy, order
-from obstructia.errors import InvalidPoset, OracleMismatch, SizeCapExceeded, UnknownMorphism, UnknownObject
+from obstructia.errors import CapExceeded, InvalidPoset, OracleMismatch, SizeCapExceeded, UnknownMorphism, UnknownObject
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "..", "fixtures")
 PAIR_COLLISION = os.path.join(FIXTURES, "pair_collision.cat")
@@ -1098,3 +1098,112 @@ class TestReportSerialization:
             text = written(r)
             assert text == oracles.interchange(r)
             assert '"covers": [],' in text and '"minimal": [],' in text
+
+
+class TestKeptPowersetReport:
+    """``homotopy._KEPT``: the last powerset report built, kept by its
+    description, is what a call with an equal description returns, and it
+    equals a report built afresh."""
+
+    KEY = (["g5", "g1", "g3", "g0", "g4", "g2", "g7", "g6"], ["g1", "g6"], "{}", "ctx")
+
+    def fresh(self, monkeypatch, *key):
+        monkeypatch.setattr(homotopy, "_KEPT", homotopy._KeptReport())
+        return homotopy.powerset_report(*key)
+
+    def test_an_equal_key_returns_the_kept_report(self, monkeypatch):
+        universe, collapsed, basepoint, context = self.KEY
+        kept = homotopy.powerset_report(iter(universe), collapsed, basepoint, context)
+        # the universe in the same order, the collapsed names as another set
+        again = homotopy.powerset_report(tuple(universe), {"g6", "g1"}, basepoint, context)
+        assert again is kept
+        assert (homotopy._KEPT.hits, homotopy._KEPT.misses) == (1, 1)
+        fresh = self.fresh(monkeypatch, *self.KEY)
+        assert fresh is not kept and fresh == kept
+        p, q = kept.invariant.poset, fresh.invariant.poset
+        assert (p.elements, p.up, p.cover_masks) == (q.elements, q.up, q.cover_masks)
+        assert kept.minimal == fresh.minimal == frozenset({"{g0}", "{g2}", "{g3}", "{g4}", "{g5}", "{g7}"})
+        for fmt in ("text", "dot", "interchange"):
+            assert written(kept, fmt) == written(fresh, fmt)
+
+    @pytest.mark.parametrize("part, value", [
+        (0, ["g0", "g1", "g2", "g3", "g4", "g5", "g6", "g7"]),
+        (1, ["g1"]),
+        (2, "[x]"),
+        (3, "other ctx"),
+    ], ids=["universe order", "collapsed set", "basepoint", "context"])
+    def test_a_key_that_differs_is_built_afresh(self, part, value, monkeypatch):
+        key = list(self.KEY)
+        key[part] = value
+        kept = homotopy.powerset_report(*self.KEY)
+        other = homotopy.powerset_report(*key)
+        assert other is not kept
+        assert (homotopy._KEPT.hits, homotopy._KEPT.misses) == (0, 2)
+        assert homotopy.powerset_report(*self.KEY) is not kept
+        assert (homotopy._KEPT.hits, homotopy._KEPT.misses) == (0, 3)
+        assert other == self.fresh(monkeypatch, *key)
+        assert (other.context, other.invariant.basepoint) == (key[3], key[2])
+
+    @pytest.mark.parametrize("universe, collapsed, error, message", [
+        (["a", "b", "a"], [], InvalidPoset, "two generators render as 'a'"),
+        (["a", "b"], ["b", "z"], UnknownObject, "no such object: 'z'"),
+        ([f"g{i:02}" for i in range(13)], [], CapExceeded, "powerset of 13 generators exceeds cap 12"),
+        (["a", "b", "a,b"], [], InvalidPoset, "two elements render as '{a,b}'"),
+    ], ids=["repeated generator", "unknown collapsed name", "13 generators", "elements alike"])
+    def test_a_refusal_keeps_nothing(self, universe, collapsed, error, message):
+        kept = homotopy.powerset_report(*self.KEY)
+        for _ in range(2):
+            with pytest.raises(error) as exc:
+                homotopy.powerset_report(universe, collapsed, "{}", "ctx")
+            assert str(exc.value) == message
+        assert homotopy._KEPT.last[1] is kept
+        assert homotopy.powerset_report(*self.KEY) is kept
+        assert (homotopy._KEPT.hits, homotopy._KEPT.misses) == (1, 3)
+
+    def test_threads_read_their_own_reports(self, tmp_path, monkeypatch):
+        # two functions into one codomain with different images, so their
+        # keys differ only in the collapsed set; each thread shows its own
+        # function again and again, each build yields to the other thread
+        # before it is kept, and the threads switch every microsecond, so
+        # the kept report changes hands mid-call
+        paths = []
+        for name, image in (("f", "y0, x1=>y1"), ("g", "y2, x1=>y3")):
+            path = tmp_path / f"{name}.fn"
+            path.write_text(f"fn {name} : {{x0,x1}} -> {{y0,y1,y2,y3,y4,y5}} ; x0=>{image}\n", encoding="utf-8")
+            paths.append(str(path))
+        want = []
+        for path in paths:
+            buf = io.StringIO()
+            assert cli.run(["set", "pi0", "--fn", path], buf) == 0
+            want.append(buf.getvalue())
+        assert want[0] != want[1]
+        build = homotopy.report_from_pointed
+        monkeypatch.setattr(homotopy, "report_from_pointed", lambda *args: time.sleep(0) or build(*args))
+        monkeypatch.setattr(homotopy, "_KEPT", homotopy._KeptReport())
+        got, errors, start = {}, [], threading.Barrier(2)
+
+        def work(t):
+            try:
+                start.wait(timeout=60)
+                outs = []
+                for _ in range(100):
+                    buf = io.StringIO()
+                    assert cli.run(["set", "pi0", "--fn", paths[t]], buf) == 0
+                    outs.append(buf.getvalue())
+                got[t] = outs
+            except Exception as exc:  # reported below
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(t,)) for t in range(2)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads) and not errors
+        assert got == {t: [want[t]] * 100 for t in range(2)}
+        assert homotopy._KEPT.hits + homotopy._KEPT.misses == 200

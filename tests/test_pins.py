@@ -28,7 +28,7 @@ import pytest
 
 import gen
 import obstructia
-from obstructia import cli, fincat
+from obstructia import cli, fincat, homotopy
 from obstructia import opengraph as og
 
 ROOT = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..")
@@ -179,6 +179,20 @@ def test_cat_rows_with_a_warm_memo(argv_of, capsys):
     assert fincat._parse.cache_info().hits >= len(rows)
 
 
+def test_set_rows_with_a_kept_report(argv_of, capsys):
+    """Every test starts with no powerset report kept.  Here the six `set`
+    rows run back to back in one process, so each function's second and
+    third formats render the report its first one kept, and every output
+    matches the pin."""
+    rows = [(row, digest) for row, digest in ROWS if row.startswith("set ")]
+    assert len(rows) == 6
+    for row, digest in rows:
+        got = run_digest(argv_of(row))
+        assert got == digest, f"{row} (kept report): output sha256 {got}, pinned {digest}"
+    assert capsys.readouterr().err == ""
+    assert (homotopy._KEPT.hits, homotopy._KEPT.misses) == (4, 2)
+
+
 @pytest.mark.parametrize("row", ENTRY_POINTS)
 def test_module_entry_point(row, argv_of):
     argv = [sys.executable, "-W", "error", "-m", "obstructia.cli", *argv_of(row)]
@@ -208,6 +222,7 @@ UNREACHED = {
     # import time
     "__init__.__getattr__": "import time: a submodule's first load, in the child processes of test_cli.py::TestLoadSet",
     "fincat._WalkMemo.__init__": "import time: the walk memo, built when fincat loads, and afresh for each test by conftest.py",
+    "homotopy._KeptReport.__init__": "import time: the kept powerset report, built when homotopy loads, and afresh for each test by conftest.py",
     "cli._spec": "import time: each usage line of COMMANDS, read once into cli._SPECS when cli loads",
     # a child process
     "cli.main": "the child process of test_module_entry_point",
@@ -439,7 +454,7 @@ def src_defs() -> dict:
 
 def profile_row(argv, defs) -> Counter:
     """The calls into each def of src/ while `cli.run(argv)` runs, with a
-    cold parse memo and a cold walk memo.  A generator counts once, at its first call event:
+    cold parse memo, a cold walk memo and no powerset report kept.  A generator counts once, at its first call event:
     `sys.setprofile` sees a call event at each resumption too.  Its frames
     are held until the row ends, so that no later frame is taken for one
     already counted."""
@@ -456,6 +471,7 @@ def profile_row(argv, defs) -> Counter:
 
     fincat._parse.cache_clear()
     fincat._WALKS = fincat._WalkMemo()
+    homotopy._KEPT = homotopy._KeptReport()
     sys.setprofile(hook)
     try:
         code = cli.run(argv, SimpleNamespace(write=len))

@@ -32,6 +32,9 @@ def nat_trans():
 
 
 def report():
+    """A report built afresh: the kept one is dropped first, so two builds
+    are two objects."""
+    homotopy._KEPT = homotopy._KeptReport()
     return homotopy.powerset_report(["a", "b"], ["a"], "{}", "ctx")
 
 
