@@ -516,18 +516,19 @@ class _WalkMemo:
     entry is kept whole while the elements kept (walked, or classes
     reflected) stay within ``OBJECTS_CAP``, a walk dropping the oldest
     first to make room, a reflection none; ``hits`` and ``misses`` count
-    walk reads since the memo was built, ``reused`` and ``validated``
-    reflections, and ``named`` the element names built.  Each read and
-    count holds one lock, so threads that share the memo cannot interleave
-    a switch of category with a read; a reflection counts the names it
-    builds while it holds it.  Entries are shared by every reader of a key
+    walk reads since the memo was built, ``reused`` reflections (renamed
+    from what was kept) and ``fresh`` ones (built afresh), and ``named``
+    the element names built.  Each read and count holds one lock, so
+    threads that share the memo cannot interleave a switch of category
+    with a read; a reflection counts the names it builds while it holds
+    it.  Entries are shared by every reader of a key
     and must not be written to."""
 
-    __slots__ = ("of", "apart", "walks", "kept", "hits", "misses", "reused", "validated", "named", "lock")
+    __slots__ = ("of", "apart", "walks", "kept", "hits", "misses", "reused", "fresh", "named", "lock")
 
     def __init__(self):
         self.of, self.apart, self.walks, self.kept = None, None, {}, 0
-        self.hits = self.misses = self.reused = self.validated = self.named = 0
+        self.hits = self.misses = self.reused = self.fresh = self.named = 0
         self.lock = RLock()
 
     def get(self, c: FinCat, key, walk):
@@ -563,7 +564,7 @@ class _WalkMemo:
             mine = self.of is c and ranked
             kept = self.walks.get((key, low)) if mine else None
             got, keep = reflect(kept)
-            self.reused, self.validated = self.reused + (keep is None), self.validated + (keep is not None)
+            self.reused, self.fresh = self.reused + (keep is None), self.fresh + (keep is not None)
             if mine and kept is None and self.kept + len(keep[1]) <= OBJECTS_CAP:
                 self.walks[key, low], self.kept = keep, self.kept + len(keep[1])
             return got

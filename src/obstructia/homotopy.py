@@ -24,9 +24,9 @@ equalises by the partition h |-> h;f induces on hom(-, x), which pi1 at x
 shares with every f of constant kernel, and the objects' preorder by 0.
 Only the names and the pointing depend on f.  In a ranked walk
 (``fincat._apart``) an element sorts by its position, whatever f, so
-the memo keeps each reflection's representatives and masks, validated, by
-walk and lower set: the reflection reads its base only as the lower
-set of the base's class, so every f in one class of a slice shares it.
+the memo keeps each reflection's representatives and masks by walk and
+lower set: the reflection reads its base only as the lower set of the
+base's class, so every f in one class of a slice shares it.
 Every later call there names only those representatives and reuses the
 masks, unless its basepoint sorts to another place (``order.reflection``);
 ``report_from_pointed`` still checks every report.  A flow points each
@@ -313,7 +313,7 @@ def powerset_report(universe: Iterable[str], collapsed: Iterable[str], basepoint
 
     Subsets are bitmasks over the sorted universe, the basepoint standing
     in for the empty one, and the poset is an order by construction, so it
-    is built directly, not through ``order.from_masks``.  In a Boolean
+    is built directly, as every poset of the engine is.  In a Boolean
     lattice up(S) is the intersection of the up({i}), i in S (Davey and
     Priestley).  So once the elements are sorted, per-generator masks over
     their positions are read off at C speed, one byte translation each:

@@ -288,9 +288,9 @@ def act(hom: GraphHom, h: OpenGraph) -> tuple[Relation, order.PointedMap]:
 def parse_open_graph(text: str) -> OpenGraph:
     """Read the text format above in one pass.  Comments are cut only when
     the text has a '#', and edge, leg and vertex lines, the bulk of a file,
-    are tried first.  A line that does not parse, an empty boundary label,
-    or a repeated label, vertex, edge or leg is a ParseError naming the
-    line."""
+    are tried first.  A line that does not parse, an empty boundary label
+    or one that holds whitespace, or a repeated label, vertex, edge or leg
+    is a ParseError naming the line."""
     boundary: dict[str, dict[str, None]] = {}  # labels in order of appearance
     vertices: set[str] = set()
     edges: set[tuple[str, str]] = set()
@@ -325,6 +325,8 @@ def parse_open_graph(text: str) -> OpenGraph:
                 x = x.strip()
                 if not x:
                     raise ParseError(f"line {lineno}: empty {parts[0][:-1]} label")
+                if " " in x:  # no in or out line could give it a leg
+                    raise ParseError(f"line {lineno}: {parts[0][:-1]} label {x!r} holds whitespace")
                 if x in labels:
                     raise ParseError(f"line {lineno}: duplicate {parts[0][:-1]} {x!r}")
                 labels[x] = None

@@ -18,13 +18,11 @@ and DOT string quoting.  Reports, Hasse diagrams included, are written by
 ``homotopy.write_report``, and read their minimal obstructions off the
 cover masks (``homotopy.report_from_pointed``).
 
-Every poset carries its cover masks.  ``from_masks`` validates every poset
-built here and computes them on the way, as the transitive reduction, with
-two exceptions.  A reflection renamed from what one at the same
-down-masks, lower set and sort keys kept reuses the masks validated
-there.  ``homotopy.powerset_report`` builds orders by construction, so it
-builds ``Poset`` directly, cover masks included, and the tests check it
-against ``from_masks``.
+Every poset the engine builds carries its cover masks and is an order by
+construction, built as ``Poset`` directly: by ``reflection`` (a renamed
+reflection reuses the masks kept) and by ``homotopy.powerset_report``.
+The tests check each one against the validator they keep,
+``oracles.from_masks``.
 """
 
 from __future__ import annotations
@@ -32,7 +30,9 @@ from __future__ import annotations
 from bisect import bisect_left
 from collections import namedtuple
 from collections.abc import Mapping
+from functools import reduce
 from itertools import compress
+from operator import or_
 
 from .errors import InvalidMap, InvalidPoset
 
@@ -73,41 +73,9 @@ def _pick(seq, m: int):
 # j with elements[i] <= elements[j], and ``cover_masks`` the covers of each
 # element: bit j of cover_masks[i] set when elements[j] covers elements[i].
 # The covers follow from (elements, up), so equality and hashing compare
-# posets by their order.  Build one with ``from_masks`` from up-masks, which
-# validates.  ``homotopy.powerset_report`` builds its posets directly,
-# unvalidated, and its check lives in the tests.
+# posets by their order.  Every poset is built directly, an order by
+# construction, and the tests check each against their validator.
 Poset = namedtuple("Poset", "elements up cover_masks")
-
-
-def from_masks(elements: tuple[str, ...], up: list[int]) -> Poset:
-    """The one poset validator: reflexivity, then antisymmetry (no j in the
-    strict up-set of i has i in its own), then transitivity (for each j in
-    up[i], up[j] inside up[i]), each failure reported at its least witness
-    in sort order.  The cover masks it computes on the way go into the
-    result: the covers of a are its strict up-set minus every element
-    strictly above one of them, the transitive reduction (Aho, Garey and
-    Ullman)."""
-    for i, e in enumerate(elements):
-        if not up[i] >> i & 1:
-            raise InvalidPoset(f"not reflexive at {e!r}")
-    strict = [u ^ 1 << i for i, u in enumerate(up)]
-    covers = []
-    broken = None  # least (i, j) with up[j] not inside up[i]
-    for i, ui in enumerate(up):
-        above = 0
-        for j in _bits(strict[i]):
-            if strict[j] >> i & 1:  # the least i, and its least j
-                raise InvalidPoset(f"antisymmetry fails on {elements[i]!r}, {elements[j]!r}")
-            above |= strict[j]
-            if broken is None and up[j] | ui != ui:
-                broken = (i, j)
-        covers.append(strict[i] & ~above)
-    if broken is not None:
-        i, j = broken
-        gap = up[j] & ~up[i]
-        c = elements[(gap & -gap).bit_length() - 1]
-        raise InvalidPoset(f"transitivity fails on {elements[i]!r} <= {elements[j]!r} <= {c!r}")
-    return Poset(elements, tuple(up), tuple(covers))
 
 
 class PointedPoset(namedtuple("PointedPoset", "poset basepoint")):
@@ -166,27 +134,32 @@ def make_pointed(source: PointedPoset, target: PointedPoset, mapping: Mapping[st
 
 def reflection(rank, down: list[int], base: int, basepoint_name: str, names, kept=None):
     """Reflect a preorder given by down-masks (bit j of down[i] set when
-    element j <= element i), reflexive and transitive as given, and
-    collapse the lower set of the class of position ``base``, low =
-    down[base], to a basepoint: one pass that sorts and names only the
-    surviving classes.  ``rank`` is each position's sort key, which sorts
-    the elements as their names do, and ``names`` names a list of
-    positions.  In a preorder the class of i is the set of elements with
-    down-mask down[i], and it is named and represented by its least
-    member: the survivors, sorted once, give each surviving mask its least
-    member, in order.  Only the representatives are named.  The basepoint
-    is ``basepoint_name``, with ``'`` added while a class has that name.
-    The classes below one are the representatives in its representative's
-    down-mask, read through one mask with a bit per representative, and
-    the basepoint lies below exactly the classes whose masks meet low.
-    ``from_masks`` validates the result.  Returns the pointed poset and
-    what to keep: the up- and cover masks and the basepoint's place, then
-    the representatives.  The base is read only through low, so what is
-    kept holds for every base with that lower set.  Given ``kept``, taken
-    at these down-masks and lower set under the same sort key, its
-    representatives are named and its masks, validated there, reused, and
-    there is nothing to keep; unless the basepoint sorts to another place
-    among the new names, which is reflected afresh."""
+    element j <= element i), and collapse the lower set of the class of
+    position ``base``, low = down[base], to a basepoint: one pass that
+    sorts and names only the surviving classes.  ``rank`` is each
+    position's sort key, which sorts the elements as their names do, and
+    ``names`` names a list of positions.  In a preorder the class of i is
+    the set of elements with down-mask down[i], and it is named and
+    represented by its least member: the survivors, sorted once, give each
+    surviving mask its least member, in order.  Only the representatives
+    are named.  The basepoint is ``basepoint_name``, with ``'`` added while
+    a class has that name.  The classes below one are the representatives
+    in its representative's down-mask, read through one mask with a bit per
+    representative, and the basepoint lies below exactly the classes whose
+    masks meet low.  The quotient is an order by construction, so its
+    ``Poset`` is built directly: the covers of a class are its strict
+    up-set minus the strict up-sets of its members, the transitive
+    reduction (Aho, Garey and Ullman).  The precondition, met by every
+    caller, is reflexive and transitive down-masks (a validated category's
+    morphisms, the walks of ``fincat``, the states star); nothing here
+    checks it, and on any other input the result is no order.  Returns the
+    pointed poset and what to keep: the up- and cover masks and the
+    basepoint's place, then the representatives.  The base is read only
+    through low, so what is kept holds for every base with that lower set.
+    Given ``kept``, taken at these down-masks and lower set under the same
+    sort key, its representatives are named and its masks, built there,
+    reused, and there is nothing to keep; unless the basepoint sorts to
+    another place among the new names, which is reflected afresh."""
     if kept is not None:
         (up, covers, at), reps = kept
         elems = names(reps)
@@ -216,8 +189,9 @@ def reflection(rank, down: list[int], base: int, basepoint_name: str, names, kep
             j = below & -below
             up[pos[j]] |= bit
             below ^= j
-    p = from_masks(tuple(elems), up)
-    return PointedPoset(p, bp), ((p.up, p.cover_masks, at), reps)
+    strict = [u ^ 1 << i for i, u in enumerate(up)]
+    up, covers = tuple(up), tuple(s & ~reduce(or_, _at(strict, s), 0) for s in strict)
+    return PointedPoset(Poset(tuple(elems), up, covers), bp), ((up, covers, at), reps)
 
 
 def _free(name: str, taken: list[str]) -> str:

@@ -1,3 +1,4 @@
+import functools
 import os
 import sys
 
@@ -5,7 +6,8 @@ sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
 import pytest
 
-from obstructia import fincat, homotopy
+import oracles
+from obstructia import fincat, homotopy, order
 
 
 def base_seed() -> int:
@@ -25,3 +27,40 @@ def cold_memos(monkeypatch):
     fincat._parse.cache_clear()
     monkeypatch.setattr(fincat, "_WALKS", fincat._WalkMemo())
     monkeypatch.setattr(homotopy, "_KEPT", homotopy._KeptReport())
+
+
+# The fields of a built poset that differ from its ``oracles.from_masks``
+# rebuild, by poset: a poset met again, such as a report shown in a second
+# format, is checked once.
+_differs = functools.lru_cache(maxsize=256)(oracles.trusted_differs)
+
+
+def _checked(p: order.Poset) -> None:
+    differs = _differs(p)
+    assert not differs, f"{differs} differ from the from_masks rebuild of {p.elements}"
+
+
+@pytest.fixture(autouse=True)
+def checked_posets(monkeypatch):
+    """The engine builds every poset as an order by construction, and no
+    validator runs in ``src/``: in every test, each reflection, fresh or
+    renamed from what was kept (the states star among them), and each
+    powerset report is checked against ``oracles.from_masks``.  The
+    builders stay reachable unchecked as ``__wrapped__``, for a test that
+    hands one an input no caller passes."""
+    reflect, powerset = order.reflection, homotopy.powerset_report
+
+    @functools.wraps(reflect)
+    def reflection(*args, **kwargs):
+        got = reflect(*args, **kwargs)
+        _checked(got[0].poset)
+        return got
+
+    @functools.wraps(powerset)
+    def powerset_report(*args, **kwargs):
+        r = powerset(*args, **kwargs)
+        _checked(r.invariant.poset)
+        return r
+
+    monkeypatch.setattr(order, "reflection", reflection)
+    monkeypatch.setattr(homotopy, "powerset_report", powerset_report)

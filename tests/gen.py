@@ -11,7 +11,7 @@ exhaustive validators, so a generator bug cannot silently leak.
 
 import functools
 from dataclasses import dataclass
-from itertools import product
+from itertools import combinations_with_replacement, permutations, product
 
 import oracles
 from obstructia import fincat, homotopy, opengraph, order, setcat, states
@@ -332,6 +332,104 @@ def ambient_pi1_map(generic: homotopy.ObstructionReport, sl, mor: str) -> dict[s
             h0, h1 = (_images(sl.projection.mor_map[sl.cat.morphisms[h].name]) for h in pairs[e])
             out[e] = homotopy.subset_name(set(fincat.pair_names(zip(h0, h1))))
     return out
+
+
+# -- every small category ------------------------------------------------------
+
+
+def small_categories(n: int):
+    """Every category with at most n morphisms, once up to isomorphism, by
+    size: objects 0, 1, ... with identities id0, id1, ..., and the other
+    morphisms f0, f1, ...  For each count of objects the identities are
+    fixed, the other morphisms' (dom, cod) chosen as a multiset, and
+    composition filled one composable pair at a time (``_compositions``).
+    A category is yielded at its first canonical form (``_canonical``).
+    Each goes through ``fincat.validate_category``.  The counts by size
+    are those of OEIS A125696: 1, 3, 11, 55, 329, ..."""
+    seen = set()
+    for m in range(1, n + 1):
+        for k in range(1, m + 1):
+            for arrows in combinations_with_replacement(list(product(range(k), repeat=2)), m - k):
+                for table in _compositions(k, arrows):
+                    form = _canonical(k, arrows, table)
+                    if form not in seen:
+                        seen.add(form)
+                        yield _small_category(k, arrows, table)
+
+
+def _ends(k: int, arrows) -> list[tuple[int, int]]:
+    """(dom, cod) of each morphism: the k identities, then the arrows."""
+    return [(x, x) for x in range(k)] + list(arrows)
+
+
+def _compositions(k: int, arrows):
+    """Every associative composition of k identities and the given arrows,
+    each a dict (f, g) -> f;g over the composable pairs of non-identities,
+    by index.  Backtracking: each value is typed, and every composable
+    triple whose composites are all known is checked at each step."""
+    ends = _ends(k, arrows)
+    others = range(k, len(ends))
+    pairs = [(f, g) for f in others for g in others if ends[f][1] == ends[g][0]]
+    triples = [(f, g, h) for f, g in pairs for h in others if ends[g][1] == ends[h][0]]
+    values = [[h for h in range(len(ends)) if ends[h] == (ends[f][0], ends[g][1])] for f, g in pairs]
+    table: dict = {}
+
+    def comp(f, g):
+        return g if f < k else f if g < k else table.get((f, g))
+
+    def associative():
+        for f, g, h in triples:
+            fg, gh = comp(f, g), comp(g, h)
+            if fg is not None and gh is not None:
+                left, right = comp(fg, h), comp(f, gh)
+                if left is not None and right is not None and left != right:
+                    return False
+        return True
+
+    def fill(i):
+        if i == len(pairs):
+            yield dict(table)
+            return
+        for h in values[i]:
+            table[pairs[i]] = h
+            if associative():
+                yield from fill(i + 1)
+        table.pop(pairs[i], None)
+
+    yield from fill(0)
+
+
+def _canonical(k: int, arrows, table) -> tuple:
+    """The least encoding, (dom, cod) of each arrow and the composition
+    table, over every relabelling of the objects and of the arrows: a
+    brute force, k! times (number of arrows)! encodings."""
+    ends = _ends(k, arrows)
+    forms = []
+    for objects in permutations(range(k)):
+        for relabel in permutations(range(k, len(ends))):
+            new = {**dict(zip(range(k), objects)), **{old: k + i for i, old in enumerate(relabel)}}
+            forms.append((tuple((objects[ends[o][0]], objects[ends[o][1]]) for o in relabel),
+                          tuple(sorted((new[f], new[g], new[h]) for (f, g), h in table.items()))))
+    return k, min(forms)
+
+
+def _small_category(k: int, arrows, table) -> fincat.FinCat:
+    ends = _ends(k, arrows)
+    names = [f"id{x}" for x in range(k)] + [f"f{i}" for i in range(len(arrows))]
+    comp = {(names[f], names[g]): names[h] for (f, g), h in table.items()}
+    for f, (d, c) in enumerate(ends):
+        comp[names[d], names[f]] = comp[names[f], names[c]] = names[f]
+    objects = [str(x) for x in range(k)]
+    morphisms = [(names[f], objects[d], objects[c]) for f, (d, c) in enumerate(ends)]
+    return fincat.validate_category(objects, morphisms, dict(zip(objects, names)), comp)
+
+
+def relabelled(c: fincat.FinCat, rng, alphabet: str) -> fincat.FinCat:
+    """c with its objects and morphism ids renamed to distinct words of 1
+    to 3 characters of alphabet, drawn from rng."""
+    ids = [*c.objects, *morphism_names(c)]
+    words = [w for n in (1, 2, 3) for w in map("".join, product(alphabet, repeat=n))]
+    return renamed(c, dict(zip(ids, rng.sample(words, len(ids)))))
 
 
 # -- random categories ------------------------------------------------------

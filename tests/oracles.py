@@ -7,11 +7,16 @@ tautology.  The one exception is ``covariance_map``: it builds the flow
 through the materialised slices and their projections, the construction
 that the library now reads off the category directly.
 
+The validator section keeps ``from_masks``, the mask validator the
+library ran on its reflections until every poset it builds was an order
+by construction; ``trusted_differs`` checks such a poset against it, and
+the tests run it on every reflection and powerset report (``conftest``).
+
 The two-step section keeps the pipeline that ``order.reflection``
 replaced: reflect every class (``_reflect``, and ``poset_reflection`` over
 a category's objects), then collapse the lower closure of the basepoint's
 class (``lower_closure``, ``collapse_lower``), each step validated by
-``order.from_masks``; ``two_step`` chains them as the library's routine is
+``from_masks``; ``two_step`` chains them as the library's routine is
 called.
 
 The category section keeps what ``fincat`` replaced: the composition
@@ -43,7 +48,7 @@ from types import MappingProxyType
 from typing import Iterable, NamedTuple
 
 from obstructia import fincat, homotopy, order
-from obstructia.order import PointedPoset, Poset, _bits, from_masks
+from obstructia.order import PointedPoset, Poset, _bits
 from obstructia.errors import (
     BadCompositionTyping,
     DanglingReference,
@@ -420,6 +425,54 @@ def slice_category(c, x):
 def parallel_arrows(c, x):
     """Category of ordered parallel pairs (f0, f1): y -> x (k = 2)."""
     return _elements_category(c, x, 2)
+
+
+# -- the poset validator ------------------------------------------------------
+
+
+def from_masks(elements: tuple[str, ...], up: list[int]) -> Poset:
+    """The validator of every poset the library builds: reflexivity, then
+    antisymmetry (no j in the strict up-set of i has i in its own), then
+    transitivity (for each j in up[i], up[j] inside up[i]), each failure
+    reported at its least witness in sort order.  The cover masks it computes on the way go into the
+    result: the covers of a are its strict up-set minus every element
+    strictly above one of them, the transitive reduction (Aho, Garey and
+    Ullman)."""
+    for i, e in enumerate(elements):
+        if not up[i] >> i & 1:
+            raise InvalidPoset(f"not reflexive at {e!r}")
+    strict = [u ^ 1 << i for i, u in enumerate(up)]
+    covers = []
+    broken = None  # least (i, j) with up[j] not inside up[i]
+    for i, ui in enumerate(up):
+        above = 0
+        for j in _bits(strict[i]):
+            if strict[j] >> i & 1:  # the least i, and its least j
+                raise InvalidPoset(f"antisymmetry fails on {elements[i]!r}, {elements[j]!r}")
+            above |= strict[j]
+            if broken is None and up[j] | ui != ui:
+                broken = (i, j)
+        covers.append(strict[i] & ~above)
+    if broken is not None:
+        i, j = broken
+        gap = up[j] & ~up[i]
+        c = elements[(gap & -gap).bit_length() - 1]
+        raise InvalidPoset(f"transitivity fails on {elements[i]!r} <= {elements[j]!r} <= {c!r}")
+    return Poset(elements, tuple(up), tuple(covers))
+
+
+def trusted_differs(p):
+    """The fields of a poset the library built, an order by construction,
+    that differ from the validated rebuild by from_masks: up- and cover
+    masks, and the Hasse pairs.  A poset that is no order raises here."""
+    checked = from_masks(p.elements, list(p.up))
+    fields = [
+        ("elements", p.elements == checked.elements),
+        ("up", p.up == checked.up),
+        ("cover_masks", p.cover_masks == checked.cover_masks),
+        ("hasse", cover_pairs(p) == cover_pairs(checked)),
+    ]
+    return [name for name, same in fields if not same]
 
 
 # -- the two-step pointed reflection ----------------------------------------
@@ -865,7 +918,7 @@ def make_poset(elements, leq):
 
 def poset_from_pairs(elements, leq):
     """The library's ``Poset`` from name pairs, validated by
-    ``order.from_masks``; elements are stored sorted so equal posets built
+    ``from_masks``; elements are stored sorted so equal posets built
     in different orders compare equal."""
     elems = tuple(sorted(set(elements)))
     index = {e: i for i, e in enumerate(elems)}
@@ -880,7 +933,7 @@ def poset_from_pairs(elements, leq):
     if unknown:
         a, b = min(unknown)
         raise InvalidPoset(f"relation mentions unknown element ({a!r}, {b!r})")
-    return order.from_masks(elems, up)
+    return from_masks(elems, up)
 
 
 def make_monotone(source, target, mapping):

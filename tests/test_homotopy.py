@@ -3,6 +3,7 @@ import io
 import json
 import os
 import random
+import re
 import sys
 import threading
 import time
@@ -271,30 +272,36 @@ class TestPointedReflection:
         assert (pp.basepoint, pp.poset.elements, class_of) == ("[b]", ("A", "[b]"), ["A", "A", "[b]"])
         assert (pp, class_of) == oracles.two_step(names, down, 2, "[b]")
 
-    @pytest.mark.parametrize("down", [
-        [0b0001, 0b0010, 0b0110, 0b1100],  # a; b; b <= c; c <= d, not b <= d
-        [0b0001, 0b0011, 0b0110, 0b1100],  # a <= b; b <= c; c <= d, not b <= d
-    ])
-    def test_non_transitive_survivors_raise(self, down):
+    @pytest.mark.parametrize("down, witness", [
+        ([0b0001, 0b0010, 0b0110, 0b1100], "'b' <= 'c' <= 'd'"),  # a; b; b <= c; c <= d, not b <= d
+        ([0b0001, 0b0011, 0b0110, 0b1100], "'[a]' <= 'b' <= 'c'"),  # a <= b; b <= c; c <= d, not b <= d
+    ], ids=["down0", "down1"])
+    def test_non_transitive_survivors_raise(self, down, witness):
+        # no caller passes a preorder that is not transitive, and the
+        # reflection builds its poset unchecked (the builder itself, not
+        # the checked one the tests install): the validator the tests keep
+        # refuses what it returns, at the least witness
         names = ["a", "b", "c", "d"]
-        with pytest.raises(InvalidPoset, match="transitivity"):
-            order.reflection(names.__getitem__, down, 0, "[a]", fincat._read(names))
+        pp, _ = order.reflection.__wrapped__(names.__getitem__, down, 0, "[a]", fincat._read(names))
+        with pytest.raises(InvalidPoset, match=re.escape(f"transitivity fails on {witness}")):
+            oracles.from_masks(pp.poset.elements, list(pp.poset.up))
         with pytest.raises(InvalidPoset):
             oracles.two_step(names, down, 0, "[a]")
 
 
 class TestOneReflectionPerCategory:
     """One walk per distinct (category, key), one pointed reflection per
-    end, and one validation per distinct (walk, lower set): the walks
+    end, and one fresh reflection per distinct (walk, lower set): the walks
     taken, the misses of ``fincat._WALKS`` from cold, the
-    ``order.reflection`` calls and the ``order.from_masks`` calls, exact.
-    A reflection at a (walk, lower set) already validated renames the masks
-    kept there, whatever its base, and nothing else is validated."""
+    ``order.reflection`` calls and those that build afresh, exact, each
+    fresh one counted both by what it keeps and by ``fincat._WALKS.fresh``.
+    A reflection at a (walk, lower set) already reflected renames the masks
+    kept there, whatever its base, and nothing else is built afresh."""
 
     @pytest.fixture
     def count(self, monkeypatch):
-        walks, reflections, validated = [], [], []
-        get, reflect, validate = fincat._WalkMemo.get, fincat._WalkMemo.reflect, order.from_masks
+        walks, reflections, fresh = [], [], []
+        get, reflect, build = fincat._WalkMemo.get, fincat._WalkMemo.reflect, order.reflection
 
         def counted_get(memo, c, key, walk):
             def counted_walk():
@@ -307,24 +314,26 @@ class TestOneReflectionPerCategory:
             reflections.append((id(at[0]), at[1], low))
             return reflect(memo, at, low, fn)
 
-        def counted_validate(*args):
-            validated.append(1)
-            return validate(*args)
+        def counted_build(*args):
+            got = build(*args)
+            if got[1] is not None:
+                fresh.append(args)
+            return got
 
         monkeypatch.setattr(fincat._WalkMemo, "get", counted_get)
         monkeypatch.setattr(fincat._WalkMemo, "reflect", counted_reflect)
-        monkeypatch.setattr(order, "from_masks", counted_validate)
+        monkeypatch.setattr(order, "reflection", counted_build)
 
         def run(fn, *args):
             monkeypatch.setattr(fincat, "_WALKS", fincat._WalkMemo())
             walks.clear()
             reflections.clear()
-            validated.clear()
+            fresh.clear()
             fn(*args)
             assert len(set(walks)) == len(walks), walks
-            assert len(validated) == len(set(reflections)) == fincat._WALKS.validated
-            assert len(reflections) == fincat._WALKS.validated + fincat._WALKS.reused
-            return len(walks), len(reflections), len(validated)
+            assert len(fresh) == len(set(reflections)) == fincat._WALKS.fresh
+            assert len(reflections) == fincat._WALKS.fresh + fincat._WALKS.reused
+            return len(walks), len(reflections), len(fresh)
 
         return run
 
@@ -387,7 +396,7 @@ class TestOneReflectionPerCategory:
     def test_one_slice_class_shares_one_reflection(self, count, monkeypatch):
         # 1>2:0 and 2>2:00 both have the image {0}, so each factors through
         # the other: one class of the slice over 2, one lower set to
-        # collapse.  pi0 at the second renames what the first validated,
+        # collapse.  pi0 at the second renames what the first built,
         # and each report is the one a fresh memo takes
         c = gen.finset_ambient(2)
         points = ("1>2:0", "2>2:00")
@@ -398,13 +407,13 @@ class TestOneReflectionPerCategory:
             got.extend(homotopy._pi_at(end, 0) for end in ends)
 
         assert count(run) == (1, 2, 1)
-        assert (fincat._WALKS.validated, fincat._WALKS.reused) == (1, 1)
+        assert (fincat._WALKS.fresh, fincat._WALKS.reused) == (1, 1)
         assert len({walk.down[base] for walk, base, _ in ends}) == 1
         assert [r.invariant.basepoint for r in got] == ["[1>2:0]", "[2>2:00]"]
         for f, r in zip(points, got):
             monkeypatch.setattr(fincat, "_WALKS", fincat._WalkMemo())
             want = homotopy._pi_at(homotopy._end(c, 0, c.dom(f), f), 0)
-            assert r == want and fincat._WALKS.validated == 1
+            assert r == want and fincat._WALKS.fresh == 1
             for fmt in ("text", "dot", "interchange"):
                 assert written(r, fmt) == written(want, fmt)
 
@@ -453,7 +462,7 @@ class TestRenamedReflections:
         # lower set), are ranked, kept and reused
         memo = self.check(prefixed_ambient())
         kept = len(memo.walks) - memo.misses
-        assert (memo.reused, memo.validated, kept) == (10, 15, 10)
+        assert (memo.reused, memo.fresh, kept) == (10, 15, 10)
 
     @settings(max_examples=25, deadline=None)
     @given(st.integers(min_value=0, max_value=10_000), st.data())
@@ -529,7 +538,7 @@ class TestRankedRoute:
         c = gen.bang_skeleton()
         assert fincat._apart(c) == {s: {"2"} for s in "[,)"}
         memo = self.check(c)
-        assert (memo.reused, memo.validated) == (11, 17)
+        assert (memo.reused, memo.fresh) == (11, 17)
 
     def test_a_prefix_into_one_object(self):
         # p and p[ both go into 2: the slice pairs into 2 are named, and

@@ -26,6 +26,7 @@ import json
 import os
 import random
 import re
+from collections import Counter
 from itertools import product
 
 import networkx as nx
@@ -292,6 +293,41 @@ class TestAnalysis:
             c = gen.renamed(c, {x: x for x in c.objects} | dict(zip(morphisms, labels)))
         for m in c.morphisms:
             assert_analysis(c, m.name)
+
+
+class TestEverySmallCategory:
+    """The bounded-exhaustive sweep: every category with at most four
+    morphisms, once up to isomorphism (``gen.small_categories``), as built
+    and once relabelled with ids and object names over the characters of
+    derived names, so that walks into some objects take the names route.
+    pi0 and pi1 at every object and the analysis of every morphism meet
+    networkx, and each report's poset equals its ``oracles.from_masks``
+    rebuild."""
+
+    ALPHABET = "a!)[,=>"
+
+    def test_counts_by_size(self):
+        sizes = Counter(len(c.morphisms) for c in gen.small_categories(4))
+        assert [sizes[m] for m in range(1, 5)] == [1, 3, 11, 55]  # OEIS A125696
+
+    def test_every_report(self):
+        categories, unranked = 0, 0
+        for seed, c in enumerate(gen.small_categories(4)):
+            for d in (c, gen.relabelled(c, random.Random(seed), self.ALPHABET)):
+                categories += 1
+                assert_pi_at_objects(d)
+                morphisms = gen.morphism_names(d)
+                for f in morphisms:
+                    assert_analysis(d, f)
+                reports = [pi(d, x) for x in d.objects for pi in (homotopy.pi0, homotopy.pi1)]
+                reports += [r for f in morphisms for r in homotopy.analyze_morphism(d, f)[:2]]
+                assert all(oracles.trusted_differs(r.invariant.poset) == [] for r in reports)
+                ends = [homotopy._end(d, i, d.dom(f), f) for f in morphisms for i in (0, 1)]
+                unranked += sum(not walk.at[2] for walk, _, _ in ends + [homotopy._end(d, 1, x) for x in d.objects])
+        # 70 categories, each twice; 19 of the walks, all in relabelled
+        # categories, take the names route: an id into their object
+        # extends the id before it (``fincat._apart``)
+        assert (categories, unranked) == (140, 19)
 
 
 # -- written reports ----------------------------------------------------------

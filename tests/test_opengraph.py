@@ -182,6 +182,21 @@ class TestParsing:
             og.parse_open_graph("inputs 1\noutputs 3,")
         assert og.parse_open_graph("inputs\noutputs").inputs == ()
 
+    def test_boundary_label_with_whitespace_rejected_with_line(self):
+        # the words of a boundary line are joined again before the commas
+        # split them, so "a b" would be one label that no leg line can name
+        with pytest.raises(ParseError, match=r"^line 1: input label 'a b' holds whitespace$"):
+            og.parse_open_graph("inputs a b\noutputs c\nvertex v\nin a b = v\nout c = v")
+        with pytest.raises(ParseError, match=r"^line 2: output label 'c d' holds whitespace$"):
+            og.parse_open_graph("inputs a\noutputs b, c\td\nvertex v")
+        with pytest.raises(ParseError, match=r"would not read back"):
+            og.serialize_open_graph(og.OpenGraph(("a b",), (), ("v",), frozenset(), {"a b": "v"}, {}))
+
+    def test_whitespace_around_boundary_commas_is_not_a_label(self):
+        g = og.parse_open_graph("inputs  a ,\tb\noutputs c , d\nvertex v\nin a = v\nin b = v\nout c = v\nout d = v")
+        assert (g.inputs, g.outputs) == (("a", "b"), ("c", "d"))
+        assert og.parse_open_graph(og.serialize_open_graph(g)) == g
+
     def test_dangling_leg(self):
         with pytest.raises(DanglingReference):
             og.parse_open_graph("inputs a\noutputs\nvertex v\nin a = w")

@@ -398,8 +398,8 @@ class TestMonotoneAlongCovers:
     @settings(max_examples=200, deadline=None)
     @given(st.integers(0, 2**32), st.booleans())
     def test_reflected_posets(self, seed, to_itself):
-        """Reflections carry the cover masks ``from_masks`` computes, so the
-        check runs along covers on posets of any shape."""
+        """Reflections carry the cover masks ``oracles.from_masks``
+        computes, so the check runs along covers on posets of any shape."""
         rng = random.Random(seed)
         source, _ = oracles.poset_reflection(gen.random_category(rng))
         target = source if to_itself else oracles.poset_reflection(gen.random_category(rng))[0]
@@ -545,7 +545,7 @@ class TestMaskCoreAgainstPairs:
                 # quadratic Hasse and rendering oracles; check the masks here
                 # (and the order of wide12_pi1 against the pair oracle in
                 # TestTrustedPowerset), CI pins the output bytes
-                assert trusted_differs(r.invariant.poset) == []
+                assert oracles.trusted_differs(r.invariant.poset) == []
                 at_cap += 1
                 continue
             self.check_pointed(r.invariant, r.minimal)
@@ -582,28 +582,15 @@ class TestMaskCoreAgainstPairs:
                         assert r.minimal == oracles.minimal_obstructions(o_elems, o_leq, o_bp)
 
 
-def trusted_differs(p):
-    """The fields of a poset built without validation that differ from the
-    validated rebuild by from_masks: up- and cover masks."""
-    checked = order.from_masks(p.elements, list(p.up))
-    fields = [
-        ("elements", p.elements == checked.elements),
-        ("up", p.up == checked.up),
-        ("cover_masks", p.cover_masks == checked.cover_masks),
-        ("hasse", oracles.cover_pairs(p) == oracles.cover_pairs(checked)),
-    ]
-    return [name for name, same in fields if not same]
-
-
 ODD = st.text(alphabet="ab,{}()~ \"\\", max_size=3)
 
 
 class TestTrustedPowerset:
-    """powerset_report builds its posets without from_masks; check every
-    field against the validating route."""
+    """powerset_report builds its posets as orders by construction; check
+    every field against ``oracles.from_masks``."""
 
     def check(self, r, universe, collapsed):
-        assert trusted_differs(r.invariant.poset) == []
+        assert oracles.trusted_differs(r.invariant.poset) == []
         self.check_layers(r, universe, collapsed)
 
     def check_layers(self, r, universe, collapsed):
@@ -669,5 +656,5 @@ class TestTrustedPowerset:
         for i, m in enumerate(p.cover_masks):
             for j in range(len(p.elements)):
                 flipped = p.cover_masks[:i] + (m ^ 1 << j,) + p.cover_masks[i + 1 :]
-                assert trusted_differs(order.Poset(p.elements, p.up, flipped)) == ["cover_masks", "hasse"]
+                assert oracles.trusted_differs(order.Poset(p.elements, p.up, flipped)) == ["cover_masks", "hasse"]
 

@@ -252,46 +252,46 @@ WORK = """
   4052  dc49f6977d73  set pi1 --fn fixtures/wide12_pi1.fn --format text
   8085  8d07874ac37f  set pi1 --fn fixtures/wide12_pi1.fn --format dot
   8086  c97350441d9d  set pi1 --fn fixtures/wide12_pi1.fn --format interchange
-   112  c3b6de072986  cat analyze ambient.cat --morphism 3>2:010
-   112  c3b6de072986  cat analyze byname.cat --morphism 3>2:010
-   112  c3b6de072986  cat analyze latemor.cat --morphism 3>2:010
+    90  7888556139cd  cat analyze ambient.cat --morphism 3>2:010
+    90  7888556139cd  cat analyze byname.cat --morphism 3>2:010
+    90  7888556139cd  cat analyze latemor.cat --morphism 3>2:010
     12  fd8fd7f3d6d2  cat validate ambient.cat
     12  fd8fd7f3d6d2  cat validate byname.cat
     12  fd8fd7f3d6d2  cat validate latemor.cat
-   132  d12a28ccd19a  cat analyze ambient.cat --morphism 3>2:010 --format dot
-   134  f5f099ff613f  cat analyze ambient.cat --morphism 3>2:010 --format interchange
-   446  71d8627be66b  cat pi1 ambient.cat --object 3 --format interchange
-   445  8fa484869254  cat pi1 ambient.cat --object 3 --format dot
-   322  c867f126a55c  cat pi1 ambient.cat --object 3
-    60  c1251285080a  cat pi1 z12.cat --object '*'
-    83  07a9beb32c33  cat analyze twins.cat --morphism 2>1:00*f
+   110  b537c7f55f06  cat analyze ambient.cat --morphism 3>2:010 --format dot
+   112  2174aacff703  cat analyze ambient.cat --morphism 3>2:010 --format interchange
+   322  7aa830b13e2a  cat pi1 ambient.cat --object 3 --format interchange
+   321  4f25fe26216d  cat pi1 ambient.cat --object 3 --format dot
+   198  e406e013f53d  cat pi1 ambient.cat --object 3
+    47  1a646c280ae9  cat pi1 z12.cat --object '*'
+    72  4ed0cb531004  cat analyze twins.cat --morphism 2>1:00*f
     12  fd8fd7f3d6d2  cat validate fixtures/z2.cat
-    35  55752e6de475  cat pi0 fixtures/walking_arrow.cat --object 0
-    37  fd8c3c3b2291  cat pi0 fixtures/walking_arrow.cat --object 0 --format dot
-    38  cc72fc5e9f7a  cat pi0 fixtures/walking_arrow.cat --object 0 --format interchange
+    32  e7d637a4b356  cat pi0 fixtures/walking_arrow.cat --object 0
+    34  dfe59e5f7d19  cat pi0 fixtures/walking_arrow.cat --object 0 --format dot
+    35  4b2c6997260e  cat pi0 fixtures/walking_arrow.cat --object 0 --format interchange
     24  a38f568c01ce  cat check-terminal fixtures/walking_arrow.cat --object 0
-    37  afdf9da57cef  cat pi0 fixtures/primed_basepoint.cat --object 0
-    41  48a2907040c7  cat pi0 fixtures/primed_basepoint.cat --object 0 --format interchange
-    34  0530441c4e02  cat pi0 clash.cat --object 1
-    37  91f2f340e8af  cat pi0 clash.cat --object 1 --format interchange
-    64  0f3e599d91d5  cat pi1 fixtures/pair_collision.cat --object x
-    78  be32b44ed65d  cat pi1 fixtures/pair_collision.cat --object x --format interchange
-    78  0dfa71c98c71  cat analyze fixtures/pair_collision.cat --morphism p
-    58  17b6156ebdc9  cat pi1 bang.cat --object 2
-    67  0e92a7dd1bae  cat pi1 bang.cat --object 2 --format interchange
-    73  4c4f020829e4  cat analyze bang.cat --morphism 2>2:10
-   300  bb625635534a  states local-act --context gf2 --dims 2,2 --fmat 10,00 --gmat 10,01
-   760  4e794980a99b  states local-act --context gf2 --dims 2,3 --fmat 11,01 --gmat 101,011
+    33  c3311537b039  cat pi0 fixtures/primed_basepoint.cat --object 0
+    37  28af17f37380  cat pi0 fixtures/primed_basepoint.cat --object 0 --format interchange
+    31  c4003f21e5f2  cat pi0 clash.cat --object 1
+    34  87778571ebd1  cat pi0 clash.cat --object 1 --format interchange
+    50  fb6eeef76622  cat pi1 fixtures/pair_collision.cat --object x
+    64  eddc6c22f5d4  cat pi1 fixtures/pair_collision.cat --object x --format interchange
+    70  5942dd3dd875  cat analyze fixtures/pair_collision.cat --morphism p
+    49  f145d79202c2  cat pi1 bang.cat --object 2
+    58  98f8918546f8  cat pi1 bang.cat --object 2 --format interchange
+    69  9618bda0d412  cat analyze bang.cat --morphism 2>2:10
+   284  b9d2a9da3113  states local-act --context gf2 --dims 2,2 --fmat 10,00 --gmat 10,01
+   708  2f82bfbc4286  states local-act --context gf2 --dims 2,3 --fmat 11,01 --gmat 101,011
     45  87a2f7a7b200  states local-act --context cartesian --sets 'a,b|c,d' --target-sets 'a|c,d' --fmap a=>a,b=>a --gmap c=>c,d=>d
-   266  2ba68cce770e  states obstruct --context gf2 --dims 2,2 --format text
-   316  898832f3ee56  states obstruct --context gf2 --dims 2,2 --format dot
-   318  3bb5ca80fe76  states obstruct --context gf2 --dims 2,2 --format interchange
+   214  46615272a46d  states obstruct --context gf2 --dims 2,2 --format text
+   264  da2cb57a3e45  states obstruct --context gf2 --dims 2,2 --format dot
+   266  76ea8b7cd228  states obstruct --context gf2 --dims 2,2 --format interchange
   1070  bd4ec9053087  states obstruct --context gf2 --dims 1,1 --format text
   2080  a0911a082240  states obstruct --context gf2 --dims 1,1 --format dot
   2082  eb6fa29df6c2  states obstruct --context gf2 --dims 1,1 --format interchange
-    46  ab6c55200e80  states obstruct --context cartesian --sets 'a,b,c,d|e,f,g,h' --format text
-    48  1eddd60109f1  states obstruct --context cartesian --sets 'a,b,c,d|e,f,g,h' --format dot
-    50  587826d0b46a  states obstruct --context cartesian --sets 'a,b,c,d|e,f,g,h' --format interchange
+    42  8a4c97c12103  states obstruct --context cartesian --sets 'a,b,c,d|e,f,g,h' --format text
+    44  e0c57179f74a  states obstruct --context cartesian --sets 'a,b,c,d|e,f,g,h' --format dot
+    46  e6c0904f6312  states obstruct --context cartesian --sets 'a,b,c,d|e,f,g,h' --format interchange
     34  76997c843d39  opengraph compose fixtures/G.og fixtures/H.og
     46  56c165a98683  opengraph compose fixtures/G.og fixtures/H.og --format dot
     13  0a574200a2e2  opengraph reach fixtures/G.og
@@ -392,11 +392,10 @@ CALLS = """
      1  opengraph.serialize_open_graph
     75  order.PointedPoset.__init__
  29157  order._at
-   829  order._bits
+    53  order._bits
     47  order._free
   9629  order._pick
      4  order._preserves
-    47  order.from_masks
      4  order.make_monotone
      4  order.make_pointed
   9595  order.quote

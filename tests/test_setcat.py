@@ -380,4 +380,4 @@ class TestPi1CutAgainstGeneric:
                 (a, b) for a, b in oracles.leq(fast.invariant.poset) if a in cut and b in cut}, mor
             assert {image_of[e] for e in generic.minimal} == fast.minimal
             assert generic.trivial == fast.trivial
-        assert (fincat._WALKS.reused, fincat._WALKS.validated) == (51, 9)
+        assert (fincat._WALKS.reused, fincat._WALKS.fresh) == (51, 9)
