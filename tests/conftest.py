@@ -30,9 +30,10 @@ def cold_memos(monkeypatch):
 
 
 # The fields of a built poset that differ from its ``oracles.from_masks``
-# rebuild, by poset: a poset met again, such as a report shown in a second
-# format, is checked once.
-_differs = functools.lru_cache(maxsize=256)(oracles.trusted_differs)
+# rebuild, by poset: a poset met again, such as a kept reflection or a
+# report shown in a second format, is checked once.  Tier-1 builds about
+# 27,000 posets, fewer than 3,000 of them distinct.
+_differs = functools.cache(oracles.trusted_differs)
 
 
 def _checked(p: order.Poset) -> None:

@@ -4,18 +4,18 @@ selection", 1978).
 
 Run from the repository root, outside tier-1:
 
-    python tests/mutants.py            # every row
-    python tests/mutants.py walk-first-source reflection-unreduced
+    python tests/mutants.py
 
 Each row is (name, file, old text, new text, test files, expected).  The
-old text must occur exactly once in its file.  A row is applied to a
-fresh temporary copy of src/, tests/ and fixtures/, and its test files
-run there under pytest, stopping at the first failure: the mutant is
-``killed`` when they fail and ``survived`` when they pass.  One markdown
-table row is printed per mutant, and the exit status is 1 when any
-result differs from its row's expected one (an old text that is not
-found exactly once reads ``unapplied``).  Only the standard library and
-pytest are used.
+old text must occur exactly once in its file, or the row reads
+``unapplied``.  Each distinct set of test files first runs once on an
+unmutated temporary copy of src/, tests/ and fixtures/; a row whose files
+do not pass there reads ``baseline fails``.  Otherwise the row is applied
+to a fresh copy and its test files run there under pytest, stopping at
+the first failure: the mutant is ``killed`` when they fail and
+``survived`` when they pass.  One markdown table row is printed per
+mutant, and the exit status is 1 when any result differs from its row's
+expected one.  Only the standard library and pytest are used.
 """
 
 import os
@@ -74,43 +74,56 @@ ROWS = [
 ]
 
 
-def run(row) -> tuple[str, float]:
-    """The result of one row, and the seconds its tests took."""
-    name, path, old, new, tests, _ = row
+def _copy(tmp: str) -> None:
+    for part in COPIED:
+        src, dst = os.path.join(ROOT, part), os.path.join(tmp, part)
+        if os.path.isdir(src):
+            shutil.copytree(src, dst, ignore=shutil.ignore_patterns("__pycache__", "*.egg-info"))
+        else:
+            shutil.copy(src, dst)
+
+
+def _pytest(tmp: str, tests) -> tuple[int, float]:
+    """pytest's exit status on ``tests`` in the copy at ``tmp``, and the
+    seconds they took."""
+    env = {**os.environ, "PYTHONPATH": os.path.join(tmp, "src")}
+    start = time.perf_counter()
+    proc = subprocess.run([sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider", *tests],
+                          cwd=tmp, env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
+    return proc.returncode, time.perf_counter() - start
+
+
+def run(row, baselines: dict) -> tuple[str, float]:
+    """The result of one row, and the seconds its tests took on the mutant.
+    ``baselines`` holds pytest's exit status on the unmutated copy, by set
+    of test files."""
+    _, path, old, new, tests, _ = row
+    with open(os.path.join(ROOT, path), encoding="utf-8") as fh:
+        text = fh.read()
+    if text.count(old) != 1:
+        return "unapplied", 0.0
+    if tests not in baselines:
+        with tempfile.TemporaryDirectory(prefix="baseline-") as tmp:
+            _copy(tmp)
+            baselines[tests] = _pytest(tmp, tests)[0]
+    if baselines[tests] != 0:
+        return "baseline fails", 0.0
     with tempfile.TemporaryDirectory(prefix="mutant-") as tmp:
-        for part in COPIED:
-            src, dst = os.path.join(ROOT, part), os.path.join(tmp, part)
-            if os.path.isdir(src):
-                shutil.copytree(src, dst, ignore=shutil.ignore_patterns("__pycache__", "*.egg-info"))
-            else:
-                shutil.copy(src, dst)
-        target = os.path.join(tmp, path)
-        with open(target, encoding="utf-8") as fh:
-            text = fh.read()
-        if text.count(old) != 1:
-            return "unapplied", 0.0
-        with open(target, "w", encoding="utf-8") as fh:
+        _copy(tmp)
+        with open(os.path.join(tmp, path), "w", encoding="utf-8") as fh:
             fh.write(text.replace(old, new))
-        env = {**os.environ, "PYTHONPATH": os.path.join(tmp, "src")}
-        start = time.perf_counter()
-        proc = subprocess.run([sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider", *tests],
-                              cwd=tmp, env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
-        seconds = time.perf_counter() - start
-    # 1: a test failed; 2: collection failed, so the mutant broke an import
-    return {0: "survived", 1: "killed", 2: "killed"}.get(proc.returncode, f"error {proc.returncode}"), seconds
+        status, seconds = _pytest(tmp, tests)
+    # 1: a test failed; 2: collection failed on files that collect
+    # unmutated, so the mutant broke an import
+    return {0: "survived", 1: "killed", 2: "killed"}.get(status, f"error {status}"), seconds
 
 
-def main(names) -> int:
-    rows = [row for row in ROWS if not names or row[0] in names]
-    unknown = set(names) - {row[0] for row in rows}
-    if unknown:
-        print(f"unknown rows: {sorted(unknown)}", file=sys.stderr)
-        return 2
+def main() -> int:
     print("| mutant | file | expected | result | seconds |")
     print("|---|---|---|---|---|")
-    differs = 0
-    for row in rows:
-        result, seconds = run(row)
+    differs, baselines = 0, {}
+    for row in ROWS:
+        result, seconds = run(row, baselines)
         differs += result != row[5]
         mark = "" if result == row[5] else " **differs**"
         print(f"| {row[0]} | {row[1]} | {row[5]} | {result}{mark} | {seconds:.1f} |", flush=True)
@@ -118,4 +131,4 @@ def main(names) -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main(sys.argv[1:]))
+    sys.exit(main())

@@ -152,8 +152,10 @@ def star_oracle(left, right, tensor, targets):
 
 
 class TestSummaryPastTheCap:
-    """Past the powerset cap a state report is a star built by
-    ``order.from_masks``; check it against the star built from name pairs."""
+    """Past the powerset cap a state report is a star built directly by
+    ``order.reflection`` (the conftest checks it against
+    ``oracles.from_masks``); check it against the star built from name
+    pairs."""
 
     def check(self, ctx, a, b, star):
         for r, want in zip(gen.obstructions(ctx, a, b), star):
