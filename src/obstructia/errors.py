@@ -75,7 +75,9 @@ class SizeCapExceeded(EngineError):
 
 
 class InvalidPoset(EngineError):
-    """Reflexivity, transitivity or antisymmetry fails on a poset table."""
+    """A poset cannot be named as asked: two generators or two elements
+    render alike, or a basepoint is not an element.  Every poset is an
+    order by construction; the tests' validator raises this class too."""
 
 
 class InvalidMap(EngineError):
@@ -83,7 +85,9 @@ class InvalidMap(EngineError):
 
 
 class OracleMismatch(EngineError):
-    """Two routes that must agree disagreed; indicates an implementation bug."""
+    """A result failed a check that holds by construction, which indicates
+    an implementation bug: a report's basepoint that is not minimal, or, in
+    the tests, a result that disagrees with its oracle."""
 
 
 class CapExceeded(EngineError):

@@ -12,7 +12,7 @@ from __future__ import annotations
 from collections import namedtuple
 
 from . import fincat, homotopy
-from .errors import OracleMismatch, ParseError
+from .errors import ParseError
 
 
 class FiniteFunction(namedtuple("FiniteFunction", "dom_set cod_set mapping")):
@@ -38,31 +38,13 @@ class FiniteFunction(namedtuple("FiniteFunction", "dom_set cod_set mapping")):
         return frozenset(self.mapping.values())
 
 
-class KernelPair(namedtuple("KernelPair", "pairs")):
-    """The pullback of a function along itself: all pairs with equal image.
-    Always an equivalence relation, which the constructor re-checks on the
-    rows R(x) = {y : (x, y)}: x in R(x), x in R(y) for each (x, y), and
-    R(y) inside R(x) for each (x, y)."""
-
-    __slots__ = ()
-
-    def __init__(self, pairs):
-        rows: dict[str, set] = {}
-        for x, y in pairs:
-            rows.setdefault(x, set()).add(y)
-            rows.setdefault(y, set())
-        for x, row in sorted(rows.items()):
-            if x not in row:
-                raise OracleMismatch(f"kernel pair misses diagonal at {x!r}")
-        for x, y in sorted(pairs):
-            if x not in rows[y]:
-                raise OracleMismatch(f"kernel pair not symmetric at ({x!r}, {y!r})")
-        for x, y in pairs:
-            if not rows[y] <= rows[x]:
-                raise OracleMismatch("kernel pair not transitive")
+# The pullback of a function along itself: all pairs with equal image.
+KernelPair = namedtuple("KernelPair", "pairs")
 
 
 def kernel_pair(f: FiniteFunction) -> KernelPair:
+    """The pairs of each fibre squared, an equivalence relation by
+    construction."""
     fibres: dict[str, list[str]] = {}
     for x in f.dom_set:
         fibres.setdefault(f.mapping[x], []).append(x)

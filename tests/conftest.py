@@ -7,7 +7,7 @@ sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 import pytest
 
 import oracles
-from obstructia import fincat, homotopy, order
+from obstructia import fincat, homotopy, opengraph, order, setcat
 
 
 def base_seed() -> int:
@@ -65,3 +65,37 @@ def checked_posets(monkeypatch):
 
     monkeypatch.setattr(order, "reflection", reflection)
     monkeypatch.setattr(homotopy, "powerset_report", powerset_report)
+
+
+@pytest.fixture(autouse=True)
+def checked_results(monkeypatch):
+    """``analyze_morphism``, ``kernel_pair`` and ``act`` build what they
+    return by construction, and none checks it in ``src/``: in every test,
+    each analysis meets the split-epi and mono searches by name, each
+    kernel pair is an equivalence relation and the pullback by name, and
+    the reachability each act returns holds its source's
+    (``oracles.check_analysis``, ``check_equivalence``, ``check_growth``)."""
+    analyze, kernel, grow = homotopy.analyze_morphism, setcat.kernel_pair, opengraph.act
+
+    @functools.wraps(analyze)
+    def analyze_morphism(c, f):
+        an = analyze(c, f)
+        oracles.check_analysis(c, f, an)
+        return an
+
+    @functools.wraps(kernel)
+    def kernel_pair(f):
+        kp = kernel(f)
+        oracles.check_equivalence(kp.pairs)
+        assert kp.pairs == oracles.kernel_pair(f), f"kernel pair of {f.mapping} differs from the pullback by name"
+        return kp
+
+    @functools.wraps(grow)
+    def act(hom, h):
+        reached, pmap = grow(hom, h)
+        oracles.check_growth(hom, reached)
+        return reached, pmap
+
+    monkeypatch.setattr(homotopy, "analyze_morphism", analyze_morphism)
+    monkeypatch.setattr(setcat, "kernel_pair", kernel_pair)
+    monkeypatch.setattr(opengraph, "act", act)

@@ -63,10 +63,18 @@ ROWS = [
      "            if mine and kept is None and self.kept + len(keep[1]) <= OBJECTS_CAP:\n"
      "                self.walks[key,], self.kept = keep, self.kept + len(keep[1])\n",
      ("tests/test_homotopy.py",), "killed"),
+    ("kept-for-any-category", "src/obstructia/fincat.py",
+     "            mine = self.of is c and ranked\n",
+     "            mine = ranked\n",
+     ("tests/test_homotopy.py",), "killed"),
     ("powerset-covers-without-next-size", "src/obstructia/homotopy.py",
      "    covers = map(and_, ups, map(next_size.__getitem__, reversed(counts)))\n",
      "    covers = (u ^ 1 << i for i, u in enumerate(ups))\n",
      ("tests/test_order.py", "tests/test_setcat.py"), "killed"),
+    ("kernel-pair-keyed-by-element", "src/obstructia/setcat.py",
+     "        fibres.setdefault(f.mapping[x], []).append(x)\n",
+     "        fibres.setdefault(x, []).append(x)\n",
+     ("tests/test_setcat.py",), "killed"),
     ("og-label-whitespace-accepted", "src/obstructia/opengraph.py",
      '                if " " in x:',
      "                if False:",

@@ -11,6 +11,12 @@ The validator section keeps ``from_masks``, the mask validator the
 library ran on its reflections until every poset it builds was an order
 by construction; ``trusted_differs`` checks such a poset against it, and
 the tests run it on every reflection and powerset report (``conftest``).
+The self-checks section keeps the three checks the library ran on every
+call of ``analyze_morphism``, ``kernel_pair`` and ``act`` until each result
+held by construction, now run by the tests on every call: the analysis
+flags against the searches by name, the kernel pair against the pullback
+by name and the equivalence laws, and the reachability along a graph
+homomorphism against ``reach_pairs``.
 
 The two-step section keeps the pipeline that ``order.reflection``
 replaced: reflect every class (``_reflect``, and ``poset_reflection`` over
@@ -59,6 +65,7 @@ from obstructia.errors import (
     NonAssociative,
     NotAFunctor,
     NotNatural,
+    OracleMismatch,
     ParseError,
     SizeCapExceeded,
     UnknownObject,
@@ -108,6 +115,12 @@ def mono(c, f):
             if table[(g, f)] == table[(h, f)]:
                 return False
     return True
+
+
+def split_mono(c, f):
+    x, y = c.dom(f), c.cod(f)
+    table = comp(c)
+    return any(table[(f, r)] == c.id_of(x) for r in c.hom(y, x))
 
 
 def law_failure(morphisms, identity, comp):
@@ -807,6 +820,52 @@ def reach_pairs(g):
         for y in g.outputs
         if path(g.in_leg[x], g.out_leg[y])
     )
+
+
+# -- the self-checks ----------------------------------------------------------
+
+
+def check_analysis(c, f, an):
+    """Refuse an analysis of f whose split-epi or mono flag disagrees with
+    the search by name."""
+    if an.split_epi != split_epi(c, f):
+        raise OracleMismatch(f"split-epi flag disagrees with search at {f!r}")
+    if an.mono != mono(c, f):
+        raise OracleMismatch(f"mono flag disagrees with search at {f!r}")
+
+
+def kernel_pair(f):
+    """The pullback of a function along itself, by name: every (a, b) with
+    f(a) = f(b)."""
+    return frozenset((a, b) for a in f.dom_set for b in f.dom_set if f.mapping[a] == f.mapping[b])
+
+
+def check_equivalence(pairs):
+    """Refuse pairs that are no equivalence relation, read on the rows
+    R(x) = {y : (x, y)}: x in R(x), x in R(y) for each (x, y), and R(y)
+    inside R(x) for each (x, y), the first two named at their least
+    witness."""
+    rows = {}
+    for x, y in pairs:
+        rows.setdefault(x, set()).add(y)
+        rows.setdefault(y, set())
+    for x, row in sorted(rows.items()):
+        if x not in row:
+            raise OracleMismatch(f"kernel pair misses diagonal at {x!r}")
+    for x, y in sorted(pairs):
+        if x not in rows[y]:
+            raise OracleMismatch(f"kernel pair not symmetric at ({x!r}, {y!r})")
+    for x, y in pairs:
+        if not rows[y] <= rows[x]:
+            raise OracleMismatch("kernel pair not transitive")
+
+
+def check_growth(hom, reached):
+    """Refuse ``reached``, the reachability of the target of hom, when it
+    misses a pair that the source reaches: paths survive a graph
+    homomorphism."""
+    if not reach_pairs(hom.source) <= reached.pairs:
+        raise OracleMismatch("reachability must grow along a graph homomorphism")
 
 
 def open_graph_iso(g, h):

@@ -520,6 +520,24 @@ def test_one_memo_in_src():
     assert memos == ["fincat._parse"]
 
 
+def test_one_self_check_in_src():
+    """The one ``raise OracleMismatch`` in ``src/`` is the minimality check
+    of ``homotopy.report_from_pointed``, one bit test per report.  Every
+    other check of a result that holds by construction runs in the tests,
+    on every call (``conftest.py``), so a new one in ``src/`` edits this
+    test."""
+    raisers, package = [], os.path.dirname(errors.__file__)
+    for name in sorted(os.listdir(package)):
+        if name.endswith(".py"):
+            with open(os.path.join(package, name), encoding="utf-8") as fh:
+                tree = ast.parse(fh.read())
+            # walked outer first, so a nested def owns its own raises
+            owner = {id(n): f"{name[:-3]}.{fn.name}" for fn in ast.walk(tree) if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)) for n in ast.walk(fn)}
+            raisers += [owner.get(id(n), f"{name}:{n.lineno}") for n in ast.walk(tree) if isinstance(n, ast.Raise) and n.exc is not None
+                        and "OracleMismatch" in {m.id if isinstance(m, ast.Name) else m.attr for m in ast.walk(n.exc) if isinstance(m, (ast.Name, ast.Attribute))}]
+    assert raisers == ["homotopy.report_from_pointed"]
+
+
 class TestUsage:
     def test_no_args_is_usage_error(self):
         code, _ = run()

@@ -225,6 +225,7 @@ def assert_analysis(c, f):
     an = homotopy.analyze_morphism(c, f)
     assert [report_shape(an.pi0), report_shape(an.pi1)] == nx_analysis(c, f)
     assert (an.pi0.context, an.pi1.context) == (f"pi0 at object {f!r}", f"pi1 at object {f!r}")
+    return an
 
 
 def assert_pi_at_objects(c):
@@ -295,39 +296,78 @@ class TestAnalysis:
             assert_analysis(c, m.name)
 
 
-class TestEverySmallCategory:
-    """The bounded-exhaustive sweep: every category with at most four
-    morphisms, once up to isomorphism (``gen.small_categories``), as built
-    and once relabelled with ids and object names over the characters of
-    derived names, so that walks into some objects take the names route.
-    pi0 and pi1 at every object and the analysis of every morphism meet
-    networkx, and each report's poset equals its ``oracles.from_masks``
-    rebuild."""
+SWEEP_ALPHABET = "a!)[,=>"
 
-    ALPHABET = "a!)[,=>"
+
+def small_categories(n):
+    """Every category with at most n morphisms, once up to isomorphism
+    (``gen.small_categories``), as built and once relabelled with ids and
+    object names over the characters of derived names, so that walks into
+    some objects take the names route."""
+    for seed, c in enumerate(gen.small_categories(n)):
+        yield c
+        yield gen.relabelled(c, random.Random(seed), SWEEP_ALPHABET)
+
+
+def sweep_reports(d) -> Counter:
+    """pi0 and pi1 at every object of d and the analysis of every morphism
+    meet networkx, each report's poset equals its ``oracles.from_masks``
+    rebuild, and acceptance criterion 4's theorems hold: pi0 and pi1 at an
+    object are trivial exactly where it is weakly terminal and subterminal,
+    and each analysis flag meets its search by name (which the tests'
+    ``conftest.py`` checks anyway, but a sweep run on its own does not).
+    Counts the walks on the names route and the theorems checked at
+    objects and at morphisms."""
+    assert_pi_at_objects(d)
+    morphisms = gen.morphism_names(d)
+    analyses = [assert_analysis(d, f) for f in morphisms]
+    at = [pi(d, x) for x in d.objects for pi in (homotopy.pi0, homotopy.pi1)]
+    reports = at + [r for an in analyses for r in an[:2]]
+    assert all(oracles.trusted_differs(r.invariant.poset) == [] for r in reports)
+    for x, p0, p1 in zip(d.objects, at[0::2], at[1::2]):
+        assert (p0.trivial, p1.trivial, p0.trivial and p1.trivial) == (oracles.weak_terminal(d, x), oracles.subterminal(d, x), oracles.terminal(d, x))
+    for f, an in zip(morphisms, analyses):
+        oracles.check_analysis(d, f, an)
+    ends = [homotopy._end(d, i, d.dom(f), f) for f in morphisms for i in (0, 1)]
+    unranked = sum(not walk.at[2] for walk, _, _ in ends + [homotopy._end(d, 1, x) for x in d.objects])
+    return Counter(unranked=unranked, object_theorems=3 * len(d.objects), morphism_theorems=2 * len(morphisms))
+
+
+def sweep_duality(d) -> int:
+    """Duality, a relation that needs no oracle: each morphism f of d is
+    iso in d iff it is in its opposite, where the split-epi flag reads
+    split mono in d.  Returns the morphisms checked."""
+    op = gen.opposite(d)
+    morphisms = gen.morphism_names(d)
+    for f in morphisms:
+        there = homotopy.analyze_morphism(op, f)
+        assert there.iso == homotopy.analyze_morphism(d, f).iso
+        assert there.split_epi == oracles.split_mono(d, f)
+    return len(morphisms)
+
+
+class TestEverySmallCategory:
+    """The bounded-exhaustive sweep on every category with at most four
+    morphisms and one relabelling of each (``small_categories``).  The CI
+    runs the same checks up to five morphisms (``tests/sweep.py``)."""
 
     def test_counts_by_size(self):
         sizes = Counter(len(c.morphisms) for c in gen.small_categories(4))
         assert [sizes[m] for m in range(1, 5)] == [1, 3, 11, 55]  # OEIS A125696
 
     def test_every_report(self):
-        categories, unranked = 0, 0
-        for seed, c in enumerate(gen.small_categories(4)):
-            for d in (c, gen.relabelled(c, random.Random(seed), self.ALPHABET)):
-                categories += 1
-                assert_pi_at_objects(d)
-                morphisms = gen.morphism_names(d)
-                for f in morphisms:
-                    assert_analysis(d, f)
-                reports = [pi(d, x) for x in d.objects for pi in (homotopy.pi0, homotopy.pi1)]
-                reports += [r for f in morphisms for r in homotopy.analyze_morphism(d, f)[:2]]
-                assert all(oracles.trusted_differs(r.invariant.poset) == [] for r in reports)
-                ends = [homotopy._end(d, i, d.dom(f), f) for f in morphisms for i in (0, 1)]
-                unranked += sum(not walk.at[2] for walk, _, _ in ends + [homotopy._end(d, 1, x) for x in d.objects])
+        categories, counts = 0, Counter()
+        for d in small_categories(4):
+            categories += 1
+            counts += sweep_reports(d)
         # 70 categories, each twice; 19 of the walks, all in relabelled
         # categories, take the names route: an id into their object
-        # extends the id before it (``fincat._apart``)
-        assert (categories, unranked) == (140, 19)
+        # extends the id before it (``fincat._apart``); three theorems at
+        # each of 202 objects, two at each of 520 morphisms
+        assert (categories, counts) == (140, Counter(unranked=19, object_theorems=606, morphism_theorems=1040))
+
+    def test_duality(self):
+        assert sum(map(sweep_duality, small_categories(4))) == 520
 
 
 # -- written reports ----------------------------------------------------------

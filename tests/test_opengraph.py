@@ -558,15 +558,14 @@ class TestAct:
         bp = pmap.target.basepoint
         assert pmap.mapping["{(1,1)}"] == bp
 
-    def test_reachability_that_shrinks_is_refused(self, G, H, monkeypatch):
-        # a valid homomorphism cannot shrink reachability, so the cross-check
-        # is made to see one by a reach that forgets the target's paths
+    def test_reachability_that_shrinks_is_refused(self, G):
+        # a valid homomorphism cannot shrink reachability, so the check every
+        # act of every test meets (conftest.py) is made to see one by a
+        # relation that forgets the target's paths
         hom = identified(G)
-        reach = og.reach
-        monkeypatch.setattr(og, "reach", lambda g: og.Relation(g.inputs, g.outputs, frozenset()) if g is hom.target else reach(g))
-        assert reach(hom.source).pairs
+        assert og.reach(hom.source).pairs
         with pytest.raises(OracleMismatch) as exc:
-            og.act(hom, H)
+            oracles.check_growth(hom, og.Relation(hom.target.inputs, hom.target.outputs, frozenset()))
         assert str(exc.value) == "reachability must grow along a graph homomorphism"
 
     def test_identity_hom_identity_map(self, G, H):

@@ -249,22 +249,22 @@ WORK = """
   4106  d57abe9cc6aa  set pi0 --fn fixtures/wide12.fn --format text
   8195  86d8d1d5681f  set pi0 --fn fixtures/wide12.fn --format dot
   8196  d5647557336d  set pi0 --fn fixtures/wide12.fn --format interchange
-  4052  dc49f6977d73  set pi1 --fn fixtures/wide12_pi1.fn --format text
-  8085  8d07874ac37f  set pi1 --fn fixtures/wide12_pi1.fn --format dot
-  8086  c97350441d9d  set pi1 --fn fixtures/wide12_pi1.fn --format interchange
-    90  7888556139cd  cat analyze ambient.cat --morphism 3>2:010
-    90  7888556139cd  cat analyze byname.cat --morphism 3>2:010
-    90  7888556139cd  cat analyze latemor.cat --morphism 3>2:010
+  4051  40aa4b7c06aa  set pi1 --fn fixtures/wide12_pi1.fn --format text
+  8084  069a88af9fbb  set pi1 --fn fixtures/wide12_pi1.fn --format dot
+  8085  d3f4ff0b634d  set pi1 --fn fixtures/wide12_pi1.fn --format interchange
+    86  adca9a28f505  cat analyze ambient.cat --morphism 3>2:010
+    86  adca9a28f505  cat analyze byname.cat --morphism 3>2:010
+    86  adca9a28f505  cat analyze latemor.cat --morphism 3>2:010
     12  fd8fd7f3d6d2  cat validate ambient.cat
     12  fd8fd7f3d6d2  cat validate byname.cat
     12  fd8fd7f3d6d2  cat validate latemor.cat
-   110  b537c7f55f06  cat analyze ambient.cat --morphism 3>2:010 --format dot
-   112  2174aacff703  cat analyze ambient.cat --morphism 3>2:010 --format interchange
+   106  75618b533492  cat analyze ambient.cat --morphism 3>2:010 --format dot
+   108  3897c8e07017  cat analyze ambient.cat --morphism 3>2:010 --format interchange
    322  7aa830b13e2a  cat pi1 ambient.cat --object 3 --format interchange
    321  4f25fe26216d  cat pi1 ambient.cat --object 3 --format dot
    198  e406e013f53d  cat pi1 ambient.cat --object 3
     47  1a646c280ae9  cat pi1 z12.cat --object '*'
-    72  4ed0cb531004  cat analyze twins.cat --morphism 2>1:00*f
+    68  f7ce28ceb10c  cat analyze twins.cat --morphism 2>1:00*f
     12  fd8fd7f3d6d2  cat validate fixtures/z2.cat
     32  e7d637a4b356  cat pi0 fixtures/walking_arrow.cat --object 0
     34  dfe59e5f7d19  cat pi0 fixtures/walking_arrow.cat --object 0 --format dot
@@ -276,22 +276,22 @@ WORK = """
     34  87778571ebd1  cat pi0 clash.cat --object 1 --format interchange
     50  fb6eeef76622  cat pi1 fixtures/pair_collision.cat --object x
     64  eddc6c22f5d4  cat pi1 fixtures/pair_collision.cat --object x --format interchange
-    70  5942dd3dd875  cat analyze fixtures/pair_collision.cat --morphism p
+    66  fa0e003200f1  cat analyze fixtures/pair_collision.cat --morphism p
     49  f145d79202c2  cat pi1 bang.cat --object 2
     58  98f8918546f8  cat pi1 bang.cat --object 2 --format interchange
-    69  9618bda0d412  cat analyze bang.cat --morphism 2>2:10
+    65  98f7f39c2836  cat analyze bang.cat --morphism 2>2:10
    284  b9d2a9da3113  states local-act --context gf2 --dims 2,2 --fmat 10,00 --gmat 10,01
    708  2f82bfbc4286  states local-act --context gf2 --dims 2,3 --fmat 11,01 --gmat 101,011
     45  87a2f7a7b200  states local-act --context cartesian --sets 'a,b|c,d' --target-sets 'a|c,d' --fmap a=>a,b=>a --gmap c=>c,d=>d
-   214  46615272a46d  states obstruct --context gf2 --dims 2,2 --format text
-   264  da2cb57a3e45  states obstruct --context gf2 --dims 2,2 --format dot
-   266  76ea8b7cd228  states obstruct --context gf2 --dims 2,2 --format interchange
-  1070  bd4ec9053087  states obstruct --context gf2 --dims 1,1 --format text
-  2080  a0911a082240  states obstruct --context gf2 --dims 1,1 --format dot
-  2082  eb6fa29df6c2  states obstruct --context gf2 --dims 1,1 --format interchange
-    42  8a4c97c12103  states obstruct --context cartesian --sets 'a,b,c,d|e,f,g,h' --format text
-    44  e0c57179f74a  states obstruct --context cartesian --sets 'a,b,c,d|e,f,g,h' --format dot
-    46  e6c0904f6312  states obstruct --context cartesian --sets 'a,b,c,d|e,f,g,h' --format interchange
+   213  748bef7cff79  states obstruct --context gf2 --dims 2,2 --format text
+   263  6719d08d1c9f  states obstruct --context gf2 --dims 2,2 --format dot
+   265  28a44110efce  states obstruct --context gf2 --dims 2,2 --format interchange
+  1069  852e6ef0bdd0  states obstruct --context gf2 --dims 1,1 --format text
+  2079  abca5cbe7f4b  states obstruct --context gf2 --dims 1,1 --format dot
+  2081  28e42c7266f1  states obstruct --context gf2 --dims 1,1 --format interchange
+    41  1afc38a060da  states obstruct --context cartesian --sets 'a,b,c,d|e,f,g,h' --format text
+    43  740e2dfe02d8  states obstruct --context cartesian --sets 'a,b,c,d|e,f,g,h' --format dot
+    45  d0ad78e61a34  states obstruct --context cartesian --sets 'a,b,c,d|e,f,g,h' --format interchange
     34  76997c843d39  opengraph compose fixtures/G.og fixtures/H.og
     46  56c165a98683  opengraph compose fixtures/G.og fixtures/H.og --format dot
     13  0a574200a2e2  opengraph reach fixtures/G.og
@@ -329,11 +329,11 @@ CALLS = """
     12  cli._states_objects
     57  cli.run
     28  fincat.FinCat.__new__
-    16  fincat.FinCat.cod
+     8  fincat.FinCat.cod
      8  fincat.FinCat.dom
     34  fincat.FinCat.has_object
      6  fincat.FinCat.hom
-    24  fincat.FinCat.id_of
+    16  fincat.FinCat.id_of
     24  fincat._WalkMemo.built
     31  fincat._WalkMemo.get
     31  fincat._WalkMemo.reflect
@@ -359,8 +359,6 @@ CALLS = """
     31  homotopy._pi_at
     79  homotopy._rows
      8  homotopy.analyze_morphism
-     8  homotopy.brute_mono
-     8  homotopy.brute_split_epi
      4  homotopy.induced_map
      1  homotopy.is_subterminal
      1  homotopy.is_terminal
@@ -402,7 +400,6 @@ CALLS = """
     47  order.reflection
     23  setcat.FiniteFunction.__new__
     27  setcat.FiniteFunction.image
-    12  setcat.KernelPair.__init__
     12  setcat._parse_set
     12  setcat.kernel_pair
      8  setcat.parse_assignments

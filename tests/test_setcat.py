@@ -140,18 +140,20 @@ class TestKernelPair:
         assert len(kp.pairs) == 5
         assert {(x, y) for x, y in kp.pairs if x != y} == {("0", "1"), ("1", "0")}
 
+    # every kernel pair of every test is checked to be an equivalence
+    # relation (conftest.py); pairs that are none are refused
     def test_missing_diagonal_refused(self):
         with pytest.raises(OracleMismatch, match=r"^kernel pair misses diagonal at 'a'$"):
-            setcat.KernelPair(frozenset({("a", "b"), ("b", "a"), ("b", "b")}))
+            oracles.check_equivalence(frozenset({("a", "b"), ("b", "a"), ("b", "b")}))
 
     def test_asymmetric_pairs_refused(self):
         with pytest.raises(OracleMismatch, match=r"^kernel pair not symmetric at \('a', 'b'\)$"):
-            setcat.KernelPair(frozenset({("a", "a"), ("b", "b"), ("a", "b")}))
+            oracles.check_equivalence(frozenset({("a", "a"), ("b", "b"), ("a", "b")}))
 
     def test_intransitive_pairs_refused(self):
         pairs = {("a", "a"), ("b", "b"), ("c", "c"), ("a", "b"), ("b", "a"), ("b", "c"), ("c", "b")}
         with pytest.raises(OracleMismatch, match=r"^kernel pair not transitive$"):
-            setcat.KernelPair(frozenset(pairs))
+            oracles.check_equivalence(frozenset(pairs))
 
 
 class TestPi0Function:
