@@ -101,15 +101,15 @@ def comp(c):
     return MappingProxyType({(names[h], names[g]): names[hg] for g, row in enumerate(c.rows) for h, hg in row.items()})
 
 
-def split_epi(c, f):
+def split_epi(c, f, table=None):
     x, y = c.dom(f), c.cod(f)
-    table = comp(c)
+    table = comp(c) if table is None else table
     return any(table[(s, f)] == c.id_of(y) for s in c.hom(y, x))
 
 
-def mono(c, f):
+def mono(c, f, table=None):
     x = c.dom(f)
-    table = comp(c)
+    table = comp(c) if table is None else table
     for w in c.objects:
         for g, h in combinations(c.hom(w, x), 2):
             if table[(g, f)] == table[(h, f)]:
@@ -827,10 +827,11 @@ def reach_pairs(g):
 
 def check_analysis(c, f, an):
     """Refuse an analysis of f whose split-epi or mono flag disagrees with
-    the search by name."""
-    if an.split_epi != split_epi(c, f):
+    the search by name, both searches on one table ``comp(c)``."""
+    table = comp(c)
+    if an.split_epi != split_epi(c, f, table):
         raise OracleMismatch(f"split-epi flag disagrees with search at {f!r}")
-    if an.mono != mono(c, f):
+    if an.mono != mono(c, f, table):
         raise OracleMismatch(f"mono flag disagrees with search at {f!r}")
 
 

@@ -488,18 +488,31 @@ def test_refusal_names_one_witness_under_every_hash_seed(tmp_path, refusal):
         assert (proc.returncode, proc.stdout, proc.stderr) == (1, "", err), f"PYTHONHASHSEED={seed}"
 
 
+def src_modules():
+    """Each module of the package by name, its tree, and by node id the
+    function that owns each node, decorators included: walked outer first,
+    so a nested def owns its own nodes."""
+    package = os.path.dirname(errors.__file__)
+    for name in sorted(os.listdir(package)):
+        if name.endswith(".py"):
+            with open(os.path.join(package, name), encoding="utf-8") as fh:
+                tree = ast.parse(fh.read())
+            functions = [fn for fn in ast.walk(tree) if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))]
+            yield name[:-3], tree, {id(n): f"{name[:-3]}.{fn.name}" for fn in functions for n in ast.walk(fn)}
+
+
+def raised_names(tree):
+    """Each ``raise`` of an exception in tree, with the names it mentions."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Raise) and node.exc is not None:
+            yield node, {n.id if isinstance(n, ast.Name) else n.attr for n in ast.walk(node.exc) if isinstance(n, (ast.Name, ast.Attribute))}
+
+
 def test_every_error_class_is_raised_in_src():
     """Each class of ``obstructia.errors`` but the base is named in a
     ``raise`` of another module of the package: a class that only the tests
     raise belongs in the tests."""
-    raised, package = set(), os.path.dirname(errors.__file__)
-    for name in os.listdir(package):
-        if name.endswith(".py") and name != "errors.py":
-            with open(os.path.join(package, name), encoding="utf-8") as fh:
-                tree = ast.parse(fh.read())
-            for node in ast.walk(tree):
-                if isinstance(node, ast.Raise) and node.exc is not None:
-                    raised.update(n.id if isinstance(n, ast.Name) else n.attr for n in ast.walk(node.exc) if isinstance(n, (ast.Name, ast.Attribute)))
+    raised = {name for module, tree, _ in src_modules() if module != "errors" for _, names in raised_names(tree) for name in names}
     classes = {name for name, value in vars(errors).items() if isinstance(value, type) and issubclass(value, errors.EngineError)}
     assert len(classes) > 1 and sorted(classes - raised - {"EngineError"}) == []
 
@@ -508,15 +521,8 @@ def test_one_memo_in_src():
     """The one ``functools.cache``/``lru_cache`` in ``src/`` is the bounded
     parse memo on ``fincat._parse``: a memo keyed by a query would keep
     state from one call, or one test, to the next."""
-    memos, package = [], os.path.dirname(errors.__file__)
-    for name in sorted(os.listdir(package)):
-        if name.endswith(".py"):
-            with open(os.path.join(package, name), encoding="utf-8") as fh:
-                tree = ast.parse(fh.read())
-            decorates = {id(n): f"{name[:-3]}.{fn.name}" for fn in ast.walk(tree) if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
-                         for d in fn.decorator_list for n in ast.walk(d)}
-            memos += [decorates.get(id(n), f"{name}:{n.lineno}") for n in ast.walk(tree)
-                      if (n.attr if isinstance(n, ast.Attribute) else getattr(n, "id", None)) in ("cache", "lru_cache")]
+    memos = [owner.get(id(n), f"{module}.py:{n.lineno}") for module, tree, owner in src_modules() for n in ast.walk(tree)
+             if (n.attr if isinstance(n, ast.Attribute) else getattr(n, "id", None)) in ("cache", "lru_cache")]
     assert memos == ["fincat._parse"]
 
 
@@ -526,15 +532,7 @@ def test_one_self_check_in_src():
     other check of a result that holds by construction runs in the tests,
     on every call (``conftest.py``), so a new one in ``src/`` edits this
     test."""
-    raisers, package = [], os.path.dirname(errors.__file__)
-    for name in sorted(os.listdir(package)):
-        if name.endswith(".py"):
-            with open(os.path.join(package, name), encoding="utf-8") as fh:
-                tree = ast.parse(fh.read())
-            # walked outer first, so a nested def owns its own raises
-            owner = {id(n): f"{name[:-3]}.{fn.name}" for fn in ast.walk(tree) if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)) for n in ast.walk(fn)}
-            raisers += [owner.get(id(n), f"{name}:{n.lineno}") for n in ast.walk(tree) if isinstance(n, ast.Raise) and n.exc is not None
-                        and "OracleMismatch" in {m.id if isinstance(m, ast.Name) else m.attr for m in ast.walk(n.exc) if isinstance(m, (ast.Name, ast.Attribute))}]
+    raisers = [owner.get(id(n), f"{module}.py:{n.lineno}") for module, tree, owner in src_modules() for n, names in raised_names(tree) if "OracleMismatch" in names]
     assert raisers == ["homotopy.report_from_pointed"]
 
 

@@ -949,15 +949,22 @@ class TestAnalyze:
     # each id keeps the name of the search src/ ran on every analysis before
     # the check moved to conftest.py
     @pytest.mark.parametrize("field, flag", [pytest.param("split_epi", "split-epi", id="brute_split_epi-split-epi"), pytest.param("mono", "mono", id="brute_mono-mono")])
-    def test_a_search_that_disagrees_is_refused(self, field, flag):
+    def test_a_search_that_disagrees_is_refused(self, monkeypatch, field, flag):
         # every analysis of every test meets the searches by name; one whose
         # flag says the opposite, for a morphism that is mono and split epi
-        # or not, is refused
+        # or not, is refused, and so is every analysis once the search says
+        # the opposite, which pins that conftest.py runs the check
         c = walking_arrow()
         for f in ("a", "id0"):
             an = homotopy.analyze_morphism(c, f)
             with pytest.raises(OracleMismatch) as exc:
                 oracles.check_analysis(c, f, an._replace(**{field: not getattr(an, field)}))
+            assert str(exc.value) == f"{flag} flag disagrees with search at {f!r}"
+        truth = getattr(oracles, field)
+        monkeypatch.setattr(oracles, field, lambda c, f, table=None: not truth(c, f, table))
+        for f in ("a", "id0"):
+            with pytest.raises(OracleMismatch) as exc:
+                homotopy.analyze_morphism(c, f)
             assert str(exc.value) == f"{flag} flag disagrees with search at {f!r}"
 
     def test_matches_materialised_slice(self, seed):

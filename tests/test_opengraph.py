@@ -558,14 +558,20 @@ class TestAct:
         bp = pmap.target.basepoint
         assert pmap.mapping["{(1,1)}"] == bp
 
-    def test_reachability_that_shrinks_is_refused(self, G):
+    def test_reachability_that_shrinks_is_refused(self, G, H, monkeypatch):
         # a valid homomorphism cannot shrink reachability, so the check every
         # act of every test meets (conftest.py) is made to see one by a
-        # relation that forgets the target's paths
+        # relation that forgets the target's paths, and, through act, by a
+        # source that reaches a pair the target does not
         hom = identified(G)
         assert og.reach(hom.source).pairs
         with pytest.raises(OracleMismatch) as exc:
             oracles.check_growth(hom, og.Relation(hom.target.inputs, hom.target.outputs, frozenset()))
+        assert str(exc.value) == "reachability must grow along a graph homomorphism"
+        reach_pairs = oracles.reach_pairs
+        monkeypatch.setattr(oracles, "reach_pairs", lambda g: reach_pairs(g) | {("no input", "no output")})
+        with pytest.raises(OracleMismatch) as exc:
+            og.act(hom, H)
         assert str(exc.value) == "reachability must grow along a graph homomorphism"
 
     def test_identity_hom_identity_map(self, G, H):

@@ -141,19 +141,36 @@ class TestKernelPair:
         assert {(x, y) for x, y in kp.pairs if x != y} == {("0", "1"), ("1", "0")}
 
     # every kernel pair of every test is checked to be an equivalence
-    # relation (conftest.py); pairs that are none are refused
-    def test_missing_diagonal_refused(self):
-        with pytest.raises(OracleMismatch, match=r"^kernel pair misses diagonal at 'a'$"):
-            oracles.check_equivalence(frozenset({("a", "b"), ("b", "a"), ("b", "b")}))
-
-    def test_asymmetric_pairs_refused(self):
-        with pytest.raises(OracleMismatch, match=r"^kernel pair not symmetric at \('a', 'b'\)$"):
-            oracles.check_equivalence(frozenset({("a", "a"), ("b", "b"), ("a", "b")}))
-
-    def test_intransitive_pairs_refused(self):
-        pairs = {("a", "a"), ("b", "b"), ("c", "c"), ("a", "b"), ("b", "a"), ("b", "c"), ("c", "b")}
-        with pytest.raises(OracleMismatch, match=r"^kernel pair not transitive$"):
+    # relation and the pullback by name (conftest.py); pairs that are none
+    # are refused, by the check and by every kernel_pair that returns them,
+    # which pins that conftest.py runs the check
+    def refused(self, monkeypatch, pairs, message):
+        with pytest.raises(OracleMismatch, match=message):
             oracles.check_equivalence(frozenset(pairs))
+        kernel_pair = setcat.KernelPair
+        monkeypatch.setattr(setcat, "KernelPair", lambda _: kernel_pair(frozenset(pairs)))
+        with pytest.raises(OracleMismatch, match=message):
+            setcat.kernel_pair(setcat.parse_function(FN_FOLD_PAIR)[1])
+
+    def test_missing_diagonal_refused(self, monkeypatch):
+        self.refused(monkeypatch, {("a", "b"), ("b", "a"), ("b", "b")}, r"^kernel pair misses diagonal at 'a'$")
+
+    def test_asymmetric_pairs_refused(self, monkeypatch):
+        self.refused(monkeypatch, {("a", "a"), ("b", "b"), ("a", "b")}, r"^kernel pair not symmetric at \('a', 'b'\)$")
+
+    def test_intransitive_pairs_refused(self, monkeypatch):
+        pairs = {("a", "a"), ("b", "b"), ("c", "c"), ("a", "b"), ("b", "a"), ("b", "c"), ("c", "b")}
+        self.refused(monkeypatch, pairs, r"^kernel pair not transitive$")
+
+    def test_pairs_other_than_the_pullback_refused(self, monkeypatch):
+        # the diagonal is an equivalence relation, but not the kernel pair
+        # of a function that folds two elements
+        diagonal = frozenset({("0", "0"), ("1", "1")})
+        oracles.check_equivalence(diagonal)
+        kernel_pair = setcat.KernelPair
+        monkeypatch.setattr(setcat, "KernelPair", lambda _: kernel_pair(diagonal))
+        with pytest.raises(AssertionError, match="differs from the pullback by name"):
+            setcat.kernel_pair(setcat.parse_function(FN_FOLD_PAIR)[1])
 
 
 class TestPi0Function:
