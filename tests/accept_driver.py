@@ -54,17 +54,20 @@ COMMANDS = [
 ]
 
 
+def run_command(argv, out) -> int:
+    """Run one command into out, after a `$` line that names it and before
+    an `exit` line with its status."""
+    out.write("$ " + " ".join(os.path.relpath(a, ROOT) if a.startswith(FIXTURES) else a for a in argv) + "\n")
+    code = cli.run(argv, out)
+    out.write(f"exit {code}\n")
+    return code
+
+
 def main() -> int:
     out = io.StringIO()
-    for argv in COMMANDS:
-        out.write("$ " + " ".join(os.path.relpath(a, ROOT) if a.startswith(FIXTURES) else a for a in argv) + "\n")
-        code = cli.run(argv, out)
-        out.write(f"exit {code}\n")
-        if code != 0:
-            sys.stdout.write(out.getvalue())
-            return 1
+    failed = any(run_command(argv, out) != 0 for argv in COMMANDS)  # stops at the first failure
     sys.stdout.write(out.getvalue())
-    return 0
+    return int(failed)
 
 
 if __name__ == "__main__":

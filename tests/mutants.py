@@ -30,6 +30,20 @@ COPIED = ("src", "tests", "fixtures", "pyproject.toml")
 
 WALKS = ("tests/test_homotopy.py", "tests/test_nx_oracle.py", "tests/test_fincat.py", "tests/test_acceptance.py")
 
+# Reflections kept by walk alone, not by walk and lower set.
+KEPT_BY_WALK = (
+    "            kept = self.walks.get((key, low)) if mine else None\n"
+    "            got, keep = reflect(kept)\n"
+    "            self.reused, self.fresh = self.reused + (keep is None), self.fresh + (keep is not None)\n"
+    "            if mine and kept is None and self.kept + len(keep[1]) <= OBJECTS_CAP:\n"
+    "                self.walks[key, low], self.kept = keep, self.kept + len(keep[1])\n",
+    "            kept = self.walks.get((key,)) if mine else None\n"
+    "            got, keep = reflect(kept)\n"
+    "            self.reused, self.fresh = self.reused + (keep is None), self.fresh + (keep is not None)\n"
+    "            if mine and kept is None and self.kept + len(keep[1]) <= OBJECTS_CAP:\n"
+    "                self.walks[key,], self.kept = keep, self.kept + len(keep[1])\n",
+)
+
 ROWS = [
     ("walk-first-source", "src/obstructia/fincat.py",
      "            for j in sources:\n                mask |= 1 << j\n",
@@ -51,18 +65,11 @@ ROWS = [
      "            kept = self.walks.get((key, low)) if mine else None\n",
      "            kept = self.walks.get((key,)) if mine else None\n",
      ("tests/test_homotopy.py",), "killed"),
-    ("kept-read-and-kept-without-lower-set", "src/obstructia/fincat.py",
-     "            kept = self.walks.get((key, low)) if mine else None\n"
-     "            got, keep = reflect(kept)\n"
-     "            self.reused, self.fresh = self.reused + (keep is None), self.fresh + (keep is not None)\n"
-     "            if mine and kept is None and self.kept + len(keep[1]) <= OBJECTS_CAP:\n"
-     "                self.walks[key, low], self.kept = keep, self.kept + len(keep[1])\n",
-     "            kept = self.walks.get((key,)) if mine else None\n"
-     "            got, keep = reflect(kept)\n"
-     "            self.reused, self.fresh = self.reused + (keep is None), self.fresh + (keep is not None)\n"
-     "            if mine and kept is None and self.kept + len(keep[1]) <= OBJECTS_CAP:\n"
-     "                self.walks[key,], self.kept = keep, self.kept + len(keep[1])\n",
+    ("kept-read-and-kept-without-lower-set", "src/obstructia/fincat.py", *KEPT_BY_WALK,
      ("tests/test_homotopy.py",), "killed"),
+    # the same edit, which only a sequence row on a warm walk memo sees
+    ("kept-by-walk-in-a-warm-sequence", "src/obstructia/fincat.py", *KEPT_BY_WALK,
+     ("tests/test_pins.py",), "killed"),
     ("kept-for-any-category", "src/obstructia/fincat.py",
      "            mine = self.of is c and ranked\n",
      "            mine = ranked\n",

@@ -488,6 +488,50 @@ def test_refusal_names_one_witness_under_every_hash_seed(tmp_path, refusal):
         assert (proc.returncode, proc.stdout, proc.stderr) == (1, "", err), f"PYTHONHASHSEED={seed}"
 
 
+# Refusals a user can reach, each from one command: the input files it
+# writes, the argv, and the one line it prints on stderr.
+TWO_VERTICES = "inputs 1\noutputs 2\nvertex p q\nin 1 = p\nout 2 = q\n"
+GF2 = ("states", "local-act", "--context", "gf2", "--dims", "1,1")
+REFUSALS = {
+    "fn stray element": ({"f.fn": "fn f : {a} -> {b} ; a=>b, z=>b\n"}, ("set", "pi0", "--fn", "f.fn"),
+                         "ParseError: mapping defined on stray element 'z'"),
+    "fn two declarations": ({"f.fn": "fn f : {a} -> {b} ; a=>b\nfn g : {a} -> {b} ; a=>b\n"}, ("set", "pi0", "--fn", "f.fn"),
+                            "ParseError: more than one function declaration"),
+    "fn without fn": ({"f.fn": "f : {a} -> {b} ; a=>b\n"}, ("set", "pi0", "--fn", "f.fn"),
+                      "ParseError: function line must start with 'fn'"),
+    "fn without colon": ({"f.fn": "fn f {a} -> {b} ; a=>b\n"}, ("set", "pi0", "--fn", "f.fn"),
+                         "ParseError: cannot parse function line 'fn f {a} -> {b} ; a=>b'"),
+    "fn bare set": ({"f.fn": "fn f : a -> {b}\n"}, ("set", "pi0", "--fn", "f.fn"),
+                    "ParseError: expected a {...} set, got 'a'"),
+    "gh bogus line": ({"h.gh": "bogus line\n"}, ("opengraph", "act", fx("G.og"), fx("G_identified.og"), "h.gh", fx("H.og")),
+                      "ParseError: line 1: cannot parse 'bogus line'"),
+    "act right part": ({}, ("opengraph", "act", fx("G.og"), fx("G_identified.og"), fx("identify_outputs.gh"), fx("G.og")),
+                       "BoundaryMismatch: homomorphism target not composable with the right part"),
+    "input leg": ({"g.og": TWO_VERTICES, "h.gh": "map p = q\n"}, ("opengraph", "act", "g.og", "g.og", "h.gh", "g.og"),
+                  "NotAGraphHom: input leg '1' does not commute"),
+    "output leg": ({"g.og": TWO_VERTICES, "h.gh": "map q = p\n"}, ("opengraph", "act", "g.og", "g.og", "h.gh", "g.og"),
+                   "NotAGraphHom: output leg '2' does not commute"),
+    "check-terminal object": ({}, ("cat", "check-terminal", fx("z2.cat"), "--object", "nope"), "UnknownObject: no such object: 'nope'"),
+    "pi1 object": ({}, ("cat", "pi1", fx("z2.cat"), "--object", "nope"), "UnknownObject: no such object: 'nope'"),
+    "matrix bits": ({}, (*GF2, "--fmat", "2", "--gmat", "1"), "ParseError: matrix row '2' must be bits"),
+    "gf2 dims": ({}, ("states", "obstruct", "--context", "gf2"), "ParseError: gf2 context needs --dims"),
+    "cartesian sets": ({}, ("states", "obstruct", "--context", "cartesian"), "ParseError: cartesian context needs --sets"),
+    "gf2 matrices": ({}, GF2, "ParseError: gf2 local action needs --fmat and --gmat"),
+    "cartesian maps": ({}, ("states", "local-act", "--context", "cartesian", "--sets", "a|b"),
+                       "ParseError: cartesian local action needs --target-sets, --fmap, --gmap"),
+}
+
+
+@pytest.mark.parametrize("refusal", REFUSALS)
+def test_refusal_text(tmp_path, capsys, refusal):
+    """Exit 1, no output, and the error's class and message on stderr."""
+    files, argv, err = REFUSALS[refusal]
+    for name, text in files.items():
+        (tmp_path / name).write_text(text, encoding="utf-8")
+    code, text = run(*(str(tmp_path / a) if a in files else a for a in argv))
+    assert (code, text, capsys.readouterr().err) == (1, "", f"error {err}\n")
+
+
 def src_modules():
     """Each module of the package by name, its tree, and by node id the
     function that owns each node, decorators included: walked outer first,

@@ -1,10 +1,15 @@
-"""Byte pins: the sha256 of every pinned CLI output, one row per argv.
+"""Byte pins: the sha256 of every pinned CLI output, one row per argv or
+per sequence of argvs.
 
 A row reads like a line of `sha256sum`: the digest, two spaces, then the
 argv as a shell would split it.  A `fixtures/` path names a checked-in
-fixture; a bare `*.cat` or `*.og` name is an input built below.  A digest
+fixture; a bare `*.cat` or `*.og` name is an input built below.  A
+sequence row names its ops in brackets, with the byte count of their
+outputs: they run in one process from cold memos, so later ops read what
+earlier ones kept, and their outputs are hashed as one stream.  A digest
 changes only together with the output change it pins, and CHANGES.md names
-that change.
+that change.  Pins hold under every hash seed: CI runs this file under
+`PYTHONHASHSEED` 0, 1, 2 and 3.
 
 One pass runs every row under `sys.setprofile` and counts the calls into
 each `def` of `src/`.  It pins each row's work (`WORK`), and it checks that
@@ -12,12 +17,14 @@ each `def` of `src/`.  It pins each row's work (`WORK`), and it checks that
 """
 
 import ast
+import functools
 import glob
 import hashlib
 import importlib
 import inspect
 import os
 import random
+import re
 import shlex
 import subprocess
 import sys
@@ -26,6 +33,7 @@ from types import SimpleNamespace
 
 import pytest
 
+import accept_driver
 import gen
 import obstructia
 from obstructia import cli, fincat, homotopy
@@ -113,8 +121,28 @@ b1867d4b135b3d96b7fe614f938d6eaa3c8c2748f0e1c023d3d91da75abb567c  opengraph obst
 d9623dc9814f3c0f0c9a70259f02abee09acf7c1d5ea14ae7db73b8bcbc0f839  opengraph obstruct left8.og right8.og --format text
 d02bc004fdd02bc03d13f06fe22d752a6e137cae6e6d2c0deaa0419aa74a9151  opengraph obstruct left8.og right8.og --format dot
 c3160ed0ad71a2adca0caad2e393d9f0d45ae4903bd332cf4dcfc55f5c5403fa  opengraph obstruct left8.og right8.og --format interchange
+# sequences of ops, which `sequence_ops` lists
+6c2878c8741e14f9cfa83160fad21197c248dbf2f80660f81277ff37f46717db  [classify] 372319 bytes
+05806ceee5d36024ef5dd8c28020f4516b48a282428bb896f12d4bd5430287b7  [named] 9471 bytes
+119d684df7a9f91c3263882d1e4aa529014e25bf4ce0efc7233ef60f3c76b71f  [accept_driver] 20854 bytes
+ef19297a573076acfbc35e61571dd4acd53bcef80b10091f4cd447ace0288388  [set] 107911035 bytes
 """
-ROWS = [tuple(reversed(line.split("  ", 1))) for line in PINS.splitlines() if line and not line.startswith("#")]
+PINNED = [tuple(reversed(line.split("  ", 1))) for line in PINS.splitlines() if line and not line.startswith("#")]
+ROWS = [(row, digest) for row, digest in PINNED if not row.startswith("[")]
+SEQUENCES = {m[1]: (digest, int(m[2])) for row, digest in PINNED if (m := re.fullmatch(r"\[(\S+)\] (\d+) bytes", row))}
+
+# What each sequence leaves in the memos: the parse memo's hits and misses;
+# the walk memo's, and the elements it keeps; its reflections reused and
+# built afresh, and the names those built; the kept powerset report's hits
+# and misses.
+MEMOS = """
+#              parse     walks            reflections     kept report
+classify       63  1     111 13  1725     100 24  1536    0 0
+named          21  2     37  9   51       19  27  233     0 0
+accept_driver  10  4     4   5   4        3   6   3       3 10
+set            0   0     0   0   0        0   0   0       4 2
+"""
+MEMO_ROWS = {name: tuple(map(int, counts)) for name, *counts in (line.split() for line in MEMOS.splitlines() if line and not line.startswith("#"))}
 
 # run again through `python -m obstructia.cli`, one per command group
 ENTRY_POINTS = (
@@ -151,12 +179,26 @@ def argv_of(tmp_path_factory):
     return lambda row: [str(tmp / t) if t in texts else os.path.join(ROOT, t) if t.startswith("fixtures/") else t for t in shlex.split(row)]
 
 
+def stream_digest(ops) -> tuple[str, int]:
+    """The sha256 and byte count of what the ops write, one after another
+    into one stream; each must exit 0.  Each piece is hashed as it is
+    written: no document is held in memory."""
+    sha, size = hashlib.sha256(), 0
+
+    def write(piece):
+        nonlocal size
+        data = piece.encode("utf-8")
+        sha.update(data)
+        size += len(data)
+
+    for op in ops:
+        assert op(SimpleNamespace(write=write)) == 0
+    return sha.hexdigest(), size
+
+
 def run_digest(argv) -> str:
-    """The sha256 of what `cli.run(argv)` writes, which must exit 0. Each
-    piece is hashed as it is written: no document is held in memory."""
-    sha = hashlib.sha256()
-    assert cli.run(argv, SimpleNamespace(write=lambda piece: sha.update(piece.encode("utf-8")))) == 0
-    return sha.hexdigest()
+    """The sha256 of what `cli.run(argv)` writes, which must exit 0."""
+    return stream_digest([functools.partial(cli.run, argv)])[0]
 
 
 @pytest.mark.parametrize("row, digest", ROWS, ids=[row for row, _ in ROWS])
@@ -191,6 +233,50 @@ def test_set_rows_with_a_kept_report(argv_of, capsys):
         assert got == digest, f"{row} (kept report): output sha256 {got}, pinned {digest}"
     assert capsys.readouterr().err == ""
     assert (homotopy._KEPT.hits, homotopy._KEPT.misses) == (4, 2)
+
+
+def sequence_ops(argv_of) -> dict:
+    """The ops of each sequence row, by name; an op writes to `out` and
+    returns its exit status.
+    - classify: every morphism of the size-3 finite-set skeleton analysed,
+      then pi1 at each object: 13 walks, all ranked, and their reflections
+      reused from the walk memo;
+    - named: every morphism of Z/12, where g10 extends g1 by a digit that
+      sorts below [, then of bang.cat, where b! extends b by a ! that sorts
+      below every suffix, so the walks into * and 2 take the names route;
+    - accept_driver: its command list, each printed as accept_driver.py
+      prints it, so the digest is that of the script's output;
+    - set: the six `set` rows, each function's second and third formats
+      rendering the report its first one kept."""
+    ambient, z12, bang = gen.finset_ambient(3), gen.cyclic_group_category(12), gen.bang_skeleton()
+
+    def ops(rows):
+        return [functools.partial(cli.run, argv_of(row)) for row in rows]
+
+    return {
+        "classify": ops([f"cat analyze ambient.cat --morphism {m.name}" for m in ambient.morphisms]
+                        + [f"cat pi1 ambient.cat --object {x}" for x in ambient.objects]),
+        "named": ops([f"cat analyze {path} --morphism {m.name}" for path, c in (("z12.cat", z12), ("bang.cat", bang)) for m in c.morphisms]),
+        "accept_driver": [functools.partial(accept_driver.run_command, argv) for argv in accept_driver.COMMANDS],
+        "set": ops([row for row, _ in ROWS if row.startswith("set ")]),
+    }
+
+
+def memo_counts() -> tuple:
+    """The counters of every memo, in the columns of MEMOS."""
+    parse, walks, kept = fincat._parse.cache_info(), fincat._WALKS, homotopy._KEPT
+    return parse.hits, parse.misses, walks.hits, walks.misses, walks.kept, walks.reused, walks.fresh, walks.named, kept.hits, kept.misses
+
+
+@pytest.mark.parametrize("name", SEQUENCES)
+def test_sequence_bytes(name, argv_of, capsys):
+    """A sequence's ops run in one process, each on what the ops before it
+    kept, and their outputs hash as one stream to the pin; each memo
+    counts what MEMOS pins."""
+    got = stream_digest(sequence_ops(argv_of)[name])
+    assert capsys.readouterr().err == ""
+    assert got == SEQUENCES[name], f"[{name}]: output sha256 {got[0]} of {got[1]} bytes, pinned {SEQUENCES[name]}"
+    assert memo_counts() == MEMO_ROWS[name], f"[{name}]: memo counts {memo_counts()}, pinned {MEMO_ROWS[name]}"
 
 
 @pytest.mark.parametrize("row", ENTRY_POINTS)
